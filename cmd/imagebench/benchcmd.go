@@ -20,7 +20,7 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	profile := fs.String("profile", "quick", `workload profile for the experiment cases: "quick" or "full"`)
 	reps := fs.Int("reps", 3, "repetitions per case")
-	baseline := fs.String("baseline", "", "baseline artifact to diff against (e.g. BENCH_4.json); exit 1 on regression")
+	baseline := fs.String("baseline", "", "baseline artifact to diff against (e.g. BENCH_8.json); exit 1 on regression")
 	out := fs.String("out", "", "write this run's artifact (JSON) to this file")
 	tolerance := fs.Float64("tolerance", 0.25, "allowed relative increase for wall time and allocations (0.25 = +25%);\nvirtual-seconds metrics are always gated exactly")
 	list := fs.Bool("list", false, "list case names and exit")
@@ -29,8 +29,8 @@ func benchMain(args []string, stdout, stderr io.Writer) int {
 			"Runs benchmark cases sequentially for -reps repetitions, recording wall\n"+
 			"time, allocations, and virtual seconds per case into a schema-versioned\n"+
 			"JSON artifact, then diffs against -baseline. Examples:\n\n"+
-			"  imagebench bench -reps 3 -out BENCH_4.json all\n"+
-			"  imagebench bench -baseline BENCH_4.json -tolerance 0.3 kernel/...\n\n")
+			"  imagebench bench -reps 3 -out BENCH_8.json all\n"+
+			"  imagebench bench -baseline BENCH_8.json -tolerance 0.3 kernel/...\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

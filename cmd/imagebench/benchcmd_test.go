@@ -81,7 +81,7 @@ func TestBenchCommandRegressionGate(t *testing.T) {
 
 // TestBenchCommandSubsetGating: gating a selected subset against a
 // full baseline must only compare the selected cases — the documented
-// `bench -baseline BENCH_4.json kernel/...` workflow — while a full run
+// `bench -baseline BENCH_8.json kernel/...` workflow — while a full run
 // still flags baseline cases the surface lost.
 func TestBenchCommandSubsetGating(t *testing.T) {
 	dir := t.TempDir()

@@ -34,8 +34,8 @@
 // per case) go through the bench harness, which diffs against a
 // committed baseline and exits nonzero on regression:
 //
-//	imagebench bench -reps 3 -out BENCH_4.json all
-//	imagebench bench -baseline BENCH_4.json -tolerance 0.3 kernel/...
+//	imagebench bench -reps 3 -out BENCH_8.json all
+//	imagebench bench -baseline BENCH_8.json -tolerance 0.3 kernel/...
 //
 // Serving-path load tests (TPS and latency quantiles per request class
 // against a running imagebenchd, or an in-process one) go through the

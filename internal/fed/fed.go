@@ -199,6 +199,8 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	}
 	c.mu.Unlock()
 
+	// Unlocked, like the resume loop's reads of c.states below: no
+	// executor goroutine exists yet, and c.states is never written again.
 	c.record(Record{Op: OpSpec, Sweep: sid, Spec: &spec})
 
 	// Opportunistic resume fetch, outside the lock: journal-done cells
@@ -409,10 +411,13 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 	}
 	peers := c.liveWorkersLocked()
 	c.mu.Unlock()
+	// Broadcast after unlock is safe here and below: the state changed
+	// under the lock, so a waiter either saw it or is already parked.
 	c.cond.Broadcast()
 
 	// Replicate so any worker can serve any key. The source already
-	// has it; push to everyone else still alive.
+	// has it; push to everyone else still alive. peers is a snapshot: a
+	// peer that died since fails the push and workerDown is idempotent.
 	for _, peer := range peers {
 		if peer == worker {
 			continue

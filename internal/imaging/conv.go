@@ -48,9 +48,8 @@ const (
 
 // convAxisInto convolves v with the 1-D kernel along one axis, clamping
 // at the borders (replicate padding), writing the z-planes [z0,z1) of
-// dst at dst z-index z-dstZ0 (dstZ0 is 0 for a full-shape dst, z0 for
-// a slab-shaped block buffer). dst must not alias v.
-func convAxisInto(dst, v *volume.V3, kernel []float64, ax axis, dstZ0, z0, z1 int) {
+// dst, which has v's shape and must not alias it.
+func convAxisInto(dst, v *volume.V3, kernel []float64, ax axis, z0, z1 int) {
 	r := len(kernel) / 2
 	for z := z0; z < z1; z++ {
 		for y := 0; y < v.NY; y++ {
@@ -68,7 +67,7 @@ func convAxisInto(dst, v *volume.V3, kernel []float64, ax axis, dstZ0, z0, z1 in
 					}
 					acc += kernel[k+r] * v.At(xx, yy, zz)
 				}
-				dst.Set(x, y, z-dstZ0, acc)
+				dst.Set(x, y, z, acc)
 			}
 		}
 	}
@@ -91,82 +90,32 @@ func SeparableConv3(v *volume.V3, kx, ky, kz []float64) *volume.V3 {
 // value) and cooperative cancellation. Each 1-D pass is tiled across
 // the pool and barriers before the next, because the Y and Z passes
 // read planes the previous pass wrote. The two intermediate volumes
-// come from a scratch pool, so a call allocates only the output volume
-// in steady state. On cancellation the partial result is discarded and
-// (nil, ctx.Err()) is returned.
+// come from the shared scratch arena, so a call allocates only the
+// output volume in steady state. On cancellation the partial result is
+// discarded and (nil, ctx.Err()) is returned.
 func SeparableConv3Ctx(ctx context.Context, v *volume.V3, kx, ky, kz []float64, workers int) (*volume.V3, error) {
+	a := volume.Scratch.Get(v.NX, v.NY, v.NZ)
+	defer volume.Scratch.Put(a)
+	b := volume.Scratch.Get(v.NX, v.NY, v.NZ)
+	defer volume.Scratch.Put(b)
 	out := volume.New3(v.NX, v.NY, v.NZ)
-	if err := SeparableConv3IntoCtx(ctx, out, v, kx, ky, kz, workers); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SeparableConv3IntoCtx convolves v into dst, which must match v's
-// shape and not alias it. Existing contents of dst are overwritten, so
-// dst may come from an arena; output is bit-identical to
-// SeparableConv3 for any worker count. On cancellation dst is
-// partially written and must be discarded or reused, never read.
-func SeparableConv3IntoCtx(ctx context.Context, dst, v *volume.V3, kx, ky, kz []float64, workers int) error {
-	if !dst.SameShape(v) {
-		panic("imaging: SeparableConv3IntoCtx shape mismatch")
-	}
-	a := getScratch(v.NX, v.NY, v.NZ)
-	defer putScratch(a)
-	b := getScratch(v.NX, v.NY, v.NZ)
-	defer putScratch(b)
-	passes := []struct {
+	for _, p := range []struct {
 		dst, src *volume.V3
 		kernel   []float64
 		ax       axis
 	}{
 		{a, v, kx, axisX},
 		{b, a, ky, axisY},
-		{dst, b, kz, axisZ},
-	}
-	for _, p := range passes {
-		p := p
+		{out, b, kz, axisZ},
+	} {
 		err := runTiles(ctx, v.NZ, workers, func(z0, z1 int) {
-			convAxisInto(p.dst, p.src, p.kernel, p.ax, 0, z0, z1)
+			convAxisInto(p.dst, p.src, p.kernel, p.ax, z0, z1)
 		})
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SeparableConv3Stream is the stream-producing form of the kernel: it
-// runs the X and Y passes into pooled scratch eagerly (they are
-// barriers — the next pass reads planes the previous one wrote), then
-// streams the Z-pass output as z-slab blocks of at most rows planes
-// each, computed lazily in arena-backed buffers. A Collect of the
-// stream is bit-identical to SeparableConv3; a consumer that reduces
-// each block and releases it never holds the full output volume. The
-// consumer must exhaust the stream (Drain on early exit, or cancel
-// ctx) so the scratch volumes return to their pool.
-func SeparableConv3Stream(ctx context.Context, v *volume.V3, kx, ky, kz []float64, workers int, arena *volume.Arena, rows int) (volume.Stream, error) {
-	a := getScratch(v.NX, v.NY, v.NZ)
-	b := getScratch(v.NX, v.NY, v.NZ)
-	release := func() { putScratch(a); putScratch(b) }
-	for _, p := range []struct {
-		dst, src *volume.V3
-		kernel   []float64
-		ax       axis
-	}{{a, v, kx, axisX}, {b, a, ky, axisY}} {
-		p := p
-		err := runTiles(ctx, v.NZ, workers, func(z0, z1 int) {
-			convAxisInto(p.dst, p.src, p.kernel, p.ax, 0, z0, z1)
-		})
-		if err != nil {
-			release()
 			return nil, err
 		}
 	}
-	zPass := volume.Map(ctx, volume.Slabs(b, rows), arena, workers, func(in volume.BlockVol, out *volume.V3) {
-		convAxisInto(out, b, kz, axisZ, in.B.Z0, in.B.Z0, in.B.Z1)
-	})
-	return volume.OnDrained(zPass, release), nil
+	return out, nil
 }
 
 // Conv3 convolves v with a dense 3-D kernel (odd-sized in each

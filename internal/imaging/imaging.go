@@ -163,6 +163,18 @@ func (o NLMeansOpts) withDefaults() NLMeansOpts {
 	return o
 }
 
+// strength returns the filtering parameter h: o.H when set, otherwise
+// 0.7 of v's standard deviation (1 for a constant volume).
+func (o NLMeansOpts) strength(v *volume.V3) float64 {
+	if o.H > 0 {
+		return o.H
+	}
+	if h := 0.7 * v.Summarize().Std; h != 0 {
+		return h
+	}
+	return 1
+}
+
 // NLMeans3 denoises a 3-D volume with the blockwise non-local means
 // algorithm (Coupé et al. 2008, the paper's Step 2N). When mask is non-nil,
 // only voxels with mask≠0 are denoised (the paper uses the segmentation
@@ -186,35 +198,16 @@ func NLMeans3(v *volume.V3, mask *volume.V3, opts NLMeansOpts) *volume.V3 {
 // at the next tile boundary once ctx is canceled, the partially written
 // volume is discarded, and (nil, ctx.Err()) is returned.
 func NLMeans3Ctx(ctx context.Context, v *volume.V3, mask *volume.V3, opts NLMeansOpts) (*volume.V3, error) {
-	out := volume.New3(v.NX, v.NY, v.NZ)
-	if err := NLMeans3IntoCtx(ctx, out, v, mask, opts); err != nil {
+	opts = opts.withDefaults()
+	h := opts.strength(v)
+	out := v.Clone() // pass-through voxels keep the input value
+	err := runTiles(ctx, v.NZ, opts.Workers, func(z0, z1 int) {
+		nlmeansSlab(v, mask, out, 0, opts, h, z0, z1)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// NLMeans3IntoCtx denoises v into dst, which must match v's shape and
-// not alias it. Existing contents of dst are overwritten (pass-through
-// voxels copy from v, exactly as NLMeans3's initial clone does), so dst
-// may come from an arena; output is bit-identical to NLMeans3 for any
-// worker count. On cancellation dst is partially written and must be
-// discarded or reused, never read.
-func NLMeans3IntoCtx(ctx context.Context, dst, v, mask *volume.V3, opts NLMeansOpts) error {
-	if !dst.SameShape(v) {
-		panic("imaging: NLMeans3IntoCtx shape mismatch")
-	}
-	opts = opts.withDefaults()
-	h := opts.H
-	if h <= 0 {
-		h = 0.7 * v.Summarize().Std
-		if h == 0 {
-			h = 1
-		}
-	}
-	copy(dst.Data, v.Data)
-	return runTiles(ctx, v.NZ, opts.Workers, func(z0, z1 int) {
-		nlmeansSlab(v, mask, dst, 0, opts, h, z0, z1)
-	})
 }
 
 // NLMeans3Stream is the stream-producing form of the kernel: it
@@ -230,13 +223,7 @@ func NLMeans3IntoCtx(ctx context.Context, dst, v, mask *volume.V3, opts NLMeansO
 // early exit.
 func NLMeans3Stream(ctx context.Context, v, mask *volume.V3, opts NLMeansOpts, arena *volume.Arena, rows int) volume.Stream {
 	opts = opts.withDefaults()
-	h := opts.H
-	if h <= 0 {
-		h = 0.7 * v.Summarize().Std
-		if h == 0 {
-			h = 1
-		}
-	}
+	h := opts.strength(v)
 	plane := v.NX * v.NY
 	return volume.Map(ctx, volume.Slabs(v, rows), arena, opts.Workers, func(in volume.BlockVol, out *volume.V3) {
 		// Pass-through voxels copy the input, exactly as NLMeans3's

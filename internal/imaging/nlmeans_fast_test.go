@@ -122,7 +122,7 @@ func TestNLMeans3WorkersExact(t *testing.T) {
 func naiveSeparableConv3(v *volume.V3, kx, ky, kz []float64) *volume.V3 {
 	conv := func(u *volume.V3, kernel []float64, ax axis) *volume.V3 {
 		out := volume.New3(u.NX, u.NY, u.NZ)
-		convAxisInto(out, u, kernel, ax, 0, 0, u.NZ)
+		convAxisInto(out, u, kernel, ax, 0, u.NZ)
 		return out
 	}
 	out := conv(v, kx, axisX)

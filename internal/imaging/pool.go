@@ -20,38 +20,15 @@ import (
 // slabs of background cost almost nothing.
 const tileRows = 1
 
-// resolveWorkers maps a Workers option to an effective pool size:
-// non-positive means GOMAXPROCS, and the pool never exceeds the tile
-// count (workers > tiles would idle).
-func resolveWorkers(workers, tiles int) int {
-	workers = volume.ResolveWorkers(workers)
-	if workers > tiles {
-		workers = tiles
-	}
-	return workers
-}
-
-// runTiles applies fn to each tile of nz z-planes using the given
-// worker count. It returns ctx.Err() if the context is canceled;
-// workers stop picking up new tiles at the next tile boundary, so a
-// nonzero error means the output may be incomplete and must be
-// discarded by the caller.
+// runTiles applies fn to each tile of nz z-planes on a pool of workers
+// goroutines (<=0 = GOMAXPROCS, never more than there are tiles). It
+// returns ctx.Err() if the context is canceled; workers stop picking up
+// new tiles at the next tile boundary, so a nonzero error means the
+// output may be incomplete and must be discarded by the caller.
 func runTiles(ctx context.Context, nz, workers int, fn func(z0, z1 int)) error {
-	tiles := volume.TileZ(nz, tileRows)
-	workers = resolveWorkers(workers, len(tiles))
+	tiles := (nz + tileRows - 1) / tileRows
+	workers = min(volume.ResolveWorkers(workers), tiles)
 	return volume.ForEach(ctx, volume.Tiles(nz, tileRows), workers, func(bv volume.BlockVol) {
 		fn(bv.B.Z0, bv.B.Z1)
 	})
-}
-
-// getScratch returns an nx×ny×nz volume from the shared arena whose
-// contents are arbitrary — callers must write every voxel before
-// reading any.
-func getScratch(nx, ny, nz int) *volume.V3 {
-	return volume.Scratch.Get(nx, ny, nz)
-}
-
-// putScratch returns a volume obtained from getScratch to the arena.
-func putScratch(v *volume.V3) {
-	volume.Scratch.Put(v)
 }

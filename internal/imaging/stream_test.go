@@ -53,32 +53,6 @@ func TestNLMeans3StreamBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSeparableConv3StreamBitIdentical does the same for the separable
-// convolution's streamed z-pass.
-func TestSeparableConv3StreamBitIdentical(t *testing.T) {
-	v := streamTestVolume(43, 10, 9, 12)
-	k := GaussianKernel(1.1)
-	want, err := SeparableConv3Ctx(context.Background(), v, k, k, k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ar := volume.NewArena()
-	for _, workers := range []int{1, 4, v.NZ + 6} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, err := SeparableConv3Stream(context.Background(), v, k, k, k, workers, ar, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := volume.Collect(v.NX, v.NY, v.NZ, s)
-			for i := range got.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("voxel %d = %v, want %v (stream must be bit-identical)", i, got.Data[i], want.Data[i])
-				}
-			}
-		})
-	}
-}
-
 // TestStreamsShareScratchConcurrently is the satellite aliasing stress
 // (run under -race in CI): several full streaming pipelines recycle
 // blocks through the process-wide volume.Scratch arena at once, each

@@ -251,6 +251,11 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 	if client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConnsPerHost = cfg.Agents
+		// Run owns this transport, so it closes what it opened: a
+		// keep-alive connection left behind (in particular one dialed
+		// but never used) makes the daemon's graceful shutdown wait
+		// out http.Server's 5 s grace period for new connections.
+		defer tr.CloseIdleConnections()
 		client = &http.Client{Transport: tr, Timeout: time.Minute}
 	}
 

@@ -47,7 +47,15 @@ func runOnFreshDaemon(t *testing.T, cfg Config) *Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Stop)
+	t.Cleanup(func() {
+		// Run must not leave connections open: one dialed but never
+		// used holds http.Server.Shutdown for its full 5 s grace.
+		t0 := time.Now()
+		d.Stop()
+		if dt := time.Since(t0); dt > 2*time.Second {
+			t.Errorf("daemon Stop took %s: Run left connections open", dt)
+		}
+	})
 	cfg.BaseURL = d.BaseURL
 	sum, err := Run(context.Background(), cfg)
 	if err != nil {

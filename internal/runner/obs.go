@@ -130,23 +130,24 @@ func (s *Scheduler) execCtx(j *Job) context.Context {
 	return ctx
 }
 
-// finishJob is the single terminal-state path: it settles the job,
-// observes its latency, and closes its span tree. Every finish site in
-// Submit and run goes through it.
+// finishJob is the single terminal-state path: it observes the job's
+// latency, closes its span tree, and only then settles the job. Every
+// finish site in Submit and run goes through it. Closing Done comes
+// last because it publishes the job: a waiter it wakes may scrape the
+// metrics or read the tracer at once, and must find its own job there.
 func (s *Scheduler) finishJob(j *Job, tab *core.Table, err error, cacheHit bool) {
-	j.finish(tab, err, cacheHit)
 	if s.jobLatency != nil {
 		s.jobLatency.Observe(time.Since(j.submitted).Seconds())
 	}
-	if j.span == nil {
-		return
+	if j.span != nil {
+		j.queuedSpan.End()
+		if cacheHit {
+			j.span.AddEvent("cache-hit")
+		}
+		if err != nil {
+			j.span.SetAttr("error", err.Error())
+		}
+		j.span.End()
 	}
-	j.queuedSpan.End()
-	if cacheHit {
-		j.span.AddEvent("cache-hit")
-	}
-	if err != nil {
-		j.span.SetAttr("error", err.Error())
-	}
-	j.span.End()
+	j.finish(tab, err, cacheHit)
 }

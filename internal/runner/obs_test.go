@@ -128,3 +128,36 @@ func TestSubmitWithContextParentsUnderSpan(t *testing.T) {
 		t.Errorf("job span root = %d, want %d", jobSpan.RootID, root.ID)
 	}
 }
+
+// TestDoneIsPublishedLast is the regression for finishJob's ordering:
+// the instant Done closes, a waiter must already find its own job in
+// the tracer, the latency histogram, and the running gauge. Looped
+// because the window is a few instructions wide.
+func TestDoneIsPublishedLast(t *testing.T) {
+	tracer := obs.NewTracer()
+	s := newTestScheduler(t, Options{Workers: 2, Tracer: tracer, Metrics: obs.NewRegistry()})
+	for i := 1; i <= 300; i++ {
+		// Failures are neither cached nor deduplicated once finished,
+		// so every iteration is a fresh, instant run.
+		j, err := s.Submit("zz-test-fail", core.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		found := false
+		for _, sp := range tracer.Spans() {
+			if id, _ := sp.Attr("job"); id == j.ID() {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("iteration %d: Done closed before the job span ended", i)
+		}
+		if n := s.jobLatency.Snapshot().Count; n != uint64(i) {
+			t.Fatalf("iteration %d: latency histogram holds %d observations at Done", i, n)
+		}
+		if st := s.Stats(); st.Running != 0 || st.InFlight != 0 {
+			t.Fatalf("iteration %d: running=%d inFlight=%d at Done, want 0 and 0", i, st.Running, st.InFlight)
+		}
+	}
+}

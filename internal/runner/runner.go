@@ -334,6 +334,9 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 	}
 	if j, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
+		// Unlocked: j may finish in the meantime, which any joiner has
+		// to expect anyway; the counter and the event are both in place
+		// before this Submit returns.
 		s.deduped.Add(1)
 		j.span.AddEvent("dedup-join")
 		return j, nil
@@ -355,6 +358,10 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 			s.journalSubmit(j)
 			s.journal(Record{Op: OpDone, JobID: j.id, Key: j.key, CacheHit: true})
 			s.finishJob(j, entry.Table, nil, true)
+			// Done closes before the key leaves the in-flight map, so an
+			// identical Submit arriving in between joins this finished
+			// job instead of probing the cache itself: same table either
+			// way, counted as a dedup rather than a cache hit.
 			s.mu.Lock()
 			delete(s.inflight, key)
 			s.mu.Unlock()
@@ -580,6 +587,8 @@ func (s *Scheduler) Close() {
 	}
 	s.closed = true
 	s.mu.Unlock()
+	// Unlocked: Submit enqueues only under s.mu after checking closed,
+	// so once the flag is set nothing can send on the queue closed here.
 	s.cancel()
 	close(s.queue)
 	s.wg.Wait()
@@ -599,7 +608,6 @@ func (s *Scheduler) worker() {
 func (s *Scheduler) run(j *Job) {
 	j.setRunning()
 	s.running.Add(1)
-	defer s.running.Add(-1)
 	j.queuedSpan.End()
 
 	execCtx, execSpan := obs.StartSpan(s.execCtx(j), "execute")
@@ -618,6 +626,9 @@ func (s *Scheduler) run(j *Job) {
 		s.failed.Add(1)
 		// Journal before finish (see the cache-hit path in Submit).
 		s.journal(Record{Op: OpFail, JobID: j.id, Key: j.key, Error: err.Error()})
+		// Not deferred: the gauge drops before finishJob closes Done, or
+		// a waiter woken by Done could still count this job as running.
+		s.running.Add(-1)
 		s.finishJob(j, nil, err, false)
 		return
 	}
@@ -653,6 +664,7 @@ func (s *Scheduler) run(j *Job) {
 	} else {
 		s.journal(Record{Op: OpDone, JobID: j.id, Key: j.key})
 	}
+	s.running.Add(-1)
 	s.finishJob(j, tab, nil, false)
 }
 

@@ -92,6 +92,8 @@ func (m *Manager) Submit(spec Spec) (s *Sweep, existing bool, err error) {
 		m.mu.Unlock()
 		return s, true, m.ensurePersisted(s)
 	}
+	// Unlocked before registering: an identical Submit can get here
+	// too; the re-check under the lock below keeps exactly one sweep.
 	m.mu.Unlock()
 
 	// The sweep root span parents every cell's job span; it ends (in a
@@ -140,6 +142,9 @@ func (m *Manager) Submit(spec Spec) (s *Sweep, existing bool, err error) {
 	m.evictLocked()
 	m.mu.Unlock()
 
+	// Unlocked write: a concurrent ensurePersisted may write the same
+	// file; both write the same bytes through an atomic rename, and the
+	// flag only clears after a write that succeeded.
 	if err := m.persist(s); err != nil {
 		return s, false, fmt.Errorf("sweep %s is running but not persisted: %w", s.ID, err)
 	}
@@ -243,6 +248,9 @@ func (m *Manager) recoverOne(path string) (bool, error) {
 	if known {
 		return false, nil
 	}
+	// Unlocked from here: a Submit of the same grid may register it
+	// first; the dup re-check below then drops this copy, whose jobs the
+	// scheduler has already deduplicated against the registered one's.
 
 	// Rehydration scan: cells whose results are already cached need no
 	// job. Peek, not Contains: Contains only consults the filename index,

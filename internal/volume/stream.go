@@ -4,13 +4,12 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Pull-based block streams: the composable streaming layer the compute
 // stack is built on. A Stream yields z-slab blocks of a conceptual
 // volume one at a time; stages (ForEach, Map) consume them on a bounded
-// worker pool with pooled scratch buffers; sinks (Collect, MeanOf)
+// worker pool with pooled scratch buffers; sinks (Collect, Drain)
 // reduce them back into a materialized result. The decomposition only
 // changes *when* memory exists — every block is computed by the same
 // expression as the materialized loop and written to disjoint output
@@ -151,110 +150,64 @@ func ForEach(ctx context.Context, src Stream, workers int, fn func(BlockVol)) er
 	return ctx.Err()
 }
 
-// Map is the transform stage: it pulls blocks from src and applies fn
-// to each on a worker pool, producing one output block per input block
-// in an arena-backed buffer of the same shape. fn receives the input
-// block and the output buffer (contents arbitrary — write every voxel)
-// and the input is released afterwards if it is arena-backed. The
-// returned stream yields output blocks in ascending Z0 order as they
-// complete, so a downstream Collect assembles exactly the volume the
-// materialized form would produce; the consumer owns each block and
-// should Release it when done. Map processes ahead of the consumer by
-// at most the worker count, so a pipeline's footprint is O(workers)
-// blocks regardless of stream length.
+// Map is the ordered transform stage: it applies fn to every block of
+// src, producing one output block per input block in an arena-backed
+// buffer of the same shape. fn receives the input block and the output
+// buffer (contents arbitrary — write every voxel); the input is
+// released afterwards if it is arena-backed. The returned stream
+// yields output blocks in input order, so a downstream Collect
+// assembles exactly the volume the materialized form would produce;
+// the consumer owns each block and should Release it when done.
+//
+// The stage is a bounded FIFO of per-block futures. One dispatcher
+// pulls src in order and, for each block, queues a one-slot result
+// channel and then starts fn on its own goroutine; Next pops the queue
+// head and waits for it. Emission order is queue order and read-ahead
+// is queue capacity: at most workers (<=0 = GOMAXPROCS) blocks are
+// queued behind the one the consumer is waiting for, so a pipeline
+// holds at most workers+1 output buffers plus whatever the consumer
+// has not yet released, regardless of stream length or of how slow any
+// one block is. After ctx is canceled no further blocks are started,
+// but the ones already started are still delivered. A consumer that
+// stops early must therefore Drain the stream, which returns those
+// buffers to the arena; unless ctx is canceled first, Drain also runs
+// the rest of the stream, and without either the dispatcher never exits.
 func Map(ctx context.Context, src Stream, arena *Arena, workers int, fn func(in BlockVol, out *V3)) Stream {
-	workers = ResolveWorkers(workers)
-	out := make(chan BlockVol)
+	queue := make(chan chan BlockVol, ResolveWorkers(workers)) // capacity = read-ahead bound
 	go func() {
-		defer close(out)
-		// Completed blocks are emitted in input order: a small reorder
-		// buffer keyed by sequence number keeps the sink sequential
-		// while the stage itself runs unordered.
-		var emitMu sync.Mutex
-		pending := make(map[int]BlockVol)
-		nextEmit := 0
-		emit := func(seq int, bv BlockVol) {
-			emitMu.Lock()
-			pending[seq] = bv
-			var ready []BlockVol
-			for {
-				b, ok := pending[nextEmit]
-				if !ok {
-					break
-				}
-				delete(pending, nextEmit)
-				nextEmit++
-				ready = append(ready, b)
-			}
-			emitMu.Unlock()
-			for _, b := range ready {
-				select {
-				case out <- b:
-				case <-ctx.Done():
-					b.Release()
-				}
-			}
-		}
-		var seq atomic.Int64
-		var mu sync.Mutex
-		pull := func() (BlockVol, int, bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			bv, ok := src.Next()
+		defer close(queue)
+		for ctx.Err() == nil {
+			in, ok := src.Next()
 			if !ok {
-				return BlockVol{}, 0, false
+				return
 			}
-			return bv, int(seq.Add(1)) - 1, true
-		}
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+			res := make(chan BlockVol, 1)
+			select {
+			case queue <- res:
+			case <-ctx.Done():
+				in.Release()
+				return
+			}
 			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					in, sq, ok := pull()
-					if !ok {
-						return
-					}
-					o := arena.Get(in.V.NX, in.V.NY, in.V.NZ)
-					fn(in, o)
-					in.Release()
-					emit(sq, BlockVol{B: in.B, V: o, arena: arena})
-				}
+				o := arena.Get(in.V.NX, in.V.NY, in.V.NZ)
+				fn(in, o)
+				in.Release()
+				res <- BlockVol{B: in.B, V: o, arena: arena}
 			}()
 		}
-		wg.Wait()
 	}()
-	return &chanStream{ch: out}
+	return mapStream(queue)
 }
 
-// OnDrained wraps src so that fn runs exactly once, when src reports
-// exhaustion — the hook stages use to return scratch buffers their
-// blocks were computed from.
-func OnDrained(src Stream, fn func()) Stream {
-	return &drainHookStream{src: src, fn: fn}
-}
+// mapStream is Map's output: the queue of pending results, oldest first.
+type mapStream <-chan chan BlockVol
 
-type drainHookStream struct {
-	src Stream
-	fn  func()
-}
-
-func (s *drainHookStream) Next() (BlockVol, bool) {
-	bv, ok := s.src.Next()
-	if !ok && s.fn != nil {
-		s.fn()
-		s.fn = nil
+func (s mapStream) Next() (BlockVol, bool) {
+	res, ok := <-s
+	if !ok {
+		return BlockVol{}, false
 	}
-	return bv, ok
-}
-
-// chanStream adapts a channel of blocks to the Stream interface.
-type chanStream struct{ ch <-chan BlockVol }
-
-func (s *chanStream) Next() (BlockVol, bool) {
-	bv, ok := <-s.ch
-	return bv, ok
+	return <-res, true
 }
 
 // Collect is the materializing sink: it drains src into a fresh

@@ -3,9 +3,11 @@ package volume
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func rampVolume(nx, ny, nz int) *V3 {
@@ -88,11 +90,12 @@ func TestMapCollectIdentity(t *testing.T) {
 		want.Data[i] = 3*x + 1
 	}
 	tiles := len(TileZ(v.NZ, 2))
-	for _, workers := range []int{1, 4, tiles + 5} {
+	for _, workers := range []int{1, 2, 4, 8, tiles + 5} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			ar := NewArena()
 			out := Collect(v.NX, v.NY, v.NZ, Map(context.Background(), Slabs(v, 2), ar, workers,
 				func(in BlockVol, o *V3) {
+					jitter(in.B.Z0)
 					for i, x := range in.V.Data {
 						o.Data[i] = 3*x + 1
 					}
@@ -111,64 +114,159 @@ func TestMapCollectIdentity(t *testing.T) {
 	}
 }
 
-// TestMapEmitsInOrder pins the reorder buffer: downstream consumers see
-// ascending Z0 regardless of which worker finishes first.
+// jitter delays a block by 0–60µs, picked by a multiplicative hash of
+// seed, so blocks finish in an order unrelated to the order they were
+// started.
+func jitter(seed int) {
+	time.Sleep(time.Duration(uint32(seed)*2654435761>>30) * 20 * time.Microsecond)
+}
+
+// TestMapEmitsInOrder is the ordering property: whichever block
+// finishes first, downstream consumers see strictly ascending Z0. Many
+// short streams with per-block jitter force the interleavings a single
+// long stream on one core never produces.
 func TestMapEmitsInOrder(t *testing.T) {
-	v := rampVolume(2, 2, 32)
-	s := Map(context.Background(), Slabs(v, 1), NewArena(), 8, func(in BlockVol, o *V3) {
-		copy(o.Data, in.V.Data)
-	})
-	last := -1
-	for {
-		bv, ok := s.Next()
-		if !ok {
-			break
-		}
-		if bv.B.Z0 <= last {
-			t.Fatalf("block Z0=%d emitted after Z0=%d", bv.B.Z0, last)
-		}
-		last = bv.B.Z0
-		bv.Release()
-	}
-	if last != v.NZ-1 {
-		t.Fatalf("last block Z0=%d, want %d", last, v.NZ-1)
-	}
-}
-
-func TestOnDrainedRunsOnce(t *testing.T) {
-	runs := 0
-	s := OnDrained(Tiles(3, 1), func() { runs++ })
-	for i := 0; i < 3; i++ {
-		if _, ok := s.Next(); !ok {
-			t.Fatalf("stream ended early at block %d", i)
-		}
-		if runs != 0 {
-			t.Fatal("drain hook ran before exhaustion")
-		}
-	}
-	for i := 0; i < 3; i++ { // repeated Next after exhaustion
-		if _, ok := s.Next(); ok {
-			t.Fatal("exhausted stream yielded a block")
-		}
-	}
-	if runs != 1 {
-		t.Fatalf("drain hook ran %d times, want 1", runs)
+	const streams, nz = 300, 12
+	v := rampVolume(2, 2, nz)
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ar := NewArena()
+			for n := 0; n < streams; n++ {
+				s := Map(context.Background(), Slabs(v, 1), ar, workers, func(in BlockVol, o *V3) {
+					jitter(n*nz + in.B.Z0)
+					copy(o.Data, in.V.Data)
+				})
+				last := -1
+				for {
+					bv, ok := s.Next()
+					if !ok {
+						break
+					}
+					if bv.B.Z0 <= last {
+						t.Fatalf("stream %d: block Z0=%d emitted after Z0=%d", n, bv.B.Z0, last)
+					}
+					last = bv.B.Z0
+					bv.Release()
+				}
+				if last != nz-1 {
+					t.Fatalf("stream %d: last block Z0=%d, want %d", n, last, nz-1)
+				}
+			}
+		})
 	}
 }
 
+// mapReadAheadSlack is the constant in Map's read-ahead bound: besides
+// the workers blocks queued, one more is outstanding — the block the
+// consumer has popped and is waiting for or still holds.
+const mapReadAheadSlack = 1
+
+// TestMapReadAheadBounded is the memory property: a consumer stalled
+// behind one slow block never has more than workers+mapReadAheadSlack
+// output buffers outstanding, however long the stream is.
+func TestMapReadAheadBounded(t *testing.T) {
+	const nz = 64
+	v := rampVolume(2, 2, nz)
+	for _, workers := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			bound := int64(workers + mapReadAheadSlack)
+			ar := NewArena()
+			gate := make(chan struct{})
+			var started, peak atomic.Int64
+			full := make(chan struct{})
+			s := Map(context.Background(), Slabs(v, 1), ar, workers, func(in BlockVol, o *V3) {
+				// fn runs after its output buffer was taken, so Gets-Puts
+				// here counts every buffer currently outstanding.
+				st := ar.Stats()
+				out := st.Gets - st.Puts
+				for p := peak.Load(); out > p && !peak.CompareAndSwap(p, out); p = peak.Load() {
+				}
+				if started.Add(1) == bound {
+					close(full)
+				}
+				if in.B.Z0 == 0 {
+					<-gate // the slow block the consumer stalls behind
+				}
+				copy(o.Data, in.V.Data)
+			})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				Drain(s) // blocks in the first Next until the gate opens
+			}()
+			<-full
+			// Everything the bound allows is now in flight. Give a stage
+			// that ignores the bound time to run further ahead, then
+			// check it did not.
+			time.Sleep(20 * time.Millisecond)
+			if n := started.Load(); n != bound {
+				t.Errorf("%d blocks started while the consumer was stalled, want exactly %d", n, bound)
+			}
+			close(gate)
+			<-done
+			if p := peak.Load(); p > bound {
+				t.Errorf("peak outstanding buffers = %d, want <= workers+%d = %d", p, mapReadAheadSlack, bound)
+			}
+			if st := ar.Stats(); st.Gets != nz || st.Puts != st.Gets {
+				t.Errorf("arena gets=%d puts=%d, want %d of each", st.Gets, st.Puts, nz)
+			}
+		})
+	}
+}
+
+// TestDrainReleasesRemaining is the cleanup property: a consumer that
+// stops early — with or without canceling the stage's context — and
+// then Drains leaves no buffer stranded and no goroutine behind.
 func TestDrainReleasesRemaining(t *testing.T) {
-	ar := NewArena()
-	v := rampVolume(2, 2, 6)
-	s := Map(context.Background(), Slabs(v, 1), ar, 2, func(in BlockVol, o *V3) {
-		copy(o.Data, in.V.Data)
-	})
-	if _, ok := s.Next(); !ok { // consume one, abandon the rest
-		t.Fatal("empty stream")
-	}
-	Drain(s)
-	st := ar.Stats()
-	if st.Puts != st.Gets-1 { // the one un-Released block we kept
-		t.Fatalf("drain left buffers stranded: gets=%d puts=%d", st.Gets, st.Puts)
+	v := rampVolume(2, 2, 48)
+	for _, tc := range []struct {
+		name   string
+		taken  int
+		cancel bool
+	}{
+		{"abandon", 1, false},
+		{"cancel-early", 1, true},
+		{"cancel-mid", 20, true},
+		{"cancel-late", 47, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for rep := 0; rep < 20; rep++ {
+				ar := NewArena()
+				ctx, cancel := context.WithCancel(context.Background())
+				s := Map(ctx, Slabs(v, 1), ar, 4, func(in BlockVol, o *V3) {
+					jitter(rep + in.B.Z0)
+					copy(o.Data, in.V.Data)
+				})
+				for i := 0; i < tc.taken; i++ {
+					bv, ok := s.Next()
+					if !ok || bv.B.Z0 != i {
+						t.Fatalf("rep %d: block %d = %v, %v", rep, i, bv.B, ok)
+					}
+					bv.Release()
+				}
+				if tc.cancel {
+					cancel()
+				}
+				Drain(s)
+				cancel()
+				if _, ok := s.Next(); ok {
+					t.Fatalf("rep %d: drained stream yielded a block", rep)
+				}
+				if st := ar.Stats(); st.Puts != st.Gets {
+					t.Fatalf("rep %d: drain left buffers stranded: gets=%d puts=%d", rep, st.Gets, st.Puts)
+				}
+			}
+			// Every stage goroutine exits once its stream is drained;
+			// the last few may still be unwinding when Drain returns.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before, %d still running after drain", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -212,6 +310,10 @@ func TestSharedArenaConcurrentPipelines(t *testing.T) {
 	}
 }
 
+// TestArenaReuseAndReshape checks what Arena promises — shape, length,
+// GetZeroed scrubbing, call accounting — and, where the runtime lets a
+// sync.Pool keep what it was given (see poolRetains), that a returned
+// buffer is actually reused and reshaped rather than reallocated.
 func TestArenaReuseAndReshape(t *testing.T) {
 	ar := NewArena()
 	a := ar.Get(4, 4, 4)
@@ -219,31 +321,42 @@ func TestArenaReuseAndReshape(t *testing.T) {
 		a.Data[i] = 7
 	}
 	ar.Put(a)
-	// Same shape: the pooled buffer comes back dirty.
-	b := ar.Get(4, 4, 4)
-	if &b.Data[0] != &a.Data[0] {
-		t.Fatal("same-shape Get did not reuse the pooled buffer")
+	b := ar.Get(4, 4, 4) // same shape: may come back dirty
+	if b.NX != 4 || b.NY != 4 || b.NZ != 4 || len(b.Data) != 64 {
+		t.Fatalf("same-shape Get has wrong geometry: %d×%d×%d len %d", b.NX, b.NY, b.NZ, len(b.Data))
 	}
 	ar.Put(b)
-	// Smaller shape: reshaped in place, no fresh allocation.
-	c := ar.Get(2, 2, 2)
+	c := ar.Get(2, 2, 2) // smaller shape: reshaped in place when pooled
 	if c.NX != 2 || c.NY != 2 || c.NZ != 2 || len(c.Data) != 8 {
 		t.Fatalf("reshaped volume has wrong geometry: %d×%d×%d len %d", c.NX, c.NY, c.NZ, len(c.Data))
 	}
-	if &c.Data[0] != &a.Data[0] {
-		t.Fatal("smaller Get did not reshape the pooled buffer")
+	for i := range c.Data {
+		c.Data[i] = 7
 	}
 	ar.Put(c)
-	// GetZeroed must scrub the dirty pooled contents.
-	d := ar.GetZeroed(2, 2, 2)
+	d := ar.GetZeroed(2, 2, 2) // must scrub dirty pooled contents
 	for i, x := range d.Data {
 		if x != 0 {
 			t.Fatalf("GetZeroed voxel %d = %g", i, x)
 		}
 	}
 	st := ar.Stats()
-	if st.Misses != 1 {
-		t.Fatalf("misses = %d, want 1 (only the first Get allocates)", st.Misses)
+	if st.Gets != 4 || st.Puts != 3 {
+		t.Fatalf("gets=%d puts=%d, want 4 and 3", st.Gets, st.Puts)
+	}
+	if st.Misses < 1 || st.Misses > st.Gets {
+		t.Fatalf("misses = %d, want between 1 (the first Get) and gets = %d", st.Misses, st.Gets)
+	}
+	if poolRetains {
+		if &b.Data[0] != &a.Data[0] {
+			t.Error("same-shape Get did not reuse the pooled buffer")
+		}
+		if &c.Data[0] != &a.Data[0] {
+			t.Error("smaller Get did not reshape the pooled buffer")
+		}
+		if st.Misses != 1 {
+			t.Errorf("misses = %d, want 1 (only the first Get allocates)", st.Misses)
+		}
 	}
 }
 
