@@ -103,8 +103,8 @@ func fedsweepMain(args []string) {
 			for {
 				info, ok := coord.SweepInfo(false)
 				if ok {
-					line := fmt.Sprintf("%d/%d done (%d cached), %d running, %d queued, %d failed",
-						info.Done, info.Total, info.Hits, info.Running, info.Queued, info.Failed)
+					line := fmt.Sprintf("%d/%d done (%d cached), %d running, %d queued, %d failed, %d n/a",
+						info.Done, info.Total, info.Hits, info.Running, info.Queued, info.Failed, info.Unsupported)
 					if line != last {
 						fmt.Println(line)
 						last = line
@@ -132,8 +132,8 @@ func fedsweepMain(args []string) {
 	<-progressDone
 
 	info, _ := coord.SweepInfo(false)
-	fmt.Printf("sweep %s finished: %d ok (%d resumed from journal), %d failed\n",
-		res.SweepID, len(res.Entries), info.Hits, len(res.Failed))
+	fmt.Printf("sweep %s finished: %d ok (%d resumed from journal), %d failed, %d n/a\n",
+		res.SweepID, len(res.Entries), info.Hits, len(res.Failed), len(res.Unsupported))
 
 	if *out != "" {
 		artFile, err := fsatomic.Create(*out)

@@ -72,26 +72,21 @@ func main() {
 		fmt.Printf("  source %d: centroid (%.1f, %.1f), flux %.0f, %d px\n", i+1, s.X, s.Y, s.Flux, s.NPix)
 	}
 
-	// Step 3A across engines (paper Fig 12d in miniature): rows come
-	// from the registry, expanded through each engine's coadd variants
-	// (SciDB contributes both its AQL and incremental iterations).
+	// Step 3A across engines (paper Fig 12d in miniature): rows are the
+	// registry's co-addition runners (SciDB binds both its AQL and
+	// incremental iterations).
 	stacks, err := astro.BuildStacks(w)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\nco-addition step only:")
 	for _, eng := range engine.Supporting(engine.CapAstroCoadd) {
-		co, ok := eng.(engine.AstroCoadder)
-		if !ok {
-			log.Fatalf("engine %s claims astro-coadd but implements no coadd path", eng.Name())
-		}
-		for _, variant := range co.CoaddVariants() {
-			cl := newCluster()
-			d, err := co.AstroCoadd(w, cl, nil, stacks, variant)
+		for _, r := range eng.Runners(engine.CapAstroCoadd) {
+			d, err := r.Run(engine.Input{Astro: w, Stacks: stacks}, newCluster(), nil)
 			if err != nil {
-				log.Fatalf("coadd %s: %v", variant, err)
+				log.Fatalf("coadd %s: %v", r.Label, err)
 			}
-			fmt.Printf("  %-18s %10.1fs virtual\n", variant, d.Seconds())
+			fmt.Printf("  %-18s %10.1fs virtual\n", r.Label, d.Seconds())
 		}
 	}
 }

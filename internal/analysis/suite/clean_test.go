@@ -28,6 +28,46 @@ func TestTreeIsClean(t *testing.T) {
 	}
 }
 
+// TestNoEngineDispatchWaiverOutsideAnalysis holds the line PR 13 drew:
+// the per-system step runners are bound by value in the engine
+// registrations, so nothing outside the analyzer's own package (its
+// canonical name table and its fixtures) has a reason to suppress
+// enginedispatch. A new waiver is a new switch on a system name.
+func TestNoEngineDispatchWaiverOutsideAnalysis(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", "..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := filepath.Join(root, "internal", "analysis")
+	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			if path == own || strings.HasPrefix(info.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if strings.Contains(line, "lint:allow enginedispatch") {
+				t.Errorf("%s:%d: enginedispatch waiver outside internal/analysis: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // modulePackages walks the repo for directories containing non-test
 // Go files and returns their import paths.
 func modulePackages(t *testing.T) []string {

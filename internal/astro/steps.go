@@ -12,10 +12,11 @@ import (
 	"imagebench/internal/vtime"
 )
 
-// This file provides the co-addition step runners behind Fig 12d. The
-// input patch stacks come from the reference pipeline's Steps 1A+2A
-// (setup outside the timed region), matching the paper's per-step
-// methodology.
+// This file provides the co-addition step runners behind Fig 12d, one
+// per system, bound by value in the engine registrations. The input
+// patch stacks come from the reference pipeline's Steps 1A+2A (setup
+// outside the timed region), matching the paper's per-step methodology.
+// A nil model means cost.Default(), resolved by the system constructors.
 
 // BuildStacks runs the reference Steps 1A+2A to produce the patch
 // exposures that the co-addition step consumes.
@@ -30,105 +31,85 @@ func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
 	return CreatePatches(w.Grid(), exposures)
 }
 
-// CoaddStepTime measures Step 3A on one system. sysVariant is "Spark",
-// "Myria", "SciDB", or "SciDB-incremental" (the Soroush et al.
-// optimization the paper cites as a 6× improvement).
-func CoaddStepTime(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, sysVariant string) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default()
+// coaddGroup co-adds one patch's grouped records in visit order.
+func coaddGroup[T any](group []T, exposure func(T) *skymap.PatchExposure) (*skymap.Coadd, error) {
+	stack := make([]*skymap.PatchExposure, 0, len(group))
+	for _, g := range group {
+		stack = append(stack, exposure(g))
 	}
+	sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
+	return skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+}
+
+// SparkCoadd measures Step 3A on Spark.
+func SparkCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure) (vtime.Duration, error) {
 	patchBytes := w.PatchModelBytes()
-	// Each case below builds a different simulator (Spark session, Myria
-	// plan, SciDB AQL/AFL) — this is the per-system modeling layer the
-	// registry adapters delegate to, not dispatch an adapter could absorb.
-	//lint:allow enginedispatch per-system simulation models live here; adapters delegate in
-	switch sysVariant {
-	case "Spark":
-		sess := spark.NewSession(cl, w.Store, model)
-		var pairs []spark.Pair
-		for _, pe := range stacks {
-			pairs = append(pairs, spark.Pair{Key: PatchKey(pe.Patch), Value: pe, Size: patchBytes})
+	sess := spark.NewSession(cl, w.Store, model)
+	var pairs []spark.Pair
+	for _, pe := range stacks {
+		pairs = append(pairs, spark.Pair{Key: PatchKey(pe.Patch), Value: pe, Size: patchBytes})
+	}
+	rdd := sess.Parallelize("stacks", pairs, cl.Workers())
+	t0 := cl.Makespan()
+	co := rdd.GroupByKey("coadd", cost.CoaddIter, 0, func(key string, values []spark.Pair) []spark.Pair {
+		coadd, err := coaddGroup(values, func(v spark.Pair) *skymap.PatchExposure { return v.Value.(*skymap.PatchExposure) })
+		if err != nil {
+			return nil
 		}
-		rdd := sess.Parallelize("stacks", pairs, cl.Workers())
-		t0 := cl.Makespan()
-		co := rdd.GroupByKey("coadd", cost.CoaddIter, 0, func(key string, values []spark.Pair) []spark.Pair {
-			stack := make([]*skymap.PatchExposure, 0, len(values))
-			for _, v := range values {
-				stack = append(stack, v.Value.(*skymap.PatchExposure))
-			}
-			sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-			coadd, err := skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+		return []spark.Pair{{Key: key, Value: coadd, Size: patchBytes}}
+	})
+	if _, err := co.Materialize(); err != nil {
+		return 0, err
+	}
+	return cl.Makespan().Sub(t0), nil
+}
+
+// MyriaCoadd measures Step 3A on Myria.
+func MyriaCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure) (vtime.Duration, error) {
+	patchBytes := w.PatchModelBytes()
+	eng := myria.New(cl, w.Store, model, myria.DefaultConfig())
+	q := eng.NewQuery()
+	var tuples []myria.Tuple
+	for _, pe := range stacks {
+		tuples = append(tuples, myria.Tuple{Key: VisitPatchKey(pe.Patch, pe.Visit), Value: pe, Size: patchBytes})
+	}
+	rel := eng.RelationFromTuples(q, "PatchStacks", tuples)
+	t0 := cl.Makespan()
+	q.GroupByApply(rel,
+		func(t myria.Tuple) string { return t.Key[:len(t.Key)-len("/v00")] },
+		myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, group []myria.Tuple) []myria.Tuple {
+			coadd, err := coaddGroup(group, func(t myria.Tuple) *skymap.PatchExposure { return t.Value.(*skymap.PatchExposure) })
 			if err != nil {
 				return nil
 			}
-			return []spark.Pair{{Key: key, Value: coadd, Size: patchBytes}}
-		})
-		if _, err := co.Materialize(); err != nil {
-			return 0, err
-		}
-		return cl.Makespan().Sub(t0), nil
-	case "Myria":
-		eng := myria.New(cl, w.Store, model, myria.DefaultConfig())
-		q := eng.NewQuery()
-		var tuples []myria.Tuple
-		for _, pe := range stacks {
-			tuples = append(tuples, myria.Tuple{Key: VisitPatchKey(pe.Patch, pe.Visit), Value: pe, Size: patchBytes})
-		}
-		rel := eng.RelationFromTuples(q, "PatchStacks", tuples)
-		t0 := cl.Makespan()
-		q.GroupByApply(rel,
-			func(t myria.Tuple) string { return t.Key[:len(t.Key)-len("/v00")] },
-			myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, group []myria.Tuple) []myria.Tuple {
-				stack := make([]*skymap.PatchExposure, 0, len(group))
-				for _, t := range group {
-					stack = append(stack, t.Value.(*skymap.PatchExposure))
-				}
-				sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-				coadd, err := skymap.CoaddPatch(stack, ClipSigma, ClipIters)
-				if err != nil {
-					return nil
-				}
-				return []myria.Tuple{{Key: key, Value: coadd, Size: patchBytes}}
-			}})
-		if _, err := q.Finish(); err != nil {
-			return 0, err
-		}
-		return cl.Makespan().Sub(t0), nil
-	case "SciDB", "SciDB-incremental":
-		// Ingest happens outside the timed region in the other systems'
-		// runs too; here we time only the AQL iteration.
-		opts := SciDBOpts{Incremental: sysVariant == "SciDB-incremental"}
-		// RunSciDBCoadd ingests then iterates; to isolate the step we run
-		// the ingest first on the same cluster via a dry call on a copy
-		// of the stack timing: measure total and subtract ingest.
-		return scidbCoaddStep(w, cl, model, stacks, opts)
-	}
-	return 0, fmt.Errorf("astro: unknown coadd variant %q", sysVariant)
-}
-
-// SciDBCoaddChunkTime measures the AQL co-addition with an explicit
-// deployment chunk size (the Section 5.3.1 chunk-size sweep).
-func SciDBCoaddChunkTime(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, chunkBytes int64) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default()
-	}
-	return scidbCoaddStep(w, cl, model, stacks, SciDBOpts{ChunkBytes: chunkBytes})
-}
-
-// scidbCoaddStep measures only the AQL co-addition by observing the
-// makespan before and after the iterative query (ingest completes first).
-func scidbCoaddStep(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts) (vtime.Duration, error) {
-	// RunSciDBCoadd performs ingest + iterate; the ingest settles the
-	// makespan at its completion because the iterative query's first
-	// pass depends on the last ingest write on each instance.
-	type phases struct{ afterIngest vtime.Time }
-	var ph phases
-	coadds, err := runSciDBCoaddPhased(w, cl, model, stacks, opts, func(t vtime.Time) { ph.afterIngest = t })
-	if err != nil {
+			return []myria.Tuple{{Key: key, Value: coadd, Size: patchBytes}}
+		}})
+	if _, err := q.Finish(); err != nil {
 		return 0, err
 	}
-	if len(coadds) == 0 {
-		return 0, fmt.Errorf("astro: scidb coadd produced nothing")
+	return cl.Makespan().Sub(t0), nil
+}
+
+// SciDBCoaddRunner returns the measurement of Step 3A on SciDB under
+// opts: the plain AQL iteration, the incremental-iteration optimization
+// (the Soroush et al. work the paper cites as a 6× improvement), or an
+// explicit deployment chunk size (the Section 5.3.1 chunk-size sweep).
+// Only the AQL co-addition is timed: the makespan from the end of
+// ingest (which the other systems' runs keep outside the timed region
+// too) to the end of the iterative query.
+func SciDBCoaddRunner(opts SciDBOpts) func(*Workload, *cluster.Cluster, *cost.Model, []*skymap.PatchExposure) (vtime.Duration, error) {
+	return func(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure) (vtime.Duration, error) {
+		// The ingest settles the makespan at its completion because the
+		// iterative query's first pass depends on the last ingest write
+		// on each instance.
+		var afterIngest vtime.Time
+		coadds, err := runSciDBCoaddPhased(w, cl, model, stacks, opts, func(t vtime.Time) { afterIngest = t })
+		if err != nil {
+			return 0, err
+		}
+		if len(coadds) == 0 {
+			return 0, fmt.Errorf("astro: scidb coadd produced nothing")
+		}
+		return cl.Makespan().Sub(afterIngest), nil
 	}
-	return cl.Makespan().Sub(ph.afterIngest), nil
 }

@@ -68,7 +68,7 @@ func (p Profile) requireEngine(name string) (engine.Engine, error) {
 // registerForEngine registers an experiment only when its subject
 // engine is in the registry: per-engine tuning studies and ablations
 // follow their engine in and out of the build, so deleting an engine
-// adapter removes its whole experiment surface in one file.
+// registration removes its whole experiment surface in one file.
 func registerForEngine(name string, e *Experiment) {
 	if _, err := engine.Lookup(name); err != nil {
 		return

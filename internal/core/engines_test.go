@@ -51,6 +51,17 @@ func TestFaultCapableSetMatchesGoldenRows(t *testing.T) {
 	}
 }
 
+// stepLabels is the row set a step-level figure derives from the
+// registry under the quick profile.
+func stepLabels(c engine.Cap) ([]string, error) {
+	rows, err := stepRunners(Quick(), c)
+	names := make([]string, len(rows))
+	for i, r := range rows {
+		names[i] = r.Label
+	}
+	return names, err
+}
+
 // TestEndToEndSetsMatchGoldenRows does the same pinning for the
 // headline comparison sets and the variant-expanded rows.
 func TestEndToEndSetsMatchGoldenRows(t *testing.T) {
@@ -66,28 +77,8 @@ func TestEndToEndSetsMatchGoldenRows(t *testing.T) {
 			engs, err := Quick().engines(engine.CapAstroE2E)
 			return engine.Names(engs), err
 		}},
-		{"fig11", func() ([]string, error) {
-			rows, err := ingestRows(Quick())
-			if err != nil {
-				return nil, err
-			}
-			var names []string
-			for _, r := range rows {
-				names = append(names, r.label)
-			}
-			return names, nil
-		}},
-		{"fig12d", func() ([]string, error) {
-			rows, err := coaddRows(Quick())
-			if err != nil {
-				return nil, err
-			}
-			var names []string
-			for _, r := range rows {
-				names = append(names, r.label)
-			}
-			return names, nil
-		}},
+		{"fig11", func() ([]string, error) { return stepLabels(engine.CapNeuroIngest) }},
+		{"fig12d", func() ([]string, error) { return stepLabels(engine.CapAstroCoadd) }},
 	}
 	for _, c := range cases {
 		got, err := c.rows()

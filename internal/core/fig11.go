@@ -10,9 +10,8 @@ import (
 
 // Figure 11: data-ingest times for the neuroscience benchmark on the
 // 16-node cluster, log-scale in the paper. The rows come from the
-// engine registry: every engine holding CapNeuroIngest, expanded
-// through its ingest variants (SciDB contributes two bars — from_array
-// and aio_input).
+// engine registry: the ingest runners of every engine holding
+// CapNeuroIngest (SciDB binds two — from_array and aio_input).
 
 func init() {
 	Register(&Experiment{
@@ -24,62 +23,62 @@ func init() {
 	})
 }
 
-// ingestRow is one Fig 11 bar: an ingest variant of one engine.
-type ingestRow struct {
-	label string
-	ing   engine.NeuroIngester
-}
-
-// ingestRows expands the registry's ingest-capable engines into their
-// variant rows, in paper order.
-func ingestRows(p Profile) ([]ingestRow, error) {
-	engines, err := p.engines(engine.CapNeuroIngest)
+// stepRunners expands the registry's engines holding the step-level
+// capability c into their labelled rows, in paper order.
+func stepRunners(p Profile, c engine.Cap) ([]engine.Runner, error) {
+	engines, err := p.engines(c)
 	if err != nil {
 		return nil, err
 	}
-	var rows []ingestRow
+	var rows []engine.Runner
 	for _, e := range engines {
-		ing, ok := e.(engine.NeuroIngester)
-		if !ok {
-			return nil, fmt.Errorf("core: engine %s claims %s but implements no ingest path", e.Name(), engine.CapNeuroIngest)
-		}
-		for _, v := range ing.IngestVariants() {
-			rows = append(rows, ingestRow{label: v, ing: ing})
-		}
+		rows = append(rows, e.Runners(c)...)
 	}
 	return rows, nil
 }
 
-func runFig11(ctx context.Context, p Profile) (*Table, error) {
-	rows, err := ingestRows(p)
+// runStepFigure fills one step-level figure (Fig 11, Fig 12a–d): a row
+// per runner of c, a column per size, each cell measured on a fresh
+// cluster under its own span. input builds a column's workload once,
+// outside every timing.
+func runStepFigure(ctx context.Context, p Profile, title, workload string, c engine.Cap, sizes []int, input func(n int) (engine.Input, error)) (*Table, error) {
+	rows, err := stepRunners(p, c)
 	if err != nil {
 		return nil, err
 	}
 	rowNames := make([]string, len(rows))
 	for i, r := range rows {
-		rowNames[i] = r.label
+		rowNames[i] = r.Label
 	}
-	t := NewTable("Fig 11: data ingest times", "virtual s", rowNames, labels(p.NeuroSubjects))
-	for _, n := range p.NeuroSubjects {
-		w, err := neuroWorkload(p, n)
+	t := NewTable(title, "virtual s", rowNames, labels(sizes))
+	for _, n := range sizes {
+		in, err := input(n)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range rows {
 			cl := newCluster(defaultNodes(p))
 			var d vtime.Duration
-			err := engine.TraceRun(ctx, r.label, "neuro", cl, func() error {
+			err := engine.TraceRun(ctx, r.Label, workload, cl, func() error {
 				var err error
-				d, err = r.ing.NeuroIngest(w, cl, nil, r.label)
+				d, err = r.Run(in, cl, nil)
 				return err
 			})
 			if err != nil {
-				return nil, fmt.Errorf("ingest %s at %d subjects: %w", r.label, n, err)
+				return nil, fmt.Errorf("%s: %s at %d: %w", title, r.Label, n, err)
 			}
-			t.Set(r.label, colLabel(n), seconds(d))
+			t.Set(r.Label, colLabel(n), seconds(d))
 		}
 	}
 	return t, nil
+}
+
+func runFig11(ctx context.Context, p Profile) (*Table, error) {
+	return runStepFigure(ctx, p, "Fig 11: data ingest times", "neuro", engine.CapNeuroIngest, p.NeuroSubjects,
+		func(n int) (engine.Input, error) {
+			w, err := neuroWorkload(p, n)
+			return engine.Input{Neuro: w}, err
+		})
 }
 
 func checkFig11(t *Table) error {

@@ -6,14 +6,13 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/engine"
-	"imagebench/internal/vtime"
 )
 
 // Figures 12a–12d: individual step performance on the largest dataset
-// (16 nodes, log scale in the paper). The step rows come from
-// engine.Supporting(CapNeuroStep); the co-addition rows from
-// engine.Supporting(CapAstroCoadd) expanded through each engine's
-// variants (SciDB contributes its incremental-iteration bar).
+// (16 nodes, log scale in the paper). The step rows are the runners of
+// the engines holding CapNeuroStep; the co-addition rows those of
+// CapAstroCoadd (SciDB binds its incremental-iteration bar beside the
+// plain one). The loop is runStepFigure (fig11.go).
 
 func init() {
 	Register(&Experiment{
@@ -111,125 +110,26 @@ func init() {
 	})
 }
 
-// stepRow is one Fig 12a–c row: an engine's per-step measurement path.
-type stepRow struct {
-	name    string
-	stepper engine.NeuroStepper
-}
-
-// stepRows validates the registry's step-capable engines up front (a
-// capability claim without the backing interface fails before any
-// simulation runs), in paper order.
-func stepRows(p Profile) ([]stepRow, error) {
-	engines, err := p.engines(engine.CapNeuroStep)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]stepRow, len(engines))
-	for i, e := range engines {
-		stepper, ok := e.(engine.NeuroStepper)
-		if !ok {
-			return nil, fmt.Errorf("core: engine %s claims %s but implements no step path", e.Name(), engine.CapNeuroStep)
-		}
-		rows[i] = stepRow{name: e.Name(), stepper: stepper}
-	}
-	return rows, nil
-}
-
 func makeStepRun(step string) func(context.Context, Profile) (*Table, error) {
 	return func(ctx context.Context, p Profile) (*Table, error) {
-		rows, err := stepRows(p)
-		if err != nil {
-			return nil, err
-		}
-		rowNames := make([]string, len(rows))
-		for i, r := range rows {
-			rowNames[i] = r.name
-		}
-		t := NewTable(fmt.Sprintf("Fig 12: %s step", step), "virtual s", rowNames, labels(p.NeuroSubjects))
-		for _, n := range p.NeuroSubjects {
-			w, err := neuroWorkload(p, n)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range rows {
-				cl := newCluster(defaultNodes(p))
-				var d vtime.Duration
-				err := engine.TraceRun(ctx, r.name, "neuro", cl, func() error {
-					var err error
-					d, err = r.stepper.NeuroStep(w, cl, nil, step)
-					return err
-				})
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s at %d subjects: %w", r.name, step, n, err)
-				}
-				t.Set(r.name, colLabel(n), seconds(d))
-			}
-		}
-		return t, nil
+		return runStepFigure(ctx, p, fmt.Sprintf("Fig 12: %s step", step), "neuro", engine.CapNeuroStep, p.NeuroSubjects,
+			func(n int) (engine.Input, error) {
+				w, err := neuroWorkload(p, n)
+				return engine.Input{Neuro: w, Step: step}, err
+			})
 	}
-}
-
-// coaddRow is one Fig 12d bar: a co-addition variant of one engine.
-type coaddRow struct {
-	label string
-	co    engine.AstroCoadder
-}
-
-// coaddRows expands the registry's coadd-capable engines into their
-// variant rows, in paper order.
-func coaddRows(p Profile) ([]coaddRow, error) {
-	engines, err := p.engines(engine.CapAstroCoadd)
-	if err != nil {
-		return nil, err
-	}
-	var rows []coaddRow
-	for _, e := range engines {
-		co, ok := e.(engine.AstroCoadder)
-		if !ok {
-			return nil, fmt.Errorf("core: engine %s claims %s but implements no coadd path", e.Name(), engine.CapAstroCoadd)
-		}
-		for _, v := range co.CoaddVariants() {
-			rows = append(rows, coaddRow{label: v, co: co})
-		}
-	}
-	return rows, nil
 }
 
 func runFig12d(ctx context.Context, p Profile) (*Table, error) {
-	rows, err := coaddRows(p)
-	if err != nil {
-		return nil, err
-	}
-	rowNames := make([]string, len(rows))
-	for i, r := range rows {
-		rowNames[i] = r.label
-	}
-	t := NewTable("Fig 12d: co-addition step", "virtual s", rowNames, labels(p.AstroVisits))
-	for _, n := range p.AstroVisits {
-		w, err := astroWorkload(p, n)
-		if err != nil {
-			return nil, err
-		}
-		stacks, err := astro.BuildStacks(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			cl := newCluster(defaultNodes(p))
-			var d vtime.Duration
-			err := engine.TraceRun(ctx, r.label, "astro", cl, func() error {
-				var err error
-				d, err = r.co.AstroCoadd(w, cl, nil, stacks, r.label)
-				return err
-			})
+	return runStepFigure(ctx, p, "Fig 12d: co-addition step", "astro", engine.CapAstroCoadd, p.AstroVisits,
+		func(n int) (engine.Input, error) {
+			w, err := astroWorkload(p, n)
 			if err != nil {
-				return nil, fmt.Errorf("coadd %s at %d visits: %w", r.label, n, err)
+				return engine.Input{}, err
 			}
-			t.Set(r.label, colLabel(n), seconds(d))
-		}
-	}
-	return t, nil
+			stacks, err := astro.BuildStacks(w)
+			return engine.Input{Astro: w, Stacks: stacks}, err
+		})
 }
 
 func checkFig12d(t *Table) error {

@@ -111,7 +111,7 @@ func runSec531SciDB(_ context.Context, p Profile) (*Table, error) {
 	t := NewTable(fmt.Sprintf("Sec 5.3.1: SciDB chunk sizes (%d visits)", n), "virtual s", rows, []string{"runtime"})
 	for i, e := range edges {
 		cl := newCluster(defaultNodes(p))
-		dur, err := astro.SciDBCoaddChunkTime(w, cl, nil, stacks, chunkBytesForEdge(e))
+		dur, err := astro.SciDBCoaddRunner(astro.SciDBOpts{ChunkBytes: chunkBytesForEdge(e)})(w, cl, nil, stacks)
 		if err != nil {
 			return nil, fmt.Errorf("scidb chunk %d: %w", e, err)
 		}

@@ -20,8 +20,8 @@ import (
 // the reference code (Spark, Myria, Dask) need little per-system code,
 // while SciDB and TensorFlow require rewrites — and some steps are simply
 // not implementable there (NA). Which file implements which (use case,
-// system) pair is registry data: each engine adapter reports its own
-// source files (engine.SourceFiler), so a sixth engine appears in this
+// system) pair is registry data: each engine registration lists its own
+// source files (Engine.SourceFiles), so a sixth engine appears in this
 // table by registering, not by editing it.
 
 func init() {
@@ -121,13 +121,9 @@ func runTable1(_ context.Context, p Profile) (*Table, error) {
 		}
 	}
 	for _, e := range engines {
-		sf, ok := e.(engine.SourceFiler)
-		if !ok {
-			return nil, fmt.Errorf("core: engine %s claims %s but reports no source files", e.Name(), engine.CapLoC)
-		}
 		// Use cases absent from the engine's file map stay NaN — the
 		// paper's NA cells.
-		for useCase, rel := range sf.SourceFiles() {
+		for useCase, rel := range e.SourceFiles() {
 			if err := setLoC(useCase, e.Name(), rel); err != nil {
 				return nil, err
 			}

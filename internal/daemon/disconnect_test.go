@@ -40,7 +40,7 @@ func (w *errorWriter) Write([]byte) (int, error) {
 
 // TestResponseWriteErrorAccounting drives every daemon response path
 // that can lose a body write against a failing writer and requires each
-// one to land in the respWriteErrs counter instead of vanishing.
+// one to land in the WriteErrors counter instead of vanishing.
 func TestResponseWriteErrorAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	cache, err := results.Open("")
@@ -68,14 +68,14 @@ func TestResponseWriteErrorAccounting(t *testing.T) {
 		serve func(s *server, w http.ResponseWriter)
 	}{
 		{"writeJSON", func(s *server, w http.ResponseWriter) {
-			s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			s.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		}},
 		{"writeError", func(s *server, w http.ResponseWriter) {
-			s.writeError(w, http.StatusRequestTimeout, "client went away while waiting")
+			s.WriteError(w, http.StatusRequestTimeout, "client went away while waiting")
 		}},
 		{"prom metrics WriteText", func(s *server, w http.ResponseWriter) {
 			r := httptest.NewRequest("GET", "/metrics", nil)
-			s.handlePromMetrics(w, r)
+			s.Metrics(reg)(w, r)
 		}},
 		{"result plain-text render", func(s *server, w http.ResponseWriter) {
 			r := httptest.NewRequest("GET", "/v1/results/"+entry.Key, nil)
@@ -86,16 +86,16 @@ func TestResponseWriteErrorAccounting(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := &server{cache: cache, metrics: reg, start: time.Now()}
+			s := &server{cache: cache, start: time.Now()}
 			c.serve(s, &errorWriter{})
-			if got := s.respWriteErrs.Load(); got != 1 {
-				t.Errorf("respWriteErrs = %d after failed write, want 1", got)
+			if got := s.WriteErrors.Load(); got != 1 {
+				t.Errorf("WriteErrors = %d after failed write, want 1", got)
 			}
 			// The same response on a healthy writer is not an error.
-			s2 := &server{cache: cache, metrics: reg, start: time.Now()}
+			s2 := &server{cache: cache, start: time.Now()}
 			c.serve(s2, httptest.NewRecorder())
-			if got := s2.respWriteErrs.Load(); got != 0 {
-				t.Errorf("respWriteErrs = %d after successful write, want 0", got)
+			if got := s2.WriteErrors.Load(); got != 0 {
+				t.Errorf("WriteErrors = %d after successful write, want 0", got)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"imagebench/internal/core"
@@ -20,33 +19,28 @@ import (
 // HTTP API. It is constructed by newServer so tests can drive it
 // through httptest.
 type server struct {
-	sched   *runner.Scheduler
-	cache   *results.Cache
-	sweeps  *sweep.Manager
-	metrics *obs.Registry // may be nil: /metrics then serves 503
-	start   time.Time
+	sched  *runner.Scheduler
+	cache  *results.Cache
+	sweeps *sweep.Manager
+	start  time.Time
 
-	// respWriteErrs counts response bodies the daemon failed to write
-	// (almost always a client that disconnected mid-response, e.g.
-	// while parked on wait=true). The failure cannot be reported to
-	// that client — the connection is gone — so it is accounted here
-	// and surfaced via /metrics.json and the Prometheus counter
-	// instead of being silently dropped.
-	respWriteErrs atomic.Int64
-	respWriteErrC *obs.Counter // may be nil (no registry)
+	// Responder writes every response body and accounts the ones it
+	// failed to write (surfaced via /metrics.json and the Prometheus
+	// counter).
+	Responder
 }
 
 // newServer returns the daemon's HTTP handler over the given scheduler,
 // cache, sweep manager, and metrics registry.
 func newServer(sched *runner.Scheduler, cache *results.Cache, sweeps *sweep.Manager, metrics *obs.Registry) http.Handler {
-	s := &server{sched: sched, cache: cache, sweeps: sweeps, metrics: metrics, start: time.Now()}
+	s := &server{sched: sched, cache: cache, sweeps: sweeps, start: time.Now()}
 	if metrics != nil {
-		s.respWriteErrC = metrics.NewCounter("imagebench_daemon_response_write_errors_total",
+		s.WriteErrorsTotal = metrics.NewCounter("imagebench_daemon_response_write_errors_total",
 			"Response bodies the daemon failed to write (client gone mid-response).")
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
+	mux.HandleFunc("GET /healthz", s.Healthz)
+	mux.HandleFunc("GET /metrics", s.Metrics(metrics))
 	mux.HandleFunc("GET /metrics.json", s.handleMetrics)
 	mux.HandleFunc("GET /v1/experiments", s.handleExperiments)
 	mux.HandleFunc("GET /v1/engines", s.handleEngines)
@@ -62,87 +56,31 @@ func newServer(sched *runner.Scheduler, cache *results.Cache, sweeps *sweep.Mana
 	return mux
 }
 
-// writeJSON emits v with indentation; these are operator-facing
-// endpoints, so readability beats byte count. Encoding happens before
-// the status line is written: an unmarshalable value must become a 500,
-// not a 200 with a truncated body that a coordinator would try to
-// parse. A failed body write is recorded (see respWriteErrs) — by then
-// the status line is on the wire and the client is usually gone, so
-// accounting is all that remains.
-func (s *server) writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		// apiError is a plain string struct, so this inner marshal
-		// cannot itself fail.
-		status = http.StatusInternalServerError
-		b, _ = json.MarshalIndent(apiError{Error: fmt.Sprintf("encode response: %v", err)}, "", "  ")
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		s.noteRespWriteErr()
-	}
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func (s *server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	s.writeJSON(w, status, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// noteRespWriteErr accounts one failed response write.
-func (s *server) noteRespWriteErr() {
-	s.respWriteErrs.Add(1)
-	if s.respWriteErrC != nil {
-		s.respWriteErrC.Add(1)
-	}
-}
-
 // maxRequestBytes caps JSON request bodies. The daemon's requests are
 // small specs (experiment IDs, profiles, override lists); 1 MiB is
 // orders of magnitude above any legitimate payload.
 const maxRequestBytes = 1 << 20
 
-// decodeRequest decodes a JSON body with the two defenses every
-// network-facing decoder needs: a hard size cap (a huge body would
-// otherwise be buffered without bound) and rejection of unknown fields
-// (a typoed "experimens" key fails loudly instead of submitting an empty
-// job). It writes the error response itself and reports whether decoding
-// succeeded.
-func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
+// decodeRequest decodes a JSON body of at most limit bytes with the two
+// defenses every network-facing decoder needs: a hard size cap (a huge
+// body would otherwise be buffered without bound) and rejection of
+// unknown fields (a typoed "experimens" key fails loudly instead of
+// submitting an empty job). It writes the error response itself and
+// reports whether decoding succeeded.
+func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+			s.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
 			return false
 		}
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+		s.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 		return false
 	}
 	return true
-}
-
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handlePromMetrics serves the registry in the Prometheus text
-// exposition format (version 0.0.4) — the scrape target. The JSON
-// counters live on at /metrics.json for humans and scripts.
-func (s *server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.metrics == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "metrics registry not configured")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.WriteText(w); err != nil {
-		s.noteRespWriteErr()
-	}
 }
 
 // metrics is the expvar-style counter payload served at /metrics.json.
@@ -170,7 +108,7 @@ type metrics struct {
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.sched.Stats()
 	cst := s.cache.Stats()
-	s.writeJSON(w, http.StatusOK, metrics{
+	s.WriteJSON(w, http.StatusOK, metrics{
 		UptimeSeconds:           time.Since(s.start).Seconds(),
 		Workers:                 st.Workers,
 		JobsSubmitted:           st.Submitted,
@@ -187,7 +125,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CacheEntries:            cst.Entries,
 		Sweeps:                  s.sweeps.Len(),
 		JournalErrors:           st.JournalErrors,
-		ResponseWriteErrors:     s.respWriteErrs.Load(),
+		ResponseWriteErrors:     s.WriteErrors.Load(),
 		VirtualSecondsSimulated: st.VirtualSeconds,
 	})
 }
@@ -205,14 +143,14 @@ func (s *server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	for _, e := range all {
 		out = append(out, experimentInfo{ID: e.ID, Title: e.Title, Paper: e.Paper})
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleEngines serves the engine registry: each registered system
 // driver with its capability set (which comparisons it participates
 // in) and its fault-recovery mechanism, in engine.Info wire form.
 func (s *server) handleEngines(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, engine.Describe())
+	s.WriteJSON(w, http.StatusOK, engine.Describe())
 }
 
 // submitRequest is the POST /v1/jobs body. Experiments lists IDs, or
@@ -232,11 +170,11 @@ type submitRequest struct {
 
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if !s.decodeRequest(w, r, &req) {
+	if !s.decodeRequest(w, r, &req, maxRequestBytes) {
 		return
 	}
 	if len(req.Experiments) == 0 {
-		s.writeError(w, http.StatusBadRequest, "experiments list is empty (use [\"all\"] for everything)")
+		s.WriteError(w, http.StatusBadRequest, "experiments list is empty (use [\"all\"] for everything)")
 		return
 	}
 	if req.Profile == "" {
@@ -244,12 +182,12 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	profile, err := core.ProfileByName(req.Profile)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Overrides != nil {
 		if err := req.Overrides.Validate(); err != nil {
-			s.writeError(w, http.StatusBadRequest, "overrides: %v", err)
+			s.WriteError(w, http.StatusBadRequest, "overrides: %v", err)
 			return
 		}
 		profile = profile.Apply(*req.Overrides)
@@ -267,7 +205,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// with the client told only "unknown experiment".
 	for _, id := range ids {
 		if _, err := core.Lookup(id); err != nil {
-			s.writeError(w, http.StatusBadRequest, "%v (nothing submitted)", err)
+			s.WriteError(w, http.StatusBadRequest, "%v (nothing submitted)", err)
 			return
 		}
 	}
@@ -283,7 +221,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			// Jobs accepted before the failure keep running; the client
 			// must learn their IDs or it can never poll, wait on, or
 			// account for the partial batch.
-			s.writeJSON(w, status, map[string]any{
+			s.WriteJSON(w, status, map[string]any{
 				"jobs":  snapshotJobs(jobs),
 				"error": fmt.Sprintf("submit %s: %v (%d of %d jobs accepted)", id, err, len(jobs), len(ids)),
 			})
@@ -298,13 +236,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-j.Done():
 			case <-r.Context().Done():
-				s.writeError(w, http.StatusRequestTimeout, "client went away while waiting")
+				s.WriteError(w, http.StatusRequestTimeout, "client went away while waiting")
 				return
 			}
 		}
 		status = http.StatusOK
 	}
-	s.writeJSON(w, status, map[string]any{"jobs": snapshotJobs(jobs)})
+	s.WriteJSON(w, status, map[string]any{"jobs": snapshotJobs(jobs)})
 }
 
 // snapshotJobs collects the Info snapshots of jobs, never nil (so the
@@ -318,7 +256,7 @@ func snapshotJobs(jobs []*runner.Job) []runner.Info {
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": snapshotJobs(s.sched.Jobs())})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"jobs": snapshotJobs(s.sched.Jobs())})
 }
 
 func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -331,17 +269,17 @@ func (s *server) handleJob(w http.ResponseWriter, r *http.Request) {
 		// result still cached), answer from the tombstone instead of
 		// 404ing work that succeeded.
 		if info, ok := s.sched.EvictedInfo(id); ok {
-			s.writeJSON(w, http.StatusOK, info)
+			s.WriteJSON(w, http.StatusOK, info)
 			return
 		}
-		s.writeError(w, http.StatusNotFound, "unknown job %q", id)
+		s.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, j.Snapshot())
+	s.WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *server) handleResultKeys(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"keys": s.cache.Keys()})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"keys": s.cache.Keys()})
 }
 
 // maxIngestBytes caps POST /v1/results bodies. A replicated entry
@@ -356,32 +294,23 @@ const maxIngestBytes = 8 << 20
 // recomputed from its experiment and profile and must match: accepting
 // a mismatched key would poison every later lookup of that key.
 func (s *server) handleResultIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxIngestBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var entry results.Entry
-	if err := dec.Decode(&entry); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxIngestBytes)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, "decode request: %v", err)
+	if !s.decodeRequest(w, r, &entry, maxIngestBytes) {
 		return
 	}
 	if entry.Table == nil {
-		s.writeError(w, http.StatusBadRequest, "entry has no table")
+		s.WriteError(w, http.StatusBadRequest, "entry has no table")
 		return
 	}
 	if want := results.Key(entry.Experiment, entry.Profile); entry.Key != want {
-		s.writeError(w, http.StatusBadRequest, "key %.12s does not match content (want %.12s)", entry.Key, want)
+		s.WriteError(w, http.StatusBadRequest, "key %.12s does not match content (want %.12s)", entry.Key, want)
 		return
 	}
 	if err := s.cache.Put(&entry); err != nil {
-		s.writeError(w, http.StatusInternalServerError, "store entry: %v", err)
+		s.WriteError(w, http.StatusInternalServerError, "store entry: %v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, map[string]string{"key": entry.Key})
+	s.WriteJSON(w, http.StatusCreated, map[string]string{"key": entry.Key})
 }
 
 // sweepRequest is the POST /v1/sweeps body: a sweep spec plus wait.
@@ -393,7 +322,7 @@ type sweepRequest struct {
 
 func (s *server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if !s.decodeRequest(w, r, &req) {
+	if !s.decodeRequest(w, r, &req, maxRequestBytes) {
 		return
 	}
 	sw, existing, err := s.sweeps.Submit(req.Spec)
@@ -407,7 +336,7 @@ func (s *server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			// problem on our side, not a client error.
 			status = http.StatusInternalServerError
 		}
-		s.writeError(w, status, "%v", err)
+		s.WriteError(w, status, "%v", err)
 		return
 	}
 	status := http.StatusAccepted
@@ -416,12 +345,12 @@ func (s *server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Wait {
 		if err := sw.Wait(r.Context()); err != nil {
-			s.writeError(w, http.StatusRequestTimeout, "client went away while waiting")
+			s.WriteError(w, http.StatusRequestTimeout, "client went away while waiting")
 			return
 		}
 		status = http.StatusOK
 	}
-	s.writeJSON(w, status, sw.Info(true))
+	s.WriteJSON(w, status, sw.Info(true))
 }
 
 func (s *server) handleSweeps(w http.ResponseWriter, r *http.Request) {
@@ -430,17 +359,17 @@ func (s *server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	for _, sw := range list {
 		infos = append(infos, sw.Info(false))
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"sweeps": infos})
+	s.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": infos})
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("id")
 	sw, ok := s.sweeps.Get(sid)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "unknown sweep %q", sid)
+		s.WriteError(w, http.StatusNotFound, "unknown sweep %q", sid)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sw.Info(true))
+	s.WriteJSON(w, http.StatusOK, sw.Info(true))
 }
 
 // handleResult serves one cached table: JSON by default, the CLI's
@@ -449,16 +378,16 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	entry, ok := s.cache.Get(key)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "no cached result for key %q", key)
+		s.WriteError(w, http.StatusNotFound, "no cached result for key %q", key)
 		return
 	}
 	if acceptsPlainText(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if _, err := fmt.Fprintf(w, "# %s  (profile %s, key %s)\n%s",
 			entry.Experiment, entry.Profile.Name, entry.Key, entry.Table.Render()); err != nil {
-			s.noteRespWriteErr()
+			s.noteWriteError()
 		}
 		return
 	}
-	s.writeJSON(w, http.StatusOK, entry)
+	s.WriteJSON(w, http.StatusOK, entry)
 }

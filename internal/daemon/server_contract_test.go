@@ -253,7 +253,7 @@ func TestResultAcceptNegotiation(t *testing.T) {
 func TestWriteJSONEncodeError(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv := &server{}
-	srv.writeJSON(rec, http.StatusOK, map[string]any{"ch": make(chan int)})
+	srv.WriteJSON(rec, http.StatusOK, map[string]any{"ch": make(chan int)})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}

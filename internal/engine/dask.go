@@ -1,88 +1,40 @@
 package engine
 
 import (
-	"context"
-
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
-	"imagebench/internal/vtime"
 )
 
-// daskEngine adapts the Dask implementations (internal/neuro/dask.go,
-// internal/astro/dask.go). Dask runs the neuroscience pipeline in every
-// comparison; its astronomy run exists (astro.RunDask) and is wired
-// through RunAstro, but the paper's Dask froze on the astronomy
-// workload, so it holds no CapAstroE2E and stays out of the headline
-// astronomy sweeps — its astronomy LoC is still counted in Table 1,
-// exactly as the paper does.
-type daskEngine struct{}
-
-func init() { Register(daskEngine{}) }
-
-func (daskEngine) Name() string { return "Dask" }
-
-func (daskEngine) Capabilities() CapSet {
-	return CapSet{
-		CapNeuroE2E:       1,
-		CapNeuroIngest:    3,
-		CapNeuroStep:      1,
-		CapFaultTolerance: 3,
-		CapLoC:            1,
-	}
-}
-
-// RecoveryKind: Dask resubmits the lost tasks on survivors.
-func (daskEngine) RecoveryKind() RecoveryKind { return RecoverResubmit }
-
-func (daskEngine) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "Dask", "neuro", cl, func() error {
-		_, err := neuro.RunDask(w, cl, model)
-		return err
+// Dask (internal/neuro/dask.go, internal/astro/dask.go) runs the
+// neuroscience pipeline in every comparison and resubmits lost tasks on
+// survivors inside its scheduler. Its astronomy run exists
+// (astro.RunDask) and is bound below, but the paper's Dask froze on the
+// astronomy workload, so it is unranked for CapAstroE2E and stays out
+// of the headline astronomy sweeps — its astronomy LoC is still counted
+// in Table 1, exactly as the paper does.
+func init() {
+	Register(system{
+		name:     "Dask",
+		recovery: RecoverResubmit,
+		ranks: CapSet{
+			CapNeuroE2E:       1,
+			CapNeuroIngest:    3,
+			CapNeuroStep:      1,
+			CapFaultTolerance: 3,
+			CapLoC:            1,
+		},
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := neuro.RunDask(w, cl, model)
+			return err
+		},
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := astro.RunDask(w, cl, model)
+			return err
+		},
+		ingest: []Runner{ingestRunner("Dask", neuro.DaskIngest)},
+		steps:  []Runner{stepRunner("Dask", neuro.DaskStep)},
+		files:  map[string]string{UseNeuro: "neuro/dask.go", UseAstro: "astro/dask.go"},
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-func (daskEngine) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "Dask", "astro", cl, func() error {
-		_, err := astro.RunDask(w, cl, model)
-		return err
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-// RunWithFaults: task resubmission happens inside the scheduler, so
-// the run needs no external wrapper.
-func (daskEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
-	return 0, run()
-}
-
-func (e daskEngine) IngestVariants() []string { return []string{e.Name()} }
-
-func (e daskEngine) NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error) {
-	return neuro.IngestTime(w, cl, model, variant)
-}
-
-func (e daskEngine) NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	return neuro.StepTime(w, cl, model, e.Name(), step)
-}
-
-func (daskEngine) SourceFiles() map[string]string {
-	return map[string]string{
-		UseNeuro: "neuro/dask.go",
-		UseAstro: "astro/dask.go",
-	}
 }

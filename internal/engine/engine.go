@@ -1,12 +1,17 @@
 // Package engine is the unified driver API over the five evaluated
 // systems. The paper's contribution is a *comparative* evaluation —
 // every experiment runs the same workload on several systems — and this
-// package makes that comparison first-class: each system implements the
-// Engine interface once, registers itself, and the experiment harness
+// package makes that comparison first-class: each system is described
+// once, as a value that binds its own functions (end-to-end runs,
+// recovery policy, the labelled ingest/step/co-addition measurements,
+// Table 1 files), registers itself, and the experiment harness
 // (internal/core) iterates the registry instead of switching on system
-// names. Which engine participates in which comparison is data (the
-// capability set it registers), so adding a sixth engine or a new
-// workload is one adapter file, not an edit to every experiment.
+// names. One type (system, system.go) implements Engine for all five;
+// spark.go, myria.go, dask.go, scidb.go and tf.go are its five
+// literals. Which engine participates in which comparison is data —
+// the measurements it binds and the paper ranks it registers — so
+// adding a sixth engine is one registration literal, not an edit to
+// every experiment.
 package engine
 
 import (
@@ -161,37 +166,41 @@ type Engine interface {
 	// the operator's manual rerun. reruns counts fully failed attempts
 	// (manual-rerun engines only).
 	RunWithFaults(cl *cluster.Cluster, run func() error) (reruns int, err error)
-}
-
-// NeuroIngester is implemented by engines measured on the Fig 11
-// data-ingest path. IngestVariants returns the row labels — usually
-// just the engine name, but SciDB exposes its two ingest paths
-// ("SciDB-1" from_array, "SciDB-2" aio_input).
-type NeuroIngester interface {
-	IngestVariants() []string
-	NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error)
-}
-
-// NeuroStepper is implemented by engines measured per neuroscience
-// pipeline step (Fig 12a–c). step is "filter", "mean", or "denoise".
-type NeuroStepper interface {
-	NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error)
-}
-
-// AstroCoadder is implemented by engines measured on the astronomy
-// co-addition step (Fig 12d). CoaddVariants returns the row labels —
-// SciDB exposes its incremental-iteration variant alongside the plain
-// AQL one.
-type AstroCoadder interface {
-	CoaddVariants() []string
-	AstroCoadd(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, variant string) (vtime.Duration, error)
-}
-
-// SourceFiler is implemented by engines whose implementation size is
-// counted in Table 1: use case ("Neuroscience", "Astronomy") → source
-// file relative to internal/. A missing use case is the paper's NA.
-type SourceFiler interface {
+	// Runners returns the engine's labelled measurements for a
+	// step-level capability (CapNeuroIngest, CapNeuroStep,
+	// CapAstroCoadd), in row order. The engine holds c exactly when the
+	// list is non-empty.
+	Runners(c Cap) []Runner
+	// SourceFiles returns the implementation files Table 1 counts: use
+	// case (UseNeuro, UseAstro) → source file relative to internal/. A
+	// missing use case is the paper's NA; the engine holds CapLoC
+	// exactly when the map is non-empty.
 	SourceFiles() map[string]string
+}
+
+// Input is what one measured step runs on. The harness fills the fields
+// its figure reads: Fig 11 (CapNeuroIngest) reads Neuro; Fig 12a–c
+// (CapNeuroStep) Neuro and Step; Fig 12d (CapAstroCoadd) Astro and
+// Stacks.
+type Input struct {
+	Neuro *neuro.Workload
+	// Step is "filter", "mean", or "denoise".
+	Step  string
+	Astro *astro.Workload
+	// Stacks are the patch exposures co-addition consumes
+	// (astro.BuildStacks), built once per column outside the timing.
+	Stacks []*skymap.PatchExposure
+}
+
+// Runner is one labelled measurement — one row of Fig 11 or Fig 12. The
+// label is usually the engine's name; SciDB binds two ingest paths
+// ("SciDB-1" from_array, "SciDB-2" aio_input) and an incremental
+// co-addition ("SciDB-incremental") beside the plain one. Run does the
+// engine's setup and the measured step on cl (a fresh cluster) and
+// returns the step's virtual duration.
+type Runner struct {
+	Label string
+	Run   func(in Input, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error)
 }
 
 // UseNeuro and UseAstro are the Table 1 use-case keys.
@@ -225,8 +234,8 @@ func MemFloor(inputModelBytes int64, nodes int) int64 {
 var registry = map[string]Engine{}
 
 // Register adds an engine to the registry; it panics on a duplicate
-// name (two adapters claiming one system is a build bug, not a data
-// condition).
+// name (two registrations claiming one system is a build bug, not a
+// data condition).
 func Register(e Engine) {
 	if _, dup := registry[e.Name()]; dup {
 		panic("engine: duplicate engine " + e.Name())

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -30,6 +33,8 @@ func (f fakeEngine) RunAstro(context.Context, *astro.Workload, *cluster.Cluster,
 func (fakeEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
 	return 0, run()
 }
+func (fakeEngine) Runners(Cap) []Runner           { return nil }
+func (fakeEngine) SourceFiles() map[string]string { return nil }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
 	Register(fakeEngine{name: "zz-dup"})
@@ -93,23 +98,57 @@ func TestSupportingPaperOrder(t *testing.T) {
 	}
 }
 
-// TestCapabilityInterfaces verifies every capability claim is backed by
-// the matching behavior interface, so a registry-driven experiment can
-// assert the cast instead of crashing mid-table.
+// TestCapabilityInterfaces verifies that a capability and its backing
+// are one fact: every registered engine holds a step-level capability
+// exactly when it binds runners for it (and CapLoC exactly when it lists
+// source files), so a registry-driven experiment never meets a claim
+// with no path behind it. Row labels are unique across the registry — a
+// reproduced table addresses its rows by label — and, in Supporting
+// order, are exactly the rows of the committed fig11, fig12a and fig12d
+// goldens: a shuffled rank, a renamed label or a dropped runner fails
+// here with a readable diff instead of inside a byte comparison.
 func TestCapabilityInterfaces(t *testing.T) {
+	for c, golden := range map[Cap]string{CapNeuroIngest: "fig11", CapNeuroStep: "fig12a", CapAstroCoadd: "fig12d"} {
+		bound := map[string]string{} // label → engine
+		for _, e := range All() {
+			runners := e.Runners(c)
+			if held := e.Capabilities().Has(c); held != (len(runners) > 0) {
+				t.Errorf("%s: holds %s = %v but binds %d runners", e.Name(), c, held, len(runners))
+			}
+			for _, r := range runners {
+				if r.Label == "" || r.Run == nil {
+					t.Errorf("%s: a %s runner is missing its label or function (label %q)", e.Name(), c, r.Label)
+				}
+				if prev, dup := bound[r.Label]; dup {
+					t.Errorf("%s label %q bound by both %s and %s", c, r.Label, prev, e.Name())
+				}
+				bound[r.Label] = e.Name()
+			}
+		}
+
+		b, err := os.ReadFile(filepath.Join("..", "core", "testdata", "golden", golden+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tab struct {
+			Rows []string `json:"rows"`
+		}
+		if err := json.Unmarshal(b, &tab); err != nil {
+			t.Fatal(err)
+		}
+		var labels []string
+		for _, e := range Supporting(c) {
+			for _, r := range e.Runners(c) {
+				labels = append(labels, r.Label)
+			}
+		}
+		if !reflect.DeepEqual(labels, tab.Rows) {
+			t.Errorf("%s labels in Supporting order = %v, golden %s rows = %v", c, labels, golden, tab.Rows)
+		}
+	}
 	for _, e := range All() {
-		caps := e.Capabilities()
-		if _, ok := e.(NeuroIngester); caps.Has(CapNeuroIngest) && !ok {
-			t.Errorf("%s claims %s but is no NeuroIngester", e.Name(), CapNeuroIngest)
-		}
-		if _, ok := e.(NeuroStepper); caps.Has(CapNeuroStep) && !ok {
-			t.Errorf("%s claims %s but is no NeuroStepper", e.Name(), CapNeuroStep)
-		}
-		if _, ok := e.(AstroCoadder); caps.Has(CapAstroCoadd) && !ok {
-			t.Errorf("%s claims %s but is no AstroCoadder", e.Name(), CapAstroCoadd)
-		}
-		if _, ok := e.(SourceFiler); caps.Has(CapLoC) && !ok {
-			t.Errorf("%s claims %s but is no SourceFiler", e.Name(), CapLoC)
+		if held := e.Capabilities().Has(CapLoC); held != (len(e.SourceFiles()) > 0) {
+			t.Errorf("%s: holds %s = %v but lists %d source files", e.Name(), CapLoC, held, len(e.SourceFiles()))
 		}
 	}
 }

@@ -1,94 +1,45 @@
 package engine
 
 import (
-	"context"
-
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/myria"
 	"imagebench/internal/neuro"
-	"imagebench/internal/skymap"
-	"imagebench/internal/vtime"
 )
 
-// myriaEngine adapts the Myria implementations (internal/neuro/myria.go,
-// internal/astro/myria.go). Like Spark it participates in every
-// comparison; its recovery policy is a full-query restart.
-type myriaEngine struct{}
-
-func init() { Register(myriaEngine{}) }
-
-func (myriaEngine) Name() string { return "Myria" }
-
-func (myriaEngine) Capabilities() CapSet {
-	return CapSet{
-		CapNeuroE2E:       2,
-		CapAstroE2E:       2,
-		CapNeuroIngest:    1,
-		CapNeuroStep:      2,
-		CapAstroCoadd:     2,
-		CapFaultTolerance: 2,
-		CapLoC:            4,
-	}
-}
-
-// RecoveryKind: Myria restarts the whole query after a worker dies.
-func (myriaEngine) RecoveryKind() RecoveryKind { return RecoverRestart }
-
-func (myriaEngine) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "Myria", "neuro", cl, func() error {
-		_, err := neuro.RunMyria(w, cl, model, neuro.MyriaOpts{})
-		return err
+// Myria (internal/neuro/myria.go, internal/astro/myria.go), like Spark,
+// participates in every comparison; its recovery policy is a full-query
+// restart.
+func init() {
+	Register(system{
+		name:     "Myria",
+		recovery: RecoverRestart,
+		ranks: CapSet{
+			CapNeuroE2E:       2,
+			CapAstroE2E:       2,
+			CapNeuroIngest:    1,
+			CapNeuroStep:      2,
+			CapAstroCoadd:     2,
+			CapFaultTolerance: 2,
+			CapLoC:            4,
+		},
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := neuro.RunMyria(w, cl, model, neuro.MyriaOpts{})
+			return err
+		},
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := astro.RunMyria(w, cl, model, astro.MyriaOpts{})
+			return err
+		},
+		// The whole program restarts once per injected kill, on the
+		// surviving nodes.
+		onFaults: func(cl *cluster.Cluster, run func() error) (int, error) {
+			return 0, myria.RunWithRestart(cl, cl.Kills(), run)
+		},
+		ingest: []Runner{ingestRunner("Myria", neuro.MyriaIngest)},
+		steps:  []Runner{stepRunner("Myria", neuro.MyriaStep)},
+		coadd:  []Runner{coaddRunner("Myria", astro.MyriaCoadd)},
+		files:  map[string]string{UseNeuro: "neuro/myria.go", UseAstro: "astro/myria.go"},
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-func (myriaEngine) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "Myria", "astro", cl, func() error {
-		_, err := astro.RunMyria(w, cl, model, astro.MyriaOpts{})
-		return err
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-// RunWithFaults restarts the whole program once per injected kill, on
-// the surviving nodes.
-func (myriaEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
-	return 0, myria.RunWithRestart(cl, cl.Kills(), run)
-}
-
-func (e myriaEngine) IngestVariants() []string { return []string{e.Name()} }
-
-func (e myriaEngine) NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error) {
-	return neuro.IngestTime(w, cl, model, variant)
-}
-
-func (e myriaEngine) NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	return neuro.StepTime(w, cl, model, e.Name(), step)
-}
-
-func (e myriaEngine) CoaddVariants() []string { return []string{e.Name()} }
-
-func (e myriaEngine) AstroCoadd(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, variant string) (vtime.Duration, error) {
-	return astro.CoaddStepTime(w, cl, model, stacks, variant)
-}
-
-func (myriaEngine) SourceFiles() map[string]string {
-	return map[string]string{
-		UseNeuro: "neuro/myria.go",
-		UseAstro: "astro/myria.go",
-	}
 }

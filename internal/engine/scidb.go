@@ -1,93 +1,54 @@
 package engine
 
 import (
-	"context"
-
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
 	"imagebench/internal/scidb"
-	"imagebench/internal/skymap"
-	"imagebench/internal/vtime"
 )
 
-// scidbEngine adapts the SciDB implementations (internal/neuro/scidb.go,
-// internal/astro/scidb.go). SciDB runs the neuroscience pipeline (via
-// the aio_input ingest), exposes two ingest variants and an incremental
-// co-addition variant, and offers no mid-query recovery — the paper's
-// "failure plus manual rerun" row. It has no end-to-end astronomy run
-// (only the co-addition step was expressible), so it holds neither
-// CapNeuroE2E (it is absent from Fig 10's sweeps) nor CapAstroE2E.
-type scidbEngine struct{}
-
-func init() { Register(scidbEngine{}) }
-
-func (scidbEngine) Name() string { return "SciDB" }
-
-func (scidbEngine) Capabilities() CapSet {
-	return CapSet{
-		CapNeuroIngest:    5,
-		CapNeuroStep:      4,
-		CapAstroCoadd:     3,
-		CapFaultTolerance: 5,
-		CapLoC:            2,
-	}
-}
-
-// RecoveryKind: SciDB has no mid-query recovery; the operator reruns
-// the failed query by hand.
-func (scidbEngine) RecoveryKind() RecoveryKind { return RecoverManualRerun }
-
-func (scidbEngine) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "SciDB", "neuro", cl, func() error {
-		_, err := neuro.RunSciDB(w, cl, model, neuro.SciDBAio)
-		return err
+// SciDB (internal/neuro/scidb.go, internal/astro/scidb.go) runs the
+// neuroscience pipeline (via the aio_input ingest), binds two ingest
+// paths and an incremental co-addition beside the plain one, and offers
+// no mid-query recovery — the paper's "failure plus manual rerun" row.
+// It has no end-to-end astronomy run (only the co-addition step was
+// expressible) and is absent from Fig 10's sweeps, so it is ranked for
+// neither CapNeuroE2E nor CapAstroE2E.
+func init() {
+	Register(system{
+		name:     "SciDB",
+		recovery: RecoverManualRerun,
+		ranks: CapSet{
+			CapNeuroIngest:    5,
+			CapNeuroStep:      4,
+			CapAstroCoadd:     3,
+			CapFaultTolerance: 5,
+			CapLoC:            2,
+		},
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := neuro.RunSciDB(w, cl, model, neuro.SciDBAio)
+			return err
+		},
+		noAstro: "no end-to-end astronomy run (only the co-addition step is expressible)",
+		// One full failed attempt is paid per kill, then the operator's
+		// manual rerun; the count of failed attempts is reported.
+		onFaults: func(cl *cluster.Cluster, run func() error) (int, error) {
+			return scidb.RerunOnFailure(cl, cl.Kills(), run)
+		},
+		// Fig 11's two SciDB bars: the serial SciDB-py from_array() path
+		// and the accelerated aio_input load.
+		ingest: []Runner{
+			ingestRunner("SciDB-1", neuro.SciDBIngestRunner(neuro.SciDBFromArray)),
+			ingestRunner("SciDB-2", neuro.SciDBIngestRunner(neuro.SciDBAio)),
+		},
+		steps: []Runner{stepRunner("SciDB", neuro.SciDBStep)},
+		// The plain materialize-per-statement AQL iteration and the
+		// incremental-iteration optimization the paper cites as ~6×.
+		coadd: []Runner{
+			coaddRunner("SciDB", astro.SciDBCoaddRunner(astro.SciDBOpts{})),
+			coaddRunner("SciDB-incremental", astro.SciDBCoaddRunner(astro.SciDBOpts{Incremental: true})),
+		},
+		files: map[string]string{UseNeuro: "neuro/scidb.go", UseAstro: "astro/scidb.go"},
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-func (e scidbEngine) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	return Result{}, Unsupported("engine %s: no end-to-end astronomy run (only the co-addition step is expressible)", e.Name())
-}
-
-// RunWithFaults pays one full failed attempt per kill, then the manual
-// rerun, and reports how many attempts failed.
-func (scidbEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
-	return scidb.RerunOnFailure(cl, cl.Kills(), run)
-}
-
-// IngestVariants: "SciDB-1" is the serial SciDB-py from_array() path,
-// "SciDB-2" the accelerated aio_input load (Fig 11's two SciDB bars).
-//
-//lint:allow enginedispatch adapter-local labels for SciDB's own two ingest paths, not a cross-engine set
-func (scidbEngine) IngestVariants() []string { return []string{"SciDB-1", "SciDB-2"} }
-
-func (scidbEngine) NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error) {
-	return neuro.IngestTime(w, cl, model, variant)
-}
-
-func (e scidbEngine) NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	return neuro.StepTime(w, cl, model, e.Name(), step)
-}
-
-// CoaddVariants: the plain materialize-per-statement AQL iteration and
-// the incremental-iteration optimization the paper cites as ~6×.
-func (e scidbEngine) CoaddVariants() []string { return []string{e.Name(), "SciDB-incremental"} }
-
-func (scidbEngine) AstroCoadd(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, variant string) (vtime.Duration, error) {
-	return astro.CoaddStepTime(w, cl, model, stacks, variant)
-}
-
-func (scidbEngine) SourceFiles() map[string]string {
-	return map[string]string{
-		UseNeuro: "neuro/scidb.go",
-		UseAstro: "astro/scidb.go",
-	}
 }

@@ -1,102 +1,40 @@
 package engine
 
 import (
-	"context"
-
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
-	"imagebench/internal/skymap"
-	"imagebench/internal/vtime"
 )
 
-// sparkEngine adapts the Spark implementations (internal/neuro/spark.go,
-// internal/astro/spark.go) to the Engine API. Spark participates in
-// every comparison: both end-to-end pipelines, ingest, per-step timing,
-// co-addition, fault tolerance, and Table 1.
-type sparkEngine struct{}
-
-func init() { Register(sparkEngine{}) }
-
-func (sparkEngine) Name() string { return "Spark" }
-
-func (sparkEngine) Capabilities() CapSet {
-	return CapSet{
-		CapNeuroE2E:       3,
-		CapAstroE2E:       1,
-		CapNeuroIngest:    2,
-		CapNeuroStep:      3,
-		CapAstroCoadd:     1,
-		CapFaultTolerance: 1,
-		CapLoC:            3,
-	}
-}
-
-// RecoveryKind: Spark recomputes only the lost partitions from lineage.
-func (sparkEngine) RecoveryKind() RecoveryKind { return RecoverLineage }
-
-func (sparkEngine) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	parts := opts.Partitions
-	if parts == 0 {
-		parts = cl.Workers()
-	}
-	err := TraceRun(ctx, "Spark", "neuro", cl, func() error {
-		_, err := neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: parts, CacheInput: opts.CacheInput})
-		return err
+// Spark (internal/neuro/spark.go, internal/astro/spark.go) participates
+// in every comparison: both end-to-end pipelines, ingest, per-step
+// timing, co-addition, fault tolerance, and Table 1. It recomputes only
+// the lost partitions from lineage, inside its own task paths.
+func init() {
+	Register(system{
+		name:     "Spark",
+		recovery: RecoverLineage,
+		ranks: CapSet{
+			CapNeuroE2E:       3,
+			CapAstroE2E:       1,
+			CapNeuroIngest:    2,
+			CapNeuroStep:      3,
+			CapAstroCoadd:     1,
+			CapFaultTolerance: 1,
+			CapLoC:            3,
+		},
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: opts.partitions(cl), CacheInput: opts.CacheInput})
+			return err
+		},
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := astro.RunSpark(w, cl, model, astro.SparkOpts{Partitions: opts.partitions(cl)})
+			return err
+		},
+		ingest: []Runner{ingestRunner("Spark", neuro.SparkIngest)},
+		steps:  []Runner{stepRunner("Spark", neuro.SparkStep)},
+		coadd:  []Runner{coaddRunner("Spark", astro.SparkCoadd)},
+		files:  map[string]string{UseNeuro: "neuro/spark.go", UseAstro: "astro/spark.go"},
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-func (sparkEngine) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	parts := opts.Partitions
-	if parts == 0 {
-		parts = cl.Workers()
-	}
-	err := TraceRun(ctx, "Spark", "astro", cl, func() error {
-		_, err := astro.RunSpark(w, cl, model, astro.SparkOpts{Partitions: parts})
-		return err
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-// RunWithFaults: lineage recovery happens inside the engine's task
-// paths, so the run needs no external wrapper.
-func (sparkEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
-	return 0, run()
-}
-
-func (e sparkEngine) IngestVariants() []string { return []string{e.Name()} }
-
-func (e sparkEngine) NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error) {
-	return neuro.IngestTime(w, cl, model, variant)
-}
-
-func (e sparkEngine) NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	return neuro.StepTime(w, cl, model, e.Name(), step)
-}
-
-func (e sparkEngine) CoaddVariants() []string { return []string{e.Name()} }
-
-func (e sparkEngine) AstroCoadd(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, variant string) (vtime.Duration, error) {
-	return astro.CoaddStepTime(w, cl, model, stacks, variant)
-}
-
-func (sparkEngine) SourceFiles() map[string]string {
-	return map[string]string{
-		UseNeuro: "neuro/spark.go",
-		UseAstro: "astro/spark.go",
-	}
 }

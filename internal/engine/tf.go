@@ -1,75 +1,33 @@
 package engine
 
 import (
-	"context"
-
-	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
-	"imagebench/internal/vtime"
 )
 
-// tfEngine adapts the TensorFlow implementation (internal/neuro/tf.go).
-// TensorFlow runs the neuroscience pipeline (checkpoint-based recovery
-// in the ft experiments) and is measured on ingest and per-step timing,
-// but it is absent from the Fig 10 end-to-end sweeps and — as the
-// paper's Table 1 marks NA — the astronomy workload is not
-// implementable on it at all.
-type tfEngine struct{}
-
-func init() { Register(tfEngine{}) }
-
-func (tfEngine) Name() string { return "TensorFlow" }
-
-func (tfEngine) Capabilities() CapSet {
-	return CapSet{
-		CapNeuroIngest:    4,
-		CapNeuroStep:      5,
-		CapFaultTolerance: 4,
-		CapLoC:            5,
-	}
-}
-
-// RecoveryKind: TensorFlow restarts from its last checkpoint.
-func (tfEngine) RecoveryKind() RecoveryKind { return RecoverCheckpoint }
-
-func (tfEngine) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	err := TraceRun(ctx, "TensorFlow", "neuro", cl, func() error {
-		_, err := neuro.RunTF(w, cl, model, neuro.TFOpts{})
-		return err
+// TensorFlow (internal/neuro/tf.go) runs the neuroscience pipeline
+// (checkpoint-and-restart inside its RunStep in the ft experiments) and
+// is measured on ingest and per-step timing, but it is absent from the
+// Fig 10 end-to-end sweeps and — as the paper's Table 1 marks NA — the
+// astronomy workload is not implementable on it at all.
+func init() {
+	Register(system{
+		name:     "TensorFlow",
+		recovery: RecoverCheckpoint,
+		ranks: CapSet{
+			CapNeuroIngest:    4,
+			CapNeuroStep:      5,
+			CapFaultTolerance: 4,
+			CapLoC:            5,
+		},
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
+			_, err := neuro.RunTF(w, cl, model, neuro.TFOpts{})
+			return err
+		},
+		noAstro: "astronomy workload not implementable (paper Table 1 NA)",
+		ingest:  []Runner{ingestRunner("TensorFlow", neuro.TFIngest)},
+		steps:   []Runner{stepRunner("TensorFlow", neuro.TFStep)},
+		files:   map[string]string{UseNeuro: "neuro/tf.go"},
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{Makespan: vtime.Duration(cl.Makespan())}, nil
-}
-
-func (e tfEngine) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
-	return Result{}, Unsupported("engine %s: astronomy workload not implementable (paper Table 1 NA)", e.Name())
-}
-
-// RunWithFaults: checkpoint-and-restart happens inside RunStep, so the
-// run needs no external wrapper.
-func (tfEngine) RunWithFaults(cl *cluster.Cluster, run func() error) (int, error) {
-	return 0, run()
-}
-
-func (e tfEngine) IngestVariants() []string { return []string{e.Name()} }
-
-func (e tfEngine) NeuroIngest(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, variant string) (vtime.Duration, error) {
-	return neuro.IngestTime(w, cl, model, variant)
-}
-
-func (e tfEngine) NeuroStep(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	return neuro.StepTime(w, cl, model, e.Name(), step)
-}
-
-func (tfEngine) SourceFiles() map[string]string {
-	return map[string]string{
-		UseNeuro: "neuro/tf.go",
-	}
 }

@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"imagebench/internal/core"
+	"imagebench/internal/daemon"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -50,7 +50,12 @@ type cellState struct {
 	done     bool
 	cacheHit bool // satisfied without execution (resume fetch)
 	err      string
-	entry    *results.Entry
+	// unsupported marks a failure the worker reported as "not
+	// applicable under the cell's engine filter" (runner.Info.Unsupported):
+	// terminal, but tallied apart from real failures, exactly as a
+	// single-node sweep does.
+	unsupported bool
+	entry       *results.Entry
 }
 
 // Coordinator partitions a sweep's cell grid across workers, steals
@@ -72,10 +77,10 @@ type Coordinator struct {
 	started    time.Time
 	journalErr error // first journal append failure, reported by Run
 
-	// respWriteErrs counts observation-surface responses the
-	// coordinator failed to write (client gone mid-response); the
-	// connection is dead, so accounting is the only reporting left.
-	respWriteErrs atomic.Int64
+	// resp writes the observation surface's responses with the worker
+	// daemon's own writer, and counts the ones the coordinator failed to
+	// write (client gone mid-response).
+	resp daemon.Responder
 }
 
 // New validates cfg and opens the assignment journal (if configured).
@@ -149,6 +154,11 @@ type Result struct {
 	// Failed maps the keys of cells that terminally failed to their
 	// errors. Empty on a fully successful sweep.
 	Failed map[string]string
+	// Unsupported maps the keys of cells whose experiment is not
+	// applicable under the cell's engine filter to the worker's reason.
+	// Expected when a systems axis crosses per-engine experiments; not a
+	// failure of the sweep.
+	Unsupported map[string]string
 }
 
 // WriteArtifact writes the canonical combined artifact: byte-identical
@@ -276,12 +286,14 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	}
 
 	res := &Result{SweepID: sid, Spec: spec, Cells: cells,
-		Entries: make(map[string]*results.Entry), Failed: make(map[string]string)}
+		Entries: make(map[string]*results.Entry), Failed: make(map[string]string), Unsupported: make(map[string]string)}
 	c.mu.Lock()
 	for key, st := range c.states {
 		switch {
 		case st.done:
 			res.Entries[key] = st.entry
+		case st.unsupported:
+			res.Unsupported[key] = st.err
 		default:
 			res.Failed[key] = st.err
 		}
@@ -374,19 +386,19 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 		if isTransport(err) {
 			c.workerDown(worker, st)
 		} else {
-			c.failCell(worker, st, err.Error())
+			c.failCell(worker, st, err.Error(), false)
 		}
 		return
 	}
 	if info.Status != runner.StatusDone {
-		c.failCell(worker, st, fmt.Sprintf("job %s: %s", info.Status, info.Error))
+		c.failCell(worker, st, fmt.Sprintf("job %s: %s", info.Status, info.Error), info.Unsupported)
 		return
 	}
 	if info.ResultKey != cell.Key {
 		// The worker derived a different key for the same (experiment,
 		// profile): registry or key-scheme drift. Its table would be
 		// filed under the wrong address — fail loudly instead.
-		c.failCell(worker, st, fmt.Sprintf("worker computed key %.12s, coordinator expected %.12s", info.ResultKey, cell.Key))
+		c.failCell(worker, st, fmt.Sprintf("worker computed key %.12s, coordinator expected %.12s", info.ResultKey, cell.Key), false)
 		return
 	}
 	entry, err := c.fetchEntry(ctx, worker, cell.Key)
@@ -394,12 +406,12 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 		if isTransport(err) {
 			c.workerDown(worker, st)
 		} else {
-			c.failCell(worker, st, err.Error())
+			c.failCell(worker, st, err.Error(), false)
 		}
 		return
 	}
 	if entry == nil {
-		c.failCell(worker, st, "worker reported done but serves no result")
+		c.failCell(worker, st, "worker reported done but serves no result", false)
 		return
 	}
 
@@ -428,11 +440,12 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 	}
 }
 
-// failCell marks a cell terminally failed.
-func (c *Coordinator) failCell(worker string, st *cellState, msg string) {
+// failCell marks a cell terminally failed; unsupported carries the
+// worker's "not applicable" classification through to SweepInfo.
+func (c *Coordinator) failCell(worker string, st *cellState, msg string, unsupported bool) {
 	c.mu.Lock()
 	st.running = false
-	st.err = msg
+	st.err, st.unsupported = msg, unsupported
 	c.record(Record{Op: OpFail, Key: st.cell.Key, Worker: worker, Error: msg})
 	c.mu.Unlock()
 	c.cond.Broadcast()

@@ -207,6 +207,67 @@ func TestFederatedSweepRunsAllCells(t *testing.T) {
 	}
 }
 
+// TestFederatedSweepCarriesUnsupported: a grid whose systems axis makes
+// a per-engine experiment not applicable (fig13 is a Myria tuning study;
+// under systems=Spark it is rejected before any simulation runs) must
+// end the way a single-node sweep of the same grid does — the cell
+// tallied Unsupported, not Failed — because the coordinator serves the
+// same GET /v1/sweeps/{id} shape a worker does.
+func TestFederatedSweepCarriesUnsupported(t *testing.T) {
+	workers := startWorkers(t, 2)
+	coord, err := New(Config{Workers: workerURLs(workers)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	spec := sweep.Spec{
+		Experiments: []string{"zz-fed-a", "fig13"},
+		Overrides:   []core.Overrides{{Systems: []string{"Spark"}}},
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := coord.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 0 || len(res.Unsupported) != 1 || len(res.Entries) != 1 {
+		t.Errorf("result: %d entries, failed %v, unsupported %v; want 1 entry, 0 failed, 1 unsupported",
+			len(res.Entries), res.Failed, res.Unsupported)
+	}
+	got, ok := coord.SweepInfo(true)
+	if !ok {
+		t.Fatal("SweepInfo not available after Run")
+	}
+	if got.Unsupported != 1 || got.Failed != 0 || got.Done != 1 || !got.Finished() {
+		t.Errorf("federated info = %+v, want done 1, unsupported 1, failed 0, finished", got)
+	}
+	for _, ci := range got.Cells {
+		if want := ci.Experiment == "fig13"; ci.Unsupported != want {
+			t.Errorf("cell %s: unsupported = %v, want %v", ci.Experiment, ci.Unsupported, want)
+		}
+	}
+
+	// The same grid on one node.
+	d, err := daemon.New(daemon.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s, _, err := d.Sweeps.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Info(false)
+	if got.ID != want.ID || got.Total != want.Total || got.Done != want.Done ||
+		got.Failed != want.Failed || got.Unsupported != want.Unsupported {
+		t.Errorf("federated counts %+v differ from single-node counts %+v", got, want)
+	}
+}
+
 // TestFederationSmokeKillWorker is the acceptance smoke: coordinator +
 // 3 in-process workers, a 60-cell sweep, one worker killed (-9 at the
 // network layer) mid-flight. The killed worker's cells must migrate to

@@ -199,23 +199,14 @@ func (c *Coordinator) SweepInfo(withCells bool) (sweep.Info, bool) {
 		switch {
 		case st.done:
 			ci.Status, ci.CacheHit = runner.StatusDone, st.cacheHit
-			info.Done++
-			if st.cacheHit {
-				info.Hits++
-			}
 		case st.err != "":
-			ci.Status, ci.Error = runner.StatusFailed, st.err
-			info.Failed++
+			ci.Status, ci.Error, ci.Unsupported = runner.StatusFailed, st.err, st.unsupported
 		case st.running:
 			ci.Status = runner.StatusRunning
-			info.Running++
 		default:
 			ci.Status = runner.StatusQueued
-			info.Queued++
 		}
-		if withCells {
-			info.Cells = append(info.Cells, ci)
-		}
+		info.Add(ci, withCells)
 	}
 	return info, true
 }
@@ -227,49 +218,22 @@ func (c *Coordinator) SweepInfo(withCells bool) (sweep.Info, bool) {
 // the coordinator.
 func (c *Coordinator) Handler(reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		c.fedWriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if reg == nil {
-			c.fedWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "metrics registry not configured"})
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WriteText(w); err != nil {
-			c.respWriteErrs.Add(1)
-		}
-	})
+	mux.HandleFunc("GET /healthz", c.resp.Healthz)
+	mux.HandleFunc("GET /metrics", c.resp.Metrics(reg))
 	mux.HandleFunc("GET /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
 		infos := []sweep.Info{}
 		if info, ok := c.SweepInfo(false); ok {
 			infos = append(infos, info)
 		}
-		c.fedWriteJSON(w, http.StatusOK, map[string]any{"sweeps": infos})
+		c.resp.WriteJSON(w, http.StatusOK, map[string]any{"sweeps": infos})
 	})
 	mux.HandleFunc("GET /v1/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, ok := c.SweepInfo(true)
 		if !ok || info.ID != r.PathValue("id") {
-			c.fedWriteJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("unknown sweep %q", r.PathValue("id"))})
+			c.resp.WriteError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
 			return
 		}
-		c.fedWriteJSON(w, http.StatusOK, info)
+		c.resp.WriteJSON(w, http.StatusOK, info)
 	})
 	return mux
-}
-
-// fedWriteJSON emits v with indentation, mirroring the worker daemon's
-// writer; a failed body write is tallied on the coordinator — the
-// client is gone, so a counter is the only place the error can land.
-func (c *Coordinator) fedWriteJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, "encode response", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		c.respWriteErrs.Add(1)
-	}
 }

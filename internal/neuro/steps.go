@@ -16,11 +16,16 @@ import (
 	"imagebench/internal/vtime"
 )
 
-// This file provides the individual-step runners behind the paper's
-// Figure 11 (data ingest) and Figures 12a–12c (filter, mean, denoise).
-// Each runner receives a fresh cluster, performs any setup (ingest) and
-// then the measured step, returning the step's virtual duration as the
-// makespan delta.
+// This file holds the individual-step runners behind the paper's
+// Figure 11 (data ingest) and Figures 12a–12c (filter, mean, denoise):
+// one ingest function and one step function per system, which the
+// engine registrations (internal/engine) bind by value — nothing here
+// is selected by a system name. Each runner receives a fresh cluster,
+// performs any setup (ingest) outside the timed region and then the
+// measured step, returning the step's virtual duration as the makespan
+// delta. A system's setup is written once and shared by its ingest
+// runner, its step runner and its tuning study. A nil model means
+// cost.Default(), resolved by the system constructors.
 
 // delta measures the virtual time consumed by f on cl.
 func delta(cl *cluster.Cluster, f func() error) (vtime.Duration, error) {
@@ -29,6 +34,25 @@ func delta(cl *cluster.Cluster, f func() error) (vtime.Duration, error) {
 		return 0, err
 	}
 	return cl.Makespan().Sub(t0), nil
+}
+
+// errUnknownStep rejects a step name outside "filter", "mean", "denoise".
+func errUnknownStep(step string) error {
+	return fmt.Errorf("neuro: unknown step %q", step)
+}
+
+// referenceMasks computes the per-subject masks outside any timing, for
+// denoise-step measurements (the mask is an input to Step 2N).
+func referenceMasks(w *Workload) (map[int]*volume.V3, error) {
+	ref, err := Reference(w)
+	if err != nil {
+		return nil, err
+	}
+	masks := make(map[int]*volume.V3, len(ref.Subjects))
+	for s, sr := range ref.Subjects {
+		masks[s] = sr.Mask
+	}
+	return masks, nil
 }
 
 // sparkDecode decodes staged .npy objects into volume records.
@@ -51,118 +75,29 @@ func myriaDecode(obj objstore.Object) []myria.Tuple {
 	return nil
 }
 
-// IngestTime measures each system's data-ingest path (Fig 11). The
-// sysVariant strings are "Spark", "Myria", "Dask", "TensorFlow",
-// "SciDB-1" (from_array), and "SciDB-2" (aio_input).
-func IngestTime(w *Workload, cl *cluster.Cluster, model *cost.Model, sysVariant string) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default()
-	}
-	// Each case builds a different per-system ingest simulation; the
-	// registry's NeuroIngester adapters delegate here.
-	//lint:allow enginedispatch per-system simulation models live here; adapters delegate in
-	switch sysVariant {
-	case "Spark":
-		sess := spark.NewSession(cl, w.Store, model)
-		return delta(cl, func() error {
-			// Loading into in-memory RDDs.
-			_, err := sess.Objects("neuro/npy/", cl.Workers(), sparkDecode).Cache().Materialize()
-			return err
-		})
-	case "Myria":
-		eng := myria.New(cl, w.Store, model, myria.DefaultConfig())
-		return delta(cl, func() error {
-			// Reading from S3 into per-node PostgreSQL instances.
-			_, err := eng.Ingest("Images", "neuro/npy/", myriaDecode)
-			return err
-		})
-	case "Dask":
-		sess := dask.NewSession(cl, w.Store, model)
-		return delta(cl, func() error {
-			// Loading NIfTI files into in-memory arrays, subjects pinned
-			// to nodes (Section 5.2.1).
-			var fetches []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
-				fetches = append(fetches, sess.Fetch(synth.NeuroKeyNIfTI(s), s%cl.Nodes(),
-					func(obj objstore.Object) (any, int64, error) {
-						v4, err := decodeNIfTI(obj)
-						return v4, w.Cfg.SubjectModelBytes(), err
-					}))
-			}
-			_, err := sess.Compute(fetches...)
-			return err
-		})
-	case "TensorFlow":
-		sess := tfgraph.NewSession(cl, w.Store, model)
-		return delta(cl, func() error {
-			_, _, err := sess.Ingest("neuro/npy/", func(obj objstore.Object) ([]tfgraph.Tensor, error) {
-				v, err := decodeNPY(obj)
-				if err != nil {
-					return nil, err
-				}
-				return []tfgraph.Tensor{{Value: v, Size: synth.PaperVolBytes}}, nil
-			})
-			return err
-		})
-	case "SciDB-1":
-		eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
-		return delta(cl, func() error {
-			_, err := SciDBIngest(w, eng, SciDBFromArray)
-			return err
-		})
-	case "SciDB-2":
-		eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
-		return delta(cl, func() error {
-			_, err := SciDBIngest(w, eng, SciDBAio)
-			return err
-		})
-	}
-	return 0, fmt.Errorf("neuro: unknown ingest variant %q", sysVariant)
+// sparkImages loads the staged volumes into a cached in-memory RDD.
+func sparkImages(sess *spark.Session) (*spark.RDD, error) {
+	img := sess.Objects("neuro/npy/", sess.Cluster().Workers(), sparkDecode).Cache()
+	_, err := img.Materialize()
+	return img, err
 }
 
-// StepTime measures one pipeline step (Fig 12a–c) on one system after
-// the necessary setup. step is "filter", "mean", or "denoise"; sys is
-// "Spark", "Myria", "Dask", "SciDB", or "TensorFlow".
-func StepTime(w *Workload, cl *cluster.Cluster, model *cost.Model, sys, step string) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default()
-	}
-	// Per-system step simulators, reached via the NeuroStepper adapters.
-	//lint:allow enginedispatch per-system simulation models live here; adapters delegate in
-	switch sys {
-	case "Spark":
-		return sparkStep(w, cl, model, step)
-	case "Myria":
-		return myriaStep(w, cl, model, step)
-	case "Dask":
-		return daskStep(w, cl, model, step)
-	case "SciDB":
-		return scidbStep(w, cl, model, step)
-	case "TensorFlow":
-		return tfStep(w, cl, model, step)
-	}
-	return 0, fmt.Errorf("neuro: unknown system %q", sys)
+// SparkIngest measures Spark's data-ingest path (Fig 11).
+func SparkIngest(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error) {
+	sess := spark.NewSession(cl, w.Store, model)
+	return delta(cl, func() error {
+		_, err := sparkImages(sess)
+		return err
+	})
 }
 
-// referenceMasks computes the per-subject masks outside any timing, for
-// denoise-step measurements (the mask is an input to Step 2N).
-func referenceMasks(w *Workload) (map[int]*volume.V3, error) {
-	ref, err := Reference(w)
-	if err != nil {
-		return nil, err
-	}
-	masks := make(map[int]*volume.V3, len(ref.Subjects))
-	for s, sr := range ref.Subjects {
-		masks[s] = sr.Mask
-	}
-	return masks, nil
-}
-
-func sparkStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
+// SparkStep measures one pipeline step (Fig 12a–c) on Spark after the
+// necessary setup. step is "filter", "mean", or "denoise".
+func SparkStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
 	sess := spark.NewSession(cl, w.Store, model)
 	b0 := w.Grad.B0Mask(50)
-	img := sess.Objects("neuro/npy/", cl.Workers(), sparkDecode).Cache()
-	if _, err := img.Materialize(); err != nil {
+	img, err := sparkImages(sess)
+	if err != nil {
 		return 0, err
 	}
 	filterUDF := spark.UDF{Name: "filter-b0", Op: cost.Filter, F: func(p spark.Pair) []spark.Pair {
@@ -206,13 +141,29 @@ func sparkStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 			return err
 		})
 	}
-	return 0, fmt.Errorf("neuro: unknown step %q", step)
+	return 0, errUnknownStep(step)
 }
 
-func myriaStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
+// myriaImages reads the staged volumes from S3 into the per-node
+// PostgreSQL instances.
+func myriaImages(eng *myria.Engine) (*myria.Relation, error) {
+	return eng.Ingest("Images", "neuro/npy/", myriaDecode)
+}
+
+// MyriaIngest measures Myria's data-ingest path (Fig 11).
+func MyriaIngest(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error) {
+	eng := myria.New(cl, w.Store, model, myria.DefaultConfig())
+	return delta(cl, func() error {
+		_, err := myriaImages(eng)
+		return err
+	})
+}
+
+// MyriaStep measures one pipeline step (Fig 12a–c) on Myria.
+func MyriaStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
 	eng := myria.New(cl, w.Store, model, myria.DefaultConfig())
 	b0 := w.Grad.B0Mask(50)
-	images, err := eng.Ingest("Images", "neuro/npy/", myriaDecode)
+	images, err := myriaImages(eng)
 	if err != nil {
 		return 0, err
 	}
@@ -269,50 +220,68 @@ func myriaStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 			return err
 		})
 	}
-	return 0, fmt.Errorf("neuro: unknown step %q", step)
+	return 0, errUnknownStep(step)
 }
 
-func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	sess := dask.NewSession(cl, w.Store, model)
-	b0 := w.Grad.B0Mask(50)
-	// Setup: subjects already in memory across the cluster.
+// daskFetch builds one NIfTI-load task per subject, subjects pinned to
+// nodes (Section 5.2.1).
+func daskFetch(sess *dask.Session, w *Workload) []*dask.Delayed {
 	fetch := make([]*dask.Delayed, w.Subjects)
-	for s := 0; s < w.Subjects; s++ {
-		fetch[s] = sess.Fetch(synth.NeuroKeyNIfTI(s), s%cl.Nodes(), func(obj objstore.Object) (any, int64, error) {
+	for s := range fetch {
+		fetch[s] = sess.Fetch(synth.NeuroKeyNIfTI(s), s%sess.Cluster().Nodes(), func(obj objstore.Object) (any, int64, error) {
 			v4, err := decodeNIfTI(obj)
 			return v4, w.Cfg.SubjectModelBytes(), err
 		})
 	}
-	if _, err := sess.Compute(fetch...); err != nil {
+	return fetch
+}
+
+// daskFilter builds one b0-selection task per fetched subject: all data
+// is in memory, so filtering is a cheap in-memory select.
+func daskFilter(sess *dask.Session, fetch []*dask.Delayed, b0 []bool) []*dask.Delayed {
+	filtered := make([]*dask.Delayed, len(fetch))
+	for s := range fetch {
+		filtered[s] = sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
+			[]*dask.Delayed{fetch[s]},
+			func(args []any) (any, int64, error) {
+				v4 := args[0].(*volume.V4).Select(b0)
+				return v4, synth.PaperVolBytes * int64(v4.T()), nil
+			})
+	}
+	return filtered
+}
+
+// daskCompute evaluates the graph rooted at roots.
+func daskCompute(sess *dask.Session, roots []*dask.Delayed) error {
+	_, err := sess.Compute(roots...)
+	return err
+}
+
+// DaskIngest measures Dask's data-ingest path (Fig 11): loading NIfTI
+// files into in-memory arrays.
+func DaskIngest(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error) {
+	sess := dask.NewSession(cl, w.Store, model)
+	return delta(cl, func() error { return daskCompute(sess, daskFetch(sess, w)) })
+}
+
+// DaskStep measures one pipeline step (Fig 12a–c) on Dask.
+func DaskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
+	if model == nil {
+		model = cost.Default() // the denoise tasks below cost themselves from it
+	}
+	sess := dask.NewSession(cl, w.Store, model)
+	b0 := w.Grad.B0Mask(50)
+	// Setup: subjects already in memory across the cluster.
+	fetch := daskFetch(sess, w)
+	if err := daskCompute(sess, fetch); err != nil {
 		return 0, err
 	}
 	switch step {
 	case "filter":
-		// All data is in memory; filtering is a cheap in-memory select.
-		return delta(cl, func() error {
-			var roots []*dask.Delayed
-			for s := 0; s < w.Subjects; s++ {
-				roots = append(roots, sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
-					[]*dask.Delayed{fetch[s]},
-					func(args []any) (any, int64, error) {
-						v4 := args[0].(*volume.V4).Select(b0)
-						return v4, synth.PaperVolBytes * int64(v4.T()), nil
-					}))
-			}
-			_, err := sess.Compute(roots...)
-			return err
-		})
+		return delta(cl, func() error { return daskCompute(sess, daskFilter(sess, fetch, b0)) })
 	case "mean":
-		filtered := make([]*dask.Delayed, w.Subjects)
-		for s := 0; s < w.Subjects; s++ {
-			filtered[s] = sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
-				[]*dask.Delayed{fetch[s]},
-				func(args []any) (any, int64, error) {
-					v4 := args[0].(*volume.V4).Select(b0)
-					return v4, synth.PaperVolBytes * int64(v4.T()), nil
-				})
-		}
-		if _, err := sess.Compute(filtered...); err != nil {
+		filtered := daskFilter(sess, fetch, b0)
+		if err := daskCompute(sess, filtered); err != nil {
 			return 0, err
 		}
 		return delta(cl, func() error {
@@ -324,8 +293,7 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 						return volume.Mean3(args[0].(*volume.V4).Vols), synth.PaperVolBytes, nil
 					}))
 			}
-			_, err := sess.Compute(roots...)
-			return err
+			return daskCompute(sess, roots)
 		})
 	case "denoise":
 		masks, err := referenceMasks(w)
@@ -349,14 +317,27 @@ func daskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 						}))
 				}
 			}
-			_, err := sess.Compute(roots...)
+			return daskCompute(sess, roots)
+		})
+	}
+	return 0, errUnknownStep(step)
+}
+
+// SciDBIngestRunner returns the measurement of one SciDB data-ingest
+// path (Fig 11's two SciDB bars): SciDBFromArray is the serial SciDB-py
+// from_array() load, SciDBAio the accelerated aio_input one.
+func SciDBIngestRunner(mode SciDBIngestMode) func(*Workload, *cluster.Cluster, *cost.Model) (vtime.Duration, error) {
+	return func(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error) {
+		eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
+		return delta(cl, func() error {
+			_, err := SciDBIngest(w, eng, mode)
 			return err
 		})
 	}
-	return 0, fmt.Errorf("neuro: unknown step %q", step)
 }
 
-func scidbStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
+// SciDBStep measures one pipeline step (Fig 12a–c) on SciDB.
+func SciDBStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
 	eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
 	arr, err := SciDBIngest(w, eng, SciDBAio)
 	if err != nil {
@@ -404,41 +385,17 @@ func scidbStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 			return d.Done().Err
 		})
 	}
-	return 0, fmt.Errorf("neuro: unknown step %q", step)
+	return 0, errUnknownStep(step)
 }
 
-// TFFilterTime measures the TensorFlow filter step under an explicit
-// volume-to-device assignment (Section 5.3.1's manual-assignment sweep).
-func TFFilterTime(w *Workload, cl *cluster.Cluster, model *cost.Model, assign []int) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default()
-	}
-	sess := tfgraph.NewSession(cl, w.Store, model)
-	items, _, err := sess.Ingest("neuro/npy/", func(obj objstore.Object) ([]tfgraph.Tensor, error) {
-		v, err := decodeNPY(obj)
-		if err != nil {
-			return nil, err
-		}
-		return []tfgraph.Tensor{{Value: v, Size: synth.PaperVolBytes}}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return delta(cl, func() error {
-		_, _, err := sess.RunStep("filter-b0", cost.Filter, items,
-			tfgraph.StepOpts{Assign: assign, ConvertPasses: 4},
-			func(t tfgraph.Tensor) (tfgraph.Tensor, error) { return t, nil })
-		return err
-	})
+// tfVol is one staged volume as a TensorFlow item.
+type tfVol struct {
+	subj, t int
+	vol     *volume.V3
 }
 
-func tfStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	sess := tfgraph.NewSession(cl, w.Store, model)
-	b0 := w.Grad.B0Mask(50)
-	type volItem struct {
-		subj, t int
-		vol     *volume.V3
-	}
+// tfIngest downloads the staged volumes through the master.
+func tfIngest(sess *tfgraph.Session) ([]tfgraph.Tensor, error) {
 	items, _, err := sess.Ingest("neuro/npy/", func(obj objstore.Object) ([]tfgraph.Tensor, error) {
 		s, t, err := npyKeyIDs(obj.Key)
 		if err != nil {
@@ -448,44 +405,82 @@ func tfStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (v
 		if err != nil {
 			return nil, err
 		}
-		return []tfgraph.Tensor{{Value: volItem{s, t, v}, Size: synth.PaperVolBytes}}, nil
+		return []tfgraph.Tensor{{Value: tfVol{s, t, v}, Size: synth.PaperVolBytes}}, nil
 	})
+	return items, err
+}
+
+// tfFilter runs the filter step: the flatten + select + reshape
+// workaround (Fig 12a), under an explicit volume-to-device assignment
+// when assign is non-nil.
+func tfFilter(sess *tfgraph.Session, items []tfgraph.Tensor, assign []int) ([]tfgraph.Tensor, error) {
+	out, _, err := sess.RunStep("filter-b0", cost.Filter, items,
+		tfgraph.StepOpts{Assign: assign, ConvertPasses: 4},
+		func(t tfgraph.Tensor) (tfgraph.Tensor, error) { return t, nil })
+	return out, err
+}
+
+// TFIngest measures TensorFlow's data-ingest path (Fig 11).
+func TFIngest(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Duration, error) {
+	sess := tfgraph.NewSession(cl, w.Store, model)
+	return delta(cl, func() error {
+		_, err := tfIngest(sess)
+		return err
+	})
+}
+
+// TFFilterTime measures the TensorFlow filter step under an explicit
+// volume-to-device assignment (Section 5.3.1's manual-assignment sweep);
+// a nil assign is the round-robin default Fig 12a measures.
+func TFFilterTime(w *Workload, cl *cluster.Cluster, model *cost.Model, assign []int) (vtime.Duration, error) {
+	sess := tfgraph.NewSession(cl, w.Store, model)
+	items, err := tfIngest(sess)
 	if err != nil {
 		return 0, err
 	}
-	identity := func(t tfgraph.Tensor) (tfgraph.Tensor, error) { return t, nil }
+	return delta(cl, func() error {
+		_, err := tfFilter(sess, items, assign)
+		return err
+	})
+}
+
+// TFStep measures one pipeline step (Fig 12a–c) on TensorFlow.
+func TFStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
+	if step == "filter" {
+		return TFFilterTime(w, cl, model, nil)
+	}
+	sess := tfgraph.NewSession(cl, w.Store, model)
+	items, err := tfIngest(sess)
+	if err != nil {
+		return 0, err
+	}
 	switch step {
-	case "filter":
-		// Flatten + select + reshape workaround (Fig 12a).
-		return delta(cl, func() error {
-			_, _, err := sess.RunStep("filter-b0", cost.Filter, items, tfgraph.StepOpts{ConvertPasses: 4}, identity)
-			return err
-		})
 	case "mean":
-		filtered, _, err := sess.RunStep("filter-b0", cost.Filter, items, tfgraph.StepOpts{ConvertPasses: 4}, identity)
+		filtered, err := tfFilter(sess, items, nil)
 		if err != nil {
 			return 0, err
 		}
+		b0 := w.Grad.B0Mask(50)
 		var b0Items []tfgraph.Tensor
 		for _, it := range filtered {
-			vi := it.Value.(volItem)
-			if vi.t < len(b0) && b0[vi.t] {
+			if vi := it.Value.(tfVol); vi.t < len(b0) && b0[vi.t] {
 				b0Items = append(b0Items, it)
 			}
 		}
 		return delta(cl, func() error {
-			_, _, err := sess.RunStep("mean", cost.Mean, b0Items, tfgraph.StepOpts{}, identity)
+			_, _, err := sess.RunStep("mean", cost.Mean, b0Items, tfgraph.StepOpts{},
+				func(t tfgraph.Tensor) (tfgraph.Tensor, error) { return t, nil })
 			return err
 		})
 	case "denoise":
 		return delta(cl, func() error {
 			_, _, err := sess.RunStep("denoise", cost.Denoise, items, tfgraph.StepOpts{},
 				func(t tfgraph.Tensor) (tfgraph.Tensor, error) {
-					vi := t.Value.(volItem)
-					return tfgraph.Tensor{Value: volItem{vi.subj, vi.t, Denoise(vi.vol, nil)}, Size: t.Size}, nil
+					vi := t.Value.(tfVol)
+					return tfgraph.Tensor{Value: tfVol{vi.subj, vi.t, Denoise(vi.vol, nil)}, Size: t.Size}, nil
 				})
 			return err
 		})
 	}
-	return 0, fmt.Errorf("neuro: unknown step %q", step)
+	return 0, errUnknownStep(step)
 }

@@ -86,6 +86,34 @@ type Info struct {
 	Cells       []CellInfo `json:"cells,omitempty"`
 }
 
+// Add tallies one cell into the aggregate counts, and into Cells when
+// withCells is set. It is the only place a cell state maps to a
+// counter: Sweep.Info and the federation coordinator's SweepInfo both
+// build their Info through it, so the two surfaces cannot disagree on
+// what counts as failed versus not applicable.
+func (i *Info) Add(ci CellInfo, withCells bool) {
+	switch ci.Status {
+	case runner.StatusDone:
+		i.Done++
+		if ci.CacheHit {
+			i.Hits++
+		}
+	case runner.StatusFailed:
+		if ci.Unsupported {
+			i.Unsupported++
+		} else {
+			i.Failed++
+		}
+	case runner.StatusRunning:
+		i.Running++
+	default:
+		i.Queued++
+	}
+	if withCells {
+		i.Cells = append(i.Cells, ci)
+	}
+}
+
 // Finished reports whether every cell is terminal.
 func (i Info) Finished() bool { return i.Done+i.Failed+i.Unsupported == i.Total }
 
@@ -206,25 +234,7 @@ func (s *Sweep) Info(withCells bool) Info {
 		Total:   len(s.Cells),
 	}
 	for _, c := range s.Cells {
-		ci := s.cellInfo(c)
-		switch {
-		case ci.Status == runner.StatusDone:
-			info.Done++
-			if ci.CacheHit {
-				info.Hits++
-			}
-		case ci.Status == runner.StatusFailed && ci.Unsupported:
-			info.Unsupported++
-		case ci.Status == runner.StatusFailed:
-			info.Failed++
-		case ci.Status == runner.StatusRunning:
-			info.Running++
-		default:
-			info.Queued++
-		}
-		if withCells {
-			info.Cells = append(info.Cells, ci)
-		}
+		info.Add(s.cellInfo(c), withCells)
 	}
 	return info
 }
