@@ -164,3 +164,14 @@ func fedsweepMain(args []string) {
 		os.Exit(1)
 	}
 }
+
+// splitList splits a comma-separated flag value, dropping empties.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}

@@ -30,19 +30,8 @@
 //
 //	imagebench fedsweep -workers http://a:8080,http://b:8080 -out sweep.json 'fig10*'
 //
-// Measured-performance runs (wall time, allocations, virtual seconds
-// per case) go through the bench harness, which diffs against a
-// committed baseline and exits nonzero on regression:
-//
-//	imagebench bench -reps 3 -out BENCH_8.json all
-//	imagebench bench -baseline BENCH_8.json -tolerance 0.3 kernel/...
-//
-// Serving-path load tests (TPS and latency quantiles per request class
-// against a running imagebenchd, or an in-process one) go through the
-// loadgen harness:
-//
-//	imagebench loadgen -agents 32 -duration 10s -addr http://localhost:8080
-//	imagebench loadgen -deterministic -requests 50 -seed 7 -zipf 2.5
+// Measured performance is not a subcommand: the repo's one instrument
+// is `go run ./benchmark` (see benchmark/README.md).
 package main
 
 import (
@@ -88,12 +77,6 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "fedsweep" {
 		fedsweepMain(os.Args[2:])
 		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		os.Exit(benchMain(os.Args[2:], os.Stdout, os.Stderr))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
-		os.Exit(loadgenMain(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "engines" {
 		os.Exit(enginesMain(os.Args[2:]))

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"imagebench/internal/bench"
 	"imagebench/internal/cluster"
 	"imagebench/internal/core"
 	"imagebench/internal/fsatomic"
@@ -106,9 +105,9 @@ func sweepMain(args []string) {
 		fmt.Fprintln(os.Stderr, "imagebench sweep:", err)
 		os.Exit(1)
 	}
-	var sampler *bench.HeapSampler
+	var sampler *heapSampler
 	if *memStats {
-		sampler = bench.StartHeapSampler(0)
+		sampler = startHeapSampler()
 	}
 	s, _, err := mgr.Submit(spec)
 	if err != nil {
@@ -184,7 +183,7 @@ func sweepMain(args []string) {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if sampler != nil {
-		peak, delta := sampler.Stop()
+		peak, delta := sampler.stop()
 		fmt.Printf("peak heap: %d bytes (%d above start)\n", peak, delta)
 	}
 	if final.Failed > 0 {

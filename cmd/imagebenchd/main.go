@@ -6,9 +6,9 @@
 // the cache and unfinished work resubmits. With -debug-addr a second,
 // operator-only listener serves net/http/pprof profiles.
 //
-// The service itself lives in internal/daemon, so the loadgen harness
-// and the bench serve/... cases boot the exact same stack in-process;
-// this command adds the flags and the timeout-guarded listeners.
+// The service itself lives in internal/daemon, so the benchmark's
+// workloads and the tests boot the exact same stack in-process; this
+// command adds the flags and the timeout-guarded listeners.
 //
 // Usage:
 //

@@ -10,7 +10,7 @@
 // Three rules, non-test files only:
 //
 //   - time.Now / time.Since / time.Until are forbidden (wall time is
-//     the scheduler's and bench harness's business, injected from
+//     the scheduler's and the benchmark's business, injected from
 //     outside);
 //   - package-level math/rand and math/rand/v2 functions are forbidden
 //     (they draw from the shared, unseeded source; rand.New with an

@@ -131,21 +131,6 @@ func (t *Table) VirtualSeconds() float64 {
 	return sum
 }
 
-// NonNACells returns the number of populated (non-NA) cells — the
-// denominator for per-cell metrics like the bench harness's
-// vs_per_cell.
-func (t *Table) NonNACells() int {
-	n := 0
-	for _, row := range t.Cells {
-		for _, v := range row {
-			if !math.IsNaN(v) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // RunContext executes the experiment under p, honoring ctx. The
 // registered Run functions are deterministic, CPU-bound virtual-time
 // simulations with no internal blocking, so cancellation is honored at

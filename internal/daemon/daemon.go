@@ -1,9 +1,8 @@
 // Package daemon assembles the experiment service — scheduler, result
 // cache, sweep manager, journal recovery, metrics registry, and HTTP
 // API — into one embeddable unit. cmd/imagebenchd wraps it in a real
-// listener; the loadgen harness, the bench serve/... cases, and the
-// tests boot the identical daemon in-process, so what gets load-tested
-// is what ships.
+// listener; the benchmark's workloads and the tests boot the identical
+// daemon in-process, so what gets measured is what ships.
 package daemon
 
 import (
@@ -18,7 +17,7 @@ import (
 )
 
 // Config is everything needed to stand up the service; main fills it
-// from flags, tests and the loadgen harness fill it directly.
+// from flags, tests and the benchmark fill it directly.
 type Config struct {
 	Workers    int
 	QueueDepth int

@@ -10,8 +10,8 @@ import (
 // ReadHeaderTimeout, so a client that sent headers and then stalled —
 // or never read its response — pinned a connection (and its handler
 // goroutine) forever; enough of them and the daemon is down without a
-// single malformed request. The loadgen harness's stalled-agent mode
-// exists to prove these fire.
+// single malformed request. TestStalledConnectionIsShed proves
+// these fire.
 type Timeouts struct {
 	// ReadHeader bounds reading the request line and headers.
 	ReadHeader time.Duration

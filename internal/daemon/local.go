@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// Local is an in-process daemon on a loopback listener: the loadgen
-// harness's deterministic mode, the bench serve/... cases, and the e2e
-// tests all boot the service this way so they measure the same handler
-// stack, timeouts included, that imagebenchd ships.
+// Local is an in-process daemon on a loopback listener: the benchmark's
+// serve-hot and fed-tiny workloads and the e2e tests boot the service
+// this way so they measure the same handler stack, timeouts included,
+// that imagebenchd ships.
 type Local struct {
 	*Daemon
 	BaseURL string

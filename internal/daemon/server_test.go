@@ -287,21 +287,25 @@ func TestRepeatedRequestServedFromCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentIdenticalSubmitsExecuteOnce fires N identical POSTs
-// concurrently and proves the simulation executed exactly once across
-// single-flight dedup and the result cache.
+// TestConcurrentIdenticalSubmitsExecuteOnce fires N identical POSTs for
+// each of K distinct keys, all concurrently, and proves every key's
+// simulation executed exactly once across single-flight dedup and the
+// result cache, with every POST accounted for: it either opened a job
+// or joined one in flight, and every job beyond the K that executed
+// was a cache hit.
 func TestConcurrentIdenticalSubmitsExecuteOnce(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	concRuns.Store(0)
 
-	const n = 16
+	const k, n = 4, 8
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
+	errs := make(chan error, k*n)
+	for i := 0; i < k*n; i++ {
+		body := fmt.Sprintf(`{"experiments":["zz-test-conc"],"overrides":{"clusterNodes":[%d]},"wait":true}`, 4+i%k)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, out := postJobs(t, ts.URL, `{"experiments":["zz-test-conc"],"wait":true}`)
+			resp, out := postJobs(t, ts.URL, body)
 			if resp.StatusCode != http.StatusOK {
 				errs <- fmt.Errorf("status %d", resp.StatusCode)
 				return
@@ -317,17 +321,21 @@ func TestConcurrentIdenticalSubmitsExecuteOnce(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := concRuns.Load(); got != 1 {
-		t.Errorf("simulation executed %d times under %d concurrent identical requests, want exactly 1", got, n)
+	if got := concRuns.Load(); got != k {
+		t.Errorf("simulation executed %d times under %d concurrent requests for each of %d keys, want exactly %d", got, n, k, k)
 	}
 	var m map[string]float64
 	getJSON(t, ts.URL+"/metrics.json", &m)
-	if m["jobs_executed"] != 1 {
-		t.Errorf("jobs_executed = %v, want 1", m["jobs_executed"])
+	if m["jobs_executed"] != k {
+		t.Errorf("jobs_executed = %v, want %d", m["jobs_executed"], k)
 	}
-	if m["jobs_deduped"]+m["cache_hits"] != n-1 {
-		t.Errorf("deduped (%v) + cache hits (%v) = %v, want %d",
-			m["jobs_deduped"], m["cache_hits"], m["jobs_deduped"]+m["cache_hits"], n-1)
+	if got := m["jobs_submitted"] + m["jobs_deduped"]; got != k*n {
+		t.Errorf("submitted (%v) + deduped (%v) = %v, want one per POST = %d",
+			m["jobs_submitted"], m["jobs_deduped"], got, k*n)
+	}
+	if got := m["jobs_deduped"] + m["jobs_cache_hits"]; got != k*(n-1) {
+		t.Errorf("deduped (%v) + job cache hits (%v) = %v, want %d",
+			m["jobs_deduped"], m["jobs_cache_hits"], got, k*(n-1))
 	}
 }
 
@@ -408,22 +416,63 @@ func TestNotFounds(t *testing.T) {
 	}
 }
 
+// TestMetricsShape runs one job and one sweep, then requires both
+// renderings of the registry to show them: every /metrics.json key, and
+// in the Prometheus exposition the job latency histogram, the per-layer
+// cache counters and the sweep gauge populated by that traffic.
 func TestMetricsShape(t *testing.T) {
 	ts, _, _ := newTestServer(t)
+	if resp, _ := postJobs(t, ts.URL, `{"experiments":["zz-test-http"],"wait":true}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("job submit status = %d", resp.StatusCode)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json",
+		strings.NewReader(`{"experiments":["zz-test-http"],"profiles":["quick"],"wait":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep submit status = %d", resp.StatusCode)
+	}
+
 	var m map[string]any
-	resp := getJSON(t, ts.URL+"/metrics.json", &m)
+	resp = getJSON(t, ts.URL+"/metrics.json", &m)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics status = %d", resp.StatusCode)
 	}
 	for _, k := range []string{
 		"uptime_seconds", "workers", "jobs_submitted", "jobs_executed",
 		"jobs_failed", "jobs_deduped", "jobs_in_flight", "jobs_running",
-		"cache_hits", "cache_misses", "cache_entries", "sweeps",
+		"cache_hits", "cache_mem_hits", "cache_misses", "cache_entries", "sweeps",
 		"journal_errors", "virtual_seconds_simulated",
 	} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("metrics missing %q", k)
 		}
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics = %d, read error %v", resp.StatusCode, err)
+	}
+	// The sweep's one cell is the job's key again: two jobs reached a
+	// terminal state, the second as a memory-layer cache hit, in one sweep.
+	for _, line := range []string{
+		`imagebench_job_latency_seconds_bucket{le="+Inf"} 2`,
+		`imagebench_cache_hits_total{layer="memory"} 1`,
+		`imagebench_sweeps 1`,
+	} {
+		if !strings.Contains("\n"+string(text), "\n"+line+"\n") {
+			t.Errorf("/metrics lacks the line %q", line)
+		}
+	}
+	if t.Failed() {
+		t.Logf("/metrics:\n%s", text)
 	}
 }
 

@@ -95,55 +95,13 @@ func TestHistogramShardCap(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.NewHistogram("t_q", "", []float64{0.1, 0.2, 0.4, 0.8})
-
-	if q := h.Snapshot().Quantile(0.5); !math.IsNaN(q) {
-		t.Errorf("empty histogram quantile = %v, want NaN", q)
-	}
-	if m := h.Snapshot().Mean(); !math.IsNaN(m) {
-		t.Errorf("empty histogram mean = %v, want NaN", m)
-	}
-
-	// 100 observations uniformly into the (0.1, 0.2] bucket: the median
-	// interpolates to the bucket midpoint region.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.15)
-	}
-	s := h.Snapshot()
-	if q := s.Quantile(0.5); q <= 0.1 || q > 0.2 {
-		t.Errorf("p50 = %v, want within (0.1, 0.2]", q)
-	}
-	// Exact interpolation: rank 50 of 100 in a bucket spanning
-	// (0.1, 0.2] with all 100 counts → 0.1 + 0.1*50/100 = 0.15.
-	if q := s.Quantile(0.5); math.Abs(q-0.15) > 1e-12 {
-		t.Errorf("p50 = %v, want 0.15 by linear interpolation", q)
-	}
-	if q := s.Quantile(1); math.Abs(q-0.2) > 1e-12 {
-		t.Errorf("p100 = %v, want bucket upper bound 0.2", q)
-	}
-	if m := s.Mean(); math.Abs(m-0.15) > 1e-12 {
-		t.Errorf("mean = %v, want 0.15", m)
-	}
-
-	// Overflow observations clamp to the highest finite bound.
-	h2 := r.NewHistogram("t_q2", "", []float64{0.1, 0.2})
-	for i := 0; i < 10; i++ {
-		h2.Observe(99)
-	}
-	if q := h2.Snapshot().Quantile(0.99); q != 0.2 {
-		t.Errorf("overflow quantile = %v, want clamp to 0.2", q)
-	}
-}
-
 // BenchmarkHistogramObserveParallel measures the Observe hot path under
-// the loadgen's concurrency shape: every P observing in a tight loop.
+// the serving path's concurrency shape: every P observing in a tight loop.
 // Before sharding this serialized all cores on one cache line's CAS
 // loop; after, each P mostly owns a pool-local shard.
 func BenchmarkHistogramObserveParallel(b *testing.B) {
 	r := NewRegistry()
-	h := r.NewHistogram("b_lat", "", FineLatencyBuckets)
+	h := r.NewHistogram("b_lat", "", DefLatencyBuckets)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		v := 0.0001

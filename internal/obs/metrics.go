@@ -35,8 +35,7 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // metricFamily is one named metric with HELP/TYPE metadata and any
 // number of label-distinguished series.
@@ -128,34 +127,6 @@ func (r *Registry) NewCounter(name, help string) *Counter {
 	return f.(*Counter)
 }
 
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	v          atomicFloat
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.v.Store(v) }
-
-// Add adds v (may be negative).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
-
-func (g *Gauge) meta() (string, string, string) { return g.name, g.help, "gauge" }
-func (g *Gauge) sample(emit func(string, string, float64)) {
-	emit("", "", g.v.Load())
-}
-
-// NewGauge returns the gauge registered under name.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name,
-		func() metricFamily { return &Gauge{name: name, help: help} },
-		func(f metricFamily) (metricFamily, bool) { g, ok := f.(*Gauge); return g, ok })
-	return f.(*Gauge)
-}
-
 // funcMetric samples a callback at scrape time: the value lives in the
 // instrumented package's own atomics and is read here, so existing
 // counters need no double bookkeeping.
@@ -189,10 +160,10 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 		})
 }
 
-// vec is the label machinery shared by CounterVec and GaugeVec.
+// vec is the label machinery behind CounterVec.
 type vec struct {
-	name, help, typ string
-	labels          []string
+	name, help string
+	labels     []string
 
 	mu       sync.Mutex
 	children map[string]*vecChild
@@ -232,7 +203,7 @@ func (v *vec) child(values []string) *vecChild {
 	return c
 }
 
-func (v *vec) meta() (string, string, string) { return v.name, v.help, v.typ }
+func (v *vec) meta() (string, string, string) { return v.name, v.help, "counter" }
 func (v *vec) sample(emit func(string, string, float64)) {
 	v.mu.Lock()
 	keys := make([]string, 0, len(v.children))
@@ -270,8 +241,8 @@ func sameLabels(a, b []string) bool {
 	return true
 }
 
-// Series is one labeled series of a CounterVec or GaugeVec, sharing
-// the family's storage.
+// Series is one labeled series of a CounterVec, sharing the family's
+// storage.
 type Series struct{ v *atomicFloat }
 
 // Inc adds one.
@@ -279,9 +250,6 @@ func (s *Series) Inc() { s.v.Add(1) }
 
 // Add adds d.
 func (s *Series) Add(d float64) { s.v.Add(d) }
-
-// Set stores d (gauge series only, by convention).
-func (s *Series) Set(d float64) { s.v.Store(d) }
 
 // Value returns the current value.
 func (s *Series) Value() float64 { return s.v.Load() }
@@ -314,40 +282,13 @@ func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVe
 	}
 	f := r.register(name,
 		func() metricFamily {
-			return &vec{name: name, help: help, typ: "counter", labels: labels, children: make(map[string]*vecChild)}
+			return &vec{name: name, help: help, labels: labels, children: make(map[string]*vecChild)}
 		},
 		func(f metricFamily) (metricFamily, bool) {
 			v, ok := f.(*vec)
-			return v, ok && v.typ == "counter" && sameLabels(v.labels, labels)
+			return v, ok && sameLabels(v.labels, labels)
 		})
 	return &CounterVec{f.(*vec)}
-}
-
-// GaugeVec is a gauge family partitioned by labels.
-type GaugeVec struct{ *vec }
-
-// With returns the series for the given label values (created on first
-// use), in the order the labels were declared.
-func (gv GaugeVec) With(values ...string) *Series {
-	return &Series{v: &gv.child(values).v}
-}
-
-// NewGaugeVec returns the labeled gauge family registered under name.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	for _, l := range labels {
-		if !validName(l) {
-			panic(fmt.Sprintf("obs: invalid label name %q on metric %q", l, name))
-		}
-	}
-	f := r.register(name,
-		func() metricFamily {
-			return &vec{name: name, help: help, typ: "gauge", labels: labels, children: make(map[string]*vecChild)}
-		},
-		func(f metricFamily) (metricFamily, bool) {
-			v, ok := f.(*vec)
-			return v, ok && v.typ == "gauge" && sameLabels(v.labels, labels)
-		})
-	return &GaugeVec{f.(*vec)}
 }
 
 // Histogram is a fixed-bucket latency histogram in the Prometheus
@@ -412,15 +353,14 @@ func (h *Histogram) takeShard() *histShard {
 	return sh
 }
 
-// HistSnapshot is a point-in-time merge of a histogram's shards, the
-// raw material for quantile estimates and summary artifacts. Counts is
-// per-bucket (not cumulative) with the +Inf overflow last, so
+// HistSnapshot is a point-in-time merge of a histogram's shards. Counts
+// is per-bucket (not cumulative) with the +Inf overflow last, so
 // len(Counts) == len(Bounds)+1.
 type HistSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
-	Sum    float64   `json:"sum"`
-	Count  uint64    `json:"count"`
+	Bounds []float64
+	Counts []uint64
+	Sum    float64
+	Count  uint64
 }
 
 // Snapshot merges the shards. Concurrent observers keep writing while
@@ -444,49 +384,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear
-// interpolation within the bucket that crosses the target rank, the
-// same estimate PromQL's histogram_quantile gives. The first bucket
-// interpolates from zero (latencies are non-negative); ranks landing
-// in the +Inf overflow clamp to the highest finite bound. Returns NaN
-// for an empty histogram.
-func (s HistSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, b := range s.Bounds {
-		c := float64(s.Counts[i])
-		if cum+c >= rank {
-			lower := 0.0
-			if i > 0 {
-				lower = s.Bounds[i-1]
-			}
-			if c == 0 {
-				return b
-			}
-			return lower + (b-lower)*(rank-cum)/c
-		}
-		cum += c
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the average observation, NaN when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.Count)
-}
-
 func (h *Histogram) meta() (string, string, string) { return h.name, h.help, "histogram" }
 func (h *Histogram) sample(emit func(string, string, float64)) {
 	s := h.Snapshot()
@@ -503,15 +400,6 @@ func (h *Histogram) sample(emit func(string, string, float64)) {
 // DefLatencyBuckets are the default upper bounds (seconds) for job and
 // request latency histograms.
 var DefLatencyBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60}
-
-// FineLatencyBuckets are finer upper bounds (seconds) for HTTP
-// request latencies, where the interesting mass sits well under a
-// millisecond: the loadgen harness needs sub-millisecond resolution to
-// report a meaningful p50 for cache-hit responses.
-var FineLatencyBuckets = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
-}
 
 // NewHistogram returns the histogram registered under name with the
 // given bucket upper bounds (ascending; +Inf is implicit and must not

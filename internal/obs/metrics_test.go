@@ -93,7 +93,7 @@ func TestRegistryGetOrCreateAndShapePanic(t *testing.T) {
 			t.Error("re-registering jobs_total as a gauge did not panic")
 		}
 	}()
-	r.NewGauge("jobs_total", "x")
+	r.NewGaugeFunc("jobs_total", "x", func() float64 { return 0 })
 }
 
 func TestVecSeriesShareStorage(t *testing.T) {

@@ -114,14 +114,6 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return nil, false
 }
 
-// Contains reports whether key is cached without touching the counters —
-// for introspection endpoints that should not skew hit rates.
-func (c *Cache) Contains(key string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.mem[key] != nil || c.disk[key]
-}
-
 // Peek is Get without the traffic counters: recovery and sweep-status
 // paths rehydrate completed results through it after a restart, so
 // hit/miss rates keep reflecting client traffic only.
@@ -179,7 +171,10 @@ func (c *Cache) Put(e *Entry) error {
 }
 
 // load reads one entry from disk into memory. A corrupt or unreadable
-// file is treated as a miss: the simulator can always regenerate it.
+// file is treated as a miss: the simulator can always regenerate it. A
+// file that does not decode is also dropped from the disk index, so
+// Keys and Stats stop listing a key Get cannot serve; the Put that
+// regenerates it lists it again.
 func (c *Cache) load(key string) (*Entry, bool) {
 	if !validKey(key) {
 		return nil, false
@@ -190,6 +185,13 @@ func (c *Cache) load(key string) (*Entry, bool) {
 	}
 	var e Entry
 	if err := json.Unmarshal(b, &e); err != nil || e.Key != key || e.Table == nil {
+		c.mu.Lock()
+		// A concurrent Put sets mem before it replaces the file; its
+		// index entry is not this stale one.
+		if c.mem[key] == nil {
+			delete(c.disk, key)
+		}
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.mu.Lock()

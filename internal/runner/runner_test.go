@@ -311,7 +311,7 @@ func TestJobEviction(t *testing.T) {
 		t.Errorf("retained %d jobs, want 2", len(got))
 	}
 	// The evicted job's result is still served from the cache.
-	if !cache.Contains(jobs[0].Key()) {
+	if _, ok := cache.Peek(jobs[0].Key()); !ok {
 		t.Error("evicted job's result missing from cache")
 	}
 

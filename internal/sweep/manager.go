@@ -253,11 +253,12 @@ func (m *Manager) recoverOne(path string) (bool, error) {
 	// scheduler has already deduplicated against the registered one's.
 
 	// Rehydration scan: cells whose results are already cached need no
-	// job. Peek, not Contains: Contains only consults the filename index,
-	// so a corrupt entry would mark the cell done with no table behind
-	// it. Peek validates the entry actually loads (and skips the
-	// hit/miss counters); a corrupt file falls through to a resubmit,
-	// matching the cache's corrupt-entries-regenerate policy.
+	// job. Peek, not a membership test against Keys: the filename index
+	// lists a corrupt entry until something tries to read it, which
+	// would mark the cell done with no table behind it. Peek validates
+	// the entry actually loads (and skips the hit/miss counters); a
+	// corrupt file falls through to a resubmit, matching the cache's
+	// corrupt-entries-regenerate policy.
 	if m.cache != nil {
 		for _, c := range cells {
 			if _, ok := m.cache.Peek(c.Key); ok {

@@ -338,7 +338,7 @@ func TestManagerEvictsFinishedSweeps(t *testing.T) {
 		t.Error("oldest finished sweep survived past maxSweeps")
 	}
 	// The evicted sweep's cell result is still served from the cache.
-	if !cache.Contains(first.Cells[0].Key) {
+	if _, ok := cache.Peek(first.Cells[0].Key); !ok {
 		t.Error("evicted sweep's result missing from cache")
 	}
 }
