@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"imagebench/internal/imaging"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -60,6 +61,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{Cache: cache, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
 	obs.RegisterGoMetrics(d.Metrics)
 	registerCacheMetrics(d.Metrics, cache)
+	registerKernelMemoMetrics(d.Metrics)
 
 	opts := runner.Options{
 		Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, MaxJobs: cfg.MaxJobs,
@@ -131,6 +133,26 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 	m.NewGaugeFunc("imagebench_cache_entries",
 		"Entries in the result cache (memory and disk union).",
 		func() float64 { return float64(cache.Stats().Entries) })
+}
+
+// registerKernelMemoMetrics exposes the process-wide Step 2N memo
+// (imaging.NLMeans3Memo). The cells of a clusterNodes sweep over a
+// neuro experiment have distinct result keys, so the result cache
+// reports them as misses, yet they denoise identical volumes: these
+// counters are where that reuse shows.
+func registerKernelMemoMetrics(m *obs.Registry) {
+	m.NewCounterFunc("imagebench_kernel_memo_hits_total",
+		"Step 2N (NLMeans) calls served from the content-keyed memo.",
+		func() float64 { return float64(imaging.NLMeans3MemoStats().Hits) })
+	m.NewCounterFunc("imagebench_kernel_memo_misses_total",
+		"Step 2N (NLMeans) calls that ran the kernel.",
+		func() float64 { return float64(imaging.NLMeans3MemoStats().Misses) })
+	m.NewCounterFunc("imagebench_kernel_memo_resets_total",
+		"Times the memo dropped its table to stay within its byte budget.",
+		func() float64 { return float64(imaging.NLMeans3MemoStats().Resets) })
+	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
+		"Output bytes the memo holds.",
+		func() float64 { return float64(imaging.NLMeans3MemoStats().Bytes) })
 }
 
 // Close drains the scheduler, then closes the journal — worker

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"imagebench/internal/core"
+	"imagebench/internal/imaging"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -64,6 +66,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *runner.Scheduler, *results.
 	}
 	reg := obs.NewRegistry()
 	registerCacheMetrics(reg, cache)
+	registerKernelMemoMetrics(reg)
 	sched := runner.New(runner.Options{Workers: 4, Cache: cache, Metrics: reg, Tracer: obs.NewTracer()})
 	sweeps, err := sweep.NewManager(sched, cache, "", time.Now)
 	if err != nil {
@@ -462,10 +465,20 @@ func TestMetricsShape(t *testing.T) {
 	}
 	// The sweep's one cell is the job's key again: two jobs reached a
 	// terminal state, the second as a memory-layer cache hit, in one sweep.
+	// Nothing denoises while the scrape runs, so the kernel memo's series
+	// must read exactly what the memo itself reports.
+	memo := imaging.NLMeans3MemoStats()
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, line := range []string{
 		`imagebench_job_latency_seconds_bucket{le="+Inf"} 2`,
 		`imagebench_cache_hits_total{layer="memory"} 1`,
 		`imagebench_sweeps 1`,
+		"# TYPE imagebench_kernel_memo_hits_total counter",
+		"imagebench_kernel_memo_hits_total " + num(float64(memo.Hits)),
+		"imagebench_kernel_memo_misses_total " + num(float64(memo.Misses)),
+		"imagebench_kernel_memo_resets_total " + num(float64(memo.Resets)),
+		"# TYPE imagebench_kernel_memo_bytes gauge",
+		"imagebench_kernel_memo_bytes " + num(float64(memo.Bytes)),
 	} {
 		if !strings.Contains("\n"+string(text), "\n"+line+"\n") {
 			t.Errorf("/metrics lacks the line %q", line)
@@ -473,6 +486,20 @@ func TestMetricsShape(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("/metrics:\n%s", text)
+	}
+
+	// The shipped daemon registers the same memo series.
+	d, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var shipped strings.Builder
+	if err := d.Metrics.WriteText(&shipped); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(shipped.String(), "\nimagebench_kernel_memo_bytes ") {
+		t.Error("daemon.New's registry lacks imagebench_kernel_memo_bytes")
 	}
 }
 

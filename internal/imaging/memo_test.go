@@ -1,0 +1,235 @@
+package imaging
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"imagebench/internal/volume"
+)
+
+// sameBits reports whether two volumes have the same shape and the same
+// bit pattern in every voxel (so 0 ≠ -0 and NaN == the same NaN).
+func sameBits(a, b *volume.V3) bool {
+	if !a.SameShape(b) || len(a.Data) != len(b.Data) {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func onesMask(v *volume.V3) *volume.V3 {
+	m := volume.New3(v.NX, v.NY, v.NZ)
+	for i := range m.Data {
+		m.Data[i] = 1
+	}
+	return m
+}
+
+func sparseMask(rng *rand.Rand, v *volume.V3, p float64) *volume.V3 {
+	m := volume.New3(v.NX, v.NY, v.NZ)
+	for i := range m.Data {
+		if rng.Float64() < p {
+			m.Data[i] = 1
+		}
+	}
+	return m
+}
+
+// wantStats fails unless the memo's counters moved by exactly the given
+// amounts since before.
+func wantStats(t *testing.T, before MemoStats, hits, misses uint64) {
+	t.Helper()
+	s := NLMeans3MemoStats()
+	if s.Hits-before.Hits != hits || s.Misses-before.Misses != misses {
+		t.Fatalf("memo counted %d hits and %d misses, want %d and %d",
+			s.Hits-before.Hits, s.Misses-before.Misses, hits, misses)
+	}
+}
+
+// A miss and a hit both return exactly the pure kernel's bits, over
+// random shapes, every kind of mask and explicit as well as derived H.
+func TestMemoBitIdenticalOnMissAndHit(t *testing.T) {
+	resetMemo()
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 8; i++ {
+		v := streamTestVolume(int64(100+i), 3+rng.Intn(6), 3+rng.Intn(6), 3+rng.Intn(6))
+		masks := map[string]*volume.V3{"nil": nil, "ones": onesMask(v), "sparse": sparseMask(rng, v, 0.3)}
+		for name, mask := range masks {
+			for _, h := range []float64{0, 4, 25} {
+				opts := NLMeansOpts{PatchRadius: 1, SearchRadius: 2, H: h}
+				want := NLMeans3(v, mask, opts)
+				before := NLMeans3MemoStats()
+				miss := NLMeans3Memo(v, mask, opts)
+				wantStats(t, before, 0, 1)
+				hit := NLMeans3Memo(v, mask, opts)
+				wantStats(t, before, 1, 1)
+				if !sameBits(miss, want) || !sameBits(hit, want) {
+					t.Fatalf("%dx%dx%d mask=%s H=%g: memoized output differs from NLMeans3 (miss equal: %v, hit equal: %v)",
+						v.NX, v.NY, v.NZ, name, h, sameBits(miss, want), sameBits(hit, want))
+				}
+				if &miss.Data[0] == &hit.Data[0] {
+					t.Fatal("miss and hit returned the same buffer")
+				}
+			}
+		}
+	}
+}
+
+// What makes two calls the same entry: content and the options the
+// output depends on, never the worker count.
+func TestMemoKey(t *testing.T) {
+	resetMemo()
+	v := streamTestVolume(7, 4, 6, 5)
+	opts := NLMeansOpts{PatchRadius: 1, SearchRadius: 2, H: 9}
+	NLMeans3Memo(v, nil, opts)
+
+	distinct := []struct {
+		name string
+		v, m *volume.V3
+		o    NLMeansOpts
+	}{
+		{"same bytes, other shape", &volume.V3{NX: 6, NY: 4, NZ: 5, Data: v.Data}, nil, opts},
+		{"all-ones mask instead of nil", v, onesMask(v), opts},
+		{"other H", v, nil, NLMeansOpts{PatchRadius: 1, SearchRadius: 2, H: 9.5}},
+		{"other search radius", v, nil, NLMeansOpts{PatchRadius: 1, SearchRadius: 1, H: 9}},
+		{"one voxel's sign bit", func() *volume.V3 { c := v.Clone(); c.Data[3] = -c.Data[3]; return c }(), nil, opts},
+	}
+	for _, c := range distinct {
+		before := NLMeans3MemoStats()
+		got := NLMeans3Memo(c.v, c.m, c.o)
+		wantStats(t, before, 0, 1)
+		if !sameBits(got, NLMeans3(c.v, c.m, c.o)) {
+			t.Errorf("%s: wrong output", c.name)
+		}
+	}
+
+	before := NLMeans3MemoStats()
+	for _, workers := range []int{1, 2, 0} {
+		o := opts
+		o.Workers = workers
+		NLMeans3Memo(v.Clone(), nil, o)
+	}
+	// Zero radii mean the defaults, which are what opts spells out.
+	NLMeans3Memo(v, nil, NLMeansOpts{H: 9})
+	wantStats(t, before, 4, 0)
+}
+
+// The memo keeps its own buffers: nothing a caller does to what it
+// passed in or got back can change a later answer.
+func TestMemoOwnsItsCopies(t *testing.T) {
+	resetMemo()
+	orig := streamTestVolume(8, 6, 5, 7)
+	mask := onesMask(orig)
+	want := NLMeans3(orig, mask, NLMeansOpts{})
+
+	in, inMask := orig.Clone(), mask.Clone()
+	first := NLMeans3Memo(in, inMask, NLMeansOpts{})
+	for i := range first.Data {
+		first.Data[i], in.Data[i], inMask.Data[i] = -1, -2, 0
+	}
+	second := NLMeans3Memo(orig, mask, NLMeansOpts{})
+	if !sameBits(second, want) {
+		t.Fatal("scribbling on the first call's input and output changed the hit")
+	}
+	for i := range second.Data {
+		second.Data[i] = -3
+	}
+	if third := NLMeans3Memo(orig, mask, NLMeansOpts{}); !sameBits(third, want) {
+		t.Fatal("scribbling on a hit's output changed the next hit")
+	}
+	wantStats(t, MemoStats{}, 2, 1)
+}
+
+// Inserting past the budget drops the table instead of growing: bytes
+// never pass the bound, and answers stay right across the reset.
+func TestMemoStaysInBudget(t *testing.T) {
+	resetMemo()
+	defer resetMemo() // do not leave tens of MB behind for the other tests
+	// 8 MiB a volume, so the ninth insert cannot fit. A sparse mask
+	// keeps the kernel cheap: it skips masked-out voxels one by one.
+	const nx, ny, nz = 128, 128, 64
+	rng := rand.New(rand.NewSource(3))
+	v := volume.New3(nx, ny, nz)
+	for i := range v.Data {
+		v.Data[i] = 100 + 10*rng.NormFloat64()
+	}
+	mask := volume.New3(nx, ny, nz)
+	opts := NLMeansOpts{H: 5}
+	for i := 0; i < 11; i++ {
+		mask.Data[rng.Intn(len(mask.Data))] = 1 // a new key every round
+		got := NLMeans3Memo(v, mask, opts)
+		if !sameBits(got, NLMeans3(v, mask, opts)) {
+			t.Fatalf("insert %d: wrong output", i)
+		}
+		if s := NLMeans3MemoStats(); s.Bytes <= 0 || s.Bytes > memoBudget {
+			t.Fatalf("insert %d: memo holds %d bytes, budget %d", i, s.Bytes, memoBudget)
+		}
+	}
+	s := NLMeans3MemoStats()
+	if s.Resets != 1 || s.Misses != 11 || s.Bytes != 3*v.Bytes() {
+		t.Fatalf("after 11 inserts of %d bytes: %+v, want one reset and three entries held", v.Bytes(), s)
+	}
+	// The last key survived the reset, the first did not outlive it.
+	before := s
+	NLMeans3Memo(v, mask, opts)
+	wantStats(t, before, 1, 0)
+}
+
+// 24 callers at once, over keys they share and keys of their own.
+func TestMemoConcurrentCallers(t *testing.T) {
+	resetMemo()
+	const callers, rounds = 24, 6
+	shared := make([]*volume.V3, 4)
+	wantShared := make([]*volume.V3, len(shared))
+	for i := range shared {
+		shared[i] = streamTestVolume(int64(40+i), 6, 6, 6)
+		wantShared[i] = NLMeans3(shared[i], nil, NLMeansOpts{})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := streamTestVolume(int64(1000+c), 5, 6, 4)
+			mask := onesMask(own)
+			wantOwn := NLMeans3(own, mask, NLMeansOpts{})
+			for r := 0; r < rounds; r++ {
+				i := (c + r) % len(shared)
+				if got := NLMeans3Memo(shared[i], nil, NLMeansOpts{}); !sameBits(got, wantShared[i]) {
+					errs <- fmt.Errorf("caller %d round %d: shared key %d: wrong output", c, r, i)
+					return
+				}
+				if got := NLMeans3Memo(own, mask, NLMeansOpts{}); !sameBits(got, wantOwn) {
+					errs <- fmt.Errorf("caller %d round %d: own key: wrong output", c, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	s := NLMeans3MemoStats()
+	if calls := uint64(callers * rounds * 2); s.Hits+s.Misses != calls {
+		t.Errorf("%d hits + %d misses, want %d calls", s.Hits, s.Misses, calls)
+	}
+	// Each own key misses exactly once (its caller is sequential); a
+	// shared key misses at least once and at most once per caller.
+	if lo, hi := uint64(callers+len(shared)), uint64(callers+callers*len(shared)); s.Misses < lo || s.Misses > hi {
+		t.Errorf("%d misses, want between %d and %d", s.Misses, lo, hi)
+	}
+	if want := int64(callers)*8*5*6*4 + int64(len(shared))*8*6*6*6; s.Bytes != want {
+		t.Errorf("memo holds %d bytes, want %d: one entry per distinct key", s.Bytes, want)
+	}
+}

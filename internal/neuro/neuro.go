@@ -119,9 +119,11 @@ func Segment(b0 []*volume.V3) *volume.V3 {
 	return mask
 }
 
-// Denoise runs Step 2N on one volume under the mask.
+// Denoise runs Step 2N on one volume under the mask. It goes through
+// the process-wide memo, so engines (and experiments) that denoise the
+// same content share one kernel run; the result is the caller's own.
 func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
-	return imaging.NLMeans3(v, mask, DenoiseOpts)
+	return imaging.NLMeans3Memo(v, mask, DenoiseOpts)
 }
 
 // FitBlock runs Step 3N on one voxel slab: vols are the per-volume slabs

@@ -131,7 +131,7 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV round trip: %v", err))
 		}
-		out := imaging.NLMeans3(v, nil, DenoiseOpts)
+		out := imaging.NLMeans3Memo(v, nil, DenoiseOpts)
 		back, err := tsv.Decode(tsv.Encode(out))
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV return trip: %v", err))

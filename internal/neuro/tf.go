@@ -125,7 +125,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		sigma = 1
 	}
 	denoiseOp := cost.Denoise
-	denoiseFn := func(v *volume.V3) *volume.V3 { return imaging.NLMeans3(v, nil, DenoiseOpts) }
+	denoiseFn := func(v *volume.V3) *volume.V3 { return imaging.NLMeans3Memo(v, nil, DenoiseOpts) }
 	if opts.ConvDenoise {
 		// Convolution streams at memory bandwidth, unlike the
 		// compute-bound patch search.

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"imagebench/internal/volume"
 )
@@ -27,100 +26,115 @@ func EncodeCSV(v *volume.V3) []byte {
 	return encode(v, ',')
 }
 
+// maxFloatLen is the longest 'g' shortest-precision float64 spelling
+// ("-2.2250738585072014e-308").
+const maxFloatLen = 24
+
 func encode(v *volume.V3, sep byte) []byte {
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
+	// Sized for the longest possible line, so the buffer never grows.
+	lineMax := len(strconv.Itoa(v.NX)) + len(strconv.Itoa(v.NY)) + len(strconv.Itoa(v.NZ)) + 4 + maxFloatLen
+	buf := make([]byte, 0, v.Len()*lineMax)
 	for z := 0; z < v.NZ; z++ {
 		for y := 0; y < v.NY; y++ {
 			for x := 0; x < v.NX; x++ {
-				w.WriteString(strconv.Itoa(x))
-				w.WriteByte(sep)
-				w.WriteString(strconv.Itoa(y))
-				w.WriteByte(sep)
-				w.WriteString(strconv.Itoa(z))
-				w.WriteByte(sep)
-				w.WriteString(strconv.FormatFloat(v.At(x, y, z), 'g', -1, 64))
-				w.WriteByte('\n')
+				buf = strconv.AppendInt(buf, int64(x), 10)
+				buf = append(buf, sep)
+				buf = strconv.AppendInt(buf, int64(y), 10)
+				buf = append(buf, sep)
+				buf = strconv.AppendInt(buf, int64(z), 10)
+				buf = append(buf, sep)
+				buf = strconv.AppendFloat(buf, v.At(x, y, z), 'g', -1, 64)
+				buf = append(buf, '\n')
 			}
 		}
 	}
-	w.Flush()
-	return buf.Bytes()
+	return buf
 }
 
 // Decode parses a TSV volume stream back into a volume. The grid extent
 // is inferred from the maximum coordinates; cells may appear in any
 // order, and every cell of the grid must be present exactly once.
 func Decode(data []byte) (*volume.V3, error) {
-	return decode(data, "\t")
+	return decode(data, '\t')
 }
 
 // DecodeCSV parses a CSV volume stream.
 func DecodeCSV(data []byte) (*volume.V3, error) {
-	return decode(data, ",")
+	return decode(data, ',')
 }
 
-func decode(data []byte, sep string) (*volume.V3, error) {
+// maxLine is the longest line decode reads; a longer one fails the
+// stream with bufio.ErrTooLong.
+const maxLine = 1<<20 - 1
+
+func decode(data []byte, sep byte) (*volume.V3, error) {
 	type cell struct {
 		x, y, z int
 		v       float64
 	}
-	var cells []cell
-	nx, ny, nz := 0, 0, 0
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+	// One cell per line, and the shortest line ("0\t0\t0\t0\n") is 8
+	// bytes, so a stream of blank lines cannot inflate the table.
+	cells := make([]cell, 0, min(bytes.Count(data, []byte{'\n'})+1, (len(data)+1)/8))
+	mx, my, mz := 0, 0, 0 // largest coordinates seen
+	for line := 1; len(data) > 0; line++ {
+		text := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			text, data = data[:i], data[i+1:]
+		} else {
+			data = nil
+		}
+		if len(text) > maxLine {
+			return nil, fmt.Errorf("tsv: %w", bufio.ErrTooLong)
+		}
+		text = bytes.TrimSpace(text)
+		if len(text) == 0 {
 			continue
 		}
-		parts := strings.Split(text, sep)
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("tsv: line %d: %d fields, want 4", line, len(parts))
+		if n := bytes.Count(text, []byte{sep}) + 1; n != 4 {
+			return nil, fmt.Errorf("tsv: line %d: %d fields, want 4", line, n)
 		}
-		x, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+		var parts [4][]byte
+		for i := 0; i < 3; i++ {
+			j := bytes.IndexByte(text, sep)
+			parts[i], text = text[:j], text[j+1:]
+		}
+		parts[3] = text
+		// The conversions below do not allocate: the callee keeps no
+		// reference to its argument, and a field is a few bytes.
+		x, err := strconv.Atoi(string(bytes.TrimSpace(parts[0])))
 		if err != nil {
 			return nil, fmt.Errorf("tsv: line %d: bad x %q", line, parts[0])
 		}
-		y, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+		y, err := strconv.Atoi(string(bytes.TrimSpace(parts[1])))
 		if err != nil {
 			return nil, fmt.Errorf("tsv: line %d: bad y %q", line, parts[1])
 		}
-		z, err := strconv.Atoi(strings.TrimSpace(parts[2]))
+		z, err := strconv.Atoi(string(bytes.TrimSpace(parts[2])))
 		if err != nil {
 			return nil, fmt.Errorf("tsv: line %d: bad z %q", line, parts[2])
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(parts[3]), 64)
+		v, err := strconv.ParseFloat(string(bytes.TrimSpace(parts[3])), 64)
 		if err != nil {
 			return nil, fmt.Errorf("tsv: line %d: bad value %q", line, parts[3])
 		}
 		if x < 0 || y < 0 || z < 0 {
 			return nil, fmt.Errorf("tsv: line %d: negative coordinate", line)
 		}
-		if x+1 > nx {
-			nx = x + 1
-		}
-		if y+1 > ny {
-			ny = y + 1
-		}
-		if z+1 > nz {
-			nz = z + 1
-		}
+		mx, my, mz = max(mx, x), max(my, y), max(mz, z)
 		cells = append(cells, cell{x, y, z, v})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("tsv: %w", err)
 	}
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("tsv: empty stream")
 	}
-	if len(cells) != nx*ny*nz {
-		return nil, fmt.Errorf("tsv: %d cells for a %d×%d×%d grid", len(cells), nx, ny, nz)
+	// len(cells) == nx*ny*nz, tested by division: coordinates come from
+	// the input, so the product can overflow and wrap round to the cell
+	// count (and MaxInt+1 is negative, which divides nothing).
+	nx, ny, nz := mx+1, my+1, mz+1
+	if n := len(cells); n%nx != 0 || n/nx%ny != 0 || n/nx/ny != nz {
+		return nil, fmt.Errorf("tsv: %d cells for a %d×%d×%d grid", n, uint64(mx)+1, uint64(my)+1, uint64(mz)+1)
 	}
 	out := volume.New3(nx, ny, nz)
-	seen := make([]bool, nx*ny*nz)
+	seen := make([]bool, len(cells))
 	for _, c := range cells {
 		idx := out.Idx(c.x, c.y, c.z)
 		if seen[idx] {

@@ -70,6 +70,12 @@ func TestDecodeErrors(t *testing.T) {
 		"negative coord": "-1\t0\t0\t1\n",
 		"duplicate":      "0\t0\t0\t1\n0\t0\t0\t2\n0\t1\t0\t1\n0\t1\t0\t2\n",
 		"missing cell":   "0\t0\t0\t1\n5\t5\t5\t2\n",
+		// 7 × 7905747460161236407 × 1 wraps round to 1, the cell count.
+		"extent overflow": "6\t7905747460161236406\t0\t1.5\n",
+		// MaxInt+1 wraps too: to a zero extent alone, and beside a real cell
+		// to a linear index outside the grid.
+		"coordinate MaxInt":          "9223372036854775807\t0\t0\t1\n",
+		"coordinate MaxInt, 2 cells": "0\t0\t0\t1\n9223372036854775807\t1\t0\t2\n",
 	}
 	for name, src := range cases {
 		if _, err := Decode([]byte(src)); err == nil {
