@@ -18,7 +18,7 @@ func testCluster() *cluster.Cluster {
 	return cluster.New(cfg)
 }
 
-func smallWorkload(t *testing.T, visits int) *Workload {
+func smallWorkload(t testing.TB, visits int) *Workload {
 	t.Helper()
 	cfg := synth.DefaultAstro(visits)
 	cfg.Sensors, cfg.W, cfg.H, cfg.Sources = 4, 32, 32, 10
@@ -201,5 +201,19 @@ func TestPreprocessRemovesCosmicRays(t *testing.T) {
 	m, _ := imaging.SigmaClippedStats(cal.Flux.Pix, 3, 3)
 	if math.Abs(m) > 5 {
 		t.Errorf("background-subtracted sky mean %.2f, want ~0", m)
+	}
+}
+
+// BenchmarkPreprocess is Step 1A over the exposures of a small workload;
+// run with -benchmem it gives the bytes one calibrated exposure costs.
+func BenchmarkPreprocess(b *testing.B) {
+	exposures, err := LoadExposures(smallWorkload(b, 2).Store)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Preprocess(exposures[i%len(exposures)])
 	}
 }
