@@ -75,7 +75,7 @@ func init() {
 
 // runAblSparkPyTax maps the same records once through a Python lambda
 // and once through a native (JVM) operator.
-func runAblSparkPyTax(_ context.Context, p Profile) (*Table, error) {
+func runAblSparkPyTax(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Spark"); err != nil {
 		return nil, err
 	}
@@ -85,34 +85,34 @@ func runAblSparkPyTax(_ context.Context, p Profile) (*Table, error) {
 		cols[i] = fmt.Sprintf("%d recs", n)
 	}
 	t := NewTable("Ablation: Spark Python tax (identity map)", "virtual s", []string{"Python UDF", "Native op"}, cols)
-	for _, n := range sizes {
-		for _, native := range []bool{false, true} {
-			cl := newCluster(defaultNodes(p))
-			s := spark.NewSession(cl, objstore.New(), nil)
-			recs := make([]spark.Pair, n)
-			for i := range recs {
-				recs[i] = spark.Pair{Key: fmt.Sprintf("k%03d", i), Value: i, Size: 64 << 20}
-			}
-			// A chain of narrow maps, as a multi-step pipeline would run:
-			// the Python variant crosses the worker boundary both ways at
-			// every step, the native variant never does.
-			rdd := s.Parallelize("xs", recs, defaultNodes(p)*8)
-			for step := 0; step < 6; step++ {
-				rdd = rdd.Map(spark.UDF{
-					Name: fmt.Sprintf("identity%d", step), Op: cost.Filter, Native: native,
-					F: func(pr spark.Pair) []spark.Pair { return []spark.Pair{pr} },
-				})
-			}
-			h, err := rdd.Materialize()
-			if err != nil {
-				return nil, err
-			}
-			row := "Python UDF"
-			if native {
-				row = "Native op"
-			}
-			t.Set(row, fmt.Sprintf("%d recs", n), seconds(vtime.Duration(h.End)))
+	rows := t.RowNames
+	err := forEachGridCell(ctx, len(sizes), len(rows), func(col, row int) error {
+		n, native := sizes[col], rows[row] == "Native op"
+		cl := newCluster(defaultNodes(p))
+		s := spark.NewSession(cl, objstore.New(), nil)
+		recs := make([]spark.Pair, n)
+		for i := range recs {
+			recs[i] = spark.Pair{Key: fmt.Sprintf("k%03d", i), Value: i, Size: 64 << 20}
 		}
+		// A chain of narrow maps, as a multi-step pipeline would run:
+		// the Python variant crosses the worker boundary both ways at
+		// every step, the native variant never does.
+		rdd := s.Parallelize("xs", recs, defaultNodes(p)*8)
+		for step := 0; step < 6; step++ {
+			rdd = rdd.Map(spark.UDF{
+				Name: fmt.Sprintf("identity%d", step), Op: cost.Filter, Native: native,
+				F: func(pr spark.Pair) []spark.Pair { return []spark.Pair{pr} },
+			})
+		}
+		h, err := rdd.Materialize()
+		if err != nil {
+			return err
+		}
+		t.Set(rows[row], cols[col], seconds(vtime.Duration(h.End)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -151,7 +151,7 @@ func ablChains(s *dask.Session, nChains, depth, pinNode int, stageCost vtime.Dur
 	return roots
 }
 
-func runAblDaskFusion(_ context.Context, p Profile) (*Table, error) {
+func runAblDaskFusion(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Dask"); err != nil {
 		return nil, err
 	}
@@ -163,29 +163,28 @@ func runAblDaskFusion(_ context.Context, p Profile) (*Table, error) {
 	// Many cheap tasks: the regime where the serial per-task dispatch
 	// (1.5 ms + 60 µs/node) is the bottleneck fusion removes.
 	t := NewTable("Ablation: Dask task fusion (256 cheap chains)", "virtual s", []string{"Fused", "Unfused"}, cols)
-	for _, depth := range depths {
-		for _, fuse := range []bool{true, false} {
-			cl := newCluster(defaultNodes(p))
-			s := dask.NewSession(cl, objstore.New(), nil)
-			if fuse {
-				s.EnableFusion()
-			}
-			roots := ablChains(s, 256, depth, -1, 5*time.Millisecond)
-			h, err := s.Compute(roots...)
-			if err != nil {
-				return nil, err
-			}
-			row := "Unfused"
-			if fuse {
-				row = "Fused"
-			}
-			t.Set(row, fmt.Sprintf("depth %d", depth), seconds(vtime.Duration(h.End)))
+	rows := t.RowNames
+	err := forEachGridCell(ctx, len(depths), len(rows), func(col, row int) error {
+		cl := newCluster(defaultNodes(p))
+		s := dask.NewSession(cl, objstore.New(), nil)
+		if rows[row] == "Fused" {
+			s.EnableFusion()
 		}
+		roots := ablChains(s, 256, depths[col], -1, 5*time.Millisecond)
+		h, err := s.Compute(roots...)
+		if err != nil {
+			return err
+		}
+		t.Set(rows[row], cols[col], seconds(vtime.Duration(h.End)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-func runAblDaskStealing(_ context.Context, p Profile) (*Table, error) {
+func runAblDaskStealing(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Dask"); err != nil {
 		return nil, err
 	}
@@ -195,33 +194,33 @@ func runAblDaskStealing(_ context.Context, p Profile) (*Table, error) {
 		cols[i] = fmt.Sprintf("%d chains", n)
 	}
 	t := NewTable("Ablation: Dask work stealing (data born on node 0)", "virtual s", []string{"Stealing", "Sticky"}, cols)
-	for _, n := range counts {
-		for _, sticky := range []bool{false, true} {
-			cl := newCluster(defaultNodes(p))
-			store := objstore.New()
-			for c := 0; c < n; c++ {
-				store.Put(fmt.Sprintf("abl/%03d", c), nil, 64<<20)
-			}
-			s := dask.NewSession(cl, store, nil)
-			if sticky {
-				s.StealLocality = vtime.Duration(time.Hour)
-			}
-			roots := ablChains(s, n, 4, 0, 0)
-			h, err := s.Compute(roots...)
-			if err != nil {
-				return nil, err
-			}
-			row := "Stealing"
-			if sticky {
-				row = "Sticky"
-			}
-			t.Set(row, fmt.Sprintf("%d chains", n), seconds(vtime.Duration(h.End)))
+	rows := t.RowNames
+	err := forEachGridCell(ctx, len(counts), len(rows), func(col, row int) error {
+		n := counts[col]
+		cl := newCluster(defaultNodes(p))
+		store := objstore.New()
+		for c := 0; c < n; c++ {
+			store.Put(fmt.Sprintf("abl/%03d", c), nil, 64<<20)
 		}
+		s := dask.NewSession(cl, store, nil)
+		if rows[row] == "Sticky" {
+			s.StealLocality = vtime.Duration(time.Hour)
+		}
+		roots := ablChains(s, n, 4, 0, 0)
+		h, err := s.Compute(roots...)
+		if err != nil {
+			return err
+		}
+		t.Set(rows[row], cols[col], seconds(vtime.Duration(h.End)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-func runAblMyriaPushdown(_ context.Context, p Profile) (*Table, error) {
+func runAblMyriaPushdown(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Myria"); err != nil {
 		return nil, err
 	}
@@ -231,43 +230,43 @@ func runAblMyriaPushdown(_ context.Context, p Profile) (*Table, error) {
 		cols[i] = fmt.Sprintf("keep %d%%", s)
 	}
 	t := NewTable("Ablation: Myria selection pushdown", "virtual s", []string{"Pushdown", "UDF filter"}, cols)
-	for _, sel := range selectivities {
-		for _, push := range []bool{true, false} {
-			cl := newCluster(defaultNodes(p))
-			store := objstore.New()
-			const nObjs = 64
-			for i := 0; i < nObjs; i++ {
-				store.Put(fmt.Sprintf("abl/%03d", i), []byte{byte(i)}, 16<<20)
-			}
-			e := myria.New(cl, store, nil, myria.DefaultConfig())
-			rel, err := e.Ingest("Images", "abl/", func(o objstore.Object) []myria.Tuple {
-				return []myria.Tuple{{Key: o.Key, Value: int(o.Data[0]), Size: o.ModelBytes}}
-			})
-			if err != nil {
-				return nil, err
-			}
-			keep := func(tp myria.Tuple) bool { return tp.Value.(int)*100 < sel*nObjs }
-			q := e.NewQuery()
-			if push {
-				q.ScanWhere(rel, keep)
-			} else {
-				q.Apply(q.Scan(rel), myria.PyUDF{Name: "filter", Op: cost.Filter, F: func(tp myria.Tuple) []myria.Tuple {
-					if keep(tp) {
-						return []myria.Tuple{tp}
-					}
-					return nil
-				}})
-			}
-			h, err := q.Finish()
-			if err != nil {
-				return nil, err
-			}
-			row := "UDF filter"
-			if push {
-				row = "Pushdown"
-			}
-			t.Set(row, fmt.Sprintf("keep %d%%", sel), seconds(vtime.Duration(h.End)))
+	rows := t.RowNames
+	err := forEachGridCell(ctx, len(selectivities), len(rows), func(col, row int) error {
+		sel := selectivities[col]
+		cl := newCluster(defaultNodes(p))
+		store := objstore.New()
+		const nObjs = 64
+		for i := 0; i < nObjs; i++ {
+			store.Put(fmt.Sprintf("abl/%03d", i), []byte{byte(i)}, 16<<20)
 		}
+		e := myria.New(cl, store, nil, myria.DefaultConfig())
+		rel, err := e.Ingest("Images", "abl/", func(o objstore.Object) []myria.Tuple {
+			return []myria.Tuple{{Key: o.Key, Value: int(o.Data[0]), Size: o.ModelBytes}}
+		})
+		if err != nil {
+			return err
+		}
+		keep := func(tp myria.Tuple) bool { return tp.Value.(int)*100 < sel*nObjs }
+		q := e.NewQuery()
+		if rows[row] == "Pushdown" {
+			q.ScanWhere(rel, keep)
+		} else {
+			q.Apply(q.Scan(rel), myria.PyUDF{Name: "filter", Op: cost.Filter, F: func(tp myria.Tuple) []myria.Tuple {
+				if keep(tp) {
+					return []myria.Tuple{tp}
+				}
+				return nil
+			}})
+		}
+		h, err := q.Finish()
+		if err != nil {
+			return err
+		}
+		t.Set(rows[row], cols[col], seconds(vtime.Duration(h.End)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

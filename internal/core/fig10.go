@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"imagebench/internal/astro"
 	"imagebench/internal/engine"
+	"imagebench/internal/neuro"
 	"imagebench/internal/synth"
 )
 
@@ -126,18 +128,21 @@ func runFig10c(ctx context.Context, p Profile) (*Table, error) {
 		return nil, err
 	}
 	t := NewTable("Fig 10c: neuroscience end-to-end runtime", "virtual s", engine.Names(engines), labels(p.NeuroSubjects))
-	for _, n := range p.NeuroSubjects {
-		w, err := neuroWorkload(p, n)
+	ws, err := perSize(ctx, p.NeuroSubjects, func(n int) (*neuro.Workload, error) { return neuroWorkload(p, n) })
+	if err != nil {
+		return nil, err
+	}
+	err = forEachGridCell(ctx, len(ws), len(engines), func(col, row int) error {
+		n, eng := p.NeuroSubjects[col], engines[row]
+		d, err := neuroEndToEnd(ctx, ws[col], defaultNodes(p), eng)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%s at %d subjects: %w", eng.Name(), n, err)
 		}
-		for _, eng := range engines {
-			d, err := neuroEndToEnd(ctx, w, defaultNodes(p), eng)
-			if err != nil {
-				return nil, fmt.Errorf("%s at %d subjects: %w", eng.Name(), n, err)
-			}
-			t.Set(eng.Name(), colLabel(n), seconds(d))
-		}
+		t.Set(eng.Name(), colLabel(n), seconds(d))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -175,18 +180,21 @@ func runFig10d(ctx context.Context, p Profile) (*Table, error) {
 		return nil, err
 	}
 	t := NewTable("Fig 10d: astronomy end-to-end runtime", "virtual s", engine.Names(engines), labels(p.AstroVisits))
-	for _, n := range p.AstroVisits {
-		w, err := astroWorkload(p, n)
+	ws, err := perSize(ctx, p.AstroVisits, func(n int) (*astro.Workload, error) { return astroWorkload(p, n) })
+	if err != nil {
+		return nil, err
+	}
+	err = forEachGridCell(ctx, len(ws), len(engines), func(col, row int) error {
+		n, eng := p.AstroVisits[col], engines[row]
+		d, err := astroEndToEnd(ctx, ws[col], defaultNodes(p), eng)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%s at %d visits: %w", eng.Name(), n, err)
 		}
-		for _, eng := range engines {
-			d, err := astroEndToEnd(ctx, w, defaultNodes(p), eng)
-			if err != nil {
-				return nil, fmt.Errorf("%s at %d visits: %w", eng.Name(), n, err)
-			}
-			t.Set(eng.Name(), colLabel(n), seconds(d))
-		}
+		t.Set(eng.Name(), colLabel(n), seconds(d))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -296,14 +304,17 @@ func runFig10g(ctx context.Context, p Profile) (*Table, error) {
 	}
 	t := NewTable(fmt.Sprintf("Fig 10g: neuroscience runtime vs cluster size (%d subjects)", n),
 		"virtual s", engine.Names(engines), labels(p.ClusterNodes))
-	for _, nodes := range p.ClusterNodes {
-		for _, eng := range engines {
-			d, err := neuroEndToEnd(ctx, w, nodes, eng)
-			if err != nil {
-				return nil, fmt.Errorf("%s at %d nodes: %w", eng.Name(), nodes, err)
-			}
-			t.Set(eng.Name(), colLabel(nodes), seconds(d))
+	err = forEachGridCell(ctx, len(p.ClusterNodes), len(engines), func(col, row int) error {
+		nodes, eng := p.ClusterNodes[col], engines[row]
+		d, err := neuroEndToEnd(ctx, w, nodes, eng)
+		if err != nil {
+			return fmt.Errorf("%s at %d nodes: %w", eng.Name(), nodes, err)
 		}
+		t.Set(eng.Name(), colLabel(nodes), seconds(d))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -347,14 +358,17 @@ func runFig10h(ctx context.Context, p Profile) (*Table, error) {
 	}
 	t := NewTable(fmt.Sprintf("Fig 10h: astronomy runtime vs cluster size (%d visits)", n),
 		"virtual s", engine.Names(engines), labels(p.ClusterNodes))
-	for _, nodes := range p.ClusterNodes {
-		for _, eng := range engines {
-			d, err := astroEndToEnd(ctx, w, nodes, eng)
-			if err != nil {
-				return nil, fmt.Errorf("%s at %d nodes: %w", eng.Name(), nodes, err)
-			}
-			t.Set(eng.Name(), colLabel(nodes), seconds(d))
+	err = forEachGridCell(ctx, len(p.ClusterNodes), len(engines), func(col, row int) error {
+		nodes, eng := p.ClusterNodes[col], engines[row]
+		d, err := astroEndToEnd(ctx, w, nodes, eng)
+		if err != nil {
+			return fmt.Errorf("%s at %d nodes: %w", eng.Name(), nodes, err)
 		}
+		t.Set(eng.Name(), colLabel(nodes), seconds(d))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -51,24 +51,27 @@ func runStepFigure(ctx context.Context, p Profile, title, workload string, c eng
 		rowNames[i] = r.Label
 	}
 	t := NewTable(title, "virtual s", rowNames, labels(sizes))
-	for _, n := range sizes {
-		in, err := input(n)
+	ins, err := perSize(ctx, sizes, input)
+	if err != nil {
+		return nil, err
+	}
+	err = forEachGridCell(ctx, len(sizes), len(rows), func(col, row int) error {
+		n, r := sizes[col], rows[row]
+		cl := newCluster(defaultNodes(p))
+		var d vtime.Duration
+		err := engine.TraceRun(ctx, r.Label, workload, cl, func() error {
+			var err error
+			d, err = r.Run(ins[col], cl, nil)
+			return err
+		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("%s: %s at %d: %w", title, r.Label, n, err)
 		}
-		for _, r := range rows {
-			cl := newCluster(defaultNodes(p))
-			var d vtime.Duration
-			err := engine.TraceRun(ctx, r.Label, workload, cl, func() error {
-				var err error
-				d, err = r.Run(in, cl, nil)
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s: %s at %d: %w", title, r.Label, n, err)
-			}
-			t.Set(r.Label, colLabel(n), seconds(d))
-		}
+		t.Set(r.Label, colLabel(n), seconds(d))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

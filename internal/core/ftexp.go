@@ -103,40 +103,54 @@ func ftScenarios(p Profile, nodes int) ([]string, []cluster.Scenario, error) {
 // runFTTable drives one domain's recovery-overhead table: per engine, a
 // fault-free reference run fixes the scenario kill times, then each
 // scenario runs on a fresh cluster with those faults injected under the
-// engine's recovery policy (engine.RunWithFaults).
-func runFTTable(title string, p Profile, nodes int, engines []engine.Engine,
+// engine's recovery policy (engine.RunWithFaults). An engine is one
+// cell: its scenarios need its reference run and stay in order, and its
+// notes are collected apart so the table lists them in engine order.
+func runFTTable(ctx context.Context, title string, p Profile, nodes int, engines []engine.Engine,
 	run func(eng engine.Engine, cl *cluster.Cluster) error, minMem int64) (*Table, error) {
 	names, parsed, err := ftScenarios(p, nodes)
 	if err != nil {
 		return nil, err
 	}
 	t := NewTable(title, "virtual s", engine.Names(engines), names)
-	for _, eng := range engines {
+	notes := make([][]string, len(engines))
+	err = forEachCell(ctx, len(engines), func(e int) error {
+		eng := engines[e]
 		sys := eng.Name()
 		cl := newClusterMem(nodes, minMem)
 		if err := run(eng, cl); err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", sys, err)
+			return fmt.Errorf("%s baseline: %w", sys, err)
 		}
 		ref := vtime.Duration(cl.Makespan())
 		for i, sc := range parsed {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			if len(sc) == 0 {
 				t.Set(sys, names[i], seconds(ref))
 				continue
 			}
 			fcl, err := ftCluster(nodes, minMem, sc, ref)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", sys, names[i], err)
+				return fmt.Errorf("%s %s: %w", sys, names[i], err)
 			}
 			reruns, err := eng.RunWithFaults(fcl, func() error { return run(eng, fcl) })
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", sys, names[i], err)
+				return fmt.Errorf("%s %s: %w", sys, names[i], err)
 			}
 			t.Set(sys, names[i], seconds(vtime.Duration(fcl.Makespan())))
 			if reruns > 0 {
-				t.Notes = append(t.Notes, fmt.Sprintf("%s %s: query failed %d time(s); cell includes the manual rerun (no mid-query recovery)",
+				notes[e] = append(notes[e], fmt.Sprintf("%s %s: query failed %d time(s); cell includes the manual rerun (no mid-query recovery)",
 					sys, names[i], reruns))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range notes {
+		t.Notes = append(t.Notes, n...)
 	}
 	t.Notes = append(t.Notes,
 		"kill/slow times are fractions of each system's own fault-free makespan",
@@ -160,7 +174,7 @@ func runFTNeuro(ctx context.Context, p Profile) (*Table, error) {
 		_, err := eng.RunNeuro(ctx, w, cl, model, engine.Opts{CacheInput: true})
 		return err
 	}
-	return runFTTable(fmt.Sprintf("ftneuro: neuroscience recovery overhead (%d subject(s), %d nodes)", n, nodes),
+	return runFTTable(ctx, fmt.Sprintf("ftneuro: neuroscience recovery overhead (%d subject(s), %d nodes)", n, nodes),
 		p, nodes, engines, run, engine.MemFloor(w.InputModelBytes(), nodes))
 }
 
@@ -180,7 +194,7 @@ func runFTAstro(ctx context.Context, p Profile) (*Table, error) {
 		_, err := eng.RunAstro(ctx, w, cl, model, engine.Opts{})
 		return err
 	}
-	return runFTTable(fmt.Sprintf("ftastro: astronomy recovery overhead (%d visit(s), %d nodes)", n, nodes),
+	return runFTTable(ctx, fmt.Sprintf("ftastro: astronomy recovery overhead (%d visit(s), %d nodes)", n, nodes),
 		p, nodes, engines, run, engine.MemFloor(w.InputModelBytes(), nodes))
 }
 

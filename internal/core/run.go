@@ -47,8 +47,10 @@ func defaultNodes(p Profile) int {
 	return 16
 }
 
-// neuroWorkload builds (and caches per profile) the synthetic dMRI
-// dataset for the given subject count.
+// neuroWorkload generates the synthetic dMRI dataset for the given
+// subject count under the profile's geometry. Nothing is cached: every
+// call builds a fresh store, which the cells of one experiment then
+// share read-only.
 func neuroWorkload(p Profile, subjects int) (*neuro.Workload, error) {
 	cfg := synth.DefaultNeuro(subjects)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = p.NeuroNX, p.NeuroNY, p.NeuroNZ, p.NeuroT, p.NeuroB0

@@ -50,7 +50,7 @@ func init() {
 	})
 }
 
-func runSec531TF(_ context.Context, p Profile) (*Table, error) {
+func runSec531TF(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("TensorFlow"); err != nil {
 		return nil, err
 	}
@@ -63,18 +63,23 @@ func runSec531TF(_ context.Context, p Profile) (*Table, error) {
 	nItems := n * p.NeuroT
 	strategies := map[string][]int{
 		"round-robin":  nil, // engine default
-		"half-devices": assignment(nItems, nodes, func(i int) int { return i % maxInt(1, nodes/2) }),
+		"half-devices": assignment(nItems, nodes, func(i int) int { return i % max(1, nodes/2) }),
 		"blocked":      assignment(nItems, nodes, func(i int) int { return i * nodes / nItems }),
 	}
 	rows := []string{"round-robin", "half-devices", "blocked"}
 	t := NewTable(fmt.Sprintf("Sec 5.3.1: TensorFlow assignments, filter step (%d subjects)", n), "virtual s", rows, []string{"runtime"})
-	for _, name := range rows {
+	err = forEachCell(ctx, len(rows), func(i int) error {
+		name := rows[i]
 		cl := newCluster(nodes)
 		d, err := neuro.TFFilterTime(w, cl, nil, strategies[name])
 		if err != nil {
-			return nil, fmt.Errorf("tf %s: %w", name, err)
+			return fmt.Errorf("tf %s: %w", name, err)
 		}
 		t.Set(name, "runtime", seconds(vtime.Duration(d)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -90,7 +95,7 @@ func assignment(n, devices int, f func(i int) int) []int {
 // chunk edge → paper-scale bytes: edge² pixels × 3 planes × 4 bytes.
 func chunkBytesForEdge(edge int) int64 { return int64(edge) * int64(edge) * 3 * 4 }
 
-func runSec531SciDB(_ context.Context, p Profile) (*Table, error) {
+func runSec531SciDB(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("SciDB"); err != nil {
 		return nil, err
 	}
@@ -109,13 +114,18 @@ func runSec531SciDB(_ context.Context, p Profile) (*Table, error) {
 		rows = append(rows, fmt.Sprintf("%dx%d", e, e))
 	}
 	t := NewTable(fmt.Sprintf("Sec 5.3.1: SciDB chunk sizes (%d visits)", n), "virtual s", rows, []string{"runtime"})
-	for i, e := range edges {
+	err = forEachCell(ctx, len(edges), func(i int) error {
+		e := edges[i]
 		cl := newCluster(defaultNodes(p))
 		dur, err := astro.SciDBCoaddRunner(astro.SciDBOpts{ChunkBytes: chunkBytesForEdge(e)})(w, cl, nil, stacks)
 		if err != nil {
-			return nil, fmt.Errorf("scidb chunk %d: %w", e, err)
+			return fmt.Errorf("scidb chunk %d: %w", e, err)
 		}
 		t.Set(rows[i], "runtime", seconds(dur))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

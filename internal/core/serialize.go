@@ -134,13 +134,17 @@ func (t *Table) VirtualSeconds() float64 {
 // RunContext executes the experiment under p, honoring ctx. The
 // registered Run functions are deterministic, CPU-bound virtual-time
 // simulations with no internal blocking, so cancellation is honored at
-// run granularity: a canceled context prevents the run from starting,
-// and a cancellation that arrives mid-run is reported once the run
-// returns.
+// cell granularity: a canceled context prevents the run from starting,
+// a cancellation that arrives mid-run stops it at the next cell
+// boundary (forEachCell), and one that arrives after the last cell is
+// reported once the run returns. The caller counts as one of the
+// goroutines running cells for as long as it is in here.
 func (e *Experiment) RunContext(ctx context.Context, p Profile) (*Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s not started: %w", e.ID, err)
 	}
+	busy.Add(1)
+	defer busy.Add(-1)
 	tab, err := e.Run(ctx, p)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
-	"imagebench/internal/cost"
 	"imagebench/internal/myria"
 	"imagebench/internal/neuro"
 	"imagebench/internal/vtime"
@@ -61,7 +60,7 @@ func init() {
 	})
 }
 
-func runFig13(_ context.Context, p Profile) (*Table, error) {
+func runFig13(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Myria"); err != nil {
 		return nil, err
 	}
@@ -79,18 +78,23 @@ func runFig13(_ context.Context, p Profile) (*Table, error) {
 	workerCounts := []string{"1", "2", "4", "8"}
 	t := NewTable(fmt.Sprintf("Fig 13: Myria workers per node (%d subjects)", n),
 		"virtual s", workerCounts, []string{"runtime"})
-	for _, wc := range workerCounts {
+	err = forEachCell(ctx, len(workerCounts), func(i int) error {
+		wc := workerCounts[i]
 		cl := newCluster(nodes)
 		_, err := neuro.RunMyria(w, cl, nil, neuro.MyriaOpts{WorkersPerNode: parseInt(wc)})
 		if err != nil {
-			return nil, fmt.Errorf("myria %s workers: %w", wc, err)
+			return fmt.Errorf("myria %s workers: %w", wc, err)
 		}
 		t.Set(wc, "runtime", seconds(vtime.Duration(cl.Makespan())))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-func runFig14(_ context.Context, p Profile) (*Table, error) {
+func runFig14(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Spark"); err != nil {
 		return nil, err
 	}
@@ -102,18 +106,19 @@ func runFig14(_ context.Context, p Profile) (*Table, error) {
 	if p.Name == "quick" {
 		parts = []int{1, 4, 16, 32, 64}
 	}
-	var rows []string
-	for _, n := range parts {
-		rows = append(rows, colLabel(n))
-	}
-	t := NewTable("Fig 14: Spark input partitions (1 subject)", "virtual s", rows, []string{"runtime"})
-	for _, n := range parts {
+	t := NewTable("Fig 14: Spark input partitions (1 subject)", "virtual s", labels(parts), []string{"runtime"})
+	err = forEachCell(ctx, len(parts), func(i int) error {
+		n := parts[i]
 		cl := newCluster(defaultNodes(p))
 		_, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{Partitions: n})
 		if err != nil {
-			return nil, fmt.Errorf("spark %d partitions: %w", n, err)
+			return fmt.Errorf("spark %d partitions: %w", n, err)
 		}
 		t.Set(colLabel(n), "runtime", seconds(vtime.Duration(cl.Makespan())))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -133,7 +138,7 @@ func checkFig14(t *Table) error {
 
 var fig15Modes = []string{"pipelined", "materialized", "multi-query"}
 
-func runFig15(_ context.Context, p Profile) (*Table, error) {
+func runFig15(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Myria"); err != nil {
 		return nil, err
 	}
@@ -142,64 +147,58 @@ func runFig15(_ context.Context, p Profile) (*Table, error) {
 	nodes := defaultNodes(p)
 	// Shrink per-node memory so the largest sweep point exceeds what
 	// pipelined execution can hold (the paper grows data against fixed
-	// 61 GB nodes; we scale memory against the sweep instead).
-	maxVisits := p.AstroVisits[len(p.AstroVisits)-1]
-	// Probe the pipelined peak memory at the smallest and largest sweep
-	// points with an effectively unlimited budget, then set the node
-	// budget between them: small inputs fit, the largest does not — the
-	// same pressure regime the paper creates by growing data against
-	// fixed 61 GB nodes.
-	probe := func(visits int) (int64, error) {
-		w, err := astroWorkload(p, visits)
-		if err != nil {
-			return 0, err
-		}
+	// 61 GB nodes; we scale memory against the sweep instead): probe the
+	// pipelined peak memory at the smallest and largest sweep points
+	// with an effectively unlimited budget, then set the node budget
+	// between them, so that small inputs fit and the largest does not.
+	ws, err := perSize(ctx, p.AstroVisits, func(n int) (*astro.Workload, error) { return astroWorkload(p, n) })
+	if err != nil {
+		return nil, err
+	}
+	ends := []int{0, len(ws) - 1}
+	var hw [2]int64
+	err = forEachCell(ctx, len(ends), func(i int) error {
 		cfg := cluster.DefaultConfig()
 		cfg.Nodes = nodes
 		cfg.MemPerNode = 1 << 50
 		cl := cluster.New(cfg)
-		if _, err := astro.RunMyria(w, cl, nil, astro.MyriaOpts{}); err != nil {
-			return 0, err
+		if _, err := astro.RunMyria(ws[ends[i]], cl, nil, astro.MyriaOpts{}); err != nil {
+			return err
 		}
-		return cl.MaxHighWater(), nil
-	}
-	hwFirst, err := probe(p.AstroVisits[0])
+		hw[i] = cl.MaxHighWater()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	hwLast, err := probe(maxVisits)
-	if err != nil {
-		return nil, err
-	}
-	memPerNode := (hwFirst + hwLast) / 2
-	for _, n := range p.AstroVisits {
-		w, err := astroWorkload(p, n)
+	memPerNode := (hw[0] + hw[1]) / 2
+	err = forEachGridCell(ctx, len(ws), len(fig15Modes), func(col, row int) error {
+		n, mode := p.AstroVisits[col], fig15Modes[row]
+		cfg := cluster.DefaultConfig()
+		cfg.Nodes = nodes
+		cfg.MemPerNode = memPerNode
+		cl := cluster.New(cfg)
+		opts := astro.MyriaOpts{}
+		switch mode {
+		case "materialized":
+			opts.Mode = myria.Materialized
+		case "multi-query":
+			opts.Mode = myria.MultiQuery
+			opts.ChunkVisits = max(1, n/4)
+		}
+		_, err := astro.RunMyria(ws[col], cl, nil, opts)
 		if err != nil {
-			return nil, err
-		}
-		for _, mode := range fig15Modes {
-			cfg := cluster.DefaultConfig()
-			cfg.Nodes = nodes
-			cfg.MemPerNode = memPerNode
-			cl := cluster.New(cfg)
-			opts := astro.MyriaOpts{}
-			switch mode {
-			case "materialized":
-				opts.Mode = myria.Materialized
-			case "multi-query":
-				opts.Mode = myria.MultiQuery
-				opts.ChunkVisits = maxInt(1, n/4)
+			if errorsIsOOM(err) {
+				// FAIL cell, like the paper's missing bars.
+				return nil
 			}
-			_, err := astro.RunMyria(w, cl, nil, opts)
-			if err != nil {
-				if errorsIsOOM(err) {
-					// FAIL cell, like the paper's missing bars.
-					continue
-				}
-				return nil, fmt.Errorf("myria %s at %d visits: %w", mode, n, err)
-			}
-			t.Set(mode, colLabel(n), seconds(vtime.Duration(cl.Makespan())))
+			return fmt.Errorf("myria %s at %d visits: %w", mode, n, err)
 		}
+		t.Set(mode, colLabel(n), seconds(vtime.Duration(cl.Makespan())))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.Notes = append(t.Notes, "NA = query failed with out-of-memory (pipelined under pressure)")
 	return t, nil
@@ -243,28 +242,31 @@ func checkFig15(t *Table) error {
 	return nil
 }
 
-func runSec533(_ context.Context, p Profile) (*Table, error) {
+func runSec533(ctx context.Context, p Profile) (*Table, error) {
 	if _, err := p.requireEngine("Spark"); err != nil {
 		return nil, err
 	}
 	t := NewTable("Sec 5.3.3: Spark input caching", "virtual s",
 		[]string{"cached", "uncached"}, labels(p.NeuroSubjects))
-	for _, n := range p.NeuroSubjects {
-		w, err := neuroWorkload(p, n)
+	ws, err := perSize(ctx, p.NeuroSubjects, func(n int) (*neuro.Workload, error) { return neuroWorkload(p, n) })
+	if err != nil {
+		return nil, err
+	}
+	err = forEachGridCell(ctx, len(ws), len(t.RowNames), func(col, row int) error {
+		n, variant := p.NeuroSubjects[col], t.RowNames[row]
+		cl := newCluster(defaultNodes(p))
+		_, err := neuro.RunSpark(ws[col], cl, nil, neuro.SparkOpts{
+			Partitions: cl.Workers(),
+			CacheInput: variant == "cached",
+		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("spark %s at %d subjects: %w", variant, n, err)
 		}
-		for _, variant := range []string{"cached", "uncached"} {
-			cl := newCluster(defaultNodes(p))
-			_, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{
-				Partitions: cl.Workers(),
-				CacheInput: variant == "cached",
-			})
-			if err != nil {
-				return nil, fmt.Errorf("spark %s at %d subjects: %w", variant, n, err)
-			}
-			t.Set(variant, colLabel(n), seconds(vtime.Duration(cl.Makespan())))
-		}
+		t.Set(variant, colLabel(n), seconds(vtime.Duration(cl.Makespan())))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -282,13 +284,3 @@ func checkSec533(t *Table) error {
 	}
 	return nil
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ensure cost import is used even if future refactors drop other uses.
-var _ = cost.Default

@@ -10,7 +10,7 @@ import (
 	"net/http"
 	"time"
 
-	"imagebench/internal/imaging"
+	"imagebench/internal/memo"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -135,24 +135,29 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 		func() float64 { return float64(cache.Stats().Entries) })
 }
 
-// registerKernelMemoMetrics exposes the process-wide Step 2N memo
-// (imaging.NLMeans3Memo). The cells of a clusterNodes sweep over a
-// neuro experiment have distinct result keys, so the result cache
-// reports them as misses, yet they denoise identical volumes: these
-// counters are where that reuse shows.
+// registerKernelMemoMetrics exposes the process-wide stage memo
+// (package memo), traffic split by the kind of stage served: nlmeans
+// (Step 2N), text (SciDB's TSV/CSV round trips) and fit (Step 3N). The
+// cells of a clusterNodes sweep over a neuro experiment have distinct
+// result keys, so the result cache reports them as misses, yet they run
+// the same stages on identical volumes: these counters are where that
+// reuse shows. The kinds share one table and one byte budget, so the
+// resets and bytes series have no label.
 func registerKernelMemoMetrics(m *obs.Registry) {
-	m.NewCounterFunc("imagebench_kernel_memo_hits_total",
-		"Step 2N (NLMeans) calls served from the content-keyed memo.",
-		func() float64 { return float64(imaging.NLMeans3MemoStats().Hits) })
-	m.NewCounterFunc("imagebench_kernel_memo_misses_total",
-		"Step 2N (NLMeans) calls that ran the kernel.",
-		func() float64 { return float64(imaging.NLMeans3MemoStats().Misses) })
+	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
+		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
+	misses := m.NewCounterVec("imagebench_kernel_memo_misses_total",
+		"Stage calls that ran the computation, by kind of stage.", "kind")
+	for _, k := range memo.Kinds() {
+		hits.WithFunc(func() float64 { return float64(memo.Snapshot().Kinds[k].Hits) }, k.String())
+		misses.WithFunc(func() float64 { return float64(memo.Snapshot().Kinds[k].Misses) }, k.String())
+	}
 	m.NewCounterFunc("imagebench_kernel_memo_resets_total",
 		"Times the memo dropped its table to stay within its byte budget.",
-		func() float64 { return float64(imaging.NLMeans3MemoStats().Resets) })
+		func() float64 { return float64(memo.Snapshot().Resets) })
 	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
-		"Output bytes the memo holds.",
-		func() float64 { return float64(imaging.NLMeans3MemoStats().Bytes) })
+		"Volume bytes the memo holds, all kinds together.",
+		func() float64 { return float64(memo.Snapshot().Bytes) })
 }
 
 // Close drains the scheduler, then closes the journal — worker

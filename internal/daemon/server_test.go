@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"imagebench/internal/core"
-	"imagebench/internal/imaging"
+	"imagebench/internal/memo"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -467,19 +467,24 @@ func TestMetricsShape(t *testing.T) {
 	// terminal state, the second as a memory-layer cache hit, in one sweep.
 	// Nothing denoises while the scrape runs, so the kernel memo's series
 	// must read exactly what the memo itself reports.
-	memo := imaging.NLMeans3MemoStats()
+	ms := memo.Snapshot()
 	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, line := range []string{
+	lines := []string{
 		`imagebench_job_latency_seconds_bucket{le="+Inf"} 2`,
 		`imagebench_cache_hits_total{layer="memory"} 1`,
 		`imagebench_sweeps 1`,
 		"# TYPE imagebench_kernel_memo_hits_total counter",
-		"imagebench_kernel_memo_hits_total " + num(float64(memo.Hits)),
-		"imagebench_kernel_memo_misses_total " + num(float64(memo.Misses)),
-		"imagebench_kernel_memo_resets_total " + num(float64(memo.Resets)),
+		"# TYPE imagebench_kernel_memo_misses_total counter",
+		"imagebench_kernel_memo_resets_total " + num(float64(ms.Resets)),
 		"# TYPE imagebench_kernel_memo_bytes gauge",
-		"imagebench_kernel_memo_bytes " + num(float64(memo.Bytes)),
-	} {
+		"imagebench_kernel_memo_bytes " + num(float64(ms.Bytes)),
+	}
+	for _, k := range memo.Kinds() {
+		lines = append(lines,
+			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
+			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
+	}
+	for _, line := range lines {
 		if !strings.Contains("\n"+string(text), "\n"+line+"\n") {
 			t.Errorf("/metrics lacks the line %q", line)
 		}

@@ -5,10 +5,24 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"imagebench/internal/memo"
 	"imagebench/internal/volume"
 )
+
+// memoSalt makes test content unique within the process, -count=N
+// included: the table is process-wide and has no reset, so a test that
+// must see a miss needs voxels nothing has sent through it before.
+var memoSalt atomic.Int64
+
+func unseen(v *volume.V3) *volume.V3 {
+	v.Data[0] = 1e6 + float64(memoSalt.Add(1))
+	return v
+}
+
+func nlmeansStats() memo.KindStats { return memo.Snapshot().Kinds[memo.NLMeans] }
 
 // sameBits reports whether two volumes have the same shape and the same
 // bit pattern in every voxel (so 0 ≠ -0 and NaN == the same NaN).
@@ -44,9 +58,9 @@ func sparseMask(rng *rand.Rand, v *volume.V3, p float64) *volume.V3 {
 
 // wantStats fails unless the memo's counters moved by exactly the given
 // amounts since before.
-func wantStats(t *testing.T, before MemoStats, hits, misses uint64) {
+func wantStats(t *testing.T, before memo.KindStats, hits, misses uint64) {
 	t.Helper()
-	s := NLMeans3MemoStats()
+	s := nlmeansStats()
 	if s.Hits-before.Hits != hits || s.Misses-before.Misses != misses {
 		t.Fatalf("memo counted %d hits and %d misses, want %d and %d",
 			s.Hits-before.Hits, s.Misses-before.Misses, hits, misses)
@@ -56,16 +70,15 @@ func wantStats(t *testing.T, before MemoStats, hits, misses uint64) {
 // A miss and a hit both return exactly the pure kernel's bits, over
 // random shapes, every kind of mask and explicit as well as derived H.
 func TestMemoBitIdenticalOnMissAndHit(t *testing.T) {
-	resetMemo()
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 8; i++ {
-		v := streamTestVolume(int64(100+i), 3+rng.Intn(6), 3+rng.Intn(6), 3+rng.Intn(6))
+		v := unseen(streamTestVolume(int64(100+i), 3+rng.Intn(6), 3+rng.Intn(6), 3+rng.Intn(6)))
 		masks := map[string]*volume.V3{"nil": nil, "ones": onesMask(v), "sparse": sparseMask(rng, v, 0.3)}
 		for name, mask := range masks {
 			for _, h := range []float64{0, 4, 25} {
 				opts := NLMeansOpts{PatchRadius: 1, SearchRadius: 2, H: h}
 				want := NLMeans3(v, mask, opts)
-				before := NLMeans3MemoStats()
+				before := nlmeansStats()
 				miss := NLMeans3Memo(v, mask, opts)
 				wantStats(t, before, 0, 1)
 				hit := NLMeans3Memo(v, mask, opts)
@@ -85,8 +98,7 @@ func TestMemoBitIdenticalOnMissAndHit(t *testing.T) {
 // What makes two calls the same entry: content and the options the
 // output depends on, never the worker count.
 func TestMemoKey(t *testing.T) {
-	resetMemo()
-	v := streamTestVolume(7, 4, 6, 5)
+	v := unseen(streamTestVolume(7, 4, 6, 5))
 	opts := NLMeansOpts{PatchRadius: 1, SearchRadius: 2, H: 9}
 	NLMeans3Memo(v, nil, opts)
 
@@ -102,7 +114,7 @@ func TestMemoKey(t *testing.T) {
 		{"one voxel's sign bit", func() *volume.V3 { c := v.Clone(); c.Data[3] = -c.Data[3]; return c }(), nil, opts},
 	}
 	for _, c := range distinct {
-		before := NLMeans3MemoStats()
+		before := nlmeansStats()
 		got := NLMeans3Memo(c.v, c.m, c.o)
 		wantStats(t, before, 0, 1)
 		if !sameBits(got, NLMeans3(c.v, c.m, c.o)) {
@@ -110,7 +122,7 @@ func TestMemoKey(t *testing.T) {
 		}
 	}
 
-	before := NLMeans3MemoStats()
+	before := nlmeansStats()
 	for _, workers := range []int{1, 2, 0} {
 		o := opts
 		o.Workers = workers
@@ -124,8 +136,8 @@ func TestMemoKey(t *testing.T) {
 // The memo keeps its own buffers: nothing a caller does to what it
 // passed in or got back can change a later answer.
 func TestMemoOwnsItsCopies(t *testing.T) {
-	resetMemo()
-	orig := streamTestVolume(8, 6, 5, 7)
+	before := nlmeansStats()
+	orig := unseen(streamTestVolume(8, 6, 5, 7))
 	mask := onesMask(orig)
 	want := NLMeans3(orig, mask, NLMeansOpts{})
 
@@ -144,52 +156,17 @@ func TestMemoOwnsItsCopies(t *testing.T) {
 	if third := NLMeans3Memo(orig, mask, NLMeansOpts{}); !sameBits(third, want) {
 		t.Fatal("scribbling on a hit's output changed the next hit")
 	}
-	wantStats(t, MemoStats{}, 2, 1)
-}
-
-// Inserting past the budget drops the table instead of growing: bytes
-// never pass the bound, and answers stay right across the reset.
-func TestMemoStaysInBudget(t *testing.T) {
-	resetMemo()
-	defer resetMemo() // do not leave tens of MB behind for the other tests
-	// 8 MiB a volume, so the ninth insert cannot fit. A sparse mask
-	// keeps the kernel cheap: it skips masked-out voxels one by one.
-	const nx, ny, nz = 128, 128, 64
-	rng := rand.New(rand.NewSource(3))
-	v := volume.New3(nx, ny, nz)
-	for i := range v.Data {
-		v.Data[i] = 100 + 10*rng.NormFloat64()
-	}
-	mask := volume.New3(nx, ny, nz)
-	opts := NLMeansOpts{H: 5}
-	for i := 0; i < 11; i++ {
-		mask.Data[rng.Intn(len(mask.Data))] = 1 // a new key every round
-		got := NLMeans3Memo(v, mask, opts)
-		if !sameBits(got, NLMeans3(v, mask, opts)) {
-			t.Fatalf("insert %d: wrong output", i)
-		}
-		if s := NLMeans3MemoStats(); s.Bytes <= 0 || s.Bytes > memoBudget {
-			t.Fatalf("insert %d: memo holds %d bytes, budget %d", i, s.Bytes, memoBudget)
-		}
-	}
-	s := NLMeans3MemoStats()
-	if s.Resets != 1 || s.Misses != 11 || s.Bytes != 3*v.Bytes() {
-		t.Fatalf("after 11 inserts of %d bytes: %+v, want one reset and three entries held", v.Bytes(), s)
-	}
-	// The last key survived the reset, the first did not outlive it.
-	before := s
-	NLMeans3Memo(v, mask, opts)
-	wantStats(t, before, 1, 0)
+	wantStats(t, before, 2, 1)
 }
 
 // 24 callers at once, over keys they share and keys of their own.
 func TestMemoConcurrentCallers(t *testing.T) {
-	resetMemo()
+	before := nlmeansStats()
 	const callers, rounds = 24, 6
 	shared := make([]*volume.V3, 4)
 	wantShared := make([]*volume.V3, len(shared))
 	for i := range shared {
-		shared[i] = streamTestVolume(int64(40+i), 6, 6, 6)
+		shared[i] = unseen(streamTestVolume(int64(40+i), 6, 6, 6))
 		wantShared[i] = NLMeans3(shared[i], nil, NLMeansOpts{})
 	}
 	var wg sync.WaitGroup
@@ -199,7 +176,7 @@ func TestMemoConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			own := streamTestVolume(int64(1000+c), 5, 6, 4)
+			own := unseen(streamTestVolume(int64(1000+c), 5, 6, 4))
 			mask := onesMask(own)
 			wantOwn := NLMeans3(own, mask, NLMeansOpts{})
 			for r := 0; r < rounds; r++ {
@@ -220,16 +197,17 @@ func TestMemoConcurrentCallers(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	s := NLMeans3MemoStats()
-	if calls := uint64(callers * rounds * 2); s.Hits+s.Misses != calls {
-		t.Errorf("%d hits + %d misses, want %d calls", s.Hits, s.Misses, calls)
+	s := nlmeansStats()
+	hits, misses := s.Hits-before.Hits, s.Misses-before.Misses
+	if calls := uint64(callers * rounds * 2); hits+misses != calls {
+		t.Errorf("%d hits + %d misses, want %d calls", hits, misses, calls)
 	}
-	// Each own key misses exactly once (its caller is sequential); a
-	// shared key misses at least once and at most once per caller.
-	if lo, hi := uint64(callers+len(shared)), uint64(callers+callers*len(shared)); s.Misses < lo || s.Misses > hi {
-		t.Errorf("%d misses, want between %d and %d", s.Misses, lo, hi)
+	// Single-flight: every distinct key is computed exactly once, however
+	// many callers ask for it first at the same moment.
+	if want := uint64(callers + len(shared)); misses != want {
+		t.Errorf("%d misses, want %d: one per distinct key", misses, want)
 	}
-	if want := int64(callers)*8*5*6*4 + int64(len(shared))*8*6*6*6; s.Bytes != want {
-		t.Errorf("memo holds %d bytes, want %d: one entry per distinct key", s.Bytes, want)
+	if want := int64(callers)*8*5*6*4 + int64(len(shared))*8*6*6*6; s.Bytes-before.Bytes != want {
+		t.Errorf("memo grew by %d bytes, want %d: one entry per distinct key", s.Bytes-before.Bytes, want)
 	}
 }

@@ -1,0 +1,273 @@
+package memo
+
+import (
+	"errors"
+	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"imagebench/internal/volume"
+)
+
+// reset empties the table and zeroes its counters, so a test can count
+// from nothing whatever ran before it.
+func reset() {
+	table.mu.Lock()
+	defer table.mu.Unlock()
+	table.entries = make(map[Key]*entry)
+	table.stats = Stats{}
+}
+
+func keyOf(kind Kind, words ...uint64) Key {
+	k := NewKey(kind)
+	for _, w := range words {
+		k.U64(w)
+	}
+	return k.sum()
+}
+
+func volumeKey(kind Kind, v *volume.V3) Key {
+	k := NewKey(kind)
+	k.Volume(v)
+	return k.sum()
+}
+
+// ramp returns a compute that builds a recognizable nx×1×1 volume and
+// counts its runs.
+func ramp(nx int, aux int64, runs *atomic.Int64) func() (*volume.V3, int64, error) {
+	return func() (*volume.V3, int64, error) {
+		runs.Add(1)
+		v := volume.New3(nx, 1, 1)
+		for i := range v.Data {
+			v.Data[i] = float64(i)
+		}
+		return v, aux, nil
+	}
+}
+
+// A miss returns what compute built; every hit is a fresh copy of it
+// with the same auxiliary number, and nothing a caller does to either
+// changes the next hit.
+func TestHitIsAFreshCopy(t *testing.T) {
+	reset()
+	var runs atomic.Int64
+	key := keyOf(Text, 1)
+	first, aux, err := do(Text, key, ramp(5, 42, &runs))
+	if err != nil || aux != 42 || first.NX != 5 {
+		t.Fatalf("miss: %v aux %d shape %d", err, aux, first.NX)
+	}
+	for i := range first.Data {
+		first.Data[i] = -1
+	}
+	for round := 0; round < 2; round++ {
+		hit, aux, err := do(Text, key, ramp(5, 42, &runs))
+		if err != nil || aux != 42 || hit.NX != 5 || hit.NY != 1 || hit.NZ != 1 {
+			t.Fatalf("hit: %v aux %d shape %d×%d×%d", err, aux, hit.NX, hit.NY, hit.NZ)
+		}
+		for i, x := range hit.Data {
+			if x != float64(i) {
+				t.Fatalf("round %d: voxel %d = %g: scribbling on an earlier result reached the table", round, i, x)
+			}
+			hit.Data[i] = -2
+		}
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("compute ran %d times, want 1", runs.Load())
+	}
+	if s := Snapshot().Kinds[Text]; s.Hits != 2 || s.Misses != 1 || s.Bytes != 40 {
+		t.Fatalf("text counters %+v, want 2 hits, 1 miss, 40 bytes", s)
+	}
+}
+
+// What makes two inputs different keys: the kind, every raw bit of
+// every voxel, the shape, and nil against any volume.
+func TestKeysAreContent(t *testing.T) {
+	zero, negZero := volume.New3(2, 1, 1), volume.New3(2, 1, 1)
+	negZero.Data[1] = math.Copysign(0, -1)
+	nan1, nan2 := volume.New3(2, 1, 1), volume.New3(2, 1, 1)
+	nan1.Data[0] = math.Float64frombits(0x7ff8000000000001)
+	nan2.Data[0] = math.Float64frombits(0x7ff8000000000002)
+	reshaped := &volume.V3{NX: 1, NY: 2, NZ: 1, Data: zero.Data}
+
+	keys := map[Key]string{}
+	add := func(name string, k Key) {
+		t.Helper()
+		if other, dup := keys[k]; dup {
+			t.Errorf("%s and %s have the same key", name, other)
+		}
+		keys[k] = name
+	}
+	add("zeros", volumeKey(Text, zero))
+	add("a negative zero", volumeKey(Text, negZero))
+	add("NaN payload 1", volumeKey(Text, nan1))
+	add("NaN payload 2", volumeKey(Text, nan2))
+	add("same data, other shape", volumeKey(Text, reshaped))
+	add("nil", volumeKey(Text, nil))
+	add("zeros under another kind", volumeKey(Fit, zero))
+	if volumeKey(Text, zero) != volumeKey(Text, zero.Clone()) {
+		t.Error("equal content at two addresses has two keys")
+	}
+}
+
+// Eight goroutines on one cold key run the computation once; the seven
+// that waited count as hits and get copies of their own.
+func TestSingleFlight(t *testing.T) {
+	reset()
+	const callers = 8
+	var runs atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	compute := func() (*volume.V3, int64, error) {
+		close(started) // a second run would panic here
+		<-release
+		return ramp(3, 7, &runs)()
+	}
+	key := keyOf(Fit, 9)
+	outs := make([]*volume.V3, callers)
+	var wg sync.WaitGroup
+	call := func(i int) {
+		defer wg.Done()
+		out, aux, err := do(Fit, key, compute)
+		if err != nil || aux != 7 {
+			t.Errorf("caller %d: %v aux %d", i, err, aux)
+		}
+		outs[i] = out
+	}
+	wg.Add(1)
+	go call(0)
+	<-started
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go call(i)
+	}
+	// The waiters are counted before they block, so this returns once
+	// all seven have found the entry.
+	for Snapshot().Kinds[Fit].Hits < callers-1 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	if runs.Load() != 1 {
+		t.Fatalf("compute ran %d times, want 1", runs.Load())
+	}
+	if s := Snapshot().Kinds[Fit]; s.Misses != 1 || s.Hits != callers-1 {
+		t.Fatalf("fit counters %+v, want 1 miss and %d hits", s, callers-1)
+	}
+	for i, a := range outs {
+		for j, b := range outs[:i] {
+			if &a.Data[0] == &b.Data[0] {
+				t.Fatalf("callers %d and %d share a buffer", i, j)
+			}
+		}
+	}
+}
+
+// An error is returned to its caller and never stored; a panic leaves
+// the key free too, and neither leaves a waiter hanging.
+func TestFailuresAreNotStored(t *testing.T) {
+	reset()
+	boom := errors.New("boom")
+	key := keyOf(Text, 3)
+	if _, _, err := do(Text, key, func() (*volume.V3, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
+		t.Fatalf("error %v, want boom", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic in compute was swallowed")
+			}
+		}()
+		do(Text, key, func() (*volume.V3, int64, error) { panic("kernel bug") })
+	}()
+	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Text].Misses != 2 {
+		t.Fatalf("after two failures: %+v", s)
+	}
+	var runs atomic.Int64
+	if _, _, err := do(Text, key, ramp(2, 0, &runs)); err != nil || runs.Load() != 1 {
+		t.Fatalf("the key did not recover: %v, %d runs", err, runs.Load())
+	}
+
+	// A waiter whose leader fails computes for itself.
+	key2 := keyOf(Text, 4)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		_, _, err := do(Text, key2, func() (*volume.V3, int64, error) {
+			close(started)
+			<-release
+			return nil, 0, boom
+		})
+		done <- err
+	}()
+	<-started
+	waiter := make(chan error)
+	go func() {
+		_, _, err := do(Text, key2, ramp(2, 0, &runs))
+		waiter <- err
+	}()
+	for Snapshot().Kinds[Text].Hits < 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-done; !errors.Is(err, boom) {
+		t.Fatalf("leader: %v, want boom", err)
+	}
+	if err := <-waiter; err != nil || runs.Load() != 2 {
+		t.Fatalf("waiter: %v after %d runs, want its own result", err, runs.Load())
+	}
+}
+
+// All kinds draw on one budget: an insert that would pass it drops the
+// whole table, whatever kind filled it, bytes never pass the bound, and
+// answers stay right across the reset. An entry larger than the budget
+// is served and not kept.
+func TestOneBudgetOneReset(t *testing.T) {
+	reset()
+	defer reset()          // do not leave tens of MB behind for the other tests
+	const voxels = 1 << 20 // 8 MiB a volume, so the ninth insert cannot fit
+	var runs atomic.Int64
+	kinds := Kinds()
+	for i := 0; i < 11; i++ {
+		kind := kinds[i%len(kinds)]
+		out, _, err := do(kind, keyOf(kind, uint64(i)), ramp(voxels, 0, &runs))
+		if err != nil || out.Data[voxels-1] != voxels-1 {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		s := Snapshot()
+		var perKind int64
+		for _, k := range s.Kinds {
+			perKind += k.Bytes
+		}
+		if s.Bytes <= 0 || s.Bytes > budget || perKind != s.Bytes {
+			t.Fatalf("insert %d: table holds %d bytes (%d by kind), budget %d", i, s.Bytes, perKind, budget)
+		}
+	}
+	s := Snapshot()
+	if s.Resets != 1 || s.Bytes != 3*8*voxels {
+		t.Fatalf("after 11 inserts of 8 MiB: %+v, want one reset and three entries held", s)
+	}
+	// Inserts 8–10 stayed; 0–7 went with the reset, whatever their kind.
+	for _, i := range []int{8, 9, 10, 0, 1, 2} {
+		kind := kinds[i%len(kinds)]
+		before := runs.Load()
+		if _, _, err := do(kind, keyOf(kind, uint64(i)), ramp(voxels, 0, &runs)); err != nil {
+			t.Fatal(err)
+		}
+		if recomputed := runs.Load() != before; recomputed != (i < 8) {
+			t.Fatalf("key %d (%s): recomputed = %v after the reset", i, kind, recomputed)
+		}
+	}
+
+	// Untouched, so the pages are never resident.
+	reset()
+	huge := func() (*volume.V3, int64, error) { return volume.New3(budget/8+1, 1, 1), 0, nil }
+	for round := 0; round < 2; round++ {
+		if _, _, err := do(Fit, keyOf(Fit, 99), huge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Fit].Misses != 2 || s.Resets != 0 {
+		t.Fatalf("an entry over the budget was kept: %+v", s)
+	}
+}

@@ -1,12 +1,22 @@
 package neuro
 
 import (
+	"math"
+	"sync/atomic"
 	"testing"
 
-	"imagebench/internal/imaging"
+	"imagebench/internal/memo"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
+	"imagebench/internal/vtime"
 )
+
+// memoSeeds hands out synth seeds no other test uses, -count=N
+// included: the memo is process-wide and has no reset, so a test that
+// must see misses needs volumes nothing has sent through it before.
+var memoSeeds atomic.Int64
+
+func unseenSeed() int64 { return 1616 + memoSeeds.Add(1) }
 
 // The five engines share Step 2N: on one workload of the quick
 // profile's geometry, the three masked engines run the kernel once per
@@ -15,7 +25,7 @@ import (
 func TestEnginesShareStep2N(t *testing.T) {
 	cfg := synth.DefaultNeuro(2)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
-	cfg.Seed = 1616 // no other test's volumes, so every first call is a miss
+	cfg.Seed = unseenSeed() // no other test's volumes, so every first call is a miss
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,9 +35,9 @@ func TestEnginesShareStep2N(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := imaging.NLMeans3MemoStats()
+	base := memo.Snapshot().Kinds[memo.NLMeans]
 	delta := func() (hits, misses uint64) {
-		s := imaging.NLMeans3MemoStats()
+		s := memo.Snapshot().Kinds[memo.NLMeans]
 		return s.Hits - base.Hits, s.Misses - base.Misses
 	}
 
@@ -70,4 +80,97 @@ func TestEnginesShareStep2N(t *testing.T) {
 			t.Fatalf("%s: SciDB and TensorFlow denoised volumes differ by %g", key, d)
 		}
 	}
+}
+
+// The differential check on the whole memo: SciDB and Spark, each run
+// on a workload no other test uses (a cold table for its content) and
+// again on the now warm table, produce the same bits in every output
+// voxel and the same virtual makespan. The cold runs compute, the warm
+// runs are served every stage: text round trips, Step 2N and Step 3N.
+func TestColdAndWarmMemoAgree(t *testing.T) {
+	cfg := synth.DefaultNeuro(2)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
+	cfg.Seed = unseenSeed() // no other test's volumes
+	w, err := NewWorkloadCfg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := func() (n [3]uint64) {
+		s := memo.Snapshot()
+		for i, k := range memo.Kinds() {
+			n[i] = s.Kinds[k].Misses
+		}
+		return n
+	}
+	type run struct {
+		sci      *SciDBResult
+		spark    *Result
+		makespan [2]vtime.Time
+	}
+	do := func() run {
+		var r run
+		cl := testCluster()
+		if r.sci, err = RunSciDB(w, cl, nil, SciDBAio); err != nil {
+			t.Fatal(err)
+		}
+		r.makespan[0] = cl.Makespan()
+		cl = testCluster()
+		if r.spark, err = RunSpark(w, cl, nil, SparkOpts{Partitions: 8}); err != nil {
+			t.Fatal(err)
+		}
+		r.makespan[1] = cl.Makespan()
+		return r
+	}
+
+	m0 := misses()
+	cold := do()
+	m1 := misses()
+	warm := do()
+	m2 := misses()
+	for i, k := range memo.Kinds() {
+		if m1[i] == m0[i] {
+			t.Errorf("%s: the cold runs computed nothing", k)
+		}
+		if m2[i] != m1[i] {
+			t.Errorf("%s: the warm runs computed %d inputs again", k, m2[i]-m1[i])
+		}
+	}
+
+	if cold.makespan != warm.makespan {
+		t.Errorf("makespans (SciDB, Spark): cold %v, warm %v", cold.makespan, warm.makespan)
+	}
+	sameBits := func(what string, a, b *volume.V3) {
+		t.Helper()
+		if a == nil || b == nil || !a.SameShape(b) {
+			t.Fatalf("%s: missing or reshaped", what)
+		}
+		for i := range a.Data {
+			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+				t.Fatalf("%s: voxel %d is %v cold and %v warm", what, i, a.Data[i], b.Data[i])
+			}
+		}
+	}
+	if len(cold.sci.Denoised) != cfg.Subjects*cfg.T || len(warm.sci.Denoised) != len(cold.sci.Denoised) {
+		t.Fatalf("SciDB denoised %d volumes cold and %d warm, want %d", len(cold.sci.Denoised), len(warm.sci.Denoised), cfg.Subjects*cfg.T)
+	}
+	for key, v := range cold.sci.Denoised {
+		sameBits("SciDB denoised "+key, v, warm.sci.Denoised[key])
+	}
+	for s, m := range cold.sci.Masks {
+		sameBits("SciDB mask "+SubjKey(s), m, warm.sci.Masks[s])
+	}
+	if len(cold.spark.Subjects) != cfg.Subjects || len(warm.spark.Subjects) != cfg.Subjects {
+		t.Fatalf("Spark produced %d subjects cold and %d warm", len(cold.spark.Subjects), len(warm.spark.Subjects))
+	}
+	for s, sr := range cold.spark.Subjects {
+		sameBits("Spark mask "+SubjKey(s), sr.Mask, warm.spark.Subjects[s].Mask)
+		sameBits("Spark FA "+SubjKey(s), sr.FA, warm.spark.Subjects[s].FA)
+	}
+	// And the warm Spark result still agrees with the streamed
+	// reference, which never touches the memo.
+	ref, err := Reference(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resultsEqual(t, "warm spark", warm.spark, ref, 1e-9)
 }

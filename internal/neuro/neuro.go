@@ -128,9 +128,11 @@ func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
 
 // FitBlock runs Step 3N on one voxel slab: vols are the per-volume slabs
 // (in gradient-table order) and mask the matching mask slab. It returns
-// the FA slab.
+// the FA slab. Like Denoise it goes through the process-wide memo, so
+// a slab already fitted by another engine or experiment is served as a
+// copy the caller owns.
 func FitBlock(g *dmri.GradTable, vols []*volume.V3, mask *volume.V3) (*volume.V3, error) {
-	return dmri.FitFA(g, volume.New4(vols), mask)
+	return dmri.FitFAMemo(g, volume.New4(vols), mask)
 }
 
 // Reference runs the single-node reference implementation (the Python +

@@ -71,13 +71,12 @@ func SciDBIngest(w *Workload, eng *scidb.Engine, mode SciDBIngestMode) (*scidb.A
 	expansion := 2.5
 	for i, c := range chunks {
 		v := c.Value.(*volume.V3)
-		csv := tsv.EncodeCSV(v)
-		if i == 0 {
-			expansion = float64(len(csv)) / float64(8*v.Len())
-		}
-		parsed, err := tsv.DecodeCSV(csv)
+		parsed, csvLen, err := tsv.RoundTripCSV(v)
 		if err != nil {
 			return nil, fmt.Errorf("neuro/scidb: CSV conversion: %w", err)
+		}
+		if i == 0 {
+			expansion = float64(csvLen) / float64(8*v.Len())
 		}
 		chunks[i].Value = parsed
 	}
@@ -127,12 +126,13 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 	// boundary as TSV in both directions — the conversion the paper had
 	// to build around ("required us to convert between TSV and FITS").
 	den := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk {
-		v, err := tsv.Decode(tsv.Encode(c.Value.(*volume.V3)))
+		in := c.Value.(*volume.V3)
+		v, _, err := tsv.RoundTrip(in)
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV round trip: %v", err))
 		}
 		out := imaging.NLMeans3Memo(v, nil, DenoiseOpts)
-		back, err := tsv.Decode(tsv.Encode(out))
+		back, _, err := tsv.RoundTrip(out)
 		if err != nil {
 			panic(fmt.Sprintf("neuro/scidb: stream TSV return trip: %v", err))
 		}

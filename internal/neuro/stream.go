@@ -53,7 +53,7 @@ func ReferenceSubject(g *dmri.GradTable, data *volume.V4) (*SubjectResult, error
 			}
 			blocks[t], slabs[t] = bv, bv.V
 		}
-		faSlab, err := FitBlock(g, slabs, mask.Slab(b))
+		faSlab, err := dmri.FitFA(g, volume.New4(slabs), mask.Slab(b))
 		for t := range blocks {
 			blocks[t].Release()
 		}

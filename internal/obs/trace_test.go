@@ -169,3 +169,88 @@ func TestGoldenChromeTrace(t *testing.T) {
 		t.Errorf("chrome trace drifted from %s (run with -update if intentional)\ngot:\n%s", golden, got.String())
 	}
 }
+
+// TestChromeTraceLanesAndOrder builds the span tree of a fanned-out
+// experiment — three cells under one parent, two of them overlapping on
+// the wall clock — ending the spans in two different orders: a cell
+// that starts before an earlier sibling has ended gets a lane of its
+// own (its span ID as tid) and takes its subtree along, the others stay
+// in the parent's lane, and the two exports are the same bytes.
+func TestChromeTraceLanesAndOrder(t *testing.T) {
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
+	export := func(endOrder []string) ([]byte, map[string]uint64) {
+		var now time.Time
+		tr := NewTracer()
+		tr.SetClock(func() time.Time { return now })
+		start := func(ctx context.Context, name string, ms int) (context.Context, *Span) {
+			now = at(ms)
+			return StartSpan(ctx, name)
+		}
+		spans, ends := map[string]*Span{}, map[string]int{"exp": 100, "cell A": 50, "cell B": 60, "inner B": 30, "cell C": 80}
+		ctx, exp := start(WithTracer(context.Background(), tr), "exp", 0)
+		_, a := start(ctx, "cell A", 10)
+		bctx, b := start(ctx, "cell B", 20)
+		_, inner := start(bctx, "inner B", 25)
+		_, c := start(ctx, "cell C", 70)
+		spans["exp"], spans["cell A"], spans["cell B"], spans["inner B"], spans["cell C"] = exp, a, b, inner, c
+		now = at(28)
+		inner.AddEvent("tick")
+		ids := map[string]uint64{}
+		for _, name := range endOrder {
+			now = at(ends[name])
+			spans[name].End()
+			ids[name] = spans[name].ID
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), ids
+	}
+
+	got, ids := export([]string{"inner B", "cell A", "cell B", "cell C", "exp"})
+	other, _ := export([]string{"cell C", "cell B", "exp", "inner B", "cell A"})
+	if !bytes.Equal(got, other) {
+		t.Errorf("the export depends on the order the spans ended in:\n%s\n---\n%s", got, other)
+	}
+
+	var parsed struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Ts   int64
+			Pid  int
+			Tid  uint64
+		}
+	}
+	if err := json.Unmarshal(got, &parsed); err != nil {
+		t.Fatal(err)
+	}
+	wantTid := map[string]uint64{
+		"exp": ids["exp"], "cell A": ids["exp"], "cell C": ids["exp"],
+		"cell B": ids["cell B"], "inner B": ids["cell B"], "tick": ids["cell B"],
+	}
+	seen := 0
+	var prev struct {
+		pid int
+		tid uint64
+		ts  int64
+	}
+	for _, ev := range parsed.TraceEvents {
+		if ev.Ph == "M" {
+			continue
+		}
+		if ev.Tid != wantTid[ev.Name] {
+			t.Errorf("%q is on tid %d, want %d", ev.Name, ev.Tid, wantTid[ev.Name])
+		}
+		if ev.Pid < prev.pid || ev.Pid == prev.pid && (ev.Tid < prev.tid || ev.Tid == prev.tid && ev.Ts < prev.ts) {
+			t.Errorf("%q at (pid %d, tid %d, ts %d) comes after (pid %d, tid %d, ts %d)", ev.Name, ev.Pid, ev.Tid, ev.Ts, prev.pid, prev.tid, prev.ts)
+		}
+		prev.pid, prev.tid, prev.ts = ev.Pid, ev.Tid, ev.Ts
+		seen++
+	}
+	if seen != len(wantTid) {
+		t.Errorf("%d events, want %d", seen, len(wantTid))
+	}
+}
