@@ -1,12 +1,13 @@
 // Package atomicwrite enforces the crash-safety contract around
-// artifacts and journals: files readers may observe must appear
-// atomically, which in this repo means going through
-// internal/fsatomic (whole files: fsatomic.WriteFile; incremental:
-// fsatomic.Create/Write/Commit) or internal/jsonl (append-only
-// journals). Direct os.WriteFile, os.Create, and os.Rename calls
-// anywhere else can leave half-written artifacts behind a crash — the
-// exact failure mode PR 2's journal and PR 8's ArtifactWriter exist
-// to rule out.
+// artifacts, journals and the result cache: files readers may observe
+// must appear atomically, which in this repo means going through
+// internal/fsatomic (whole files — sweep specs, artifacts, the compacted
+// journal: fsatomic.WriteFile; incremental: fsatomic.Create/Write/Commit)
+// or internal/jsonl (append-only logs: the journals' Append, the result
+// cache's fsynced Commit). Direct os.WriteFile, os.Create, and
+// os.Rename calls anywhere else can leave half-written artifacts behind
+// a crash — the exact failure mode PR 2's journal and PR 8's
+// ArtifactWriter exist to rule out.
 //
 // os.CreateTemp, os.MkdirAll, and friends are untouched; test files
 // are exempt. A deliberate non-artifact write (if one ever exists) is
@@ -23,7 +24,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicwrite",
 	Doc: "forbid os.WriteFile/os.Create/os.Rename outside internal/fsatomic and " +
-		"internal/jsonl: artifact and journal writes must be crash-safe",
+		"internal/jsonl: artifact, journal and result-log writes must be crash-safe",
 	Run: run,
 }
 

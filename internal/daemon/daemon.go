@@ -133,6 +133,12 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 	m.NewGaugeFunc("imagebench_cache_entries",
 		"Entries in the result cache (memory and disk union).",
 		func() float64 { return float64(cache.Stats().Entries) })
+	m.NewCounterFunc("imagebench_cache_log_records_total",
+		"Records appended to the result cache's log; over the fsyncs, the group size.",
+		func() float64 { return float64(cache.Stats().LogRecords) })
+	m.NewCounterFunc("imagebench_cache_log_fsyncs_total",
+		"Fsyncs the result cache's log issued, one a group of records.",
+		func() float64 { return float64(cache.Stats().LogFsyncs) })
 }
 
 // registerKernelMemoMetrics exposes the process-wide stage memo
@@ -160,11 +166,13 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		func() float64 { return float64(memo.Snapshot().Bytes) })
 }
 
-// Close drains the scheduler, then closes the journal — worker
-// completion records are still being appended until Close returns.
+// Close drains the scheduler, then closes the journal and the cache's
+// log — worker completion records and results are still being appended
+// until the scheduler's Close returns.
 func (d *Daemon) Close() {
 	d.Sched.Close()
 	if d.journal != nil {
 		d.journal.Close()
 	}
+	d.Cache.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -61,26 +62,47 @@ func newServer(sched *runner.Scheduler, cache *results.Cache, sweeps *sweep.Mana
 // orders of magnitude above any legitimate payload.
 const maxRequestBytes = 1 << 20
 
-// decodeRequest decodes a JSON body of at most limit bytes with the two
-// defenses every network-facing decoder needs: a hard size cap (a huge
-// body would otherwise be buffered without bound) and rejection of
-// unknown fields (a typoed "experimens" key fails loudly instead of
-// submitting an empty job). It writes the error response itself and
-// reports whether decoding succeeded.
+// decodeRequest decodes a body of at most limit bytes that holds exactly
+// one JSON value, with the defenses every network-facing decoder needs:
+// a hard size cap (a huge body would otherwise be buffered without
+// bound), rejection of unknown fields (a typoed "experimens" key fails
+// loudly instead of submitting an empty job) and rejection of anything
+// after the value (a body the client garbled is not half-accepted). It
+// writes the error response itself and reports whether decoding
+// succeeded.
 func (s *server) decodeRequest(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	dec := newBodyDecoder(w, r, limit)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("body holds more than one JSON value")
+		}
+	}
+	s.writeDecodeError(w, err, limit)
+	return false
+}
+
+// newBodyDecoder caps the request body at limit bytes and decodes it
+// strictly (unknown fields are errors).
+func newBodyDecoder(w http.ResponseWriter, r *http.Request, limit int64) *json.Decoder {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
-			return false
-		}
-		s.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
-		return false
+	return dec
+}
+
+// writeDecodeError answers a body that did not decode: 413 when it hit
+// the size cap, 400 otherwise.
+func (s *server) writeDecodeError(w http.ResponseWriter, err error, limit int64) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", limit)
+		return
 	}
-	return true
+	s.WriteError(w, http.StatusBadRequest, "decode request: %v", err)
 }
 
 // metrics is the expvar-style counter payload served at /metrics.json.
@@ -282,35 +304,47 @@ func (s *server) handleResultKeys(w http.ResponseWriter, r *http.Request) {
 	s.WriteJSON(w, http.StatusOK, map[string]any{"keys": s.cache.Keys()})
 }
 
-// maxIngestBytes caps POST /v1/results bodies. A replicated entry
+// MaxIngestBytes caps POST /v1/results bodies; the federation
+// coordinator sizes its replication batches by it. A replicated entry
 // carries a full result table, so the cap is larger than the job-spec
 // cap but still far above any real table.
-const maxIngestBytes = 8 << 20
+const MaxIngestBytes = 8 << 20
 
-// handleResultIngest accepts a complete results.Entry and installs it
-// in the local cache — the federation coordinator's replication path,
-// by which a table computed on one worker becomes servable from every
-// worker. The cache is content-addressed, so the entry's key is
-// recomputed from its experiment and profile and must match: accepting
-// a mismatched key would poison every later lookup of that key.
+// handleResultIngest accepts a stream of complete results.Entry values
+// and installs them in the local cache — the federation coordinator's
+// replication path, by which tables computed on one worker become
+// servable from every worker. The cache is content-addressed, so each
+// entry's key is recomputed from its experiment and profile and must
+// match: accepting a mismatched key would poison every later lookup of
+// that key. Every entry is validated before any is stored, and they are
+// stored as one Put (one group in the cache's log).
 func (s *server) handleResultIngest(w http.ResponseWriter, r *http.Request) {
-	var entry results.Entry
-	if !s.decodeRequest(w, r, &entry, maxIngestBytes) {
+	dec := newBodyDecoder(w, r, MaxIngestBytes)
+	var entries []*results.Entry
+	var keys []string
+	for {
+		entry := new(results.Entry)
+		if err := dec.Decode(entry); err == io.EOF && len(entries) > 0 {
+			break
+		} else if err != nil {
+			s.writeDecodeError(w, err, MaxIngestBytes)
+			return
+		}
+		if entry.Table == nil {
+			s.WriteError(w, http.StatusBadRequest, "entry %d has no table (nothing stored)", len(entries))
+			return
+		}
+		if want := results.Key(entry.Experiment, entry.Profile); entry.Key != want {
+			s.WriteError(w, http.StatusBadRequest, "entry %d: key %.12s does not match content (want %.12s; nothing stored)", len(entries), entry.Key, want)
+			return
+		}
+		entries, keys = append(entries, entry), append(keys, entry.Key)
+	}
+	if err := s.cache.Put(entries...); err != nil {
+		s.WriteError(w, http.StatusInternalServerError, "store entries: %v", err)
 		return
 	}
-	if entry.Table == nil {
-		s.WriteError(w, http.StatusBadRequest, "entry has no table")
-		return
-	}
-	if want := results.Key(entry.Experiment, entry.Profile); entry.Key != want {
-		s.WriteError(w, http.StatusBadRequest, "key %.12s does not match content (want %.12s)", entry.Key, want)
-		return
-	}
-	if err := s.cache.Put(&entry); err != nil {
-		s.WriteError(w, http.StatusInternalServerError, "store entry: %v", err)
-		return
-	}
-	s.WriteJSON(w, http.StatusCreated, map[string]string{"key": entry.Key})
+	s.WriteJSON(w, http.StatusCreated, map[string]any{"keys": keys})
 }
 
 // sweepRequest is the POST /v1/sweeps body: a sweep spec plus wait.

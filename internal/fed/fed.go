@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -72,10 +73,17 @@ type Coordinator struct {
 	spec       sweep.Spec
 	cells      []*sweep.Cell
 	states     map[string]*cellState
+	open       int // cells not yet done or failed
 	queues     map[string][]*cellState
 	dead       map[string]bool
 	started    time.Time
-	journalErr error // first journal append failure, reported by Run
+	journalErr error // first journal append failure of this sweep, reported by Run
+
+	// repl holds, per live peer, the fetched bodies of finished entries
+	// that peer has not been sent yet; replDone tells the replicators no
+	// more are coming.
+	repl     map[string][][]byte
+	replDone bool
 
 	// resp writes the observation surface's responses with the worker
 	// daemon's own writer, and counts the ones the coordinator failed to
@@ -117,9 +125,12 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close closes the assignment journal. It does not interrupt a running
-// Run; cancel its context for that.
+// Close closes the assignment journal and the client's idle connections
+// (one dialed but never used would otherwise hold a worker's graceful
+// shutdown for five seconds). It does not interrupt a running Run;
+// cancel its context for that.
 func (c *Coordinator) Close() error {
+	c.client.CloseIdleConnections()
 	if c.journal != nil {
 		return c.journal.Close()
 	}
@@ -201,6 +212,8 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	c.states = make(map[string]*cellState, len(cells))
 	c.queues = make(map[string][]*cellState, len(c.cfg.Workers))
 	c.dead = make(map[string]bool)
+	c.repl, c.replDone = make(map[string][][]byte, len(c.cfg.Workers)), false
+	c.journalErr = nil
 	for _, w := range c.cfg.Workers {
 		c.queues[w] = nil
 	}
@@ -253,9 +266,10 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 			c.cfg.Metrics.Assigned.With(w).Inc()
 		}
 	}
+	c.open = i
 	c.mu.Unlock()
 
-	// Wake blocked executors if the context dies.
+	// Wake blocked executors and replicators if the context dies.
 	stopWake := context.AfterFunc(ctx, func() {
 		c.mu.Lock()
 		c.cond.Broadcast()
@@ -263,8 +277,13 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	})
 	defer stopWake()
 
-	var wg sync.WaitGroup
+	var wg, replWG sync.WaitGroup
 	for _, w := range c.cfg.Workers {
+		replWG.Add(1)
+		go func(peer string) {
+			defer replWG.Done()
+			c.replicator(ctx, peer)
+		}(w)
 		for s := 0; s < c.cfg.PerWorker; s++ {
 			wg.Add(1)
 			go func(worker string) {
@@ -280,6 +299,12 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 		}
 	}
 	wg.Wait()
+	// Every cell is terminal; what remains is replication already queued.
+	c.mu.Lock()
+	c.replDone = true
+	c.mu.Unlock()
+	c.cond.Broadcast()
+	replWG.Wait()
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -317,7 +342,7 @@ func (c *Coordinator) next(ctx context.Context, worker string) *cellState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if ctx.Err() != nil || c.dead[worker] || c.allTerminalLocked() {
+		if ctx.Err() != nil || c.dead[worker] || c.open == 0 {
 			return nil
 		}
 		if q := c.queues[worker]; len(q) > 0 {
@@ -364,21 +389,10 @@ func (c *Coordinator) stealLocked(thief string) *cellState {
 	return st
 }
 
-// allTerminalLocked reports whether every cell is done or failed;
-// c.mu must be held.
-func (c *Coordinator) allTerminalLocked() bool {
-	for _, st := range c.states {
-		if !st.done && st.err == "" {
-			return false
-		}
-	}
-	return true
-}
-
 // execute runs one cell on worker: submit with wait=true, fetch the
-// finished table, journal done, and replicate the entry to every other
-// live worker. A transport failure declares the worker down and
-// re-queues the cell on the survivors.
+// finished table, journal done, and queue the entry for replication to
+// every other live worker. A transport failure declares the worker down
+// and re-queues the cell on the survivors.
 func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState) {
 	cell := st.cell
 	info, err := c.submitCell(ctx, worker, cell)
@@ -401,7 +415,7 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 		c.failCell(worker, st, fmt.Sprintf("worker computed key %.12s, coordinator expected %.12s", info.ResultKey, cell.Key), false)
 		return
 	}
-	entry, err := c.fetchEntry(ctx, worker, cell.Key)
+	entry, body, err := c.fetchEntry(ctx, worker, cell.Key)
 	if err != nil {
 		if isTransport(err) {
 			c.workerDown(worker, st)
@@ -417,25 +431,59 @@ func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState)
 
 	c.mu.Lock()
 	st.running, st.done, st.entry = false, true, entry
+	c.open--
 	c.record(Record{Op: OpDone, Key: cell.Key, Worker: worker})
 	if c.cfg.Metrics != nil {
 		c.cfg.Metrics.Done.With(worker).Inc()
 	}
-	peers := c.liveWorkersLocked()
+	// Replicate so any worker can serve any key: the source already has
+	// it, every other live worker's replicator is handed the body.
+	for _, peer := range c.liveWorkersLocked() {
+		if peer != worker {
+			c.repl[peer] = append(c.repl[peer], body)
+		}
+	}
 	c.mu.Unlock()
 	// Broadcast after unlock is safe here and below: the state changed
 	// under the lock, so a waiter either saw it or is already parked.
 	c.cond.Broadcast()
+}
 
-	// Replicate so any worker can serve any key. The source already
-	// has it; push to everyone else still alive. peers is a snapshot: a
-	// peer that died since fails the push and workerDown is idempotent.
-	for _, peer := range peers {
-		if peer == worker {
-			continue
+// replicator pushes peer's queued entries, everything that has queued
+// since its last request in one POST /v1/results (bounded by the
+// worker's ingest cap), until Run has no more and the queue is empty,
+// ctx is done, or the peer is down. A transport failure declares the
+// peer down; a peer that answers with an error keeps running, it just
+// missed those entries — reads fall back to whichever worker computed
+// them.
+func (c *Coordinator) replicator(ctx context.Context, peer string) {
+	for {
+		c.mu.Lock()
+		for len(c.repl[peer]) == 0 && !c.replDone && !c.dead[peer] && ctx.Err() == nil {
+			c.cond.Wait()
 		}
-		if err := c.replicate(ctx, peer, entry); err != nil {
+		q := c.repl[peer]
+		if len(q) == 0 || c.dead[peer] || ctx.Err() != nil {
+			delete(c.repl, peer)
+			c.mu.Unlock()
+			return
+		}
+		n, size := 1, len(q[0]) // an oversized entry still goes, alone
+		for n < len(q) && size+len(q[n]) <= daemon.MaxIngestBytes {
+			size += len(q[n])
+			n++
+		}
+		c.repl[peer] = q[n:]
+		c.mu.Unlock()
+
+		status, _, err := c.post(ctx, peer+"/v1/results", bytes.Join(q[:n], nil))
+		switch {
+		case err != nil:
 			c.workerDown(peer, nil)
+		case status != http.StatusCreated:
+			c.logf("fed: replicate %d entries to %s: status %d", n, peer, status)
+		case c.cfg.Metrics != nil:
+			c.cfg.Metrics.Replications.With(peer).Add(float64(n))
 		}
 	}
 }
@@ -446,6 +494,7 @@ func (c *Coordinator) failCell(worker string, st *cellState, msg string, unsuppo
 	c.mu.Lock()
 	st.running = false
 	st.err, st.unsupported = msg, unsupported
+	c.open--
 	c.record(Record{Op: OpFail, Key: st.cell.Key, Worker: worker, Error: msg})
 	c.mu.Unlock()
 	c.cond.Broadcast()
@@ -479,6 +528,7 @@ func (c *Coordinator) workerDown(worker string, inflight *cellState) {
 		}
 		if len(live) == 0 {
 			st.err = "no live workers"
+			c.open--
 			c.record(Record{Op: OpFail, Key: st.cell.Key, Worker: worker, Error: st.err})
 			continue
 		}

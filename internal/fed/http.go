@@ -89,24 +89,25 @@ func (c *Coordinator) submitCell(ctx context.Context, worker string, cell *sweep
 	}
 }
 
-// fetchEntry retrieves a finished cell's full entry from worker.
-// A missing key is (nil, nil).
-func (c *Coordinator) fetchEntry(ctx context.Context, worker, key string) (*results.Entry, error) {
+// fetchEntry retrieves a finished cell's full entry from worker, decoded
+// and as the body the worker served (what replication forwards).
+// A missing key is (nil, nil, nil).
+func (c *Coordinator) fetchEntry(ctx context.Context, worker, key string) (*results.Entry, []byte, error) {
 	status, resp, err := c.get(ctx, worker+"/v1/results/"+key)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if status == http.StatusNotFound {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("worker answered %d fetching %.12s", status, key)
+		return nil, nil, fmt.Errorf("worker answered %d fetching %.12s", status, key)
 	}
 	var entry results.Entry
 	if err := json.Unmarshal(resp, &entry); err != nil || entry.Table == nil {
-		return nil, fmt.Errorf("worker served unparseable entry for %.12s", key)
+		return nil, nil, fmt.Errorf("worker served unparseable entry for %.12s", key)
 	}
-	return &entry, nil
+	return &entry, resp, nil
 }
 
 // probeEntry tries every live worker for a key during resume. Errors
@@ -117,32 +118,9 @@ func (c *Coordinator) probeEntry(ctx context.Context, key string) *results.Entry
 	live := c.liveWorkersLocked()
 	c.mu.Unlock()
 	for _, w := range live {
-		if entry, err := c.fetchEntry(ctx, w, key); err == nil && entry != nil {
+		if entry, _, err := c.fetchEntry(ctx, w, key); err == nil && entry != nil {
 			return entry
 		}
-	}
-	return nil
-}
-
-// replicate pushes a finished entry to peer via POST /v1/results.
-// Only transport failures are returned (they declare the peer down); a
-// peer that answers with an error keeps running, it just missed this
-// entry — reads fall back to whichever worker computed it.
-func (c *Coordinator) replicate(ctx context.Context, peer string, entry *results.Entry) error {
-	body, err := json.Marshal(entry)
-	if err != nil {
-		return nil // unserializable entry: nothing transport-related
-	}
-	status, _, err := c.post(ctx, peer+"/v1/results", body)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusCreated {
-		c.logf("fed: replicate %.12s to %s: status %d", entry.Key, peer, status)
-		return nil
-	}
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Replications.With(peer).Inc()
 	}
 	return nil
 }

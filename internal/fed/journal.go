@@ -1,10 +1,12 @@
 // Package fed is the federation layer: a coordinator that expands a
 // sweep spec, partitions its cell grid across N imagebenchd workers
 // over the existing HTTP API, steals work back from stragglers, and
-// replicates every finished cell's table to every worker so any of
-// them can serve any key. The coordinator keeps its own append-only
+// replicates every finished cell's table to every worker, in batches
+// off the cell's critical path, so any of them can serve any key once
+// Run returns. The coordinator keeps its own append-only
 // JSONL assignment journal (same crash-safety mechanics as the
-// scheduler's job journal, via internal/jsonl): a restarted
+// scheduler's job journal, via internal/jsonl, and like it appended
+// without fsync — README "Durability"): a restarted
 // coordinator replays it and resubmits only cells that never reached
 // "done". Exactly-once composes across the layers — a cell re-sent to
 // a worker that already computed it is answered from the worker's

@@ -1,9 +1,10 @@
 // Package fsatomic is the one place the repo writes files atomically:
 // the data lands in a temp file in the target's directory and is
 // renamed into place, so readers (and a crash at any instant) see
-// either the old content or the new, never a torn write. The result
-// cache and the sweep-spec store both persist through it, which keeps
-// their durability guarantees identical.
+// either the old content or the new, never a torn write. Its users are
+// the whole-file writers: the sweep-spec store, the sweep artifacts and
+// journal compaction. (The result cache appends to a log instead; see
+// "Durability" in the README.)
 package fsatomic
 
 import (

@@ -1,11 +1,13 @@
 // Package results is the content-addressed result cache of the
 // experiment service. Every experiment run is keyed by a stable hash of
 // (experiment ID, profile); the cache stores the resulting core.Table
-// as JSON in memory and, optionally, on disk, so that identical
-// requests — across jobs, processes, and restarts — are answered
-// without re-simulating. This is the provenance-style result reuse the
-// ROADMAP calls for: the simulator is deterministic, so a key fully
-// determines its table.
+// in memory and, optionally, in an append-only log on disk, so that
+// identical requests — across jobs, processes, and restarts — are
+// answered without re-simulating. This is the provenance-style result
+// reuse the ROADMAP calls for: the simulator is deterministic, so a key
+// fully determines its table, a record is never overwritten, and a
+// duplicate Put is a no-op. What a Put guarantees once it returns is
+// the "Durability" section of the README.
 package results
 
 import (
@@ -21,7 +23,7 @@ import (
 	"sync/atomic"
 
 	"imagebench/internal/core"
-	"imagebench/internal/fsatomic"
+	"imagebench/internal/jsonl"
 )
 
 // Key returns the content address for one (experiment, profile) run:
@@ -43,57 +45,119 @@ type Entry struct {
 	Table      *core.Table  `json:"table"`
 }
 
+// filedUnder reports whether a decoded record is what key addresses: it
+// says so, its content hashes to it, and it carries a table. Bytes read
+// back from disk are served only if it holds.
+func (e *Entry) filedUnder(key string) bool {
+	return e.Key == key && e.Table != nil && Key(e.Experiment, e.Profile) == key
+}
+
 // Stats reports cache traffic since the process started. Hits is
 // always MemHits+DiskHits: the per-layer split says which tier served
-// the entry (memory, or a lazy read-through from disk).
+// the entry (memory, or a lazy read-through from disk). LogRecords over
+// LogFsyncs is the group size the disk tier is achieving.
 type Stats struct {
-	Hits     int64 `json:"hits"`
-	MemHits  int64 `json:"memHits"`
-	DiskHits int64 `json:"diskHits"`
-	Misses   int64 `json:"misses"`
-	Entries  int   `json:"entries"`
+	Hits       int64 `json:"hits"`
+	MemHits    int64 `json:"memHits"`
+	DiskHits   int64 `json:"diskHits"`
+	Misses     int64 `json:"misses"`
+	Entries    int   `json:"entries"`
+	LogRecords int64 `json:"logRecords"` // records appended to the log
+	LogFsyncs  int64 `json:"logFsyncs"`  // fsyncs issued for them, one a group
+}
+
+// span locates one record's line in the log, newline excluded.
+type span struct {
+	off int64
+	n   int
 }
 
 // Cache is a concurrency-safe result cache. The in-memory map is the
 // source of truth; when opened with a directory, entries are also
-// written through as one JSON file per key and lazily re-read on miss,
+// appended to its results.log, a line each, and lazily re-read on miss,
 // so a restarted daemon warms itself from disk on demand.
 type Cache struct {
-	dir string // "" = memory only
+	log *jsonl.File // nil = memory only
 
 	mu   sync.RWMutex
 	mem  map[string]*Entry
-	disk map[string]bool // keys present on disk: seeded at Open, maintained by Put/load
+	disk map[string]span // records in the log: built at Open, maintained by Put/load
 
-	memHits  atomic.Int64
-	diskHits atomic.Int64
-	misses   atomic.Int64
+	memHits, diskHits, misses, appended atomic.Int64
 }
 
 // Open returns a cache backed by dir, creating it if needed. An empty
-// dir yields a memory-only cache. The directory is scanned once here;
-// afterwards Keys and Stats never touch the disk, so files added to the
-// directory by another process are found by Get (which reads through)
-// but not listed.
+// dir yields a memory-only cache. The log is scanned once here to index
+// where each key's record lies, without decoding any table; afterwards
+// Keys and Stats never touch the disk. One process owns a cache
+// directory at a time (README "Durability").
 func Open(dir string) (*Cache, error) {
-	c := &Cache{dir: dir, mem: make(map[string]*Entry)}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("results: open %s: %w", dir, err)
+	c := &Cache{mem: make(map[string]*Entry)}
+	if dir == "" {
+		return c, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("results: open %s: %w", dir, err)
+	}
+	log, err := jsonl.Open(filepath.Join(dir, "results.log"))
+	if err != nil {
+		return nil, err
+	}
+	c.log, c.disk = log, make(map[string]span)
+	err = log.Scan(func(off int64, line []byte) {
+		// Entry encodes its key first, so the index needs no decoding;
+		// load verifies the claim. A later record supersedes an earlier one.
+		const pre = `{"key":"`
+		if len(line) > len(pre)+64 && string(line[:len(pre)]) == pre && line[len(pre)+64] == '"' {
+			if k := string(line[len(pre) : len(pre)+64]); validKey(k) {
+				c.disk[k] = span{off, len(line)}
+			}
 		}
-		c.disk = make(map[string]bool)
-		names, err := os.ReadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("results: scan %s: %w", dir, err)
-		}
-		for _, f := range names {
-			k := strings.TrimSuffix(f.Name(), ".json")
-			if validKey(k) && k != f.Name() {
-				c.disk[k] = true
+	})
+	if err == nil {
+		err = c.importLegacy(dir)
+	}
+	if err != nil {
+		log.Close()
+		return nil, fmt.Errorf("results: open %s: %w", dir, err)
+	}
+	return c, nil
+}
+
+// importLegacy appends the <key>.json files of earlier versions to the
+// log as one group and removes them; one that does not decode to its
+// own key could never be served and is only removed.
+func (c *Cache) importLegacy(dir string) error {
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	var files []string
+	var entries []*Entry
+	for _, f := range names {
+		if k, isJSON := strings.CutSuffix(f.Name(), ".json"); isJSON && validKey(k) {
+			files = append(files, filepath.Join(dir, f.Name()))
+			var e Entry
+			if b, err := os.ReadFile(files[len(files)-1]); err == nil && json.Unmarshal(b, &e) == nil && e.filedUnder(k) {
+				entries = append(entries, &e)
 			}
 		}
 	}
-	return c, nil
+	if err := c.Put(entries...); err != nil {
+		return err
+	}
+	for _, f := range files {
+		_ = os.Remove(f) // one that stays is found indexed, and removed, by the next Open
+	}
+	return nil
+}
+
+// Close releases the log; the cache keeps serving from memory.
+func (c *Cache) Close() error {
+	if c.log == nil {
+		return nil
+	}
+	return c.log.Close()
 }
 
 // Get returns the entry for key, consulting memory first and then disk.
@@ -133,71 +197,84 @@ const (
 func (c *Cache) peek(key string) (*Entry, string, bool) {
 	c.mu.RLock()
 	e, ok := c.mem[key]
+	sp, onDisk := c.disk[key]
 	c.mu.RUnlock()
 	if ok {
 		return e, layerMem, true
 	}
-	if c.dir != "" {
-		if e, ok := c.load(key); ok {
+	if onDisk {
+		if e, ok := c.load(key, sp); ok {
 			return e, layerDisk, true
 		}
 	}
 	return nil, "", false
 }
 
-// Put stores the entry in memory and, if the cache is disk-backed,
-// writes it through atomically (temp file + rename).
-func (c *Cache) Put(e *Entry) error {
-	if !validKey(e.Key) || e.Table == nil {
-		return fmt.Errorf("results: refusing to cache entry with malformed key %q or nil table", e.Key)
+// Put stores the entries in memory and, if the cache is disk-backed,
+// appends the ones the log does not hold yet as one group, returning
+// after that group's fsync. Nothing is stored unless every entry is
+// well-formed.
+func (c *Cache) Put(entries ...*Entry) error {
+	for _, e := range entries {
+		if !validKey(e.Key) || e.Table == nil {
+			return fmt.Errorf("results: refusing to cache entry with malformed key %q or nil table", e.Key)
+		}
 	}
+	var fresh []*Entry
 	c.mu.Lock()
-	c.mem[e.Key] = e
+	for _, e := range entries {
+		c.mem[e.Key] = e
+		if _, logged := c.disk[e.Key]; c.log != nil && !logged {
+			fresh = append(fresh, e)
+		}
+	}
 	c.mu.Unlock()
-	if c.dir == "" {
+	if len(fresh) == 0 {
 		return nil
 	}
-	b, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return fmt.Errorf("results: encode %s: %w", e.Key, err)
+	lines := make([][]byte, len(fresh))
+	for i, e := range fresh {
+		b, err := json.Marshal(e)
+		if err != nil {
+			return fmt.Errorf("results: encode %s: %w", e.Key, err)
+		}
+		lines[i] = b
 	}
-	if err := fsatomic.WriteFile(c.path(e.Key), b); err != nil {
+	offs, err := c.log.Commit(lines...)
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.disk[e.Key] = true
+	for i, e := range fresh {
+		c.disk[e.Key] = span{offs[i], len(lines[i])}
+	}
 	c.mu.Unlock()
+	c.appended.Add(int64(len(fresh)))
 	return nil
 }
 
-// load reads one entry from disk into memory. A corrupt or unreadable
-// file is treated as a miss: the simulator can always regenerate it. A
-// file that does not decode is also dropped from the disk index, so
-// Keys and Stats stop listing a key Get cannot serve; the Put that
-// regenerates it lists it again.
-func (c *Cache) load(key string) (*Entry, bool) {
-	if !validKey(key) {
-		return nil, false
-	}
-	b, err := os.ReadFile(c.path(key))
-	if err != nil {
-		return nil, false
-	}
+// load reads the record at sp into memory. A corrupt or unreadable
+// record is treated as a miss: the simulator can always regenerate it.
+// A record that does not decode to the requested key (filedUnder) is
+// also dropped from the index, so Keys and Stats stop listing a key Get cannot
+// serve; the Put that regenerates it appends a new record and lists it
+// again.
+func (c *Cache) load(key string, sp span) (*Entry, bool) {
+	b := make([]byte, sp.n)
 	var e Entry
-	if err := json.Unmarshal(b, &e); err != nil || e.Key != key || e.Table == nil {
-		c.mu.Lock()
-		// A concurrent Put sets mem before it replaces the file; its
-		// index entry is not this stale one.
-		if c.mem[key] == nil {
-			delete(c.disk, key)
-		}
-		c.mu.Unlock()
-		return nil, false
+	_, err := c.log.ReadAt(b, sp.off)
+	if err == nil {
+		err = json.Unmarshal(b, &e)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil || !e.filedUnder(key) {
+		if c.disk[key] == sp { // not the record a concurrent Put just appended
+			delete(c.disk, key)
+		}
+		return nil, false
+	}
 	c.mem[key] = &e
-	c.disk[key] = true
-	c.mu.Unlock()
 	return &e, true
 }
 
@@ -205,18 +282,16 @@ func (c *Cache) load(key string) (*Entry, bool) {
 // disk keys known since Open (no directory scan).
 func (c *Cache) Keys() []string {
 	c.mu.RLock()
-	set := make(map[string]bool, len(c.mem)+len(c.disk))
-	for k := range c.mem {
-		set[k] = true
-	}
+	out := make([]string, 0, len(c.mem)+len(c.disk))
 	for k := range c.disk {
-		set[k] = true
-	}
-	c.mu.RUnlock()
-	out := make([]string, 0, len(set))
-	for k := range set {
 		out = append(out, k)
 	}
+	for k := range c.mem {
+		if _, logged := c.disk[k]; !logged {
+			out = append(out, k)
+		}
+	}
+	c.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -226,27 +301,22 @@ func (c *Cache) Stats() Stats {
 	c.mu.RLock()
 	n := len(c.disk)
 	for k := range c.mem {
-		if !c.disk[k] {
+		if _, logged := c.disk[k]; !logged {
 			n++
 		}
 	}
 	c.mu.RUnlock()
-	mem, disk := c.memHits.Load(), c.diskHits.Load()
-	return Stats{
-		Hits:     mem + disk,
-		MemHits:  mem,
-		DiskHits: disk,
-		Misses:   c.misses.Load(),
-		Entries:  n,
+	st := Stats{MemHits: c.memHits.Load(), DiskHits: c.diskHits.Load(), Misses: c.misses.Load(),
+		Entries: n, LogRecords: c.appended.Load()}
+	st.Hits = st.MemHits + st.DiskHits
+	if c.log != nil {
+		st.LogFsyncs = c.log.Syncs()
 	}
+	return st
 }
 
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
-}
-
-// validKey guards the disk paths: keys are lowercase hex SHA-256, so
-// anything else (path traversal, stray files) is rejected.
+// validKey admits only lowercase hex SHA-256: nothing else is indexed,
+// stored or imported.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false

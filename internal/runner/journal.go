@@ -23,6 +23,10 @@ import (
 // truncation on open, one tolerated bad trailing line) live in
 // internal/jsonl, shared with the federation coordinator's assignment
 // journal; this file owns the record schema and the replay semantics.
+// Appends are not fsynced — a record survives a process crash, not a
+// power loss — and need not be: a job whose done record is lost is
+// re-run into the cache, which is the half that fsyncs (README
+// "Durability").
 
 // Op is the journal record type.
 type Op string

@@ -461,12 +461,12 @@ func TestFailedWriteThroughJournalsAsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Make the write-through fail deterministically: the destination
-	// path of this job's cache file is occupied by a directory, so the
-	// atomic rename fails while the in-memory entry still stores.
+	// Make the write-through fail deterministically: the cache's log is
+	// closed under it, so the append fails while the in-memory entry
+	// still stores.
 	registerFakes()
 	key := results.Key("zz-test-ok", core.Quick())
-	if err := os.MkdirAll(filepath.Join(cacheDir, key+".json"), 0o755); err != nil {
+	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
 

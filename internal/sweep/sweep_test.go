@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -203,10 +204,24 @@ func TestRecoverRehydratesCompletedCells(t *testing.T) {
 	// Simulate a partially-complete sweep on disk: drop one cell's
 	// cached result, as if the crash happened before it ran.
 	dropped := s1.Cells[1]
-	if err := os.Remove(filepath.Join(cacheDir, dropped.Key+".json")); err != nil {
+	cache1.Close() // first process's memory view is discarded with it
+	logPath := filepath.Join(cacheDir, "results.log")
+	log, err := os.ReadFile(logPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_ = cache1 // first process's memory view is discarded with it
+	var rest []byte
+	for _, line := range bytes.SplitAfter(log, []byte("\n")) {
+		if !bytes.Contains(line, []byte(dropped.Key)) {
+			rest = append(rest, line...)
+		}
+	}
+	if len(rest) == len(log) || len(rest) == 0 {
+		t.Fatalf("dropping %.12s left %d of the log's %d bytes", dropped.Key, len(rest), len(log))
+	}
+	if err := os.WriteFile(logPath, rest, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// "Restart": fresh scheduler, cache, manager over the same dirs.
 	m2, _, _ := newTestManager(t, cacheDir, sweepDir)
