@@ -239,12 +239,10 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 // Every experiment, run through RunContext with eight, two and one Ps,
 // is byte-equal to its golden table — the ft tables' notes in engine
 // order included, since they are part of those bytes. The second and
-// third pass are served by the memo, so what they exercise is the
-// fan-out. fig12c is left to TestGoldenTables, at whatever GOMAXPROCS
-// the process has (CI runs this package at 1, 2, 8 and the default):
-// its time goes to the reference pipeline behind its masks, which is
-// not memoized and would be paid three more times, and its loop is
-// runStepFigure, which fig11 and fig12a, b and d run here.
+// third pass are served by the memo and the shared inputs, so what they
+// exercise is the fan-out; and after three passes of every engine,
+// fault scenario and tuning study over the same shared inputs, each
+// input still reads like a freshly built one.
 func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three passes over the registry")
@@ -252,9 +250,6 @@ func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{8, 2, 1} {
 		setGOMAXPROCS(t, procs)
 		for _, e := range All() {
-			if e.ID == "fig12c" {
-				continue
-			}
 			tab, err := e.RunContext(context.Background(), Quick())
 			if err != nil {
 				t.Fatalf("GOMAXPROCS %d: %s: %v", procs, e.ID, err)
@@ -273,6 +268,7 @@ func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 		}
 		wantNoHelpersLeft(t)
 	}
+	wantInputsUnwritten(t)
 }
 
 // A canceled context stops every experiment that has cells before its

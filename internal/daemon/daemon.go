@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"imagebench/internal/core"
 	"imagebench/internal/memo"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
@@ -143,12 +144,15 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 
 // registerKernelMemoMetrics exposes the process-wide stage memo
 // (package memo), traffic split by the kind of stage served: nlmeans
-// (Step 2N), text (SciDB's TSV/CSV round trips) and fit (Step 3N). The
-// cells of a clusterNodes sweep over a neuro experiment have distinct
-// result keys, so the result cache reports them as misses, yet they run
-// the same stages on identical volumes: these counters are where that
-// reuse shows. The kinds share one table and one byte budget, so the
-// resets and bytes series have no label.
+// (Step 2N), text (SciDB's TSV/CSV round trips), fit (Step 3N) and
+// mask (Step 1N after the mean). The cells of a clusterNodes sweep
+// over a neuro experiment have distinct result keys, so the result
+// cache reports them as misses, yet they run the same stages on
+// identical volumes: these counters are where that reuse shows. The
+// kinds share one table and one byte budget, so the resets and bytes
+// series have no label. Beside them, from a table of the same type, the
+// experiments' shared inputs (core.InputStats): how many of a pass's
+// workload requests were served and how many generated their input.
 func registerKernelMemoMetrics(m *obs.Registry) {
 	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
 		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
@@ -164,6 +168,18 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
 		"Volume bytes the memo holds, all kinds together.",
 		func() float64 { return float64(memo.Snapshot().Bytes) })
+
+	hits = m.NewCounterVec("imagebench_shared_input_hits_total",
+		"Workload requests served the process's shared input, by use case.", "kind")
+	misses = m.NewCounterVec("imagebench_shared_input_misses_total",
+		"Workload requests that generated their input, by use case.", "kind")
+	for i, kind := range core.InputKinds() {
+		hits.WithFunc(func() float64 { return float64(core.InputStats().Kinds[i].Hits) }, kind)
+		misses.WithFunc(func() float64 { return float64(core.InputStats().Kinds[i].Misses) }, kind)
+	}
+	m.NewGaugeFunc("imagebench_shared_input_bytes",
+		"Encoded object bytes the shared inputs hold, all use cases together.",
+		func() float64 { return float64(core.InputStats().Bytes) })
 }
 
 // Close drains the scheduler, then closes the journal and the cache's

@@ -484,6 +484,17 @@ func TestMetricsShape(t *testing.T) {
 			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
 			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
 	}
+	if !strings.Contains(string(text), `imagebench_kernel_memo_hits_total{kind="mask"} `) {
+		t.Error(`/metrics lacks the memo's fourth kind, kind="mask"`)
+	}
+	// Likewise the shared inputs: nothing builds a workload during the scrape.
+	is := core.InputStats()
+	lines = append(lines, "imagebench_shared_input_bytes "+num(float64(is.Bytes)))
+	for i, kind := range core.InputKinds() {
+		lines = append(lines,
+			fmt.Sprintf(`imagebench_shared_input_hits_total{kind="%s"} %s`, kind, num(float64(is.Kinds[i].Hits))),
+			fmt.Sprintf(`imagebench_shared_input_misses_total{kind="%s"} %s`, kind, num(float64(is.Kinds[i].Misses))))
+	}
 	for _, line := range lines {
 		if !strings.Contains("\n"+string(text), "\n"+line+"\n") {
 			t.Errorf("/metrics lacks the line %q", line)

@@ -29,3 +29,24 @@ func NLMeans3Memo(v, mask *volume.V3, opts NLMeansOpts) *volume.V3 {
 	})
 	return out
 }
+
+// MedianOtsuMemo is MedianFilter3 then OtsuMask — Step 1N after the
+// mean — behind the same memo (kind memo.Mask): the mask every engine,
+// cluster size and experiment derives from one subject's mean b0
+// volume, computed once per distinct mean. The key covers the shape
+// and raw bits of mean and the radius; the result is a fresh mask the
+// caller owns. MedianFilter3, MedianFilter3Into and OtsuMask never
+// consult the table.
+func MedianOtsuMemo(mean *volume.V3, radius int) *volume.V3 {
+	k := memo.NewKey(memo.Mask)
+	k.Volume(mean)
+	k.U64(uint64(radius))
+	out, _, _ := k.Do(func() (*volume.V3, int64, error) {
+		smoothed := volume.Scratch.Get(mean.NX, mean.NY, mean.NZ)
+		MedianFilter3Into(smoothed, mean, radius)
+		mask := OtsuMask(smoothed)
+		volume.Scratch.Put(smoothed)
+		return mask, 0, nil
+	})
+	return out
+}

@@ -211,3 +211,33 @@ func TestMemoConcurrentCallers(t *testing.T) {
 		t.Errorf("memo grew by %d bytes, want %d: one entry per distinct key", s.Bytes-before.Bytes, want)
 	}
 }
+
+// MedianOtsuMemo is the two pure sub-steps' bits on a miss and on a
+// hit, keyed on the mean's content and the radius, each answer the
+// caller's own, and the pure names stay off the table.
+func TestMedianOtsuMemoMatchesThePureSteps(t *testing.T) {
+	maskStats := func() memo.KindStats { return memo.Snapshot().Kinds[memo.Mask] }
+	mean := unseen(streamTestVolume(23, 7, 6, 5))
+	before := maskStats()
+	want := OtsuMask(MedianFilter3(mean, 1))
+	if maskStats() != before {
+		t.Fatal("the pure median filter or Otsu threshold went through the memo")
+	}
+	miss := MedianOtsuMemo(mean, 1)
+	if !sameBits(miss, want) {
+		t.Fatal("a miss differs from OtsuMask(MedianFilter3(mean, 1))")
+	}
+	for i := range miss.Data {
+		miss.Data[i] = -1
+	}
+	hit := MedianOtsuMemo(mean.Clone(), 1)
+	if !sameBits(hit, want) {
+		t.Fatal("a hit differs from OtsuMask(MedianFilter3(mean, 1))")
+	}
+	if other := MedianOtsuMemo(mean, 2); !sameBits(other, OtsuMask(MedianFilter3(mean, 2))) {
+		t.Fatal("radius 2 was answered with another radius' mask")
+	}
+	if s := maskStats(); s.Hits-before.Hits != 1 || s.Misses-before.Misses != 2 {
+		t.Fatalf("mask counters %+v → %+v, want 1 hit and 2 misses", before, s)
+	}
+}

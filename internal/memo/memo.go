@@ -10,22 +10,28 @@
 // different decoders (NIfTI, NumPy, SciDB's text round trips) and
 // never as the same pointer.
 //
-// Three stages go through it, each from the package that owns the
-// stage: imaging.NLMeans3Memo (Step 2N), tsv.RoundTrip and
+// Four stages go through it, each from the package that owns the
+// stage: imaging.MedianOtsuMemo (the median-filter and Otsu half of
+// Step 1N), imaging.NLMeans3Memo (Step 2N), tsv.RoundTrip and
 // tsv.RoundTripCSV (SciDB's stream() and aio_input() text crossings)
 // and dmri.FitFAMemo (Step 3N). The functions they wrap —
-// imaging.NLMeans3*, tsv.Encode/Decode*, dmri.FitFA — never consult the
-// table: they are what probes time and what fuzzers and exactness tests
-// compare, and the streamed reference pipeline built on them is the
-// independent result the engines are checked against.
+// imaging.MedianFilter3*, imaging.OtsuMask, imaging.NLMeans3*,
+// tsv.Encode/Decode*, dmri.FitFA — never consult the table: they are
+// what probes time and what fuzzers and exactness tests compare, and
+// the streamed reference pipeline built on them is the independent
+// result the engines are checked against.
+//
+// The claim, the wait and the budget are Table's and know nothing of
+// volumes; internal/core keeps the experiments' generated inputs in a
+// second Table, keyed by their configuration.
 package memo
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
-	"math"
 	"sync"
+	"unsafe"
 
 	"imagebench/internal/volume"
 )
@@ -39,19 +45,24 @@ const (
 	NLMeans Kind = iota // Step 2N, imaging.NLMeans3Memo
 	Text                // tsv.RoundTrip, tsv.RoundTripCSV
 	Fit                 // Step 3N, dmri.FitFAMemo
+	Mask                // Step 1N after the mean, imaging.MedianOtsuMemo
 	numKinds
 )
 
 // Kinds lists every kind, in counter order.
-func Kinds() []Kind { return []Kind{NLMeans, Text, Fit} }
+func Kinds() []Kind { return []Kind{NLMeans, Text, Fit, Mask} }
 
 // String is the kind's label on /metrics.
-func (k Kind) String() string { return [numKinds]string{"nlmeans", "text", "fit"}[k] }
+func (k Kind) String() string { return [numKinds]string{"nlmeans", "text", "fit", "mask"}[k] }
 
-// budget bounds the volume bytes the table holds, over all kinds. A
-// quick-profile pass over every experiment stores 6.7 MB; a
-// full-profile pass produces about 76 MB of distinct results and so
-// drops the table once on the way.
+// budget bounds the bytes one Table holds, over all its kinds. The
+// stage table stores 6.8 MB on a quick-profile pass over every
+// experiment (3.2 nlmeans, 3.4 text, 0.06 each fit and mask) and about
+// 76 MB of distinct results on a full-profile pass, so it is dropped
+// once on the way. core's inputs hold 15.6 MB after a quick pass (six
+// configs) and 46 MB for sweep-astro's seven fig10h surveys; a
+// full-profile pass generates 140-200 MB of them (fig10h's 86-sensor
+// survey alone is 65 MB) and drops them two or three times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed
@@ -59,137 +70,196 @@ const budget = 64 << 20
 // call that ran the computation.
 type KindStats struct {
 	Hits, Misses uint64
-	// Bytes is the volume data currently held for the kind.
+	// Bytes is what the table currently holds for the kind.
 	Bytes int64
 }
 
-// Stats is a snapshot of the table.
+// Stats is a snapshot of a table.
 type Stats struct {
-	Kinds [numKinds]KindStats
+	Kinds []KindStats
 	// Resets counts how often the table was dropped to stay in budget.
 	Resets uint64
-	// Bytes is the volume data currently held, never above the budget.
+	// Bytes is what the table currently holds, never above the budget.
 	Bytes int64
 }
 
-// Key identifies one input of one stage by content.
-type Key [sha256.Size]byte
+// Table computes each key's value once and shares it: a process-wide,
+// single-flight map whose values are accounted against the budget.
+// Values are handed out as stored, to any number of callers at once,
+// so V is immutable or its users treat it so.
+type Table[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*entry[V]
+	stats   Stats
+}
 
 // entry is one key's value. Everything but done is written by the
 // goroutine that computes it, before done is closed, and is immutable
-// afterwards: data is never handed out, only copied.
-type entry struct {
-	done       chan struct{}
-	ok         bool // false when nothing was stored: compute failed, panicked or outgrew the budget
-	kind       Kind
-	nx, ny, nz int
-	data       []float64
-	aux        int64
+// afterwards.
+type entry[V any] struct {
+	done  chan struct{}
+	ok    bool // false when nothing was stored: compute failed, panicked or outgrew the budget
+	kind  int
+	val   V
+	bytes int64
 }
 
-var table = struct {
-	mu      sync.Mutex
-	entries map[Key]*entry
-	stats   Stats
-}{entries: make(map[Key]*entry)}
-
-// Do ends the key and returns what compute returns for the input it
-// identifies: a volume and one integer the stage defines (the encoded
-// length of a text round trip; zero elsewhere). The first call on a key
-// runs compute, exactly the code an unmemoized caller would run, and
-// the table keeps a copy of the result; every other call, including one
-// that arrives while the first is still computing, waits for that
-// result and gets a fresh volume the caller owns. The inputs are not
-// retained. A failed compute stores nothing, and neither does one
-// whose volume is larger than the whole budget: the result goes to its
-// own caller, and callers that waited on it compute for themselves. k
-// must not be used afterwards.
-func (k *Hasher) Do(compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
-	kind := k.kind // read before sum gives k back to the pool
-	return do(kind, k.sum(), compute)
+// NewTable returns an empty table that counts its traffic under kinds
+// labels.
+func NewTable[K comparable, V any](kinds int) *Table[K, V] {
+	return &Table[K, V]{entries: make(map[K]*entry[V]), stats: Stats{Kinds: make([]KindStats, kinds)}}
 }
 
-func do(kind Kind, key Key, compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
-	table.mu.Lock()
-	e, found := table.entries[key]
+// Do returns what compute returns for key: a value and the bytes it
+// holds. The first call on a key runs compute and the table keeps the
+// value; every other call, including one that arrives while the first
+// is still computing, waits for that value and gets the same one. A
+// failed compute stores nothing, and neither does a value larger than
+// the whole budget: it goes to its own caller, and callers that waited
+// on it compute for themselves.
+func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, error) {
+	t.mu.Lock()
+	e, found := t.entries[key]
 	if found {
-		table.stats.Kinds[kind].Hits++
+		t.stats.Kinds[kind].Hits++
 	} else {
-		e = &entry{done: make(chan struct{}), kind: kind}
-		table.entries[key] = e
-		table.stats.Kinds[kind].Misses++
+		e = &entry[V]{done: make(chan struct{}), kind: kind}
+		t.entries[key] = e
+		t.stats.Kinds[kind].Misses++
 	}
-	table.mu.Unlock()
+	t.mu.Unlock()
 
 	if found {
 		<-e.done
 		if !e.ok {
-			return compute()
+			val, _, err := compute()
+			return val, err
 		}
-		out := volume.New3(e.nx, e.ny, e.nz)
-		copy(out.Data, e.data)
-		return out, e.aux, nil
+		return e.val, nil
 	}
 
 	// Also on a panic in compute: waiters must not hang, and the key
 	// must not stay claimed.
 	defer func() {
 		if !e.ok {
-			table.mu.Lock()
-			if table.entries[key] == e {
-				delete(table.entries, key)
+			t.mu.Lock()
+			if t.entries[key] == e {
+				delete(t.entries, key)
 			}
-			table.mu.Unlock()
+			t.mu.Unlock()
 		}
 		close(e.done)
 	}()
-	out, aux, err := compute()
-	if err != nil {
-		return nil, 0, err
+	val, n, err := compute()
+	if err != nil || n > budget {
+		return val, err
 	}
-	if out.Bytes() > budget {
-		return out, aux, nil // never kept, so not worth copying
-	}
-	e.nx, e.ny, e.nz, e.aux = out.NX, out.NY, out.NZ, aux
-	e.data = append([]float64(nil), out.Data...)
-	e.ok = true
-	keep(key, e)
-	return out, aux, nil
+	e.val, e.bytes, e.ok = val, n, true
+	t.keep(key, e)
+	return val, nil
 }
 
 // keep accounts a computed entry against the budget. An insert that
 // would pass it drops the whole table first: the working set of a pass
 // fits several times over, so eviction order would be bookkeeping for a
 // case that only an unrelated, larger workload in the same process can
-// reach. Entries still being computed are dropped with the rest; they
+// reach. Values already handed out stay valid, the table only forgets
+// them. Entries still being computed are dropped with the rest; they
 // reach their waiters through the entry itself and come back here when
 // done.
-func keep(key Key, e *entry) {
-	n := int64(len(e.data)) * 8
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	if table.stats.Bytes+n > budget {
-		table.entries = make(map[Key]*entry)
-		table.stats.Bytes = 0
-		for k := range table.stats.Kinds {
-			table.stats.Kinds[k].Bytes = 0
+func (t *Table[K, V]) keep(key K, e *entry[V]) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.stats.Bytes+e.bytes > budget {
+		t.entries = make(map[K]*entry[V])
+		t.stats.Bytes = 0
+		for k := range t.stats.Kinds {
+			t.stats.Kinds[k].Bytes = 0
 		}
-		table.stats.Resets++
+		t.stats.Resets++
 	}
-	if cur, ok := table.entries[key]; ok && cur != e {
+	if cur, ok := t.entries[key]; ok && cur != e {
 		return // recomputed after a reset; the first to finish is kept
 	}
-	table.entries[key] = e
-	table.stats.Bytes += n
-	table.stats.Kinds[e.kind].Bytes += n
+	t.entries[key] = e
+	t.stats.Bytes += e.bytes
+	t.stats.Kinds[e.kind].Bytes += e.bytes
 }
 
-// Snapshot reports the table's counters since process start.
-func Snapshot() Stats {
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	return table.stats
+// Each calls fn on every value the table holds, in no order. fn runs
+// under the table's lock and must not call the table.
+func (t *Table[K, V]) Each(fn func(key K, val V)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for key, e := range t.entries {
+		select {
+		case <-e.done:
+			fn(key, e.val) // every kept entry is ok: a failed one is deleted before done closes
+		default: // still being computed
+		}
+	}
 }
+
+// Snapshot reports the table's counters since it was made.
+func (t *Table[K, V]) Snapshot() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.stats
+	s.Kinds = append([]KindStats(nil), s.Kinds...)
+	return s
+}
+
+// Key identifies one input of one stage by content.
+type Key [sha256.Size]byte
+
+// result is what the stage table keeps of one stage output: a copy of
+// the volume, never handed out, only copied again.
+type result struct {
+	nx, ny, nz int
+	data       []float64
+	aux        int64
+}
+
+var table = NewTable[Key, result](int(numKinds))
+
+// Do ends the key and returns what compute returns for the input it
+// identifies: a volume and one integer the stage defines (the encoded
+// length of a text round trip; zero elsewhere). The first call on a key
+// runs compute, exactly the code an unmemoized caller would run, and
+// the table keeps a copy of the result; every other call waits for that
+// result and gets a fresh volume the caller owns (see Table.Do for
+// failures and the budget). The inputs are not retained. k must not be
+// used afterwards.
+func (k *Hasher) Do(compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
+	kind := k.kind // read before sum gives k back to the pool
+	return do(kind, k.sum(), compute)
+}
+
+func do(kind Kind, key Key, compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
+	var mine *volume.V3 // what compute returned, if this call ran it
+	r, err := table.Do(int(kind), key, func() (result, int64, error) {
+		out, aux, err := compute()
+		if err != nil {
+			return result{}, 0, err
+		}
+		mine = out
+		r := result{nx: out.NX, ny: out.NY, nz: out.NZ, aux: aux}
+		if out.Bytes() <= budget { // else never kept, so not worth copying
+			r.data = append([]float64(nil), out.Data...)
+		}
+		return r, out.Bytes(), nil
+	})
+	if err != nil || mine != nil {
+		return mine, r.aux, err
+	}
+	out := volume.New3(r.nx, r.ny, r.nz)
+	copy(out.Data, r.data)
+	return out, r.aux, nil
+}
+
+// Snapshot reports the stage table's counters since process start,
+// Kinds indexed by Kind.
+func Snapshot() Stats { return table.Snapshot() }
 
 // Hasher builds the key of one input from 64-bit words through a chunk
 // buffer. Hashers are pooled so that a hit allocates its output volume
@@ -229,12 +299,17 @@ func (k *Hasher) flush() {
 }
 
 // Floats adds the length, then the raw bits of every value: 0 and -0,
-// and NaNs with different payloads, are different content.
+// and NaNs with different payloads, are different content. The values
+// go to the digest as they lie in memory, not word by word through the
+// buffer: keys never leave the process, so the host's byte order is as
+// good as any.
 func (k *Hasher) Floats(xs []float64) {
 	k.U64(uint64(len(xs)))
-	for _, x := range xs {
-		k.U64(math.Float64bits(x))
+	if len(xs) == 0 {
+		return
 	}
+	k.flush()
+	k.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
 }
 
 // Volume adds the shape and the raw bits of every voxel. A nil volume

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
@@ -16,8 +17,8 @@ import (
 func reset() {
 	table.mu.Lock()
 	defer table.mu.Unlock()
-	table.entries = make(map[Key]*entry)
-	table.stats = Stats{}
+	table.entries = make(map[Key]*entry[result])
+	table.stats = Stats{Kinds: make([]KindStats, numKinds)}
 }
 
 func keyOf(kind Kind, words ...uint64) Key {
@@ -269,5 +270,121 @@ func TestOneBudgetOneReset(t *testing.T) {
 	}
 	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Fit].Misses != 2 || s.Resets != 0 {
 		t.Fatalf("an entry over the budget was kept: %+v", s)
+	}
+}
+
+// floatsByWord is Hasher.Floats as it was when every value went
+// through the chunk buffer one word at a time, kept verbatim as the
+// oracle for the form that hands the digest the slice's own bytes.
+func (k *Hasher) floatsByWord(xs []float64) {
+	k.U64(uint64(len(xs)))
+	for _, x := range xs {
+		k.U64(math.Float64bits(x))
+	}
+}
+
+// floatsKeys returns the key of lead words, then xs, then one more
+// word, by Floats and by its oracle.
+func floatsKeys(lead int, xs []float64) (got, want Key) {
+	a, b := NewKey(Text), NewKey(Text)
+	for i := 0; i < lead; i++ {
+		a.U64(uint64(i))
+		b.U64(uint64(i))
+	}
+	a.Floats(xs)
+	b.floatsByWord(xs)
+	a.U64(7)
+	b.U64(7)
+	return a.sum(), b.sum()
+}
+
+func littleEndianHost(t testing.TB) {
+	var probe [2]byte
+	binary.NativeEndian.PutUint16(probe[:], 1)
+	if probe[0] != 1 {
+		t.Skip("the word-at-a-time oracle writes little-endian words; this host's memory is not")
+	}
+}
+
+// Floats covers the same content as the word-at-a-time form, byte for
+// byte, wherever the slice starts and ends in the chunk buffer (512
+// words) and wherever it starts in its backing array.
+func TestFloatsMatchesWordAtATime(t *testing.T) {
+	littleEndianHost(t)
+	backing := make([]float64, 1100)
+	for i := range backing {
+		backing[i] = math.Float64frombits(0x9e3779b97f4a7c15 * uint64(i+1)) // NaNs, negatives, denormals
+	}
+	backing[3] = math.Copysign(0, -1)
+	for _, n := range []int{0, 1, 2, 509, 510, 511, 512, 513, 1024, 1100} {
+		for _, lead := range []int{0, 1, 300, 510} {
+			for _, from := range []int{0, 1, 3} {
+				if from > n {
+					continue
+				}
+				xs := backing[from:n]
+				if got, want := floatsKeys(lead, xs); got != want {
+					t.Errorf("%d values from offset %d after %d words: key %x, word at a time %x", len(xs), from, lead, got[:4], want[:4])
+				}
+			}
+		}
+	}
+	if got, want := floatsKeys(0, nil); got != want {
+		t.Errorf("nil slice: key %x, word at a time %x", got[:4], want[:4])
+	}
+}
+
+// The same differential on arbitrary bit patterns.
+func FuzzHasherFloats(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint16(510))
+	f.Add(make([]byte, 8*513), uint16(1))
+	f.Fuzz(func(t *testing.T, raw []byte, lead uint16) {
+		littleEndianHost(t)
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		if got, want := floatsKeys(int(lead%1024), xs); got != want {
+			t.Fatalf("%d values after %d words: key %x, word at a time %x", len(xs), lead%1024, got, want)
+		}
+	})
+}
+
+// A Table of its own hands every caller the one stored value, counts
+// under its own kinds, and Each lists what is held and not what is
+// still being computed.
+func TestTableSharesTheStoredValue(t *testing.T) {
+	tab := NewTable[string, *int](2)
+	build := func() (*int, int64, error) { return new(int), 8, nil }
+	a, err := tab.Do(1, "a", build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := tab.Do(1, "a", build); again != a {
+		t.Fatalf("second call got %p, first %p", again, a)
+	}
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tab.Do(0, "b", func() (*int, int64, error) {
+			close(started)
+			<-release
+			return new(int), 8, nil
+		})
+	}()
+	<-started
+	held := map[string]*int{}
+	tab.Each(func(k string, v *int) { held[k] = v })
+	if len(held) != 1 || held["a"] != a {
+		t.Errorf("with b in flight Each listed %v, want a alone", held)
+	}
+	close(release)
+	<-done
+	if s := tab.Snapshot(); s.Bytes != 16 || s.Kinds[1] != (KindStats{Hits: 1, Misses: 1, Bytes: 8}) || s.Kinds[0].Misses != 1 {
+		t.Errorf("counters %+v", s)
+	}
+	if s := Snapshot(); len(s.Kinds) != int(numKinds) {
+		t.Errorf("the stage table counts %d kinds, want %d", len(s.Kinds), numKinds)
 	}
 }

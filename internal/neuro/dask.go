@@ -159,5 +159,5 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 // already-computed mean volume (the Dask plan computes the mean in
 // per-block tasks, so Segment cannot be reused wholesale).
 func segmentFromMean(mean *volume.V3) *volume.V3 {
-	return imaging.OtsuMask(imaging.MedianFilter3(mean, 1))
+	return imaging.MedianOtsuMemo(mean, 1)
 }

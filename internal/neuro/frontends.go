@@ -139,7 +139,7 @@ func RunMyriaL(w *Workload, cl *cluster.Cluster, model *cost.Model) (*MyriaLResu
 		for _, args := range group {
 			vols = append(vols, args[0].V.(*volume.V3))
 		}
-		return myrial.Cell{V: Segment(vols), Size: synth.PaperVolBytes / 4}
+		return myrial.Cell{V: segmentMemo(vols), Size: synth.PaperVolBytes / 4}
 	})
 	env.DefineUDF("Denoise", cost.Denoise, func(args []myrial.Cell) []myrial.Cell {
 		v := args[0].V.(*volume.V3)

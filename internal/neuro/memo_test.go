@@ -2,6 +2,7 @@ package neuro
 
 import (
 	"math"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -86,7 +87,8 @@ func TestEnginesShareStep2N(t *testing.T) {
 // on a workload no other test uses (a cold table for its content) and
 // again on the now warm table, produce the same bits in every output
 // voxel and the same virtual makespan. The cold runs compute, the warm
-// runs are served every stage: text round trips, Step 2N and Step 3N.
+// runs are served every stage: text round trips, Step 1N's mask, Step
+// 2N and Step 3N.
 func TestColdAndWarmMemoAgree(t *testing.T) {
 	cfg := synth.DefaultNeuro(2)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
@@ -95,8 +97,9 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	misses := func() (n [3]uint64) {
+	misses := func() []uint64 {
 		s := memo.Snapshot()
+		n := make([]uint64, len(memo.Kinds()))
 		for i, k := range memo.Kinds() {
 			n[i] = s.Kinds[k].Misses
 		}
@@ -135,6 +138,11 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 			t.Errorf("%s: the warm runs computed %d inputs again", k, m2[i]-m1[i])
 		}
 	}
+	// SciDB's mean and Spark's are the same bits, so each subject's mask
+	// is computed once between them.
+	if got := m1[memo.Mask] - m0[memo.Mask]; got != uint64(cfg.Subjects) {
+		t.Errorf("mask: the cold runs computed %d masks for %d subjects", got, cfg.Subjects)
+	}
 
 	if cold.makespan != warm.makespan {
 		t.Errorf("makespans (SciDB, Spark): cold %v, warm %v", cold.makespan, warm.makespan)
@@ -167,10 +175,54 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 		sameBits("Spark FA "+SubjKey(s), sr.FA, warm.spark.Subjects[s].FA)
 	}
 	// And the warm Spark result still agrees with the streamed
-	// reference, which never touches the memo.
+	// reference, which never touches the memo: not one hit, miss or
+	// byte of any kind.
+	before := memo.Snapshot()
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if after := memo.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("Reference went through the memo: %+v before, %+v after", before, after)
+	}
 	resultsEqual(t, "warm spark", warm.spark, ref, 1e-9)
+}
+
+// The masks the denoise-step runners start from are the reference
+// pipeline's, bit for bit, for every subject, and computing them goes
+// nowhere near the memo: referenceMasks stops after Step 1N where
+// Reference runs all three.
+func TestReferenceMasksAreTheReferences(t *testing.T) {
+	cfg := synth.DefaultNeuro(3)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
+	w, err := NewWorkloadCfg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Reference(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := memo.Snapshot()
+	masks, err := referenceMasks(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := memo.Snapshot(); !reflect.DeepEqual(before, after) {
+		t.Errorf("referenceMasks went through the memo: %+v before, %+v after", before, after)
+	}
+	if len(masks) != cfg.Subjects {
+		t.Fatalf("%d masks for %d subjects", len(masks), cfg.Subjects)
+	}
+	for s, sr := range ref.Subjects {
+		m := masks[s]
+		if m == nil || !m.SameShape(sr.Mask) {
+			t.Fatalf("%s: mask missing or reshaped", SubjKey(s))
+		}
+		for i := range m.Data {
+			if math.Float64bits(m.Data[i]) != math.Float64bits(sr.Mask.Data[i]) {
+				t.Fatalf("%s: voxel %d is %v, the reference has %v", SubjKey(s), i, m.Data[i], sr.Mask.Data[i])
+			}
+		}
+	}
 }

@@ -66,7 +66,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 				_, vol, _ := ParseVolKey(t.Key)
 				return tsVol{T: vol, Vol: t.Value.(*volume.V3)}
 			})
-			return []myria.Tuple{{Key: key, Value: Segment(vols), Size: maskBytes}}
+			return []myria.Tuple{{Key: key, Value: segmentMemo(vols), Size: maskBytes}}
 		}})
 	h1, err := q1.Finish()
 	if err != nil {

@@ -117,7 +117,7 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 			for _, c := range group {
 				vols = append(vols, c.Value.(*volume.V3))
 			}
-			return scidb.Chunk{Coords: key, Value: Segment(vols), Size: synth.PaperVolBytes / 4}
+			return scidb.Chunk{Coords: key, Value: segmentMemo(vols), Size: synth.PaperVolBytes / 4}
 		})
 
 	// Step 2N: denoise every volume through stream(). The external

@@ -101,7 +101,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		return []spark.Pair{{Key: SubjKey(s), Value: tsVol{T: t, Vol: p.Value.(*volume.V3)}, Size: p.Size}}
 	}})
 	maskRDD := b0RDD.GroupByKey("segment", cost.Mean, 0, func(key string, values []spark.Pair) []spark.Pair {
-		return []spark.Pair{{Key: key, Value: Segment(sortedVols(values, func(p spark.Pair) tsVol { return p.Value.(tsVol) })), Size: maskBytes}}
+		return []spark.Pair{{Key: key, Value: segmentMemo(sortedVols(values, func(p spark.Pair) tsVol { return p.Value.(tsVol) })), Size: maskBytes}}
 	})
 	maskPairs, maskDone, err := maskRDD.Collect()
 	if err != nil {

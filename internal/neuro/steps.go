@@ -42,15 +42,26 @@ func errUnknownStep(step string) error {
 }
 
 // referenceMasks computes the per-subject masks outside any timing, for
-// denoise-step measurements (the mask is an input to Step 2N).
+// denoise-step measurements (the mask is an input to Step 2N). It is
+// the reference pipeline's Step 1N and nothing after it: decode a
+// subject into arena volumes, the pure Segment over its b0 volumes,
+// volumes back to the arena.
 func referenceMasks(w *Workload) (map[int]*volume.V3, error) {
-	ref, err := Reference(w)
-	if err != nil {
-		return nil, err
-	}
-	masks := make(map[int]*volume.V3, len(ref.Subjects))
-	for s, sr := range ref.Subjects {
-		masks[s] = sr.Mask
+	masks := make(map[int]*volume.V3, w.Subjects)
+	b0 := w.Grad.B0Mask(50)
+	for s := 0; s < w.Subjects; s++ {
+		obj, err := w.Store.Get(synth.NeuroKeyNIfTI(s))
+		if err != nil {
+			return nil, err
+		}
+		data, err := decodeNIfTIArena(obj, volume.Scratch)
+		if err != nil {
+			return nil, err
+		}
+		masks[s] = Segment(data.Select(b0).Vols)
+		for _, v := range data.Vols {
+			volume.Scratch.Put(v)
+		}
 	}
 	return masks, nil
 }
