@@ -37,7 +37,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	calibrated := make([]*dask.Delayed, len(keys))
 	for i, key := range keys {
 		fetch := sess.Fetch(key, i%cl.Nodes(), func(obj objstore.Object) (any, int64, error) {
-			e, err := fits.DecodeExposure(obj.Data)
+			e, err := fits.DecodeStaged(obj)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -46,7 +46,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 		calibrated[i] = sess.Delayed("preprocess/"+key, cost.Preprocess,
 			[]*dask.Delayed{fetch},
 			func(args []any) (any, int64, error) {
-				return Preprocess(args[0].(*skymap.Exposure)), synth.PaperSensorBytes, nil
+				return PreprocessMemo(args[0].(*skymap.Exposure)), synth.PaperSensorBytes, nil
 			})
 	}
 	// A barrier to learn each exposure's patch footprint (the geometry
@@ -133,7 +133,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 					stack[i] = a.(*skymap.PatchExposure)
 				}
 				sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-				co, err := skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+				co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -144,7 +144,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 			[]*dask.Delayed{coadd},
 			func(args []any) (any, int64, error) {
 				co := args[0].(*skymap.Coadd)
-				return &PatchResult{Patch: co.Patch, Coadd: co, Sources: Detect(co)}, patchBytes / 100, nil
+				return &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, patchBytes / 100, nil
 			})
 		resultNodes[p] = detect
 		roots = append(roots, detect)

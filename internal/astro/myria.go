@@ -37,7 +37,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	}
 	eng := myria.New(cl, w.Store, model, myria.Config{WorkersPerNode: opts.WorkersPerNode, Mode: opts.Mode})
 	exposures, err := eng.Ingest("Exposures", "astro/fits/", func(obj objstore.Object) []myria.Tuple {
-		e, err := fits.DecodeExposure(obj.Data)
+		e, err := fits.DecodeStaged(obj)
 		if err != nil {
 			return nil
 		}
@@ -90,7 +90,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 				stack = append(stack, t.Value.(*skymap.PatchExposure))
 			}
 			sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-			co, err := skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+			co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
 			if err != nil {
 				return nil
 			}
@@ -98,7 +98,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		}})
 	detected := qf.Apply(coadds, myria.PyUDF{Name: "detect", Op: cost.DetectSources, F: func(t myria.Tuple) []myria.Tuple {
 		co := t.Value.(*skymap.Coadd)
-		return []myria.Tuple{{Key: t.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: Detect(co)}, Size: t.Size / 100}}
+		return []myria.Tuple{{Key: t.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, Size: t.Size / 100}}
 	}})
 	tuples, _ := qf.Collect(detected)
 	if _, err := qf.Finish(); err != nil {
@@ -124,7 +124,7 @@ func runMyriaChunk(w *Workload, q *myria.Query, exposures *myria.Relation, v0, v
 		return e.Visit >= v0 && e.Visit < v1
 	})
 	calibrated := q.Apply(scan, myria.PyUDF{Name: "preprocess", Op: cost.Preprocess, F: func(t myria.Tuple) []myria.Tuple {
-		return []myria.Tuple{{Key: t.Key, Value: Preprocess(t.Value.(*skymap.Exposure)), Size: t.Size}}
+		return []myria.Tuple{{Key: t.Key, Value: PreprocessMemo(t.Value.(*skymap.Exposure)), Size: t.Size}}
 	}})
 	pieces := q.Apply(calibrated, myria.PyUDF{Name: "patch-project", Op: cost.PatchMap, F: func(t myria.Tuple) []myria.Tuple {
 		e := t.Value.(*skymap.Exposure)

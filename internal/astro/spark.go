@@ -32,7 +32,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	grid := w.Grid()
 
 	exposures := sess.Objects("astro/fits/", opts.Partitions, func(obj objstore.Object) []spark.Pair {
-		e, err := fits.DecodeExposure(obj.Data)
+		e, err := fits.DecodeStaged(obj)
 		if err != nil {
 			return nil
 		}
@@ -40,7 +40,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	})
 
 	calibrated := exposures.Map(spark.UDF{Name: "preprocess", Op: cost.Preprocess, F: func(p spark.Pair) []spark.Pair {
-		return []spark.Pair{{Key: p.Key, Value: Preprocess(p.Value.(*skymap.Exposure)), Size: p.Size}}
+		return []spark.Pair{{Key: p.Key, Value: PreprocessMemo(p.Value.(*skymap.Exposure)), Size: p.Size}}
 	}})
 
 	// Step 2A: the flatmap replicating each exposure per overlapping
@@ -82,7 +82,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 			stack = append(stack, v.Value.(*skymap.PatchExposure))
 		}
 		sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-		co, err := skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+		co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
 		if err != nil {
 			return nil
 		}
@@ -92,7 +92,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	// Step 4A: detection per coadd.
 	detected := coadds.Map(spark.UDF{Name: "detect", Op: cost.DetectSources, F: func(p spark.Pair) []spark.Pair {
 		co := p.Value.(*skymap.Coadd)
-		return []spark.Pair{{Key: p.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: Detect(co)}, Size: p.Size / 100}}
+		return []spark.Pair{{Key: p.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, Size: p.Size / 100}}
 	}})
 
 	results, _, err := detected.Collect()

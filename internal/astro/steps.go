@@ -6,6 +6,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
+	"imagebench/internal/fits"
 	"imagebench/internal/myria"
 	"imagebench/internal/skymap"
 	"imagebench/internal/spark"
@@ -14,19 +15,29 @@ import (
 
 // This file provides the co-addition step runners behind Fig 12d, one
 // per system, bound by value in the engine registrations. The input
-// patch stacks come from the reference pipeline's Steps 1A+2A (setup
-// outside the timed region), matching the paper's per-step methodology.
-// A nil model means cost.Default(), resolved by the system constructors.
+// patch stacks come from Steps 1A+2A as the reference computes them
+// (setup outside the timed region), matching the paper's per-step
+// methodology: BuildStacks decodes and calibrates through the memo the
+// engine models share, since every column and experiment that builds
+// stacks from one survey builds the same ones, and projects fresh
+// pieces each time. A nil model means cost.Default(), resolved by the
+// system constructors.
 
-// BuildStacks runs the reference Steps 1A+2A to produce the patch
-// exposures that the co-addition step consumes.
+// BuildStacks runs Steps 1A+2A to produce the patch exposures that the
+// co-addition step consumes, bit-equal to the reference's.
 func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
-	exposures, err := LoadExposures(w.Store)
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range exposures {
-		exposures[i] = Preprocess(e)
+	keys := w.Store.List("astro/fits/")
+	exposures := make([]*skymap.Exposure, len(keys))
+	for i, key := range keys {
+		obj, err := w.Store.Get(key)
+		if err != nil {
+			return nil, err
+		}
+		e, err := fits.DecodeStaged(obj)
+		if err != nil {
+			return nil, fmt.Errorf("astro: decoding %s: %w", key, err)
+		}
+		exposures[i] = PreprocessMemo(e)
 	}
 	return CreatePatches(w.Grid(), exposures)
 }
@@ -38,7 +49,7 @@ func coaddGroup[T any](group []T, exposure func(T) *skymap.PatchExposure) (*skym
 		stack = append(stack, exposure(g))
 	}
 	sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-	return skymap.CoaddPatch(stack, ClipSigma, ClipIters)
+	return skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
 }
 
 // SparkCoadd measures Step 3A on Spark.

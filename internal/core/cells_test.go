@@ -242,11 +242,14 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 // third pass are served by the memo and the shared inputs, so what they
 // exercise is the fan-out; and after three passes of every engine,
 // fault scenario and tuning study over the same shared inputs, each
-// input still reads like a freshly built one.
+// input still reads like a freshly built one, and each exposure, coadd
+// and source list the stage memo hands out as stored reads as it did
+// after the first pass.
 func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three passes over the registry")
 	}
+	var stageValues map[memo.Key]string // as they read after the first pass
 	for _, procs := range []int{8, 2, 1} {
 		setGOMAXPROCS(t, procs)
 		for _, e := range All() {
@@ -267,8 +270,12 @@ func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 			}
 		}
 		wantNoHelpersLeft(t)
+		if stageValues == nil {
+			stageValues = stageDigests(t)
+		}
 	}
 	wantInputsUnwritten(t)
+	wantStageValuesUnwritten(t, stageValues)
 }
 
 // A canceled context stops every experiment that has cells before its

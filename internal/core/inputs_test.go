@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -12,8 +14,11 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/engine"
+	"imagebench/internal/imaging"
+	"imagebench/internal/memo"
 	"imagebench/internal/neuro"
 	"imagebench/internal/objstore"
+	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
 )
 
@@ -71,6 +76,64 @@ func wantInputsUnwritten(t *testing.T) {
 		default:
 			t.Errorf("%+v: a shared input of type %T", h.cfg, h.w)
 		}
+	}
+}
+
+// stageDigests is everything a reader can see of every value the stage
+// memo hands out as stored (the astronomy kinds): decoded and calibrated
+// exposures, coadds and source lists, keyed as the table keys them.
+func stageDigests(t *testing.T) map[memo.Key]string {
+	t.Helper()
+	out := map[memo.Key]string{}
+	memo.EachShared(func(key memo.Key, v any) {
+		h := sha256.New()
+		planes := func(ims ...*imaging.Image) {
+			for _, im := range ims {
+				fmt.Fprintf(h, "%d×%d ", im.W, im.H)
+				if err := binary.Write(h, binary.LittleEndian, im.Pix); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		switch v := v.(type) {
+		case *skymap.Exposure:
+			fmt.Fprintf(h, "exposure %d %d %d %d %x ", v.Visit, v.Sensor, v.X0, v.Y0, v.Mask)
+			planes(v.Flux, v.Var)
+		case *skymap.Coadd:
+			fmt.Fprintf(h, "coadd %v ", v.Patch)
+			planes(v.Flux, v.NVisits)
+		case *[]imaging.Source:
+			for _, s := range *v {
+				fmt.Fprintf(h, "source %d %d %x %x %x %x ", s.ID, s.NPix,
+					math.Float64bits(s.X), math.Float64bits(s.Y), math.Float64bits(s.Flux), math.Float64bits(s.PeakFlux))
+			}
+		default:
+			t.Errorf("a shared stage value of type %T", v)
+		}
+		out[key] = fmt.Sprintf("%T %x", v, h.Sum(nil))
+	})
+	return out
+}
+
+// wantStageValuesUnwritten compares every shared stage value the memo
+// still holds with what it read as at first: whatever ran in between
+// only read it.
+func wantStageValuesUnwritten(t *testing.T, first map[memo.Key]string) {
+	t.Helper()
+	if len(first) == 0 {
+		t.Fatal("no shared stage value was held after the first pass")
+	}
+	still := 0
+	for key, now := range stageDigests(t) {
+		if was, held := first[key]; held {
+			still++
+			if now != was {
+				t.Errorf("the shared stage value under %x read %s after the first pass and reads %s now", key[:6], was, now)
+			}
+		}
+	}
+	if still == 0 {
+		t.Error("none of the first pass's shared stage values is still held: nothing was compared")
 	}
 }
 

@@ -104,6 +104,9 @@ func runSec531SciDB(ctx context.Context, p Profile) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err // before the serial prefix, not only before the first cell
+	}
 	stacks, err := astro.BuildStacks(w)
 	if err != nil {
 		return nil, err

@@ -144,11 +144,13 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 
 // registerKernelMemoMetrics exposes the process-wide stage memo
 // (package memo), traffic split by the kind of stage served: nlmeans
-// (Step 2N), text (SciDB's TSV/CSV round trips), fit (Step 3N) and
-// mask (Step 1N after the mean). The cells of a clusterNodes sweep
-// over a neuro experiment have distinct result keys, so the result
-// cache reports them as misses, yet they run the same stages on
-// identical volumes: these counters are where that reuse shows. The
+// (Step 2N), text (SciDB's TSV/CSV round trips), fit (Step 3N), mask
+// (Step 1N after the mean), and for astronomy decode (a staged FITS
+// exposure), calibrate (Step 1A), coadd (Step 3A) and detect (Step
+// 4A). The cells of a clusterNodes sweep over an experiment have
+// distinct result keys, so the result cache reports them as misses,
+// yet they run the same stages on identical volumes and exposures:
+// these counters are where that reuse shows. The
 // kinds share one table and one byte budget, so the resets and bytes
 // series have no label. Beside them, from a table of the same type, the
 // experiments' shared inputs (core.InputStats): how many of a pass's
@@ -166,7 +168,7 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		"Times the memo dropped its table to stay within its byte budget.",
 		func() float64 { return float64(memo.Snapshot().Resets) })
 	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
-		"Volume bytes the memo holds, all kinds together.",
+		"Result bytes the memo holds, all kinds together.",
 		func() float64 { return float64(memo.Snapshot().Bytes) })
 
 	hits = m.NewCounterVec("imagebench_shared_input_hits_total",

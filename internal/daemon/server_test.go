@@ -484,8 +484,12 @@ func TestMetricsShape(t *testing.T) {
 			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
 			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
 	}
-	if !strings.Contains(string(text), `imagebench_kernel_memo_hits_total{kind="mask"} `) {
-		t.Error(`/metrics lacks the memo's fourth kind, kind="mask"`)
+	for _, kind := range []string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect"} {
+		for _, series := range []string{"hits", "misses"} {
+			if want := fmt.Sprintf(`imagebench_kernel_memo_%s_total{kind="%s"} `, series, kind); !strings.Contains(string(text), want) {
+				t.Errorf("/metrics lacks the series %s", want)
+			}
+		}
 	}
 	// Likewise the shared inputs: nothing builds a workload during the scrape.
 	is := core.InputStats()

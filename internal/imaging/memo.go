@@ -50,3 +50,11 @@ func MedianOtsuMemo(mean *volume.V3, radius int) *volume.V3 {
 	})
 	return out
 }
+
+// KeyImage adds a 2-D image to a memo key as Hasher.Volume adds a
+// volume: its shape, then the raw bits of every pixel.
+func KeyImage(k *memo.Hasher, im *Image) {
+	k.U64(uint64(im.W))
+	k.U64(uint64(im.H))
+	k.Floats(im.Pix)
+}

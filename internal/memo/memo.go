@@ -10,16 +10,28 @@
 // different decoders (NIfTI, NumPy, SciDB's text round trips) and
 // never as the same pointer.
 //
-// Four stages go through it, each from the package that owns the
-// stage: imaging.MedianOtsuMemo (the median-filter and Otsu half of
-// Step 1N), imaging.NLMeans3Memo (Step 2N), tsv.RoundTrip and
-// tsv.RoundTripCSV (SciDB's stream() and aio_input() text crossings)
-// and dmri.FitFAMemo (Step 3N). The functions they wrap —
-// imaging.MedianFilter3*, imaging.OtsuMask, imaging.NLMeans3*,
-// tsv.Encode/Decode*, dmri.FitFA — never consult the table: they are
-// what probes time and what fuzzers and exactness tests compare, and
-// the streamed reference pipeline built on them is the independent
-// result the engines are checked against.
+// Eight stages go through it, each from the package that owns the
+// stage. Four are neuroscience's and return fresh copies (Hasher.Do):
+// imaging.MedianOtsuMemo (the median-filter and Otsu half of Step 1N),
+// imaging.NLMeans3Memo (Step 2N), tsv.RoundTrip and tsv.RoundTripCSV
+// (SciDB's stream() and aio_input() text crossings) and dmri.FitFAMemo
+// (Step 3N). Four are astronomy's and hand out the stored value itself,
+// to read and never to write (Hasher.Shared): fits.DecodeStaged (a
+// staged FITS exposure), astro.PreprocessMemo (Step 1A),
+// skymap.CoaddPatchMemo (Step 3A) and astro.DetectMemo (Step 4A). The
+// functions they wrap — imaging.MedianFilter3*, imaging.OtsuMask,
+// imaging.NLMeans3*, tsv.Encode/Decode*, dmri.FitFA,
+// fits.DecodeExposure, astro.Preprocess, skymap.CoaddPatch,
+// astro.Detect — never consult the table: they are what probes time
+// and what fuzzers and exactness tests compare, and the streamed
+// reference pipelines built on them are the independent results the
+// engines are checked against.
+//
+// A shared value need not be read again to key what is derived from it:
+// the table knows the values it holds by pointer, so a calibration is
+// keyed by the key of the decode it came from, and that by the digest
+// the object store keeps with the staged bytes (Hasher.Origin). A value
+// the table does not hold is keyed by its content, as everywhere else.
 //
 // The claim, the wait and the budget are Table's and know nothing of
 // volumes; internal/core keeps the experiments' generated inputs in a
@@ -42,27 +54,37 @@ import (
 type Kind int
 
 const (
-	NLMeans Kind = iota // Step 2N, imaging.NLMeans3Memo
-	Text                // tsv.RoundTrip, tsv.RoundTripCSV
-	Fit                 // Step 3N, dmri.FitFAMemo
-	Mask                // Step 1N after the mean, imaging.MedianOtsuMemo
+	NLMeans   Kind = iota // Step 2N, imaging.NLMeans3Memo
+	Text                  // tsv.RoundTrip, tsv.RoundTripCSV
+	Fit                   // Step 3N, dmri.FitFAMemo
+	Mask                  // Step 1N after the mean, imaging.MedianOtsuMemo
+	Decode                // a staged FITS exposure, fits.DecodeStaged
+	Calibrate             // Step 1A, astro.PreprocessMemo
+	Coadd                 // Step 3A, skymap.CoaddPatchMemo
+	Detect                // Step 4A, astro.DetectMemo
 	numKinds
 )
 
 // Kinds lists every kind, in counter order.
-func Kinds() []Kind { return []Kind{NLMeans, Text, Fit, Mask} }
+func Kinds() []Kind { return []Kind{NLMeans, Text, Fit, Mask, Decode, Calibrate, Coadd, Detect} }
 
 // String is the kind's label on /metrics.
-func (k Kind) String() string { return [numKinds]string{"nlmeans", "text", "fit", "mask"}[k] }
+func (k Kind) String() string {
+	return [numKinds]string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect"}[k]
+}
 
 // budget bounds the bytes one Table holds, over all its kinds. The
-// stage table stores 6.8 MB on a quick-profile pass over every
-// experiment (3.2 nlmeans, 3.4 text, 0.06 each fit and mask) and about
-// 76 MB of distinct results on a full-profile pass, so it is dropped
-// once on the way. core's inputs hold 15.6 MB after a quick pass (six
-// configs) and 46 MB for sweep-astro's seven fig10h surveys; a
-// full-profile pass generates 140-200 MB of them (fig10h's 86-sensor
-// survey alone is 65 MB) and drops them two or three times.
+// stage table stores 27.9 MB on a quick-profile pass over every
+// experiment (3.2 nlmeans, 3.4 text, 0.06 each fit and mask; 9.2 each
+// decode and calibrate, 2.8 coadd, 0.01 detect) and 55.6 MB on one
+// sweep-astro round (23.7 each decode and calibrate for the 1,359
+// distinct exposures of its seven fig10h surveys, 8.2 coadd), so
+// neither is dropped on the way; a full-profile pass has about 76 MB of
+// distinct neuroscience results alone and is. core's inputs hold
+// 15.6 MB after a quick pass (six configs) and 46 MB for sweep-astro's
+// seven fig10h surveys; a full-profile pass generates 140-200 MB of
+// them (fig10h's 86-sensor survey alone is 65 MB) and drops them two or
+// three times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed
@@ -91,6 +113,12 @@ type Table[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*entry[V]
 	stats   Stats
+	// handle, when set, names a held value by identity (nil: it has
+	// none), and origin maps each held value's handle back to its key.
+	// The index goes with the entries: a handle found in it is a value
+	// the table holds now, under that key.
+	handle func(V) any
+	origin map[any]K
 }
 
 // entry is one key's value. Everything but done is written by the
@@ -164,7 +192,9 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 // fits several times over, so eviction order would be bookkeeping for a
 // case that only an unrelated, larger workload in the same process can
 // reach. Values already handed out stay valid, the table only forgets
-// them. Entries still being computed are dropped with the rest; they
+// them, their identities included: what is derived from one afterwards
+// is keyed by its content. Entries still being computed are dropped
+// with the rest; they
 // reach their waiters through the entry itself and come back here when
 // done.
 func (t *Table[K, V]) keep(key K, e *entry[V]) {
@@ -172,6 +202,7 @@ func (t *Table[K, V]) keep(key K, e *entry[V]) {
 	defer t.mu.Unlock()
 	if t.stats.Bytes+e.bytes > budget {
 		t.entries = make(map[K]*entry[V])
+		t.origin = nil
 		t.stats.Bytes = 0
 		for k := range t.stats.Kinds {
 			t.stats.Kinds[k].Bytes = 0
@@ -184,6 +215,23 @@ func (t *Table[K, V]) keep(key K, e *entry[V]) {
 	t.entries[key] = e
 	t.stats.Bytes += e.bytes
 	t.stats.Kinds[e.kind].Bytes += e.bytes
+	if t.handle != nil {
+		if h := t.handle(e.val); h != nil {
+			if t.origin == nil {
+				t.origin = make(map[any]K)
+			}
+			t.origin[h] = key
+		}
+	}
+}
+
+// KeyOf returns the key under which the table holds the value that
+// handle names, if it holds it.
+func (t *Table[K, V]) KeyOf(handle any) (K, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	key, ok := t.origin[handle]
+	return key, ok
 }
 
 // Each calls fn on every value the table holds, in no order. fn runs
@@ -213,14 +261,20 @@ func (t *Table[K, V]) Snapshot() Stats {
 type Key [sha256.Size]byte
 
 // result is what the stage table keeps of one stage output: a copy of
-// the volume, never handed out, only copied again.
+// the volume, never handed out, only copied again (Do), or the pointer
+// a stage's compute returned, handed out as it is (Shared).
 type result struct {
 	nx, ny, nz int
 	data       []float64
 	aux        int64
+	shared     any
 }
 
-var table = NewTable[Key, result](int(numKinds))
+var table = func() *Table[Key, result] {
+	t := NewTable[Key, result](int(numKinds))
+	t.handle = func(r result) any { return r.shared }
+	return t
+}()
 
 // Do ends the key and returns what compute returns for the input it
 // identifies: a volume and one integer the stage defines (the encoded
@@ -255,6 +309,47 @@ func do(kind Kind, key Key, compute func() (*volume.V3, int64, error)) (*volume.
 	out := volume.New3(r.nx, r.ny, r.nz)
 	copy(out.Data, r.data)
 	return out, r.aux, nil
+}
+
+// Shared ends the key like Do, for a stage whose result nobody writes
+// to: compute returns a pointer and the bytes behind it, the table
+// keeps that pointer, and every caller on the key gets the same one, to
+// read. A value Shared returned is known to the table by identity while
+// the table holds it, which is what Origin asks.
+func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
+	kind := k.kind // read before sum gives k back to the pool
+	r, err := table.Do(int(kind), k.sum(), func() (result, int64, error) {
+		v, n, err := compute()
+		return result{shared: v}, n, err
+	})
+	return r.shared, err
+}
+
+// Origin adds v's lineage, the key the table holds it under, when v is
+// a pointer Shared returned and the table still holds it: what was
+// derived from a keyed input is keyed by that key, not by reading its
+// bytes again. Otherwise (a value built elsewhere, a copy, anything
+// handed out before a reset) it reports false, and the caller adds v's
+// content; the two forms never share a key.
+func (k *Hasher) Origin(v any) bool {
+	parent, ok := table.KeyOf(v)
+	if !ok {
+		k.U64(0)
+		return false
+	}
+	k.U64(1)
+	k.Bytes(parent[:])
+	return true
+}
+
+// EachShared calls fn on every value the stage table holds that Shared
+// handed out; see Table.Each.
+func EachShared(fn func(key Key, v any)) {
+	table.Each(func(key Key, r result) {
+		if r.shared != nil {
+			fn(key, r.shared)
+		}
+	})
 }
 
 // Snapshot reports the stage table's counters since process start,
@@ -305,11 +400,26 @@ func (k *Hasher) flush() {
 // good as any.
 func (k *Hasher) Floats(xs []float64) {
 	k.U64(uint64(len(xs)))
-	if len(xs) == 0 {
-		return
+	if len(xs) > 0 {
+		k.raw(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
 	}
+}
+
+// Bytes adds the length, then the bytes as they lie: a mask plane, a
+// digest.
+func (k *Hasher) Bytes(b []byte) {
+	k.U64(uint64(len(b)))
+	k.raw(b)
+}
+
+// Bools is Bytes for a validity plane; a bool is one byte, 0 or 1.
+func (k *Hasher) Bools(b []bool) {
+	k.Bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b)))
+}
+
+func (k *Hasher) raw(b []byte) {
 	k.flush()
-	k.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
+	k.h.Write(b)
 }
 
 // Volume adds the shape and the raw bits of every voxel. A nil volume

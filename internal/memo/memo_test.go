@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"imagebench/internal/volume"
 )
@@ -18,6 +19,7 @@ func reset() {
 	table.mu.Lock()
 	defer table.mu.Unlock()
 	table.entries = make(map[Key]*entry[result])
+	table.origin = nil
 	table.stats = Stats{Kinds: make([]KindStats, numKinds)}
 }
 
@@ -348,6 +350,10 @@ func FuzzHasherFloats(f *testing.F) {
 		if got, want := floatsKeys(int(lead%1024), xs); got != want {
 			t.Fatalf("%d values after %d words: key %x, word at a time %x", len(xs), lead%1024, got, want)
 		}
+		// Bytes takes any length, not whole words only.
+		if got, want := bytesKey(int(lead%1024), raw, (*Hasher).Bytes), bytesKey(int(lead%1024), raw, (*Hasher).bytesByWord); got != want {
+			t.Fatalf("%d bytes after %d words: key %x, word at a time %x", len(raw), lead%1024, got, want)
+		}
 	})
 }
 
@@ -386,5 +392,134 @@ func TestTableSharesTheStoredValue(t *testing.T) {
 	}
 	if s := Snapshot(); len(s.Kinds) != int(numKinds) {
 		t.Errorf("the stage table counts %d kinds, want %d", len(s.Kinds), numKinds)
+	}
+}
+
+// bytesByWord is Hasher.Bytes with every whole word going through the
+// chunk buffer and the tail straight to the digest: the oracle for the
+// form that hands the digest the slice in one piece.
+func (k *Hasher) bytesByWord(b []byte) {
+	k.U64(uint64(len(b)))
+	for ; len(b) >= 8; b = b[8:] {
+		k.U64(binary.LittleEndian.Uint64(b))
+	}
+	k.flush()
+	k.h.Write(b)
+}
+
+// bytesKey returns the key of lead words, then b as add adds it, then
+// one more word.
+func bytesKey(lead int, b []byte, add func(*Hasher, []byte)) Key {
+	k := NewKey(Decode)
+	for i := 0; i < lead; i++ {
+		k.U64(uint64(i))
+	}
+	add(k, b)
+	k.U64(7)
+	return k.sum()
+}
+
+// Bytes, and Bools over the same memory, cover the same content as the
+// word-at-a-time form at every length around a word and around the
+// chunk buffer.
+func TestBytesMatchesWordAtATime(t *testing.T) {
+	backing := make([]byte, 4200)
+	for i := range backing {
+		backing[i] = byte(i % 3 % 2) // every byte a valid bool
+	}
+	asBools := func(k *Hasher, b []byte) {
+		k.Bools(unsafe.Slice((*bool)(unsafe.Pointer(unsafe.SliceData(b))), len(b)))
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 4087, 4088, 4096, 4097, 4200} {
+		for _, lead := range []int{0, 1, 510, 511} {
+			for _, from := range []int{0, 1, 5} {
+				if from > n {
+					continue
+				}
+				b := backing[from:n]
+				want := bytesKey(lead, b, (*Hasher).bytesByWord)
+				if got := bytesKey(lead, b, (*Hasher).Bytes); got != want {
+					t.Errorf("%d bytes from offset %d after %d words: Bytes %x, word at a time %x", len(b), from, lead, got[:4], want[:4])
+				}
+				if got := bytesKey(lead, b, asBools); got != want {
+					t.Errorf("%d bools from offset %d after %d words: Bools %x, word at a time %x", len(b), from, lead, got[:4], want[:4])
+				}
+			}
+		}
+	}
+}
+
+// A Shared value is the stored pointer for every caller, known to
+// Origin by identity while the table holds it and to nothing else: not
+// a copy of it, not a value built elsewhere, and not the same pointer
+// once a reset has dropped its entry. Lineage and content never share a
+// key.
+func TestSharedLineage(t *testing.T) {
+	reset()
+	defer reset()
+	var runs atomic.Int64
+	build := func() (any, int64, error) {
+		runs.Add(1)
+		return &[2]float64{1, 2}, 16, nil
+	}
+	key := func() *Hasher {
+		k := NewKey(Decode)
+		k.U64(11)
+		return k
+	}
+	first, err := key().Shared(build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := key().Shared(build); again != first || runs.Load() != 1 {
+		t.Fatalf("second call got %p after %d runs, first %p", again, runs.Load(), first)
+	}
+	var held []any
+	EachShared(func(_ Key, v any) { held = append(held, v) })
+	if len(held) != 1 || held[0] != first {
+		t.Errorf("EachShared listed %v, want %p alone", held, first)
+	}
+	if s := Snapshot().Kinds[Decode]; s != (KindStats{Hits: 1, Misses: 1, Bytes: 16}) {
+		t.Errorf("decode counters %+v", s)
+	}
+
+	// derived keys a value the way a downstream stage would.
+	derived := func(v *[2]float64) (Key, bool) {
+		k := NewKey(Calibrate)
+		lineage := k.Origin(v)
+		if !lineage {
+			k.Floats(v[:])
+		}
+		return k.sum(), lineage
+	}
+	byLineage, ok := derived(first.(*[2]float64))
+	if !ok {
+		t.Fatal("a value the table holds has no lineage")
+	}
+	clone := *first.(*[2]float64)
+	byContent, ok := derived(&clone)
+	if ok || byContent == byLineage {
+		t.Errorf("a copy: lineage %v, key equal to the original's %v", ok, byContent == byLineage)
+	}
+	clone[1] = 3
+	if changed, _ := derived(&clone); changed == byContent {
+		t.Error("a copy with one value changed has the copy's key")
+	}
+	reset()
+	if after, ok := derived(first.(*[2]float64)); ok || after != byContent {
+		t.Errorf("after a reset: lineage %v, content key %v", ok, after == byContent)
+	}
+
+	// An error is returned with nothing stored and nothing indexed.
+	boom := errors.New("boom")
+	for round := 0; round < 2; round++ {
+		k := NewKey(Decode)
+		k.U64(12)
+		if v, err := k.Shared(func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) || v != nil {
+			t.Fatalf("round %d: %v, %v, want nil and boom", round, v, err)
+		}
+	}
+	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Decode].Misses != 2 {
+		t.Errorf("after two failures: %+v", s)
 	}
 }

@@ -130,8 +130,10 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	m1 := misses()
 	warm := do()
 	m2 := misses()
+	// The other kinds are astronomy's; they must only stay where they were.
+	neuroKinds := map[memo.Kind]bool{memo.NLMeans: true, memo.Text: true, memo.Fit: true, memo.Mask: true}
 	for i, k := range memo.Kinds() {
-		if m1[i] == m0[i] {
+		if neuroKinds[k] && m1[i] == m0[i] {
 			t.Errorf("%s: the cold runs computed nothing", k)
 		}
 		if m2[i] != m1[i] {

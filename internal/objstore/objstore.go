@@ -9,6 +9,7 @@
 package objstore
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,6 +21,27 @@ type Object struct {
 	Key        string
 	Data       []byte
 	ModelBytes int64 // paper-scale size; 0 means len(Data)
+	// digest is shared by every copy of a stored object; nil on an
+	// Object that never went through Put, and on one no longer than a
+	// digest, which costs less to hash again than to remember.
+	digest *digest
+}
+
+type digest struct {
+	once sync.Once
+	sum  [sha256.Size]byte
+}
+
+// Digest returns the SHA-256 of Data. A stored object of any size worth
+// it computes it at the first call and keeps it, since its bytes never
+// change; any number of readers of any copy of the object share that
+// one computation.
+func (o Object) Digest() [sha256.Size]byte {
+	if o.digest == nil {
+		return sha256.Sum256(o.Data)
+	}
+	o.digest.once.Do(func() { o.digest.sum = sha256.Sum256(o.Data) })
+	return o.digest.sum
 }
 
 // Size returns the paper-scale size of the object.
@@ -46,7 +68,11 @@ func New() *Store {
 func (s *Store) Put(key string, data []byte, modelBytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.objects[key] = Object{Key: key, Data: data, ModelBytes: modelBytes}
+	o := Object{Key: key, Data: data, ModelBytes: modelBytes}
+	if len(data) > sha256.Size {
+		o.digest = new(digest)
+	}
+	s.objects[key] = o
 }
 
 // Get returns the object at key.

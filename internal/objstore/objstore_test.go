@@ -1,6 +1,8 @@
 package objstore
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"sync"
 	"testing"
 )
@@ -70,4 +72,54 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// Digest is the SHA-256 of the bytes for a stored object of any size, an
+// overwritten one and an Object literal; every copy of one stored object
+// shares one digest, however many goroutines ask first.
+func TestDigest(t *testing.T) {
+	s := New()
+	long := bytes.Repeat([]byte("exposure"), 100)
+	s.Put("long", long, 0)
+	s.Put("short", []byte{7}, 0)
+	s.Put("empty", nil, 0)
+	for _, key := range s.List("") {
+		o, _ := s.Get(key)
+		if o.Digest() != sha256.Sum256(o.Data) || o.Digest() != o.Digest() {
+			t.Errorf("%s: digest is not the SHA-256 of its %d bytes", key, len(o.Data))
+		}
+	}
+	if lit := (Object{Data: long}); lit.Digest() != sha256.Sum256(long) {
+		t.Error("an Object literal's digest is not the SHA-256 of its bytes")
+	}
+
+	a, _ := s.Get("long")
+	b, _ := s.Get("long")
+	if a.digest == nil || a.digest != b.digest {
+		t.Fatal("two copies of one stored object do not share a digest")
+	}
+	sums := make([][sha256.Size]byte, 8)
+	var wg sync.WaitGroup
+	for i := range sums {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			o, _ := s.Get("long")
+			sums[i] = o.Digest()
+		}(i)
+	}
+	wg.Wait()
+	for i, sum := range sums {
+		if sum != sha256.Sum256(long) {
+			t.Errorf("caller %d read %x", i, sum[:4])
+		}
+	}
+
+	s.Put("long", []byte("something else, longer than one digest's 32 bytes"), 0)
+	if o, _ := s.Get("long"); o.Digest() != sha256.Sum256(o.Data) || o.Digest() == a.Digest() {
+		t.Error("an overwritten object kept its predecessor's digest")
+	}
+	if a.Digest() != sha256.Sum256(long) {
+		t.Error("the overwritten object's holders lost its digest")
+	}
 }

@@ -109,13 +109,19 @@ type PatchExposure struct {
 	Valid []bool
 }
 
-// NewPatchExposure allocates an all-invalid patch exposure.
+// NewPatchExposure allocates an all-invalid patch exposure. The flux
+// and variance planes share one backing array.
 func NewPatchExposure(g Grid, p Patch, visit int) *PatchExposure {
+	if g.PatchW <= 0 || g.PatchH <= 0 {
+		panic(fmt.Sprintf("skymap: invalid patch dims %dx%d", g.PatchW, g.PatchH))
+	}
+	n := g.PatchW * g.PatchH
+	pix := make([]float64, 2*n)
 	return &PatchExposure{
 		Patch: p, Visit: visit,
-		Flux:  imaging.NewImage(g.PatchW, g.PatchH),
-		Var:   imaging.NewImage(g.PatchW, g.PatchH),
-		Valid: make([]bool, g.PatchW*g.PatchH),
+		Flux:  &imaging.Image{W: g.PatchW, H: g.PatchH, Pix: pix[:n:n]},
+		Var:   &imaging.Image{W: g.PatchW, H: g.PatchH, Pix: pix[n:]},
+		Valid: make([]bool, n),
 	}
 }
 
@@ -136,27 +142,43 @@ func (pe *PatchExposure) ValidCount() int {
 }
 
 // Project copies the pixels of e that fall inside patch p into a new
-// PatchExposure. Pixels masked MaskBad are left invalid.
+// PatchExposure. Pixels masked MaskBad are left invalid. The overlap
+// rectangle is computed once and a row without a bad pixel is copied
+// whole.
 func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 	pe := NewPatchExposure(g, p, e.Visit)
-	baseX, baseY := p.PX*g.PatchW, p.PY*g.PatchH
-	for y := 0; y < e.Flux.H; y++ {
-		sy := e.Y0 + y - baseY
-		if sy < 0 || sy >= g.PatchH {
+	// The patch's origin in e's pixel coordinates, and the overlap there.
+	ox, oy := p.PX*g.PatchW-e.X0, p.PY*g.PatchH-e.Y0
+	x0, x1 := max(ox, 0), min(ox+g.PatchW, e.Flux.W)
+	y0, y1 := max(oy, 0), min(oy+g.PatchH, e.Flux.H)
+	if x0 >= x1 {
+		return pe
+	}
+	n := x1 - x0
+	for y := y0; y < y1; y++ {
+		si, vi, di := y*e.Flux.W+x0, y*e.Var.W+x0, (y-oy)*g.PatchW+x0-ox
+		mask, valid := e.Mask[si:si+n], pe.Valid[di:di+n]
+		clean := true
+		for _, m := range mask {
+			if m&MaskBad != 0 {
+				clean = false
+				break
+			}
+		}
+		if clean {
+			copy(pe.Flux.Pix[di:di+n], e.Flux.Pix[si:si+n])
+			copy(pe.Var.Pix[di:di+n], e.Var.Pix[vi:vi+n])
+			for x := range valid {
+				valid[x] = true
+			}
 			continue
 		}
-		for x := 0; x < e.Flux.W; x++ {
-			sx := e.X0 + x - baseX
-			if sx < 0 || sx >= g.PatchW {
-				continue
+		for x, m := range mask {
+			if m&MaskBad == 0 {
+				pe.Flux.Pix[di+x] = e.Flux.Pix[si+x]
+				pe.Var.Pix[di+x] = e.Var.Pix[vi+x]
+				valid[x] = true
 			}
-			if e.Mask[y*e.Flux.W+x]&MaskBad != 0 {
-				continue
-			}
-			di := sy*g.PatchW + sx
-			pe.Flux.Pix[di] = e.Flux.At(x, y)
-			pe.Var.Pix[di] = e.Var.At(x, y)
-			pe.Valid[di] = true
 		}
 	}
 	return pe
@@ -182,7 +204,10 @@ func Merge(dst, src *PatchExposure) error {
 
 // AssemblePatches groups a visit's projected pieces by patch and merges
 // each group into one PatchExposure per (patch, visit) — the grouping half
-// of Step 2A. The input may contain pieces from many visits.
+// of Step 2A. The input may contain pieces from many visits. Each group
+// is merged into its first piece, which is mutated and returned: a piece
+// is never shared, so Project builds fresh ones on every call and is a
+// kernel, not a memoized stage.
 func AssemblePatches(pieces []*PatchExposure) ([]*PatchExposure, error) {
 	type key struct {
 		p     Patch
