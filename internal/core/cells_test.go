@@ -92,8 +92,11 @@ func TestForEachCellIsSerialOnOneP(t *testing.T) {
 }
 
 // Two cells fail, the higher index first: the lower one's error is
-// returned, as from the serial loop, and the cells past the failure
-// never start.
+// returned, as from the serial loop, and every cell below it ran. Which
+// cells past a failure start depends on how the goroutines interleave
+// (one can claim and run any number of cells between another's fn
+// returning and its failure being recorded), so that is asserted where
+// nothing interleaves: on one P, no cell past the failure starts.
 func TestForEachCellLowestIndexErrorWins(t *testing.T) {
 	setGOMAXPROCS(t, 4)
 	err3, err7 := errors.New("cell 3"), errors.New("cell 7")
@@ -118,14 +121,33 @@ func TestForEachCellLowestIndexErrorWins(t *testing.T) {
 	if err != err3 {
 		t.Fatalf("got %v, want the lowest failed index's error (%v)", err, err3)
 	}
-	// When 7 failed, 3 was blocked and at most two other goroutines
-	// held a cell claimed before the stop.
-	for i := 10; i < len(ran); i++ {
-		if ran[i].Load() {
-			t.Errorf("cell %d started after the failure", i)
+	for i := 0; i <= 3; i++ {
+		if !ran[i].Load() {
+			t.Errorf("cell %d, below the failure, did not run", i)
 		}
 	}
 	wantNoHelpersLeft(t)
+
+	// Through RunContext, which counts the caller, so no helper starts.
+	setGOMAXPROCS(t, 1)
+	var past atomic.Bool
+	e := &Experiment{ID: "zz-test-stop", Run: func(ctx context.Context, _ Profile) (*Table, error) {
+		return nil, forEachCell(ctx, len(ran), func(i int) error {
+			if i > 5 {
+				past.Store(true)
+			}
+			if i == 5 {
+				return err7
+			}
+			return nil
+		})
+	}}
+	if _, err := e.RunContext(context.Background(), Quick()); err != err7 {
+		t.Fatalf("one P: got %v, want %v", err, err7)
+	}
+	if past.Load() {
+		t.Error("one P: a cell past the failure started")
+	}
 }
 
 func TestForEachCellStopsWhenContextIsDone(t *testing.T) {
@@ -242,9 +264,10 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 // third pass are served by the memo and the shared inputs, so what they
 // exercise is the fan-out; and after three passes of every engine,
 // fault scenario and tuning study over the same shared inputs, each
-// input still reads like a freshly built one, and each exposure, coadd
-// and source list the stage memo hands out as stored reads as it did
-// after the first pass.
+// input still reads like a freshly built one, each exposure, coadd,
+// source list and volume the stage memo hands out as stored reads as it
+// did after the first pass, and after every pass each held volume's
+// indexed digest is the digest of its voxels.
 func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three passes over the registry")
@@ -270,8 +293,8 @@ func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 			}
 		}
 		wantNoHelpersLeft(t)
-		if stageValues == nil {
-			stageValues = stageDigests(t)
+		if digests := stageDigests(t); stageValues == nil {
+			stageValues = digests
 		}
 	}
 	wantInputsUnwritten(t)

@@ -20,6 +20,7 @@ import (
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
+	"imagebench/internal/volume"
 )
 
 // storeDigest is everything a reader of a staged dataset can see: every
@@ -80,12 +81,18 @@ func wantInputsUnwritten(t *testing.T) {
 }
 
 // stageDigests is everything a reader can see of every value the stage
-// memo hands out as stored (the astronomy kinds): decoded and calibrated
-// exposures, coadds and source lists, keyed as the table keys them.
+// memo holds and hands out as stored: decoded and calibrated exposures,
+// coadds and source lists, and the volumes of the neuroscience kinds
+// (alone, in a series, or inside a text round trip), keyed as the
+// memo keys them. Every held volume's digest must come from the memo's
+// index and equal the digest its voxels hash to now.
 func stageDigests(t *testing.T) map[memo.Key]string {
 	t.Helper()
+	held := map[memo.Key]any{}
+	memo.EachShared(func(key memo.Key, v any) { held[key] = v })
+	indexed, volumes := memo.Snapshot().IndexedDigests, uint64(0)
 	out := map[memo.Key]string{}
-	memo.EachShared(func(key memo.Key, v any) {
+	for key, v := range held {
 		h := sha256.New()
 		planes := func(ims ...*imaging.Image) {
 			for _, im := range ims {
@@ -93,6 +100,18 @@ func stageDigests(t *testing.T) map[memo.Key]string {
 				if err := binary.Write(h, binary.LittleEndian, im.Pix); err != nil {
 					t.Error(err)
 				}
+			}
+		}
+		vols := func(vs ...*volume.V3) {
+			for _, v := range vs {
+				fmt.Fprintf(h, "%d×%d×%d ", v.NX, v.NY, v.NZ)
+				if err := binary.Write(h, binary.LittleEndian, v.Data); err != nil {
+					t.Error(err)
+				}
+				if memo.Digest(v) != memo.Digest(v.Clone()) {
+					t.Errorf("a held %d×%d×%d volume's indexed digest is not the digest of its voxels", v.NX, v.NY, v.NZ)
+				}
+				volumes++
 			}
 		}
 		switch v := v.(type) {
@@ -107,11 +126,20 @@ func stageDigests(t *testing.T) map[memo.Key]string {
 				fmt.Fprintf(h, "source %d %d %x %x %x %x ", s.ID, s.NPix,
 					math.Float64bits(s.X), math.Float64bits(s.Y), math.Float64bits(s.Flux), math.Float64bits(s.PeakFlux))
 			}
+		case *volume.V3:
+			vols(v)
+		case *volume.V4:
+			vols(v.Vols...)
+		case interface{ Volume() *volume.V3 }:
+			vols(v.Volume())
 		default:
 			t.Errorf("a shared stage value of type %T", v)
 		}
 		out[key] = fmt.Sprintf("%T %x", v, h.Sum(nil))
-	})
+	}
+	if got := memo.Snapshot().IndexedDigests - indexed; got != volumes {
+		t.Errorf("%d of %d held volumes had their digest read from the index", got, volumes)
+	}
 	return out
 }
 

@@ -145,16 +145,19 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 // registerKernelMemoMetrics exposes the process-wide stage memo
 // (package memo), traffic split by the kind of stage served: nlmeans
 // (Step 2N), text (SciDB's TSV/CSV round trips), fit (Step 3N), mask
-// (Step 1N after the mean), and for astronomy decode (a staged FITS
-// exposure), calibrate (Step 1A), coadd (Step 3A) and detect (Step
+// (Step 1N after the mean), load (a staged NIfTI or NumPy object) and
+// slab (a block of a held volume), and for astronomy decode (a staged
+// FITS exposure), calibrate (Step 1A), coadd (Step 3A) and detect (Step
 // 4A). The cells of a clusterNodes sweep over an experiment have
 // distinct result keys, so the result cache reports them as misses,
 // yet they run the same stages on identical volumes and exposures:
-// these counters are where that reuse shows. The
-// kinds share one table and one byte budget, so the resets and bytes
-// series have no label. Beside them, from a table of the same type, the
-// experiments' shared inputs (core.InputStats): how many of a pass's
-// workload requests were served and how many generated their input.
+// these counters are where that reuse shows. The resets and bytes
+// series add up the memo's two tables and have no label; key_digests
+// says where the volume digests in the keys came from, the index of
+// held values or a hash of the voxels. Beside them, from a table of the
+// same type, the experiments' shared inputs (core.InputStats): how many
+// of a pass's workload requests were served and how many generated
+// their input.
 func registerKernelMemoMetrics(m *obs.Registry) {
 	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
 		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
@@ -165,11 +168,15 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		misses.WithFunc(func() float64 { return float64(memo.Snapshot().Kinds[k].Misses) }, k.String())
 	}
 	m.NewCounterFunc("imagebench_kernel_memo_resets_total",
-		"Times the memo dropped its table to stay within its byte budget.",
+		"Times the memo dropped a table to stay within its byte budget.",
 		func() float64 { return float64(memo.Snapshot().Resets) })
 	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
 		"Result bytes the memo holds, all kinds together.",
 		func() float64 { return float64(memo.Snapshot().Bytes) })
+	digests := m.NewCounterVec("imagebench_kernel_memo_key_digests_total",
+		"Volume digests the memo's keys were built from, by source: the index of held values or the voxels, hashed.", "source")
+	digests.WithFunc(func() float64 { return float64(memo.Snapshot().IndexedDigests) }, "index")
+	digests.WithFunc(func() float64 { return float64(memo.Snapshot().ContentDigests) }, "content")
 
 	hits = m.NewCounterVec("imagebench_shared_input_hits_total",
 		"Workload requests served the process's shared input, by use case.", "kind")

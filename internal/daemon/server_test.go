@@ -478,13 +478,16 @@ func TestMetricsShape(t *testing.T) {
 		"imagebench_kernel_memo_resets_total " + num(float64(ms.Resets)),
 		"# TYPE imagebench_kernel_memo_bytes gauge",
 		"imagebench_kernel_memo_bytes " + num(float64(ms.Bytes)),
+		"# TYPE imagebench_kernel_memo_key_digests_total counter",
+		`imagebench_kernel_memo_key_digests_total{source="index"} ` + num(float64(ms.IndexedDigests)),
+		`imagebench_kernel_memo_key_digests_total{source="content"} ` + num(float64(ms.ContentDigests)),
 	}
 	for _, k := range memo.Kinds() {
 		lines = append(lines,
 			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
 			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
 	}
-	for _, kind := range []string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect"} {
+	for _, kind := range []string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect", "load", "slab"} {
 		for _, series := range []string{"hits", "misses"} {
 			if want := fmt.Sprintf(`imagebench_kernel_memo_%s_total{kind="%s"} `, series, kind); !strings.Contains(string(text), want) {
 				t.Errorf("/metrics lacks the series %s", want)

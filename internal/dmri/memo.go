@@ -9,8 +9,9 @@ import (
 // memo.Fit): the same FA map, fitted once per distinct input content.
 // The key covers the raw bits of the gradient table, the shape and raw
 // bits of every volume in order, and the mask (a nil mask is its own
-// key). The result is a fresh volume the caller owns; an error is
-// returned and never stored. FitFA never consults the table.
+// key). The FA map is shared, to read and never to write; an error is
+// returned on every call and never stored. FitFA never consults the
+// table.
 func FitFAMemo(g *GradTable, vols *volume.V4, mask *volume.V3) (*volume.V3, error) {
 	k := memo.NewKey(memo.Fit)
 	k.Floats(g.BVals)
@@ -23,9 +24,13 @@ func FitFAMemo(g *GradTable, vols *volume.V4, mask *volume.V3) (*volume.V3, erro
 		k.Volume(v)
 	}
 	k.Volume(mask)
-	fa, _, err := k.Do(func() (*volume.V3, int64, error) {
+	v, err := k.Shared(func() (any, int64, error) {
 		fa, err := FitFA(g, vols, mask)
-		return fa, 0, err
+		if err != nil {
+			return nil, 0, err
+		}
+		return fa, fa.Bytes(), nil
 	})
+	fa, _ := v.(*volume.V3)
 	return fa, err
 }

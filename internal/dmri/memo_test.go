@@ -45,8 +45,10 @@ func sameBits(a, b *volume.V3) bool {
 	return true
 }
 
-// A miss and a hit both return exactly FitFA's bits; a hit is a fresh
-// copy, and FitFA itself never touches the table.
+// A miss and a hit both return exactly FitFA's bits; a hit is the map
+// the miss stored, and FitFA itself never touches the table. A series
+// with one voxel of one volume changed is another input, never
+// answered from the original's entry.
 func TestFitFAMemoMatchesFitFA(t *testing.T) {
 	g := table(12, 2)
 	vols := unseenSeries(g, 3, 4, 2)
@@ -62,17 +64,35 @@ func TestFitFAMemoMatchesFitFA(t *testing.T) {
 	if s := fitStats(); s != before {
 		t.Fatalf("FitFA moved the memo's counters: %+v → %+v", before, s)
 	}
+	var first *volume.V3
 	for round := 0; round < 3; round++ {
 		got, err := FitFAMemo(g, vols, mask)
 		if err != nil || !sameBits(got, want) {
 			t.Fatalf("round %d: err %v, same bits as FitFA: %v", round, err, err == nil && sameBits(got, want))
 		}
-		for i := range got.Data {
-			got.Data[i] = -1 // must not reach the next hit
+		if round == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("round %d: the hit is not the map the miss stored", round)
 		}
 	}
 	if s := fitStats(); s.Misses-before.Misses != 1 || s.Hits-before.Hits != 2 {
 		t.Fatalf("%d misses and %d hits, want 1 and 2", s.Misses-before.Misses, s.Hits-before.Hits)
+	}
+
+	changed := append([]*volume.V3(nil), vols.Vols...)
+	changed[4] = changed[4].Clone()
+	changed[4].Data[2] = math.Nextafter(changed[4].Data[2], 0) // one ulp
+	before = fitStats()
+	got, err := FitFAMemo(g, volume.New4(changed), mask)
+	if err != nil || got == first {
+		t.Fatalf("one voxel changed: %v, answered from the original's entry: %v", err, got == first)
+	}
+	if want, _ := FitFA(g, volume.New4(changed), mask); !sameBits(got, want) {
+		t.Fatal("one voxel changed: wrong output")
+	}
+	if s := fitStats(); s.Misses-before.Misses != 1 || s.Hits != before.Hits {
+		t.Fatalf("one voxel changed: %d misses and %d hits, want 1 and 0", s.Misses-before.Misses, s.Hits-before.Hits)
 	}
 }
 

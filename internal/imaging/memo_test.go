@@ -68,7 +68,8 @@ func wantStats(t *testing.T, before memo.KindStats, hits, misses uint64) {
 }
 
 // A miss and a hit both return exactly the pure kernel's bits, over
-// random shapes, every kind of mask and explicit as well as derived H.
+// random shapes, every kind of mask and explicit as well as derived H,
+// and the hit is the value the miss stored.
 func TestMemoBitIdenticalOnMissAndHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 8; i++ {
@@ -87,8 +88,8 @@ func TestMemoBitIdenticalOnMissAndHit(t *testing.T) {
 					t.Fatalf("%dx%dx%d mask=%s H=%g: memoized output differs from NLMeans3 (miss equal: %v, hit equal: %v)",
 						v.NX, v.NY, v.NZ, name, h, sameBits(miss, want), sameBits(hit, want))
 				}
-				if &miss.Data[0] == &hit.Data[0] {
-					t.Fatal("miss and hit returned the same buffer")
+				if hit != miss {
+					t.Fatal("the hit is not the volume the miss stored")
 				}
 			}
 		}
@@ -133,30 +134,70 @@ func TestMemoKey(t *testing.T) {
 	wantStats(t, before, 4, 0)
 }
 
-// The memo keeps its own buffers: nothing a caller does to what it
-// passed in or got back can change a later answer.
-func TestMemoOwnsItsCopies(t *testing.T) {
-	before := nlmeansStats()
+// forceReset makes the stage memo drop everything it holds: two values
+// that claim 40 MiB each cannot be held together.
+func forceReset(t *testing.T) {
+	t.Helper()
+	resets := memo.Snapshot().Resets
+	for i := 0; i < 2; i++ {
+		k := memo.NewKey(memo.Detect)
+		k.U64(uint64(memoSalt.Add(1)))
+		if _, err := k.Shared(func() (any, int64, error) { return new(int), 40 << 20, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if memo.Snapshot().Resets == resets {
+		t.Fatal("two 40 MiB values did not reset the memo")
+	}
+}
+
+// The memo hands out the volume it holds, to read: every call on one
+// content gets that pointer, and a key over it reads its digest from
+// the memo's index. A copy of it with one voxel changed is another
+// input, never answered from the original's entry; and after a reset
+// the volume handed out before it is keyed as before, by its content.
+func TestMemoSharesTheHeldValue(t *testing.T) {
 	orig := unseen(streamTestVolume(8, 6, 5, 7))
 	mask := onesMask(orig)
 	want := NLMeans3(orig, mask, NLMeansOpts{})
+	before := nlmeansStats()
+	first := NLMeans3Memo(orig, mask, NLMeansOpts{})
+	if second := NLMeans3Memo(orig.Clone(), mask.Clone(), NLMeansOpts{}); second != first || !sameBits(first, want) {
+		t.Fatalf("equal content: %p, then %p; bits equal to NLMeans3: %v", first, second, sameBits(first, want))
+	}
+	wantStats(t, before, 1, 1)
 
-	in, inMask := orig.Clone(), mask.Clone()
-	first := NLMeans3Memo(in, inMask, NLMeansOpts{})
-	for i := range first.Data {
-		first.Data[i], in.Data[i], inMask.Data[i] = -1, -2, 0
+	// Denoising the held output again keys it through the index; the
+	// mask is the caller's, so it is hashed.
+	digests := memo.Snapshot()
+	again := NLMeans3Memo(first, mask, NLMeansOpts{})
+	if s := memo.Snapshot(); s.IndexedDigests-digests.IndexedDigests != 1 || s.ContentDigests-digests.ContentDigests != 1 {
+		t.Errorf("keying a held volume and a caller's mask: %d digests from the index and %d hashed, want 1 and 1",
+			s.IndexedDigests-digests.IndexedDigests, s.ContentDigests-digests.ContentDigests)
 	}
-	second := NLMeans3Memo(orig, mask, NLMeansOpts{})
-	if !sameBits(second, want) {
-		t.Fatal("scribbling on the first call's input and output changed the hit")
+	if !sameBits(again, NLMeans3(first, mask, NLMeansOpts{})) {
+		t.Fatal("the held output, denoised again, differs from NLMeans3")
 	}
-	for i := range second.Data {
-		second.Data[i] = -3
+
+	changed := first.Clone()
+	changed.Data[5] = math.Nextafter(changed.Data[5], math.Inf(1))
+	before = nlmeansStats()
+	if got := NLMeans3Memo(changed, mask, NLMeansOpts{}); got == again || !sameBits(got, NLMeans3(changed, mask, NLMeansOpts{})) {
+		t.Fatal("a copy with one voxel changed was answered from the original's entry")
 	}
-	if third := NLMeans3Memo(orig, mask, NLMeansOpts{}); !sameBits(third, want) {
-		t.Fatal("scribbling on a hit's output changed the next hit")
+	wantStats(t, before, 0, 1)
+
+	key := memo.Digest(first)
+	forceReset(t)
+	if memo.Digest(first) != key {
+		t.Fatal("a volume handed out before the reset has another digest after it")
 	}
-	wantStats(t, before, 2, 1)
+	before = nlmeansStats()
+	NLMeans3Memo(first, mask, NLMeansOpts{})
+	if hit := NLMeans3Memo(first.Clone(), mask, NLMeansOpts{}); !sameBits(hit, again) {
+		t.Fatal("after the reset, a copy of the handed-out volume was answered from another entry")
+	}
+	wantStats(t, before, 1, 1)
 }
 
 // 24 callers at once, over keys they share and keys of their own.
@@ -213,8 +254,8 @@ func TestMemoConcurrentCallers(t *testing.T) {
 }
 
 // MedianOtsuMemo is the two pure sub-steps' bits on a miss and on a
-// hit, keyed on the mean's content and the radius, each answer the
-// caller's own, and the pure names stay off the table.
+// hit, keyed on the mean's content and the radius, the hit the mask the
+// miss stored, and the pure names stay off the table.
 func TestMedianOtsuMemoMatchesThePureSteps(t *testing.T) {
 	maskStats := func() memo.KindStats { return memo.Snapshot().Kinds[memo.Mask] }
 	mean := unseen(streamTestVolume(23, 7, 6, 5))
@@ -227,12 +268,8 @@ func TestMedianOtsuMemoMatchesThePureSteps(t *testing.T) {
 	if !sameBits(miss, want) {
 		t.Fatal("a miss differs from OtsuMask(MedianFilter3(mean, 1))")
 	}
-	for i := range miss.Data {
-		miss.Data[i] = -1
-	}
-	hit := MedianOtsuMemo(mean.Clone(), 1)
-	if !sameBits(hit, want) {
-		t.Fatal("a hit differs from OtsuMask(MedianFilter3(mean, 1))")
+	if hit := MedianOtsuMemo(mean.Clone(), 1); hit != miss {
+		t.Fatal("a hit is not the mask the miss stored")
 	}
 	if other := MedianOtsuMemo(mean, 2); !sameBits(other, OtsuMask(MedianFilter3(mean, 2))) {
 		t.Fatal("radius 2 was answered with another radius' mask")

@@ -4,38 +4,44 @@
 // pass over the experiments sends the same synthetic voxels through
 // the same stage again and again: five engines, every experiment that
 // sweeps a parameter the stage never sees (cluster size, fault
-// scenario, tuning knob), every sweep cell. Hasher.Do computes each distinct
-// input once per process and serves the rest from a table keyed by
-// content, because the same voxels reach the call sites through
-// different decoders (NIfTI, NumPy, SciDB's text round trips) and
-// never as the same pointer.
+// scenario, tuning knob), every sweep cell. Hasher.Shared computes each
+// distinct input once per process and hands every caller the stored
+// value itself, to read and never to write.
 //
 // Eight stages go through it, each from the package that owns the
-// stage. Four are neuroscience's and return fresh copies (Hasher.Do):
-// imaging.MedianOtsuMemo (the median-filter and Otsu half of Step 1N),
-// imaging.NLMeans3Memo (Step 2N), tsv.RoundTrip and tsv.RoundTripCSV
-// (SciDB's stream() and aio_input() text crossings) and dmri.FitFAMemo
-// (Step 3N). Four are astronomy's and hand out the stored value itself,
-// to read and never to write (Hasher.Shared): fits.DecodeStaged (a
-// staged FITS exposure), astro.PreprocessMemo (Step 1A),
-// skymap.CoaddPatchMemo (Step 3A) and astro.DetectMemo (Step 4A). The
-// functions they wrap — imaging.MedianFilter3*, imaging.OtsuMask,
-// imaging.NLMeans3*, tsv.Encode/Decode*, dmri.FitFA,
-// fits.DecodeExposure, astro.Preprocess, skymap.CoaddPatch,
-// astro.Detect — never consult the table: they are what probes time
-// and what fuzzers and exactness tests compare, and the streamed
-// reference pipelines built on them are the independent results the
-// engines are checked against.
+// stage. Four are neuroscience's: imaging.MedianOtsuMemo (the
+// median-filter and Otsu half of Step 1N), imaging.NLMeans3Memo (Step
+// 2N), tsv.RoundTrip and tsv.RoundTripCSV (SciDB's stream() and
+// aio_input() text crossings) and dmri.FitFAMemo (Step 3N). Four are
+// astronomy's: fits.DecodeStaged (a staged FITS exposure),
+// astro.PreprocessMemo (Step 1A), skymap.CoaddPatchMemo (Step 3A) and
+// astro.DetectMemo (Step 4A). The functions they wrap —
+// imaging.MedianFilter3*, imaging.OtsuMask, imaging.NLMeans3*,
+// tsv.Encode/Decode*, dmri.FitFA, fits.DecodeExposure,
+// astro.Preprocess, skymap.CoaddPatch, astro.Detect — never consult the
+// table: they are what probes time and what fuzzers and exactness tests
+// compare, and the streamed reference pipelines built on them are the
+// independent results the engines are checked against.
 //
-// A shared value need not be read again to key what is derived from it:
-// the table knows the values it holds by pointer, so a calibration is
-// keyed by the key of the decode it came from, and that by the digest
-// the object store keeps with the staged bytes (Hasher.Origin). A value
-// the table does not hold is keyed by its content, as everywhere else.
+// Neuroscience keys volumes by content, because the same voxels reach
+// the stages through different decoders (NIfTI, NumPy, SciDB's text
+// round trips) and never as the same pointer. A volume's content digest
+// is computed once per held value, not once per call: the table indexes
+// every volume it holds by its digest when it keeps it, and Digest reads
+// it from there, so a key over a held volume reads none of its voxels.
+// Two cheap kinds make the engines' inputs held values: Load (a staged
+// NIfTI or NumPy object, decoded) and Slab (a block cut from a held
+// volume). They live in a second table under the same budget, so the
+// many values that are cheap to make again never drop a stage result.
+//
+// Astronomy keys by lineage: a calibration is keyed by the key of the
+// decode it came from, and that by the digest the object store keeps
+// with the staged bytes (Hasher.Origin). A value the table does not
+// hold is keyed by its content, as everywhere else.
 //
 // The claim, the wait and the budget are Table's and know nothing of
 // volumes; internal/core keeps the experiments' generated inputs in a
-// second Table, keyed by their configuration.
+// third Table, keyed by their configuration.
 package memo
 
 import (
@@ -43,6 +49,7 @@ import (
 	"encoding/binary"
 	"hash"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"imagebench/internal/volume"
@@ -62,29 +69,42 @@ const (
 	Calibrate             // Step 1A, astro.PreprocessMemo
 	Coadd                 // Step 3A, skymap.CoaddPatchMemo
 	Detect                // Step 4A, astro.DetectMemo
+	Load                  // a staged NIfTI or NumPy object, decoded; the values table from here on
+	Slab                  // a z-slab of a held volume, volume.ExtractBlock
 	numKinds
 )
 
 // Kinds lists every kind, in counter order.
-func Kinds() []Kind { return []Kind{NLMeans, Text, Fit, Mask, Decode, Calibrate, Coadd, Detect} }
+func Kinds() []Kind {
+	return []Kind{NLMeans, Text, Fit, Mask, Decode, Calibrate, Coadd, Detect, Load, Slab}
+}
 
 // String is the kind's label on /metrics.
 func (k Kind) String() string {
-	return [numKinds]string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect"}[k]
+	return [numKinds]string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect", "load", "slab"}[k]
+}
+
+// table is where the kind's values are held.
+func (k Kind) table() *Table[Key, any] {
+	if k >= Load {
+		return values
+	}
+	return stages
 }
 
 // budget bounds the bytes one Table holds, over all its kinds. The
-// stage table stores 27.9 MB on a quick-profile pass over every
-// experiment (3.2 nlmeans, 3.4 text, 0.06 each fit and mask; 9.2 each
+// stage table stores 30.6 MB on a quick-profile pass over every
+// experiment (5.9 nlmeans, 3.4 text, 0.06 each fit and mask; 9.2 each
 // decode and calibrate, 2.8 coadd, 0.01 detect) and 55.6 MB on one
 // sweep-astro round (23.7 each decode and calibrate for the 1,359
-// distinct exposures of its seven fig10h surveys, 8.2 coadd), so
-// neither is dropped on the way; a full-profile pass has about 76 MB of
-// distinct neuroscience results alone and is. core's inputs hold
-// 15.6 MB after a quick pass (six configs) and 46 MB for sweep-astro's
-// seven fig10h surveys; a full-profile pass generates 140-200 MB of
-// them (fig10h's 86-sensor survey alone is 65 MB) and drops them two or
-// three times.
+// distinct exposures of its seven fig10h surveys, 8.2 coadd), and the
+// values table 8.9 MB on the quick pass (5.9 load, 3.0 slab), so none
+// is dropped on the way; a full-profile pass has about 76 MB of
+// distinct neuroscience results alone and drops the stage table 22
+// times, the values table 10. core's inputs hold 15.6 MB after a quick
+// pass (six configs) and 46 MB for sweep-astro's seven fig10h surveys;
+// a full-profile pass generates 140-200 MB of them (fig10h's 86-sensor
+// survey alone is 65 MB) and drops them six times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed
@@ -103,6 +123,11 @@ type Stats struct {
 	Resets uint64
 	// Bytes is what the table currently holds, never above the budget.
 	Bytes int64
+	// IndexedDigests and ContentDigests count the volume digests keys
+	// were built from (Digest): read from a table's index, or hashed
+	// from the voxels. Only the package's Snapshot fills them, and it
+	// adds up its two tables' resets and bytes.
+	IndexedDigests, ContentDigests uint64
 }
 
 // Table computes each key's value once and shares it: a process-wide,
@@ -113,12 +138,13 @@ type Table[K comparable, V any] struct {
 	mu      sync.Mutex
 	entries map[K]*entry[V]
 	stats   Stats
-	// handle, when set, names a held value by identity (nil: it has
-	// none), and origin maps each held value's handle back to its key.
-	// The index goes with the entries: a handle found in it is a value
-	// the table holds now, under that key.
-	handle func(V) any
-	origin map[any]K
+	// index, when set, names what a held value makes known by identity:
+	// pointers it holds, each with the K that stands for it (its key,
+	// or a volume's digest). known gathers them and goes with the
+	// entries: a pointer found in it is part of a value the table holds
+	// now.
+	index func(key K, val V) map[any]K
+	known map[any]K
 }
 
 // entry is one key's value. Everything but done is written by the
@@ -183,7 +209,11 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 		return val, err
 	}
 	e.val, e.bytes, e.ok = val, n, true
-	t.keep(key, e)
+	var known map[any]K
+	if t.index != nil {
+		known = t.index(key, val) // outside the lock: it may read every voxel
+	}
+	t.keep(key, e, known)
 	return val, nil
 }
 
@@ -194,15 +224,14 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 // reach. Values already handed out stay valid, the table only forgets
 // them, their identities included: what is derived from one afterwards
 // is keyed by its content. Entries still being computed are dropped
-// with the rest; they
-// reach their waiters through the entry itself and come back here when
-// done.
-func (t *Table[K, V]) keep(key K, e *entry[V]) {
+// with the rest; they reach their waiters through the entry itself and
+// come back here when done.
+func (t *Table[K, V]) keep(key K, e *entry[V], known map[any]K) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stats.Bytes+e.bytes > budget {
 		t.entries = make(map[K]*entry[V])
-		t.origin = nil
+		t.known = nil
 		t.stats.Bytes = 0
 		for k := range t.stats.Kinds {
 			t.stats.Kinds[k].Bytes = 0
@@ -215,23 +244,21 @@ func (t *Table[K, V]) keep(key K, e *entry[V]) {
 	t.entries[key] = e
 	t.stats.Bytes += e.bytes
 	t.stats.Kinds[e.kind].Bytes += e.bytes
-	if t.handle != nil {
-		if h := t.handle(e.val); h != nil {
-			if t.origin == nil {
-				t.origin = make(map[any]K)
-			}
-			t.origin[h] = key
+	for h, id := range known {
+		if t.known == nil {
+			t.known = make(map[any]K)
 		}
+		t.known[h] = id
 	}
 }
 
-// KeyOf returns the key under which the table holds the value that
-// handle names, if it holds it.
-func (t *Table[K, V]) KeyOf(handle any) (K, bool) {
+// Known returns what the index maps handle to, if handle is part of a
+// value the table holds.
+func (t *Table[K, V]) Known(handle any) (K, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key, ok := t.origin[handle]
-	return key, ok
+	id, ok := t.known[handle]
+	return id, ok
 }
 
 // Each calls fn on every value the table holds, in no order. fn runs
@@ -260,69 +287,44 @@ func (t *Table[K, V]) Snapshot() Stats {
 // Key identifies one input of one stage by content.
 type Key [sha256.Size]byte
 
-// result is what the stage table keeps of one stage output: a copy of
-// the volume, never handed out, only copied again (Do), or the pointer
-// a stage's compute returned, handed out as it is (Shared).
-type result struct {
-	nx, ny, nz int
-	data       []float64
-	aux        int64
-	shared     any
-}
+// stages holds the stage kinds and values the cheap ones (Kind.table).
+var stages, values = newTable(), newTable()
 
-var table = func() *Table[Key, result] {
-	t := NewTable[Key, result](int(numKinds))
-	t.handle = func(r result) any { return r.shared }
+func newTable() *Table[Key, any] {
+	t := NewTable[Key, any](int(numKinds))
+	t.index = index
 	return t
-}()
-
-// Do ends the key and returns what compute returns for the input it
-// identifies: a volume and one integer the stage defines (the encoded
-// length of a text round trip; zero elsewhere). The first call on a key
-// runs compute, exactly the code an unmemoized caller would run, and
-// the table keeps a copy of the result; every other call waits for that
-// result and gets a fresh volume the caller owns (see Table.Do for
-// failures and the budget). The inputs are not retained. k must not be
-// used afterwards.
-func (k *Hasher) Do(compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
-	kind := k.kind // read before sum gives k back to the pool
-	return do(kind, k.sum(), compute)
 }
 
-func do(kind Kind, key Key, compute func() (*volume.V3, int64, error)) (*volume.V3, int64, error) {
-	var mine *volume.V3 // what compute returned, if this call ran it
-	r, err := table.Do(int(kind), key, func() (result, int64, error) {
-		out, aux, err := compute()
-		if err != nil {
-			return result{}, 0, err
+// index names a held value by identity: each volume it carries by its
+// content digest, anything else by the key it is held under, which is
+// its lineage (Origin).
+func index(key Key, v any) map[any]Key {
+	switch v := v.(type) {
+	case *volume.V3:
+		return map[any]Key{v: contentDigest(v)}
+	case *volume.V4:
+		known := make(map[any]Key, len(v.Vols))
+		for _, c := range v.Vols {
+			known[c] = contentDigest(c)
 		}
-		mine = out
-		r := result{nx: out.NX, ny: out.NY, nz: out.NZ, aux: aux}
-		if out.Bytes() <= budget { // else never kept, so not worth copying
-			r.data = append([]float64(nil), out.Data...)
-		}
-		return r, out.Bytes(), nil
-	})
-	if err != nil || mine != nil {
-		return mine, r.aux, err
+		return known
+	case interface{ Volume() *volume.V3 }: // a volume with a stage's by-product
+		return map[any]Key{v.Volume(): contentDigest(v.Volume())}
 	}
-	out := volume.New3(r.nx, r.ny, r.nz)
-	copy(out.Data, r.data)
-	return out, r.aux, nil
+	return map[any]Key{v: key}
 }
 
-// Shared ends the key like Do, for a stage whose result nobody writes
-// to: compute returns a pointer and the bytes behind it, the table
-// keeps that pointer, and every caller on the key gets the same one, to
-// read. A value Shared returned is known to the table by identity while
-// the table holds it, which is what Origin asks.
+// Shared ends the key and returns what compute returns for the input it
+// identifies: a pointer and the bytes behind it. The first call on a
+// key runs compute, exactly the code an unmemoized caller would run,
+// and the table keeps that pointer; every other caller on the key gets
+// the same one, to read and never to write (see Table.Do for failures
+// and the budget). The inputs are not retained. k must not be used
+// afterwards.
 func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
 	kind := k.kind // read before sum gives k back to the pool
-	r, err := table.Do(int(kind), k.sum(), func() (result, int64, error) {
-		v, n, err := compute()
-		return result{shared: v}, n, err
-	})
-	return r.shared, err
+	return kind.table().Do(int(kind), k.sum(), compute)
 }
 
 // Origin adds v's lineage, the key the table holds it under, when v is
@@ -332,7 +334,7 @@ func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
 // handed out before a reset) it reports false, and the caller adds v's
 // content; the two forms never share a key.
 func (k *Hasher) Origin(v any) bool {
-	parent, ok := table.KeyOf(v)
+	parent, ok := stages.Known(v)
 	if !ok {
 		k.U64(0)
 		return false
@@ -342,23 +344,52 @@ func (k *Hasher) Origin(v any) bool {
 	return true
 }
 
-// EachShared calls fn on every value the stage table holds that Shared
-// handed out; see Table.Each.
-func EachShared(fn func(key Key, v any)) {
-	table.Each(func(key Key, r result) {
-		if r.shared != nil {
-			fn(key, r.shared)
+var indexedDigests, contentDigests atomic.Uint64 // Digest's two sources, since process start
+
+// Digest returns v's content digest, its shape and the raw bits of
+// every voxel hashed. A volume a table holds is read from the table's
+// index, where it went when the table kept it, so none of its voxels is
+// read; any other is hashed now, to the same digest.
+func Digest(v *volume.V3) Key {
+	for _, t := range [...]*Table[Key, any]{values, stages} {
+		if d, ok := t.Known(v); ok {
+			indexedDigests.Add(1)
+			return d
 		}
-	})
+	}
+	contentDigests.Add(1)
+	return contentDigest(v)
 }
 
-// Snapshot reports the stage table's counters since process start,
-// Kinds indexed by Kind.
-func Snapshot() Stats { return table.Snapshot() }
+func contentDigest(v *volume.V3) Key {
+	k := NewKey(numKinds) // a first word no stage key has
+	k.U64(uint64(v.NX))
+	k.U64(uint64(v.NY))
+	k.U64(uint64(v.NZ))
+	k.Floats(v.Data)
+	return k.sum()
+}
+
+// EachShared calls fn on every value the tables hold; see Table.Each.
+func EachShared(fn func(key Key, v any)) {
+	stages.Each(fn)
+	values.Each(fn)
+}
+
+// Snapshot reports the memo's counters since process start, Kinds
+// indexed by Kind: each kind's from its own table, the two tables'
+// resets and bytes added up.
+func Snapshot() Stats {
+	s, v := stages.Snapshot(), values.Snapshot()
+	copy(s.Kinds[Load:], v.Kinds[Load:])
+	s.Resets += v.Resets
+	s.Bytes += v.Bytes
+	s.IndexedDigests, s.ContentDigests = indexedDigests.Load(), contentDigests.Load()
+	return s
+}
 
 // Hasher builds the key of one input from 64-bit words through a chunk
-// buffer. Hashers are pooled so that a hit allocates its output volume
-// and nothing else.
+// buffer. Hashers are pooled so that a hit allocates nothing.
 type Hasher struct {
 	kind Kind
 	h    hash.Hash
@@ -370,7 +401,7 @@ var hashers = sync.Pool{New: func() any {
 }}
 
 // NewKey starts the key of one input of kind; the kind is its first
-// word. Do ends it.
+// word. Shared ends it.
 func NewKey(kind Kind) *Hasher {
 	k := hashers.Get().(*Hasher)
 	k.kind = kind
@@ -422,18 +453,16 @@ func (k *Hasher) raw(b []byte) {
 	k.h.Write(b)
 }
 
-// Volume adds the shape and the raw bits of every voxel. A nil volume
-// (an absent mask) is its own marker, different from any volume.
+// Volume adds v's content digest (Digest). A nil volume (an absent
+// mask) is its own marker, different from any volume.
 func (k *Hasher) Volume(v *volume.V3) {
 	if v == nil {
 		k.U64(0)
 		return
 	}
+	d := Digest(v)
 	k.U64(1)
-	k.U64(uint64(v.NX))
-	k.U64(uint64(v.NY))
-	k.U64(uint64(v.NZ))
-	k.Floats(v.Data)
+	k.Bytes(d[:])
 }
 
 // sum returns the key and gives the hasher back.

@@ -13,22 +13,16 @@ import (
 	"imagebench/internal/volume"
 )
 
-// reset empties the table and zeroes its counters, so a test can count
-// from nothing whatever ran before it.
+// reset empties both tables and zeroes their counters, so a test can
+// count from nothing whatever ran before it.
 func reset() {
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	table.entries = make(map[Key]*entry[result])
-	table.origin = nil
-	table.stats = Stats{Kinds: make([]KindStats, numKinds)}
-}
-
-func keyOf(kind Kind, words ...uint64) Key {
-	k := NewKey(kind)
-	for _, w := range words {
-		k.U64(w)
+	for _, t := range []*Table[Key, any]{stages, values} {
+		t.mu.Lock()
+		t.entries = make(map[Key]*entry[any])
+		t.known = nil
+		t.stats = Stats{Kinds: make([]KindStats, numKinds)}
+		t.mu.Unlock()
 	}
-	return k.sum()
 }
 
 func volumeKey(kind Kind, v *volume.V3) Key {
@@ -37,50 +31,55 @@ func volumeKey(kind Kind, v *volume.V3) Key {
 	return k.sum()
 }
 
-// ramp returns a compute that builds a recognizable nx×1×1 volume and
-// counts its runs.
-func ramp(nx int, aux int64, runs *atomic.Int64) func() (*volume.V3, int64, error) {
-	return func() (*volume.V3, int64, error) {
+// ramp returns a compute that builds a recognizable nx×1×1 volume,
+// accounts it at its size and counts its runs.
+func ramp(nx int, runs *atomic.Int64) func() (any, int64, error) {
+	return func() (any, int64, error) {
 		runs.Add(1)
 		v := volume.New3(nx, 1, 1)
 		for i := range v.Data {
 			v.Data[i] = float64(i)
 		}
-		return v, aux, nil
+		return v, v.Bytes(), nil
 	}
 }
 
-// A miss returns what compute built; every hit is a fresh copy of it
-// with the same auxiliary number, and nothing a caller does to either
-// changes the next hit.
-func TestHitIsAFreshCopy(t *testing.T) {
+// shared ends a key of kind and the words, and runs compute through it.
+func shared(kind Kind, compute func() (any, int64, error), words ...uint64) (*volume.V3, error) {
+	k := NewKey(kind)
+	for _, w := range words {
+		k.U64(w)
+	}
+	v, err := k.Shared(compute)
+	out, _ := v.(*volume.V3)
+	return out, err
+}
+
+// A miss returns what compute built and every hit the same pointer, in
+// whichever table the kind lives.
+func TestHitIsTheHeldValue(t *testing.T) {
 	reset()
-	var runs atomic.Int64
-	key := keyOf(Text, 1)
-	first, aux, err := do(Text, key, ramp(5, 42, &runs))
-	if err != nil || aux != 42 || first.NX != 5 {
-		t.Fatalf("miss: %v aux %d shape %d", err, aux, first.NX)
-	}
-	for i := range first.Data {
-		first.Data[i] = -1
-	}
-	for round := 0; round < 2; round++ {
-		hit, aux, err := do(Text, key, ramp(5, 42, &runs))
-		if err != nil || aux != 42 || hit.NX != 5 || hit.NY != 1 || hit.NZ != 1 {
-			t.Fatalf("hit: %v aux %d shape %d×%d×%d", err, aux, hit.NX, hit.NY, hit.NZ)
+	defer reset()
+	for _, kind := range []Kind{Text, Slab} {
+		var runs atomic.Int64
+		first, err := shared(kind, ramp(5, &runs), 1)
+		if err != nil || first.NX != 5 {
+			t.Fatalf("%s miss: %v, %+v", kind, err, first)
 		}
-		for i, x := range hit.Data {
-			if x != float64(i) {
-				t.Fatalf("round %d: voxel %d = %g: scribbling on an earlier result reached the table", round, i, x)
+		for round := 0; round < 2; round++ {
+			if hit, err := shared(kind, ramp(5, &runs), 1); err != nil || hit != first {
+				t.Fatalf("%s round %d: %p (%v), the miss returned %p", kind, round, hit, err, first)
 			}
-			hit.Data[i] = -2
+		}
+		if runs.Load() != 1 {
+			t.Fatalf("%s: compute ran %d times, want 1", kind, runs.Load())
+		}
+		if s := Snapshot().Kinds[kind]; s != (KindStats{Hits: 2, Misses: 1, Bytes: 40}) {
+			t.Fatalf("%s counters %+v, want 2 hits, 1 miss, 40 bytes", kind, s)
 		}
 	}
-	if runs.Load() != 1 {
-		t.Fatalf("compute ran %d times, want 1", runs.Load())
-	}
-	if s := Snapshot().Kinds[Text]; s.Hits != 2 || s.Misses != 1 || s.Bytes != 40 {
-		t.Fatalf("text counters %+v, want 2 hits, 1 miss, 40 bytes", s)
+	if stages.Snapshot().Bytes != 40 || values.Snapshot().Bytes != 40 {
+		t.Fatal("text and slab are not held in a table each")
 	}
 }
 
@@ -115,25 +114,24 @@ func TestKeysAreContent(t *testing.T) {
 }
 
 // Eight goroutines on one cold key run the computation once; the seven
-// that waited count as hits and get copies of their own.
+// that waited count as hits and get the one value.
 func TestSingleFlight(t *testing.T) {
 	reset()
 	const callers = 8
 	var runs atomic.Int64
 	started, release := make(chan struct{}), make(chan struct{})
-	compute := func() (*volume.V3, int64, error) {
+	compute := func() (any, int64, error) {
 		close(started) // a second run would panic here
 		<-release
-		return ramp(3, 7, &runs)()
+		return ramp(3, &runs)()
 	}
-	key := keyOf(Fit, 9)
 	outs := make([]*volume.V3, callers)
 	var wg sync.WaitGroup
 	call := func(i int) {
 		defer wg.Done()
-		out, aux, err := do(Fit, key, compute)
-		if err != nil || aux != 7 {
-			t.Errorf("caller %d: %v aux %d", i, err, aux)
+		out, err := shared(Fit, compute, 9)
+		if err != nil {
+			t.Errorf("caller %d: %v", i, err)
 		}
 		outs[i] = out
 	}
@@ -157,11 +155,9 @@ func TestSingleFlight(t *testing.T) {
 	if s := Snapshot().Kinds[Fit]; s.Misses != 1 || s.Hits != callers-1 {
 		t.Fatalf("fit counters %+v, want 1 miss and %d hits", s, callers-1)
 	}
-	for i, a := range outs {
-		for j, b := range outs[:i] {
-			if &a.Data[0] == &b.Data[0] {
-				t.Fatalf("callers %d and %d share a buffer", i, j)
-			}
+	for i, out := range outs {
+		if out == nil || out != outs[0] {
+			t.Fatalf("caller %d got %p, caller 0 %p", i, out, outs[0])
 		}
 	}
 }
@@ -171,8 +167,7 @@ func TestSingleFlight(t *testing.T) {
 func TestFailuresAreNotStored(t *testing.T) {
 	reset()
 	boom := errors.New("boom")
-	key := keyOf(Text, 3)
-	if _, _, err := do(Text, key, func() (*volume.V3, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) {
+	if _, err := shared(Text, func() (any, int64, error) { return nil, 0, boom }, 3); !errors.Is(err, boom) {
 		t.Fatalf("error %v, want boom", err)
 	}
 	func() {
@@ -181,32 +176,31 @@ func TestFailuresAreNotStored(t *testing.T) {
 				t.Error("the panic in compute was swallowed")
 			}
 		}()
-		do(Text, key, func() (*volume.V3, int64, error) { panic("kernel bug") })
+		shared(Text, func() (any, int64, error) { panic("kernel bug") }, 3)
 	}()
 	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Text].Misses != 2 {
 		t.Fatalf("after two failures: %+v", s)
 	}
 	var runs atomic.Int64
-	if _, _, err := do(Text, key, ramp(2, 0, &runs)); err != nil || runs.Load() != 1 {
+	if _, err := shared(Text, ramp(2, &runs), 3); err != nil || runs.Load() != 1 {
 		t.Fatalf("the key did not recover: %v, %d runs", err, runs.Load())
 	}
 
 	// A waiter whose leader fails computes for itself.
-	key2 := keyOf(Text, 4)
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan error)
 	go func() {
-		_, _, err := do(Text, key2, func() (*volume.V3, int64, error) {
+		_, err := shared(Text, func() (any, int64, error) {
 			close(started)
 			<-release
 			return nil, 0, boom
-		})
+		}, 4)
 		done <- err
 	}()
 	<-started
 	waiter := make(chan error)
 	go func() {
-		_, _, err := do(Text, key2, ramp(2, 0, &runs))
+		_, err := shared(Text, ramp(2, &runs), 4)
 		waiter <- err
 	}()
 	for Snapshot().Kinds[Text].Hits < 1 {
@@ -221,19 +215,19 @@ func TestFailuresAreNotStored(t *testing.T) {
 	}
 }
 
-// All kinds draw on one budget: an insert that would pass it drops the
-// whole table, whatever kind filled it, bytes never pass the bound, and
-// answers stay right across the reset. An entry larger than the budget
-// is served and not kept.
+// All the stage kinds draw on one budget: an insert that would pass it
+// drops the whole table, whatever kind filled it, bytes never pass the
+// bound, and answers stay right across the reset. An entry larger than
+// the budget is served and not kept.
 func TestOneBudgetOneReset(t *testing.T) {
 	reset()
 	defer reset()          // do not leave tens of MB behind for the other tests
 	const voxels = 1 << 20 // 8 MiB a volume, so the ninth insert cannot fit
 	var runs atomic.Int64
-	kinds := Kinds()
+	kinds := Kinds()[:Load]
 	for i := 0; i < 11; i++ {
 		kind := kinds[i%len(kinds)]
-		out, _, err := do(kind, keyOf(kind, uint64(i)), ramp(voxels, 0, &runs))
+		out, err := shared(kind, ramp(voxels, &runs), uint64(i))
 		if err != nil || out.Data[voxels-1] != voxels-1 {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -254,7 +248,7 @@ func TestOneBudgetOneReset(t *testing.T) {
 	for _, i := range []int{8, 9, 10, 0, 1, 2} {
 		kind := kinds[i%len(kinds)]
 		before := runs.Load()
-		if _, _, err := do(kind, keyOf(kind, uint64(i)), ramp(voxels, 0, &runs)); err != nil {
+		if _, err := shared(kind, ramp(voxels, &runs), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 		if recomputed := runs.Load() != before; recomputed != (i < 8) {
@@ -264,9 +258,9 @@ func TestOneBudgetOneReset(t *testing.T) {
 
 	// Untouched, so the pages are never resident.
 	reset()
-	huge := func() (*volume.V3, int64, error) { return volume.New3(budget/8+1, 1, 1), 0, nil }
+	huge := func() (any, int64, error) { v := volume.New3(budget/8+1, 1, 1); return v, v.Bytes(), nil }
 	for round := 0; round < 2; round++ {
-		if _, _, err := do(Fit, keyOf(Fit, 99), huge); err != nil {
+		if _, err := shared(Fit, huge, 99); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -522,4 +516,140 @@ func TestSharedLineage(t *testing.T) {
 	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Decode].Misses != 2 {
 		t.Errorf("after two failures: %+v", s)
 	}
+}
+
+// carrier is a held value with a volume inside and a by-product beside
+// it, the way a text round trip is held.
+type carrier struct{ v *volume.V3 }
+
+func (c *carrier) Volume() *volume.V3 { return c.v }
+
+// Every volume a table holds is indexed by its content digest when it is
+// kept — a volume, each volume of a series, the volume a value carries —
+// so its digest is read and not hashed, and is the digest its voxels
+// hash to. A copy is hashed; a copy with one voxel changed has another
+// digest; and after a reset the held volume is hashed, to the same
+// digest.
+func TestDigestIsIndexedOncePerHeldValue(t *testing.T) {
+	reset()
+	defer reset()
+	fresh := func(x float64) *volume.V3 {
+		v := volume.New3(2, 2, 1)
+		v.Data[1] = x
+		return v
+	}
+	one := fresh(1)
+	series := volume.New4([]*volume.V3{fresh(2), fresh(3)})
+	inside := &carrier{fresh(4)}
+	for i, v := range []any{one, series, inside} {
+		k := NewKey(Load)
+		k.U64(uint64(i))
+		if _, err := k.Shared(func() (any, int64, error) { return v, 32, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := []*volume.V3{one, series.Vols[0], series.Vols[1], inside.v}
+	digests := func(vs []*volume.V3) (ds []Key, indexed, hashed uint64) {
+		before := Snapshot()
+		for _, v := range vs {
+			ds = append(ds, Digest(v))
+		}
+		after := Snapshot()
+		return ds, after.IndexedDigests - before.IndexedDigests, after.ContentDigests - before.ContentDigests
+	}
+	byIndex, indexed, hashed := digests(held)
+	if indexed != 4 || hashed != 0 {
+		t.Fatalf("held volumes: %d digests read from the index and %d hashed, want 4 and 0", indexed, hashed)
+	}
+	var copies []*volume.V3
+	for _, v := range held {
+		copies = append(copies, v.Clone())
+	}
+	byContent, indexed, hashed := digests(copies)
+	if indexed != 0 || hashed != 4 {
+		t.Fatalf("copies: %d digests read from the index and %d hashed, want 0 and 4", indexed, hashed)
+	}
+	for i := range held {
+		if byIndex[i] != byContent[i] {
+			t.Errorf("volume %d: the index and the voxels give two digests", i)
+		}
+		for j := range held[:i] {
+			if byIndex[i] == byIndex[j] {
+				t.Errorf("volumes %d and %d differ and share a digest", i, j)
+			}
+		}
+	}
+	changed := one.Clone()
+	changed.Data[3] = math.Copysign(0, -1)
+	if Digest(changed) == byIndex[0] {
+		t.Error("a copy with one voxel changed has the original's digest")
+	}
+	reset()
+	if again, indexed, _ := digests(held); indexed != 0 || again[0] != byIndex[0] || again[3] != byIndex[3] {
+		t.Errorf("after a reset: %d read from the index, digests kept: %v", indexed, again[0] == byIndex[0] && again[3] == byIndex[3])
+	}
+}
+
+// The values table has a budget of its own: filling it past the bound
+// resets it and leaves the stage table whole.
+func TestValuesOverflowKeepsTheStages(t *testing.T) {
+	reset()
+	defer reset()
+	var runs atomic.Int64
+	stage, err := shared(NLMeans, ramp(4, &runs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const voxels = 1 << 20 // 8 MiB, so the ninth cannot join the first eight
+	for i := uint64(0); i < 12; i++ {
+		if _, err := shared(Slab, ramp(voxels, &runs), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := values.Snapshot(); s.Resets != 1 || s.Bytes > budget {
+		t.Fatalf("values after 96 MiB of slabs: %+v, want one reset", s)
+	}
+	if s := stages.Snapshot(); s.Resets != 0 || s.Bytes != stage.Bytes() {
+		t.Fatalf("stages after the values' reset: %+v", s)
+	}
+	before := runs.Load()
+	if again, _ := shared(NLMeans, ramp(4, &runs), 1); again != stage || runs.Load() != before {
+		t.Error("the stage entry was dropped with the values")
+	}
+	if d, ok := stages.Known(stage); !ok || d != contentDigest(stage) {
+		t.Error("the stage value's digest was dropped with the values")
+	}
+}
+
+// The differential on keys: a volume keyed through the index (held) and
+// the same bits keyed through its content (a copy) are one key,
+// whatever the bits — negative zeros and NaN payloads included — and
+// the shape.
+func FuzzHasherVolume(f *testing.F) {
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint8(2))
+	f.Add(make([]byte, 8*24), uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, nx uint8) {
+		n := len(raw) / 8
+		if n == 0 || nx == 0 || n%int(nx) != 0 {
+			return
+		}
+		v := volume.New3(int(nx), n/int(nx), 1)
+		for i := range v.Data {
+			v.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		k := NewKey(Slab)
+		k.Volume(v)
+		held, err := k.Shared(func() (any, int64, error) { return v, v.Bytes(), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		// v itself, or an earlier input with the same content.
+		if _, ok := values.Known(held); !ok {
+			t.Fatal("the value Shared returned is not indexed")
+		}
+		if a, b := volumeKey(Fit, held.(*volume.V3)), volumeKey(Fit, v.Clone()); a != b {
+			t.Fatalf("%d×%d: key %x through the index, %x through the content", v.NX, v.NY, a[:4], b[:4])
+		}
+	})
 }

@@ -122,9 +122,9 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				func(args []any) (any, int64, error) {
 					slabs := make([]*volume.V3, len(args)-1)
 					for i := 0; i < len(args)-1; i++ {
-						slabs[i] = volume.ExtractBlock(args[i].(*volume.V3), b)
+						slabs[i] = blockMemo(args[i].(*volume.V3), b)
 					}
-					maskSlab := volume.ExtractBlock(args[len(args)-1].(*volume.V3), b)
+					maskSlab := blockMemo(args[len(args)-1].(*volume.V3), b)
 					fa, err := FitBlock(w.Grad, slabs, maskSlab)
 					if err != nil {
 						return nil, 0, err

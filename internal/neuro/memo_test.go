@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"imagebench/internal/memo"
+	"imagebench/internal/nifti"
+	"imagebench/internal/objstore"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
 	"imagebench/internal/vtime"
@@ -131,7 +133,7 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	warm := do()
 	m2 := misses()
 	// The other kinds are astronomy's; they must only stay where they were.
-	neuroKinds := map[memo.Kind]bool{memo.NLMeans: true, memo.Text: true, memo.Fit: true, memo.Mask: true}
+	neuroKinds := map[memo.Kind]bool{memo.NLMeans: true, memo.Text: true, memo.Fit: true, memo.Mask: true, memo.Load: true, memo.Slab: true}
 	for i, k := range memo.Kinds() {
 		if neuroKinds[k] && m1[i] == m0[i] {
 			t.Errorf("%s: the cold runs computed nothing", k)
@@ -225,6 +227,83 @@ func TestReferenceMasksAreTheReferences(t *testing.T) {
 			if math.Float64bits(m.Data[i]) != math.Float64bits(sr.Mask.Data[i]) {
 				t.Fatalf("%s: voxel %d is %v, the reference has %v", SubjKey(s), i, m.Data[i], sr.Mask.Data[i])
 			}
+		}
+	}
+}
+
+// A staged object is decoded once per process and every reader gets the
+// held value; an object that fails to decode fails on every call and
+// nothing is kept. The arena paths (Reference and referenceMasks, which
+// put the volumes they decode back into the scratch arena) never
+// receive a held volume, so recycling theirs never writes to one.
+func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
+	cfg := synth.DefaultNeuro(1)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 6, 2
+	cfg.Seed = unseenSeed()
+	w, err := NewWorkloadCfg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := func() memo.KindStats { return memo.Snapshot().Kinds[memo.Load] }
+	before := loads()
+	vol, err := w.Store.Get(synth.NeuroKeyNPY(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, errA := decodeNPY(vol)
+	b, errB := decodeNPY(vol)
+	if errA != nil || errB != nil || a != b {
+		t.Fatalf("two decodes of one object: %p (%v) and %p (%v)", a, errA, b, errB)
+	}
+	nii, err := w.Store.Get(synth.NeuroKeyNIfTI(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, errA := decodeNIfTI(nii)
+	again, errB := decodeNIfTI(nii)
+	if errA != nil || errB != nil || again != held {
+		t.Fatalf("two decodes of one subject: %p (%v) and %p (%v)", held, errA, again, errB)
+	}
+	if s := loads(); s.Misses-before.Misses != 2 || s.Hits-before.Hits != 2 {
+		t.Fatalf("%d misses and %d hits, want 2 and 2", s.Misses-before.Misses, s.Hits-before.Hits)
+	}
+
+	before = loads()
+	bad := objstore.Object{Key: "neuro/npy/subj-000/vol-000.npy", Data: []byte("not a NumPy file")}
+	for round := 0; round < 2; round++ {
+		if v, err := decodeNPY(bad); err == nil || v != nil {
+			t.Fatalf("round %d: a bad object decoded to %p", round, v)
+		}
+	}
+	if s := loads(); s.Misses-before.Misses != 2 || s.Bytes != before.Bytes {
+		t.Fatalf("two failed decodes: %d misses and %d bytes kept, want 2 and 0", s.Misses-before.Misses, s.Bytes-before.Bytes)
+	}
+
+	want, err := nifti.Decode4(nii.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Reference(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := referenceMasks(w); err != nil {
+		t.Fatal(err)
+	}
+	arena, err := decodeNIfTIArena(nii, volume.Scratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := memo.Snapshot().IndexedDigests
+	for _, v := range arena.Vols {
+		memo.Digest(v)
+		volume.Scratch.Put(v)
+	}
+	if memo.Snapshot().IndexedDigests != digests {
+		t.Error("the arena handed out a volume the memo holds")
+	}
+	for i, v := range held.Vols {
+		if d := volume.MaxAbsDiff(v, want.Vols[i]); d != 0 || memo.Digest(v) != memo.Digest(want.Vols[i]) {
+			t.Fatalf("held volume %d changed under the arena paths", i)
 		}
 	}
 }

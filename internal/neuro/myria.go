@@ -118,7 +118,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		for bi, b := range blocks {
 			out = append(out, myria.Tuple{
 				Key:   fmt.Sprintf("%s/b%02d/t%03d", SubjKey(s), bi, tv),
-				Value: blockPiece{T: tv, Block: b, Slab: volume.ExtractBlock(jv.vol, b)},
+				Value: blockPiece{T: tv, Block: b, Slab: blockMemo(jv.vol, b)},
 				Size:  slabBytes,
 			})
 		}
@@ -140,7 +140,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 			for _, pc := range pieces {
 				slabs = append(slabs, pc.Slab)
 			}
-			maskSlab := volume.ExtractBlock(masks[s], pieces[0].Block)
+			maskSlab := blockMemo(masks[s], pieces[0].Block)
 			fa, err := FitBlock(w.Grad, slabs, maskSlab)
 			if err != nil {
 				return nil

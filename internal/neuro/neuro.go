@@ -121,7 +121,8 @@ func Segment(b0 []*volume.V3) *volume.V3 {
 
 // Denoise runs Step 2N on one volume under the mask. It goes through
 // the process-wide memo, so engines (and experiments) that denoise the
-// same content share one kernel run; the result is the caller's own.
+// same content share one kernel run and one result, to read and never
+// to write.
 func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
 	return imaging.NLMeans3Memo(v, mask, DenoiseOpts)
 }
@@ -129,8 +130,8 @@ func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
 // FitBlock runs Step 3N on one voxel slab: vols are the per-volume slabs
 // (in gradient-table order) and mask the matching mask slab. It returns
 // the FA slab. Like Denoise it goes through the process-wide memo, so
-// a slab already fitted by another engine or experiment is served as a
-// copy the caller owns.
+// a slab already fitted by another engine or experiment is served as
+// held, to read and never to write.
 func FitBlock(g *dmri.GradTable, vols []*volume.V3, mask *volume.V3) (*volume.V3, error) {
 	return dmri.FitFAMemo(g, volume.New4(vols), mask)
 }

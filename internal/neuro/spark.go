@@ -142,7 +142,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		for bi, b := range blocks {
 			out = append(out, spark.Pair{
 				Key:   fmt.Sprintf("%s/b%02d", SubjKey(s), bi),
-				Value: blockPiece{T: t, Block: b, Slab: volume.ExtractBlock(v, b)},
+				Value: blockPiece{T: t, Block: b, Slab: blockMemo(v, b)},
 				Size:  slabBytes,
 			})
 		}
@@ -163,7 +163,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		for _, pc := range pieces {
 			slabs = append(slabs, pc.Slab)
 		}
-		maskSlab := volume.ExtractBlock(masks[s], pieces[0].Block)
+		maskSlab := blockMemo(masks[s], pieces[0].Block)
 		fa, err := FitBlock(w.Grad, slabs, maskSlab)
 		if err != nil {
 			return nil

@@ -26,8 +26,10 @@ func textStats() memo.KindStats { return memo.Snapshot().Kinds[memo.Text] }
 // The memoized round trips return exactly what the codecs produce, on
 // the miss and on every hit, with the encoded length the codec wrote —
 // so the expansion SciDB's ingest derives from it is the same number
-// bit for bit. The two dialects of one volume are two entries, and the
-// raw codecs never touch the table.
+// bit for bit. Every hit is the volume the miss stored, the two dialects
+// of one volume are two entries, and the raw codecs never touch the
+// table. A round trip of the held volume keys it through the memo's
+// index, to the entry its content has.
 func TestMemoRoundTripMatchesCodecs(t *testing.T) {
 	v := unseenVol(5, 4, 3)
 	v.Data[1], v.Data[2] = math.Copysign(0, -1), math.Inf(1)
@@ -40,12 +42,12 @@ func TestMemoRoundTripMatchesCodecs(t *testing.T) {
 		t.Fatalf("the raw codecs moved the memo's counters: %+v → %+v", before, s)
 	}
 
+	var first, firstCSV *volume.V3
 	for round := 0; round < 3; round++ {
 		got, n, err := RoundTrip(v)
 		if err != nil || n != len(wantTSV) || !sameVolume(got, v) {
 			t.Fatalf("round %d TSV: err %v, %d bytes (codec wrote %d), same bits %v", round, err, n, len(wantTSV), err == nil && sameVolume(got, v))
 		}
-		got.Data[3] = -1 // must not reach the next hit
 		gotCSV, nCSV, err := RoundTripCSV(v)
 		if err != nil || nCSV != len(wantCSV) || !sameVolume(gotCSV, v) {
 			t.Fatalf("round %d CSV: err %v, %d bytes (codec wrote %d)", round, err, nCSV, len(wantCSV))
@@ -53,11 +55,25 @@ func TestMemoRoundTripMatchesCodecs(t *testing.T) {
 		if a, b := float64(nCSV)/float64(8*v.Len()), float64(len(wantCSV))/float64(8*v.Len()); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("round %d: expansion %v from the memo, %v from the codec", round, a, b)
 		}
-		gotCSV.Data[3] = -1
+		if round == 0 {
+			first, firstCSV = got, gotCSV
+		} else if got != first || gotCSV != firstCSV {
+			t.Fatalf("round %d: a hit is not the volume the miss stored", round)
+		}
 	}
 	s := textStats()
 	if s.Misses-before.Misses != 2 || s.Hits-before.Hits != 4 {
 		t.Fatalf("%d misses and %d hits, want 2 (one per dialect) and 4", s.Misses-before.Misses, s.Hits-before.Hits)
+	}
+
+	// The parsed volume has v's bits, so its round trip is v's entry.
+	digests := memo.Snapshot()
+	if again, _, err := RoundTrip(first); err != nil || again != first {
+		t.Fatalf("the round trip of the held volume: %p (%v), want %p", again, err, first)
+	}
+	if now := memo.Snapshot(); now.IndexedDigests-digests.IndexedDigests != 1 || now.ContentDigests != digests.ContentDigests {
+		t.Errorf("the held volume's key: %d digests from the index and %d hashed, want 1 and 0",
+			now.IndexedDigests-digests.IndexedDigests, now.ContentDigests-digests.ContentDigests)
 	}
 }
 
