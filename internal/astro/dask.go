@@ -93,7 +93,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				var pieces []*skymap.PatchExposure
 				for _, a := range args {
 					e := a.(*skymap.Exposure)
-					pieces = append(pieces, grid.Project(e, k.patch))
+					pieces = append(pieces, grid.Defer(e, k.patch))
 				}
 				sortPatchExposures(pieces)
 				merged, err := skymap.AssemblePatches(pieces)

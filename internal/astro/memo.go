@@ -18,17 +18,10 @@ import (
 // PreprocessMemo is Preprocess, computed once per exposure (kind
 // memo.Calibrate). An exposure fits.DecodeStaged handed out is keyed by
 // its lineage, the staged object's digest; any other by its header and
-// the raw bits of its three planes.
+// the raw bits of its three planes (skymap.KeyExposure).
 func PreprocessMemo(e *skymap.Exposure) *skymap.Exposure {
 	k := memo.NewKey(memo.Calibrate)
-	if !k.Origin(e) {
-		for _, x := range [...]int{e.Visit, e.Sensor, e.X0, e.Y0} {
-			k.U64(uint64(x))
-		}
-		imaging.KeyImage(k, e.Flux)
-		imaging.KeyImage(k, e.Var)
-		k.Bytes(e.Mask)
-	}
+	skymap.KeyExposure(k, e)
 	v, _ := k.Shared(func() (any, int64, error) {
 		out := Preprocess(e)
 		return out, out.Bytes(), nil

@@ -3,12 +3,14 @@ package astro
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"imagebench/internal/fits"
 	"imagebench/internal/imaging"
 	"imagebench/internal/memo"
+	"imagebench/internal/myria"
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
@@ -284,5 +286,154 @@ func TestDetectMemoMatchesDetect(t *testing.T) {
 	flat := &skymap.Coadd{Flux: imaging.NewImage(40, 40), NVisits: imaging.NewImage(40, 40)}
 	if got := DetectMemo(flat); len(got) != 0 {
 		t.Errorf("a flat coadd has %d sources", len(got))
+	}
+}
+
+func sameCoadd(a, b *skymap.Coadd) bool {
+	return a.Patch == b.Patch && sameBits(a.Flux.Pix, b.Flux.Pix) && sameBits(a.NVisits.Pix, b.NVisits.Pix)
+}
+
+// stackOn projects each exposure that touches p with piece and
+// assembles the pieces into one per visit, in visit order.
+func stackOn(t *testing.T, g skymap.Grid, es []*skymap.Exposure, p skymap.Patch, piece func(*skymap.Exposure, skymap.Patch) *skymap.PatchExposure) []*skymap.PatchExposure {
+	t.Helper()
+	var pieces []*skymap.PatchExposure
+	for _, e := range es {
+		if slices.Contains(g.ExposureOverlaps(e), p) {
+			pieces = append(pieces, piece(e, p))
+		}
+	}
+	sortPatchExposures(pieces)
+	stack, err := skymap.AssemblePatches(pieces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stack
+}
+
+// A coadd of deferred pieces is keyed by the lineage of the calibrated
+// exposures they came from: found again without a pixel read or a piece
+// built, equal to CoaddPatch over projected pieces, never the answer
+// for a clone one ulp apart, and still right, under a content key, for
+// exposures handed out before a reset.
+func TestDeferredCoaddIsKeyedByLineage(t *testing.T) {
+	w := unseenWorkload(t, 3)
+	g := w.Grid()
+	var cals []*skymap.Exposure
+	for _, key := range w.Store.List("astro/fits/") {
+		obj, _ := w.Store.Get(key)
+		e, err := fits.DecodeStaged(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cals = append(cals, PreprocessMemo(e))
+	}
+	touching := map[skymap.Patch]int{}
+	var p skymap.Patch
+	for _, e := range cals {
+		for _, q := range g.ExposureOverlaps(e) {
+			if touching[q]++; touching[q] > touching[p] {
+				p = q
+			}
+		}
+	}
+	check := func(name string, es []*skymap.Exposure) (*skymap.Coadd, []*skymap.PatchExposure) {
+		t.Helper()
+		stack := stackOn(t, g, es, p, g.Defer)
+		got, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := skymap.CoaddPatch(stackOn(t, g, es, p, g.Project), ClipSigma, ClipIters)
+		if err != nil || !sameCoadd(got, want) {
+			t.Errorf("%s: the deferred stack's coadd differs from CoaddPatch over projected pieces (%v)", name, err)
+		}
+		return got, stack
+	}
+	census := func(before memo.Stats) [3]uint64 {
+		now := memo.Snapshot()
+		return [3]uint64{now.LineageKeys - before.LineageKeys, now.ContentFallbacks - before.ContentFallbacks,
+			now.Kinds[memo.Coadd].Misses - before.Kinds[memo.Coadd].Misses}
+	}
+
+	co, stack := check("cold", cals)
+	sources := 0
+	before := memo.Snapshot()
+	again, warm := check("warm", cals)
+	for _, pe := range warm {
+		sources += len(slices.DeleteFunc(slices.Clone(cals), func(e *skymap.Exposure) bool {
+			return e.Visit != pe.Visit || !slices.Contains(g.ExposureOverlaps(e), p)
+		}))
+		if pe.Flux != nil {
+			t.Errorf("visit %d: a coadd the memo held built the piece's planes", pe.Visit)
+		}
+	}
+	if got, want := census(before), [3]uint64{uint64(sources), 0, 0}; again != co || got != want {
+		t.Errorf("warm: %p, the cold coadd %p; lineage keys, content fallbacks, coadds computed %v, want %v", again, co, got, want)
+	}
+	if len(stack) < 2 || sources <= len(stack) {
+		t.Fatalf("a stack of %d pieces from %d exposures: the test wants several visits and merges", len(stack), sources)
+	}
+
+	// A clone one ulp apart, on a valid pixel inside p, is another input.
+	i := slices.IndexFunc(cals, func(e *skymap.Exposure) bool { return slices.Contains(g.ExposureOverlaps(e), p) })
+	clone := cals[i].Clone()
+	x, y := max(p.PX*g.PatchW-clone.X0, 0), max(p.PY*g.PatchH-clone.Y0, 0)
+	j := y*clone.Flux.W + x
+	clone.Mask[j] &^= skymap.MaskBad
+	clone.Flux.Pix[j] = math.Nextafter(clone.Flux.Pix[j], math.Inf(1))
+	if got, _ := check("one-ulp clone", slices.Replace(slices.Clone(cals), i, i+1, clone)); got == co {
+		t.Error("a clone one ulp apart was answered with the original's coadd")
+	}
+
+	forceReset(t)
+	before = memo.Snapshot()
+	if got, _ := check("after a reset", cals); got == co {
+		t.Error("exposures handed out before the reset: want a new, equal coadd")
+	}
+	if got, want := census(before), [3]uint64{0, uint64(sources), 1}; got != want {
+		t.Errorf("after a reset: lineage keys, content fallbacks, coadds computed %v, want %v", got, want)
+	}
+}
+
+// Myria groups each co-addition by the piece's patch, not by cutting a
+// two-digit visit suffix off its key: past 99 visits RunMyria and
+// MyriaCoadd still co-add each patch's whole stack, as the reference
+// and CoaddAll do.
+func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
+	w := unseenWorkload(t, 101)
+	ref, err := Reference(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunMyria(w, testCluster(), nil, MyriaOpts{Mode: myria.MultiQuery, ChunkVisits: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBitEqual(t, "RunMyria at 101 visits", got, ref)
+
+	stacks, err := BuildStacks(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CoaddAll(stacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := memo.Snapshot()
+	if _, err := MyriaCoadd(w, testCluster(), nil, stacks); err != nil {
+		t.Fatal(err)
+	}
+	// Every coadd MyriaCoadd computed is one of CoaddAll's stacks: asking
+	// for those now computes nothing more.
+	patches, groups := skymap.GroupByPatch(stacks)
+	for _, p := range patches {
+		co, err := skymap.CoaddPatchMemo(groups[p], ClipSigma, ClipIters)
+		if err != nil || !sameCoadd(co, want[p]) {
+			t.Errorf("%v: %v, or the coadd differs from CoaddAll's", p, err)
+		}
+	}
+	if _, _, coadd, _ := misses(before); coadd != uint64(len(patches)) {
+		t.Errorf("MyriaCoadd and CoaddAll's stacks computed %d coadds, want one for each of %d patches", coadd, len(patches))
 	}
 }

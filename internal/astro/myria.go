@@ -83,7 +83,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	qf := eng.NewQuery(prev)
 	stackRel := relFromStacks(eng, qf, stacks, patchBytes)
 	coadds := qf.GroupByApply(stackRel,
-		func(t myria.Tuple) string { return t.Key[:len(t.Key)-len("/v00")] },
+		func(t myria.Tuple) string { return PatchKey(t.Value.(*skymap.PatchExposure).Patch) },
 		myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, group []myria.Tuple) []myria.Tuple {
 			stack := make([]*skymap.PatchExposure, 0, len(group))
 			for _, t := range group {
@@ -130,7 +130,7 @@ func runMyriaChunk(w *Workload, q *myria.Query, exposures *myria.Relation, v0, v
 		e := t.Value.(*skymap.Exposure)
 		var out []myria.Tuple
 		for _, pt := range grid.ExposureOverlaps(e) {
-			out = append(out, myria.Tuple{Key: VisitPatchKey(pt, e.Visit), Value: grid.Project(e, pt), Size: patchBytes})
+			out = append(out, myria.Tuple{Key: VisitPatchKey(pt, e.Visit), Value: grid.Defer(e, pt), Size: patchBytes})
 		}
 		return out
 	}})

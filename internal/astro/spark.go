@@ -51,7 +51,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		for _, pt := range grid.ExposureOverlaps(e) {
 			out = append(out, spark.Pair{
 				Key:   VisitPatchKey(pt, e.Visit),
-				Value: grid.Project(e, pt),
+				Value: grid.Defer(e, pt),
 				Size:  patchBytes,
 			})
 		}

@@ -20,8 +20,9 @@ import (
 // methodology: BuildStacks decodes and calibrates through the memo the
 // engine models share, since every column and experiment that builds
 // stacks from one survey builds the same ones, and projects fresh
-// pieces each time. A nil model means cost.Default(), resolved by the
-// system constructors.
+// pieces each time with Grid.Project, not Grid.Defer: these stacks
+// carry their planes and are keyed by content. A nil model means
+// cost.Default(), resolved by the system constructors.
 
 // BuildStacks runs Steps 1A+2A to produce the patch exposures that the
 // co-addition step consumes, bit-equal to the reference's.
@@ -87,7 +88,7 @@ func MyriaCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*s
 	rel := eng.RelationFromTuples(q, "PatchStacks", tuples)
 	t0 := cl.Makespan()
 	q.GroupByApply(rel,
-		func(t myria.Tuple) string { return t.Key[:len(t.Key)-len("/v00")] },
+		func(t myria.Tuple) string { return PatchKey(t.Value.(*skymap.PatchExposure).Patch) },
 		myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, group []myria.Tuple) []myria.Tuple {
 			coadd, err := coaddGroup(group, func(t myria.Tuple) *skymap.PatchExposure { return t.Value.(*skymap.PatchExposure) })
 			if err != nil {

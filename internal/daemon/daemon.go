@@ -154,10 +154,11 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 // these counters are where that reuse shows. The resets and bytes
 // series add up the memo's two tables and have no label; key_digests
 // says where the volume digests in the keys came from, the index of
-// held values or a hash of the voxels. Beside them, from a table of the
-// same type, the experiments' shared inputs (core.InputStats): how many
-// of a pass's workload requests were served and how many generated
-// their input.
+// held values or a hash of the voxels, and lineage whether the values
+// keys named were held (lineage) or not (content). Beside them, from a
+// table of the same type, the experiments' shared inputs
+// (core.InputStats): how many of a pass's workload requests were served
+// and how many generated their input.
 func registerKernelMemoMetrics(m *obs.Registry) {
 	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
 		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
@@ -177,6 +178,10 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		"Volume digests the memo's keys were built from, by source: the index of held values or the voxels, hashed.", "source")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().IndexedDigests) }, "index")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().ContentDigests) }, "content")
+	lineage := m.NewCounterVec("imagebench_kernel_memo_lineage_total",
+		"Values the memo's keys named, by source: their lineage, or their content because the memo did not hold them.", "source")
+	lineage.WithFunc(func() float64 { return float64(memo.Snapshot().LineageKeys) }, "lineage")
+	lineage.WithFunc(func() float64 { return float64(memo.Snapshot().ContentFallbacks) }, "content")
 
 	hits = m.NewCounterVec("imagebench_shared_input_hits_total",
 		"Workload requests served the process's shared input, by use case.", "kind")

@@ -481,6 +481,9 @@ func TestMetricsShape(t *testing.T) {
 		"# TYPE imagebench_kernel_memo_key_digests_total counter",
 		`imagebench_kernel_memo_key_digests_total{source="index"} ` + num(float64(ms.IndexedDigests)),
 		`imagebench_kernel_memo_key_digests_total{source="content"} ` + num(float64(ms.ContentDigests)),
+		"# TYPE imagebench_kernel_memo_lineage_total counter",
+		`imagebench_kernel_memo_lineage_total{source="lineage"} ` + num(float64(ms.LineageKeys)),
+		`imagebench_kernel_memo_lineage_total{source="content"} ` + num(float64(ms.ContentFallbacks)),
 	}
 	for _, k := range memo.Kinds() {
 		lines = append(lines,

@@ -34,10 +34,11 @@
 // volume). They live in a second table under the same budget, so the
 // many values that are cheap to make again never drop a stage result.
 //
-// Astronomy keys by lineage: a calibration is keyed by the key of the
-// decode it came from, and that by the digest the object store keeps
-// with the staged bytes (Hasher.Origin). A value the table does not
-// hold is keyed by its content, as everywhere else.
+// Astronomy keys by lineage up to Step 3A: a coadd of deferred patch
+// pieces by the keys of the calibrations they were projected from, a
+// calibration by the key of the decode it came from, and that by the
+// digest the object store keeps with the staged bytes (Hasher.Origin).
+// A value the table does not hold is keyed by its content.
 //
 // The claim, the wait and the budget are Table's and know nothing of
 // volumes; internal/core keeps the experiments' generated inputs in a
@@ -128,6 +129,9 @@ type Stats struct {
 	// from the voxels. Only the package's Snapshot fills them, and it
 	// adds up its two tables' resets and bytes.
 	IndexedDigests, ContentDigests uint64
+	// LineageKeys and ContentFallbacks count Origin's answers: a value
+	// keyed by its lineage, or one the caller keys by its content.
+	LineageKeys, ContentFallbacks uint64
 }
 
 // Table computes each key's value once and shares it: a process-wide,
@@ -336,15 +340,18 @@ func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
 func (k *Hasher) Origin(v any) bool {
 	parent, ok := stages.Known(v)
 	if !ok {
+		contentFallbacks.Add(1)
 		k.U64(0)
 		return false
 	}
+	lineageKeys.Add(1)
 	k.U64(1)
 	k.Bytes(parent[:])
 	return true
 }
 
 var indexedDigests, contentDigests atomic.Uint64 // Digest's two sources, since process start
+var lineageKeys, contentFallbacks atomic.Uint64  // Origin's two answers, likewise
 
 // Digest returns v's content digest, its shape and the raw bits of
 // every voxel hashed. A volume a table holds is read from the table's
@@ -385,6 +392,7 @@ func Snapshot() Stats {
 	s.Resets += v.Resets
 	s.Bytes += v.Bytes
 	s.IndexedDigests, s.ContentDigests = indexedDigests.Load(), contentDigests.Load()
+	s.LineageKeys, s.ContentFallbacks = lineageKeys.Load(), contentFallbacks.Load()
 	return s
 }
 

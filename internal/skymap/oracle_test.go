@@ -3,6 +3,7 @@ package skymap
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -53,7 +54,12 @@ func randomExposure(rng *rand.Rand, x0, y0, w, h int) *Exposure {
 
 func sameProjection(t *testing.T, name string, g Grid, e *Exposure, p Patch) {
 	t.Helper()
-	got, want := g.Project(e, p), oracleProject(g, e, p)
+	samePiece(t, name, p, g.Project(e, p), oracleProject(g, e, p))
+}
+
+// samePiece fails unless got is want, header, shape and planes, bit for bit.
+func samePiece(t testing.TB, name string, p Patch, got, want *PatchExposure) {
+	t.Helper()
 	if got.Patch != want.Patch || got.Visit != want.Visit || got.Flux.W != want.Flux.W || got.Flux.H != want.Flux.H ||
 		got.Var.W != want.Var.W || got.Var.H != want.Var.H || len(got.Valid) != len(want.Valid) {
 		t.Fatalf("%s %v: header or shape differs", name, p)
@@ -129,4 +135,149 @@ func TestPatchExposurePlanesDoNotAlias(t *testing.T) {
 	if pe.Var.Pix[0] != 0 {
 		t.Error("appending to the flux plane wrote into the variance plane")
 	}
+}
+
+// chain projects es onto p with piece and merges the pieces in order.
+func chain(t testing.TB, es []*Exposure, p Patch, piece func(*Exposure, Patch) *PatchExposure) *PatchExposure {
+	t.Helper()
+	pe := piece(es[0], p)
+	for _, e := range es[1:] {
+		if err := Merge(pe, piece(e, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pe
+}
+
+// checkDefer holds the deferred pieces of one visit's exposures es, on
+// every patch they touch, to the oracle's projections merged in order:
+// the validity plane and Bytes at defer time, and the planes once built
+// after one deferred chain, after two deferred chains split at split
+// merged together, and after a deferred chain and a projected one
+// merged either way round.
+func checkDefer(t testing.TB, g Grid, es []*Exposure, split int) {
+	t.Helper()
+	done := map[Patch]bool{}
+	for _, e := range es {
+		for _, p := range g.ExposureOverlaps(e) {
+			if done[p] {
+				continue
+			}
+			done[p] = true
+			want := chain(t, es, p, func(e *Exposure, p Patch) *PatchExposure { return oracleProject(g, e, p) })
+			one := chain(t, es, p, g.Defer)
+			size := want.Flux.Bytes() + want.Var.Bytes() + int64(len(want.Valid))
+			if one.Flux != nil || one.Var != nil || !slices.Equal(one.Valid, want.Valid) || one.Bytes() != size {
+				t.Fatalf("%v deferred: planes %v, validity equal %v, %d bytes; want no planes, equal, %d",
+					p, one.Flux != nil, slices.Equal(one.Valid, want.Valid), one.Bytes(), size)
+			}
+			one.planes()
+			samePiece(t, "one deferred chain", p, one, want)
+			if one.Bytes() != size {
+				t.Fatalf("%v: %d bytes once built, want %d", p, one.Bytes(), size)
+			}
+			if split <= 0 || split >= len(es) {
+				continue
+			}
+			left, right := es[:split], es[split:]
+			for _, c := range []struct {
+				name        string
+				left, right func(*Exposure, Patch) *PatchExposure
+			}{{"two deferred chains", g.Defer, g.Defer}, {"deferred into projected", g.Project, g.Defer}, {"projected into deferred", g.Defer, g.Project}} {
+				got := chain(t, left, p, c.left)
+				if err := Merge(got, chain(t, right, p, c.right)); err != nil {
+					t.Fatal(err)
+				}
+				got.planes()
+				samePiece(t, c.name, p, got, want)
+			}
+		}
+	}
+}
+
+// randomVisit draws one visit's exposures on g: up to four, overlapping
+// at random so first-valid-wins decides some pixels, with rows wholly
+// bad and, now and then, an exposure wholly bad.
+func randomVisit(rng *rand.Rand, g Grid, visit int) []*Exposure {
+	es := make([]*Exposure, 1+rng.Intn(4))
+	for i := range es {
+		w, h := 1+rng.Intn(3*g.PatchW), 1+rng.Intn(3*g.PatchH)
+		e := randomExposure(rng, rng.Intn(4*g.PatchW+1)-2*g.PatchW, rng.Intn(4*g.PatchH+1)-2*g.PatchH, w, h)
+		e.Visit = visit
+		for x := 0; x < w; x++ {
+			e.Mask[rng.Intn(h)*w+x] |= MaskBad
+		}
+		if rng.Intn(6) == 0 {
+			for j := range e.Mask {
+				e.Mask[j] |= MaskBad
+			}
+		}
+		es[i] = e
+	}
+	return es
+}
+
+// Defer, Merge and the planes built later are Project and Merge bit for
+// bit, whatever the grouping of the merges and on any grid, and a
+// stack of deferred pieces co-adds to what the projected stack does.
+func TestDeferMatchesProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for round := 0; round < 300; round++ {
+		g := Grid{PatchW: 1 + rng.Intn(12), PatchH: 1 + rng.Intn(12)}
+		es := randomVisit(rng, g, 3)
+		checkDefer(t, g, es, rng.Intn(len(es)+1))
+	}
+
+	g := Grid{PatchW: 9, PatchH: 7}
+	p := Patch{PX: -1, PY: 0}
+	var deferred, projected []*PatchExposure
+	for v := 0; v < 12; v++ {
+		es := randomVisit(rng, g, v)
+		for _, e := range es { // every exposure on p, around its origin
+			e.X0, e.Y0 = -g.PatchW+rng.Intn(5)-2, rng.Intn(5)-2
+		}
+		deferred = append(deferred, chain(t, es, p, g.Defer))
+		projected = append(projected, chain(t, es, p, g.Project))
+	}
+	projected[4].Flux.Pix[10] = 1e6 // an outlier, so clipping does something
+	deferred[4].planes()
+	deferred[4].Flux.Pix[10] = 1e6
+	got, err := CoaddPatch(deferred, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CoaddPatch(projected, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(bitsOf(got.Flux.Pix), bitsOf(want.Flux.Pix)) || !slices.Equal(bitsOf(got.NVisits.Pix), bitsOf(want.NVisits.Pix)) {
+		t.Error("the deferred stack co-adds to other bits than the projected one")
+	}
+	for v, pe := range deferred {
+		if pe.srcs != nil {
+			t.Errorf("visit %d: CoaddPatch left the piece deferred", v)
+		}
+	}
+}
+
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// FuzzDefer is the differential of TestDeferMatchesProject over
+// arbitrary grids, geometries, pixel values and merge groupings.
+func FuzzDefer(f *testing.F) {
+	f.Add(int64(1), uint8(7), uint8(5), uint8(2))
+	f.Add(int64(-3), uint8(1), uint8(1), uint8(0))
+	f.Add(int64(42), uint8(12), uint8(3), uint8(9))
+	f.Fuzz(func(t *testing.T, seed int64, pw, ph, split uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		g := Grid{PatchW: 1 + int(pw%16), PatchH: 1 + int(ph%16)}
+		es := randomVisit(rng, g, int(seed%7))
+		checkDefer(t, g, es, int(split)%(len(es)+1))
+	})
 }

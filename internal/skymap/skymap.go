@@ -100,13 +100,16 @@ func floorDiv(a, b int) int {
 
 // PatchExposure is the pixels one visit contributes to one patch: a
 // patch-sized flux/variance raster with a validity plane (pixels outside
-// the contributing sensors are invalid).
+// the contributing sensors are invalid). A piece from Grid.Defer has no
+// Flux or Var until a reader of pixels in this package builds them.
 type PatchExposure struct {
 	Patch Patch
 	Visit int
 	Flux  *imaging.Image
 	Var   *imaging.Image
 	Valid []bool
+	grid  Grid        // a deferred piece's grid
+	srcs  []*Exposure // a deferred piece's sources, nil once its planes are built
 }
 
 // NewPatchExposure allocates an all-invalid patch exposure. The flux
@@ -125,9 +128,10 @@ func NewPatchExposure(g Grid, p Patch, visit int) *PatchExposure {
 	}
 }
 
-// Bytes returns the in-memory size of the patch exposure's pixel data.
+// Bytes returns the in-memory size of the patch exposure's pixel data,
+// a deferred piece's once built: two float64 planes and a validity plane.
 func (pe *PatchExposure) Bytes() int64 {
-	return pe.Flux.Bytes() + pe.Var.Bytes() + int64(len(pe.Valid))
+	return int64(len(pe.Valid)) * (2*8 + 1)
 }
 
 // ValidCount returns the number of valid pixels.
@@ -147,14 +151,30 @@ func (pe *PatchExposure) ValidCount() int {
 // whole.
 func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 	pe := NewPatchExposure(g, p, e.Visit)
+	g.project(e, pe)
+	return pe
+}
+
+// Defer is Project on demand: it builds the validity plane and records
+// e; Project's planes are built only when read, and until then
+// CoaddPatchMemo keys the piece by its lineage. Defer consults nothing.
+func (g Grid) Defer(e *Exposure, p Patch) *PatchExposure {
+	pe := &PatchExposure{Patch: p, Visit: e.Visit, Valid: make([]bool, g.PatchW*g.PatchH), grid: g, srcs: []*Exposure{e}}
+	g.project(e, pe)
+	return pe
+}
+
+// project fills pe (patch pe.Patch) from e; the validity plane alone
+// when pe has no flux plane.
+func (g Grid) project(e *Exposure, pe *PatchExposure) {
 	// The patch's origin in e's pixel coordinates, and the overlap there.
-	ox, oy := p.PX*g.PatchW-e.X0, p.PY*g.PatchH-e.Y0
+	ox, oy := pe.Patch.PX*g.PatchW-e.X0, pe.Patch.PY*g.PatchH-e.Y0
 	x0, x1 := max(ox, 0), min(ox+g.PatchW, e.Flux.W)
 	y0, y1 := max(oy, 0), min(oy+g.PatchH, e.Flux.H)
 	if x0 >= x1 {
-		return pe
+		return
 	}
-	n := x1 - x0
+	n, pix := x1-x0, pe.Flux != nil
 	for y := y0; y < y1; y++ {
 		si, vi, di := y*e.Flux.W+x0, y*e.Var.W+x0, (y-oy)*g.PatchW+x0-ox
 		mask, valid := e.Mask[si:si+n], pe.Valid[di:di+n]
@@ -166,8 +186,10 @@ func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 			}
 		}
 		if clean {
-			copy(pe.Flux.Pix[di:di+n], e.Flux.Pix[si:si+n])
-			copy(pe.Var.Pix[di:di+n], e.Var.Pix[vi:vi+n])
+			if pix {
+				copy(pe.Flux.Pix[di:di+n], e.Flux.Pix[si:si+n])
+				copy(pe.Var.Pix[di:di+n], e.Var.Pix[vi:vi+n])
+			}
 			for x := range valid {
 				valid[x] = true
 			}
@@ -175,23 +197,53 @@ func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 		}
 		for x, m := range mask {
 			if m&MaskBad == 0 {
-				pe.Flux.Pix[di+x] = e.Flux.Pix[si+x]
-				pe.Var.Pix[di+x] = e.Var.Pix[vi+x]
+				if pix {
+					pe.Flux.Pix[di+x] = e.Flux.Pix[si+x]
+					pe.Var.Pix[di+x] = e.Var.Pix[vi+x]
+				}
 				valid[x] = true
 			}
 		}
 	}
-	return pe
+}
+
+// planes builds a deferred piece's planes by replaying Defer and Merge:
+// each source projected, merged in order. First-valid-wins merging is
+// associative, so the grouping of the recorded merges does not matter.
+func (pe *PatchExposure) planes() {
+	if pe.srcs == nil {
+		return
+	}
+	built := pe.grid.Project(pe.srcs[0], pe.Patch)
+	for _, e := range pe.srcs[1:] {
+		mergePixels(built, pe.grid.Project(e, pe.Patch))
+	}
+	pe.Flux, pe.Var, pe.srcs = built.Flux, built.Var, nil
 }
 
 // Merge unions the valid pixels of src into dst (same patch and visit).
 // Overlapping sensor pixels keep dst's value; sensors within a visit abut
-// rather than overlap, so ties are rare and benign.
+// rather than overlap, so ties are rare and benign. Two deferred pieces
+// merge validity and sources only; otherwise both are built first.
 func Merge(dst, src *PatchExposure) error {
 	if dst.Patch != src.Patch || dst.Visit != src.Visit {
 		return fmt.Errorf("skymap: merging %v/visit %d into %v/visit %d",
 			src.Patch, src.Visit, dst.Patch, dst.Visit)
 	}
+	if dst.srcs != nil && src.srcs != nil && dst.grid == src.grid {
+		dst.srcs = append(dst.srcs, src.srcs...)
+		for i, v := range src.Valid {
+			dst.Valid[i] = dst.Valid[i] || v
+		}
+		return nil
+	}
+	dst.planes()
+	src.planes()
+	mergePixels(dst, src)
+	return nil
+}
+
+func mergePixels(dst, src *PatchExposure) {
 	for i, v := range src.Valid {
 		if v && !dst.Valid[i] {
 			dst.Flux.Pix[i] = src.Flux.Pix[i]
@@ -199,15 +251,13 @@ func Merge(dst, src *PatchExposure) error {
 			dst.Valid[i] = true
 		}
 	}
-	return nil
 }
 
 // AssemblePatches groups a visit's projected pieces by patch and merges
 // each group into one PatchExposure per (patch, visit) — the grouping half
 // of Step 2A. The input may contain pieces from many visits. Each group
 // is merged into its first piece, which is mutated and returned: a piece
-// is never shared, so Project builds fresh ones on every call and is a
-// kernel, not a memoized stage.
+// is never shared, so Project and Defer build fresh ones on every call.
 func AssemblePatches(pieces []*PatchExposure) ([]*PatchExposure, error) {
 	type key struct {
 		p     Patch
@@ -275,10 +325,14 @@ type CoaddState struct {
 	alive [][]bool
 }
 
-// NewCoaddState starts a stepwise co-addition over the stack.
+// NewCoaddState starts a stepwise co-addition over the stack, building
+// the planes of its deferred pieces.
 func NewCoaddState(stack []*PatchExposure) (*CoaddState, error) {
 	if len(stack) == 0 {
 		return nil, fmt.Errorf("skymap: empty coadd stack")
+	}
+	for _, pe := range stack {
+		pe.planes()
 	}
 	p := stack[0].Patch
 	for _, pe := range stack {

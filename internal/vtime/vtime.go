@@ -7,6 +7,8 @@ package vtime
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 )
 
@@ -76,7 +78,8 @@ func Min(ts ...Time) Time {
 // so an early-ready request submitted late still uses idle time before
 // later-ready requests.
 type GapTimeline struct {
-	// busy intervals, sorted by start, non-overlapping.
+	// busy intervals, sorted by start, disjoint and coalesced: no two
+	// touch, so the ends are sorted too.
 	starts, ends []Time
 	busy         Duration
 }
@@ -85,10 +88,12 @@ type GapTimeline struct {
 // ready: it returns the start of that gap and the index at which a new
 // interval starting there would be inserted. It is the single search
 // shared by Reserve and StartAt, so a probe always agrees with the
-// booking that follows it.
+// booking that follows it. The intervals are disjoint and coalesced, so
+// their ends are sorted and those at or before ready, which can neither
+// hold the gap nor push it, are passed over in one binary search.
 func (g *GapTimeline) findGap(ready Time, d Duration) (start Time, i int) {
 	start = ready
-	for i = 0; i < len(g.starts); i++ {
+	for i = sort.Search(len(g.ends), func(j int) bool { return g.ends[j] > ready }); i < len(g.starts); i++ {
 		if g.starts[i] >= start.Add(d) {
 			break // fits entirely before interval i
 		}
@@ -108,34 +113,24 @@ func (g *GapTimeline) Reserve(ready Time, d Duration) (start, end Time) {
 	start, i := g.findGap(ready, d)
 	end = start.Add(d)
 	if d > 0 {
-		g.starts = append(g.starts, 0)
-		g.ends = append(g.ends, 0)
-		copy(g.starts[i+1:], g.starts[i:])
-		copy(g.ends[i+1:], g.ends[i:])
-		g.starts[i] = start
-		g.ends[i] = end
 		g.busy += d
-		// Coalesce with neighbours to keep the list short.
-		g.coalesce()
-	}
-	return start, end
-}
-
-func (g *GapTimeline) coalesce() {
-	out := 0
-	for i := 1; i < len(g.starts); i++ {
-		if g.starts[i] <= g.ends[out] {
-			if g.ends[i] > g.ends[out] {
-				g.ends[out] = g.ends[i]
-			}
-		} else {
-			out++
-			g.starts[out] = g.starts[i]
-			g.ends[out] = g.ends[i]
+		// The booking lies between intervals i-1 and i and can touch each
+		// only at an end: coalesce it with the ones it touches, so the
+		// list stays short and its ends sorted.
+		prev, next := i > 0 && g.ends[i-1] == start, i < len(g.starts) && g.starts[i] == end
+		switch {
+		case prev && next:
+			g.ends[i-1] = g.ends[i]
+			g.starts, g.ends = slices.Delete(g.starts, i, i+1), slices.Delete(g.ends, i, i+1)
+		case prev:
+			g.ends[i-1] = end
+		case next:
+			g.starts[i] = start
+		default:
+			g.starts, g.ends = slices.Insert(g.starts, i, start), slices.Insert(g.ends, i, end)
 		}
 	}
-	g.starts = g.starts[:out+1]
-	g.ends = g.ends[:out+1]
+	return start, end
 }
 
 // StartAt returns the time Reserve(ready, d) would book, without booking.

@@ -1,6 +1,9 @@
 package vtime
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -167,5 +170,163 @@ func TestGapTimelineNoOverlapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// oracleGap is GapTimeline as it was before the binary search and the
+// neighbour-only coalesce: a scan from the first interval and a full
+// coalescing pass after every booking. findGap, Reserve and coalesce are
+// kept verbatim.
+type oracleGap struct {
+	starts, ends []Time
+	busy         Duration
+}
+
+func (g *oracleGap) findGap(ready Time, d Duration) (start Time, i int) {
+	start = ready
+	for i = 0; i < len(g.starts); i++ {
+		if g.starts[i] >= start.Add(d) {
+			break // fits entirely before interval i
+		}
+		if g.ends[i] > start {
+			start = g.ends[i] // push past interval i
+		}
+	}
+	return start, i
+}
+
+func (g *oracleGap) Reserve(ready Time, d Duration) (start, end Time) {
+	if d < 0 {
+		d = 0
+	}
+	start, i := g.findGap(ready, d)
+	end = start.Add(d)
+	if d > 0 {
+		g.starts = append(g.starts, 0)
+		g.ends = append(g.ends, 0)
+		copy(g.starts[i+1:], g.starts[i:])
+		copy(g.ends[i+1:], g.ends[i:])
+		g.starts[i] = start
+		g.ends[i] = end
+		g.busy += d
+		// Coalesce with neighbours to keep the list short.
+		g.coalesce()
+	}
+	return start, end
+}
+
+func (g *oracleGap) coalesce() {
+	out := 0
+	for i := 1; i < len(g.starts); i++ {
+		if g.starts[i] <= g.ends[out] {
+			if g.ends[i] > g.ends[out] {
+				g.ends[out] = g.ends[i]
+			}
+		} else {
+			out++
+			g.starts[out] = g.starts[i]
+			g.ends[out] = g.ends[i]
+		}
+	}
+	g.starts = g.starts[:out+1]
+	g.ends = g.ends[:out+1]
+}
+
+// replayGap books ops on a GapTimeline and on the oracle side by side
+// and fails at the first step where the booked interval, the probe, the
+// busy list or the busy total differ. An op is three words: which
+// anchor ready is taken from (a booked interval's start or end, or
+// anywhere), an offset from it, and a duration that may be zero or
+// negative, or exactly fill the gap after the anchor.
+func replayGap(t testing.TB, ops [][3]int64) {
+	t.Helper()
+	var g GapTimeline
+	var o oracleGap
+	for step, op := range ops {
+		ready := Time(op[1] % 200)
+		if n := int64(len(o.starts)); n > 0 && op[0]%3 != 0 {
+			j := (op[0]/3%n + n) % n
+			ready = o.ends[j]
+			if op[0]%3 == 1 {
+				ready = o.starts[j]
+			}
+			ready += Time(op[1] % 3)
+		}
+		d := Duration(op[2]%40 - 5)
+		if i := firstStartAfter(o.starts, ready); op[2]%7 == 0 && i < len(o.starts) {
+			d = o.starts[i].Sub(ready) // touches the next interval exactly
+		}
+		probe := g.StartAt(ready, d)
+		s, e := g.Reserve(ready, d)
+		ws, we := o.Reserve(ready, d)
+		gs, ge := g.Intervals()
+		if s != ws || e != we || probe != ws || !slices.Equal(gs, o.starts) || !slices.Equal(ge, o.ends) || g.Busy() != o.busy {
+			t.Fatalf("step %d Reserve(%d, %d): [%d,%d) probe %d busy %d, intervals %d %d; oracle [%d,%d) busy %d, %d %d",
+				step, ready, d, s, e, probe, g.Busy(), gs, ge, ws, we, o.busy, o.starts, o.ends)
+		}
+	}
+}
+
+// firstStartAfter is the index of the first start after ready.
+func firstStartAfter(starts []Time, ready Time) int {
+	i := 0
+	for i < len(starts) && starts[i] <= ready {
+		i++
+	}
+	return i
+}
+
+// The binary-searched, neighbour-coalescing GapTimeline books exactly
+// what the scanning, fully-coalescing one did, over random sequences
+// rich in zero and negative durations, ready times on an interval's
+// start or end, and bookings that touch one or both neighbours.
+func TestGapTimelineMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for round := 0; round < 500; round++ {
+		ops := make([][3]int64, 1+rng.Intn(120))
+		for i := range ops {
+			ops[i] = [3]int64{rng.Int63n(90), rng.Int63n(400) - 100, rng.Int63n(80)}
+		}
+		replayGap(t, ops)
+	}
+}
+
+// FuzzGapTimeline is TestGapTimelineMatchesOracle over arbitrary
+// booking sequences, read as little-endian triples of 16-bit words.
+func FuzzGapTimeline(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 0, 7, 0, 3, 0, 5, 0, 0, 0, 1, 0, 2, 0, 14, 0})
+	f.Add([]byte{2, 0, 199, 0, 39, 0, 4, 0, 1, 0, 0, 0, 5, 0, 0, 0, 21, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		word := func(i int) int64 { return int64(int16(uint16(b[i]) | uint16(b[i+1])<<8)) }
+		var ops [][3]int64
+		for i := 0; i+6 <= len(b) && len(ops) < 500; i += 6 {
+			ops = append(ops, [3]int64{word(i), word(i + 2), word(i + 4)})
+		}
+		replayGap(t, ops)
+	})
+}
+
+// BenchmarkGapTimelineReserve books into the middle of a busy list of
+// n to 2n intervals, scattered over it: n one-tick bookings three ticks
+// apart, then one booking in each gap, touching neither neighbour,
+// before the list is reset to n.
+func BenchmarkGapTimelineReserve(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var base GapTimeline
+			for k := 0; k < n; k++ {
+				base.Reserve(Time(4*k), 1)
+			}
+			var g GapTimeline
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					g.starts, g.ends = append(g.starts[:0], base.starts...), append(g.ends[:0], base.ends...)
+				}
+				k := i * 7919 % n
+				g.Reserve(Time(4*k+2), 1)
+			}
+		})
 	}
 }
