@@ -82,17 +82,17 @@ func (w *Workload) PatchModelBytes() int64 {
 
 // PatchKey formats the record key for a patch, and VisitPatchKey for one
 // visit's contribution to a patch.
-func PatchKey(p skymap.Patch) string { return fmt.Sprintf("p%d_%d", p.PX, p.PY) }
+func PatchKey(p skymap.Patch) string { return synth.FormatKey("p#_#", p.PX, p.PY) }
 
 // VisitPatchKey keys one visit's patch exposure.
 func VisitPatchKey(p skymap.Patch, visit int) string {
-	return fmt.Sprintf("%s/v%02d", PatchKey(p), visit)
+	return synth.FormatKey("p#_#/v##", p.PX, p.PY, visit)
 }
 
 // ParsePatchKey inverts PatchKey (ignoring any /vNN suffix).
 func ParsePatchKey(key string) (skymap.Patch, error) {
 	var p skymap.Patch
-	if _, err := fmt.Sscanf(key, "p%d_%d", &p.PX, &p.PY); err != nil {
+	if !synth.ScanKey(key, "p#_#", &p.PX, &p.PY) && !synth.ScanKey(key, "p#_#/v##", &p.PX, &p.PY, new(int)) {
 		return p, fmt.Errorf("astro: bad patch key %q", key)
 	}
 	return p, nil

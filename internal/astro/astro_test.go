@@ -1,6 +1,7 @@
 package astro
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -215,5 +216,28 @@ func BenchmarkPreprocess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Preprocess(exposures[i%len(exposures)])
+	}
+}
+
+// PatchKey and VisitPatchKey spell patches as fmt's p%d_%d and
+// p%d_%d/v%02d did, for negative patches too, and ParsePatchKey reads
+// the patch back from either.
+func TestPatchKeysRoundTrip(t *testing.T) {
+	for id := -1200; id <= 1200; id++ {
+		for _, p := range []skymap.Patch{{PX: id, PY: 3}, {PX: -2, PY: id}} {
+			visit := max(id, 0)
+			key, vkey := PatchKey(p), VisitPatchKey(p, visit)
+			if want := fmt.Sprintf("p%d_%d", p.PX, p.PY); key != want || vkey != fmt.Sprintf("%s/v%02d", want, visit) {
+				t.Fatalf("%v: keys %q and %q, fmt spells %q and %q", p, key, vkey, want, fmt.Sprintf("%s/v%02d", want, visit))
+			}
+			for _, k := range []string{key, vkey} {
+				if got, err := ParsePatchKey(k); err != nil || got != p {
+					t.Fatalf("ParsePatchKey(%q) = %v, %v", k, got, err)
+				}
+			}
+		}
+	}
+	if _, err := ParsePatchKey("p1_2x"); err == nil {
+		t.Error("ParsePatchKey accepted trailing bytes")
 	}
 }

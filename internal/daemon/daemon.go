@@ -153,12 +153,12 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 // yet they run the same stages on identical volumes and exposures:
 // these counters are where that reuse shows. The resets and bytes
 // series add up the memo's two tables and have no label; key_digests
-// says where the volume digests in the keys came from, the index of
-// held values or a hash of the voxels, and lineage whether the values
-// keys named were held (lineage) or not (content). Beside them, from a
-// table of the same type, the experiments' shared inputs
-// (core.InputStats): how many of a pass's workload requests were served
-// and how many generated their input.
+// says where the volume digests in the keys came from, the digest a held
+// volume carries (index) or a hash of the voxels (content), and lineage
+// whether the values keys named were held (lineage) or not (content).
+// Beside them, from a table of the same type, the experiments' shared
+// inputs (core.InputStats): how many of a pass's workload requests were
+// served and how many generated their input.
 func registerKernelMemoMetrics(m *obs.Registry) {
 	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
 		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
@@ -175,7 +175,7 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		"Result bytes the memo holds, all kinds together.",
 		func() float64 { return float64(memo.Snapshot().Bytes) })
 	digests := m.NewCounterVec("imagebench_kernel_memo_key_digests_total",
-		"Volume digests the memo's keys were built from, by source: the index of held values or the voxels, hashed.", "source")
+		"Volume digests the memo's keys were built from, by source: index, the digest a volume the memo held carries; content, the voxels hashed.", "source")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().IndexedDigests) }, "index")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().ContentDigests) }, "content")
 	lineage := m.NewCounterVec("imagebench_kernel_memo_lineage_total",

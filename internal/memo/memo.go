@@ -26,9 +26,9 @@
 // Neuroscience keys volumes by content, because the same voxels reach
 // the stages through different decoders (NIfTI, NumPy, SciDB's text
 // round trips) and never as the same pointer. A volume's content digest
-// is computed once per held value, not once per call: the table indexes
-// every volume it holds by its digest when it keeps it, and Digest reads
-// it from there, so a key over a held volume reads none of its voxels.
+// is computed once per held value, not once per call: the table gives
+// every volume it keeps its digest (volume.V3.Digest), and Digest reads
+// it off the volume, so a key over a held volume reads none of its voxels.
 // Two cheap kinds make the engines' inputs held values: Load (a staged
 // NIfTI or NumPy object, decoded) and Slab (a block cut from a held
 // volume). They live in a second table under the same budget, so the
@@ -41,8 +41,8 @@
 // A value the table does not hold is keyed by its content.
 //
 // The claim, the wait and the budget are Table's and know nothing of
-// volumes; internal/core keeps the experiments' generated inputs in a
-// third Table, keyed by their configuration.
+// volumes, and a hit takes its lock only shared; internal/core keeps the
+// experiments' generated inputs in a third Table, keyed by configuration.
 package memo
 
 import (
@@ -125,9 +125,9 @@ type Stats struct {
 	// Bytes is what the table currently holds, never above the budget.
 	Bytes int64
 	// IndexedDigests and ContentDigests count the volume digests keys
-	// were built from (Digest): read from a table's index, or hashed
-	// from the voxels. Only the package's Snapshot fills them, and it
-	// adds up its two tables' resets and bytes.
+	// were built from (Digest): carried by a volume a table held, or
+	// hashed from the voxels. Only the package's Snapshot fills them,
+	// and it adds up its two tables' resets and bytes.
 	IndexedDigests, ContentDigests uint64
 	// LineageKeys and ContentFallbacks count Origin's answers: a value
 	// keyed by its lineage, or one the caller keys by its content.
@@ -139,24 +139,26 @@ type Stats struct {
 // Values are handed out as stored, to any number of callers at once,
 // so V is immutable or its users treat it so.
 type Table[K comparable, V any] struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex // shared for a hit
 	entries map[K]*entry[V]
-	stats   Stats
-	// index, when set, names what a held value makes known by identity:
-	// pointers it holds, each with the K that stands for it (its key,
-	// or a volume's digest). known gathers them and goes with the
+	stats   Stats           // all but the hits
+	hits    []atomic.Uint64 // per kind
+	// index, when set, sees each value before it is kept and names what
+	// the value makes known by identity: pointers it holds, each with
+	// the K that stands for it. known gathers them and goes with the
 	// entries: a pointer found in it is part of a value the table holds
 	// now.
 	index func(key K, val V) map[any]K
 	known map[any]K
 }
 
-// entry is one key's value. Everything but done is written by the
-// goroutine that computes it, before done is closed, and is immutable
-// afterwards.
+// entry is one key's value. Everything but done and ready is written
+// by the goroutine that computes it, before ready is set and done
+// closed, and is immutable afterwards.
 type entry[V any] struct {
 	done  chan struct{}
-	ok    bool // false when nothing was stored: compute failed, panicked or outgrew the budget
+	ready atomic.Bool // done is closed: a hit on a finished entry skips the channel
+	ok    bool        // false when nothing was stored: compute failed, panicked or outgrew the budget
 	kind  int
 	val   V
 	bytes int64
@@ -165,7 +167,7 @@ type entry[V any] struct {
 // NewTable returns an empty table that counts its traffic under kinds
 // labels.
 func NewTable[K comparable, V any](kinds int) *Table[K, V] {
-	return &Table[K, V]{entries: make(map[K]*entry[V]), stats: Stats{Kinds: make([]KindStats, kinds)}}
+	return &Table[K, V]{entries: make(map[K]*entry[V]), stats: Stats{Kinds: make([]KindStats, kinds)}, hits: make([]atomic.Uint64, kinds)}
 }
 
 // Do returns what compute returns for key: a value and the bytes it
@@ -174,21 +176,26 @@ func NewTable[K comparable, V any](kinds int) *Table[K, V] {
 // is still computing, waits for that value and gets the same one. A
 // failed compute stores nothing, and neither does a value larger than
 // the whole budget: it goes to its own caller, and callers that waited
-// on it compute for themselves.
+// on it compute for themselves. A hit takes the lock only shared.
 func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, error) {
-	t.mu.Lock()
+	t.mu.RLock()
 	e, found := t.entries[key]
-	if found {
-		t.stats.Kinds[kind].Hits++
-	} else {
-		e = &entry[V]{done: make(chan struct{}), kind: kind}
-		t.entries[key] = e
-		t.stats.Kinds[kind].Misses++
+	t.mu.RUnlock()
+	if !found {
+		t.mu.Lock()
+		if e, found = t.entries[key]; !found {
+			e = &entry[V]{done: make(chan struct{}), kind: kind}
+			t.entries[key] = e
+			t.stats.Kinds[kind].Misses++
+		}
+		t.mu.Unlock()
 	}
-	t.mu.Unlock()
 
 	if found {
-		<-e.done
+		t.hits[kind].Add(1)
+		if !e.ready.Load() {
+			<-e.done
+		}
 		if !e.ok {
 			val, _, err := compute()
 			return val, err
@@ -206,6 +213,7 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 			}
 			t.mu.Unlock()
 		}
+		e.ready.Store(true)
 		close(e.done)
 	}()
 	val, n, err := compute()
@@ -257,10 +265,10 @@ func (t *Table[K, V]) keep(key K, e *entry[V], known map[any]K) {
 }
 
 // Known returns what the index maps handle to, if handle is part of a
-// value the table holds.
+// value the table holds (never a volume: that carries its digest).
 func (t *Table[K, V]) Known(handle any) (K, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	id, ok := t.known[handle]
 	return id, ok
 }
@@ -268,23 +276,24 @@ func (t *Table[K, V]) Known(handle any) (K, bool) {
 // Each calls fn on every value the table holds, in no order. fn runs
 // under the table's lock and must not call the table.
 func (t *Table[K, V]) Each(fn func(key K, val V)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for key, e := range t.entries {
-		select {
-		case <-e.done:
-			fn(key, e.val) // every kept entry is ok: a failed one is deleted before done closes
-		default: // still being computed
+		if e.ready.Load() { // else still being computed
+			fn(key, e.val) // every kept entry is ok: a failed one is deleted before it is ready
 		}
 	}
 }
 
 // Snapshot reports the table's counters since it was made.
 func (t *Table[K, V]) Snapshot() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	s := t.stats
 	s.Kinds = append([]KindStats(nil), s.Kinds...)
+	for k := range s.Kinds {
+		s.Kinds[k].Hits = t.hits[k].Load()
+	}
 	return s
 }
 
@@ -300,23 +309,27 @@ func newTable() *Table[Key, any] {
 	return t
 }
 
-// index names a held value by identity: each volume it carries by its
-// content digest, anything else by the key it is held under, which is
-// its lineage (Origin).
+// index gives each volume a value carries its content digest
+// (volume.V3.Digest) and names anything else by the key it is held
+// under, which is its lineage (Origin).
 func index(key Key, v any) map[any]Key {
+	var vols []*volume.V3
 	switch v := v.(type) {
 	case *volume.V3:
-		return map[any]Key{v: contentDigest(v)}
+		vols = []*volume.V3{v}
 	case *volume.V4:
-		known := make(map[any]Key, len(v.Vols))
-		for _, c := range v.Vols {
-			known[c] = contentDigest(c)
-		}
-		return known
+		vols = v.Vols
 	case interface{ Volume() *volume.V3 }: // a volume with a stage's by-product
-		return map[any]Key{v.Volume(): contentDigest(v.Volume())}
+		vols = []*volume.V3{v.Volume()}
+	default:
+		return map[any]Key{v: key}
 	}
-	return map[any]Key{v: key}
+	for _, c := range vols {
+		if c.Digest() == nil { // a volume of an earlier value keeps its own
+			c.SetDigest(contentDigest(c))
+		}
+	}
+	return nil
 }
 
 // Shared ends the key and returns what compute returns for the input it
@@ -354,15 +367,13 @@ var indexedDigests, contentDigests atomic.Uint64 // Digest's two sources, since 
 var lineageKeys, contentFallbacks atomic.Uint64  // Origin's two answers, likewise
 
 // Digest returns v's content digest, its shape and the raw bits of
-// every voxel hashed. A volume a table holds is read from the table's
-// index, where it went when the table kept it, so none of its voxels is
-// read; any other is hashed now, to the same digest.
+// every voxel hashed. A volume a table has held carries it, so none of
+// its voxels is read and no table is consulted; any other (a copy
+// sharing a held volume's Data too) is hashed now, to the same digest.
 func Digest(v *volume.V3) Key {
-	for _, t := range [...]*Table[Key, any]{values, stages} {
-		if d, ok := t.Known(v); ok {
-			indexedDigests.Add(1)
-			return d
-		}
+	if d := v.Digest(); d != nil {
+		indexedDigests.Add(1)
+		return *d
 	}
 	contentDigests.Add(1)
 	return contentDigest(v)
@@ -421,10 +432,10 @@ func NewKey(kind Kind) *Hasher {
 
 // U64 adds one word.
 func (k *Hasher) U64(x uint64) {
-	k.buf = binary.LittleEndian.AppendUint64(k.buf, x)
-	if len(k.buf) == cap(k.buf) {
+	if cap(k.buf)-len(k.buf) < 8 {
 		k.flush()
 	}
+	k.buf = binary.LittleEndian.AppendUint64(k.buf, x)
 }
 
 func (k *Hasher) flush() {
@@ -440,25 +451,28 @@ func (k *Hasher) flush() {
 func (k *Hasher) Floats(xs []float64) {
 	k.U64(uint64(len(xs)))
 	if len(xs) > 0 {
-		k.raw(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
+		k.flush()
+		k.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
 	}
 }
 
 // Bytes adds the length, then the bytes as they lie: a mask plane, a
-// digest.
+// digest. They go through the chunk buffer, so a digest on the caller's
+// stack stays there.
 func (k *Hasher) Bytes(b []byte) {
 	k.U64(uint64(len(b)))
-	k.raw(b)
+	for len(b) > 0 {
+		if len(k.buf) == cap(k.buf) {
+			k.flush()
+		}
+		n := copy(k.buf[len(k.buf):cap(k.buf)], b)
+		k.buf, b = k.buf[:len(k.buf)+n], b[n:]
+	}
 }
 
 // Bools is Bytes for a validity plane; a bool is one byte, 0 or 1.
 func (k *Hasher) Bools(b []bool) {
 	k.Bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b)))
-}
-
-func (k *Hasher) raw(b []byte) {
-	k.flush()
-	k.h.Write(b)
 }
 
 // Volume adds v's content digest (Digest). A nil volume (an absent
@@ -477,7 +491,7 @@ func (k *Hasher) Volume(v *volume.V3) {
 func (k *Hasher) sum() Key {
 	k.flush()
 	var key Key
-	k.h.Sum(key[:0])
+	copy(key[:], k.h.Sum(k.buf[:0])) // through buf, so key stays on the stack
 	hashers.Put(k)
 	return key
 }

@@ -21,6 +21,9 @@ func reset() {
 		t.entries = make(map[Key]*entry[any])
 		t.known = nil
 		t.stats = Stats{Kinds: make([]KindStats, numKinds)}
+		for k := range t.hits {
+			t.hits[k].Store(0)
+		}
 		t.mu.Unlock()
 	}
 }
@@ -524,12 +527,12 @@ type carrier struct{ v *volume.V3 }
 
 func (c *carrier) Volume() *volume.V3 { return c.v }
 
-// Every volume a table holds is indexed by its content digest when it is
+// Every volume a table holds carries its content digest from when it is
 // kept — a volume, each volume of a series, the volume a value carries —
 // so its digest is read and not hashed, and is the digest its voxels
-// hash to. A copy is hashed; a copy with one voxel changed has another
-// digest; and after a reset the held volume is hashed, to the same
-// digest.
+// hash to. A copy is hashed, a copy sharing the held Data included; a
+// copy with one voxel changed has another digest; and after a reset the
+// held volume still carries its digest, which is still its content's.
 func TestDigestIsIndexedOncePerHeldValue(t *testing.T) {
 	reset()
 	defer reset()
@@ -562,8 +565,12 @@ func TestDigestIsIndexedOncePerHeldValue(t *testing.T) {
 		t.Fatalf("held volumes: %d digests read from the index and %d hashed, want 4 and 0", indexed, hashed)
 	}
 	var copies []*volume.V3
-	for _, v := range held {
-		copies = append(copies, v.Clone())
+	for i, v := range held {
+		if i%2 == 0 {
+			copies = append(copies, v.Clone())
+		} else {
+			copies = append(copies, &volume.V3{NX: v.NX, NY: v.NY, NZ: v.NZ, Data: v.Data})
+		}
 	}
 	byContent, indexed, hashed := digests(copies)
 	if indexed != 0 || hashed != 4 {
@@ -585,8 +592,8 @@ func TestDigestIsIndexedOncePerHeldValue(t *testing.T) {
 		t.Error("a copy with one voxel changed has the original's digest")
 	}
 	reset()
-	if again, indexed, _ := digests(held); indexed != 0 || again[0] != byIndex[0] || again[3] != byIndex[3] {
-		t.Errorf("after a reset: %d read from the index, digests kept: %v", indexed, again[0] == byIndex[0] && again[3] == byIndex[3])
+	if again, indexed, _ := digests(held); indexed != 4 || again[0] != byIndex[0] || again[3] != byIndex[3] {
+		t.Errorf("after a reset: %d carried, digests kept: %v", indexed, again[0] == byIndex[0] && again[3] == byIndex[3])
 	}
 }
 
@@ -616,15 +623,15 @@ func TestValuesOverflowKeepsTheStages(t *testing.T) {
 	if again, _ := shared(NLMeans, ramp(4, &runs), 1); again != stage || runs.Load() != before {
 		t.Error("the stage entry was dropped with the values")
 	}
-	if d, ok := stages.Known(stage); !ok || d != contentDigest(stage) {
-		t.Error("the stage value's digest was dropped with the values")
+	if d := stage.Digest(); d == nil || *d != contentDigest(stage) {
+		t.Error("the stage value lost its digest with the values")
 	}
 }
 
-// The differential on keys: a volume keyed through the index (held) and
-// the same bits keyed through its content (a copy) are one key,
-// whatever the bits — negative zeros and NaN payloads included — and
-// the shape.
+// The differential on keys: a volume keyed through the digest it
+// carries (held) and the same bits keyed through its content (a copy)
+// are one key, whatever the bits — negative zeros and NaN payloads
+// included — and the shape.
 func FuzzHasherVolume(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf8, 0x7f}, uint8(2))
@@ -645,11 +652,119 @@ func FuzzHasherVolume(f *testing.F) {
 			t.Fatal(err)
 		}
 		// v itself, or an earlier input with the same content.
-		if _, ok := values.Known(held); !ok {
-			t.Fatal("the value Shared returned is not indexed")
+		if held.(*volume.V3).Digest() == nil {
+			t.Fatal("the value Shared returned carries no digest")
 		}
 		if a, b := volumeKey(Fit, held.(*volume.V3)), volumeKey(Fit, v.Clone()); a != b {
-			t.Fatalf("%d×%d: key %x through the index, %x through the content", v.NX, v.NY, a[:4], b[:4])
+			t.Fatalf("%d×%d: key %x through the digest, %x through the content", v.NX, v.NY, a[:4], b[:4])
 		}
 	})
+}
+
+// A warm hit is a map lookup: the pooled Hasher, a digest the volume
+// carries, a shared read lock and an atomic count allocate nothing.
+func TestWarmSharedHitAllocatesNothing(t *testing.T) {
+	if !poolRetains {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	reset()
+	defer reset()
+	v := volume.New3(4, 4, 2)
+	runs := 0
+	hit := func() {
+		k := NewKey(Slab)
+		k.U64(7)
+		k.Volume(v)
+		out, err := k.Shared(func() (any, int64, error) { runs++; return v, v.Bytes(), nil })
+		if err != nil || out != v {
+			t.Fatalf("Shared returned %p, %v", out, err)
+		}
+	}
+	hit()
+	if n := testing.AllocsPerRun(100, hit); n != 0 || runs != 1 {
+		t.Fatalf("a warm hit allocates %v times and compute ran %d times, want 0 and 1", n, runs)
+	}
+}
+
+// One table under concurrent hits, claims, failed and panicking
+// computes and budget resets (every third large value drops the table):
+// every caller gets its key's value or its key's failure, every call is
+// one hit or one miss, and the table stays within its budget. Run it
+// with -race at GOMAXPROCS=8.
+func TestTableStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const workers, calls, keys = 8, 3000, 48
+	tab := NewTable[int, *int](2)
+	failed := errors.New("failed")
+	compute := func(k int) func() (*int, int64, error) {
+		return func() (*int, int64, error) {
+			switch k % 4 {
+			case 0:
+				return nil, 0, failed
+			case 1:
+				panic(failed)
+			case 2:
+				return &k, budget / 3, nil
+			}
+			return &k, 1, nil
+		}
+	}
+	var wg sync.WaitGroup
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // readers beside the traffic
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tab.Each(func(k int, v *int) {
+				if *v != k {
+					t.Errorf("Each: key %d holds %d", k, *v)
+				}
+			})
+			if s := tab.Snapshot(); s.Bytes > budget {
+				t.Errorf("the table holds %d bytes", s.Bytes)
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				k := (i*7 + w*13) % keys
+				func() {
+					defer func() {
+						if r := recover(); r != nil && k%4 != 1 {
+							t.Errorf("key %d panicked: %v", k, r)
+						}
+					}()
+					v, err := tab.Do(k%2, k, compute(k))
+					switch k % 4 {
+					case 0, 1:
+						if err != failed {
+							t.Errorf("key %d: got %v, %v, want its failure", k, v, err)
+						}
+					default:
+						if err != nil || v == nil || *v != k {
+							t.Errorf("key %d: got %v, %v", k, v, err)
+						}
+					}
+				}()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+	s := tab.Snapshot()
+	var total uint64
+	for _, k := range s.Kinds {
+		total += k.Hits + k.Misses
+	}
+	if total != workers*calls || s.Resets == 0 || s.Bytes > budget {
+		t.Fatalf("%d calls counted of %d, %d resets, %d bytes held", total, workers*calls, s.Resets, s.Bytes)
+	}
 }

@@ -3,6 +3,7 @@ package myria
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"imagebench/internal/cluster"
@@ -164,7 +165,7 @@ func (q *Query) scanWhere(rel *Relation, pred func(Tuple) bool, name string) *Re
 			h = e.cl.Barrier(deps...)
 		}
 		// Native predicate evaluation at scan speed over the returned rows.
-		d := e.work(e.model.Jitter(fmt.Sprintf("%s/w%d", name, w), e.model.AlgTime(cost.Filter, keptBytes)))
+		d := e.work(e.model.Jitter(name+"/w"+strconv.Itoa(w), e.model.AlgTime(cost.Filter, keptBytes)))
 		out.parts[w] = kept
 		out.ready[w] = q.note(e.cl.Submit(node, []*cluster.Handle{h}, d, nil))
 	}
@@ -197,7 +198,7 @@ func (q *Query) Apply(rel *Relation, udf PyUDF) *Relation {
 			results = append(results, res...)
 		}
 		out.parts[w] = results
-		key := fmt.Sprintf("%s/w%d", udf.Name, w)
+		key := udf.Name + "/w" + strconv.Itoa(w)
 		out.ready[w] = q.note(e.cl.Submit(node, []*cluster.Handle{rel.ready[w], q.start}, e.work(e.model.Jitter(key, dur)), nil))
 	}
 	q.reserve(out)
@@ -247,7 +248,7 @@ func (q *Query) BroadcastJoin(name string, left, right *Relation, combine func(l
 			results = append(results, combine(t, match(t.Key))...)
 			in += t.Size
 		}
-		d := e.work(e.model.Jitter(fmt.Sprintf("%s/w%d", name, w), e.model.AlgTime(cost.Filter, in)))
+		d := e.work(e.model.Jitter(name+"/w"+strconv.Itoa(w), e.model.AlgTime(cost.Filter, in)))
 		out.parts[w] = results
 		out.ready[w] = q.note(e.cl.Submit(node, []*cluster.Handle{left.ready[w], bh}, d, nil))
 	}
@@ -351,7 +352,7 @@ func (q *Query) GroupByApply(rel *Relation, groupKey func(Tuple) string, uda PyU
 			results = append(results, res...)
 		}
 		out.parts[w] = results
-		key := fmt.Sprintf("%s/w%d", uda.Name, w)
+		key := uda.Name + "/w" + strconv.Itoa(w)
 		out.ready[w] = q.note(e.cl.Submit(node, []*cluster.Handle{sh.ready[w]}, e.work(e.model.Jitter(key, dur)), nil))
 	}
 	q.reserve(out)

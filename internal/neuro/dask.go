@@ -112,7 +112,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 		}
 		for bi, b := range blocks {
 			b := b
-			key := fmt.Sprintf("%s/b%02d", SubjKey(s), bi)
+			key := synth.FormatKey("s###/b##", s, bi)
 			deps := append(append([]*dask.Delayed{}, den...), mask)
 			faNodes[key] = sess.DelayedCost("fitmodel/"+key,
 				func(in int64) vtime.Duration {

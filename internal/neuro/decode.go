@@ -50,22 +50,3 @@ func decodeNIfTIArena(obj objstore.Object, arena *volume.Arena) (*volume.V4, err
 	}
 	return v4, nil
 }
-
-// npyKeyIDs extracts subject and volume IDs from a staged .npy key of the
-// form neuro/npy/subj-SSS/vol-TTT.npy.
-func npyKeyIDs(key string) (subject, vol int, err error) {
-	var s, t int
-	if _, err := fmt.Sscanf(key, "neuro/npy/subj-%03d/vol-%03d.npy", &s, &t); err != nil {
-		return 0, 0, fmt.Errorf("neuro: bad npy key %q: %w", key, err)
-	}
-	return s, t, nil
-}
-
-// niftiKeyID extracts the subject ID from a staged NIfTI key.
-func niftiKeyID(key string) (subject int, err error) {
-	var s int
-	if _, err := fmt.Sscanf(key, "neuro/nii/subj-%03d.nii", &s); err != nil {
-		return 0, fmt.Errorf("neuro: bad nifti key %q: %w", key, err)
-	}
-	return s, nil
-}

@@ -77,7 +77,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	masks := make(map[int]*volume.V3, w.Subjects)
 	for _, t := range maskRel.Tuples() {
 		var s int
-		if _, err := fmt.Sscanf(t.Key, "s%03d", &s); err != nil {
+		if !synth.ScanKey(t.Key, "s###", &s) {
 			return nil, fmt.Errorf("neuro/myria: bad mask key %q", t.Key)
 		}
 		masks[s] = t.Value.(*volume.V3)
@@ -117,7 +117,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		out := make([]myria.Tuple, 0, len(blocks))
 		for bi, b := range blocks {
 			out = append(out, myria.Tuple{
-				Key:   fmt.Sprintf("%s/b%02d/t%03d", SubjKey(s), bi, tv),
+				Key:   synth.FormatKey("s###/b##/t###", s, bi, tv),
 				Value: blockPiece{T: tv, Block: b, Slab: blockMemo(jv.vol, b)},
 				Size:  slabBytes,
 			})
@@ -125,10 +125,10 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		return out
 	}})
 	fit := q2.GroupByApply(repart,
-		func(t myria.Tuple) string { return t.Key[:len("s000/b00")] },
+		func(t myria.Tuple) string { return pieceBlock(t.Key) },
 		myria.PyUDA{Name: "fitmodel", Op: cost.FitDTM, F: func(key string, group []myria.Tuple) []myria.Tuple {
-			var s int
-			if _, err := fmt.Sscanf(key, "s%03d/", &s); err != nil {
+			var s, b int
+			if !synth.ScanKey(key, "s###/b##", &s, &b) {
 				return nil
 			}
 			pieces := make([]blockPiece, 0, len(group))

@@ -74,7 +74,7 @@ type Result struct {
 // VolKey formats the record key for one volume, and ParseVolKey inverts
 // it. Engine implementations key records by subject and volume IDs, as
 // the paper's Spark/Myria implementations do.
-func VolKey(subject, vol int) string { return fmt.Sprintf("s%03d/t%03d", subject, vol) }
+func VolKey(subject, vol int) string { return synth.FormatKey("s###/t###", subject, vol) }
 
 // ParseVolKey extracts the subject and volume from a VolKey.
 func ParseVolKey(key string) (subject, vol int, err error) {
@@ -94,7 +94,7 @@ func ParseVolKey(key string) (subject, vol int, err error) {
 }
 
 // SubjKey formats a subject-level record key.
-func SubjKey(subject int) string { return fmt.Sprintf("s%03d", subject) }
+func SubjKey(subject int) string { return synth.FormatKey("s###", subject) }
 
 // DenoiseOpts are the non-local-means settings shared by every
 // implementation so outputs are comparable.

@@ -149,7 +149,7 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 	res := &SciDBResult{Masks: make(map[int]*volume.V3), Denoised: make(map[string]*volume.V3)}
 	for _, c := range maskArr.Chunks {
 		var s int
-		if _, err := fmt.Sscanf(c.Coords, "s%03d", &s); err != nil {
+		if !synth.ScanKey(c.Coords, "s###", &s) {
 			return nil, fmt.Errorf("neuro/scidb: bad mask coords %q", c.Coords)
 		}
 		res.Masks[s] = c.Value.(*volume.V3)

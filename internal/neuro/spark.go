@@ -111,7 +111,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	masks := make(map[int]*volume.V3, w.Subjects)
 	for _, p := range maskPairs {
 		var s int
-		if _, err := fmt.Sscanf(p.Key, "s%03d", &s); err != nil {
+		if !synth.ScanKey(p.Key, "s###", &s) {
 			return nil, fmt.Errorf("neuro/spark: bad mask key %q", p.Key)
 		}
 		masks[s] = p.Value.(*volume.V3)
@@ -141,7 +141,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		out := make([]spark.Pair, 0, len(blocks))
 		for bi, b := range blocks {
 			out = append(out, spark.Pair{
-				Key:   fmt.Sprintf("%s/b%02d", SubjKey(s), bi),
+				Key:   synth.FormatKey("s###/b##", s, bi),
 				Value: blockPiece{T: t, Block: b, Slab: blockMemo(v, b)},
 				Size:  slabBytes,
 			})
@@ -150,8 +150,8 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	}})
 
 	fit := repart.GroupByKey("fitmodel", cost.FitDTM, 0, func(key string, values []spark.Pair) []spark.Pair {
-		var s int
-		if _, err := fmt.Sscanf(key, "s%03d/", &s); err != nil {
+		var s, b int
+		if !synth.ScanKey(key, "s###/b##", &s, &b) {
 			return nil
 		}
 		pieces := make([]blockPiece, 0, len(values))
@@ -193,7 +193,7 @@ func assembleFA[T any](w *Workload, masks map[int]*volume.V3, items []T, get fun
 	for _, it := range items {
 		key, val := get(it)
 		var s, b int
-		if _, err := fmt.Sscanf(key, "s%03d/b%02d", &s, &b); err != nil {
+		if !synth.ScanKey(key, "s###/b##", &s, &b) {
 			return nil, fmt.Errorf("neuro: bad fit key %q", key)
 		}
 		slab, ok := val.(faSlab)

@@ -252,7 +252,7 @@ func daskFetch(sess *dask.Session, w *Workload) []*dask.Delayed {
 func daskFilter(sess *dask.Session, fetch []*dask.Delayed, b0 []bool) []*dask.Delayed {
 	filtered := make([]*dask.Delayed, len(fetch))
 	for s := range fetch {
-		filtered[s] = sess.Delayed(fmt.Sprintf("filter/%s", SubjKey(s)), cost.Filter,
+		filtered[s] = sess.Delayed("filter/"+SubjKey(s), cost.Filter,
 			[]*dask.Delayed{fetch[s]},
 			func(args []any) (any, int64, error) {
 				v4 := args[0].(*volume.V4).Select(b0)
@@ -298,7 +298,7 @@ func DaskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 		return delta(cl, func() error {
 			var roots []*dask.Delayed
 			for s := 0; s < w.Subjects; s++ {
-				roots = append(roots, sess.Delayed(fmt.Sprintf("mean/%s", SubjKey(s)), cost.Mean,
+				roots = append(roots, sess.Delayed("mean/"+SubjKey(s), cost.Mean,
 					[]*dask.Delayed{filtered[s]},
 					func(args []any) (any, int64, error) {
 						return volume.Mean3(args[0].(*volume.V4).Vols), synth.PaperVolBytes, nil

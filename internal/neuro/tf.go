@@ -101,7 +101,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		if len(group) == 0 {
 			return nil, fmt.Errorf("neuro/tf: subject %d has no b0 volumes", s)
 		}
-		partials, _, err := sess.RunStep(fmt.Sprintf("mean/s%03d", s), cost.Mean, group, tfgraph.StepOpts{},
+		partials, _, err := sess.RunStep("mean/"+SubjKey(s), cost.Mean, group, tfgraph.StepOpts{},
 			func(t tfgraph.Tensor) (tfgraph.Tensor, error) {
 				return t, nil // partial sums; combination happens on the master
 			})

@@ -46,14 +46,6 @@ var shapeRe = regexp.MustCompile(`'shape':\s*\((\d+),\s*(\d+),\s*(\d+)\s*,?\s*\)
 
 // Decode parses a .npy file written by Encode back into a volume.
 func Decode(data []byte) (*volume.V3, error) {
-	return DecodeArena(data, nil)
-}
-
-// DecodeArena is Decode with the output volume drawn from arena (nil
-// means a plain allocation). Every voxel is overwritten, so a pooled
-// buffer needs no clearing; callers that release the volume back to
-// the arena make repeated decodes allocation-free in steady state.
-func DecodeArena(data []byte, arena *volume.Arena) (*volume.V3, error) {
 	if len(data) < len(magic)+2 || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, fmt.Errorf("npy: bad magic")
 	}
@@ -76,12 +68,11 @@ func DecodeArena(data []byte, arena *volume.Arena) (*volume.V3, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("npy: bad shape %dx%dx%d", nx, ny, nz)
 	}
-	v := arena.Get(nx, ny, nz)
 	off := hdrStart + hlen
-	need := off + len(v.Data)*8
-	if len(data) < need {
-		return nil, fmt.Errorf("npy: truncated data: have %d, need %d", len(data), need)
+	if n := (len(data) - off) / 8; nx > n || ny > n/nx || nz > n/(nx*ny) { // before allocating, without overflow
+		return nil, fmt.Errorf("npy: truncated data: %d bytes for %dx%dx%d voxels", len(data)-off, nx, ny, nz)
 	}
+	v := volume.New3(nx, ny, nz)
 	for i := range v.Data {
 		v.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		off += 8

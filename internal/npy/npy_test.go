@@ -1,6 +1,8 @@
 package npy
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -61,4 +63,39 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzNPYDecode guards the .npy reader on the Load path: whatever the
+// bytes, no panic and no allocation past what the data can fill, and a
+// file that decodes re-encodes through Encode to one that decodes to the
+// same voxels, bit for bit.
+func FuzzNPYDecode(f *testing.F) {
+	v := volume.New3(3, 2, 2)
+	for i := range v.Data {
+		v.Data[i] = float64(i) - 5.5
+	}
+	data := Encode(v)
+	f.Add(data)
+	f.Add(data[:len(data)-8])
+	f.Add(Encode(volume.New3(1, 1, 1)))
+	f.Add(bytes.Replace(data, []byte("(2, 2, 3)"), []byte("(100000, 100000, 100000)"), 1))
+	f.Add(bytes.Replace(data, []byte("(2, 2, 3)"), []byte("(4294967296, 4294967296, 1)"), 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := Decode(Encode(got))
+		if err != nil {
+			t.Fatalf("a decoded %d×%d×%d volume does not decode after Encode: %v", got.NX, got.NY, got.NZ, err)
+		}
+		if again.NX != got.NX || again.NY != got.NY || again.NZ != got.NZ {
+			t.Fatalf("shape %d×%d×%d came back %d×%d×%d", got.NX, got.NY, got.NZ, again.NX, again.NY, again.NZ)
+		}
+		for i := range got.Data {
+			if math.Float64bits(again.Data[i]) != math.Float64bits(got.Data[i]) {
+				t.Fatalf("voxel %d: %v came back %v", i, got.Data[i], again.Data[i])
+			}
+		}
+	})
 }

@@ -27,6 +27,7 @@ package scidb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"imagebench/internal/cluster"
@@ -376,7 +377,7 @@ func (a *Array) IterativeAQL(name string, iters int, op cost.Op, step func(iter 
 				eff := int64(float64(c.Size) * frac)
 				rd := e.cl.DiskRead(node, eff, h)
 				cmp := e.cl.Submit(node, []*cluster.Handle{rd},
-					e.model.Jitter(fmt.Sprintf("%s/it%d/p%d/%s", name, it, pass, c.Coords),
+					e.model.Jitter(name+"/it"+strconv.Itoa(it)+"/p"+strconv.Itoa(pass)+"/"+c.Coords,
 						vtime.Duration(float64(full)*frac)), nil)
 				h = e.cl.DiskWrite(node, eff, cmp)
 			}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
@@ -508,7 +509,7 @@ func (r *RDD) narrowPartition(chain []*RDD, base *RDD, p int, after *cluster.Han
 		}
 		out = next
 	}
-	key := fmt.Sprintf("%s/p%d", r.name, p)
+	key := r.name + "/p" + strconv.Itoa(p)
 	deps := append([]*cluster.Handle{{End: start(s, inputReady, r.extraDeps)}, inputReady}, r.extraDeps...)
 	r.nodes[p] = base.nodes[p]
 	r.parts[p] = out
@@ -622,7 +623,7 @@ func (r *RDD) reducePartition(rp, node int, blocks [][]shuffleBlock, barrier *cl
 	deps = append(deps, barrier)
 	deps = append(deps, r.extraDeps...)
 	dispatched := s.dispatch(cluster.After(deps...))
-	key := fmt.Sprintf("%s/r%d", r.name, rp)
+	key := r.name + "/r" + strconv.Itoa(rp)
 	r.nodes[rp] = node
 	r.parts[rp] = out
 	r.ready[rp] = s.cl.Submit(node, append(deps, &cluster.Handle{End: dispatched}), s.model.Jitter(key, dur), nil)
