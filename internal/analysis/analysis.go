@@ -85,7 +85,7 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // PathHasSuffix reports whether the package import path is path, or
 // ends with "/"+suffix at a path-segment boundary. Analyzers match
 // packages by suffix (e.g. "internal/volume") so the same rule applies
-// to the real module, testdata fixtures, and the vet smoke module.
+// to the real module and to testdata fixtures.
 func PathHasSuffix(pkgPath, suffix string) bool {
 	return pkgPath == suffix || strings.HasSuffix(pkgPath, "/"+suffix)
 }

@@ -1,7 +1,9 @@
-// Package analysistest runs analyzers over fixture packages and
-// checks their diagnostics against // want comments, mirroring
-// golang.org/x/tools/go/analysis/analysistest on top of the local
-// framework.
+// Package analysistest runs analyzers over packages type-checked from
+// source. Check is the one driver: it loads each package once and runs
+// every analyzer it is given over that load. Run wraps it for one
+// analyzer's fixtures and checks the findings against // want
+// comments, mirroring golang.org/x/tools/go/analysis/analysistest on
+// top of the local framework.
 //
 // A fixture tree lives under <testdata>/src/<importpath>/*.go. A line
 // expecting a diagnostic carries a trailing comment of the form
@@ -14,7 +16,9 @@
 package analysistest
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -26,68 +30,71 @@ import (
 	"imagebench/internal/analysis/load"
 )
 
+// A Finding is one diagnostic and the analyzer that reported it.
+type Finding struct {
+	Analyzer string
+	Pos      token.Position
+	Message  string
+}
+
+func (f Finding) String() string { return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message) }
+
 // Run checks analyzer a against the fixture packages at the given
 // import paths under testdata/src.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	cfg := &load.Config{Dirs: scanSrcTree(t, filepath.Join(testdata, "src"))}
+	cfg := Fixtures(t, testdata)
 	for _, path := range paths {
-		diags, pkg := runOne(t, cfg, a, path)
-		if pkg != nil {
-			checkWants(t, cfg, pkg, diags)
+		if pkg, findings := check(t, cfg, []*analysis.Analyzer{a}, path); pkg != nil {
+			checkWants(t, pkg, findings)
 		}
 	}
 }
 
-// RunModule runs analyzer a over real packages of the enclosing
-// module (resolved from the working directory's go.mod upward) and
-// returns the diagnostics. IncludeTests controls whether the target
-// packages' in-package _test.go files are analyzed too.
-func RunModule(t *testing.T, a *analysis.Analyzer, includeTests bool, importPaths ...string) []analysis.Diagnostic {
+// Fixtures returns a loader for the fixture tree under testdata/src.
+func Fixtures(t *testing.T, testdata string) *load.Config {
 	t.Helper()
-	modDir, modPath := moduleRoot(t)
-	cfg := &load.Config{ModulePath: modPath, ModuleDir: modDir, IncludeTests: includeTests}
-	var all []analysis.Diagnostic
-	for _, path := range importPaths {
-		diags, _ := runOne(t, cfg, a, path)
-		all = append(all, diags...)
+	return &load.Config{Dirs: scanSrcTree(t, filepath.Join(testdata, "src"))}
+}
+
+// Check type-checks each package at paths once through cfg, runs every
+// analyzer over it, and returns the findings in package, then analyzer,
+// order.
+func Check(t *testing.T, cfg *load.Config, analyzers []*analysis.Analyzer, paths ...string) []Finding {
+	t.Helper()
+	var all []Finding
+	for _, path := range paths {
+		_, findings := check(t, cfg, analyzers, path)
+		all = append(all, findings...)
 	}
 	return all
 }
 
-// RunClean asserts that analyzer a reports nothing on the given real
-// module packages.
-func RunClean(t *testing.T, a *analysis.Analyzer, includeTests bool, importPaths ...string) {
-	t.Helper()
-	modDir, modPath := moduleRoot(t)
-	cfg := &load.Config{ModulePath: modPath, ModuleDir: modDir, IncludeTests: includeTests}
-	for _, path := range importPaths {
-		diags, _ := runOne(t, cfg, a, path)
-		for _, d := range diags {
-			t.Errorf("%s: unexpected %s diagnostic: %s", cfg.Fset().Position(d.Pos), a.Name, d.Message)
-		}
-	}
-}
-
-func runOne(t *testing.T, cfg *load.Config, a *analysis.Analyzer, path string) ([]analysis.Diagnostic, *load.Package) {
+func check(t *testing.T, cfg *load.Config, analyzers []*analysis.Analyzer, path string) (*load.Package, []Finding) {
 	t.Helper()
 	pkg, err := cfg.Load(path)
 	if err != nil {
 		t.Errorf("load %s: %v", path, err)
 		return nil, nil
 	}
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.Info,
+	var findings []Finding
+	for _, a := range analyzers {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+		}
+		if err := a.Run(pass); err != nil {
+			t.Errorf("%s over %s: %v", a.Name, path, err)
+			return nil, nil
+		}
+		for _, d := range pass.Diagnostics() {
+			findings = append(findings, Finding{Analyzer: a.Name, Pos: pkg.Fset.Position(d.Pos), Message: d.Message})
+		}
 	}
-	if err := a.Run(pass); err != nil {
-		t.Errorf("%s over %s: %v", a.Name, path, err)
-		return nil, nil
-	}
-	return pass.Diagnostics(), pkg
+	return pkg, findings
 }
 
 // want is one expectation parsed from a comment.
@@ -98,21 +105,20 @@ type want struct {
 	used bool
 }
 
-func checkWants(t *testing.T, cfg *load.Config, pkg *load.Package, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, pkg *load.Package, findings []Finding) {
 	t.Helper()
 	var wants []*want
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				wants = append(wants, parseWants(t, cfg, c)...)
+				wants = append(wants, parseWants(t, pkg.Fset, c)...)
 			}
 		}
 	}
-	for _, d := range diags {
-		pos := cfg.Fset().Position(d.Pos)
+	for _, d := range findings {
 		matched := false
 		for _, w := range wants {
-			if w.used || w.file != pos.Filename || w.line != pos.Line {
+			if w.used || w.file != d.Pos.Filename || w.line != d.Pos.Line {
 				continue
 			}
 			if w.re.MatchString(d.Message) {
@@ -122,7 +128,7 @@ func checkWants(t *testing.T, cfg *load.Config, pkg *load.Package, diags []analy
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", pos, d.Message)
+			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 		}
 	}
 	for _, w := range wants {
@@ -133,14 +139,14 @@ func checkWants(t *testing.T, cfg *load.Config, pkg *load.Package, diags []analy
 }
 
 // parseWants extracts the expectations from one comment.
-func parseWants(t *testing.T, cfg *load.Config, c *ast.Comment) []*want {
+func parseWants(t *testing.T, fset *token.FileSet, c *ast.Comment) []*want {
 	t.Helper()
 	text := c.Text
 	idx := strings.Index(text, "// want ")
 	if idx < 0 {
 		return nil
 	}
-	pos := cfg.Fset().Position(c.Pos())
+	pos := fset.Position(c.Pos())
 	rest := strings.TrimSpace(text[idx+len("// want "):])
 	var out []*want
 	for rest != "" {
@@ -204,28 +210,4 @@ func scanSrcTree(t *testing.T, root string) map[string]string {
 		t.Fatalf("scan %s: %v", root, err)
 	}
 	return dirs
-}
-
-// moduleRoot finds the enclosing go.mod from the working directory and
-// returns its directory and module path.
-func moduleRoot(t *testing.T) (dir, modPath string) {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := wd; ; d = filepath.Dir(d) {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest)
-				}
-			}
-			t.Fatalf("no module line in %s/go.mod", d)
-		}
-		if filepath.Dir(d) == d {
-			t.Fatalf("no go.mod above %s", wd)
-		}
-	}
 }

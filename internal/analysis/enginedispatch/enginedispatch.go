@@ -35,7 +35,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "enginedispatch",
 	Doc: "forbid stringly-typed engine dispatch: switches over system names and " +
-		"engine-name list/map literals must be derived from the engine registry",
+		"engine-name list/map literals must be derived from the engine registry, " +
+		"so a new engine is one adapter file instead of edits wherever engines are listed",
 	Run: run,
 }
 

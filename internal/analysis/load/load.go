@@ -4,13 +4,8 @@
 // module (imagebench/… paths map onto the repo checkout), and the
 // standard library via go/importer's source importer. The module has
 // no external dependencies, so those three cover everything — no
-// go/packages, no network, no export data.
-//
-// The vet driver (internal/analysis/unit) does NOT use this package:
-// under `go vet -vettool` the go command hands each package's
-// type information over as compiler export data, which is both exact
-// and already built. This loader exists so plain `go test` can run
-// analyzers over fixtures and real packages in-process.
+// go/packages, no network, no export data. One Config type-checks each
+// package once, however many analyzers then run over it.
 package load
 
 import (
@@ -21,6 +16,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -36,10 +33,6 @@ type Config struct {
 	// ModulePath+"/x/y" loads from ModuleDir/x/y.
 	ModulePath string
 	ModuleDir  string
-	// IncludeTests adds the target package's _test.go files (the
-	// in-package ones) when loading via Load. Dependencies never
-	// include tests.
-	IncludeTests bool
 
 	fset     *token.FileSet
 	once     sync.Once
@@ -57,12 +50,38 @@ type Package struct {
 	Info  *types.Info
 }
 
+// init tunes go/build's default context, which the source importer
+// lists standard-library packages through.
+func init() {
+	// The source importer would otherwise try to run cgo for packages
+	// like net; every package this module touches builds fine without
+	// it.
+	build.Default.CgoEnabled = false
+	// Only non-test files are ever loaded, so listing a directory skips
+	// _test.go files instead of reading each one's build constraints;
+	// in the standard library that is a quarter of the load.
+	build.Default.ReadDir = func(dir string) ([]fs.FileInfo, error) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		var infos []fs.FileInfo
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), "_test.go") {
+				continue
+			}
+			fi, err := e.Info()
+			if err != nil {
+				return nil, err
+			}
+			infos = append(infos, fi)
+		}
+		return infos, nil
+	}
+}
+
 func (c *Config) init() {
 	c.once.Do(func() {
-		// The source importer would otherwise try to run cgo for
-		// packages like net; every package this module touches builds
-		// fine without it.
-		build.Default.CgoEnabled = false
 		c.fset = token.NewFileSet()
 		c.std = importer.ForCompiler(c.fset, "source", nil).(types.ImporterFrom)
 		c.pkgs = map[string]*Package{}
@@ -70,20 +89,11 @@ func (c *Config) init() {
 	})
 }
 
-// Fset returns the file set shared by everything this Config loads.
-func (c *Config) Fset() *token.FileSet {
-	c.init()
-	return c.fset
-}
-
-// Load type-checks the package at importPath and returns it. Results
-// are cached per Config; a second Load of the same path is free.
+// Load type-checks the package at importPath (its non-test files) and
+// returns it. Results are cached per Config; a second Load of the same
+// path is free.
 func (c *Config) Load(importPath string) (*Package, error) {
 	c.init()
-	return c.load(importPath, c.IncludeTests)
-}
-
-func (c *Config) load(importPath string, includeTests bool) (*Package, error) {
 	if p, ok := c.pkgs[importPath]; ok {
 		return p, nil
 	}
@@ -101,12 +111,8 @@ func (c *Config) load(importPath string, includeTests bool) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("list %s: %w", dir, err)
 	}
-	names := bp.GoFiles
-	if includeTests {
-		names = append(append([]string{}, names...), bp.TestGoFiles...)
-	}
 	var files []*ast.File
-	for _, name := range names {
+	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
@@ -157,7 +163,7 @@ func (c *Config) importPkg(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if _, ok := c.dirFor(path); ok {
-		p, err := c.load(path, false)
+		p, err := c.Load(path)
 		if err != nil {
 			return nil, err
 		}

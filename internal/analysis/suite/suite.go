@@ -1,6 +1,6 @@
 // Package suite enumerates the repo's invariant analyzers — the set
-// cmd/imagebench-vet runs under `go vet -vettool` and the in-process
-// clean test runs over the whole module.
+// its clean test runs over every package of the module under plain
+// `go test ./internal/analysis/...`.
 package suite
 
 import (
