@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/fits"
 	"imagebench/internal/imaging"
 	"imagebench/internal/memo"
@@ -14,6 +16,7 @@ import (
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
+	"imagebench/internal/vtime"
 )
 
 // unseenSeed numbers the surveys these tests make up, -count=N included.
@@ -397,9 +400,8 @@ func TestDeferredCoaddIsKeyedByLineage(t *testing.T) {
 }
 
 // Myria groups each co-addition by the piece's patch, not by cutting a
-// two-digit visit suffix off its key: past 99 visits RunMyria and
-// MyriaCoadd still co-add each patch's whole stack, as the reference
-// and CoaddAll do.
+// two-digit visit suffix off its key: past 99 visits RunMyria still
+// co-adds each patch's whole stack, as the reference does.
 func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
 	w := unseenWorkload(t, 101)
 	ref, err := Reference(w)
@@ -411,29 +413,29 @@ func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBitEqual(t, "RunMyria at 101 visits", got, ref)
+}
 
+// The Fig 12d Spark and Myria step runners time Step 3A and compute
+// none of it: nothing reads what a runner's UDF returns, so both over
+// fresh stacks move no coadd hit or miss.
+func TestCoaddStepRunnersComputeNothing(t *testing.T) {
+	w := unseenWorkload(t, 4)
 	stacks, err := BuildStacks(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CoaddAll(stacks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := memo.Snapshot()
-	if _, err := MyriaCoadd(w, testCluster(), nil, stacks); err != nil {
-		t.Fatal(err)
-	}
-	// Every coadd MyriaCoadd computed is one of CoaddAll's stacks: asking
-	// for those now computes nothing more.
-	patches, groups := skymap.GroupByPatch(stacks)
-	for _, p := range patches {
-		co, err := skymap.CoaddPatchMemo(groups[p], ClipSigma, ClipIters)
-		if err != nil || !sameCoadd(co, want[p]) {
-			t.Errorf("%v: %v, or the coadd differs from CoaddAll's", p, err)
+	runners := []struct {
+		name string
+		run  func(*Workload, *cluster.Cluster, *cost.Model, []*skymap.PatchExposure) (vtime.Duration, error)
+	}{{"Spark", SparkCoadd}, {"Myria", MyriaCoadd}}
+	before := memo.Snapshot().Kinds[memo.Coadd]
+	for _, r := range runners {
+		if d, err := r.run(w, testCluster(), nil, stacks); err != nil || d <= 0 {
+			t.Fatalf("%s: %v after %v", r.name, err, d)
 		}
 	}
-	if _, _, coadd, _ := misses(before); coadd != uint64(len(patches)) {
-		t.Errorf("MyriaCoadd and CoaddAll's stacks computed %d coadds, want one for each of %d patches", coadd, len(patches))
+	if after := memo.Snapshot().Kinds[memo.Coadd]; after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("the co-addition step runners moved coadd: %d hits and %d misses before, %d and %d after",
+			before.Hits, before.Misses, after.Hits, after.Misses)
 	}
 }

@@ -2,7 +2,6 @@ package astro
 
 import (
 	"fmt"
-	"sort"
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
@@ -23,9 +22,14 @@ import (
 // pieces each time with Grid.Project, not Grid.Defer: these stacks
 // carry their planes and are keyed by content. A nil model means
 // cost.Default(), resolved by the system constructors.
+//
+// The runners model time and return nothing else, so Spark's and
+// Myria's co-addition UDFs compute no coadd. BuildStacks and SciDB's
+// runner still do: it shares RunSciDB's path, whose coadds tests read.
 
 // BuildStacks runs Steps 1A+2A to produce the patch exposures that the
-// co-addition step consumes, bit-equal to the reference's.
+// co-addition step consumes, bit-equal to the reference's. It computes
+// because SciDB's runner co-adds these stacks on RunSciDB's path.
 func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
 	keys := w.Store.List("astro/fits/")
 	exposures := make([]*skymap.Exposure, len(keys))
@@ -43,33 +47,17 @@ func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
 	return CreatePatches(w.Grid(), exposures)
 }
 
-// coaddGroup co-adds one patch's grouped records in visit order.
-func coaddGroup[T any](group []T, exposure func(T) *skymap.PatchExposure) (*skymap.Coadd, error) {
-	stack := make([]*skymap.PatchExposure, 0, len(group))
-	for _, g := range group {
-		stack = append(stack, exposure(g))
-	}
-	sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-	return skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
-}
-
 // SparkCoadd measures Step 3A on Spark.
 func SparkCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure) (vtime.Duration, error) {
 	patchBytes := w.PatchModelBytes()
 	sess := spark.NewSession(cl, w.Store, model)
 	var pairs []spark.Pair
 	for _, pe := range stacks {
-		pairs = append(pairs, spark.Pair{Key: PatchKey(pe.Patch), Value: pe, Size: patchBytes})
+		pairs = append(pairs, spark.Pair{Key: PatchKey(pe.Patch), Size: patchBytes})
 	}
 	rdd := sess.Parallelize("stacks", pairs, cl.Workers())
 	t0 := cl.Makespan()
-	co := rdd.GroupByKey("coadd", cost.CoaddIter, 0, func(key string, values []spark.Pair) []spark.Pair {
-		coadd, err := coaddGroup(values, func(v spark.Pair) *skymap.PatchExposure { return v.Value.(*skymap.PatchExposure) })
-		if err != nil {
-			return nil
-		}
-		return []spark.Pair{{Key: key, Value: coadd, Size: patchBytes}}
-	})
+	co := rdd.GroupByKey("coadd", cost.CoaddIter, 0, func(key string, _ []spark.Pair) []spark.Pair { return []spark.Pair{{Key: key, Size: patchBytes}} })
 	if _, err := co.Materialize(); err != nil {
 		return 0, err
 	}
@@ -89,13 +77,7 @@ func MyriaCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*s
 	t0 := cl.Makespan()
 	q.GroupByApply(rel,
 		func(t myria.Tuple) string { return PatchKey(t.Value.(*skymap.PatchExposure).Patch) },
-		myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, group []myria.Tuple) []myria.Tuple {
-			coadd, err := coaddGroup(group, func(t myria.Tuple) *skymap.PatchExposure { return t.Value.(*skymap.PatchExposure) })
-			if err != nil {
-				return nil
-			}
-			return []myria.Tuple{{Key: key, Value: coadd, Size: patchBytes}}
-		}})
+		myria.PyUDA{Name: "coadd", Op: cost.CoaddIter, F: func(key string, _ []myria.Tuple) []myria.Tuple { return []myria.Tuple{{Key: key, Size: patchBytes}} }})
 	if _, err := q.Finish(); err != nil {
 		return 0, err
 	}
@@ -115,6 +97,7 @@ func SciDBCoaddRunner(opts SciDBOpts) func(*Workload, *cluster.Cluster, *cost.Mo
 		// iterative query's first pass depends on the last ingest write
 		// on each instance.
 		var afterIngest vtime.Time
+		// Computed: RunSciDB shares this path, and tests read its coadds.
 		coadds, err := runSciDBCoaddPhased(w, cl, model, stacks, opts, func(t vtime.Time) { afterIngest = t })
 		if err != nil {
 			return 0, err

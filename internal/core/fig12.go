@@ -50,11 +50,13 @@ func init() {
 			first := t.ColNames[0]
 			last := t.ColNames[len(t.ColNames)-1]
 			// SciDB's specialized aggregate wins over the other DBMS-path
-			// systems at the smallest scale. (The paper also reports Dask
-			// behind SciDB here, attributing it to startup overhead; our
+			// systems at the smallest scale. The paper also has "Dask
+			// slower at small scale (startup + work stealing)"; our
 			// per-step timing excludes session startup by construction,
-			// so Dask's in-memory mean is competitive — see
-			// EXPERIMENTS.md.)
+			// so at 1 subject Dask's in-memory mean (0.181 s quick, 0.182 s
+			// full) beats Myria (0.246 s, 0.329 s) and Spark (0.745 s,
+			// 0.642 s), and Dask is left out. SciDB's own cell there is 0 s
+			// on both profiles.
 			for _, sys := range t.RowNames {
 				if sys == "SciDB" || sys == "Dask" {
 					continue
@@ -138,9 +140,12 @@ func checkFig12d(t *Table) error {
 	if err := wantRatioAtLeast("Spark/Myria same regime", 3*t.Get("Myria", last), t.Get("Spark", last), 1); err != nil {
 		return err
 	}
-	// SciDB's materialize-per-statement AQL is far behind both (the
-	// paper reports >10×; the quick profile compresses the gap — see
-	// EXPERIMENTS.md).
+	// SciDB's materialize-per-statement AQL is far behind both. The
+	// paper: "SciDB's AQL >10× slower (per-iteration materialization)".
+	// The model compresses the gap, so the check asks 4×: SciDB/Myria is
+	// 4.52× at the quick profile's 4 visits (36.1 s vs 8.0 s) and 2.65×
+	// at the full profile's 24 (75.4 s vs 28.4 s), a known miss recorded
+	// in testdata/full-profile.json.
 	if err := wantRatioAtLeast("SciDB ≫ Myria", t.Get("SciDB", last), t.Get("Myria", last), 4); err != nil {
 		return err
 	}

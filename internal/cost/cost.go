@@ -10,7 +10,8 @@
 // datasets are small, but every item carries the size its real-world
 // counterpart would have (e.g. a 145×145×174 float32 dMRI volume is
 // ~14.6 MB), so modeled runtimes land in the paper's regime. Absolute values
-// are calibration choices; the experiments in EXPERIMENTS.md compare
+// are calibration choices; the experiments (internal/core, each with the
+// paper's sentence in its Paper field and a Check beside it) compare
 // *shapes* (who wins, by what factor, where crossovers fall), which derive
 // from the engines' architecture, not from these constants.
 package cost

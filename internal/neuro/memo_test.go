@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/memo"
 	"imagebench/internal/nifti"
 	"imagebench/internal/objstore"
@@ -192,50 +194,41 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	resultsEqual(t, "warm spark", warm.spark, ref, 1e-9)
 }
 
-// The masks the denoise-step runners start from are the reference
-// pipeline's, bit for bit, for every subject, and computing them goes
-// nowhere near the memo: referenceMasks stops after Step 1N where
-// Reference runs all three.
-func TestReferenceMasksAreTheReferences(t *testing.T) {
-	cfg := synth.DefaultNeuro(3)
-	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
+// The Fig 12b and 12c step runners time the mean and the denoise and
+// compute neither: nothing reads what a runner's UDF returns, so every
+// engine's runners over a fresh workload of the quick profile's
+// geometry move no NLMeans hit or miss.
+func TestStepRunnersComputeNothing(t *testing.T) {
+	cfg := synth.DefaultNeuro(2)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
+	cfg.Seed = unseenSeed()
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Reference(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := memo.Snapshot()
-	masks, err := referenceMasks(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := memo.Snapshot(); !reflect.DeepEqual(before, after) {
-		t.Errorf("referenceMasks went through the memo: %+v before, %+v after", before, after)
-	}
-	if len(masks) != cfg.Subjects {
-		t.Fatalf("%d masks for %d subjects", len(masks), cfg.Subjects)
-	}
-	for s, sr := range ref.Subjects {
-		m := masks[s]
-		if m == nil || !m.SameShape(sr.Mask) {
-			t.Fatalf("%s: mask missing or reshaped", SubjKey(s))
-		}
-		for i := range m.Data {
-			if math.Float64bits(m.Data[i]) != math.Float64bits(sr.Mask.Data[i]) {
-				t.Fatalf("%s: voxel %d is %v, the reference has %v", SubjKey(s), i, m.Data[i], sr.Mask.Data[i])
+	runners := []struct {
+		name string
+		run  func(*Workload, *cluster.Cluster, *cost.Model, string) (vtime.Duration, error)
+	}{{"Spark", SparkStep}, {"Myria", MyriaStep}, {"Dask", DaskStep}, {"SciDB", SciDBStep}, {"TensorFlow", TFStep}}
+	before := memo.Snapshot().Kinds[memo.NLMeans]
+	for _, r := range runners {
+		for _, step := range []string{"mean", "denoise"} {
+			if _, err := r.run(w, testCluster(), nil, step); err != nil {
+				t.Fatalf("%s %s: %v", r.name, step, err)
 			}
 		}
+	}
+	if after := memo.Snapshot().Kinds[memo.NLMeans]; after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("the step runners moved NLMeans: %d hits and %d misses before, %d and %d after",
+			before.Hits, before.Misses, after.Hits, after.Misses)
 	}
 }
 
 // A staged object is decoded once per process and every reader gets the
 // held value; an object that fails to decode fails on every call and
-// nothing is kept. The arena paths (Reference and referenceMasks, which
-// put the volumes they decode back into the scratch arena) never
-// receive a held volume, so recycling theirs never writes to one.
+// nothing is kept. The arena path (Reference, which puts the volumes
+// it decodes back into the scratch arena) never receives a held
+// volume, so recycling its volumes never writes to one.
 func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	cfg := synth.DefaultNeuro(1)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 6, 2
@@ -286,9 +279,6 @@ func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	if _, err := Reference(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := referenceMasks(w); err != nil {
-		t.Fatal(err)
-	}
 	arena, err := decodeNIfTIArena(nii, volume.Scratch)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +294,7 @@ func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 			t.Fatalf("held volume %d carries no digest", i)
 		}
 		if d := volume.MaxAbsDiff(v, want.Vols[i]); d != 0 || memo.Digest(v) != memo.Digest(want.Vols[i]) {
-			t.Fatalf("held volume %d changed under the arena paths", i)
+			t.Fatalf("held volume %d changed under the arena path", i)
 		}
 	}
 }

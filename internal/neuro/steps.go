@@ -26,6 +26,13 @@ import (
 // delta. A system's setup is written once and shared by its ingest
 // runner, its step runner and its tuning study. A nil model means
 // cost.Default(), resolved by the system constructors.
+//
+// The runners model time and return nothing else, so the mean and
+// denoise UDFs compute no value: each hands back a record of the
+// declared size. What still computes has a reader: the ingest decodes
+// (Spark's and Dask's filter UDFs type-assert them) and SciDB's CSV
+// round trip (its encoded length sets SciDB's expansion, which reaches
+// the rows).
 
 // delta measures the virtual time consumed by f on cl.
 func delta(cl *cluster.Cluster, f func() error) (vtime.Duration, error) {
@@ -41,32 +48,8 @@ func errUnknownStep(step string) error {
 	return fmt.Errorf("neuro: unknown step %q", step)
 }
 
-// referenceMasks computes the per-subject masks outside any timing, for
-// denoise-step measurements (the mask is an input to Step 2N). It is
-// the reference pipeline's Step 1N and nothing after it: decode a
-// subject into arena volumes, the pure Segment over its b0 volumes,
-// volumes back to the arena.
-func referenceMasks(w *Workload) (map[int]*volume.V3, error) {
-	masks := make(map[int]*volume.V3, w.Subjects)
-	b0 := w.Grad.B0Mask(50)
-	for s := 0; s < w.Subjects; s++ {
-		obj, err := w.Store.Get(synth.NeuroKeyNIfTI(s))
-		if err != nil {
-			return nil, err
-		}
-		data, err := decodeNIfTIArena(obj, volume.Scratch)
-		if err != nil {
-			return nil, err
-		}
-		masks[s] = Segment(data.Select(b0).Vols)
-		for _, v := range data.Vols {
-			volume.Scratch.Put(v)
-		}
-	}
-	return masks, nil
-}
-
-// sparkDecode decodes staged .npy objects into volume records.
+// sparkDecode decodes staged .npy objects into volume records; the
+// filter UDF type-asserts the decoded value.
 func sparkDecode(obj objstore.Object) []spark.Pair {
 	s, t, err := npyKeyIDs(obj.Key)
 	if err != nil {
@@ -130,25 +113,14 @@ func SparkStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 			return 0, err
 		}
 		return delta(cl, func() error {
-			_, err := b0RDD.GroupByKey("mean", cost.Mean, 0, func(key string, values []spark.Pair) []spark.Pair {
-				vols := sortedVols(values, func(p spark.Pair) tsVol { return p.Value.(tsVol) })
-				return []spark.Pair{{Key: key, Value: volume.Mean3(vols), Size: synth.PaperVolBytes}}
+			_, err := b0RDD.GroupByKey("mean", cost.Mean, 0, func(key string, _ []spark.Pair) []spark.Pair {
+				return []spark.Pair{{Key: key, Size: synth.PaperVolBytes}}
 			}).Materialize()
 			return err
 		})
 	case "denoise":
-		masks, err := referenceMasks(w)
-		if err != nil {
-			return 0, err
-		}
 		return delta(cl, func() error {
-			_, err := img.Map(spark.UDF{Name: "denoise", Op: cost.Denoise, F: func(p spark.Pair) []spark.Pair {
-				s, _, err := ParseVolKey(p.Key)
-				if err != nil {
-					return nil
-				}
-				return []spark.Pair{{Key: p.Key, Value: Denoise(p.Value.(*volume.V3), masks[s]), Size: p.Size}}
-			}}).Materialize()
+			_, err := img.Map(spark.UDF{Name: "denoise", Op: cost.Denoise, F: func(p spark.Pair) []spark.Pair { return []spark.Pair{p} }}).Materialize()
 			return err
 		})
 	}
@@ -202,31 +174,17 @@ func MyriaStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 			q2 := eng.NewQuery(h)
 			q2.GroupByApply(b0Rel,
 				func(t myria.Tuple) string { s, _, _ := ParseVolKey(t.Key); return SubjKey(s) },
-				myria.PyUDA{Name: "mean", Op: cost.Mean, F: func(key string, group []myria.Tuple) []myria.Tuple {
-					vols := sortedVols(group, func(t myria.Tuple) tsVol {
-						_, vol, _ := ParseVolKey(t.Key)
-						return tsVol{T: vol, Vol: t.Value.(*volume.V3)}
-					})
-					return []myria.Tuple{{Key: key, Value: volume.Mean3(vols), Size: synth.PaperVolBytes}}
+				myria.PyUDA{Name: "mean", Op: cost.Mean, F: func(key string, _ []myria.Tuple) []myria.Tuple {
+					return []myria.Tuple{{Key: key, Size: synth.PaperVolBytes}}
 				}})
 			_, err := q2.Finish()
 			return err
 		})
 	case "denoise":
-		masks, err := referenceMasks(w)
-		if err != nil {
-			return 0, err
-		}
 		return delta(cl, func() error {
 			q := eng.NewQuery()
 			scan := q.Scan(images)
-			q.Apply(scan, myria.PyUDF{Name: "Denoise", Op: cost.Denoise, F: func(t myria.Tuple) []myria.Tuple {
-				s, _, err := ParseVolKey(t.Key)
-				if err != nil {
-					return nil
-				}
-				return []myria.Tuple{{Key: t.Key, Value: Denoise(t.Value.(*volume.V3), masks[s]), Size: t.Size}}
-			}})
+			q.Apply(scan, myria.PyUDF{Name: "Denoise", Op: cost.Denoise, F: func(t myria.Tuple) []myria.Tuple { return []myria.Tuple{t} }})
 			_, err := q.Finish()
 			return err
 		})
@@ -300,32 +258,21 @@ func DaskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) 
 			for s := 0; s < w.Subjects; s++ {
 				roots = append(roots, sess.Delayed("mean/"+SubjKey(s), cost.Mean,
 					[]*dask.Delayed{filtered[s]},
-					func(args []any) (any, int64, error) {
-						return volume.Mean3(args[0].(*volume.V4).Vols), synth.PaperVolBytes, nil
-					}))
+					func([]any) (any, int64, error) { return nil, synth.PaperVolBytes, nil }))
 			}
 			return daskCompute(sess, roots)
 		})
 	case "denoise":
-		masks, err := referenceMasks(w)
-		if err != nil {
-			return 0, err
-		}
 		return delta(cl, func() error {
 			var roots []*dask.Delayed
 			for s := 0; s < w.Subjects; s++ {
-				s := s
 				for t := 0; t < w.Cfg.T; t++ {
-					t := t
 					roots = append(roots, sess.DelayedCost("denoise/"+VolKey(s, t),
 						func(int64) vtime.Duration {
 							return model.AlgTime(cost.Denoise, synth.PaperVolBytes)
 						},
 						[]*dask.Delayed{fetch[s]},
-						func(args []any) (any, int64, error) {
-							v := args[0].(*volume.V4).Vols[t]
-							return Denoise(v, masks[s]), synth.PaperVolBytes, nil
-						}))
+						func([]any) (any, int64, error) { return nil, synth.PaperVolBytes, nil }))
 				}
 			}
 			return daskCompute(sess, roots)
@@ -350,6 +297,7 @@ func SciDBIngestRunner(mode SciDBIngestMode) func(*Workload, *cluster.Cluster, *
 // SciDBStep measures one pipeline step (Fig 12a–c) on SciDB.
 func SciDBStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
 	eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
+	// The ingest's CSV round trip stays: its encoded length sets SciDB's expansion.
 	arr, err := SciDBIngest(w, eng, SciDBAio)
 	if err != nil {
 		return 0, err
@@ -378,21 +326,14 @@ func SciDBStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string)
 		return delta(cl, func() error {
 			m := filtered.Aggregate("mean", cost.Mean,
 				func(c scidb.Chunk) string { s, _, _ := ParseVolKey(c.Coords); return SubjKey(s) },
-				func(key string, group []scidb.Chunk) scidb.Chunk {
-					vols := make([]*volume.V3, 0, len(group))
-					for _, c := range group {
-						vols = append(vols, c.Value.(*volume.V3))
-					}
-					return scidb.Chunk{Coords: key, Value: volume.Mean3(vols), Size: synth.PaperVolBytes}
+				func(key string, _ []scidb.Chunk) scidb.Chunk {
+					return scidb.Chunk{Coords: key, Size: synth.PaperVolBytes}
 				})
 			return m.Done().Err
 		})
 	case "denoise":
 		return delta(cl, func() error {
-			d := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk {
-				v := c.Value.(*volume.V3)
-				return scidb.Chunk{Coords: c.Coords, Value: Denoise(v, nil), Size: c.Size}
-			})
+			d := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk { return c })
 			return d.Done().Err
 		})
 	}
@@ -486,10 +427,7 @@ func TFStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (v
 	case "denoise":
 		return delta(cl, func() error {
 			_, _, err := sess.RunStep("denoise", cost.Denoise, items, tfgraph.StepOpts{},
-				func(t tfgraph.Tensor) (tfgraph.Tensor, error) {
-					vi := t.Value.(tfVol)
-					return tfgraph.Tensor{Value: tfVol{vi.subj, vi.t, Denoise(vi.vol, nil)}, Size: t.Size}, nil
-				})
+				func(t tfgraph.Tensor) (tfgraph.Tensor, error) { return t, nil })
 			return err
 		})
 	}

@@ -137,3 +137,44 @@ func TestDecodeRobustnessProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzTSVDecode hands both decoders arbitrary bytes: no panic, no
+// volume with more cells than the input has lines to fill (a cell's
+// line is at least "0\t0\t0\t0"), and an accepted volume encodes and
+// decodes back to the same shape and bits.
+func FuzzTSVDecode(f *testing.F) {
+	v := randomVol(rand.New(rand.NewSource(4)), 3, 2, 2)
+	f.Add(Encode(v))
+	f.Add(EncodeCSV(v))
+	f.Add([]byte("1\t0\t0\t2.5\n0\t0\t0\t-0\n\n1\t1\t0\tNaN\n0\t1\t0\t+Inf"))
+	f.Add([]byte("6\t7905747460161236406\t0\t1.5\n"))
+	f.Add([]byte("0,0,0,1\n9223372036854775807,1,0,2\n"))
+	codecs := []struct {
+		name   string
+		decode func([]byte) (*volume.V3, error)
+		encode func(*volume.V3) []byte
+	}{{"TSV", Decode, Encode}, {"CSV", DecodeCSV, EncodeCSV}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range codecs {
+			got, err := c.decode(data)
+			if err != nil {
+				continue
+			}
+			if got.Len() > (len(data)+1)/8 {
+				t.Fatalf("%s: %d input bytes decoded to %d cells", c.name, len(data), got.Len())
+			}
+			again, err := c.decode(c.encode(got))
+			if err != nil {
+				t.Fatalf("%s: a decoded %d×%d×%d volume does not decode after encoding: %v", c.name, got.NX, got.NY, got.NZ, err)
+			}
+			if !again.SameShape(got) {
+				t.Fatalf("%s: shape %d×%d×%d came back %d×%d×%d", c.name, got.NX, got.NY, got.NZ, again.NX, again.NY, again.NZ)
+			}
+			for i := range got.Data {
+				if math.Float64bits(again.Data[i]) != math.Float64bits(got.Data[i]) {
+					t.Fatalf("%s: cell %d: %v came back %v", c.name, i, got.Data[i], again.Data[i])
+				}
+			}
+		}
+	})
+}
