@@ -125,7 +125,8 @@ func main() {
 		os.Exit(2)
 	}
 	var exps []*core.Experiment
-	if len(ids) == 1 && ids[0] == "all" {
+	all := len(ids) == 1 && ids[0] == "all"
+	if all {
 		exps = core.All()
 	} else {
 		for _, id := range ids {
@@ -259,6 +260,14 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "imagebench: trace written to %s (%d spans)\n", *traceOut, len(tracer.Spans()))
+	}
+	if all {
+		// The tables read no pixel; this computes the engines' outputs
+		// on the smallest cell and checks them against the reference.
+		if err := core.CheckOutputs(context.Background(), p); err != nil {
+			fmt.Fprintln(os.Stderr, "imagebench: engine outputs:", err)
+			failed++
+		}
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "imagebench: %d experiment(s) failed\n", failed)

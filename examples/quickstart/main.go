@@ -26,7 +26,12 @@ func main() {
 	cl := cluster.New(cfg)
 
 	// Run segmentation → denoising → diffusion-tensor fit on Spark.
-	res, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{Partitions: cl.Workers()})
+	out, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{Partitions: cl.Workers()})
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The pixels are computed here, when the output is first read.
+	res, err := out.Force()
 	if err != nil {
 		log.Fatal(err)
 	}

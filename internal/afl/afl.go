@@ -70,7 +70,7 @@ type Num struct {
 }
 
 func (n *Num) expr()          {}
-func (n *Num) String() string { return strconv.FormatFloat(n.V, 'g', -1, 64) }
+func (n *Num) String() string { return strconv.FormatFloat(n.V, 'f', -1, 64) }
 
 // Cmp is a filter predicate: left < right.
 type Cmp struct {

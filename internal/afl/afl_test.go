@@ -296,3 +296,45 @@ func TestRemovedProductionsFailWithLine(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse holds the parser to three properties on any input: it never
+// panics; every error is the empty-program error or names a line of the
+// input (one past the last for an unexpected end); and an accepted
+// program prints to source that parses to the same program.
+func FuzzParse(f *testing.F) {
+	f.Add("store(aggregate(filter(scan(Images), vol < 3), meanvol(img), subj), mean_b0);\nstore(apply(scan(mean_b0), otsu), Masks)")
+	f.Add("store(iterate(scan(PatchStacks), 2, clip), Coadds)")
+	f.Add("\n\t-- a comment\n\tstore(scan(a), b);\n\tstore(apply(scan(b), clean), c)\n")
+	f.Add("")
+	f.Add("scan(a")
+	f.Fuzz(func(t *testing.T, src string) {
+		exprs, err := Parse(src)
+		if err != nil {
+			msg := err.Error()
+			if msg == "afl: empty program" {
+				return
+			}
+			var n int
+			if _, serr := fmt.Sscanf(msg, "afl: line %d:", &n); serr != nil {
+				t.Fatalf("%q: error %q names no line", src, msg)
+			}
+			if lines := strings.Count(src, "\n") + 1; n < 1 || n > lines+1 {
+				t.Fatalf("%q: error %q names line %d of %d", src, msg, n, lines)
+			}
+			return
+		}
+		printed := printProgram(exprs)
+		again, err := Parse(printed)
+		if err != nil || printProgram(again) != printed {
+			t.Fatalf("%q parses, but its printed form %q parses to %v (%v)", src, printed, again, err)
+		}
+	})
+}
+
+func printProgram(exprs []Expr) string {
+	stmts := make([]string, len(exprs))
+	for i, e := range exprs {
+		stmts[i] = e.String()
+	}
+	return strings.Join(stmts, ";\n")
+}

@@ -7,6 +7,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/imaging"
+	"imagebench/internal/lazy"
 	"imagebench/internal/myria"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
@@ -99,13 +100,22 @@ func resultsMatch(t *testing.T, name string, got, want *Result) {
 	}
 }
 
+// force reads an engine run's output.
+func force[T any](out *lazy.Value[T], err error) (T, error) {
+	if err != nil {
+		var none T
+		return none, err
+	}
+	return out.Force()
+}
+
 func TestSparkMatchesReference(t *testing.T) {
 	w := smallWorkload(t, 4)
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8})
+	got, err := force(RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8}))
 	if err != nil {
 		t.Fatalf("RunSpark: %v", err)
 	}
@@ -118,7 +128,7 @@ func TestMyriaMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunMyria(w, testCluster(), nil, MyriaOpts{})
+	got, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{}))
 	if err != nil {
 		t.Fatalf("RunMyria: %v", err)
 	}
@@ -131,7 +141,7 @@ func TestDaskMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunDask(w, testCluster(), nil)
+	got, err := force(RunDask(w, testCluster(), nil))
 	if err != nil {
 		t.Fatalf("RunDask: %v", err)
 	}
@@ -156,7 +166,7 @@ func TestSciDBCoaddMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CoaddAll: %v", err)
 	}
-	got, err := RunSciDBCoadd(w, testCluster(), nil, pes, SciDBOpts{})
+	got, err := force(RunSciDBCoadd(w, testCluster(), nil, pes, SciDBOpts{}))
 	if err != nil {
 		t.Fatalf("RunSciDBCoadd: %v", err)
 	}
@@ -174,7 +184,7 @@ func TestMyriaMultiQueryMatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunMyria(w, testCluster(), nil, MyriaOpts{Mode: myria.MultiQuery, ChunkVisits: 2})
+	got, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{Mode: myria.MultiQuery, ChunkVisits: 2}))
 	if err != nil {
 		t.Fatalf("RunMyria multi-query: %v", err)
 	}

@@ -24,7 +24,7 @@ import (
 // (Section 4.4). Our implementation runs — the experiment registry keeps
 // Dask out of the headline astronomy figures to match the paper, but the
 // tests exercise this code for correctness.
-func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, error) {
+func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -46,7 +46,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 		calibrated[i] = sess.Delayed("preprocess/"+key, cost.Preprocess,
 			[]*dask.Delayed{fetch},
 			func(args []any) (any, int64, error) {
-				return PreprocessMemo(args[0].(*skymap.Exposure)), synth.PaperSensorBytes, nil
+				return preprocessOnRead(args[0].(*skymap.Exposure)), synth.PaperSensorBytes, nil
 			})
 	}
 	// A barrier to learn each exposure's patch footprint (the geometry
@@ -63,7 +63,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	}
 	contributors := make(map[pv][]*dask.Delayed)
 	for _, c := range calibrated {
-		e := c.Value().(*skymap.Exposure)
+		e := c.Value().(skymap.Pending).Header
 		for _, p := range grid.ExposureOverlaps(e) {
 			k := pv{p, e.Visit}
 			contributors[k] = append(contributors[k], c)
@@ -92,11 +92,11 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 			func(args []any) (any, int64, error) {
 				var pieces []*skymap.PatchExposure
 				for _, a := range args {
-					e := a.(*skymap.Exposure)
+					e := a.(skymap.Pending)
 					pieces = append(pieces, grid.Defer(e, k.patch))
 				}
-				sortPatchExposures(pieces)
-				merged, err := skymap.AssemblePatches(pieces)
+				order := sortPatchExposures
+				merged, err := skymap.Assemble(pieces, order)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -133,7 +133,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 					stack[i] = a.(*skymap.PatchExposure)
 				}
 				sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-				co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
+				co, err := coaddOnRead(stack, ClipSigma, ClipIters)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -143,8 +143,8 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 		detect := sess.Delayed("detect/"+PatchKey(p), cost.DetectSources,
 			[]*dask.Delayed{coadd},
 			func(args []any) (any, int64, error) {
-				co := args[0].(*skymap.Coadd)
-				return &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, patchBytes / 100, nil
+				co := args[0].(*lazyCoadd)
+				return detectOnRead(co), patchBytes / 100, nil
 			})
 		resultNodes[p] = detect
 		roots = append(roots, detect)
@@ -153,9 +153,9 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 		return nil, err
 	}
 	cl.MarkStage("coadd")
-	res := &Result{Patches: make(map[skymap.Patch]*PatchResult, len(resultNodes))}
+	res := &resultOnRead{Patches: make(map[skymap.Patch]*lazyPatch, len(resultNodes))}
 	for p, n := range resultNodes {
-		res.Patches[p] = n.Value().(*PatchResult)
+		res.Patches[p] = n.Value().(*lazyPatch)
 	}
-	return res, nil
+	return res.onRead(), nil
 }

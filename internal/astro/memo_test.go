@@ -3,7 +3,6 @@ package astro
 import (
 	"math"
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -106,9 +105,9 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 		name string
 		run  func() (*Result, error)
 	}{
-		{"spark", func() (*Result, error) { return RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8}) }},
-		{"myria", func() (*Result, error) { return RunMyria(w, testCluster(), nil, MyriaOpts{}) }},
-		{"dask", func() (*Result, error) { return RunDask(w, testCluster(), nil) }},
+		{"spark", func() (*Result, error) { return force(RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8})) }},
+		{"myria", func() (*Result, error) { return force(RunMyria(w, testCluster(), nil, MyriaOpts{})) }},
+		{"dask", func() (*Result, error) { return force(RunDask(w, testCluster(), nil)) }},
 	}
 	for _, pass := range []string{"cold", "warm"} {
 		before := memo.Snapshot()
@@ -150,7 +149,11 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 		t.Fatalf("pure stacks: %d (%v), memoized %d", len(pure), err, len(stacks))
 	}
 	for i, pe := range pure {
-		if got := stacks[i]; got.Patch != pe.Patch || got.Visit != pe.Visit || !reflect.DeepEqual(got.Valid, pe.Valid) ||
+		got, err := stacks[i].Built()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Patch != pe.Patch || got.Visit != pe.Visit || !reflect.DeepEqual(got.Valid, pe.Valid) ||
 			!sameBits(got.Flux.Pix, pe.Flux.Pix) || !sameBits(got.Var.Pix, pe.Var.Pix) {
 			t.Errorf("stack %d (%v visit %d) differs from the pure path's", i, pe.Patch, pe.Visit)
 		}
@@ -255,7 +258,7 @@ func TestFailuresPassThroughTheMemo(t *testing.T) {
 	}
 	// The engines drop what they cannot decode, as they did.
 	w.Store = st
-	if res, err := RunSpark(w, testCluster(), nil, SparkOpts{}); err != nil || len(res.Patches) != 0 {
+	if res, err := force(RunSpark(w, testCluster(), nil, SparkOpts{})); err != nil || len(res.Patches) != 0 {
 		t.Errorf("Spark over one corrupt object: %v, %v", res, err)
 	}
 
@@ -296,109 +299,6 @@ func sameCoadd(a, b *skymap.Coadd) bool {
 	return a.Patch == b.Patch && sameBits(a.Flux.Pix, b.Flux.Pix) && sameBits(a.NVisits.Pix, b.NVisits.Pix)
 }
 
-// stackOn projects each exposure that touches p with piece and
-// assembles the pieces into one per visit, in visit order.
-func stackOn(t *testing.T, g skymap.Grid, es []*skymap.Exposure, p skymap.Patch, piece func(*skymap.Exposure, skymap.Patch) *skymap.PatchExposure) []*skymap.PatchExposure {
-	t.Helper()
-	var pieces []*skymap.PatchExposure
-	for _, e := range es {
-		if slices.Contains(g.ExposureOverlaps(e), p) {
-			pieces = append(pieces, piece(e, p))
-		}
-	}
-	sortPatchExposures(pieces)
-	stack, err := skymap.AssemblePatches(pieces)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stack
-}
-
-// A coadd of deferred pieces is keyed by the lineage of the calibrated
-// exposures they came from: found again without a pixel read or a piece
-// built, equal to CoaddPatch over projected pieces, never the answer
-// for a clone one ulp apart, and still right, under a content key, for
-// exposures handed out before a reset.
-func TestDeferredCoaddIsKeyedByLineage(t *testing.T) {
-	w := unseenWorkload(t, 3)
-	g := w.Grid()
-	var cals []*skymap.Exposure
-	for _, key := range w.Store.List("astro/fits/") {
-		obj, _ := w.Store.Get(key)
-		e, err := fits.DecodeStaged(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cals = append(cals, PreprocessMemo(e))
-	}
-	touching := map[skymap.Patch]int{}
-	var p skymap.Patch
-	for _, e := range cals {
-		for _, q := range g.ExposureOverlaps(e) {
-			if touching[q]++; touching[q] > touching[p] {
-				p = q
-			}
-		}
-	}
-	check := func(name string, es []*skymap.Exposure) (*skymap.Coadd, []*skymap.PatchExposure) {
-		t.Helper()
-		stack := stackOn(t, g, es, p, g.Defer)
-		got, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := skymap.CoaddPatch(stackOn(t, g, es, p, g.Project), ClipSigma, ClipIters)
-		if err != nil || !sameCoadd(got, want) {
-			t.Errorf("%s: the deferred stack's coadd differs from CoaddPatch over projected pieces (%v)", name, err)
-		}
-		return got, stack
-	}
-	census := func(before memo.Stats) [3]uint64 {
-		now := memo.Snapshot()
-		return [3]uint64{now.LineageKeys - before.LineageKeys, now.ContentFallbacks - before.ContentFallbacks,
-			now.Kinds[memo.Coadd].Misses - before.Kinds[memo.Coadd].Misses}
-	}
-
-	co, stack := check("cold", cals)
-	sources := 0
-	before := memo.Snapshot()
-	again, warm := check("warm", cals)
-	for _, pe := range warm {
-		sources += len(slices.DeleteFunc(slices.Clone(cals), func(e *skymap.Exposure) bool {
-			return e.Visit != pe.Visit || !slices.Contains(g.ExposureOverlaps(e), p)
-		}))
-		if pe.Flux != nil {
-			t.Errorf("visit %d: a coadd the memo held built the piece's planes", pe.Visit)
-		}
-	}
-	if got, want := census(before), [3]uint64{uint64(sources), 0, 0}; again != co || got != want {
-		t.Errorf("warm: %p, the cold coadd %p; lineage keys, content fallbacks, coadds computed %v, want %v", again, co, got, want)
-	}
-	if len(stack) < 2 || sources <= len(stack) {
-		t.Fatalf("a stack of %d pieces from %d exposures: the test wants several visits and merges", len(stack), sources)
-	}
-
-	// A clone one ulp apart, on a valid pixel inside p, is another input.
-	i := slices.IndexFunc(cals, func(e *skymap.Exposure) bool { return slices.Contains(g.ExposureOverlaps(e), p) })
-	clone := cals[i].Clone()
-	x, y := max(p.PX*g.PatchW-clone.X0, 0), max(p.PY*g.PatchH-clone.Y0, 0)
-	j := y*clone.Flux.W + x
-	clone.Mask[j] &^= skymap.MaskBad
-	clone.Flux.Pix[j] = math.Nextafter(clone.Flux.Pix[j], math.Inf(1))
-	if got, _ := check("one-ulp clone", slices.Replace(slices.Clone(cals), i, i+1, clone)); got == co {
-		t.Error("a clone one ulp apart was answered with the original's coadd")
-	}
-
-	forceReset(t)
-	before = memo.Snapshot()
-	if got, _ := check("after a reset", cals); got == co {
-		t.Error("exposures handed out before the reset: want a new, equal coadd")
-	}
-	if got, want := census(before), [3]uint64{0, uint64(sources), 1}; got != want {
-		t.Errorf("after a reset: lineage keys, content fallbacks, coadds computed %v, want %v", got, want)
-	}
-}
-
 // Myria groups each co-addition by the piece's patch, not by cutting a
 // two-digit visit suffix off its key: past 99 visits RunMyria still
 // co-adds each patch's whole stack, as the reference does.
@@ -408,7 +308,7 @@ func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunMyria(w, testCluster(), nil, MyriaOpts{Mode: myria.MultiQuery, ChunkVisits: 25})
+	got, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{Mode: myria.MultiQuery, ChunkVisits: 25}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ type MyriaOpts struct {
 // into chunks processed as separate queries, with per-patch partial stacks
 // co-added in a final query — the paper's "executing multiple queries"
 // strategy (Fig 15).
-func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpts) (*Result, error) {
+func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpts) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -90,15 +90,15 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 				stack = append(stack, t.Value.(*skymap.PatchExposure))
 			}
 			sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-			co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
+			co, err := coaddOnRead(stack, ClipSigma, ClipIters)
 			if err != nil {
 				return nil
 			}
 			return []myria.Tuple{{Key: key, Value: co, Size: patchBytes}}
 		}})
 	detected := qf.Apply(coadds, myria.PyUDF{Name: "detect", Op: cost.DetectSources, F: func(t myria.Tuple) []myria.Tuple {
-		co := t.Value.(*skymap.Coadd)
-		return []myria.Tuple{{Key: t.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, Size: t.Size / 100}}
+		co := t.Value.(*lazyCoadd)
+		return []myria.Tuple{{Key: t.Key, Value: detectOnRead(co), Size: t.Size / 100}}
 	}})
 	tuples, _ := qf.Collect(detected)
 	if _, err := qf.Finish(); err != nil {
@@ -106,12 +106,12 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	}
 	cl.MarkStage("coadd+detect")
 
-	res := &Result{Patches: make(map[skymap.Patch]*PatchResult, len(tuples))}
+	res := &resultOnRead{Patches: make(map[skymap.Patch]*lazyPatch, len(tuples))}
 	for _, t := range tuples {
-		pr := t.Value.(*PatchResult)
+		pr := t.Value.(*lazyPatch)
 		res.Patches[pr.Patch] = pr
 	}
-	return res, nil
+	return res.onRead(), nil
 }
 
 // runMyriaChunk pre-processes and patch-assembles the exposures of visits
@@ -124,13 +124,13 @@ func runMyriaChunk(w *Workload, q *myria.Query, exposures *myria.Relation, v0, v
 		return e.Visit >= v0 && e.Visit < v1
 	})
 	calibrated := q.Apply(scan, myria.PyUDF{Name: "preprocess", Op: cost.Preprocess, F: func(t myria.Tuple) []myria.Tuple {
-		return []myria.Tuple{{Key: t.Key, Value: PreprocessMemo(t.Value.(*skymap.Exposure)), Size: t.Size}}
+		return []myria.Tuple{{Key: t.Key, Value: preprocessOnRead(t.Value.(*skymap.Exposure)), Size: t.Size}}
 	}})
 	pieces := q.Apply(calibrated, myria.PyUDF{Name: "patch-project", Op: cost.PatchMap, F: func(t myria.Tuple) []myria.Tuple {
-		e := t.Value.(*skymap.Exposure)
+		e := t.Value.(skymap.Pending)
 		var out []myria.Tuple
-		for _, pt := range grid.ExposureOverlaps(e) {
-			out = append(out, myria.Tuple{Key: VisitPatchKey(pt, e.Visit), Value: grid.Defer(e, pt), Size: patchBytes})
+		for _, pt := range grid.ExposureOverlaps(e.Header) {
+			out = append(out, myria.Tuple{Key: VisitPatchKey(pt, e.Header.Visit), Value: grid.Defer(e, pt), Size: patchBytes})
 		}
 		return out
 	}})
@@ -141,8 +141,8 @@ func runMyriaChunk(w *Workload, q *myria.Query, exposures *myria.Relation, v0, v
 			for _, t := range group {
 				pes = append(pes, t.Value.(*skymap.PatchExposure))
 			}
-			sortPatchExposures(pes)
-			merged, err := skymap.AssemblePatches(pes)
+			order := sortPatchExposures
+			merged, err := skymap.Assemble(pes, order)
 			if err != nil || len(merged) != 1 {
 				return nil
 			}

@@ -27,13 +27,13 @@ type SciDBOpts struct {
 // Pre-processing, patch creation, and detection were not implementable
 // (Table 1: "X"/"NA"); the input stacks therefore come from the reference
 // pipeline's Step 2A output.
-func RunSciDBCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts) (map[skymap.Patch]*skymap.Coadd, error) {
+func RunSciDBCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts) (*CoaddOutput, error) {
 	return runSciDBCoaddPhased(w, cl, model, stacks, opts, nil)
 }
 
 // runSciDBCoaddPhased is RunSciDBCoadd with a hook observing the virtual
 // time at which ingest completed (used for step-only timing, Fig 12d).
-func runSciDBCoaddPhased(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts, afterIngest func(vtime.Time)) (map[skymap.Patch]*skymap.Coadd, error) {
+func runSciDBCoaddPhased(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts, afterIngest func(vtime.Time)) (*CoaddOutput, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -58,7 +58,7 @@ func runSciDBCoaddPhased(w *Workload, cl *cluster.Cluster, model *cost.Model, st
 	// Step 3A in AQL: iterative clipping with per-statement
 	// materialization. The real clipping runs through CoaddState; the
 	// final pass sums the survivors.
-	states := make(map[skymap.Patch]*skymap.CoaddState)
+	states := make(map[skymap.Patch]*clipsOnRead)
 	final := arr.IterativeAQL("coadd-aql", ClipIters, cost.CoaddIter, func(iter int, cs []scidb.Chunk) []scidb.Chunk {
 		if iter == 0 {
 			byPatch := make(map[skymap.Patch][]*skymap.PatchExposure)
@@ -69,7 +69,7 @@ func runSciDBCoaddPhased(w *Workload, cl *cluster.Cluster, model *cost.Model, st
 			}
 			for p, stack := range byPatch {
 				sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-				st, err := skymap.NewCoaddState(stack)
+				st, err := newClipsOnRead(stack)
 				if err == nil {
 					states[p] = st
 				}
@@ -83,11 +83,11 @@ func runSciDBCoaddPhased(w *Workload, cl *cluster.Cluster, model *cost.Model, st
 	if h := final.Done(); h.Err != nil {
 		return nil, h.Err
 	}
-	out := make(map[skymap.Patch]*skymap.Coadd, len(states))
+	out := make(coaddsOnRead, len(states))
 	for p, st := range states {
 		out[p] = st.Sum()
 	}
-	return out, nil
+	return out.onRead(), nil
 }
 
 // coaddChunks lays the patch stacks out as stored chunks: one chunk run

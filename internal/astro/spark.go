@@ -23,7 +23,7 @@ type SparkOpts struct {
 // objects → map(pre-process) → flatMap(patch projection) →
 // groupBy(patch, visit) merge → groupBy(patch) co-addition with
 // UDF-internal clipping iterations → map(detect).
-func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpts) (*Result, error) {
+func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpts) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -40,17 +40,17 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	})
 
 	calibrated := exposures.Map(spark.UDF{Name: "preprocess", Op: cost.Preprocess, F: func(p spark.Pair) []spark.Pair {
-		return []spark.Pair{{Key: p.Key, Value: PreprocessMemo(p.Value.(*skymap.Exposure)), Size: p.Size}}
+		return []spark.Pair{{Key: p.Key, Value: preprocessOnRead(p.Value.(*skymap.Exposure)), Size: p.Size}}
 	}})
 
 	// Step 2A: the flatmap replicating each exposure per overlapping
 	// patch, then grouping per (patch, visit).
 	pieces := calibrated.Map(spark.UDF{Name: "patch-project", Op: cost.PatchMap, F: func(p spark.Pair) []spark.Pair {
-		e := p.Value.(*skymap.Exposure)
+		e := p.Value.(skymap.Pending)
 		var out []spark.Pair
-		for _, pt := range grid.ExposureOverlaps(e) {
+		for _, pt := range grid.ExposureOverlaps(e.Header) {
 			out = append(out, spark.Pair{
-				Key:   VisitPatchKey(pt, e.Visit),
+				Key:   VisitPatchKey(pt, e.Header.Visit),
 				Value: grid.Defer(e, pt),
 				Size:  patchBytes,
 			})
@@ -62,8 +62,8 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		for _, v := range values {
 			pes = append(pes, v.Value.(*skymap.PatchExposure))
 		}
-		sortPatchExposures(pes)
-		merged, err := skymap.AssemblePatches(pes)
+		order := sortPatchExposures
+		merged, err := skymap.Assemble(pes, order)
 		if err != nil || len(merged) != 1 {
 			return nil
 		}
@@ -82,7 +82,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 			stack = append(stack, v.Value.(*skymap.PatchExposure))
 		}
 		sort.Slice(stack, func(i, j int) bool { return stack[i].Visit < stack[j].Visit })
-		co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
+		co, err := coaddOnRead(stack, ClipSigma, ClipIters)
 		if err != nil {
 			return nil
 		}
@@ -91,8 +91,8 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 
 	// Step 4A: detection per coadd.
 	detected := coadds.Map(spark.UDF{Name: "detect", Op: cost.DetectSources, F: func(p spark.Pair) []spark.Pair {
-		co := p.Value.(*skymap.Coadd)
-		return []spark.Pair{{Key: p.Key, Value: &PatchResult{Patch: co.Patch, Coadd: co, Sources: DetectMemo(co)}, Size: p.Size / 100}}
+		co := p.Value.(*lazyCoadd)
+		return []spark.Pair{{Key: p.Key, Value: detectOnRead(co), Size: p.Size / 100}}
 	}})
 
 	results, _, err := detected.Collect()
@@ -100,12 +100,12 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		return nil, err
 	}
 	cl.MarkStage("pipeline")
-	res := &Result{Patches: make(map[skymap.Patch]*PatchResult, len(results))}
+	res := &resultOnRead{Patches: make(map[skymap.Patch]*lazyPatch, len(results))}
 	for _, p := range results {
-		pr := p.Value.(*PatchResult)
+		pr := p.Value.(*lazyPatch)
 		res.Patches[pr.Patch] = pr
 	}
-	return res, nil
+	return res.onRead(), nil
 }
 
 // sortPatchExposures orders pieces deterministically (by valid-pixel count

@@ -14,26 +14,24 @@ import (
 
 // This file provides the co-addition step runners behind Fig 12d, one
 // per system, bound by value in the engine registrations. The input
-// patch stacks come from Steps 1A+2A as the reference computes them
-// (setup outside the timed region), matching the paper's per-step
-// methodology: BuildStacks decodes and calibrates through the memo the
-// engine models share, since every column and experiment that builds
-// stacks from one survey builds the same ones, and projects fresh
-// pieces each time with Grid.Project, not Grid.Defer: these stacks
-// carry their planes and are keyed by content. A nil model means
-// cost.Default(), resolved by the system constructors.
+// patch stacks are Steps 1A+2A's output as the reference computes it,
+// deferred (BuildStacks): their patch and visit are at hand, and their
+// planes are built only when read, matching the paper's per-step
+// methodology with the setup outside the timed region. A nil model
+// means cost.Default(), resolved by the system constructors.
 //
-// The runners model time and return nothing else, so Spark's and
-// Myria's co-addition UDFs compute no coadd. BuildStacks and SciDB's
-// runner still do: it shares RunSciDB's path, whose coadds tests read.
+// The runners model time and return nothing else, so no runner computes
+// a coadd: Spark's and Myria's UDFs emit sizes only, and SciDB's shares
+// RunSciDBCoadd's path, whose coadds are computed when read.
 
 // BuildStacks runs Steps 1A+2A to produce the patch exposures that the
-// co-addition step consumes, bit-equal to the reference's. It computes
-// because SciDB's runner co-adds these stacks on RunSciDB's path.
+// co-addition step consumes, deferred: decoded now, calibrated through
+// the memo the engine models share and projected when read, bit-equal
+// to the reference's then.
 func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
-	keys := w.Store.List("astro/fits/")
-	exposures := make([]*skymap.Exposure, len(keys))
-	for i, key := range keys {
+	g := w.Grid()
+	var pieces []*skymap.PatchExposure
+	for _, key := range w.Store.List("astro/fits/") {
 		obj, err := w.Store.Get(key)
 		if err != nil {
 			return nil, err
@@ -42,9 +40,12 @@ func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("astro: decoding %s: %w", key, err)
 		}
-		exposures[i] = PreprocessMemo(e)
+		cal := preprocessOnRead(e)
+		for _, p := range g.ExposureOverlaps(e) {
+			pieces = append(pieces, g.Defer(cal, p))
+		}
 	}
-	return CreatePatches(w.Grid(), exposures)
+	return skymap.AssemblePatches(pieces)
 }
 
 // SparkCoadd measures Step 3A on Spark.
@@ -97,13 +98,8 @@ func SciDBCoaddRunner(opts SciDBOpts) func(*Workload, *cluster.Cluster, *cost.Mo
 		// iterative query's first pass depends on the last ingest write
 		// on each instance.
 		var afterIngest vtime.Time
-		// Computed: RunSciDB shares this path, and tests read its coadds.
-		coadds, err := runSciDBCoaddPhased(w, cl, model, stacks, opts, func(t vtime.Time) { afterIngest = t })
-		if err != nil {
+		if _, err := runSciDBCoaddPhased(w, cl, model, stacks, opts, func(t vtime.Time) { afterIngest = t }); err != nil {
 			return 0, err
-		}
-		if len(coadds) == 0 {
-			return 0, fmt.Errorf("astro: scidb coadd produced nothing")
 		}
 		return cl.Makespan().Sub(afterIngest), nil
 	}

@@ -25,13 +25,11 @@ func init() {
 			CapFaultTolerance: 3,
 			CapLoC:            1,
 		},
-		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := neuro.RunDask(w, cl, model)
-			return err
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return neuro.RunDask(w, cl, model)
 		},
-		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := astro.RunDask(w, cl, model)
-			return err
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return astro.RunDask(w, cl, model)
 		},
 		ingest: []Runner{ingestRunner("Dask", neuro.DaskIngest)},
 		steps:  []Runner{stepRunner("Dask", neuro.DaskStep)},

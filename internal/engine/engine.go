@@ -139,10 +139,13 @@ type Opts struct {
 }
 
 // Result is what the harness needs back from an end-to-end run: the
-// cluster makespan in virtual time. Domain results (decoded volumes,
-// coadds) stay behind the per-system entry points.
+// cluster makespan in virtual time, and the run's output (a
+// *lazy.Value of the system's result type, from its Run function in
+// internal/neuro or internal/astro). The output is computed only when
+// read; no table reads it.
 type Result struct {
 	Makespan vtime.Duration
+	Output   any
 }
 
 // Engine is one evaluated system. Run methods execute a workload

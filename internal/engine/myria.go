@@ -24,13 +24,11 @@ func init() {
 			CapFaultTolerance: 2,
 			CapLoC:            4,
 		},
-		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := neuro.RunMyria(w, cl, model, neuro.MyriaOpts{})
-			return err
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return neuro.RunMyria(w, cl, model, neuro.MyriaOpts{})
 		},
-		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := astro.RunMyria(w, cl, model, astro.MyriaOpts{})
-			return err
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return astro.RunMyria(w, cl, model, astro.MyriaOpts{})
 		},
 		// The whole program restarts once per injected kill, on the
 		// surviving nodes.

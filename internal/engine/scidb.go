@@ -26,9 +26,8 @@ func init() {
 			CapFaultTolerance: 5,
 			CapLoC:            2,
 		},
-		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := neuro.RunSciDB(w, cl, model, neuro.SciDBAio)
-			return err
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return neuro.RunSciDB(w, cl, model, neuro.SciDBAio)
 		},
 		noAstro: "no end-to-end astronomy run (only the co-addition step is expressible)",
 		// One full failed attempt is paid per kill, then the operator's

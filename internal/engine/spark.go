@@ -24,13 +24,11 @@ func init() {
 			CapFaultTolerance: 1,
 			CapLoC:            3,
 		},
-		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: opts.partitions(cl), CacheInput: opts.CacheInput})
-			return err
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: opts.partitions(cl), CacheInput: opts.CacheInput})
 		},
-		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := astro.RunSpark(w, cl, model, astro.SparkOpts{Partitions: opts.partitions(cl)})
-			return err
+		astro: func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return astro.RunSpark(w, cl, model, astro.SparkOpts{Partitions: opts.partitions(cl)})
 		},
 		ingest: []Runner{ingestRunner("Spark", neuro.SparkIngest)},
 		steps:  []Runner{stepRunner("Spark", neuro.SparkStep)},

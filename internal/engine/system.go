@@ -25,10 +25,11 @@ type system struct {
 	// bound for it, and the loc-table one when files are listed, so for
 	// those ranks adds only the order (see Capabilities).
 	ranks CapSet
-	// neuro and astro are the end-to-end runs; nil means the workload
-	// does not run on this system and noAstro says why.
-	neuro   func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error
-	astro   func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error
+	// neuro and astro are the end-to-end runs, returning their output
+	// (Result.Output); nil means the workload does not run on this
+	// system and noAstro says why.
+	neuro   func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error)
+	astro   func(w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error)
 	noAstro string
 	// onFaults is the recovery policy wrapped around a run on a
 	// fault-injected cluster; nil means recovery happens inside the
@@ -81,14 +82,20 @@ func (s system) RunNeuro(ctx context.Context, w *neuro.Workload, cl *cluster.Clu
 	if s.neuro == nil {
 		return Result{}, Unsupported("engine %s: no neuroscience run", s.name)
 	}
-	return s.traced(ctx, "neuro", cl, func() error { return s.neuro(w, cl, model, opts) })
+	var out any
+	res, err := s.traced(ctx, "neuro", cl, func() (err error) { out, err = s.neuro(w, cl, model, opts); return err })
+	res.Output = out
+	return res, err
 }
 
 func (s system) RunAstro(ctx context.Context, w *astro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (Result, error) {
 	if s.astro == nil {
 		return Result{}, Unsupported("engine %s: %s", s.name, s.noAstro)
 	}
-	return s.traced(ctx, "astro", cl, func() error { return s.astro(w, cl, model, opts) })
+	var out any
+	res, err := s.traced(ctx, "astro", cl, func() (err error) { out, err = s.astro(w, cl, model, opts); return err })
+	res.Output = out
+	return res, err
 }
 
 // traced is the body of every end-to-end run: bail out on a dead

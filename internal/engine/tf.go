@@ -21,9 +21,8 @@ func init() {
 			CapFaultTolerance: 4,
 			CapLoC:            5,
 		},
-		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) error {
-			_, err := neuro.RunTF(w, cl, model, neuro.TFOpts{})
-			return err
+		neuro: func(w *neuro.Workload, cl *cluster.Cluster, model *cost.Model, opts Opts) (any, error) {
+			return neuro.RunTF(w, cl, model, neuro.TFOpts{})
 		},
 		noAstro: "astronomy workload not implementable (paper Table 1 NA)",
 		ingest:  []Runner{ingestRunner("TensorFlow", neuro.TFIngest)},

@@ -1,12 +1,12 @@
 // Package memo is the process-wide, content-keyed table behind the
-// pipeline's pure stages. Every engine model runs the real kernels
-// although its virtual time comes from the cost model alone, so one
-// pass over the experiments sends the same synthetic voxels through
-// the same stage again and again: five engines, every experiment that
-// sweeps a parameter the stage never sees (cluster size, fault
-// scenario, tuning knob), every sweep cell. Hasher.Shared computes each
-// distinct input once per process and hands every caller the stored
-// value itself, to read and never to write.
+// pipeline's pure stages. An engine model's virtual time comes from the
+// cost model alone, and its values are computed only when its output is
+// read (package lazy), but what reads them (the engine tests, the
+// output check after `imagebench all`) sends the same synthetic voxels
+// through the same stage again and again: five engines, every cluster
+// size, every run. Hasher.Shared computes each distinct input once per
+// process and hands every caller the stored value itself, to read and
+// never to write.
 //
 // Eight stages go through it, each from the package that owns the
 // stage. Four are neuroscience's: imaging.MedianOtsuMemo (the
@@ -34,11 +34,11 @@
 // volume). They live in a second table under the same budget, so the
 // many values that are cheap to make again never drop a stage result.
 //
-// Astronomy keys by lineage up to Step 3A: a coadd of deferred patch
-// pieces by the keys of the calibrations they were projected from, a
-// calibration by the key of the decode it came from, and that by the
-// digest the object store keeps with the staged bytes (Hasher.Origin).
-// A value the table does not hold is keyed by its content.
+// Astronomy keys by lineage where it can: a calibration by the key of
+// the decode it came from, that by the digest the object store keeps
+// with the staged bytes, and a detection by the key of its coadd
+// (Hasher.Origin). A value the table does not hold, and a coadd's
+// stack, is keyed by its content.
 //
 // The claim, the wait and the budget are Table's and know nothing of
 // volumes, and a hit takes its lock only shared; internal/core keeps the
@@ -93,19 +93,15 @@ func (k Kind) table() *Table[Key, any] {
 	return stages
 }
 
-// budget bounds the bytes one Table holds, over all its kinds. The
-// stage table stores 30.6 MB on a quick-profile pass over every
-// experiment (5.9 nlmeans, 3.4 text, 0.06 each fit and mask; 9.2 each
-// decode and calibrate, 2.8 coadd, 0.01 detect) and 55.6 MB on one
-// sweep-astro round (23.7 each decode and calibrate for the 1,359
-// distinct exposures of its seven fig10h surveys, 8.2 coadd), and the
-// values table 8.9 MB on the quick pass (5.9 load, 3.0 slab), so none
-// is dropped on the way; a full-profile pass has about 76 MB of
-// distinct neuroscience results alone and drops the stage table 22
-// times, the values table 10. core's inputs hold 15.6 MB after a quick
-// pass (six configs) and 46 MB for sweep-astro's seven fig10h surveys;
-// a full-profile pass generates 140-200 MB of them (fig10h's 86-sensor
-// survey alone is 65 MB) and drops them six times.
+// budget bounds the bytes one Table holds, over all its kinds. Since
+// the engine models compute values only when read, a quick-profile pass
+// over every experiment stores 12.1 MB in the stage table (2.95 text,
+// 9.19 decode) and 5.9 MB of load in the values table, so none is
+// dropped on the way; a run that forces every engine's output (the
+// engine tests) holds more, up to the budget. core's inputs hold
+// 15.6 MB after a quick pass (six configs) and 46 MB for sweep-astro's
+// seven fig10h surveys; a full-profile pass generates 140-200 MB of them
+// (fig10h's 86-sensor survey alone is 65 MB) and drops them six times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed

@@ -545,3 +545,43 @@ func keysOf[V any](m map[string]V) []string {
 	}
 	return out
 }
+
+// FuzzParse holds the parser to three properties on any input: it never
+// panics; every error is the empty-program error or names a line of the
+// input (one past the last for an unexpected end); and an accepted
+// program prints to source that parses to the same program.
+func FuzzParse(f *testing.F) {
+	f.Add(fig7)
+	f.Add("T1 = SCAN(Images);\nB0 = [SELECT * FROM T1 WHERE T1.imgId < 3];\nM = [SELECT B0.subjId, PYUDA(SegmentVols, B0.img) AS mask FROM B0];\nSTORE(M, Mask);")
+	f.Add(`M = [SELECT T.subjId, PYUDA(MeanVol, T.img) AS mean FROM T];`)
+	f.Add("")
+	f.Add("X = [SELECT")
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			checkParseError(t, "myrial", src, err)
+			return
+		}
+		again, err := Parse(prog.String())
+		if err != nil || again.String() != prog.String() {
+			t.Fatalf("%q parses, but its printed form %q parses to %v (%v)", src, prog.String(), again, err)
+		}
+	})
+}
+
+// checkParseError fails unless err is the empty-program error of lang
+// or carries "line N" with N a line of src or the one after it.
+func checkParseError(t *testing.T, lang, src string, err error) {
+	t.Helper()
+	msg := err.Error()
+	if msg == lang+": empty program" {
+		return
+	}
+	var n int
+	if _, serr := fmt.Sscanf(msg, lang+": line %d:", &n); serr != nil {
+		t.Fatalf("%q: error %q names no line", src, msg)
+	}
+	if lines := strings.Count(src, "\n") + 1; n < 1 || n > lines+1 {
+		t.Fatalf("%q: error %q names line %d of %d", src, msg, n, lines)
+	}
+}

@@ -20,7 +20,7 @@ import (
 // with a single final barrier. Each subject's chain is independent, so the
 // dynamic scheduler pipelines steps across subjects — the behaviour behind
 // Dask's Fig 10c crossover.
-func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, error) {
+func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -71,27 +71,27 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				[]*dask.Delayed{fetch[s]},
 				func(args []any) (any, int64, error) {
 					v4 := args[0].(*volume.V4).Select(b0)
-					slabs := make([]*volume.V3, v4.T())
+					slabs := make([]slab, v4.T())
 					for i, v := range v4.Vols {
-						slabs[i] = volume.ExtractBlock(v, b)
+						slabs[i] = blockOnRead(held(v), b)
 					}
-					return volume.Mean3(slabs), slabBytes, nil
+					return meanOnRead(slabs), slabBytes, nil
 				}))
 		}
 		reassembled := sess.DelayedCost("reassemble/"+SubjKey(s),
 			func(int64) vtime.Duration { return 0 },
 			means,
 			func(args []any) (any, int64, error) {
-				mean := volume.New3(w.Cfg.NX, w.Cfg.NY, nz)
+				mean := newAssembly(w.Cfg.NX, w.Cfg.NY, nz)
 				for i, a := range args {
-					volume.InsertBlock(mean, blocks[i], a.(*volume.V3))
+					mean.InsertBlock(blocks[i], a.(*lazyVol))
 				}
-				return mean, volBytes, nil
+				return mean.onRead(), volBytes, nil
 			})
 		mask := sess.Delayed("median_otsu/"+SubjKey(s), cost.Otsu,
 			[]*dask.Delayed{reassembled},
 			func(args []any) (any, int64, error) {
-				mean := args[0].(*volume.V3)
+				mean := args[0].(*lazyVol)
 				return segmentFromMean(mean), maskBytes, nil
 			})
 		maskNodes[s] = mask
@@ -107,7 +107,7 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				[]*dask.Delayed{fetch[s], mask},
 				func(args []any) (any, int64, error) {
 					v := args[0].(*volume.V4).Vols[t]
-					return Denoise(v, args[1].(*volume.V3)), volBytes, nil
+					return denoiseOnRead(held(v), args[1].(*lazyVol)), volBytes, nil
 				})
 		}
 		for bi, b := range blocks {
@@ -120,12 +120,12 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 				},
 				deps,
 				func(args []any) (any, int64, error) {
-					slabs := make([]*volume.V3, len(args)-1)
+					slabs := make([]slab, len(args)-1)
 					for i := 0; i < len(args)-1; i++ {
-						slabs[i] = blockMemo(args[i].(*volume.V3), b)
+						slabs[i] = blockOnRead(args[i].(*lazyVol), b)
 					}
-					maskSlab := blockMemo(args[len(args)-1].(*volume.V3), b)
-					fa, err := FitBlock(w.Grad, slabs, maskSlab)
+					maskSlab := blockOnRead(args[len(args)-1].(*lazyVol), b)
+					fa, err := fitOnRead(w.Grad, slabs, maskSlab)
 					if err != nil {
 						return nil, 0, err
 					}
@@ -140,9 +140,9 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 	cl.MarkStage("compute")
 
 	// Assemble results on the client.
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*lazyVol, w.Subjects)
 	for s := 0; s < w.Subjects; s++ {
-		masks[s] = maskNodes[s].Value().(*volume.V3)
+		masks[s] = maskNodes[s].Value().(*lazyVol)
 	}
 	type kv struct {
 		key string
@@ -158,6 +158,6 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Result, erro
 // segmentFromMean applies the median filter + Otsu sub-steps to an
 // already-computed mean volume (the Dask plan computes the mean in
 // per-block tasks, so Segment cannot be reused wholesale).
-func segmentFromMean(mean *volume.V3) *volume.V3 {
-	return imaging.MedianOtsuMemo(mean, 1)
+func segmentFromMean(mean *lazyVol) *lazyVol {
+	return then(mean, func(m *volume.V3) *volume.V3 { return imaging.MedianOtsuMemo(m, 1) })
 }

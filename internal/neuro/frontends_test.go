@@ -52,7 +52,7 @@ func TestRunSciDBAFLMatchesNativePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := RunSciDB(w, frontendCluster(), nil, SciDBAio)
+	native, err := force(RunSciDB(w, frontendCluster(), nil, SciDBAio))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunTFConvDenoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTF(w, frontendCluster(), nil, TFOpts{ConvDenoise: true, ConvSigma: 0.8})
+	res, err := force(RunTF(w, frontendCluster(), nil, TFOpts{ConvDenoise: true, ConvSigma: 0.8}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,15 +46,15 @@ func TestEnginesShareStep2N(t *testing.T) {
 		return s.Hits - base.Hits, s.Misses - base.Misses
 	}
 
-	spark, err := RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8})
+	spark, err := force(RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	myria, err := RunMyria(w, testCluster(), nil, MyriaOpts{})
+	myria, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dask, err := RunDask(w, testCluster(), nil)
+	dask, err := force(RunDask(w, testCluster(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestEnginesShareStep2N(t *testing.T) {
 	resultsEqual(t, "myria", myria, ref, 1e-9)
 	resultsEqual(t, "dask", dask, ref, 1e-9)
 
-	sci, err := RunSciDB(w, testCluster(), nil, SciDBAio)
+	sci, err := force(RunSciDB(w, testCluster(), nil, SciDBAio))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := RunTF(w, testCluster(), nil, TFOpts{})
+	tf, err := force(RunTF(w, testCluster(), nil, TFOpts{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +117,12 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	do := func() run {
 		var r run
 		cl := testCluster()
-		if r.sci, err = RunSciDB(w, cl, nil, SciDBAio); err != nil {
+		if r.sci, err = force(RunSciDB(w, cl, nil, SciDBAio)); err != nil {
 			t.Fatal(err)
 		}
 		r.makespan[0] = cl.Makespan()
 		cl = testCluster()
-		if r.spark, err = RunSpark(w, cl, nil, SparkOpts{Partitions: 8}); err != nil {
+		if r.spark, err = force(RunSpark(w, cl, nil, SparkOpts{Partitions: 8})); err != nil {
 			t.Fatal(err)
 		}
 		r.makespan[1] = cl.Makespan()

@@ -25,7 +25,7 @@ type MyriaOpts struct {
 // mirroring the paper's Figure 7 program: ingest into an Images relation,
 // a first query computing the mask, a broadcast join, then Python
 // UDFs/UDAs for denoise and model fit.
-func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpts) (*Result, error) {
+func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpts) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -66,7 +66,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 				_, vol, _ := ParseVolKey(t.Key)
 				return tsVol{T: vol, Vol: t.Value.(*volume.V3)}
 			})
-			return []myria.Tuple{{Key: key, Value: segmentMemo(vols), Size: maskBytes}}
+			return []myria.Tuple{{Key: key, Value: segmentOnRead(vols), Size: maskBytes}}
 		}})
 	h1, err := q1.Finish()
 	if err != nil {
@@ -74,13 +74,13 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	}
 	cl.MarkStage("mask")
 
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*lazyVol, w.Subjects)
 	for _, t := range maskRel.Tuples() {
 		var s int
 		if !synth.ScanKey(t.Key, "s###", &s) {
 			return nil, fmt.Errorf("neuro/myria: bad mask key %q", t.Key)
 		}
-		masks[s] = t.Value.(*volume.V3)
+		masks[s] = t.Value.(*lazyVol)
 	}
 
 	// ---- Query 2: broadcast join + denoise + repart + fit. ----
@@ -89,8 +89,8 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 	slabBytes := volBytes / int64(len(blocks))
 
 	type joined struct {
-		vol  *volume.V3
-		mask *volume.V3
+		vol  reader
+		mask reader
 	}
 	q2 := eng.NewQuery(h1)
 	t1 := q2.Scan(images)
@@ -100,13 +100,13 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		}
 		return []myria.Tuple{{
 			Key:   l.Key,
-			Value: joined{vol: l.Value.(*volume.V3), mask: rs[0].Value.(*volume.V3)},
+			Value: joined{vol: held(l.Value.(*volume.V3)), mask: rs[0].Value.(*lazyVol)},
 			Size:  l.Size + rs[0].Size,
 		}}
 	})
 	den := q2.Apply(j, myria.PyUDF{Name: "Denoise", Op: cost.Denoise, F: func(t myria.Tuple) []myria.Tuple {
 		jv := t.Value.(joined)
-		return []myria.Tuple{{Key: t.Key, Value: joined{vol: Denoise(jv.vol, jv.mask), mask: jv.mask}, Size: t.Size}}
+		return []myria.Tuple{{Key: t.Key, Value: joined{vol: denoiseOnRead(jv.vol, jv.mask), mask: jv.mask}, Size: t.Size}}
 	}})
 	repart := q2.Apply(den, myria.PyUDF{Name: "repart", Op: cost.Regroup, F: func(t myria.Tuple) []myria.Tuple {
 		s, tv, err := ParseVolKey(t.Key)
@@ -118,7 +118,7 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 		for bi, b := range blocks {
 			out = append(out, myria.Tuple{
 				Key:   synth.FormatKey("s###/b##/t###", s, bi, tv),
-				Value: blockPiece{T: tv, Block: b, Slab: blockMemo(jv.vol, b)},
+				Value: blockPiece{T: tv, Block: b, Slab: blockOnRead(jv.vol, b)},
 				Size:  slabBytes,
 			})
 		}
@@ -136,12 +136,12 @@ func RunMyria(w *Workload, cl *cluster.Cluster, model *cost.Model, opts MyriaOpt
 				pieces = append(pieces, t.Value.(blockPiece))
 			}
 			sort.Slice(pieces, func(i, j int) bool { return pieces[i].T < pieces[j].T })
-			slabs := make([]*volume.V3, 0, len(pieces))
+			slabs := make([]slab, 0, len(pieces))
 			for _, pc := range pieces {
 				slabs = append(slabs, pc.Slab)
 			}
-			maskSlab := blockMemo(masks[s], pieces[0].Block)
-			fa, err := FitBlock(w.Grad, slabs, maskSlab)
+			maskSlab := blockOnRead(masks[s], pieces[0].Block)
+			fa, err := fitOnRead(w.Grad, slabs, maskSlab)
 			if err != nil {
 				return nil
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/lazy"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
 )
@@ -91,13 +92,22 @@ func resultsEqual(t *testing.T, name string, got, want *Result, tol float64) {
 	}
 }
 
+// force reads an engine run's output.
+func force[T any](out *lazy.Value[T], err error) (T, error) {
+	if err != nil {
+		var none T
+		return none, err
+	}
+	return out.Force()
+}
+
 func TestSparkMatchesReference(t *testing.T) {
 	w := smallWorkload(t, 2)
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8})
+	got, err := force(RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8}))
 	if err != nil {
 		t.Fatalf("RunSpark: %v", err)
 	}
@@ -110,7 +120,7 @@ func TestMyriaMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunMyria(w, testCluster(), nil, MyriaOpts{})
+	got, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{}))
 	if err != nil {
 		t.Fatalf("RunMyria: %v", err)
 	}
@@ -123,7 +133,7 @@ func TestDaskMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunDask(w, testCluster(), nil)
+	got, err := force(RunDask(w, testCluster(), nil))
 	if err != nil {
 		t.Fatalf("RunDask: %v", err)
 	}
@@ -136,7 +146,7 @@ func TestSciDBProducesMasksAndDenoised(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reference: %v", err)
 	}
-	got, err := RunSciDB(w, testCluster(), nil, SciDBAio)
+	got, err := force(RunSciDB(w, testCluster(), nil, SciDBAio))
 	if err != nil {
 		t.Fatalf("RunSciDB: %v", err)
 	}
@@ -157,7 +167,7 @@ func TestSciDBProducesMasksAndDenoised(t *testing.T) {
 
 func TestTFProducesMasksAndDenoised(t *testing.T) {
 	w := smallWorkload(t, 2)
-	got, err := RunTF(w, testCluster(), nil, TFOpts{})
+	got, err := force(RunTF(w, testCluster(), nil, TFOpts{}))
 	if err != nil {
 		t.Fatalf("RunTF: %v", err)
 	}

@@ -5,7 +5,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
-	"imagebench/internal/imaging"
+	"imagebench/internal/lazy"
 	"imagebench/internal/scidb"
 	"imagebench/internal/synth"
 	"imagebench/internal/tsv"
@@ -88,7 +88,7 @@ func SciDBIngest(w *Workload, eng *scidb.Engine, mode SciDBIngestMode) (*scidb.A
 // volume ID is the fourth dimension), and Step 2N through stream(),
 // which cannot use the mask (chunks cross the external process as TSV
 // without side inputs), mirroring Section 4.1.
-func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIngestMode) (*SciDBResult, error) {
+func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIngestMode) (*lazy.Value[*SciDBResult], error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -117,7 +117,7 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 			for _, c := range group {
 				vols = append(vols, c.Value.(*volume.V3))
 			}
-			return scidb.Chunk{Coords: key, Value: segmentMemo(vols), Size: synth.PaperVolBytes / 4}
+			return scidb.Chunk{Coords: key, Value: segmentOnRead(vols), Size: synth.PaperVolBytes / 4}
 		})
 
 	// Step 2N: denoise every volume through stream(). The external
@@ -127,15 +127,15 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 	// to build around ("required us to convert between TSV and FITS").
 	den := arr.Stream("denoise", cost.Denoise, func(c scidb.Chunk) scidb.Chunk {
 		in := c.Value.(*volume.V3)
-		v, _, err := tsv.RoundTrip(in)
-		if err != nil {
-			panic(fmt.Sprintf("neuro/scidb: stream TSV round trip: %v", err))
-		}
-		out := imaging.NLMeans3Memo(v, nil, DenoiseOpts)
-		back, _, err := tsv.RoundTrip(out)
-		if err != nil {
-			panic(fmt.Sprintf("neuro/scidb: stream TSV return trip: %v", err))
-		}
+		back := lazy.Of(func() (*volume.V3, error) {
+			v, _, err := tsv.RoundTrip(in)
+			if err != nil {
+				return nil, fmt.Errorf("neuro/scidb: stream TSV round trip: %w", err)
+			}
+			out := Denoise(v, nil)
+			back, _, err := tsv.RoundTrip(out)
+			return back, err
+		})
 		return scidb.Chunk{Coords: c.Coords, Value: back, Size: c.Size}
 	})
 	if h := den.Done(); h.Err != nil {
@@ -146,16 +146,16 @@ func RunSciDB(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIng
 	}
 	cl.MarkStage("queries")
 
-	res := &SciDBResult{Masks: make(map[int]*volume.V3), Denoised: make(map[string]*volume.V3)}
+	res := &masksOnRead{Masks: make(map[int]*lazyVol), Denoised: make(map[string]reader)}
 	for _, c := range maskArr.Chunks {
 		var s int
 		if !synth.ScanKey(c.Coords, "s###", &s) {
 			return nil, fmt.Errorf("neuro/scidb: bad mask coords %q", c.Coords)
 		}
-		res.Masks[s] = c.Value.(*volume.V3)
+		res.Masks[s] = c.Value.(*lazyVol)
 	}
 	for _, c := range den.Chunks {
-		res.Denoised[c.Coords] = c.Value.(*volume.V3)
+		res.Denoised[c.Coords] = c.Value.(*lazyVol)
 	}
-	return res, nil
+	return res.scidb(), nil
 }

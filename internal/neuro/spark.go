@@ -27,13 +27,13 @@ type SparkOpts struct {
 type blockPiece struct {
 	T     int // gradient-table index, for regrouping order
 	Block volume.Block
-	Slab  *volume.V3
+	Slab  slab
 }
 
 // faSlab is a fitted FA slab for one block.
 type faSlab struct {
 	Block volume.Block
-	FA    *volume.V3
+	FA    *lazyVol
 }
 
 // tsVol is a volume tagged with its gradient-table index, carried through
@@ -63,7 +63,7 @@ func sortedVols[T any](items []T, get func(T) tsVol) []*volume.V3 {
 // mirroring the paper's Figure 6 program: a mask query with collect +
 // broadcast, then map(denoise) → flatMap(repart) → groupBy(subject,block)
 // → map(fitmodel).
-func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpts) (*Result, error) {
+func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpts) (*Output, error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -101,20 +101,20 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		return []spark.Pair{{Key: SubjKey(s), Value: tsVol{T: t, Vol: p.Value.(*volume.V3)}, Size: p.Size}}
 	}})
 	maskRDD := b0RDD.GroupByKey("segment", cost.Mean, 0, func(key string, values []spark.Pair) []spark.Pair {
-		return []spark.Pair{{Key: key, Value: segmentMemo(sortedVols(values, func(p spark.Pair) tsVol { return p.Value.(tsVol) })), Size: maskBytes}}
+		return []spark.Pair{{Key: key, Value: segmentOnRead(sortedVols(values, func(p spark.Pair) tsVol { return p.Value.(tsVol) })), Size: maskBytes}}
 	})
 	maskPairs, maskDone, err := maskRDD.Collect()
 	if err != nil {
 		return nil, err
 	}
 	cl.MarkStage("mask")
-	masks := make(map[int]*volume.V3, w.Subjects)
+	masks := make(map[int]*lazyVol, w.Subjects)
 	for _, p := range maskPairs {
 		var s int
 		if !synth.ScanKey(p.Key, "s###", &s) {
 			return nil, fmt.Errorf("neuro/spark: bad mask key %q", p.Key)
 		}
-		masks[s] = p.Value.(*volume.V3)
+		masks[s] = p.Value.(*lazyVol)
 	}
 	bcast := sess.Broadcast(maskBytes*int64(len(masks)), maskDone)
 
@@ -128,7 +128,7 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		if err != nil {
 			return nil
 		}
-		den := Denoise(p.Value.(*volume.V3), masks[s])
+		den := denoiseOnRead(held(p.Value.(*volume.V3)), masks[s])
 		return []spark.Pair{{Key: p.Key, Value: den, Size: p.Size}}
 	}}).After(bcast)
 
@@ -137,12 +137,12 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 		if err != nil {
 			return nil
 		}
-		v := p.Value.(*volume.V3)
+		v := p.Value.(*lazyVol)
 		out := make([]spark.Pair, 0, len(blocks))
 		for bi, b := range blocks {
 			out = append(out, spark.Pair{
 				Key:   synth.FormatKey("s###/b##", s, bi),
-				Value: blockPiece{T: t, Block: b, Slab: blockMemo(v, b)},
+				Value: blockPiece{T: t, Block: b, Slab: blockOnRead(v, b)},
 				Size:  slabBytes,
 			})
 		}
@@ -159,12 +159,12 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 			pieces = append(pieces, v.Value.(blockPiece))
 		}
 		sort.Slice(pieces, func(i, j int) bool { return pieces[i].T < pieces[j].T })
-		slabs := make([]*volume.V3, 0, len(pieces))
+		slabs := make([]slab, 0, len(pieces))
 		for _, pc := range pieces {
 			slabs = append(slabs, pc.Slab)
 		}
-		maskSlab := blockMemo(masks[s], pieces[0].Block)
-		fa, err := FitBlock(w.Grad, slabs, maskSlab)
+		maskSlab := blockOnRead(masks[s], pieces[0].Block)
+		fa, err := fitOnRead(w.Grad, slabs, maskSlab)
 		if err != nil {
 			return nil
 		}
@@ -181,13 +181,13 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 
 // assembleFA reassembles collected FA slabs (keyed sSSS/bBB) into
 // per-subject FA volumes.
-func assembleFA[T any](w *Workload, masks map[int]*volume.V3, items []T, get func(T) (string, any)) (*Result, error) {
-	res := &Result{Subjects: make(map[int]*SubjectResult)}
+func assembleFA[T any](w *Workload, masks map[int]*lazyVol, items []T, get func(T) (string, any)) (*Output, error) {
+	res := &resultOnRead{Subjects: make(map[int]*subjectOnRead)}
 	for s, m := range masks {
-		res.Subjects[s] = &SubjectResult{
+		res.Subjects[s] = &subjectOnRead{
 			Subject: s,
 			Mask:    m,
-			FA:      volume.New3(w.Cfg.NX, w.Cfg.NY, w.Cfg.NZ),
+			FA:      newAssembly(w.Cfg.NX, w.Cfg.NY, w.Cfg.NZ),
 		}
 	}
 	for _, it := range items {
@@ -204,7 +204,7 @@ func assembleFA[T any](w *Workload, masks map[int]*volume.V3, items []T, get fun
 		if !ok {
 			return nil, fmt.Errorf("neuro: FA slab for unknown subject %d", s)
 		}
-		volume.InsertBlock(sr.FA, slab.Block, slab.FA)
+		sr.FA.InsertBlock(slab.Block, slab.FA)
 	}
-	return res, nil
+	return res.onRead(), nil
 }

@@ -32,7 +32,8 @@ import (
 // declared size. What still computes has a reader: the ingest decodes
 // (Spark's and Dask's filter UDFs type-assert them) and SciDB's CSV
 // round trip (its encoded length sets SciDB's expansion, which reaches
-// the rows).
+// the rows). The end-to-end runs (RunSpark and the others) compute
+// their values only when their output is read (lazy.go).
 
 // delta measures the virtual time consumed by f on cl.
 func delta(cl *cluster.Cluster, f func() error) (vtime.Duration, error) {

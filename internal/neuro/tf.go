@@ -5,7 +5,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
-	"imagebench/internal/imaging"
+	"imagebench/internal/lazy"
 	"imagebench/internal/objstore"
 	"imagebench/internal/synth"
 	"imagebench/internal/tfgraph"
@@ -43,7 +43,7 @@ type TFOpts struct {
 // along the first tensor dimension), per-subject mean steps, a simplified
 // threshold mask on the master, and unmasked convolution-style denoising —
 // mirroring Section 4.5 and Figure 9.
-func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*TFResult, error) {
+func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*lazy.Value[*TFResult], error) {
 	if model == nil {
 		model = cost.Default()
 	}
@@ -53,7 +53,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 
 	type volItem struct {
 		subj, t int
-		vol     *volume.V3
+		vol     reader
 	}
 	items, _, err := sess.Ingest("neuro/npy/", func(obj objstore.Object) ([]tfgraph.Tensor, error) {
 		s, t, err := npyKeyIDs(obj.Key)
@@ -64,7 +64,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		if err != nil {
 			return nil, err
 		}
-		return []tfgraph.Tensor{{Value: volItem{s, t, v}, Size: volBytes}}, nil
+		return []tfgraph.Tensor{{Value: volItem{s, t, held(v)}, Size: volBytes}}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -91,7 +91,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		}
 	}
 
-	res := &TFResult{Masks: make(map[int]*volume.V3), Denoised: make(map[string]*volume.V3)}
+	res := &masksOnRead{Masks: make(map[int]*lazyVol), Denoised: make(map[string]reader)}
 
 	// Step: per-subject mean via reduce_mean partials on the workers,
 	// combined on the master, then the simplified mask (a straight
@@ -108,12 +108,12 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		if err != nil {
 			return nil, err
 		}
-		vols := make([]*volume.V3, 0, len(partials))
+		vols := make([]reader, 0, len(partials))
 		for _, p := range partials {
 			vols = append(vols, p.Value.(volItem).vol)
 		}
-		mean := volume.Mean3(vols)
-		res.Masks[s] = simplifiedMask(mean)
+		mean := meanOnRead(vols)
+		res.Masks[s] = then(mean, simplifiedMask)
 	}
 	cl.MarkStage("mask")
 
@@ -125,12 +125,12 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		sigma = 1
 	}
 	denoiseOp := cost.Denoise
-	denoiseFn := func(v *volume.V3) *volume.V3 { return imaging.NLMeans3Memo(v, nil, DenoiseOpts) }
+	denoiseFn := func(v reader) *lazyVol { return denoiseOnRead(v, nil) }
 	if opts.ConvDenoise {
 		// Convolution streams at memory bandwidth, unlike the
 		// compute-bound patch search.
 		denoiseOp = cost.Mean
-		denoiseFn = func(v *volume.V3) *volume.V3 { return imaging.GaussianSmooth3(v, sigma) }
+		denoiseFn = func(v reader) *lazyVol { return smoothOnRead(v, sigma) }
 	}
 	denoised, _, err := sess.RunStep("denoise", denoiseOp, items, tfgraph.StepOpts{},
 		func(t tfgraph.Tensor) (tfgraph.Tensor, error) {
@@ -145,7 +145,7 @@ func RunTF(w *Workload, cl *cluster.Cluster, model *cost.Model, opts TFOpts) (*T
 		vi := it.Value.(volItem)
 		res.Denoised[VolKey(vi.subj, vi.t)] = vi.vol
 	}
-	return res, nil
+	return res.tf(), nil
 }
 
 // simplifiedMask is the paper's "somewhat simplified version of the final

@@ -9,14 +9,16 @@ import (
 
 // CoaddPatchMemo is CoaddPatch behind the process-wide memo (package
 // memo, kind memo.Coadd): one stack co-added once, however many engines
-// and cluster sizes assemble it. The stack's pieces are built fresh by
-// every run, so a deferred piece is keyed by its grid, patch and source
-// exposures in merge order (KeyExposure), reading no pixel, and any
-// other by its patch, shape and raw flux and validity planes, all
-// CoaddPatch reads; a marker word apart. The coadd is shared, to read
-// and never to write; an error is returned on every call and never
+// and cluster sizes assemble it. The stack is built first (a deferred
+// piece's planes) and keyed by each piece's patch, shape and raw flux
+// and validity planes, all CoaddPatch reads. The coadd is shared, to
+// read and never to write; an error is returned on every call and never
 // stored. CoaddPatch never consults the table.
 func CoaddPatchMemo(stack []*PatchExposure, nsigma float64, iters int) (*Coadd, error) {
+	stack, err := build(stack)
+	if err != nil {
+		return nil, err
+	}
 	k := memo.NewKey(memo.Coadd)
 	k.U64(math.Float64bits(nsigma))
 	k.U64(uint64(iters))
@@ -24,16 +26,6 @@ func CoaddPatchMemo(stack []*PatchExposure, nsigma float64, iters int) (*Coadd, 
 	for _, pe := range stack {
 		k.U64(uint64(pe.Patch.PX))
 		k.U64(uint64(pe.Patch.PY))
-		if pe.srcs != nil {
-			for _, x := range [...]int{1, pe.grid.PatchW, pe.grid.PatchH, len(pe.srcs)} {
-				k.U64(uint64(x))
-			}
-			for _, e := range pe.srcs {
-				KeyExposure(k, e)
-			}
-			continue
-		}
-		k.U64(0)
 		imaging.KeyImage(k, pe.Flux)
 		k.Bools(pe.Valid)
 	}

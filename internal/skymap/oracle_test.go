@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"imagebench/internal/lazy"
 )
 
 // oracleProject is Grid.Project as it was before the row-copy form: one
@@ -149,15 +151,52 @@ func chain(t testing.TB, es []*Exposure, p Patch, piece func(*Exposure, Patch) *
 	return pe
 }
 
+// atHand is e as a Pending exposure whose pixels are already computed.
+func atHand(e *Exposure) Pending {
+	return Pending{Header: e, Pixels: lazy.Of(func() (*Exposure, error) { return e, nil })}
+}
+
+// assembled defers or projects each of es onto p, as deferred says by
+// index, and assembles the pieces with order into one piece, built.
+func assembled(t testing.TB, g Grid, es []*Exposure, p Patch, deferred func(i int) bool, order func([]*PatchExposure)) *PatchExposure {
+	t.Helper()
+	pieces := make([]*PatchExposure, len(es))
+	anyDeferred := false
+	for i, e := range es {
+		if pieces[i] = g.Project(e, p); deferred(i) {
+			pieces[i], anyDeferred = g.Defer(atHand(e), p), true
+			if pieces[i].Flux != nil || pieces[i].Valid != nil || pieces[i].Bytes() != 0 || pieces[i].Visit != e.Visit {
+				t.Fatalf("%v: a deferred piece has planes or another visit", p)
+			}
+		}
+	}
+	out, err := Assemble(pieces, order)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("%v: assembled %d pieces (%v), want one", p, len(out), err)
+	}
+	if (out[0].Flux == nil) != anyDeferred {
+		t.Fatalf("%v: a group with a deferred piece must come back deferred, and only such a group", p)
+	}
+	built, err := out[0].Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := out[0].Built(); again != built {
+		t.Fatalf("%v: a deferred piece was built twice", p)
+	}
+	return built
+}
+
 // checkDefer holds the deferred pieces of one visit's exposures es, on
 // every patch they touch, to the oracle's projections merged in order:
-// the validity plane and Bytes at defer time, and the planes once built
-// after one deferred chain, after two deferred chains split at split
-// merged together, and after a deferred chain and a projected one
-// merged either way round.
+// assembled all deferred, deferred up to split and projected after it,
+// and the other way round; and, in reverse order, through Assemble's
+// order hook, which sees built pieces.
 func checkDefer(t testing.TB, g Grid, es []*Exposure, split int) {
 	t.Helper()
 	done := map[Patch]bool{}
+	reversed := slices.Clone(es)
+	slices.Reverse(reversed)
 	for _, e := range es {
 		for _, p := range g.ExposureOverlaps(e) {
 			if done[p] {
@@ -165,32 +204,31 @@ func checkDefer(t testing.TB, g Grid, es []*Exposure, split int) {
 			}
 			done[p] = true
 			want := chain(t, es, p, func(e *Exposure, p Patch) *PatchExposure { return oracleProject(g, e, p) })
-			one := chain(t, es, p, g.Defer)
 			size := want.Flux.Bytes() + want.Var.Bytes() + int64(len(want.Valid))
-			if one.Flux != nil || one.Var != nil || !slices.Equal(one.Valid, want.Valid) || one.Bytes() != size {
-				t.Fatalf("%v deferred: planes %v, validity equal %v, %d bytes; want no planes, equal, %d",
-					p, one.Flux != nil, slices.Equal(one.Valid, want.Valid), one.Bytes(), size)
-			}
-			one.planes()
-			samePiece(t, "one deferred chain", p, one, want)
-			if one.Bytes() != size {
-				t.Fatalf("%v: %d bytes once built, want %d", p, one.Bytes(), size)
-			}
-			if split <= 0 || split >= len(es) {
-				continue
-			}
-			left, right := es[:split], es[split:]
 			for _, c := range []struct {
-				name        string
-				left, right func(*Exposure, Patch) *PatchExposure
-			}{{"two deferred chains", g.Defer, g.Defer}, {"deferred into projected", g.Project, g.Defer}, {"projected into deferred", g.Defer, g.Project}} {
-				got := chain(t, left, p, c.left)
-				if err := Merge(got, chain(t, right, p, c.right)); err != nil {
-					t.Fatal(err)
-				}
-				got.planes()
+				name     string
+				deferred func(int) bool
+			}{
+				{"all deferred", func(int) bool { return true }},
+				{"deferred then projected", func(i int) bool { return i < split }},
+				{"projected then deferred", func(i int) bool { return i >= split }},
+			} {
+				got := assembled(t, g, es, p, c.deferred, nil)
 				samePiece(t, c.name, p, got, want)
+				if got.Bytes() != size {
+					t.Fatalf("%v: %d bytes once built, want %d", p, got.Bytes(), size)
+				}
 			}
+			reverse := func(pes []*PatchExposure) {
+				for _, pe := range pes {
+					if pe.Valid == nil {
+						t.Fatalf("%v: order saw a piece unbuilt", p)
+					}
+				}
+				slices.Reverse(pes)
+			}
+			want = chain(t, reversed, p, func(e *Exposure, p Patch) *PatchExposure { return oracleProject(g, e, p) })
+			samePiece(t, "reordered", p, assembled(t, g, es, p, func(i int) bool { return i%2 == 0 }, reverse), want)
 		}
 	}
 }
@@ -217,9 +255,10 @@ func randomVisit(rng *rand.Rand, g Grid, visit int) []*Exposure {
 	return es
 }
 
-// Defer, Merge and the planes built later are Project and Merge bit for
-// bit, whatever the grouping of the merges and on any grid, and a
-// stack of deferred pieces co-adds to what the projected stack does.
+// Defer and Assemble, and the planes built when read, are Project and
+// Merge bit for bit, whatever the mix of deferred and projected pieces
+// and on any grid, and a stack of deferred pieces co-adds to what the
+// projected stack does.
 func TestDeferMatchesProject(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for round := 0; round < 300; round++ {
@@ -236,12 +275,23 @@ func TestDeferMatchesProject(t *testing.T) {
 		for _, e := range es { // every exposure on p, around its origin
 			e.X0, e.Y0 = -g.PatchW+rng.Intn(5)-2, rng.Intn(5)-2
 		}
-		deferred = append(deferred, chain(t, es, p, g.Defer))
+		pieces := make([]*PatchExposure, len(es))
+		for i, e := range es {
+			pieces[i] = g.Defer(atHand(e), p)
+		}
+		stack, err := Assemble(pieces, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deferred = append(deferred, stack...)
 		projected = append(projected, chain(t, es, p, g.Project))
 	}
 	projected[4].Flux.Pix[10] = 1e6 // an outlier, so clipping does something
-	deferred[4].planes()
-	deferred[4].Flux.Pix[10] = 1e6
+	built, err := deferred[4].Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Flux.Pix[10] = 1e6
 	got, err := CoaddPatch(deferred, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +304,8 @@ func TestDeferMatchesProject(t *testing.T) {
 		t.Error("the deferred stack co-adds to other bits than the projected one")
 	}
 	for v, pe := range deferred {
-		if pe.srcs != nil {
-			t.Errorf("visit %d: CoaddPatch left the piece deferred", v)
+		if pe.Flux != nil {
+			t.Errorf("visit %d: CoaddPatch wrote planes into the deferred piece", v)
 		}
 	}
 }

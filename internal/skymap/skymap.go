@@ -5,11 +5,14 @@
 package skymap
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"imagebench/internal/imaging"
+	"imagebench/internal/lazy"
 )
 
 // Mask plane bits carried with each exposure pixel.
@@ -85,6 +88,14 @@ func (g Grid) Overlaps(x0, y0, w, h int) []Patch {
 	return out
 }
 
+// Pending is an exposure whose pixels are computed when first read
+// (Pixels), with the header they keep at hand: Header's visit, sensor
+// and placement. Header's pixels are not Pixels'.
+type Pending struct {
+	Header *Exposure
+	Pixels *lazy.Value[*Exposure]
+}
+
 // ExposureOverlaps returns the patches e touches.
 func (g Grid) ExposureOverlaps(e *Exposure) []Patch {
 	return g.Overlaps(e.X0, e.Y0, e.Flux.W, e.Flux.H)
@@ -100,16 +111,15 @@ func floorDiv(a, b int) int {
 
 // PatchExposure is the pixels one visit contributes to one patch: a
 // patch-sized flux/variance raster with a validity plane (pixels outside
-// the contributing sensors are invalid). A piece from Grid.Defer has no
-// Flux or Var until a reader of pixels in this package builds them.
+// the contributing sensors are invalid). A deferred piece (Grid.Defer,
+// Assemble) has its patch and visit and no planes: Built makes them.
 type PatchExposure struct {
 	Patch Patch
 	Visit int
 	Flux  *imaging.Image
 	Var   *imaging.Image
 	Valid []bool
-	grid  Grid        // a deferred piece's grid
-	srcs  []*Exposure // a deferred piece's sources, nil once its planes are built
+	built *lazy.Value[*PatchExposure] // a deferred piece's planes
 }
 
 // NewPatchExposure allocates an all-invalid patch exposure. The flux
@@ -128,8 +138,8 @@ func NewPatchExposure(g Grid, p Patch, visit int) *PatchExposure {
 	}
 }
 
-// Bytes returns the in-memory size of the patch exposure's pixel data,
-// a deferred piece's once built: two float64 planes and a validity plane.
+// Bytes returns the in-memory size of the patch exposure's pixel data:
+// two float64 planes and a validity plane, none for a deferred piece.
 func (pe *PatchExposure) Bytes() int64 {
 	return int64(len(pe.Valid)) * (2*8 + 1)
 }
@@ -144,17 +154,33 @@ func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 	return pe
 }
 
-// Defer is Project on demand: it builds the validity plane and records
-// e; Project's planes are built only when read, and until then
-// CoaddPatchMemo keys the piece by its lineage. Defer consults nothing.
-func (g Grid) Defer(e *Exposure, p Patch) *PatchExposure {
-	pe := &PatchExposure{Patch: p, Visit: e.Visit, Valid: make([]bool, g.PatchW*g.PatchH), grid: g, srcs: []*Exposure{e}}
-	g.project(e, pe)
-	return pe
+// Defer is Project on demand: the piece of patch p that e's pixels
+// yield, projected when first read (Built). It reads no pixel and
+// forces nothing.
+func (g Grid) Defer(e Pending, p Patch) *PatchExposure {
+	return deferred(p, e.Header.Visit, func() (*PatchExposure, error) {
+		x, err := e.Pixels.Force()
+		if err != nil {
+			return nil, err
+		}
+		return g.Project(x, p), nil
+	})
 }
 
-// project fills pe (patch pe.Patch) from e; the validity plane alone
-// when pe has no flux plane.
+func deferred(p Patch, visit int, build func() (*PatchExposure, error)) *PatchExposure {
+	return &PatchExposure{Patch: p, Visit: visit, built: lazy.Of(build)}
+}
+
+// Built returns pe with its planes: pe itself, or the planes of a
+// deferred piece, built by the first call from any goroutine.
+func (pe *PatchExposure) Built() (*PatchExposure, error) {
+	if pe.built == nil {
+		return pe, nil
+	}
+	return pe.built.Force()
+}
+
+// project fills pe (patch pe.Patch) from e.
 func (g Grid) project(e *Exposure, pe *PatchExposure) {
 	// The patch's origin in e's pixel coordinates, and the overlap there.
 	ox, oy := pe.Patch.PX*g.PatchW-e.X0, pe.Patch.PY*g.PatchH-e.Y0
@@ -163,7 +189,7 @@ func (g Grid) project(e *Exposure, pe *PatchExposure) {
 	if x0 >= x1 {
 		return
 	}
-	n, pix := x1-x0, pe.Flux != nil
+	n := x1 - x0
 	for y := y0; y < y1; y++ {
 		si, vi, di := y*e.Flux.W+x0, y*e.Var.W+x0, (y-oy)*g.PatchW+x0-ox
 		mask, valid := e.Mask[si:si+n], pe.Valid[di:di+n]
@@ -175,10 +201,8 @@ func (g Grid) project(e *Exposure, pe *PatchExposure) {
 			}
 		}
 		if clean {
-			if pix {
-				copy(pe.Flux.Pix[di:di+n], e.Flux.Pix[si:si+n])
-				copy(pe.Var.Pix[di:di+n], e.Var.Pix[vi:vi+n])
-			}
+			copy(pe.Flux.Pix[di:di+n], e.Flux.Pix[si:si+n])
+			copy(pe.Var.Pix[di:di+n], e.Var.Pix[vi:vi+n])
 			for x := range valid {
 				valid[x] = true
 			}
@@ -186,53 +210,26 @@ func (g Grid) project(e *Exposure, pe *PatchExposure) {
 		}
 		for x, m := range mask {
 			if m&MaskBad == 0 {
-				if pix {
-					pe.Flux.Pix[di+x] = e.Flux.Pix[si+x]
-					pe.Var.Pix[di+x] = e.Var.Pix[vi+x]
-				}
+				pe.Flux.Pix[di+x] = e.Flux.Pix[si+x]
+				pe.Var.Pix[di+x] = e.Var.Pix[vi+x]
 				valid[x] = true
 			}
 		}
 	}
 }
 
-// planes builds a deferred piece's planes by replaying Defer and Merge:
-// each source projected, merged in order. First-valid-wins merging is
-// associative, so the grouping of the recorded merges does not matter.
-func (pe *PatchExposure) planes() {
-	if pe.srcs == nil {
-		return
-	}
-	built := pe.grid.Project(pe.srcs[0], pe.Patch)
-	for _, e := range pe.srcs[1:] {
-		mergePixels(built, pe.grid.Project(e, pe.Patch))
-	}
-	pe.Flux, pe.Var, pe.srcs = built.Flux, built.Var, nil
-}
-
 // Merge unions the valid pixels of src into dst (same patch and visit).
 // Overlapping sensor pixels keep dst's value; sensors within a visit abut
-// rather than overlap, so ties are rare and benign. Two deferred pieces
-// merge validity and sources only; otherwise both are built first.
+// rather than overlap, so ties are rare and benign. Both pieces must be
+// built: Assemble merges deferred ones.
 func Merge(dst, src *PatchExposure) error {
 	if dst.Patch != src.Patch || dst.Visit != src.Visit {
 		return fmt.Errorf("skymap: merging %v/visit %d into %v/visit %d",
 			src.Patch, src.Visit, dst.Patch, dst.Visit)
 	}
-	if dst.srcs != nil && src.srcs != nil && dst.grid == src.grid {
-		dst.srcs = append(dst.srcs, src.srcs...)
-		for i, v := range src.Valid {
-			dst.Valid[i] = dst.Valid[i] || v
-		}
-		return nil
+	if dst.built != nil || src.built != nil {
+		return fmt.Errorf("skymap: merging a deferred piece of %v/visit %d", dst.Patch, dst.Visit)
 	}
-	dst.planes()
-	src.planes()
-	mergePixels(dst, src)
-	return nil
-}
-
-func mergePixels(dst, src *PatchExposure) {
 	for i, v := range src.Valid {
 		if v && !dst.Valid[i] {
 			dst.Flux.Pix[i] = src.Flux.Pix[i]
@@ -240,46 +237,65 @@ func mergePixels(dst, src *PatchExposure) {
 			dst.Valid[i] = true
 		}
 	}
+	return nil
 }
 
 // AssemblePatches groups a visit's projected pieces by patch and merges
 // each group into one PatchExposure per (patch, visit) — the grouping half
 // of Step 2A. The input may contain pieces from many visits. Each group
-// is merged into its first piece, which is mutated and returned: a piece
-// is never shared, so Project and Defer build fresh ones on every call.
+// is merged into its first piece, which is mutated and returned (a
+// deferred piece's planes, once built): a piece is never shared, so
+// Project and Defer make a fresh one on every call.
 func AssemblePatches(pieces []*PatchExposure) ([]*PatchExposure, error) {
-	type key struct {
-		p     Patch
-		visit int
-	}
-	byKey := make(map[key]*PatchExposure)
-	var order []key
-	for _, pc := range pieces {
-		k := key{pc.Patch, pc.Visit}
-		if cur, ok := byKey[k]; ok {
-			if err := Merge(cur, pc); err != nil {
-				return nil, err
-			}
-		} else {
-			byKey[k] = pc
-			order = append(order, k)
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.p.PY != b.p.PY {
-			return a.p.PY < b.p.PY
-		}
-		if a.p.PX != b.p.PX {
-			return a.p.PX < b.p.PX
-		}
-		return a.visit < b.visit
+	return Assemble(pieces, nil)
+}
+
+// Assemble is AssemblePatches with each group merged in the order that
+// order leaves its built pieces in (nil: as given). A group holding a
+// deferred piece comes back deferred: its pieces are built, ordered and
+// merged when it is first read.
+func Assemble(pieces []*PatchExposure, order func([]*PatchExposure)) ([]*PatchExposure, error) {
+	sorted := slices.Clone(pieces)
+	slices.SortStableFunc(sorted, func(a, b *PatchExposure) int {
+		return cmp.Or(cmp.Compare(a.Patch.PY, b.Patch.PY), cmp.Compare(a.Patch.PX, b.Patch.PX), cmp.Compare(a.Visit, b.Visit))
 	})
-	out := make([]*PatchExposure, 0, len(order))
-	for _, k := range order {
-		out = append(out, byKey[k])
+	var out []*PatchExposure
+	for len(sorted) > 0 {
+		n := 1
+		for n < len(sorted) && sorted[n].Patch == sorted[0].Patch && sorted[n].Visit == sorted[0].Visit {
+			n++
+		}
+		group := sorted[:n:n]
+		sorted = sorted[n:]
+		if slices.ContainsFunc(group, func(pe *PatchExposure) bool { return pe.built != nil }) {
+			out = append(out, deferred(group[0].Patch, group[0].Visit, func() (*PatchExposure, error) { return mergeGroup(group, order) }))
+			continue
+		}
+		pe, err := mergeGroup(group, order)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pe)
 	}
 	return out, nil
+}
+
+// mergeGroup builds the pieces of one (patch, visit), orders them and
+// merges them into the first.
+func mergeGroup(group []*PatchExposure, order func([]*PatchExposure)) (*PatchExposure, error) {
+	built, err := build(group)
+	if err != nil {
+		return nil, err
+	}
+	if order != nil {
+		order(built)
+	}
+	for _, pe := range built[1:] {
+		if err := Merge(built[0], pe); err != nil {
+			return nil, err
+		}
+	}
+	return built[0], nil
 }
 
 // Coadd is the co-added image of one patch across visits.
@@ -314,14 +330,14 @@ type CoaddState struct {
 	alive [][]bool
 }
 
-// NewCoaddState starts a stepwise co-addition over the stack, building
-// the planes of its deferred pieces.
+// NewCoaddState starts a stepwise co-addition over the stack, built.
 func NewCoaddState(stack []*PatchExposure) (*CoaddState, error) {
 	if len(stack) == 0 {
 		return nil, fmt.Errorf("skymap: empty coadd stack")
 	}
-	for _, pe := range stack {
-		pe.planes()
+	stack, err := build(stack)
+	if err != nil {
+		return nil, err
 	}
 	p := stack[0].Patch
 	for _, pe := range stack {
@@ -334,6 +350,18 @@ func NewCoaddState(stack []*PatchExposure) (*CoaddState, error) {
 		st.alive = append(st.alive, append([]bool(nil), pe.Valid...))
 	}
 	return st, nil
+}
+
+// build returns the stack's pieces built.
+func build(stack []*PatchExposure) ([]*PatchExposure, error) {
+	out := make([]*PatchExposure, len(stack))
+	for i, pe := range stack {
+		var err error
+		if out[i], err = pe.Built(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // ClipIteration performs one mean/std outlier-rejection pass.

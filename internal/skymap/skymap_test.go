@@ -103,6 +103,10 @@ func TestMergeAndAssemble(t *testing.T) {
 	if err := Merge(a, c); err == nil {
 		t.Error("merged different visits")
 	}
+	// A deferred piece is merged only by Assemble, which builds it first.
+	if err := Merge(a, g.Defer(atHand(NewExposure(3, 0, 0, 0, 1, 1)), Patch{0, 0})); err == nil {
+		t.Error("merged a deferred piece's missing planes")
+	}
 	out, err := AssemblePatches([]*PatchExposure{a, c})
 	if err != nil {
 		t.Fatal(err)
