@@ -11,9 +11,9 @@ import (
 // The engine models' record values past decoding are computed when
 // first read (package lazy): Step 1A is a skymap.Pending exposure, Step
 // 2A deferred pieces (Grid.Defer, skymap.Assemble), Steps 3A and 4A the
-// values below. Each stage runs, through the process-wide memo, only
-// when a caller forces the pipeline's output. Preprocess, Detect and
-// Reference stay eager and pure.
+// values below. Each stage runs only when a caller forces the
+// pipeline's output. Preprocess, Detect and Reference stay eager and
+// pure.
 
 // Output is what RunSpark, RunMyria and RunDask return: their Result,
 // computed when first read (Force).
@@ -33,28 +33,28 @@ type onPatch[T any] struct {
 type lazyCoadd = onPatch[*skymap.Coadd]
 type lazyPatch = onPatch[*PatchResult]
 
-// preprocessOnRead is PreprocessMemo of e; the header is e's, which
+// preprocessOnRead is Preprocess of e; the header is e's, which
 // Preprocess keeps.
 func preprocessOnRead(e *skymap.Exposure) skymap.Pending {
-	return skymap.Pending{Header: e, Pixels: lazy.Of(func() (*skymap.Exposure, error) { return PreprocessMemo(e), nil })}
+	return skymap.Pending{Header: e, Pixels: lazy.Of(func() (*skymap.Exposure, error) { return Preprocess(e), nil })}
 }
 
-// coaddOnRead is skymap.CoaddPatchMemo of one patch's stack.
+// coaddOnRead is skymap.CoaddPatch of one patch's stack.
 func coaddOnRead(stack []*skymap.PatchExposure, nsigma float64, iters int) (*lazyCoadd, error) {
 	if len(stack) == 0 {
 		return nil, fmt.Errorf("astro: empty coadd stack")
 	}
-	return &lazyCoadd{stack[0].Patch, lazy.Of(func() (*skymap.Coadd, error) { return skymap.CoaddPatchMemo(stack, nsigma, iters) })}, nil
+	return &lazyCoadd{stack[0].Patch, lazy.Of(func() (*skymap.Coadd, error) { return skymap.CoaddPatch(stack, nsigma, iters) })}, nil
 }
 
-// detectOnRead is DetectMemo of co, with co, as the patch's result.
+// detectOnRead is Detect of co, with co, as the patch's result.
 func detectOnRead(co *lazyCoadd) *lazyPatch {
 	return &lazyPatch{co.Patch, lazy.Of(func() (*PatchResult, error) {
 		c, err := co.value.Force()
 		if err != nil {
 			return nil, err
 		}
-		return &PatchResult{Patch: co.Patch, Coadd: c, Sources: DetectMemo(c)}, nil
+		return &PatchResult{Patch: co.Patch, Coadd: c, Sources: Detect(c)}, nil
 	})}
 }
 

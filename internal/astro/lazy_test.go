@@ -5,14 +5,17 @@ import (
 	"sync"
 	"testing"
 
+	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/fits"
-	"imagebench/internal/memo"
+	"imagebench/internal/lazy"
 	"imagebench/internal/skymap"
+	"imagebench/internal/vtime"
 )
 
 // One deferred patch stack, forced from eight goroutines at once as a
-// co-add, calibrates each exposure and co-adds the stack once (one memo
-// miss each, no hit) and gives every goroutine the bits CoaddPatch
+// co-add, calibrates and projects each exposure, merges each visit and
+// co-adds the stack once, and gives every goroutine the bits CoaddPatch
 // gives the pure path's projected stack.
 func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 	w := unseenWorkload(t, 4)
@@ -51,7 +54,7 @@ func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := memo.Snapshot()
+	before := lazy.Computed()
 	got := make([]*skymap.Coadd, 8)
 	var wg sync.WaitGroup
 	for i := range got {
@@ -65,11 +68,10 @@ func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	after := memo.Snapshot()
-	for k, want := range map[memo.Kind]uint64{memo.Calibrate: uint64(len(touching)), memo.Coadd: 1} {
-		if hits, misses := after.Kinds[k].Hits-before.Kinds[k].Hits, after.Kinds[k].Misses-before.Kinds[k].Misses; hits != 0 || misses != want {
-			t.Errorf("%s: %d hits and %d misses, want none and %d", k, hits, misses, want)
-		}
+	// A calibration and a projected piece per exposure, a merge per
+	// visit, the coadd.
+	if n, want := lazy.Computed()-before, uint64(2*len(touching)+len(stack)+1); n != want {
+		t.Errorf("the co-add computed %d values, want %d", n, want)
 	}
 
 	var projected []*skymap.PatchExposure
@@ -92,5 +94,29 @@ func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 	}
 	if len(stack) < 2 || !sameCoadd(got[0], want) {
 		t.Errorf("a stack of %d visits co-adds to other bits than the pure path's", len(stack))
+	}
+}
+
+// The Fig 12d Spark and Myria step runners time Step 3A and compute
+// none of it: nothing reads what a runner's UDF returns, so both over
+// fresh stacks compute no lazy value, a piece of a stack included.
+func TestCoaddStepRunnersComputeNothing(t *testing.T) {
+	w := unseenWorkload(t, 4)
+	stacks, err := BuildStacks(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []struct {
+		name string
+		run  func(*Workload, *cluster.Cluster, *cost.Model, []*skymap.PatchExposure) (vtime.Duration, error)
+	}{{"Spark", SparkCoadd}, {"Myria", MyriaCoadd}}
+	before := lazy.Computed()
+	for _, r := range runners {
+		if d, err := r.run(w, testCluster(), nil, stacks); err != nil || d <= 0 {
+			t.Fatalf("%s: %v after %v", r.name, err, d)
+		}
+	}
+	if n := lazy.Computed() - before; n != 0 {
+		t.Errorf("the co-addition step runners computed %d lazy values", n)
 	}
 }

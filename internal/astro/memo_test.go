@@ -6,16 +6,12 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"imagebench/internal/cluster"
-	"imagebench/internal/cost"
 	"imagebench/internal/fits"
-	"imagebench/internal/imaging"
 	"imagebench/internal/memo"
 	"imagebench/internal/myria"
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
-	"imagebench/internal/vtime"
 )
 
 // unseenSeed numbers the surveys these tests make up, -count=N included.
@@ -74,18 +70,15 @@ func wantBitEqual(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// misses returns how many computations each astronomy kind ran since
-// before.
-func misses(before memo.Stats) (decode, calibrate, coadd, detect uint64) {
-	now := memo.Snapshot()
-	d := func(k memo.Kind) uint64 { return now.Kinds[k].Misses - before.Kinds[k].Misses }
-	return d(memo.Decode), d(memo.Calibrate), d(memo.Coadd), d(memo.Detect)
+// decodes returns how many decodes ran since before.
+func decodes(before memo.Stats) uint64 {
+	return memo.Snapshot().Kinds[memo.Decode].Misses - before.Kinds[memo.Decode].Misses
 }
 
 // Spark, Myria and Dask, cold and then warm, return the reference's
 // result bit for bit; the reference itself never touches the memo; the
-// cold pass computes each distinct exposure and each patch once for all
-// three engines, and the warm pass computes nothing.
+// cold pass decodes each distinct exposure once for all three engines,
+// and the warm pass decodes nothing.
 func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 	w := unseenWorkload(t, 4)
 	distinct := map[[32]byte]bool{}
@@ -118,14 +111,12 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 			}
 			wantBitEqual(t, pass+" "+e.name, got, ref)
 		}
-		decode, calibrate, coadd, detect := misses(before)
-		want := [4]uint64{}
+		want := uint64(0)
 		if pass == "cold" {
-			n, p := uint64(len(distinct)), uint64(len(ref.Patches))
-			want = [4]uint64{n, n, p, p}
+			want = uint64(len(distinct))
 		}
-		if got := [4]uint64{decode, calibrate, coadd, detect}; got != want {
-			t.Errorf("%s pass: decode, calibrate, coadd, detect computed %v times, want %v", pass, got, want)
+		if got := decodes(before); got != want {
+			t.Errorf("%s pass: %d decodes, want %d", pass, got, want)
 		}
 	}
 	// Fig 12d's stacks come through the same memo and equal the pure path's.
@@ -134,8 +125,8 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decode, calibrate, _, _ := misses(before); decode != 0 || calibrate != 0 {
-		t.Errorf("BuildStacks after the engines computed %d decodes and %d calibrations", decode, calibrate)
+	if n := decodes(before); n != 0 {
+		t.Errorf("BuildStacks after the engines computed %d decodes", n)
 	}
 	exposures, err := LoadExposures(w.Store)
 	if err != nil {
@@ -160,85 +151,9 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 	}
 }
 
-func sameExposure(a, b *skymap.Exposure) bool {
-	return a.Visit == b.Visit && a.Sensor == b.Sensor && a.X0 == b.X0 && a.Y0 == b.Y0 &&
-		sameBits(a.Flux.Pix, b.Flux.Pix) && sameBits(a.Var.Pix, b.Var.Pix) && reflect.DeepEqual(a.Mask, b.Mask)
-}
-
-// forceReset claims more than the budget in two entries, so the table
-// drops what it held.
-func forceReset(t *testing.T) {
-	t.Helper()
-	resets := memo.Snapshot().Resets
-	for i := 0; i < 2; i++ {
-		k := memo.NewKey(memo.Detect)
-		k.U64(uint64(unseenSeed.Add(1)))
-		if _, err := k.Shared(func() (any, int64, error) { return new(int), 40 << 20, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if memo.Snapshot().Resets == resets {
-		t.Fatal("80 MiB of claims did not reset the table")
-	}
-}
-
-// Lineage is identity, never content and never copied: a clone of a
-// handed-out exposure with one pixel changed gets its own calibration,
-// an unchanged clone gets the original's bits by content, and an
-// exposure handed out before a reset is still calibrated correctly
-// after it, like its coadd and its sources.
-func TestLineageIsByIdentity(t *testing.T) {
-	w := unseenWorkload(t, 1)
-	obj, err := w.Store.Get(w.Store.List("astro/fits/")[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	held, err := fits.DecodeStaged(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := fits.DecodeStaged(obj); again != held {
-		t.Fatalf("the second decode is %p, the first %p", again, held)
-	}
-	cal := PreprocessMemo(held)
-	if want := Preprocess(held); !sameExposure(cal, want) {
-		t.Fatal("the memoized calibration differs from Preprocess")
-	}
-
-	changed := held.Clone()
-	changed.Flux.Pix[len(changed.Flux.Pix)/2] += 1000
-	if got, want := PreprocessMemo(changed), Preprocess(changed); got == cal || !sameExposure(got, want) {
-		t.Error("a changed clone was answered with the original's calibration")
-	}
-	before := memo.Snapshot()
-	if got := PreprocessMemo(held.Clone()); got == cal || !sameExposure(got, cal) {
-		t.Error("an unchanged clone: want the same bits under a content key of its own")
-	}
-	if _, calibrate, _, _ := misses(before); calibrate != 1 {
-		t.Errorf("an unchanged clone computed %d calibrations, want 1: lineage and content are different keys", calibrate)
-	}
-
-	stack := []*skymap.PatchExposure{w.Grid().Project(cal, w.Grid().ExposureOverlaps(cal)[0])}
-	co, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := DetectMemo(co)
-	forceReset(t)
-	if got := PreprocessMemo(held); got == cal || !sameExposure(got, cal) {
-		t.Error("an exposure handed out before the reset: want a new, equal calibration")
-	}
-	co2, err := skymap.CoaddPatchMemo(stack, ClipSigma, ClipIters)
-	if err != nil || co2 == co || !sameBits(co2.Flux.Pix, co.Flux.Pix) || !sameBits(co2.NVisits.Pix, co.NVisits.Pix) {
-		t.Errorf("the stack after the reset: %p (%v), before %p", co2, err, co)
-	}
-	if got := DetectMemo(co); !reflect.DeepEqual(got, found) || !reflect.DeepEqual(got, Detect(co)) {
-		t.Errorf("a coadd handed out before the reset detects %v, before %v", got, found)
-	}
-}
-
 // A corrupt object fails on every call, through the memo as through
-// the decoder, and is never kept; an inconsistent stack likewise.
+// the decoder, and is never kept; an inconsistent or empty stack fails
+// to co-add.
 func TestFailuresPassThroughTheMemo(t *testing.T) {
 	w := unseenWorkload(t, 1)
 	good, _ := w.Store.Get(w.Store.List("astro/fits/")[0])
@@ -253,7 +168,7 @@ func TestFailuresPassThroughTheMemo(t *testing.T) {
 			t.Fatalf("round %d: %v, %v; DecodeExposure says %v", round, e, err, want)
 		}
 	}
-	if decode, _, _, _ := misses(before); decode != 3 || memo.Snapshot().Bytes != before.Bytes {
+	if decode := decodes(before); decode != 3 || memo.Snapshot().Bytes != before.Bytes {
 		t.Errorf("three failed decodes: %d computed, table bytes %d → %d", decode, before.Bytes, memo.Snapshot().Bytes)
 	}
 	// The engines drop what they cannot decode, as they did.
@@ -264,34 +179,11 @@ func TestFailuresPassThroughTheMemo(t *testing.T) {
 
 	g := skymap.Grid{PatchW: 4, PatchH: 4}
 	mixed := []*skymap.PatchExposure{skymap.NewPatchExposure(g, skymap.Patch{}, 0), skymap.NewPatchExposure(g, skymap.Patch{PX: 1}, 1)}
-	for round := 0; round < 2; round++ {
-		if co, err := skymap.CoaddPatchMemo(mixed, ClipSigma, ClipIters); co != nil || err == nil {
-			t.Fatalf("round %d: an inconsistent stack co-added to %v, %v", round, co, err)
-		}
+	if co, err := skymap.CoaddPatch(mixed, ClipSigma, ClipIters); co != nil || err == nil {
+		t.Fatalf("an inconsistent stack co-added to %v, %v", co, err)
 	}
-	if co, err := skymap.CoaddPatchMemo(nil, ClipSigma, ClipIters); co != nil || err == nil {
+	if co, err := skymap.CoaddPatch(nil, ClipSigma, ClipIters); co != nil || err == nil {
 		t.Errorf("an empty stack co-added to %v, %v", co, err)
-	}
-}
-
-// Detection through the memo is Detect, whether the coadd came out of
-// the table or was built by hand.
-func TestDetectMemoMatchesDetect(t *testing.T) {
-	w := unseenWorkload(t, 3)
-	ref, err := Reference(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p, pr := range ref.Patches {
-		for round := 0; round < 2; round++ {
-			if got := DetectMemo(pr.Coadd); !reflect.DeepEqual(got, pr.Sources) {
-				t.Errorf("%v round %d: %d sources through the memo, %d from Detect", p, round, len(got), len(pr.Sources))
-			}
-		}
-	}
-	flat := &skymap.Coadd{Flux: imaging.NewImage(40, 40), NVisits: imaging.NewImage(40, 40)}
-	if got := DetectMemo(flat); len(got) != 0 {
-		t.Errorf("a flat coadd has %d sources", len(got))
 	}
 }
 
@@ -313,29 +205,4 @@ func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantBitEqual(t, "RunMyria at 101 visits", got, ref)
-}
-
-// The Fig 12d Spark and Myria step runners time Step 3A and compute
-// none of it: nothing reads what a runner's UDF returns, so both over
-// fresh stacks move no coadd hit or miss.
-func TestCoaddStepRunnersComputeNothing(t *testing.T) {
-	w := unseenWorkload(t, 4)
-	stacks, err := BuildStacks(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runners := []struct {
-		name string
-		run  func(*Workload, *cluster.Cluster, *cost.Model, []*skymap.PatchExposure) (vtime.Duration, error)
-	}{{"Spark", SparkCoadd}, {"Myria", MyriaCoadd}}
-	before := memo.Snapshot().Kinds[memo.Coadd]
-	for _, r := range runners {
-		if d, err := r.run(w, testCluster(), nil, stacks); err != nil || d <= 0 {
-			t.Fatalf("%s: %v after %v", r.name, err, d)
-		}
-	}
-	if after := memo.Snapshot().Kinds[memo.Coadd]; after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("the co-addition step runners moved coadd: %d hits and %d misses before, %d and %d after",
-			before.Hits, before.Misses, after.Hits, after.Misses)
-	}
 }

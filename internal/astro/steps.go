@@ -25,9 +25,8 @@ import (
 // RunSciDBCoadd's path, whose coadds are computed when read.
 
 // BuildStacks runs Steps 1A+2A to produce the patch exposures that the
-// co-addition step consumes, deferred: decoded now, calibrated through
-// the memo the engine models share and projected when read, bit-equal
-// to the reference's then.
+// co-addition step consumes, deferred: decoded now, calibrated and
+// projected when read, bit-equal to the reference's then.
 func BuildStacks(w *Workload) ([]*skymap.PatchExposure, error) {
 	g := w.Grid()
 	var pieces []*skymap.PatchExposure

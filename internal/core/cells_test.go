@@ -264,10 +264,10 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 // third pass are served by the memo and the shared inputs, so what they
 // exercise is the fan-out; and after three passes of every engine,
 // fault scenario and tuning study over the same shared inputs, each
-// input still reads like a freshly built one, each exposure, coadd,
-// source list and volume the stage memo hands out as stored reads as it
-// did after the first pass, and after every pass each held volume's
-// indexed digest is the digest of its voxels.
+// input still reads like a freshly built one, each exposure and volume
+// the stage memo hands out as stored reads as it did after the first
+// pass, and after every pass each held volume's indexed digest is the
+// digest of its voxels.
 func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three passes over the registry")

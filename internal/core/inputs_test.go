@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -81,9 +80,8 @@ func wantInputsUnwritten(t *testing.T) {
 }
 
 // stageDigests is everything a reader can see of every value the stage
-// memo holds and hands out as stored: decoded and calibrated exposures,
-// coadds and source lists, and the volumes of the neuroscience kinds
-// (alone, in a series, or inside a text round trip), keyed as the
+// memo holds and hands out as stored: decoded exposures, and decoded
+// volumes alone, in a series or inside a CSV round trip, keyed as the
 // memo keys them. Every held volume's digest must come from the memo's
 // index and equal the digest its voxels hash to now.
 func stageDigests(t *testing.T) map[memo.Key]string {
@@ -118,14 +116,6 @@ func stageDigests(t *testing.T) map[memo.Key]string {
 		case *skymap.Exposure:
 			fmt.Fprintf(h, "exposure %d %d %d %d %x ", v.Visit, v.Sensor, v.X0, v.Y0, v.Mask)
 			planes(v.Flux, v.Var)
-		case *skymap.Coadd:
-			fmt.Fprintf(h, "coadd %v ", v.Patch)
-			planes(v.Flux, v.NVisits)
-		case *[]imaging.Source:
-			for _, s := range *v {
-				fmt.Fprintf(h, "source %d %d %x %x %x %x ", s.ID, s.NPix,
-					math.Float64bits(s.X), math.Float64bits(s.Y), math.Float64bits(s.Flux), math.Float64bits(s.PeakFlux))
-			}
 		case *volume.V3:
 			vols(v)
 		case *volume.V4:

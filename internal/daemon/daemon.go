@@ -143,19 +143,15 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 }
 
 // registerKernelMemoMetrics exposes the process-wide stage memo
-// (package memo), traffic split by the kind of stage served: nlmeans
-// (Step 2N), text (SciDB's TSV/CSV round trips), fit (Step 3N), mask
-// (Step 1N after the mean), load (a staged NIfTI or NumPy object) and
-// slab (a block of a held volume), and for astronomy decode (a staged
-// FITS exposure), calibrate (Step 1A), coadd (Step 3A) and detect (Step
-// 4A). The cells of a clusterNodes sweep over an experiment have
-// distinct result keys, so the result cache reports them as misses,
-// yet they run the same stages on identical volumes and exposures:
-// these counters are where that reuse shows. The resets and bytes
-// series add up the memo's two tables and have no label; key_digests
-// says where the volume digests in the keys came from, the digest a held
-// volume carries (index) or a hash of the voxels (content), and lineage
-// whether the values keys named were held (lineage) or not (content).
+// (package memo), traffic split by the kind of stage served: text
+// (SciDB's aio_input CSV crossing), decode (a staged FITS exposure) and
+// load (a staged NIfTI or NumPy object). The cells of a clusterNodes
+// sweep over an experiment have distinct result keys, so the result
+// cache reports them as misses, yet they decode the same objects: these
+// counters are where that reuse shows. The resets and bytes series add
+// up the memo's two tables and have no label; key_digests says where
+// the volume digests in the keys came from, the digest a held volume
+// carries (index) or a hash of the voxels (content).
 // Beside them, from a table of the same type, the experiments' shared
 // inputs (core.InputStats): how many of a pass's workload requests were
 // served and how many generated their input.
@@ -178,10 +174,6 @@ func registerKernelMemoMetrics(m *obs.Registry) {
 		"Volume digests the memo's keys were built from, by source: index, the digest a volume the memo held carries; content, the voxels hashed.", "source")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().IndexedDigests) }, "index")
 	digests.WithFunc(func() float64 { return float64(memo.Snapshot().ContentDigests) }, "content")
-	lineage := m.NewCounterVec("imagebench_kernel_memo_lineage_total",
-		"Values the memo's keys named, by source: their lineage, or their content because the memo did not hold them.", "source")
-	lineage.WithFunc(func() float64 { return float64(memo.Snapshot().LineageKeys) }, "lineage")
-	lineage.WithFunc(func() float64 { return float64(memo.Snapshot().ContentFallbacks) }, "content")
 
 	hits = m.NewCounterVec("imagebench_shared_input_hits_total",
 		"Workload requests served the process's shared input, by use case.", "kind")

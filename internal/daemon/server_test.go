@@ -481,21 +481,21 @@ func TestMetricsShape(t *testing.T) {
 		"# TYPE imagebench_kernel_memo_key_digests_total counter",
 		`imagebench_kernel_memo_key_digests_total{source="index"} ` + num(float64(ms.IndexedDigests)),
 		`imagebench_kernel_memo_key_digests_total{source="content"} ` + num(float64(ms.ContentDigests)),
-		"# TYPE imagebench_kernel_memo_lineage_total counter",
-		`imagebench_kernel_memo_lineage_total{source="lineage"} ` + num(float64(ms.LineageKeys)),
-		`imagebench_kernel_memo_lineage_total{source="content"} ` + num(float64(ms.ContentFallbacks)),
 	}
 	for _, k := range memo.Kinds() {
 		lines = append(lines,
 			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
 			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
 	}
-	for _, kind := range []string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect", "load", "slab"} {
+	for _, kind := range []string{"text", "decode", "load"} {
 		for _, series := range []string{"hits", "misses"} {
 			if want := fmt.Sprintf(`imagebench_kernel_memo_%s_total{kind="%s"} `, series, kind); !strings.Contains(string(text), want) {
 				t.Errorf("/metrics lacks the series %s", want)
 			}
 		}
+	}
+	if n := strings.Count(string(text), "\nimagebench_kernel_memo_hits_total{"); n != 3 {
+		t.Errorf("/metrics has %d memo kinds, want text, decode and load", n)
 	}
 	// Likewise the shared inputs: nothing builds a workload during the scrape.
 	is := core.InputStats()

@@ -10,6 +10,7 @@ package lazy
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Value is a value computed by its function on the first Force, from any
@@ -24,6 +25,13 @@ type Value[T any] struct {
 // errPanicked is what a Force returns after the first one panicked.
 var errPanicked = errors.New("lazy: the value's computation panicked")
 
+// computed counts the values computed since process start.
+var computed atomic.Uint64
+
+// Computed reports how many values have been computed since process
+// start, whatever their type: a run that forces nothing leaves it still.
+func Computed() uint64 { return computed.Load() }
+
 // Of returns the value f computes, not yet computed.
 func Of[T any](f func() (T, error)) *Value[T] { return &Value[T]{f: f} }
 
@@ -31,6 +39,7 @@ func Of[T any](f func() (T, error)) *Value[T] { return &Value[T]{f: f} }
 // the computation reaches the first caller; later ones get an error.
 func (l *Value[T]) Force() (T, error) {
 	l.once.Do(func() {
+		computed.Add(1)
 		l.err = errPanicked
 		l.v, l.err = l.f()
 		l.f = nil // what it captured is garbage now

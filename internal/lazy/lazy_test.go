@@ -8,11 +8,14 @@ import (
 )
 
 // A value is computed once, by whichever Force comes first, and every
-// Force, concurrent or later, gets that value and error.
+// Force, concurrent or later, gets that value and error. Computed counts
+// it once, and a value nobody forces not at all.
 func TestForceComputesOnce(t *testing.T) {
 	var runs atomic.Int32
 	boom := errors.New("boom")
+	before := Computed()
 	v := Of(func() (int, error) { runs.Add(1); return 7, boom })
+	Of(func() (int, error) { panic("never forced") })
 	var wg sync.WaitGroup
 	for range 8 {
 		wg.Add(1)
@@ -26,6 +29,9 @@ func TestForceComputesOnce(t *testing.T) {
 	wg.Wait()
 	if x, err := v.Force(); x != 7 || err != boom || runs.Load() != 1 {
 		t.Errorf("Force = %d, %v after %d runs, want 7, boom after 1", x, err, runs.Load())
+	}
+	if n := Computed() - before; n != 1 {
+		t.Errorf("Computed moved by %d, want 1", n)
 	}
 }
 

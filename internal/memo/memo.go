@@ -1,44 +1,27 @@
 // Package memo is the process-wide, content-keyed table behind the
-// pipeline's pure stages. An engine model's virtual time comes from the
-// cost model alone, and its values are computed only when its output is
-// read (package lazy), but what reads them (the engine tests, the
-// output check after `imagebench all`) sends the same synthetic voxels
-// through the same stage again and again: five engines, every cluster
-// size, every run. Hasher.Shared computes each distinct input once per
-// process and hands every caller the stored value itself, to read and
-// never to write.
+// staged inputs the tables read. An engine model's virtual time comes
+// from the cost model alone, and its values are computed only when its
+// output is read (package lazy), but three steps run when a run does,
+// because what they produce sets records a table reads: a staged FITS
+// exposure decoded (fits.DecodeStaged: its header places it on the
+// patch grid), a staged NIfTI or NumPy object decoded (the neuroscience
+// engines' ingest) and SciDB's aio_input() CSV crossing
+// (tsv.RoundTripCSV: its length sets the ingest expansion). Five
+// engines, every cluster size and every experiment send the same
+// objects through them again and again. Hasher.Shared computes each
+// distinct input once per process and hands every caller the stored
+// value itself, to read and never to write. The functions they wrap —
+// fits.DecodeExposure, nifti.Decode4, npy.Decode, tsv.EncodeCSV and
+// tsv.DecodeCSV — never consult the table.
 //
-// Eight stages go through it, each from the package that owns the
-// stage. Four are neuroscience's: imaging.MedianOtsuMemo (the
-// median-filter and Otsu half of Step 1N), imaging.NLMeans3Memo (Step
-// 2N), tsv.RoundTrip and tsv.RoundTripCSV (SciDB's stream() and
-// aio_input() text crossings) and dmri.FitFAMemo (Step 3N). Four are
-// astronomy's: fits.DecodeStaged (a staged FITS exposure),
-// astro.PreprocessMemo (Step 1A), skymap.CoaddPatchMemo (Step 3A) and
-// astro.DetectMemo (Step 4A). The functions they wrap —
-// imaging.MedianFilter3*, imaging.OtsuMask, imaging.NLMeans3*,
-// tsv.Encode/Decode*, dmri.FitFA, fits.DecodeExposure,
-// astro.Preprocess, skymap.CoaddPatch, astro.Detect — never consult the
-// table: they are what probes time and what fuzzers and exactness tests
-// compare, and the streamed reference pipelines built on them are the
-// independent results the engines are checked against.
-//
-// Neuroscience keys volumes by content, because the same voxels reach
-// the stages through different decoders (NIfTI, NumPy, SciDB's text
-// round trips) and never as the same pointer. A volume's content digest
-// is computed once per held value, not once per call: the table gives
-// every volume it keeps its digest (volume.V3.Digest), and Digest reads
-// it off the volume, so a key over a held volume reads none of its voxels.
-// Two cheap kinds make the engines' inputs held values: Load (a staged
-// NIfTI or NumPy object, decoded) and Slab (a block cut from a held
-// volume). They live in a second table under the same budget, so the
-// many values that are cheap to make again never drop a stage result.
-//
-// Astronomy keys by lineage where it can: a calibration by the key of
-// the decode it came from, that by the digest the object store keeps
-// with the staged bytes, and a detection by the key of its coadd
-// (Hasher.Origin). A value the table does not hold, and a coadd's
-// stack, is keyed by its content.
+// A staged object is keyed by the digest the object store keeps with
+// its bytes, and the CSV crossing by its volume's content. A volume's
+// content digest is computed once per held value, not once per call:
+// the table gives every volume it keeps its digest (volume.V3.Digest),
+// and Digest reads it off the volume, so the key of a decoded input on
+// its way to CSV reads none of its voxels. The decoded neuroscience
+// inputs (kind Load) live in a second table under the same budget, so
+// the many values that are cheap to make again never drop the others.
 //
 // The claim, the wait and the budget are Table's and know nothing of
 // volumes, and a hit takes its lock only shared; internal/core keeps the
@@ -62,46 +45,36 @@ import (
 type Kind int
 
 const (
-	NLMeans   Kind = iota // Step 2N, imaging.NLMeans3Memo
-	Text                  // tsv.RoundTrip, tsv.RoundTripCSV
-	Fit                   // Step 3N, dmri.FitFAMemo
-	Mask                  // Step 1N after the mean, imaging.MedianOtsuMemo
-	Decode                // a staged FITS exposure, fits.DecodeStaged
-	Calibrate             // Step 1A, astro.PreprocessMemo
-	Coadd                 // Step 3A, skymap.CoaddPatchMemo
-	Detect                // Step 4A, astro.DetectMemo
-	Load                  // a staged NIfTI or NumPy object, decoded; the values table from here on
-	Slab                  // a z-slab of a held volume, volume.ExtractBlock
+	Text   Kind = iota // SciDB's aio_input() CSV crossing, tsv.RoundTripCSV
+	Decode             // a staged FITS exposure, fits.DecodeStaged
+	Load               // a staged NIfTI or NumPy object, decoded; the values table
 	numKinds
 )
 
 // Kinds lists every kind, in counter order.
-func Kinds() []Kind {
-	return []Kind{NLMeans, Text, Fit, Mask, Decode, Calibrate, Coadd, Detect, Load, Slab}
-}
+func Kinds() []Kind { return []Kind{Text, Decode, Load} }
 
 // String is the kind's label on /metrics.
-func (k Kind) String() string {
-	return [numKinds]string{"nlmeans", "text", "fit", "mask", "decode", "calibrate", "coadd", "detect", "load", "slab"}[k]
-}
+func (k Kind) String() string { return [numKinds]string{"text", "decode", "load"}[k] }
 
 // table is where the kind's values are held.
 func (k Kind) table() *Table[Key, any] {
-	if k >= Load {
+	if k == Load {
 		return values
 	}
 	return stages
 }
 
-// budget bounds the bytes one Table holds, over all its kinds. Since
-// the engine models compute values only when read, a quick-profile pass
-// over every experiment stores 12.1 MB in the stage table (2.95 text,
-// 9.19 decode) and 5.9 MB of load in the values table, so none is
-// dropped on the way; a run that forces every engine's output (the
-// engine tests) holds more, up to the budget. core's inputs hold
-// 15.6 MB after a quick pass (six configs) and 46 MB for sweep-astro's
-// seven fig10h surveys; a full-profile pass generates 140-200 MB of them
-// (fig10h's 86-sensor survey alone is 65 MB) and drops them six times.
+// budget bounds the bytes one Table holds, over all its kinds. A
+// quick-profile pass over every experiment stores 18.0 MB: 12.1 MB in
+// the stage table (2.95 text, 9.19 decode) and 5.9 MB of load in the
+// values table, so none is dropped on the way. A full-profile pass
+// resets the two tables 5-7 times between them, depending on how its
+// cells interleave: decode misses 9.8-11.1 k of its 19,347 calls. core's
+// inputs hold 15.6 MB after a quick pass (six configs) and 46 MB for
+// sweep-astro's seven fig10h surveys; a full-profile pass generates
+// 140-200 MB of them (fig10h's 86-sensor survey alone is 65 MB) and
+// drops them six times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed
@@ -125,9 +98,6 @@ type Stats struct {
 	// hashed from the voxels. Only the package's Snapshot fills them,
 	// and it adds up its two tables' resets and bytes.
 	IndexedDigests, ContentDigests uint64
-	// LineageKeys and ContentFallbacks count Origin's answers: a value
-	// keyed by its lineage, or one the caller keys by its content.
-	LineageKeys, ContentFallbacks uint64
 }
 
 // Table computes each key's value once and shares it: a process-wide,
@@ -139,13 +109,6 @@ type Table[K comparable, V any] struct {
 	entries map[K]*entry[V]
 	stats   Stats           // all but the hits
 	hits    []atomic.Uint64 // per kind
-	// index, when set, sees each value before it is kept and names what
-	// the value makes known by identity: pointers it holds, each with
-	// the K that stands for it. known gathers them and goes with the
-	// entries: a pointer found in it is part of a value the table holds
-	// now.
-	index func(key K, val V) map[any]K
-	known map[any]K
 }
 
 // entry is one key's value. Everything but done and ready is written
@@ -217,11 +180,7 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 		return val, err
 	}
 	e.val, e.bytes, e.ok = val, n, true
-	var known map[any]K
-	if t.index != nil {
-		known = t.index(key, val) // outside the lock: it may read every voxel
-	}
-	t.keep(key, e, known)
+	t.keep(key, e)
 	return val, nil
 }
 
@@ -230,16 +189,14 @@ func (t *Table[K, V]) Do(kind int, key K, compute func() (V, int64, error)) (V, 
 // fits several times over, so eviction order would be bookkeeping for a
 // case that only an unrelated, larger workload in the same process can
 // reach. Values already handed out stay valid, the table only forgets
-// them, their identities included: what is derived from one afterwards
-// is keyed by its content. Entries still being computed are dropped
-// with the rest; they reach their waiters through the entry itself and
-// come back here when done.
-func (t *Table[K, V]) keep(key K, e *entry[V], known map[any]K) {
+// them. Entries still being computed are dropped with the rest; they
+// reach their waiters through the entry itself and come back here when
+// done.
+func (t *Table[K, V]) keep(key K, e *entry[V]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stats.Bytes+e.bytes > budget {
 		t.entries = make(map[K]*entry[V])
-		t.known = nil
 		t.stats.Bytes = 0
 		for k := range t.stats.Kinds {
 			t.stats.Kinds[k].Bytes = 0
@@ -252,21 +209,6 @@ func (t *Table[K, V]) keep(key K, e *entry[V], known map[any]K) {
 	t.entries[key] = e
 	t.stats.Bytes += e.bytes
 	t.stats.Kinds[e.kind].Bytes += e.bytes
-	for h, id := range known {
-		if t.known == nil {
-			t.known = make(map[any]K)
-		}
-		t.known[h] = id
-	}
-}
-
-// Known returns what the index maps handle to, if handle is part of a
-// value the table holds (never a volume: that carries its digest).
-func (t *Table[K, V]) Known(handle any) (K, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	id, ok := t.known[handle]
-	return id, ok
 }
 
 // Each calls fn on every value the table holds, in no order. fn runs
@@ -296,19 +238,13 @@ func (t *Table[K, V]) Snapshot() Stats {
 // Key identifies one input of one stage by content.
 type Key [sha256.Size]byte
 
-// stages holds the stage kinds and values the cheap ones (Kind.table).
-var stages, values = newTable(), newTable()
-
-func newTable() *Table[Key, any] {
-	t := NewTable[Key, any](int(numKinds))
-	t.index = index
-	return t
-}
+// stages holds the text and decode kinds and values the loads
+// (Kind.table).
+var stages, values = NewTable[Key, any](int(numKinds)), NewTable[Key, any](int(numKinds))
 
 // index gives each volume a value carries its content digest
-// (volume.V3.Digest) and names anything else by the key it is held
-// under, which is its lineage (Origin).
-func index(key Key, v any) map[any]Key {
+// (volume.V3.Digest).
+func index(v any) {
 	var vols []*volume.V3
 	switch v := v.(type) {
 	case *volume.V3:
@@ -317,15 +253,12 @@ func index(key Key, v any) map[any]Key {
 		vols = v.Vols
 	case interface{ Volume() *volume.V3 }: // a volume with a stage's by-product
 		vols = []*volume.V3{v.Volume()}
-	default:
-		return map[any]Key{v: key}
 	}
 	for _, c := range vols {
 		if c.Digest() == nil { // a volume of an earlier value keeps its own
 			c.SetDigest(contentDigest(c))
 		}
 	}
-	return nil
 }
 
 // Shared ends the key and returns what compute returns for the input it
@@ -337,30 +270,16 @@ func index(key Key, v any) map[any]Key {
 // afterwards.
 func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
 	kind := k.kind // read before sum gives k back to the pool
-	return kind.table().Do(int(kind), k.sum(), compute)
-}
-
-// Origin adds v's lineage, the key the table holds it under, when v is
-// a pointer Shared returned and the table still holds it: what was
-// derived from a keyed input is keyed by that key, not by reading its
-// bytes again. Otherwise (a value built elsewhere, a copy, anything
-// handed out before a reset) it reports false, and the caller adds v's
-// content; the two forms never share a key.
-func (k *Hasher) Origin(v any) bool {
-	parent, ok := stages.Known(v)
-	if !ok {
-		contentFallbacks.Add(1)
-		k.U64(0)
-		return false
-	}
-	lineageKeys.Add(1)
-	k.U64(1)
-	k.Bytes(parent[:])
-	return true
+	return kind.table().Do(int(kind), k.sum(), func() (any, int64, error) {
+		v, n, err := compute()
+		if err == nil && n <= budget { // the table keeps it
+			index(v)
+		}
+		return v, n, err
+	})
 }
 
 var indexedDigests, contentDigests atomic.Uint64 // Digest's two sources, since process start
-var lineageKeys, contentFallbacks atomic.Uint64  // Origin's two answers, likewise
 
 // Digest returns v's content digest, its shape and the raw bits of
 // every voxel hashed. A volume a table has held carries it, so none of
@@ -399,7 +318,6 @@ func Snapshot() Stats {
 	s.Resets += v.Resets
 	s.Bytes += v.Bytes
 	s.IndexedDigests, s.ContentDigests = indexedDigests.Load(), contentDigests.Load()
-	s.LineageKeys, s.ContentFallbacks = lineageKeys.Load(), contentFallbacks.Load()
 	return s
 }
 
@@ -452,9 +370,9 @@ func (k *Hasher) Floats(xs []float64) {
 	}
 }
 
-// Bytes adds the length, then the bytes as they lie: a mask plane, a
-// digest. They go through the chunk buffer, so a digest on the caller's
-// stack stays there.
+// Bytes adds the length, then the bytes as they lie: a digest. They go
+// through the chunk buffer, so a digest on the caller's stack stays
+// there.
 func (k *Hasher) Bytes(b []byte) {
 	k.U64(uint64(len(b)))
 	for len(b) > 0 {
@@ -464,11 +382,6 @@ func (k *Hasher) Bytes(b []byte) {
 		n := copy(k.buf[len(k.buf):cap(k.buf)], b)
 		k.buf, b = k.buf[:len(k.buf)+n], b[n:]
 	}
-}
-
-// Bools is Bytes for a validity plane; a bool is one byte, 0 or 1.
-func (k *Hasher) Bools(b []bool) {
-	k.Bytes(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(b))), len(b)))
 }
 
 // Volume adds v's content digest (Digest). A nil volume (an absent

@@ -4,11 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"imagebench/internal/volume"
 )
@@ -19,7 +19,6 @@ func reset() {
 	for _, t := range []*Table[Key, any]{stages, values} {
 		t.mu.Lock()
 		t.entries = make(map[Key]*entry[any])
-		t.known = nil
 		t.stats = Stats{Kinds: make([]KindStats, numKinds)}
 		for k := range t.hits {
 			t.hits[k].Store(0)
@@ -59,11 +58,12 @@ func shared(kind Kind, compute func() (any, int64, error), words ...uint64) (*vo
 }
 
 // A miss returns what compute built and every hit the same pointer, in
-// whichever table the kind lives.
+// whichever table the kind lives, and EachShared lists what both hold.
 func TestHitIsTheHeldValue(t *testing.T) {
 	reset()
 	defer reset()
-	for _, kind := range []Kind{Text, Slab} {
+	held := map[any]bool{}
+	for _, kind := range []Kind{Text, Load} {
 		var runs atomic.Int64
 		first, err := shared(kind, ramp(5, &runs), 1)
 		if err != nil || first.NX != 5 {
@@ -77,12 +77,18 @@ func TestHitIsTheHeldValue(t *testing.T) {
 		if runs.Load() != 1 {
 			t.Fatalf("%s: compute ran %d times, want 1", kind, runs.Load())
 		}
+		held[first] = true
 		if s := Snapshot().Kinds[kind]; s != (KindStats{Hits: 2, Misses: 1, Bytes: 40}) {
 			t.Fatalf("%s counters %+v, want 2 hits, 1 miss, 40 bytes", kind, s)
 		}
 	}
 	if stages.Snapshot().Bytes != 40 || values.Snapshot().Bytes != 40 {
-		t.Fatal("text and slab are not held in a table each")
+		t.Fatal("text and load are not held in a table each")
+	}
+	listed := map[any]bool{}
+	EachShared(func(_ Key, v any) { listed[v] = true })
+	if !reflect.DeepEqual(listed, held) {
+		t.Errorf("EachShared listed %d values, want the 2 held", len(listed))
 	}
 }
 
@@ -110,7 +116,7 @@ func TestKeysAreContent(t *testing.T) {
 	add("NaN payload 2", volumeKey(Text, nan2))
 	add("same data, other shape", volumeKey(Text, reshaped))
 	add("nil", volumeKey(Text, nil))
-	add("zeros under another kind", volumeKey(Fit, zero))
+	add("zeros under another kind", volumeKey(Decode, zero))
 	if volumeKey(Text, zero) != volumeKey(Text, zero.Clone()) {
 		t.Error("equal content at two addresses has two keys")
 	}
@@ -132,7 +138,7 @@ func TestSingleFlight(t *testing.T) {
 	var wg sync.WaitGroup
 	call := func(i int) {
 		defer wg.Done()
-		out, err := shared(Fit, compute, 9)
+		out, err := shared(Decode, compute, 9)
 		if err != nil {
 			t.Errorf("caller %d: %v", i, err)
 		}
@@ -147,7 +153,7 @@ func TestSingleFlight(t *testing.T) {
 	}
 	// The waiters are counted before they block, so this returns once
 	// all seven have found the entry.
-	for Snapshot().Kinds[Fit].Hits < callers-1 {
+	for Snapshot().Kinds[Decode].Hits < callers-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -155,8 +161,8 @@ func TestSingleFlight(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Fatalf("compute ran %d times, want 1", runs.Load())
 	}
-	if s := Snapshot().Kinds[Fit]; s.Misses != 1 || s.Hits != callers-1 {
-		t.Fatalf("fit counters %+v, want 1 miss and %d hits", s, callers-1)
+	if s := Snapshot().Kinds[Decode]; s.Misses != 1 || s.Hits != callers-1 {
+		t.Fatalf("decode counters %+v, want 1 miss and %d hits", s, callers-1)
 	}
 	for i, out := range outs {
 		if out == nil || out != outs[0] {
@@ -263,11 +269,11 @@ func TestOneBudgetOneReset(t *testing.T) {
 	reset()
 	huge := func() (any, int64, error) { v := volume.New3(budget/8+1, 1, 1); return v, v.Bytes(), nil }
 	for round := 0; round < 2; round++ {
-		if _, err := shared(Fit, huge, 99); err != nil {
+		if _, err := shared(Decode, huge, 99); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Fit].Misses != 2 || s.Resets != 0 {
+	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Decode].Misses != 2 || s.Resets != 0 {
 		t.Fatalf("an entry over the budget was kept: %+v", s)
 	}
 }
@@ -416,16 +422,12 @@ func bytesKey(lead int, b []byte, add func(*Hasher, []byte)) Key {
 	return k.sum()
 }
 
-// Bytes, and Bools over the same memory, cover the same content as the
-// word-at-a-time form at every length around a word and around the
-// chunk buffer.
+// Bytes covers the same content as the word-at-a-time form at every
+// length around a word and around the chunk buffer.
 func TestBytesMatchesWordAtATime(t *testing.T) {
 	backing := make([]byte, 4200)
 	for i := range backing {
-		backing[i] = byte(i % 3 % 2) // every byte a valid bool
-	}
-	asBools := func(k *Hasher, b []byte) {
-		k.Bools(unsafe.Slice((*bool)(unsafe.Pointer(unsafe.SliceData(b))), len(b)))
+		backing[i] = byte(i * 7)
 	}
 	for _, n := range []int{0, 1, 7, 8, 9, 4087, 4088, 4096, 4097, 4200} {
 		for _, lead := range []int{0, 1, 510, 511} {
@@ -438,86 +440,8 @@ func TestBytesMatchesWordAtATime(t *testing.T) {
 				if got := bytesKey(lead, b, (*Hasher).Bytes); got != want {
 					t.Errorf("%d bytes from offset %d after %d words: Bytes %x, word at a time %x", len(b), from, lead, got[:4], want[:4])
 				}
-				if got := bytesKey(lead, b, asBools); got != want {
-					t.Errorf("%d bools from offset %d after %d words: Bools %x, word at a time %x", len(b), from, lead, got[:4], want[:4])
-				}
 			}
 		}
-	}
-}
-
-// A Shared value is the stored pointer for every caller, known to
-// Origin by identity while the table holds it and to nothing else: not
-// a copy of it, not a value built elsewhere, and not the same pointer
-// once a reset has dropped its entry. Lineage and content never share a
-// key.
-func TestSharedLineage(t *testing.T) {
-	reset()
-	defer reset()
-	var runs atomic.Int64
-	build := func() (any, int64, error) {
-		runs.Add(1)
-		return &[2]float64{1, 2}, 16, nil
-	}
-	key := func() *Hasher {
-		k := NewKey(Decode)
-		k.U64(11)
-		return k
-	}
-	first, err := key().Shared(build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := key().Shared(build); again != first || runs.Load() != 1 {
-		t.Fatalf("second call got %p after %d runs, first %p", again, runs.Load(), first)
-	}
-	var held []any
-	EachShared(func(_ Key, v any) { held = append(held, v) })
-	if len(held) != 1 || held[0] != first {
-		t.Errorf("EachShared listed %v, want %p alone", held, first)
-	}
-	if s := Snapshot().Kinds[Decode]; s != (KindStats{Hits: 1, Misses: 1, Bytes: 16}) {
-		t.Errorf("decode counters %+v", s)
-	}
-
-	// derived keys a value the way a downstream stage would.
-	derived := func(v *[2]float64) (Key, bool) {
-		k := NewKey(Calibrate)
-		lineage := k.Origin(v)
-		if !lineage {
-			k.Floats(v[:])
-		}
-		return k.sum(), lineage
-	}
-	byLineage, ok := derived(first.(*[2]float64))
-	if !ok {
-		t.Fatal("a value the table holds has no lineage")
-	}
-	clone := *first.(*[2]float64)
-	byContent, ok := derived(&clone)
-	if ok || byContent == byLineage {
-		t.Errorf("a copy: lineage %v, key equal to the original's %v", ok, byContent == byLineage)
-	}
-	clone[1] = 3
-	if changed, _ := derived(&clone); changed == byContent {
-		t.Error("a copy with one value changed has the copy's key")
-	}
-	reset()
-	if after, ok := derived(first.(*[2]float64)); ok || after != byContent {
-		t.Errorf("after a reset: lineage %v, content key %v", ok, after == byContent)
-	}
-
-	// An error is returned with nothing stored and nothing indexed.
-	boom := errors.New("boom")
-	for round := 0; round < 2; round++ {
-		k := NewKey(Decode)
-		k.U64(12)
-		if v, err := k.Shared(func() (any, int64, error) { return nil, 0, boom }); !errors.Is(err, boom) || v != nil {
-			t.Fatalf("round %d: %v, %v, want nil and boom", round, v, err)
-		}
-	}
-	if s := Snapshot(); s.Bytes != 0 || s.Kinds[Decode].Misses != 2 {
-		t.Errorf("after two failures: %+v", s)
 	}
 }
 
@@ -603,24 +527,24 @@ func TestValuesOverflowKeepsTheStages(t *testing.T) {
 	reset()
 	defer reset()
 	var runs atomic.Int64
-	stage, err := shared(NLMeans, ramp(4, &runs), 1)
+	stage, err := shared(Text, ramp(4, &runs), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const voxels = 1 << 20 // 8 MiB, so the ninth cannot join the first eight
 	for i := uint64(0); i < 12; i++ {
-		if _, err := shared(Slab, ramp(voxels, &runs), i); err != nil {
+		if _, err := shared(Load, ramp(voxels, &runs), i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if s := values.Snapshot(); s.Resets != 1 || s.Bytes > budget {
-		t.Fatalf("values after 96 MiB of slabs: %+v, want one reset", s)
+		t.Fatalf("values after 96 MiB of loads: %+v, want one reset", s)
 	}
 	if s := stages.Snapshot(); s.Resets != 0 || s.Bytes != stage.Bytes() {
 		t.Fatalf("stages after the values' reset: %+v", s)
 	}
 	before := runs.Load()
-	if again, _ := shared(NLMeans, ramp(4, &runs), 1); again != stage || runs.Load() != before {
+	if again, _ := shared(Text, ramp(4, &runs), 1); again != stage || runs.Load() != before {
 		t.Error("the stage entry was dropped with the values")
 	}
 	if d := stage.Digest(); d == nil || *d != contentDigest(stage) {
@@ -645,7 +569,7 @@ func FuzzHasherVolume(f *testing.F) {
 		for i := range v.Data {
 			v.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		k := NewKey(Slab)
+		k := NewKey(Load)
 		k.Volume(v)
 		held, err := k.Shared(func() (any, int64, error) { return v, v.Bytes(), nil })
 		if err != nil {
@@ -655,7 +579,7 @@ func FuzzHasherVolume(f *testing.F) {
 		if held.(*volume.V3).Digest() == nil {
 			t.Fatal("the value Shared returned carries no digest")
 		}
-		if a, b := volumeKey(Fit, held.(*volume.V3)), volumeKey(Fit, v.Clone()); a != b {
+		if a, b := volumeKey(Text, held.(*volume.V3)), volumeKey(Text, v.Clone()); a != b {
 			t.Fatalf("%d×%d: key %x through the digest, %x through the content", v.NX, v.NY, a[:4], b[:4])
 		}
 	})
@@ -672,7 +596,7 @@ func TestWarmSharedHitAllocatesNothing(t *testing.T) {
 	v := volume.New3(4, 4, 2)
 	runs := 0
 	hit := func() {
-		k := NewKey(Slab)
+		k := NewKey(Load)
 		k.U64(7)
 		k.Volume(v)
 		out, err := k.Shared(func() (any, int64, error) { runs++; return v, v.Bytes(), nil })

@@ -159,5 +159,5 @@ func RunDask(w *Workload, cl *cluster.Cluster, model *cost.Model) (*Output, erro
 // already-computed mean volume (the Dask plan computes the mean in
 // per-block tasks, so Segment cannot be reused wholesale).
 func segmentFromMean(mean *lazyVol) *lazyVol {
-	return then(mean, func(m *volume.V3) *volume.V3 { return imaging.MedianOtsuMemo(m, 1) })
+	return then(mean, func(m *volume.V3) *volume.V3 { return imaging.OtsuMask(imaging.MedianFilter3(m, 1)) })
 }

@@ -7,15 +7,13 @@ import (
 	"imagebench/internal/dmri"
 	"imagebench/internal/imaging"
 	"imagebench/internal/lazy"
-	"imagebench/internal/memo"
 	"imagebench/internal/volume"
 )
 
 // The engine models' record values past decoding are computed when
 // first read (package lazy): a UDF hands on a value over its inputs'
-// values, and the stages run, through the process-wide memo, only when
-// a caller forces the pipeline's output. Segment, Denoise, FitBlock and
-// Reference stay eager and pure.
+// values, and the stages run only when a caller forces the pipeline's
+// output. Segment, Denoise, FitBlock and Reference stay eager and pure.
 
 // Output is what RunSpark, RunMyria and RunDask return: their Result,
 // computed when first read (Force).
@@ -61,7 +59,7 @@ func then(v reader, f func(*volume.V3) *volume.V3) *lazyVol {
 }
 
 // segmentOnRead is Segment as the engine models run it: the mean, then
-// the median filter and Otsu threshold through the memo.
+// the median filter and Otsu threshold.
 func segmentOnRead(b0 []*volume.V3) *lazyVol {
 	return segmentFromMean(lazy.Of(func() (*volume.V3, error) { return volume.Mean3(b0), nil }))
 }
@@ -71,8 +69,8 @@ func meanOnRead[R reader](vols []R) *lazyVol {
 	return over(vols, func(in []*volume.V3) (*volume.V3, error) { return volume.Mean3(in), nil })
 }
 
-// denoiseOnRead is Denoise (the memo's Step 2N) of v under mask; a nil
-// mask is none.
+// denoiseOnRead is Denoise (Step 2N) of v under mask; a nil mask is
+// none.
 func denoiseOnRead(v, mask reader) *lazyVol {
 	return lazy.Of(func() (*volume.V3, error) {
 		x, err := v.Force()
@@ -104,27 +102,19 @@ type slab struct {
 // it.
 func blockOnRead(v reader, b volume.Block) slab { return slab{v, b} }
 
-// Force is volume.ExtractBlock behind the memo (kind memo.Slab): the
-// engines that cut one held volume into one block share one slab, and
-// the fit's key over it reads the digest the memo gave it.
+// Force is volume.ExtractBlock of the volume, cut anew on every call:
+// only the value that groups the slab (a fit, Dask's block mean) reads
+// it, once.
 func (s slab) Force() (*volume.V3, error) {
 	x, err := s.v.Force()
 	if err != nil {
 		return nil, err
 	}
-	k := memo.NewKey(memo.Slab)
-	k.Volume(x)
-	k.U64(uint64(s.b.Z0))
-	k.U64(uint64(s.b.Z1))
-	v, _ := k.Shared(func() (any, int64, error) {
-		v := volume.ExtractBlock(x, s.b)
-		return v, v.Bytes(), nil
-	})
-	return v.(*volume.V3), nil
+	return volume.ExtractBlock(x, s.b), nil
 }
 
-// fitOnRead is FitBlock (the memo's Step 3N) of slabs under mask. A
-// block of no slabs fails now, a kernel error when read.
+// fitOnRead is FitBlock (Step 3N) of slabs under mask. A block of no
+// slabs fails now, a kernel error when read.
 func fitOnRead(g *dmri.GradTable, slabs []slab, mask slab) (*lazyVol, error) {
 	if len(slabs) == 0 {
 		return nil, fmt.Errorf("neuro: fit of no slabs")

@@ -5,18 +5,19 @@ import (
 	"sync"
 	"testing"
 
+	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/dmri"
 	"imagebench/internal/imaging"
 	"imagebench/internal/lazy"
-	"imagebench/internal/memo"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
+	"imagebench/internal/vtime"
 )
 
 // One lazy chain, decode → mask → denoise → slab → fit, forced from
-// eight goroutines at once, computes each kernel input once (one memo
-// miss each, no hit: the waiting is the chain's, not the memo's) and
-// gives every goroutine the eager pure names' bits.
+// eight goroutines at once, computes each of its values once and gives
+// every goroutine the eager pure names' bits.
 func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 	cfg := synth.DefaultNeuro(1)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 8, 2
@@ -26,7 +27,7 @@ func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := volume.Blocks(cfg.NZ, 4)[1]
-	before := memo.Snapshot()
+	before := lazy.Computed()
 
 	dec := make([]*lazyVol, cfg.T)
 	for i := range dec {
@@ -60,14 +61,9 @@ func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Each input is looked up once. All are new but the mask's slab: the
-	// phantom's mask may come out of another seed the same.
-	after := memo.Snapshot()
-	for k, want := range map[memo.Kind]uint64{memo.Load: uint64(cfg.T), memo.Mask: 1, memo.NLMeans: uint64(cfg.T), memo.Slab: uint64(cfg.T) + 1, memo.Fit: 1} {
-		hits, misses := after.Kinds[k].Hits-before.Kinds[k].Hits, after.Kinds[k].Misses-before.Kinds[k].Misses
-		if hits+misses != want || hits > 0 && (k != memo.Slab || hits > 1) {
-			t.Errorf("%s: %d hits and %d misses, want %d misses (one slab may hit)", k, hits, misses, want)
-		}
+	// T decodes, the mean, the mask, T denoised volumes and the fit.
+	if n, want := lazy.Computed()-before, uint64(2*cfg.T+3); n != want {
+		t.Errorf("the chain computed %d values, want %d", n, want)
 	}
 
 	vols := make([]*volume.V3, cfg.T)
@@ -95,5 +91,35 @@ func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 		if math.Float64bits(got[0].Data[i]) != math.Float64bits(x) {
 			t.Fatalf("voxel %d: %v forced, %v from the pure names", i, got[0].Data[i], x)
 		}
+	}
+}
+
+// The Fig 12b and 12c step runners time the mean and the denoise and
+// compute neither: nothing reads what a runner's UDF returns, so every
+// engine's runners over a fresh workload of the quick profile's
+// geometry compute no lazy value. That no UDF runs a kernel eagerly,
+// suite.TestKernelsRunOnRead holds.
+func TestStepRunnersComputeNothing(t *testing.T) {
+	cfg := synth.DefaultNeuro(2)
+	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
+	cfg.Seed = unseenSeed()
+	w, err := NewWorkloadCfg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runners := []struct {
+		name string
+		run  func(*Workload, *cluster.Cluster, *cost.Model, string) (vtime.Duration, error)
+	}{{"Spark", SparkStep}, {"Myria", MyriaStep}, {"Dask", DaskStep}, {"SciDB", SciDBStep}, {"TensorFlow", TFStep}}
+	before := lazy.Computed()
+	for _, r := range runners {
+		for _, step := range []string{"mean", "denoise"} {
+			if _, err := r.run(w, testCluster(), nil, step); err != nil {
+				t.Fatalf("%s %s: %v", r.name, step, err)
+			}
+		}
+	}
+	if n := lazy.Computed() - before; n != 0 {
+		t.Errorf("the step runners computed %d lazy values", n)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"imagebench/internal/cluster"
-	"imagebench/internal/cost"
 	"imagebench/internal/memo"
 	"imagebench/internal/nifti"
 	"imagebench/internal/objstore"
@@ -23,76 +21,11 @@ var memoSeeds atomic.Int64
 
 func unseenSeed() int64 { return 1616 + memoSeeds.Add(1) }
 
-// The five engines share Step 2N: on one workload of the quick
-// profile's geometry, the three masked engines run the kernel once per
-// volume between them, and SciDB (whose volumes arrive through a TSV
-// round trip) and TensorFlow share the unmasked runs.
-func TestEnginesShareStep2N(t *testing.T) {
-	cfg := synth.DefaultNeuro(2)
-	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
-	cfg.Seed = unseenSeed() // no other test's volumes, so every first call is a miss
-	w, err := NewWorkloadCfg(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vols := uint64(cfg.Subjects * cfg.T)
-	ref, err := Reference(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := memo.Snapshot().Kinds[memo.NLMeans]
-	delta := func() (hits, misses uint64) {
-		s := memo.Snapshot().Kinds[memo.NLMeans]
-		return s.Hits - base.Hits, s.Misses - base.Misses
-	}
-
-	spark, err := force(RunSpark(w, testCluster(), nil, SparkOpts{Partitions: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	myria, err := force(RunMyria(w, testCluster(), nil, MyriaOpts{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dask, err := force(RunDask(w, testCluster(), nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := delta(); misses != vols || hits != 2*vols {
-		t.Fatalf("Spark, Myria, Dask over %d volumes: %d misses and %d hits, want %d and %d",
-			vols, misses, hits, vols, 2*vols)
-	}
-	// Whether it computed or was served, each engine still agrees with
-	// the streamed reference, which never touches the memo.
-	resultsEqual(t, "spark", spark, ref, 1e-9)
-	resultsEqual(t, "myria", myria, ref, 1e-9)
-	resultsEqual(t, "dask", dask, ref, 1e-9)
-
-	sci, err := force(RunSciDB(w, testCluster(), nil, SciDBAio))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf, err := force(RunTF(w, testCluster(), nil, TFOpts{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := delta(); misses != 2*vols || hits != 3*vols {
-		t.Fatalf("after SciDB and TensorFlow: %d misses and %d hits, want %d and %d",
-			misses, hits, 2*vols, 3*vols)
-	}
-	for key, v := range sci.Denoised {
-		if d := volume.MaxAbsDiff(v, tf.Denoised[key]); d != 0 {
-			t.Fatalf("%s: SciDB and TensorFlow denoised volumes differ by %g", key, d)
-		}
-	}
-}
-
 // The differential check on the whole memo: SciDB and Spark, each run
 // on a workload no other test uses (a cold table for its content) and
 // again on the now warm table, produce the same bits in every output
-// voxel and the same virtual makespan. The cold runs compute, the warm
-// runs are served every stage: text round trips, Step 1N's mask, Step
-// 2N and Step 3N.
+// voxel and the same virtual makespan. The cold runs decode and convert
+// to CSV, the warm runs are served both.
 func TestColdAndWarmMemoAgree(t *testing.T) {
 	cfg := synth.DefaultNeuro(2)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
@@ -134,20 +67,14 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 	m1 := misses()
 	warm := do()
 	m2 := misses()
-	// The other kinds are astronomy's; they must only stay where they were.
-	neuroKinds := map[memo.Kind]bool{memo.NLMeans: true, memo.Text: true, memo.Fit: true, memo.Mask: true, memo.Load: true, memo.Slab: true}
+	// Decode is astronomy's; it must only stay where it was.
 	for i, k := range memo.Kinds() {
-		if neuroKinds[k] && m1[i] == m0[i] {
+		if k != memo.Decode && m1[i] == m0[i] {
 			t.Errorf("%s: the cold runs computed nothing", k)
 		}
 		if m2[i] != m1[i] {
 			t.Errorf("%s: the warm runs computed %d inputs again", k, m2[i]-m1[i])
 		}
-	}
-	// SciDB's mean and Spark's are the same bits, so each subject's mask
-	// is computed once between them.
-	if got := m1[memo.Mask] - m0[memo.Mask]; got != uint64(cfg.Subjects) {
-		t.Errorf("mask: the cold runs computed %d masks for %d subjects", got, cfg.Subjects)
 	}
 
 	if cold.makespan != warm.makespan {
@@ -192,36 +119,6 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 		t.Errorf("Reference went through the memo: %+v before, %+v after", before, after)
 	}
 	resultsEqual(t, "warm spark", warm.spark, ref, 1e-9)
-}
-
-// The Fig 12b and 12c step runners time the mean and the denoise and
-// compute neither: nothing reads what a runner's UDF returns, so every
-// engine's runners over a fresh workload of the quick profile's
-// geometry move no NLMeans hit or miss.
-func TestStepRunnersComputeNothing(t *testing.T) {
-	cfg := synth.DefaultNeuro(2)
-	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
-	cfg.Seed = unseenSeed()
-	w, err := NewWorkloadCfg(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runners := []struct {
-		name string
-		run  func(*Workload, *cluster.Cluster, *cost.Model, string) (vtime.Duration, error)
-	}{{"Spark", SparkStep}, {"Myria", MyriaStep}, {"Dask", DaskStep}, {"SciDB", SciDBStep}, {"TensorFlow", TFStep}}
-	before := memo.Snapshot().Kinds[memo.NLMeans]
-	for _, r := range runners {
-		for _, step := range []string{"mean", "denoise"} {
-			if _, err := r.run(w, testCluster(), nil, step); err != nil {
-				t.Fatalf("%s %s: %v", r.name, step, err)
-			}
-		}
-	}
-	if after := memo.Snapshot().Kinds[memo.NLMeans]; after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("the step runners moved NLMeans: %d hits and %d misses before, %d and %d after",
-			before.Hits, before.Misses, after.Hits, after.Misses)
-	}
 }
 
 // A staged object is decoded once per process and every reader gets the

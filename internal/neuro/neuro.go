@@ -119,21 +119,16 @@ func Segment(b0 []*volume.V3) *volume.V3 {
 	return mask
 }
 
-// Denoise runs Step 2N on one volume under the mask. It goes through
-// the process-wide memo, so engines (and experiments) that denoise the
-// same content share one kernel run and one result, to read and never
-// to write.
+// Denoise runs Step 2N on one volume under the mask.
 func Denoise(v *volume.V3, mask *volume.V3) *volume.V3 {
-	return imaging.NLMeans3Memo(v, mask, DenoiseOpts)
+	return imaging.NLMeans3(v, mask, DenoiseOpts)
 }
 
 // FitBlock runs Step 3N on one voxel slab: vols are the per-volume slabs
 // (in gradient-table order) and mask the matching mask slab. It returns
-// the FA slab. Like Denoise it goes through the process-wide memo, so
-// a slab already fitted by another engine or experiment is served as
-// held, to read and never to write.
+// the FA slab.
 func FitBlock(g *dmri.GradTable, vols []*volume.V3, mask *volume.V3) (*volume.V3, error) {
-	return dmri.FitFAMemo(g, volume.New4(vols), mask)
+	return dmri.FitFA(g, volume.New4(vols), mask)
 }
 
 // Reference runs the single-node reference implementation (the Python +

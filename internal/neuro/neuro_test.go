@@ -163,6 +163,17 @@ func TestSciDBProducesMasksAndDenoised(t *testing.T) {
 			t.Errorf("denoised %s has wrong shape", k)
 		}
 	}
+	// The TSV crossing is exact, so TensorFlow's unmasked Step 2N gives
+	// the same bits.
+	tf, err := force(RunTF(w, testCluster(), nil, TFOpts{}))
+	if err != nil {
+		t.Fatalf("RunTF: %v", err)
+	}
+	for k, v := range got.Denoised {
+		if u, ok := tf.Denoised[k]; !ok || volume.MaxAbsDiff(v, u) != 0 {
+			t.Errorf("%s: SciDB and TensorFlow denoised volumes differ", k)
+		}
+	}
 }
 
 func TestTFProducesMasksAndDenoised(t *testing.T) {

@@ -5,30 +5,28 @@ import (
 	"imagebench/internal/volume"
 )
 
-// RoundTrip is Decode(Encode(v)) behind the process-wide memo (package
-// memo, kind memo.Text): the volume as the far side of SciDB's stream()
-// parses it, and the length of the TSV text that crossed. The key is
-// the dialect plus the shape and raw bits of v; the first call on a
-// content runs the two codecs, every other is served what they
-// produced, to read and never to write. Encode, Decode and their CSV
-// twins never consult the table.
+// RoundTrip is Decode(Encode(v)): the volume as the far side of SciDB's
+// stream() parses it, and the length of the TSV text that crossed. Only
+// a forced output reads it, so it runs the two codecs on every call.
 func RoundTrip(v *volume.V3) (parsed *volume.V3, encodedLen int, err error) {
-	return roundTrip(v, '\t')
+	text := encode(v, '\t')
+	parsed, err = decode(text, '\t')
+	return parsed, len(text), err
 }
 
-// RoundTripCSV is DecodeCSV(EncodeCSV(v)) behind the memo: the
-// NIfTI→CSV conversion ahead of aio_input().
+// RoundTripCSV is DecodeCSV(EncodeCSV(v)) behind the process-wide memo
+// (package memo, kind memo.Text): the NIfTI→CSV conversion ahead of
+// aio_input(), whose length sets the ingest expansion the tables read.
+// The key is the shape and raw bits of v; the first call on a content
+// runs the two codecs, every other is served what they produced, to
+// read and never to write. Encode, Decode and their CSV twins never
+// consult the table.
 func RoundTripCSV(v *volume.V3) (parsed *volume.V3, encodedLen int, err error) {
-	return roundTrip(v, ',')
-}
-
-func roundTrip(v *volume.V3, sep byte) (*volume.V3, int, error) {
 	k := memo.NewKey(memo.Text)
-	k.U64(uint64(sep))
 	k.Volume(v)
 	held, err := k.Shared(func() (any, int64, error) {
-		text := encode(v, sep)
-		parsed, err := decode(text, sep)
+		text := encode(v, ',')
+		parsed, err := decode(text, ',')
 		if err != nil {
 			return nil, 0, err
 		}
