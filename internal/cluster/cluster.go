@@ -3,13 +3,17 @@
 // a bounded memory budget, a local disk, and a network interface with finite
 // bandwidth.
 //
-// It substitutes for the 16–64 node AWS clusters used in the paper (see
-// DESIGN.md §2). Engines submit tasks in the order their scheduler would
+// It substitutes for the 16–64 node AWS clusters used in the paper. The
+// paper's results are shapes (who wins, by what factor, where curves
+// cross) that come from how each system schedules, moves and stores the
+// same work, so a model of those resources reproduces them without the
+// hardware. Engines submit tasks in the order their scheduler would
 // dispatch them; the cluster assigns each task to a worker slot and advances
-// per-resource virtual clocks by modeled durations. The tasks' Go functions
-// execute for real (producing real data that tests validate), while elapsed
-// time is tracked virtually, so a 64-node experiment runs deterministically
-// on one physical core.
+// per-resource virtual clocks by modeled durations. A task's Go function,
+// if any, runs at submission, but the records engines pass along carry
+// lazy values (internal/lazy), computed only when something reads them;
+// elapsed time is tracked virtually, so a 64-node experiment runs
+// deterministically on one physical core.
 package cluster
 
 import (
@@ -95,10 +99,12 @@ type node struct {
 }
 
 // bestWorker returns the slot that can start a task of the given duration
-// earliest, and that start time.
+// earliest, and that start time, ties going to the lowest slot. No slot
+// starts before ready, so the first one that starts at ready ends the
+// scan.
 func (n *node) bestWorker(ready vtime.Time, d vtime.Duration) (int, vtime.Time) {
 	best, bestStart := 0, n.workers[0].StartAt(ready, d)
-	for i := 1; i < len(n.workers); i++ {
+	for i := 1; i < len(n.workers) && bestStart != ready; i++ {
 		if s := n.workers[i].StartAt(ready, d); s < bestStart {
 			best, bestStart = i, s
 		}
@@ -248,10 +254,12 @@ func (c *Cluster) PickNode(prefer []int, locality vtime.Duration, ready vtime.Ti
 	// reserve: probing with the bare cost can select a node whose gap
 	// fits the cost but not the booking, so Submit would book a
 	// different slot (and a worse start) than the probe chose.
+	// No node starts before ready, so the first live one that starts at
+	// ready ends the scan: ties go to the lowest index either way.
 	d := cost + c.cfg.TaskOverhead
 	best, bestStart := -1, vtime.Time(math.MaxInt64)
-	for i, n := range c.nodes {
-		if start, ok := n.probe(ready, d); ok && start < bestStart {
+	for i := 0; i < len(c.nodes) && bestStart != ready; i++ {
+		if start, ok := c.nodes[i].probe(ready, d); ok && start < bestStart {
 			best, bestStart = i, start
 		}
 	}

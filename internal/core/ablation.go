@@ -13,10 +13,11 @@ import (
 	"imagebench/internal/vtime"
 )
 
-// Ablations: DESIGN.md attributes each engine's performance results to a
-// specific design property. These experiments switch the properties off
-// one at a time and measure what each is worth, on synthetic workloads
-// shaped like the pipelines' steps. They are extensions beyond the
+// Ablations: the paper attributes each engine's results to a specific
+// design property (Spark's Python-worker tax, Myria's predicate pushdown,
+// Dask's work stealing and task fusion). These experiments switch the
+// properties off one at a time and measure what each is worth, on
+// synthetic workloads shaped like the pipelines' steps. They are extensions beyond the
 // paper's artifacts (the paper asserts the mechanisms; the ablations
 // quantify them in this reproduction). Each ablation belongs to one
 // engine and registers through registerForEngine, so it follows its

@@ -88,9 +88,10 @@ type Engine struct {
 	catalog map[string]*Relation
 	queries int
 	// nodes are the machines hosting worker processes: the cluster
-	// nodes alive when the engine was deployed. A restart after a node
-	// kill (see RunWithRestart) deploys a fresh engine that places
-	// workers only on the survivors.
+	// nodes alive when the engine was deployed, ascending (shuffle and
+	// reserve rely on it). A restart after a node kill (see
+	// RunWithRestart) deploys a fresh engine that places workers only on
+	// the survivors.
 	nodes []int
 }
 

@@ -1,6 +1,7 @@
 package myria
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -36,7 +37,7 @@ type Query struct {
 	err   error
 	start *cluster.Handle // query submission; every operator waits for it
 	held  []heldAlloc     // pipelined-mode live intermediates
-	done  []*cluster.Handle
+	done  cluster.Handle  // every tracked handle folded: latest end, first error
 }
 
 type heldAlloc struct {
@@ -52,7 +53,7 @@ func (e *Engine) NewQuery(after ...*cluster.Handle) *Query {
 	e.queries++
 	deps := append([]*cluster.Handle{e.startup}, after...)
 	h := e.cl.Submit(0, deps, 100*time.Millisecond, nil)
-	return &Query{eng: e, start: h, done: []*cluster.Handle{h}}
+	return &Query{eng: e, start: h, done: *h}
 }
 
 // Err returns the first error the query encountered (e.g. OOM in
@@ -80,7 +81,7 @@ func (q *Query) Finish() (*cluster.Handle, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	return q.eng.cl.Barrier(q.done...), nil
+	return q.eng.cl.Barrier(&q.done), nil
 }
 
 // reserve models an intermediate relation coming alive. In pipelined mode
@@ -94,16 +95,19 @@ func (q *Query) reserve(rel *Relation) {
 	e := q.eng
 	switch e.cfg.Mode {
 	case Pipelined:
-		perNode := make(map[int]int64)
+		// Workers are laid out node by node: charge each node its
+		// workers' bytes at once, in node order.
+		var bytes int64
 		for w := range rel.parts {
-			perNode[e.nodeOf(w)] += rel.partBytes(w)
-		}
-		for node, bytes := range perNode {
-			if err := e.cl.Mem(node).Alloc(bytes); err != nil {
-				q.err = fmt.Errorf("myria: query failed: %w", err)
-				return
+			bytes += rel.partBytes(w)
+			if node := e.nodeOf(w); w+1 == len(rel.parts) || e.nodeOf(w+1) != node {
+				if err := e.cl.Mem(node).Alloc(bytes); err != nil {
+					q.err = fmt.Errorf("myria: query failed: %w", err)
+					return
+				}
+				q.held = append(q.held, heldAlloc{node, bytes})
+				bytes = 0
 			}
-			q.held = append(q.held, heldAlloc{node, bytes})
 		}
 	case Materialized, MultiQuery:
 		for w := range rel.parts {
@@ -117,7 +121,8 @@ func (q *Query) reserve(rel *Relation) {
 
 // track records operator completion handles toward the query barrier.
 func (q *Query) track(rel *Relation) {
-	q.done = append(q.done, rel.ready...)
+	q.done.End = max(q.done.End, cluster.After(rel.ready...))
+	q.done.Err = cmp.Or(q.done.Err, cluster.FirstErr(rel.ready...))
 }
 
 // Scan reads an ingested relation from node-local storage into the
@@ -257,48 +262,62 @@ func (q *Query) BroadcastJoin(name string, left, right *Relation, combine func(l
 	return out
 }
 
-// Shuffle re-partitions rel by a derived key (groupKey), moving tuples to
-// their hash-home workers over the network. GroupByApply depends on all
-// senders: a pipeline-breaking exchange.
-func (q *Query) Shuffle(rel *Relation, groupKey func(Tuple) string) *Relation {
+// shuffle re-partitions rel by a derived key (groupKey), moving tuples to
+// their hash-home workers over the network, and returns each moved
+// tuple's key parallel to the output's partitions, so GroupByApply, which
+// depends on all senders (a pipeline-breaking exchange), derives no key
+// twice.
+func (q *Query) shuffle(rel *Relation, groupKey func(Tuple) string) (*Relation, [][]string) {
 	if q.err != nil {
-		return emptyLike(q.eng, "shuffle")
+		return emptyLike(q.eng, "shuffle"), nil
 	}
 	e := q.eng
-	out := &Relation{Name: "shuffle:" + rel.Name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
+	out := emptyLike(e, "shuffle:"+rel.Name)
+	n := 0
+	for _, p := range rel.parts {
+		n += len(p)
 	}
-	// Bytes moving between each node pair.
-	type route struct{ src, dst int }
-	traffic := make(map[route]int64)
-	for w := range rel.parts {
-		src := e.nodeOf(w)
-		for _, t := range rel.parts[w] {
+	gks := make([]string, 0, n) // in arrival order
+	count := make([]int, e.Workers())
+	for _, p := range rel.parts {
+		for _, t := range p {
 			gk := groupKey(t)
-			hw := e.hashWorker(gk)
-			out.parts[hw] = append(out.parts[hw], t)
-			dst := e.nodeOf(hw)
-			if src != dst {
-				traffic[route{src, dst}] += t.Size
-			}
+			gks = append(gks, gk)
+			count[e.hashWorker(gk)]++
 		}
+	}
+	keys := make([][]string, e.Workers())
+	for w, c := range count {
+		out.parts[w], keys[w] = make([]Tuple, 0, c), make([]string, 0, c)
 	}
 	send := e.cl.Barrier(rel.ready...)
 	var xfers []*cluster.Handle
-	// Deterministic iteration over routes.
-	routes := make([]route, 0, len(traffic))
-	for r := range traffic {
-		routes = append(routes, r)
-	}
-	sort.Slice(routes, func(i, j int) bool {
-		if routes[i].src != routes[j].src {
-			return routes[i].src < routes[j].src
+	// Workers are laid out node by node in ascending node order, so each
+	// sending node's transfers go out after its last worker, in
+	// destination order: (src, dst) order overall.
+	bytes, sent := make([]int64, e.cl.Nodes()), make([]bool, e.cl.Nodes()) // by destination
+	i := 0
+	for w, p := range rel.parts {
+		src := e.nodeOf(w)
+		for _, t := range p {
+			hw := e.hashWorker(gks[i])
+			out.parts[hw] = append(out.parts[hw], t)
+			keys[hw] = append(keys[hw], gks[i])
+			i++
+			if dst := e.nodeOf(hw); src != dst {
+				bytes[dst] += t.Size
+				sent[dst] = true
+			}
 		}
-		return routes[i].dst < routes[j].dst
-	})
-	for _, r := range routes {
-		xfers = append(xfers, q.note(e.cl.Transfer(r.src, r.dst, traffic[r], send)))
+		if w+1 < len(rel.parts) && e.nodeOf(w+1) == src {
+			continue
+		}
+		for dst := range sent {
+			if sent[dst] {
+				xfers = append(xfers, q.note(e.cl.Transfer(src, dst, bytes[dst], send)))
+			}
+			bytes[dst], sent[dst] = 0, false
+		}
 	}
 	arrive := e.cl.Barrier(xfers...)
 	if len(xfers) == 0 {
@@ -309,13 +328,27 @@ func (q *Query) Shuffle(rel *Relation, groupKey func(Tuple) string) *Relation {
 	}
 	q.reserve(out)
 	q.track(out)
-	return out
+	return out, keys
+}
+
+// byKey stable-sorts one worker's shuffled tuples by group key, so each
+// group is a run of adjacent tuples in arrival order.
+type byKey struct {
+	keys []string
+	ts   []Tuple
+}
+
+func (b byKey) Len() int           { return len(b.ts) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.ts[i], b.ts[j] = b.ts[j], b.ts[i]
 }
 
 // GroupByApply shuffles rel by groupKey and applies the Python UDA to each
-// group on its home worker.
+// group on its home worker, groups in key order.
 func (q *Query) GroupByApply(rel *Relation, groupKey func(Tuple) string, uda PyUDA) *Relation {
-	sh := q.Shuffle(rel, groupKey)
+	sh, keys := q.shuffle(rel, groupKey)
 	if q.err != nil {
 		return emptyLike(q.eng, uda.Name)
 	}
@@ -324,28 +357,27 @@ func (q *Query) GroupByApply(rel *Relation, groupKey func(Tuple) string, uda PyU
 		parts: make([][]Tuple, e.Workers()),
 		ready: make([]*cluster.Handle, e.Workers()),
 	}
-	for w := range sh.parts {
+	for w, ts := range sh.parts {
 		node := e.nodeOf(w)
-		groups := make(map[string][]Tuple)
-		var order []string
-		for _, t := range sh.parts[w] {
-			gk := groupKey(t)
-			if _, ok := groups[gk]; !ok {
-				order = append(order, gk)
+		sort.Stable(byKey{keys[w], ts})
+		groups := 0
+		for i := range ts {
+			if i == 0 || keys[w][i] != keys[w][i-1] {
+				groups++
 			}
-			groups[gk] = append(groups[gk], t)
 		}
-		sort.Strings(order)
 		var dur vtime.Duration
-		var results []Tuple
-		for _, k := range order {
-			g := groups[k]
+		results := make([]Tuple, 0, groups) // exact for one tuple per group
+		for lo, hi := 0, 0; lo < len(ts); lo = hi {
+			for hi = lo + 1; hi < len(ts) && keys[w][hi] == keys[w][lo]; hi++ {
+			}
+			g := ts[lo:hi:hi]
 			var gb int64
 			for _, t := range g {
 				gb += t.Size
 			}
 			dur += e.model.AlgTime(uda.Op, gb) + e.model.PyIPCTime(gb)
-			res := uda.F(k, g)
+			res := uda.F(keys[w][lo], g)
 			for _, o := range res {
 				dur += e.model.PyIPCTime(o.Size)
 			}

@@ -30,7 +30,7 @@ func TestShufflePreservesTuplesProperty(t *testing.T) {
 			counts[key]++
 		}
 		rel := e.RelationFromTuples(q, "xs", tuples)
-		sh := q.Shuffle(rel, func(tp Tuple) string { return tp.Key })
+		sh, _ := q.shuffle(rel, func(tp Tuple) string { return tp.Key })
 		if _, err := q.Finish(); err != nil {
 			return false
 		}
@@ -64,13 +64,13 @@ func TestShuffleColocatesKeysProperty(t *testing.T) {
 			tuples[i] = Tuple{Key: fmt.Sprintf("g%d", k%5), Value: i, Size: 64}
 		}
 		rel := e.RelationFromTuples(q, "xs", tuples)
-		sh := q.Shuffle(rel, func(tp Tuple) string { return tp.Key })
+		sh, gks := q.shuffle(rel, func(tp Tuple) string { return tp.Key })
 		if _, err := q.Finish(); err != nil {
 			return false
 		}
 		for w := 0; w < e.Workers(); w++ {
-			for _, tp := range sh.parts[w] {
-				if e.hashWorker(tp.Key) != w {
+			for i, tp := range sh.parts[w] {
+				if e.hashWorker(tp.Key) != w || gks[w][i] != tp.Key {
 					return false
 				}
 			}

@@ -2,6 +2,8 @@ package neuro
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"imagebench/internal/synth"
@@ -42,4 +44,25 @@ func TestKeysRoundTrip(t *testing.T) {
 			t.Errorf("npyKeyIDs accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseVolKey holds ParseVolKey, which cuts the key at its first
+// slash, to the SplitN reading it replaced: the same keys accepted, read
+// as the same IDs.
+func FuzzParseVolKey(f *testing.F) {
+	for _, k := range []string{VolKey(3, 41), VolKey(1000, 7), "s1/t", "/t001", "s001/", "s001/t001/x", "s+1/t-2", "x"} {
+		f.Add(k)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		ws, wv, werr := -1, -1, error(nil)
+		if parts := strings.SplitN(key, "/", 2); len(parts) != 2 || len(parts[0]) < 2 || len(parts[1]) < 2 {
+			werr = fmt.Errorf("short")
+		} else if ws, werr = strconv.Atoi(parts[0][1:]); werr == nil {
+			wv, werr = strconv.Atoi(parts[1][1:])
+		}
+		s, v, err := ParseVolKey(key)
+		if (err == nil) != (werr == nil) || err == nil && (s != ws || v != wv) {
+			t.Fatalf("ParseVolKey(%q) = %d, %d, %v; SplitN reading gives %d, %d, %v", key, s, v, err, ws, wv, werr)
+		}
+	})
 }

@@ -78,15 +78,15 @@ func VolKey(subject, vol int) string { return synth.FormatKey("s###/t###", subje
 
 // ParseVolKey extracts the subject and volume from a VolKey.
 func ParseVolKey(key string) (subject, vol int, err error) {
-	parts := strings.SplitN(key, "/", 2)
-	if len(parts) != 2 || len(parts[0]) < 2 || len(parts[1]) < 2 {
+	subj, tvol, ok := strings.Cut(key, "/")
+	if !ok || len(subj) < 2 || len(tvol) < 2 {
 		return 0, 0, fmt.Errorf("neuro: bad volume key %q", key)
 	}
-	s, err := strconv.Atoi(parts[0][1:])
+	s, err := strconv.Atoi(subj[1:])
 	if err != nil {
 		return 0, 0, fmt.Errorf("neuro: bad volume key %q", key)
 	}
-	t, err := strconv.Atoi(parts[1][1:])
+	t, err := strconv.Atoi(tvol[1:])
 	if err != nil {
 		return 0, 0, fmt.Errorf("neuro: bad volume key %q", key)
 	}

@@ -168,9 +168,9 @@ func (r *RDD) repair() error {
 		if err := r.parent.compute(); err != nil {
 			return err
 		}
-		blocks, barrier := r.mapSide(s.afterFailure())
+		in, barrier := r.mapSide(s.afterFailure())
 		for i, p := range lost {
-			r.reducePartition(p, s.nodeFor(p+i+1), blocks, barrier, nil)
+			r.reducePartition(p, s.nodeFor(p+i+1), in, barrier, nil)
 		}
 	}
 	if r.cached && r.spilled != nil {

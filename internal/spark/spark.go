@@ -22,8 +22,9 @@ package spark
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
@@ -502,29 +503,52 @@ func (r *RDD) taskCost(rec Pair) vtime.Duration {
 	return d
 }
 
-// shuffleBlock is one map-output block destined for a reduce partition.
+// shuffleInput is one reduce partition's input: its records in
+// map-partition order, and one block per map partition that sent any.
+type shuffleInput struct {
+	recs   []Pair
+	blocks []shuffleBlock
+}
+
+// shuffleBlock is the bytes map partition mp sends one reduce partition.
 type shuffleBlock struct {
-	recs  []Pair
+	mp    int
 	bytes int64
 }
 
 // mapSide buckets each parent partition's records by reduce partition
-// and schedules the map-side shuffle writes; it returns the block matrix
-// and the stage barrier every reducer waits on. A non-nil after anchors
-// the writes (regenerating shuffle files lost with a dead node cannot
-// happen before the node died).
-func (r *RDD) mapSide(after *cluster.Handle) ([][]shuffleBlock, *cluster.Handle) {
+// and schedules the map-side shuffle writes; it returns every reduce
+// partition's input and the stage barrier every reducer waits on. A
+// non-nil after anchors the writes (regenerating shuffle files lost with
+// a dead node cannot happen before the node died).
+func (r *RDD) mapSide(after *cluster.Handle) ([]shuffleInput, *cluster.Handle) {
 	s := r.s
 	parent := r.parent
-	blocks := make([][]shuffleBlock, len(parent.parts)) // [mapPart][reducePart]
+	// Count first, so each input's records and blocks are sized once.
+	size := make([]struct{ recs, blocks, last int }, r.nParts) // last: 1 + the last map partition counted
+	for mp, part := range parent.parts {
+		for _, rec := range part {
+			c := &size[hashPartition(rec.Key, r.nParts)]
+			c.recs++
+			if c.last != mp+1 {
+				c.last, c.blocks = mp+1, c.blocks+1
+			}
+		}
+	}
+	in := make([]shuffleInput, r.nParts)
+	for rp, c := range size {
+		in[rp] = shuffleInput{make([]Pair, 0, c.recs), make([]shuffleBlock, 0, c.blocks)}
+	}
 	mapDone := make([]*cluster.Handle, len(parent.parts))
 	for mp := range parent.parts {
-		blocks[mp] = make([]shuffleBlock, r.nParts)
 		var bytes int64
 		for _, rec := range parent.parts[mp] {
-			rp := hashPartition(rec.Key, r.nParts)
-			blocks[mp][rp].recs = append(blocks[mp][rp].recs, rec)
-			blocks[mp][rp].bytes += rec.Size
+			to := &in[hashPartition(rec.Key, r.nParts)]
+			if n := len(to.blocks); n == 0 || to.blocks[n-1].mp != mp {
+				to.blocks = append(to.blocks, shuffleBlock{mp: mp})
+			}
+			to.blocks[len(to.blocks)-1].bytes += rec.Size
+			to.recs = append(to.recs, rec)
 			bytes += rec.Size
 		}
 		// Map-side shuffle write: serialize + write shuffle files.
@@ -533,7 +557,7 @@ func (r *RDD) mapSide(after *cluster.Handle) ([][]shuffleBlock, *cluster.Handle)
 		start := s.dispatch(cluster.After(wr))
 		mapDone[mp] = s.cl.Submit(parent.nodes[mp], []*cluster.Handle{{End: start}, wr}, dur, nil)
 	}
-	return blocks, s.cl.Barrier(mapDone...)
+	return in, s.cl.Barrier(mapDone...)
 }
 
 // reducePartition fetches reduce partition rp's blocks, groups by key,
@@ -541,27 +565,18 @@ func (r *RDD) mapSide(after *cluster.Handle) ([][]shuffleBlock, *cluster.Handle)
 // Successful allocations are appended to releases so the caller frees
 // them once the whole stage is done (all reducers are live at once); a
 // nil releases frees at return (single-partition repair).
-func (r *RDD) reducePartition(rp, node int, blocks [][]shuffleBlock, barrier *cluster.Handle, releases *[]func()) {
+func (r *RDD) reducePartition(rp, node int, in []shuffleInput, barrier *cluster.Handle, releases *[]func()) {
 	s := r.s
 	parent := r.parent
-	var fetches []*cluster.Handle
-	grouped := make(map[string][]Pair)
-	var order []string
+	fetches := make([]*cluster.Handle, 0, len(in[rp].blocks))
 	var inBytes int64
-	for mp := range blocks {
-		b := blocks[mp][rp]
-		if b.bytes > 0 || len(b.recs) > 0 {
-			fetches = append(fetches, s.cl.Transfer(parent.nodes[mp], node, b.bytes, barrier))
-			inBytes += b.bytes
-		}
-		for _, rec := range b.recs {
-			if _, ok := grouped[rec.Key]; !ok {
-				order = append(order, rec.Key)
-			}
-			grouped[rec.Key] = append(grouped[rec.Key], rec)
-		}
+	for _, b := range in[rp].blocks {
+		fetches = append(fetches, s.cl.Transfer(parent.nodes[b.mp], node, b.bytes, barrier))
+		inBytes += b.bytes
 	}
-	sort.Strings(order)
+	// Groups in key order, each key's records in arrival order.
+	recs := in[rp].recs
+	slices.SortStableFunc(recs, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
 	// Memory pressure: if the reduce input exceeds free memory, Spark
 	// spills — the task still succeeds but pays disk traffic.
 	var spill *cluster.Handle
@@ -576,10 +591,18 @@ func (r *RDD) reducePartition(rp, node int, blocks [][]shuffleBlock, barrier *cl
 	} else {
 		defer mem.Release(inBytes)
 	}
-	var out []Pair
+	groups := 0
+	for i := range recs {
+		if i == 0 || recs[i].Key != recs[i-1].Key {
+			groups++
+		}
+	}
+	out := make([]Pair, 0, groups) // exact for one record per key
 	var dur vtime.Duration
-	for _, k := range order {
-		vals := grouped[k]
+	for lo, hi := 0, 0; lo < len(recs); lo = hi {
+		for hi = lo + 1; hi < len(recs) && recs[hi].Key == recs[lo].Key; hi++ {
+		}
+		k, vals := recs[lo].Key, recs[lo:hi:hi]
 		var kb int64
 		for _, v := range vals {
 			kb += v.Size
@@ -613,13 +636,13 @@ func (r *RDD) computeShuffle() error {
 		return err
 	}
 	s := r.s
-	blocks, barrier := r.mapSide(nil)
+	in, barrier := r.mapSide(nil)
 	r.parts = make([][]Pair, r.nParts)
 	r.nodes = make([]int, r.nParts)
 	r.ready = make([]*cluster.Handle, r.nParts)
 	var releases []func()
 	for rp := 0; rp < r.nParts; rp++ {
-		r.reducePartition(rp, s.nodeFor(rp), blocks, barrier, &releases)
+		r.reducePartition(rp, s.nodeFor(rp), in, barrier, &releases)
 		rp := rp
 		if err := r.retryLost(rp, func(attempt int) error {
 			// The dead node also hosted map outputs: repair the map
@@ -629,8 +652,8 @@ func (r *RDD) computeShuffle() error {
 			if err := r.parent.compute(); err != nil {
 				return err
 			}
-			blocks, barrier = r.mapSide(s.afterFailure())
-			r.reducePartition(rp, s.nodeFor(rp+attempt), blocks, barrier, &releases)
+			in, barrier = r.mapSide(s.afterFailure())
+			r.reducePartition(rp, s.nodeFor(rp+attempt), in, barrier, &releases)
 			return nil
 		}); err != nil {
 			return err

@@ -1,8 +1,10 @@
 // Package synth generates the synthetic datasets that stand in for the
 // paper's inputs: Human-Connectome-style diffusion MRI subjects (NIfTI) and
 // HiTS-style sky survey visits (FITS), written into the object store with
-// paper-scale size annotations. See DESIGN.md §2 for the substitution
-// rationale.
+// paper-scale size annotations. The generated arrays are small, but every
+// object declares the size its real counterpart has, and the cost model
+// charges by that size, so modeled runtimes land in the paper's regime
+// while generating the inputs stays cheap.
 package synth
 
 import (

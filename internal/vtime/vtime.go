@@ -8,7 +8,6 @@ package vtime
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -71,11 +70,18 @@ type GapTimeline struct {
 // interval starting there would be inserted. It is the single search
 // shared by Reserve and StartAt, so a probe always agrees with the
 // booking that follows it. The intervals are disjoint and coalesced, so
-// their ends are sorted and those at or before ready, which can neither
-// hold the gap nor push it, are passed over in one binary search.
+// their ends are strictly increasing and those at or before ready, which
+// can neither hold the gap nor push it, are passed over in one binary
+// search — or at once when ready is at or past the last end, as many
+// probes are.
 func (g *GapTimeline) findGap(ready Time, d Duration) (start Time, i int) {
-	start = ready
-	for i = sort.Search(len(g.ends), func(j int) bool { return g.ends[j] > ready }); i < len(g.starts); i++ {
+	if n := len(g.ends); n == 0 || g.ends[n-1] <= ready {
+		return ready, n
+	}
+	if i, _ = slices.BinarySearch(g.ends, ready); g.ends[i] == ready {
+		i++
+	}
+	for start = ready; i < len(g.starts); i++ {
 		if g.starts[i] >= start.Add(d) {
 			break // fits entirely before interval i
 		}
