@@ -45,7 +45,7 @@ func main() {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 4
 	cl := cluster.New(cfg)
-	eng := myria.New(cl, w.Store, nil, myria.DefaultConfig())
+	eng := myria.New(cl, w.Store, cost.Default(), myria.DefaultConfig())
 
 	// Ingest the Images base table: one tuple per image volume, with the
 	// serialized array in the img BLOB column.

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
 )
 
@@ -26,7 +27,7 @@ func main() {
 	cl := cluster.New(cfg)
 
 	// Run segmentation → denoising → diffusion-tensor fit on Spark.
-	out, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{Partitions: cl.Workers()})
+	out, err := neuro.RunSpark(w, cl, cost.Default(), neuro.SparkOpts{Partitions: cl.Workers()})
 	if err != nil {
 		log.Fatal(err)
 	}

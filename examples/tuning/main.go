@@ -9,6 +9,7 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/myria"
 	"imagebench/internal/neuro"
 	"imagebench/internal/synth"
@@ -25,7 +26,7 @@ func main() {
 	fmt.Println("Myria workers per node (neuroscience, 12 subjects, 8 nodes):")
 	for _, workers := range []int{1, 2, 4, 8} {
 		cl := newCluster(8, 0)
-		if _, err := neuro.RunMyria(w, cl, nil, neuro.MyriaOpts{WorkersPerNode: workers}); err != nil {
+		if _, err := neuro.RunMyria(w, cl, cost.Default(), neuro.MyriaOpts{WorkersPerNode: workers}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %d workers/node: %8.0fs virtual\n", workers, cl.Makespan().Seconds())
@@ -43,7 +44,7 @@ func main() {
 	fmt.Println("\nSpark input partitions (neuroscience, 1 subject, 8 nodes × 8 cores):")
 	for _, parts := range []int{1, 4, 16, 48} {
 		cl := newCluster(8, 0)
-		if _, err := neuro.RunSpark(w1, cl, nil, neuro.SparkOpts{Partitions: parts}); err != nil {
+		if _, err := neuro.RunSpark(w1, cl, cost.Default(), neuro.SparkOpts{Partitions: parts}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  %3d partitions: %8.0fs virtual\n", parts, cl.Makespan().Seconds())
@@ -56,7 +57,7 @@ func main() {
 	}
 	// Probe the pipelined peak, then give the cluster 60% of it.
 	probe := newCluster(8, 1<<50)
-	if _, err := astro.RunMyria(wa, probe, nil, astro.MyriaOpts{}); err != nil {
+	if _, err := astro.RunMyria(wa, probe, cost.Default(), astro.MyriaOpts{}); err != nil {
 		log.Fatal(err)
 	}
 	budget := probe.MaxHighWater() * 6 / 10
@@ -67,7 +68,7 @@ func main() {
 		if mode == myria.MultiQuery {
 			opts.ChunkVisits = 2
 		}
-		if _, err := astro.RunMyria(wa, cl, nil, opts); err != nil {
+		if _, err := astro.RunMyria(wa, cl, cost.Default(), opts); err != nil {
 			fmt.Printf("  %-12s FAILED: %v\n", mode, err)
 			continue
 		}

@@ -111,7 +111,7 @@ func testEngine(t *testing.T, nSubj, nVols int) (*scidb.Engine, *Env) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
-	eng := scidb.New(cl, objstore.New(), nil, scidb.DefaultConfig())
+	eng := scidb.New(cl, objstore.New(), cost.Default(), scidb.DefaultConfig())
 	var chunks []scidb.Chunk
 	for s := 0; s < nSubj; s++ {
 		for v := 0; v < nVols; v++ {
@@ -266,7 +266,7 @@ func TestRunErrors(t *testing.T) {
 func TestFilterWithoutDims(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 1
-	eng := scidb.New(cluster.New(cfg), objstore.New(), nil, scidb.DefaultConfig())
+	eng := scidb.New(cluster.New(cfg), objstore.New(), cost.Default(), scidb.DefaultConfig())
 	if _, err := eng.IngestAio("a", []scidb.Chunk{{Coords: "c0", Size: 1}}, 2.5); err != nil {
 		t.Fatal(err)
 	}

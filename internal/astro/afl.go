@@ -22,9 +22,6 @@ import (
 // that makes AQL iteration slow (Fig 12d); opts.Incremental switches on
 // the Soroush et al. optimization.
 func RunAFLCoadd(w *Workload, cl *cluster.Cluster, model *cost.Model, stacks []*skymap.PatchExposure, opts SciDBOpts) (map[skymap.Patch]*skymap.Coadd, error) {
-	if model == nil {
-		model = cost.Default()
-	}
 	cfg := scidb.DefaultConfig()
 	if opts.ChunkBytes > 0 {
 		cfg.ChunkBytes = opts.ChunkBytes

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/imaging"
 )
 
@@ -24,7 +25,7 @@ func TestRunAFLCoaddMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunAFLCoadd(w, aflCluster(), nil, stacks, SciDBOpts{})
+	got, err := RunAFLCoadd(w, aflCluster(), cost.Default(), stacks, SciDBOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestRunAFLCoaddIncrementalFaster(t *testing.T) {
 	}
 	run := func(inc bool) float64 {
 		cl := aflCluster()
-		if _, err := RunAFLCoadd(w, cl, nil, stacks, SciDBOpts{Incremental: inc}); err != nil {
+		if _, err := RunAFLCoadd(w, cl, cost.Default(), stacks, SciDBOpts{Incremental: inc}); err != nil {
 			t.Fatal(err)
 		}
 		return float64(cl.Makespan())

@@ -112,7 +112,7 @@ func TestCoaddStepRunnersComputeNothing(t *testing.T) {
 	}{{"Spark", SparkCoadd}, {"Myria", MyriaCoadd}}
 	before := lazy.Computed()
 	for _, r := range runners {
-		if d, err := r.run(w, testCluster(), nil, stacks); err != nil || d <= 0 {
+		if d, err := r.run(w, testCluster(), cost.Default(), stacks); err != nil || d <= 0 {
 			t.Fatalf("%s: %v after %v", r.name, err, d)
 		}
 	}

@@ -17,8 +17,7 @@ import (
 // patch stacks are Steps 1A+2A's output as the reference computes it,
 // deferred (BuildStacks): their patch and visit are at hand, and their
 // planes are built only when read, matching the paper's per-step
-// methodology with the setup outside the timed region. A nil model
-// means cost.Default(), resolved by the system constructors.
+// methodology with the setup outside the timed region.
 //
 // The runners model time and return nothing else, so no runner computes
 // a coadd: Spark's and Myria's UDFs emit sizes only, and SciDB's shares

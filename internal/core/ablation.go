@@ -90,7 +90,7 @@ func runAblSparkPyTax(ctx context.Context, p Profile) (*Table, error) {
 	err := forEachGridCell(ctx, len(sizes), len(rows), func(col, row int) error {
 		n, native := sizes[col], rows[row] == "Native op"
 		cl := newCluster(defaultNodes(p))
-		s := spark.NewSession(cl, objstore.New(), nil)
+		s := spark.NewSession(cl, objstore.New(), model)
 		recs := make([]spark.Pair, n)
 		for i := range recs {
 			recs[i] = spark.Pair{Key: fmt.Sprintf("k%03d", i), Value: i, Size: 64 << 20}
@@ -167,7 +167,7 @@ func runAblDaskFusion(ctx context.Context, p Profile) (*Table, error) {
 	rows := t.RowNames
 	err := forEachGridCell(ctx, len(depths), len(rows), func(col, row int) error {
 		cl := newCluster(defaultNodes(p))
-		s := dask.NewSession(cl, objstore.New(), nil)
+		s := dask.NewSession(cl, objstore.New(), model)
 		if rows[row] == "Fused" {
 			s.EnableFusion()
 		}
@@ -203,7 +203,7 @@ func runAblDaskStealing(ctx context.Context, p Profile) (*Table, error) {
 		for c := 0; c < n; c++ {
 			store.Put(fmt.Sprintf("abl/%03d", c), nil, 64<<20)
 		}
-		s := dask.NewSession(cl, store, nil)
+		s := dask.NewSession(cl, store, model)
 		if rows[row] == "Sticky" {
 			s.StealLocality = vtime.Duration(time.Hour)
 		}
@@ -240,7 +240,7 @@ func runAblMyriaPushdown(ctx context.Context, p Profile) (*Table, error) {
 		for i := 0; i < nObjs; i++ {
 			store.Put(fmt.Sprintf("abl/%03d", i), []byte{byte(i)}, 16<<20)
 		}
-		e := myria.New(cl, store, nil, myria.DefaultConfig())
+		e := myria.New(cl, store, model, myria.DefaultConfig())
 		rel, err := e.Ingest("Images", "abl/", func(o objstore.Object) []myria.Tuple {
 			return []myria.Tuple{{Key: o.Key, Value: int(o.Data[0]), Size: o.ModelBytes}}
 		})

@@ -128,8 +128,8 @@ type Profile struct {
 	FaultScenarios []string
 	// Systems restricts experiments to the named engines (the CLI's
 	// -systems flag and the sweep's systems axis); empty means every
-	// registered engine. omitempty keeps the fingerprint of unfiltered
-	// profiles identical to versions that predate the field.
+	// registered engine. omitempty keeps the field out of the JSON of
+	// unfiltered profiles (API bodies, artifacts, sweep specs).
 	Systems []string `json:",omitempty"`
 }
 

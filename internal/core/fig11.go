@@ -61,7 +61,7 @@ func runStepFigure(ctx context.Context, p Profile, title, workload string, c eng
 		var d vtime.Duration
 		err := engine.TraceRun(ctx, r.Label, workload, cl, func() error {
 			var err error
-			d, err = r.Run(ins[col], cl, nil)
+			d, err = r.Run(ins[col], cl, model)
 			return err
 		})
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"imagebench/internal/cluster"
-	"imagebench/internal/cost"
 	"imagebench/internal/engine"
 	"imagebench/internal/vtime"
 )
@@ -169,7 +168,6 @@ func runFTNeuro(ctx context.Context, p Profile) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := cost.Default()
 	run := func(eng engine.Engine, cl *cluster.Cluster) error {
 		_, err := eng.RunNeuro(ctx, w, cl, model, engine.Opts{CacheInput: true})
 		return err
@@ -189,7 +187,6 @@ func runFTAstro(ctx context.Context, p Profile) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := cost.Default()
 	run := func(eng engine.Engine, cl *cluster.Cluster) error {
 		_, err := eng.RunAstro(ctx, w, cl, model, engine.Opts{})
 		return err

@@ -15,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // goldenIDs pins every registered experiment byte-for-byte: the
 // simulator is deterministic, so for each ID + profile the JSON is
-// reproducible and any diff is a semantic change — bump the
-// result-cache key version when one is intentional. Enumerating the
+// reproducible and any diff is a semantic change. results.Key hashes
+// these files, so regenerating one moves every result key. Enumerating the
 // registry (rather than a hand-picked list) means a newly registered
 // experiment fails TestGoldenFilesAreCommitted until its golden file is
 // generated with -update.

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"imagebench/internal/astro"
-	"imagebench/internal/cost"
 	"imagebench/internal/engine"
 	"imagebench/internal/lazy"
 	"imagebench/internal/neuro"
@@ -38,14 +37,14 @@ func CheckOutputs(ctx context.Context, p Profile) error {
 		return err
 	}
 	for _, e := range p.filterEngines(engine.All()) {
-		res, err := e.RunNeuro(ctx, nw, runCluster(defaultNodes(p), nw.InputModelBytes()), cost.Default(), engine.Opts{CacheInput: true})
+		res, err := e.RunNeuro(ctx, nw, runCluster(defaultNodes(p), nw.InputModelBytes()), model, engine.Opts{CacheInput: true})
 		if err == nil {
 			err = checkNeuro(res.Output, nw, nref)
 		}
 		if err != nil {
 			return fmt.Errorf("%s neuroscience output: %w", e.Name(), err)
 		}
-		res, err = e.RunAstro(ctx, aw, runCluster(defaultNodes(p), aw.InputModelBytes()), cost.Default(), engine.Opts{})
+		res, err = e.RunAstro(ctx, aw, runCluster(defaultNodes(p), aw.InputModelBytes()), model, engine.Opts{})
 		if err == nil {
 			err = checkAstro(res.Output, aref)
 		}

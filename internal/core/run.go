@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"embed"
 	"fmt"
+	"io/fs"
 
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
@@ -14,6 +16,18 @@ import (
 	"imagebench/internal/synth"
 	"imagebench/internal/vtime"
 )
+
+// model is the one cost model every experiment runs on, passed down to
+// every engine run; nothing writes to it.
+var model = cost.Default()
+
+//go:embed testdata/golden/*.json testdata/full-profile.json
+var committed embed.FS
+
+// Provenance returns what every table depends on besides its experiment
+// and profile, for results.Key: a copy of the cost model, and the
+// committed tables that pin the experiments' output.
+func Provenance() (cost.Model, fs.FS) { return *model, committed }
 
 // newCluster builds the standard experiment cluster: nodes × 8-core
 // machines modeled on r3.2xlarge.
@@ -118,7 +132,7 @@ func astroWorkload(p Profile, visits int) (*astro.Workload, error) {
 // returns the virtual runtime (cluster makespan).
 func neuroEndToEnd(ctx context.Context, w *neuro.Workload, nodes int, eng engine.Engine) (vtime.Duration, error) {
 	cl := runCluster(nodes, w.InputModelBytes())
-	res, err := eng.RunNeuro(ctx, w, cl, cost.Default(), engine.Opts{CacheInput: true})
+	res, err := eng.RunNeuro(ctx, w, cl, model, engine.Opts{CacheInput: true})
 	if err != nil {
 		return 0, err
 	}
@@ -129,7 +143,7 @@ func neuroEndToEnd(ctx context.Context, w *neuro.Workload, nodes int, eng engine
 // returns the virtual runtime.
 func astroEndToEnd(ctx context.Context, w *astro.Workload, nodes int, eng engine.Engine) (vtime.Duration, error) {
 	cl := runCluster(nodes, w.InputModelBytes())
-	res, err := eng.RunAstro(ctx, w, cl, cost.Default(), engine.Opts{})
+	res, err := eng.RunAstro(ctx, w, cl, model, engine.Opts{})
 	if err != nil {
 		return 0, err
 	}

@@ -71,7 +71,7 @@ func runSec531TF(ctx context.Context, p Profile) (*Table, error) {
 	err = forEachCell(ctx, len(rows), func(i int) error {
 		name := rows[i]
 		cl := newCluster(nodes)
-		d, err := neuro.TFFilterTime(w, cl, nil, strategies[name])
+		d, err := neuro.TFFilterTime(w, cl, model, strategies[name])
 		if err != nil {
 			return fmt.Errorf("tf %s: %w", name, err)
 		}
@@ -120,7 +120,7 @@ func runSec531SciDB(ctx context.Context, p Profile) (*Table, error) {
 	err = forEachCell(ctx, len(edges), func(i int) error {
 		e := edges[i]
 		cl := newCluster(defaultNodes(p))
-		dur, err := astro.SciDBCoaddRunner(astro.SciDBOpts{ChunkBytes: chunkBytesForEdge(e)})(w, cl, nil, stacks)
+		dur, err := astro.SciDBCoaddRunner(astro.SciDBOpts{ChunkBytes: chunkBytesForEdge(e)})(w, cl, model, stacks)
 		if err != nil {
 			return fmt.Errorf("scidb chunk %d: %w", e, err)
 		}

@@ -81,7 +81,7 @@ func runFig13(ctx context.Context, p Profile) (*Table, error) {
 	err = forEachCell(ctx, len(workerCounts), func(i int) error {
 		wc := workerCounts[i]
 		cl := newCluster(nodes)
-		_, err := neuro.RunMyria(w, cl, nil, neuro.MyriaOpts{WorkersPerNode: parseInt(wc)})
+		_, err := neuro.RunMyria(w, cl, model, neuro.MyriaOpts{WorkersPerNode: parseInt(wc)})
 		if err != nil {
 			return fmt.Errorf("myria %s workers: %w", wc, err)
 		}
@@ -110,7 +110,7 @@ func runFig14(ctx context.Context, p Profile) (*Table, error) {
 	err = forEachCell(ctx, len(parts), func(i int) error {
 		n := parts[i]
 		cl := newCluster(defaultNodes(p))
-		_, err := neuro.RunSpark(w, cl, nil, neuro.SparkOpts{Partitions: n})
+		_, err := neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: n})
 		if err != nil {
 			return fmt.Errorf("spark %d partitions: %w", n, err)
 		}
@@ -162,7 +162,7 @@ func runFig15(ctx context.Context, p Profile) (*Table, error) {
 		cfg.Nodes = nodes
 		cfg.MemPerNode = 1 << 50
 		cl := cluster.New(cfg)
-		if _, err := astro.RunMyria(ws[ends[i]], cl, nil, astro.MyriaOpts{}); err != nil {
+		if _, err := astro.RunMyria(ws[ends[i]], cl, model, astro.MyriaOpts{}); err != nil {
 			return err
 		}
 		hw[i] = cl.MaxHighWater()
@@ -186,7 +186,7 @@ func runFig15(ctx context.Context, p Profile) (*Table, error) {
 			opts.Mode = myria.MultiQuery
 			opts.ChunkVisits = max(1, n/4)
 		}
-		_, err := astro.RunMyria(ws[col], cl, nil, opts)
+		_, err := astro.RunMyria(ws[col], cl, model, opts)
 		if err != nil {
 			if errorsIsOOM(err) {
 				// FAIL cell, like the paper's missing bars.
@@ -255,7 +255,7 @@ func runSec533(ctx context.Context, p Profile) (*Table, error) {
 	err = forEachGridCell(ctx, len(ws), len(t.RowNames), func(col, row int) error {
 		n, variant := p.NeuroSubjects[col], t.RowNames[row]
 		cl := newCluster(defaultNodes(p))
-		_, err := neuro.RunSpark(ws[col], cl, nil, neuro.SparkOpts{
+		_, err := neuro.RunSpark(ws[col], cl, model, neuro.SparkOpts{
 			Partitions: cl.Workers(),
 			CacheInput: variant == "cached",
 		})

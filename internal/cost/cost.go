@@ -12,8 +12,8 @@
 // ~14.6 MB), so modeled runtimes land in the paper's regime. Absolute values
 // are calibration choices; the experiments (internal/core, each with the
 // paper's sentence in its Paper field and a Check beside it) compare
-// *shapes* (who wins, by what factor, where crossovers fall), which derive
-// from the engines' architecture, not from these constants.
+// *shapes* (who wins, by what factor, where crossovers fall). Untested
+// claim: shapes derive from the engines' architecture, not these constants.
 package cost
 
 import (

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +250,59 @@ func TestDaemonRestartMidSweep(t *testing.T) {
 	mresp.Body.Close()
 	if m["jobs_executed"] != 4 {
 		t.Errorf("restarted daemon executed %v jobs, want 4", m["jobs_executed"])
+	}
+}
+
+// TestStartsOverAGridThatNoLongerExpands: a sweep directory holding a
+// spec persisted under an ID its grid no longer hashes to, as every
+// sweep written by a binary with other result keys does, does not keep
+// the daemon from starting; the mismatch is a warning, and the valid
+// spec beside it is adopted.
+func TestStartsOverAGridThatNoLongerExpands(t *testing.T) {
+	registerFakes()
+	dir := t.TempDir()
+	persist := func(id string, spec sweep.Spec) {
+		t.Helper()
+		b, err := json.Marshal(map[string]any{"id": id, "created": time.Now(), "spec": spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grid := func(spec sweep.Spec) string {
+		t.Helper()
+		cells, err := sweep.Expand(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sweep.GridID(cells)
+	}
+	valid, stale := sweep.Spec{Experiments: []string{"zz-test-http"}}, sweep.Spec{Experiments: []string{"zz-test-conc"}}
+	const staleID = "sw-000000000000"
+	persist(grid(valid), valid)
+	persist(staleID, stale)
+
+	d, err := New(Config{Workers: 1, SweepDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	want := fmt.Sprintf("grid now expands to %s, persisted as %s", grid(stale), staleID)
+	if len(d.Warnings) != 1 || !strings.Contains(d.Warnings[0], want) {
+		t.Errorf("warnings = %q, want one reporting %q", d.Warnings, want)
+	}
+	if d.RecoveredSweeps != 1 {
+		t.Fatalf("recovered %d sweeps, want the valid one", d.RecoveredSweeps)
+	}
+	s, ok := d.Sweeps.Get(grid(valid))
+	if !ok {
+		t.Fatal("the valid sweep was not adopted")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 }

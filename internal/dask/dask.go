@@ -48,12 +48,8 @@ type Session struct {
 	rootSet    map[*Delayed]bool
 }
 
-// NewSession connects a client, charging Dask's startup cost. A nil model
-// uses cost.Default().
+// NewSession connects a client, charging Dask's startup cost.
 func NewSession(cl *cluster.Cluster, store *objstore.Store, model *cost.Model) *Session {
-	if model == nil {
-		model = cost.Default()
-	}
 	s := &Session{cl: cl, model: model, store: store}
 	s.startup = cl.Submit(0, nil, model.Startup[cost.Dask], nil)
 	return s

@@ -16,7 +16,7 @@ func session(nodes int) (*Session, *cluster.Cluster, *objstore.Store) {
 	cfg.Nodes = nodes
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	return NewSession(cl, store, nil), cl, store
+	return NewSession(cl, store, cost.Default()), cl, store
 }
 
 func TestComputeChain(t *testing.T) {

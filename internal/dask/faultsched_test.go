@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/objstore"
 	"imagebench/internal/vtime"
 )
@@ -47,7 +48,7 @@ func TestWorkerDeathResubmitsTasks(t *testing.T) {
 	want := n * (n + 1) / 2
 
 	bcl := mk()
-	base := NewSession(bcl, objstore.New(), nil)
+	base := NewSession(bcl, objstore.New(), cost.Default())
 	if _, err := base.Compute(buildFanGraph(base, n)); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestWorkerDeathResubmitsTasks(t *testing.T) {
 	if err := fcl.Inject(cluster.Fault{Kind: cluster.FaultKill, Node: 2, At: vtime.Time(26 * time.Second)}); err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(fcl, objstore.New(), nil)
+	s := NewSession(fcl, objstore.New(), cost.Default())
 	root := buildFanGraph(s, n)
 	if _, err := s.Compute(root); err != nil {
 		t.Fatalf("compute with scheduled kill: %v", err)

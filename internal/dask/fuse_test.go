@@ -13,7 +13,7 @@ import (
 func fuseSession(nodes int) *Session {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = nodes
-	return NewSession(cluster.New(cfg), objstore.New(), nil)
+	return NewSession(cluster.New(cfg), objstore.New(), cost.Default())
 }
 
 // buildChains constructs nChains independent linear pipelines of depth

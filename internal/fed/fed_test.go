@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -265,6 +267,73 @@ func TestFederatedSweepCarriesUnsupported(t *testing.T) {
 	if got.ID != want.ID || got.Total != want.Total || got.Done != want.Done ||
 		got.Failed != want.Failed || got.Unsupported != want.Unsupported {
 		t.Errorf("federated counts %+v differ from single-node counts %+v", got, want)
+	}
+}
+
+// TestWorkerKeyDriftFailsTheCell: a worker whose job reply names
+// another result key than the coordinator derived for the cell, as one
+// built with another cost model does, files no table: the cell fails
+// with both keys, and the rest of the sweep still finishes.
+func TestWorkerKeyDriftFailsTheCell(t *testing.T) {
+	registerFedFakes()
+	d, err := daemon.New(daemon.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	const drifted = "00000000000000000000000000000000000000000000000000000000000000ff"
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		d.Handler.ServeHTTP(rec, r)
+		if r.URL.Path == "/v1/jobs" && bytes.Contains(body, []byte(`"zz-fed-a"`)) {
+			var reply map[string]any
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err == nil {
+				for _, j := range reply["jobs"].([]any) {
+					j.(map[string]any)["resultKey"] = drifted
+				}
+				rec.Body.Reset()
+				json.NewEncoder(rec.Body).Encode(reply)
+			}
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	defer worker.Close()
+
+	coord, err := New(Config{Workers: []string{worker.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := coord.Run(ctx, sweep.Spec{Experiments: []string{"zz-fed-a", "zz-fed-b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b *sweep.Cell
+	for _, c := range res.Cells {
+		if c.Experiment == "zz-fed-a" {
+			a = c
+		} else {
+			b = c
+		}
+	}
+	want := fmt.Sprintf("worker computed key %.12s, coordinator expected %.12s", drifted, a.Key)
+	if len(res.Failed) != 1 || res.Failed[a.Key] != want {
+		t.Errorf("failed = %v, want only %.12s: %q", res.Failed, a.Key, want)
+	}
+	if res.Entries[a.Key] != nil || res.Entries[b.Key] == nil {
+		t.Errorf("entries hold %d tables, want only the undrifted cell's", len(res.Entries))
+	}
+	if info, ok := coord.SweepInfo(false); !ok || !info.Finished() || info.Done != 1 || info.Failed != 1 {
+		t.Errorf("federated info = %+v, want finished with 1 done and 1 failed", info)
 	}
 }
 

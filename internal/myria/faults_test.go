@@ -23,7 +23,7 @@ func decodeObj(obj objstore.Object) []Tuple {
 
 // runProgram is one full MyriaL program: ingest + a slow UDF + collect.
 func runProgram(cl *cluster.Cluster, store *objstore.Store, out *[]Tuple) error {
-	e := New(cl, store, nil, Config{})
+	e := New(cl, store, cost.Default(), Config{})
 	rel, err := e.Ingest("R", "in/", decodeObj)
 	if err != nil {
 		return err

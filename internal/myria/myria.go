@@ -95,11 +95,8 @@ type Engine struct {
 	nodes []int
 }
 
-// New deploys Myria on cl. A nil model uses cost.Default().
+// New deploys Myria on cl.
 func New(cl *cluster.Cluster, store *objstore.Store, model *cost.Model, cfg Config) *Engine {
-	if model == nil {
-		model = cost.Default()
-	}
 	if cfg.WorkersPerNode <= 0 {
 		cfg.WorkersPerNode = DefaultConfig().WorkersPerNode
 	}

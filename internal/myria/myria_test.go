@@ -15,7 +15,7 @@ func engine(nodes, workers int, mode MemoryMode) (*Engine, *cluster.Cluster, *ob
 	cfg.Nodes = nodes
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	return New(cl, store, nil, Config{WorkersPerNode: workers, Mode: mode}), cl, store
+	return New(cl, store, cost.Default(), Config{WorkersPerNode: workers, Mode: mode}), cl, store
 }
 
 func stage(store *objstore.Store, n int) {
@@ -121,7 +121,7 @@ func TestPipelinedOOMFailsQuery(t *testing.T) {
 	cfg.MemPerNode = 4 << 20
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	e := New(cl, store, nil, Config{WorkersPerNode: 2, Mode: Pipelined})
+	e := New(cl, store, cost.Default(), Config{WorkersPerNode: 2, Mode: Pipelined})
 	stage(store, 16) // 16 MB of intermediates vs 4 MB nodes
 	rel, _ := e.Ingest("R", "in/", decodeOne)
 	q := e.NewQuery()
@@ -138,7 +138,7 @@ func TestMaterializedSurvivesPressure(t *testing.T) {
 	cfg.MemPerNode = 4 << 20
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	e := New(cl, store, nil, Config{WorkersPerNode: 2, Mode: Materialized})
+	e := New(cl, store, cost.Default(), Config{WorkersPerNode: 2, Mode: Materialized})
 	stage(store, 16)
 	rel, _ := e.Ingest("R", "in/", decodeOne)
 	q := e.NewQuery()

@@ -13,7 +13,7 @@ import (
 func quickEngine(nodes, workers int) *Engine {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = nodes
-	return New(cluster.New(cfg), objstore.New(), nil, Config{WorkersPerNode: workers})
+	return New(cluster.New(cfg), objstore.New(), cost.Default(), Config{WorkersPerNode: workers})
 }
 
 // Property: a shuffle preserves the multiset of tuples, for arbitrary

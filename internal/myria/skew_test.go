@@ -21,7 +21,7 @@ func skewEngine(t *testing.T, mode MemoryMode) *Engine {
 	cfg.Nodes = 4
 	cfg.MemPerNode = 1 << 30 // 1 GB per node
 	cl := cluster.New(cfg)
-	return New(cl, objstore.New(), nil, Config{WorkersPerNode: 4, Mode: mode})
+	return New(cl, objstore.New(), cost.Default(), Config{WorkersPerNode: 4, Mode: mode})
 }
 
 // skewedTuples returns tuples that all hash to one worker (same key):

@@ -227,7 +227,7 @@ func testEngine(t *testing.T, nSubj, nVols int) (*myria.Engine, *Env) {
 		}
 		store.Put(fmt.Sprintf("masks/s%02d", s), []byte{byte(s)}, 1<<10)
 	}
-	eng := myria.New(cl, store, nil, myria.DefaultConfig())
+	eng := myria.New(cl, store, cost.Default(), myria.DefaultConfig())
 
 	imgSchema := Schema{Key: []string{"subjId", "imgId"}, Cols: []string{"subjId", "imgId", "img"}}
 	images, err := eng.Ingest("Images", "images/", func(o objstore.Object) []myria.Tuple {

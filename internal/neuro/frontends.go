@@ -33,9 +33,6 @@ import (
 // exactly as RunSciDB's native path does. It returns the per-subject
 // masks.
 func RunSciDBAFL(w *Workload, cl *cluster.Cluster, model *cost.Model, mode SciDBIngestMode) (map[int]*volume.V3, error) {
-	if model == nil {
-		model = cost.Default()
-	}
 	eng := scidb.New(cl, w.Store, model, scidb.DefaultConfig())
 	if _, err := SciDBIngest(w, eng, mode); err != nil {
 		return nil, err

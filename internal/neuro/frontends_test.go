@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/cost"
 	"imagebench/internal/imaging"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
@@ -22,7 +23,7 @@ func TestRunSciDBAFLMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	masks, err := RunSciDBAFL(w, frontendCluster(), nil, SciDBAio)
+	masks, err := RunSciDBAFL(w, frontendCluster(), cost.Default(), SciDBAio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestRunSciDBAFLMatchesNativePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aflMasks, err := RunSciDBAFL(w, frontendCluster(), nil, SciDBAio)
+	aflMasks, err := RunSciDBAFL(w, frontendCluster(), cost.Default(), SciDBAio)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestRunMyriaLMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunMyriaL(w, frontendCluster(), nil)
+	res, err := RunMyriaL(w, frontendCluster(), cost.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestMyriaLAdvancesVirtualTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := frontendCluster()
-	if _, err := RunMyriaL(w, cl, nil); err != nil {
+	if _, err := RunMyriaL(w, cl, cost.Default()); err != nil {
 		t.Fatal(err)
 	}
 	if cl.Makespan() <= 0 {

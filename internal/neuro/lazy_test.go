@@ -114,7 +114,7 @@ func TestStepRunnersComputeNothing(t *testing.T) {
 	before := lazy.Computed()
 	for _, r := range runners {
 		for _, step := range []string{"mean", "denoise"} {
-			if _, err := r.run(w, testCluster(), nil, step); err != nil {
+			if _, err := r.run(w, testCluster(), cost.Default(), step); err != nil {
 				t.Fatalf("%s %s: %v", r.name, step, err)
 			}
 		}

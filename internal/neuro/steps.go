@@ -24,8 +24,7 @@ import (
 // performs any setup (ingest) outside the timed region and then the
 // measured step, returning the step's virtual duration as the makespan
 // delta. A system's setup is written once and shared by its ingest
-// runner, its step runner and its tuning study. A nil model means
-// cost.Default(), resolved by the system constructors.
+// runner, its step runner and its tuning study.
 //
 // The runners model time and return nothing else, so the mean and
 // denoise UDFs compute no value: each hands back a record of the
@@ -236,9 +235,6 @@ func DaskIngest(w *Workload, cl *cluster.Cluster, model *cost.Model) (vtime.Dura
 
 // DaskStep measures one pipeline step (Fig 12a–c) on Dask.
 func DaskStep(w *Workload, cl *cluster.Cluster, model *cost.Model, step string) (vtime.Duration, error) {
-	if model == nil {
-		model = cost.Default() // the denoise tasks below cost themselves from it
-	}
 	sess := dask.NewSession(cl, w.Store, model)
 	b0 := w.Grad.B0Mask(50)
 	// Setup: subjects already in memory across the cluster.

@@ -1,13 +1,14 @@
 // Package results is the content-addressed result cache of the
 // experiment service. Every experiment run is keyed by a stable hash of
-// (experiment ID, profile); the cache stores the resulting core.Table
-// in memory and, optionally, in an append-only log on disk, so that
-// identical requests — across jobs, processes, and restarts — are
-// answered without re-simulating. This is the provenance-style result
-// reuse the ROADMAP calls for: the simulator is deterministic, so a key
-// fully determines its table, a record is never overwritten, and a
-// duplicate Put is a no-op. What a Put guarantees once it returns is
-// the "Durability" section of the README.
+// (experiment ID, profile, cost model, committed tables); the cache
+// stores the resulting core.Table in memory and, optionally, in an
+// append-only log on disk, so that identical requests — across jobs,
+// processes, and restarts — are answered without re-simulating. This
+// is the provenance-style result reuse the ROADMAP calls for: the
+// simulator is deterministic, so a key fully determines its table, a
+// record is never overwritten, and a duplicate Put is a no-op. What a
+// Put guarantees once it returns is the "Durability" section of the
+// README.
 package results
 
 import (
@@ -15,25 +16,52 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"imagebench/internal/core"
+	"imagebench/internal/cost"
 	"imagebench/internal/jsonl"
 )
 
-// Key returns the content address for one (experiment, profile) run:
-// a hex SHA-256 over a versioned encoding of the experiment ID and the
-// profile fingerprint. Bump the version prefix when the simulation
-// semantics change incompatibly.
+// Key returns the content address for one (experiment, profile) run: a
+// hex SHA-256 over the experiment ID, the profile fingerprint and salt.
+// A change to the cost model, or one that moves a committed table, moves
+// every key: a directory an older binary wrote lists its keys until each
+// is read, and serves none. A code change seen only under override
+// profiles, which no committed table pins, moves none.
 func Key(experimentID string, p core.Profile) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "imagebench/result/v1\x00%s\x00%s", experimentID, p.Fingerprint())
+	fmt.Fprintf(h, "imagebench/result/v2\x00%s\x00%s\x00", experimentID, p.Fingerprint())
+	h.Write(salt[:])
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// salt is what every table depends on besides its experiment and
+// profile (core.Provenance), hashed once per process.
+var salt = saltOf(core.Provenance())
+
+func saltOf(m cost.Model, committed fs.FS) [sha256.Size]byte {
+	h := sha256.New()
+	err := json.NewEncoder(h).Encode(m)
+	if err == nil {
+		err = fs.WalkDir(committed, ".", func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				var b []byte
+				b, err = fs.ReadFile(committed, path)
+				fmt.Fprintf(h, "\x00%s\x00%d\x00%s", path, len(b), b)
+			}
+			return err
+		})
+	}
+	if err != nil {
+		panic("results: hash the committed tables: " + err.Error())
+	}
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // Entry is one cached result with enough provenance to list and
@@ -114,42 +142,11 @@ func Open(dir string) (*Cache, error) {
 			}
 		}
 	})
-	if err == nil {
-		err = c.importLegacy(dir)
-	}
 	if err != nil {
 		log.Close()
 		return nil, fmt.Errorf("results: open %s: %w", dir, err)
 	}
 	return c, nil
-}
-
-// importLegacy appends the <key>.json files of earlier versions to the
-// log as one group and removes them; one that does not decode to its
-// own key could never be served and is only removed.
-func (c *Cache) importLegacy(dir string) error {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var files []string
-	var entries []*Entry
-	for _, f := range names {
-		if k, isJSON := strings.CutSuffix(f.Name(), ".json"); isJSON && validKey(k) {
-			files = append(files, filepath.Join(dir, f.Name()))
-			var e Entry
-			if b, err := os.ReadFile(files[len(files)-1]); err == nil && json.Unmarshal(b, &e) == nil && e.filedUnder(k) {
-				entries = append(entries, &e)
-			}
-		}
-	}
-	if err := c.Put(entries...); err != nil {
-		return err
-	}
-	for _, f := range files {
-		_ = os.Remove(f) // one that stays is found indexed, and removed, by the next Open
-	}
-	return nil
 }
 
 // Close releases the log; the cache keeps serving from memory.
@@ -315,8 +312,8 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// validKey admits only lowercase hex SHA-256: nothing else is indexed,
-// stored or imported.
+// validKey admits only lowercase hex SHA-256: nothing else is indexed
+// or stored.
 func validKey(key string) bool {
 	if len(key) != 64 {
 		return false

@@ -2,14 +2,15 @@ package results
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"sync"
 	"testing"
+	"testing/fstest"
 
 	"imagebench/internal/core"
 )
@@ -40,6 +41,116 @@ func TestKeyStableAndDiscriminating(t *testing.T) {
 	}
 	if k := Key("fig11", q); !validKey(k) {
 		t.Errorf("key %q is not 64 hex chars", k)
+	}
+}
+
+// TestKeyNamesTheModelAndTheCommittedTables: a cost model that differs
+// in one scalar, or one changed byte of a committed table, gives every
+// experiment a different key, so a cache directory written by a binary
+// with another model or other tables serves none of its entries.
+func TestKeyNamesTheModelAndTheCommittedTables(t *testing.T) {
+	m, committed := core.Provenance()
+	base := saltOf(m, committed)
+	q := core.Quick()
+	if base != salt {
+		t.Fatal("salt is not the hash of core.Provenance")
+	}
+	fig11 := Key("fig11", q)
+	keyUnder := func(s [sha256.Size]byte) string {
+		salt = s
+		defer func() { salt = base }()
+		return Key("fig11", q)
+	}
+
+	m.JitterFrac = 0.10
+	if keyUnder(saltOf(m, committed)) == fig11 {
+		t.Error("JitterFrac 0.25 -> 0.10 left the key unchanged")
+	}
+
+	// The embedded tables are the committed ones, all of them.
+	goldens, err := os.ReadDir(filepath.Join("..", "core", "testdata", "golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := fstest.MapFS{}
+	paths := []string{"testdata/full-profile.json"}
+	for _, g := range goldens {
+		paths = append(paths, "testdata/golden/"+g.Name())
+	}
+	for _, path := range paths {
+		b, err := fs.ReadFile(committed, path)
+		if err != nil {
+			t.Fatalf("%s is not embedded: %v", path, err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "core", filepath.FromSlash(path)))
+		if err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("embedded %s differs from the committed file (%v)", path, err)
+		}
+		copied[path] = &fstest.MapFile{Data: b}
+	}
+	if len(goldens) < len(core.All()) {
+		t.Fatalf("%d goldens for %d experiments", len(goldens), len(core.All()))
+	}
+	m, _ = core.Provenance()
+	if saltOf(m, copied) != base {
+		t.Fatal("a copy of the committed tables hashes to another salt")
+	}
+	golden := copied["testdata/golden/fig11.json"].Data
+	golden[len(golden)/2]++
+	if keyUnder(saltOf(m, copied)) == fig11 {
+		t.Error("one changed golden byte left the key unchanged")
+	}
+}
+
+// TestAnOlderBinarysEntriesAreListedNotServed: a cache directory
+// written under another cost model lists its keys until each is read,
+// and serves none of them, under either key.
+func TestAnOlderBinarysEntriesAreListedNotServed(t *testing.T) {
+	dir := t.TempDir()
+	m, committed := core.Provenance()
+	m.JitterFrac = 0.10
+	base := salt
+	salt = saltOf(m, committed)
+	q := core.Quick()
+	old := &Entry{Key: Key("fig11", q), Experiment: "fig11", Profile: q, Table: sampleTable()}
+	salt = base
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(old); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	c, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if keys := c.Keys(); len(keys) != 1 || keys[0] != old.Key {
+		t.Fatalf("Keys() = %v, want the older binary's key", keys)
+	}
+	for _, k := range []string{old.Key, Key("fig11", q)} {
+		if _, ok := c.Get(k); ok {
+			t.Errorf("Get(%.12s) served the older binary's table", k)
+		}
+	}
+	if keys := c.Keys(); len(keys) != 0 {
+		t.Errorf("Keys() = %v after the read, want none", keys)
+	}
+}
+
+// TestKeyAllocations holds Key to its cost before it named the model:
+// the daemon computes one on every submit, so the salt is hashed once
+// per process, not once a call.
+func TestKeyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	q := core.Quick()
+	if n := testing.AllocsPerRun(100, func() { Key("fig11", q) }); n > 10 {
+		t.Errorf("Key allocates %.0f times a call, want <= 10", n)
 	}
 }
 
@@ -422,74 +533,6 @@ func TestConcurrentPutsAreAllReadableAfterReopen(t *testing.T) {
 	}
 	if st := c2.Stats(); st.DiskHits == 0 || st.LogRecords != 0 {
 		t.Errorf("second Open stats %+v: reads are disk hits and append nothing", st)
-	}
-}
-
-// TestLegacyFilesAreImportedOnce: a directory written by the
-// one-file-per-key layout opens to the same Keys and Get results, the
-// files are gone, and a second Open reads only the log.
-func TestLegacyFilesAreImportedOnce(t *testing.T) {
-	dir := t.TempDir()
-	es := []*Entry{entryFor("fig11", 0), entryFor("fig11", 1), entryFor("fig12a", 0)}
-	var want []string
-	for _, e := range es {
-		b, err := json.MarshalIndent(e, "", "  ") // the old layout, newlines and all
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Key+".json"), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, e.Key)
-	}
-	sort.Strings(want)
-	// One that does not decode, one filed under another entry's key, and
-	// a bystander that is not a cache file at all.
-	bad := Key("fig12b", core.Quick())
-	os.WriteFile(filepath.Join(dir, bad+".json"), []byte("{not json"), 0o644)
-	misfiled := Key("fig12c", core.Quick())
-	b, _ := json.Marshal(es[0])
-	os.WriteFile(filepath.Join(dir, misfiled+".json"), b, 0o644)
-	os.WriteFile(filepath.Join(dir, "notes.json"), []byte("{}"), 0o644)
-
-	check := func(c *Cache) {
-		t.Helper()
-		if got := c.Keys(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Keys() = %v, want %v", got, want)
-		}
-		for _, e := range es {
-			got, ok := c.Get(e.Key)
-			if !ok || got.Experiment != e.Experiment || got.Table.Get("a", "1") != e.Table.Get("a", "1") || !math.IsNaN(got.Table.Get("a", "2")) {
-				t.Fatalf("imported entry %.12s = %+v, %v", e.Key, got, ok)
-			}
-		}
-		for _, k := range []string{bad, misfiled} {
-			if _, ok := c.Get(k); ok {
-				t.Errorf("unservable legacy file %.12s became a hit", k)
-			}
-		}
-	}
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(c)
-	c.Close()
-	left, _ := filepath.Glob(filepath.Join(dir, "*"))
-	sort.Strings(left)
-	if want := []string{filepath.Join(dir, "notes.json"), filepath.Join(dir, "results.log")}; !reflect.DeepEqual(left, want) {
-		t.Errorf("directory after import holds %v, want %v", left, want)
-	}
-	size := logSize(t, dir)
-
-	c2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	check(c2)
-	if st := c2.Stats(); st.LogRecords != 0 || logSize(t, dir) != size {
-		t.Errorf("second Open appended to the log: %+v", st)
 	}
 }
 

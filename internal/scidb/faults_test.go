@@ -21,7 +21,7 @@ func testChunks(n int) []Chunk {
 
 // runQuery is one SciDB query: aio ingest plus a chunked operator.
 func runQuery(cl *cluster.Cluster, store *objstore.Store) error {
-	e := New(cl, store, nil, DefaultConfig())
+	e := New(cl, store, cost.Default(), DefaultConfig())
 	a, err := e.IngestAio("A", testChunks(16), 2.5)
 	if err != nil {
 		return err

@@ -83,11 +83,8 @@ type Engine struct {
 	nodes []int
 }
 
-// New deploys SciDB on cl. A nil model uses cost.Default().
+// New deploys SciDB on cl.
 func New(cl *cluster.Cluster, store *objstore.Store, model *cost.Model, cfg Config) *Engine {
-	if model == nil {
-		model = cost.Default()
-	}
 	def := DefaultConfig()
 	if cfg.InstancesPerNode <= 0 {
 		cfg.InstancesPerNode = def.InstancesPerNode

@@ -13,7 +13,7 @@ func engine(nodes int) (*Engine, *cluster.Cluster) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = nodes
 	cl := cluster.New(cfg)
-	return New(cl, objstore.New(), nil, DefaultConfig()), cl
+	return New(cl, objstore.New(), cost.Default(), DefaultConfig()), cl
 }
 
 func chunks(n int, size int64) []Chunk {
@@ -107,7 +107,7 @@ func TestIterativeAQLIncrementalFaster(t *testing.T) {
 		cl := cluster.New(cfg)
 		c := DefaultConfig()
 		c.Incremental = incremental
-		e := New(cl, objstore.New(), nil, c)
+		e := New(cl, objstore.New(), cost.Default(), c)
 		a, _ := e.IngestAio("A", chunks(16, 12<<20), 2.5)
 		t0 := cl.Makespan()
 		out := a.IterativeAQL("it", 2, cost.CoaddIter, func(_ int, cs []Chunk) []Chunk { return cs })

@@ -15,7 +15,7 @@ import (
 // over them, returning the sorted results and the cluster makespan.
 func runDenoiseJob(t *testing.T, cl *cluster.Cluster, store *objstore.Store) ([]Pair, vtime.Duration) {
 	t.Helper()
-	s := NewSession(cl, store, nil)
+	s := NewSession(cl, store, cost.Default())
 	rdd := s.Objects("in/", 8, decodeOne).Map(UDF{Name: "slow", Op: cost.Denoise, F: func(p Pair) []Pair {
 		return []Pair{{Key: p.Key, Value: p.Value.(string) + "!", Size: p.Size}}
 	}})
@@ -51,7 +51,7 @@ func TestScheduledKillRecoversFromLineage(t *testing.T) {
 	if err := fcl.Inject(cluster.Fault{Kind: cluster.FaultKill, Node: 1, At: killAt}); err != nil {
 		t.Fatal(err)
 	}
-	fs := NewSession(fcl, fstore, nil)
+	fs := NewSession(fcl, fstore, cost.Default())
 	rdd := fs.Objects("in/", 8, decodeOne).Map(UDF{Name: "slow", Op: cost.Denoise, F: func(p Pair) []Pair {
 		return []Pair{{Key: p.Key, Value: p.Value.(string) + "!", Size: p.Size}}
 	}})

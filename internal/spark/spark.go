@@ -69,12 +69,8 @@ type Session struct {
 	failedAt vtime.Time
 }
 
-// NewSession starts a Spark driver on cl, charging the system's startup
-// cost. A nil model uses cost.Default().
+// NewSession starts a Spark driver on cl, charging Spark's startup cost.
 func NewSession(cl *cluster.Cluster, store *objstore.Store, model *cost.Model) *Session {
-	if model == nil {
-		model = cost.Default()
-	}
 	s := &Session{
 		cl:                    cl,
 		model:                 model,

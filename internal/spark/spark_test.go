@@ -14,7 +14,7 @@ func session(nodes int) (*Session, *cluster.Cluster, *objstore.Store) {
 	cfg.Nodes = nodes
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	return NewSession(cl, store, nil), cl, store
+	return NewSession(cl, store, cost.Default()), cl, store
 }
 
 func stage(store *objstore.Store, n int) {
@@ -168,7 +168,7 @@ func TestShuffleSpillsUnderPressure(t *testing.T) {
 	cfg.MemPerNode = 10 << 20 // tiny memory
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	s := NewSession(cl, store, nil)
+	s := NewSession(cl, store, cost.Default())
 	stage(store, 8) // 8 MB total but grouped onto few reducers
 	grouped := s.Objects("in/", 4, decodeOne).
 		Map(UDF{Name: "one-key", Op: cost.Filter, F: func(p Pair) []Pair {

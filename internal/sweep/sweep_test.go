@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,6 +275,57 @@ func TestRecoverRehydratesCompletedCells(t *testing.T) {
 	}
 	if m2.Len() != 1 {
 		t.Errorf("manager holds %d sweeps after double recovery", m2.Len())
+	}
+}
+
+// TestRecoverReportsAGridThatNoLongerExpands: a spec persisted under an
+// ID its grid no longer hashes to, as every sweep written by a binary
+// with other result keys is, is reported with both IDs and not adopted,
+// and the valid spec beside it still is.
+func TestRecoverReportsAGridThatNoLongerExpands(t *testing.T) {
+	sweepDir := filepath.Join(t.TempDir(), "sweeps")
+	m1, _, _ := newTestManager(t, "", sweepDir)
+	valid, _, err := m1.Submit(Spec{Experiments: []string{"zz-sw-a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := valid.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Experiments: []string{"zz-sw-b"}}
+	cells, err := Expand(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const staleID = "sw-000000000000"
+	b, err := json.Marshal(persisted{ID: staleID, Created: time.Now(), Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sweepDir, staleID+".json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, _, _ := newTestManager(t, "", sweepDir)
+	n, err := m2.Recover()
+	want := fmt.Sprintf("grid now expands to %s, persisted as %s", GridID(cells), staleID)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Recover error = %v, want it to report %q", err, want)
+	}
+	if n != 1 || m2.Len() != 1 {
+		t.Fatalf("adopted %d sweeps, manager holds %d; want the valid one only", n, m2.Len())
+	}
+	s, ok := m2.Get(valid.ID)
+	if !ok {
+		t.Fatalf("valid sweep %s not adopted", valid.ID)
+	}
+	if err := s.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m2.Get(staleID); ok {
+		t.Error("the stale spec was adopted under its old ID")
 	}
 }
 

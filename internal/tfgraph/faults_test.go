@@ -24,7 +24,7 @@ func stagedSession(nodes, nObjects int, faults ...cluster.Fault) (*Session, *clu
 	for i := 0; i < nObjects; i++ {
 		store.Put(fmt.Sprintf("t/%03d", i), nil, 1<<20)
 	}
-	return NewSession(cl, store, nil), cl
+	return NewSession(cl, store, cost.Default()), cl
 }
 
 func decodeT(obj objstore.Object) ([]Tensor, error) {

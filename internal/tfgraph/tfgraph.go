@@ -60,12 +60,8 @@ type Session struct {
 	restarts  int
 }
 
-// NewSession starts the master and workers. A nil model uses
-// cost.Default().
+// NewSession starts the master and workers.
 func NewSession(cl *cluster.Cluster, store *objstore.Store, model *cost.Model) *Session {
-	if model == nil {
-		model = cost.Default()
-	}
 	s := &Session{
 		cl: cl, model: model, store: store,
 		MaxGraphBytes: 2 << 30,

@@ -15,7 +15,7 @@ func session(nodes int) (*Session, *cluster.Cluster, *objstore.Store) {
 	cfg.Nodes = nodes
 	cl := cluster.New(cfg)
 	store := objstore.New()
-	return NewSession(cl, store, nil), cl, store
+	return NewSession(cl, store, cost.Default()), cl, store
 }
 
 func TestIngestThroughMaster(t *testing.T) {
