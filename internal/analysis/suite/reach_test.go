@@ -19,8 +19,8 @@ var testOnly = map[string]string{
 	"imaging.Conv3":       "dense reference convolution SeparableConv3 is checked against",
 	"tsv.Encode":          "reference TSV spelling the fast round trip is pinned to",
 	"tsv.Decode":          "reference TSV parser the fast round trip is pinned to",
-	"tsv.EncodeCSV":       "reference CSV spelling the fast round trip is pinned to",
-	"tsv.DecodeCSV":       "reference CSV parser the fast round trip is pinned to",
+	"tsv.EncodeCSV":       "reference CSV spelling CSVLen is pinned to",
+	"tsv.DecodeCSV":       "reference CSV parser: a parsed chunk is the decoded one",
 	"fits.Decode":         "whole-file decoder DecodeStaged is checked against",
 	"fits.DecodeTable":    "reads back the binary table the generator writes",
 	"fits.CatalogSources": "reads back the source catalog the generator writes",
@@ -41,7 +41,7 @@ var testOnly = map[string]string{
 	"obs.Tracer.SetClock":          "seam: tests pin the wall clock for golden traces",
 	"vtime.GapTimeline.Intervals":  "observer of the live gap timeline",
 	"daemon.Local.Kill":            "fault seam: kills a local worker in federation tests",
-	"memo.EachShared":              "observer of the live shared-value table",
+	"memo.Table.Each":              "observer of the live shared-input table",
 	"lazy.Computed":                "observer of the live deferred values: how many were forced",
 	// Declared in files table1 counts, which stay byte-identical.
 	"astro.ParsePatchKey":                          "in astro/astro.go, counted by table1",

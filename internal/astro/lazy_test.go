@@ -18,7 +18,7 @@ import (
 // co-adds the stack once, and gives every goroutine the bits CoaddPatch
 // gives the pure path's projected stack.
 func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
-	w := unseenWorkload(t, 4)
+	w := smallWorkload(t, 4)
 	g := w.Grid()
 	var decoded []*skymap.Exposure
 	for _, key := range w.Store.List("astro/fits/") {
@@ -101,7 +101,7 @@ func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 // none of it: nothing reads what a runner's UDF returns, so both over
 // fresh stacks compute no lazy value, a piece of a stack included.
 func TestCoaddStepRunnersComputeNothing(t *testing.T) {
-	w := unseenWorkload(t, 4)
+	w := smallWorkload(t, 4)
 	stacks, err := BuildStacks(w)
 	if err != nil {
 		t.Fatal(err)

@@ -1,35 +1,16 @@
 package astro
 
 import (
+	"bytes"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"imagebench/internal/fits"
-	"imagebench/internal/memo"
 	"imagebench/internal/myria"
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
-	"imagebench/internal/synth"
 )
-
-// unseenSeed numbers the surveys these tests make up, -count=N included.
-var unseenSeed atomic.Int64
-
-// unseenWorkload returns a survey no other test and no earlier call has
-// staged, so the memo starts cold on it.
-func unseenWorkload(t *testing.T, visits int) *Workload {
-	t.Helper()
-	cfg := synth.DefaultAstro(visits)
-	cfg.Sensors, cfg.W, cfg.H, cfg.Sources = 4, 32, 32, 10
-	cfg.Seed = 1000 + unseenSeed.Add(1)
-	w, err := NewWorkloadCfg(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
 
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -70,29 +51,44 @@ func wantBitEqual(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// decodes returns how many decodes ran since before.
-func decodes(before memo.Stats) uint64 {
-	return memo.Snapshot().Kinds[memo.Decode].Misses - before.Kinds[memo.Decode].Misses
+// sameExposure reports whether a and b are the same exposure, bit for
+// bit.
+func sameExposure(a, b *skymap.Exposure) bool {
+	return a.Visit == b.Visit && a.Sensor == b.Sensor && a.X0 == b.X0 && a.Y0 == b.Y0 &&
+		a.Flux.W == b.Flux.W && a.Flux.H == b.Flux.H && bytes.Equal(a.Mask, b.Mask) &&
+		sameBits(a.Flux.Pix, b.Flux.Pix) && sameBits(a.Var.Pix, b.Var.Pix)
+}
+
+// wantHeld returns the exposure held on each of w's FITS objects, in key
+// order, and fails the test for an object that holds none.
+func wantHeld(t *testing.T, w *Workload) []*skymap.Exposure {
+	t.Helper()
+	var held []*skymap.Exposure
+	for _, key := range w.Store.List("astro/fits/") {
+		obj, _ := w.Store.Get(key)
+		v, err := obj.Decoded(func(data []byte) (any, error) {
+			t.Errorf("%s holds no decode", key)
+			return fits.DecodeExposure(data)
+		})
+		e, _ := v.(*skymap.Exposure)
+		if err != nil || e == nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		held = append(held, e)
+	}
+	return held
 }
 
 // Spark, Myria and Dask, cold and then warm, return the reference's
-// result bit for bit; the reference itself never touches the memo; the
-// cold pass decodes each distinct exposure once for all three engines,
-// and the warm pass decodes nothing.
+// result bit for bit; the cold pass leaves every exposure decoded and
+// held on its object, and the warm pass reads those same values. The
+// pure names never hand out a held pointer: the reference's
+// LoadExposures decodes its own, equal to the held ones.
 func TestEnginesColdAndWarmEqualReference(t *testing.T) {
-	w := unseenWorkload(t, 4)
-	distinct := map[[32]byte]bool{}
-	for _, key := range w.Store.List("astro/fits/") {
-		obj, _ := w.Store.Get(key)
-		distinct[obj.Digest()] = true
-	}
-	before := memo.Snapshot()
+	w := smallWorkload(t, 4)
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if after := memo.Snapshot(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("Reference moved the memo: %+v → %+v", before, after)
 	}
 	engines := []struct {
 		name string
@@ -102,8 +98,8 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 		{"myria", func() (*Result, error) { return force(RunMyria(w, testCluster(), nil, MyriaOpts{})) }},
 		{"dask", func() (*Result, error) { return force(RunDask(w, testCluster(), nil)) }},
 	}
+	var held []*skymap.Exposure
 	for _, pass := range []string{"cold", "warm"} {
-		before := memo.Snapshot()
 		for _, e := range engines {
 			got, err := e.run()
 			if err != nil {
@@ -111,33 +107,35 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 			}
 			wantBitEqual(t, pass+" "+e.name, got, ref)
 		}
-		want := uint64(0)
 		if pass == "cold" {
-			want = uint64(len(distinct))
-		}
-		if got := decodes(before); got != want {
-			t.Errorf("%s pass: %d decodes, want %d", pass, got, want)
+			held = wantHeld(t, w)
 		}
 	}
-	// Fig 12d's stacks come through the same memo and equal the pure path's.
-	before = memo.Snapshot()
+	// Fig 12d's stacks come through the same held values and equal the
+	// pure path's.
 	stacks, err := BuildStacks(w)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n := decodes(before); n != 0 {
-		t.Errorf("BuildStacks after the engines computed %d decodes", n)
 	}
 	exposures, err := LoadExposures(w.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(exposures) != len(held) {
+		t.Fatalf("LoadExposures read %d exposures, %d are held", len(exposures), len(held))
+	}
 	for i, e := range exposures {
+		if e == held[i] {
+			t.Errorf("exposure %d: LoadExposures returned the held pointer", i)
+		}
+		if !sameExposure(e, held[i]) {
+			t.Errorf("exposure %d: the held value differs from a fresh decode", i)
+		}
 		exposures[i] = Preprocess(e)
 	}
 	pure, err := CreatePatches(w.Grid(), exposures)
 	if err != nil || len(pure) != len(stacks) {
-		t.Fatalf("pure stacks: %d (%v), memoized %d", len(pure), err, len(stacks))
+		t.Fatalf("pure stacks: %d (%v), BuildStacks %d", len(pure), err, len(stacks))
 	}
 	for i, pe := range pure {
 		got, err := stacks[i].Built()
@@ -151,25 +149,27 @@ func TestEnginesColdAndWarmEqualReference(t *testing.T) {
 	}
 }
 
-// A corrupt object fails on every call, through the memo as through
-// the decoder, and is never kept; an inconsistent or empty stack fails
-// to co-add.
+// A corrupt object fails on every call with the decoder's error, held
+// on the object like a value; an inconsistent or empty stack fails to
+// co-add.
 func TestFailuresPassThroughTheMemo(t *testing.T) {
-	w := unseenWorkload(t, 1)
+	w := smallWorkload(t, 1)
 	good, _ := w.Store.Get(w.Store.List("astro/fits/")[0])
 	st := objstore.New()
 	st.Put("astro/fits/cut.fits", good.Data[:len(good.Data)/2], 0)
 	cut, _ := st.Get("astro/fits/cut.fits")
-	before := memo.Snapshot()
+	_, want := fits.DecodeExposure(cut.Data)
+	var first error
 	for round := 0; round < 3; round++ {
 		e, err := fits.DecodeStaged(cut)
-		_, want := fits.DecodeExposure(cut.Data)
 		if e != nil || err == nil || err.Error() != want.Error() {
 			t.Fatalf("round %d: %v, %v; DecodeExposure says %v", round, e, err, want)
 		}
-	}
-	if decode := decodes(before); decode != 3 || memo.Snapshot().Bytes != before.Bytes {
-		t.Errorf("three failed decodes: %d computed, table bytes %d → %d", decode, before.Bytes, memo.Snapshot().Bytes)
+		if round == 0 {
+			first = err
+		} else if err != first {
+			t.Errorf("round %d: another error value than the held one", round)
+		}
 	}
 	// The engines drop what they cannot decode, as they did.
 	w.Store = st
@@ -195,7 +195,7 @@ func sameCoadd(a, b *skymap.Coadd) bool {
 // two-digit visit suffix off its key: past 99 visits RunMyria still
 // co-adds each patch's whole stack, as the reference does.
 func TestMyriaCoaddsPastNinetyNineVisits(t *testing.T) {
-	w := unseenWorkload(t, 101)
+	w := smallWorkload(t, 101)
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"imagebench/internal/memo"
+	"imagebench/internal/synth"
 )
 
 // setGOMAXPROCS sets the number of Ps for one test; the tests that use
@@ -261,18 +261,15 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 // Every experiment, run through RunContext with eight, two and one Ps,
 // is byte-equal to its golden table — the ft tables' notes in engine
 // order included, since they are part of those bytes. The second and
-// third pass are served by the memo and the shared inputs, so what they
-// exercise is the fan-out; and after three passes of every engine,
-// fault scenario and tuning study over the same shared inputs, each
-// input still reads like a freshly built one, each exposure and volume
-// the stage memo hands out as stored reads as it did after the first
-// pass, and after every pass each held volume's indexed digest is the
-// digest of its voxels.
+// third pass are served the shared inputs and the decodes their objects
+// hold, so what they exercise is the fan-out; and after three passes of
+// every engine, fault scenario and tuning study over the same shared
+// inputs, each input still reads like a freshly built one and each
+// held exposure and volume like a fresh decode of its object.
 func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three passes over the registry")
 	}
-	var stageValues map[memo.Key]string // as they read after the first pass
 	for _, procs := range []int{8, 2, 1} {
 		setGOMAXPROCS(t, procs)
 		for _, e := range All() {
@@ -293,26 +290,25 @@ func TestGoldenTablesAtEveryGOMAXPROCS(t *testing.T) {
 			}
 		}
 		wantNoHelpersLeft(t)
-		if digests := stageDigests(t); stageValues == nil {
-			stageValues = digests
-		}
 	}
 	wantInputsUnwritten(t)
-	wantStageValuesUnwritten(t, stageValues)
+	wantDecodesUnwritten(t)
 }
 
 // A canceled context stops every experiment that has cells before its
 // first one: it returns ctx.Err() and no pipeline stage has run, so no
-// cluster was built — clusters are built inside cells only. (RunContext
+// cluster was built — clusters are built inside cells only — and no
+// staged object of the inputs they asked for was decoded. (RunContext
 // refuses such a context itself; Run is called directly to reach the
 // experiments' own handling, which used to be `_ context.Context`.)
 func TestCanceledContextRunsNoCell(t *testing.T) {
 	cellFree := map[string]bool{"fig10a": true, "fig10b": true, "table1": true}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := memo.Snapshot()
+	p := unseenProfile()
+	p.AstroSources += int(unseenNX.Add(1))
 	for _, e := range All() {
-		_, err := e.Run(ctx, Quick())
+		_, err := e.Run(ctx, p)
 		if cellFree[e.ID] {
 			if err != nil {
 				t.Errorf("%s: %v", e.ID, err)
@@ -323,10 +319,22 @@ func TestCanceledContextRunsNoCell(t *testing.T) {
 			t.Errorf("%s under a canceled context: got %v, want context.Canceled", e.ID, err)
 		}
 	}
-	after := memo.Snapshot()
-	for _, k := range memo.Kinds() {
-		if b, a := before.Kinds[k], after.Kinds[k]; a.Hits != b.Hits || a.Misses != b.Misses {
-			t.Errorf("%s stage ran under a canceled context: %+v → %+v", k, b, a)
+	asked := 0
+	inputs.Each(func(cfg, w any) {
+		if c, ok := cfg.(synth.NeuroConfig); ok && c.NX != p.NeuroNX {
+			return
 		}
+		if c, ok := cfg.(synth.AstroConfig); ok && c.Sources != p.AstroSources {
+			return
+		}
+		asked++
+		eachDecode(t, w, func(key string, held, _ any) {
+			if held != nil {
+				t.Errorf("%+v: %s was decoded under a canceled context", cfg, key)
+			}
+		})
+	})
+	if asked == 0 {
+		t.Error("no experiment asked for an input: nothing was checked")
 	}
 }

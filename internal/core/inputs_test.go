@@ -13,9 +13,11 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/engine"
+	"imagebench/internal/fits"
 	"imagebench/internal/imaging"
-	"imagebench/internal/memo"
 	"imagebench/internal/neuro"
+	"imagebench/internal/nifti"
+	"imagebench/internal/npy"
 	"imagebench/internal/objstore"
 	"imagebench/internal/skymap"
 	"imagebench/internal/synth"
@@ -79,79 +81,105 @@ func wantInputsUnwritten(t *testing.T) {
 	}
 }
 
-// stageDigests is everything a reader can see of every value the stage
-// memo holds and hands out as stored: decoded exposures, and decoded
-// volumes alone, in a series or inside a CSV round trip, keyed as the
-// memo keys them. Every held volume's digest must come from the memo's
-// index and equal the digest its voxels hash to now.
-func stageDigests(t *testing.T) map[memo.Key]string {
+// decodeDigest is everything a reader can see of a decoded staged
+// object: an exposure's placement, mask and planes, a volume's or a
+// series' shapes and voxels, bit for bit.
+func decodeDigest(t *testing.T, v any) string {
 	t.Helper()
-	held := map[memo.Key]any{}
-	memo.EachShared(func(key memo.Key, v any) { held[key] = v })
-	indexed, volumes := memo.Snapshot().IndexedDigests, uint64(0)
-	out := map[memo.Key]string{}
-	for key, v := range held {
-		h := sha256.New()
-		planes := func(ims ...*imaging.Image) {
-			for _, im := range ims {
-				fmt.Fprintf(h, "%d×%d ", im.W, im.H)
-				if err := binary.Write(h, binary.LittleEndian, im.Pix); err != nil {
-					t.Error(err)
-				}
+	h := sha256.New()
+	planes := func(ims ...*imaging.Image) {
+		for _, im := range ims {
+			fmt.Fprintf(h, "%d×%d ", im.W, im.H)
+			if err := binary.Write(h, binary.LittleEndian, im.Pix); err != nil {
+				t.Error(err)
 			}
 		}
-		vols := func(vs ...*volume.V3) {
-			for _, v := range vs {
-				fmt.Fprintf(h, "%d×%d×%d ", v.NX, v.NY, v.NZ)
-				if err := binary.Write(h, binary.LittleEndian, v.Data); err != nil {
-					t.Error(err)
-				}
-				if memo.Digest(v) != memo.Digest(v.Clone()) {
-					t.Errorf("a held %d×%d×%d volume's indexed digest is not the digest of its voxels", v.NX, v.NY, v.NZ)
-				}
-				volumes++
+	}
+	vols := func(vs ...*volume.V3) {
+		for _, v := range vs {
+			fmt.Fprintf(h, "%d×%d×%d ", v.NX, v.NY, v.NZ)
+			if err := binary.Write(h, binary.LittleEndian, v.Data); err != nil {
+				t.Error(err)
 			}
 		}
-		switch v := v.(type) {
-		case *skymap.Exposure:
-			fmt.Fprintf(h, "exposure %d %d %d %d %x ", v.Visit, v.Sensor, v.X0, v.Y0, v.Mask)
-			planes(v.Flux, v.Var)
-		case *volume.V3:
-			vols(v)
-		case *volume.V4:
-			vols(v.Vols...)
-		case interface{ Volume() *volume.V3 }:
-			vols(v.Volume())
-		default:
-			t.Errorf("a shared stage value of type %T", v)
-		}
-		out[key] = fmt.Sprintf("%T %x", v, h.Sum(nil))
 	}
-	if got := memo.Snapshot().IndexedDigests - indexed; got != volumes {
-		t.Errorf("%d of %d held volumes had their digest read from the index", got, volumes)
+	switch v := v.(type) {
+	case *skymap.Exposure:
+		fmt.Fprintf(h, "exposure %d %d %d %d %x ", v.Visit, v.Sensor, v.X0, v.Y0, v.Mask)
+		planes(v.Flux, v.Var)
+	case *volume.V3:
+		vols(v)
+	case *volume.V4:
+		vols(v.Vols...)
+	default:
+		t.Errorf("a decoded object of type %T", v)
 	}
-	return out
+	return fmt.Sprintf("%T %x", v, h.Sum(nil))
 }
 
-// wantStageValuesUnwritten compares every shared stage value the memo
-// still holds with what it read as at first: whatever ran in between
-// only read it.
-func wantStageValuesUnwritten(t *testing.T, first map[memo.Key]string) {
+// stagedDecoders decodes a staged object by its key's prefix, the way
+// the engines read it.
+var stagedDecoders = map[string]func([]byte) (any, error){
+	"astro/fits/": func(b []byte) (any, error) { return fits.DecodeExposure(b) },
+	"neuro/npy/":  func(b []byte) (any, error) { return npy.Decode(b) },
+	"neuro/nii/":  func(b []byte) (any, error) { return nifti.Decode4(b) },
+}
+
+// eachDecode calls fn on every staged object of workload w with the
+// value the object holds, nil if nothing has decoded it, and a fresh
+// decode of its bytes. Asking decodes an object that holds nothing, and
+// it holds that value from then on, as a reader would have left it.
+func eachDecode(t *testing.T, w any, fn func(key string, held, fresh any)) {
 	t.Helper()
-	if len(first) == 0 {
-		t.Fatal("no shared stage value was held after the first pass")
+	var st *objstore.Store
+	switch w := w.(type) {
+	case *neuro.Workload:
+		st = w.Store
+	case *astro.Workload:
+		st = w.Store
+	default:
+		t.Fatalf("a workload of type %T", w)
 	}
-	still := 0
-	for key, now := range stageDigests(t) {
-		if was, held := first[key]; held {
-			still++
-			if now != was {
-				t.Errorf("the shared stage value under %x read %s after the first pass and reads %s now", key[:6], was, now)
+	for prefix, decode := range stagedDecoders {
+		for _, key := range st.List(prefix) {
+			obj, _ := st.Get(key)
+			fresh, err := decode(obj.Data)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
 			}
+			ran := false
+			held, err := obj.Decoded(func(b []byte) (any, error) { ran = true; return decode(b) })
+			if err != nil {
+				t.Fatalf("%s: the held decode failed: %v", key, err)
+			}
+			if ran {
+				held = nil
+			}
+			fn(key, held, fresh)
 		}
 	}
-	if still == 0 {
-		t.Error("none of the first pass's shared stage values is still held: nothing was compared")
+}
+
+// wantDecodesUnwritten compares every decode an object of a shared
+// input holds (objstore.Object.Decoded) with a fresh decode of the
+// object's bytes: whatever read a held exposure or volume since it was
+// decoded only read it.
+func wantDecodesUnwritten(t *testing.T) {
+	t.Helper()
+	compared := 0
+	inputs.Each(func(_, w any) {
+		eachDecode(t, w, func(key string, held, fresh any) {
+			if held == nil {
+				return // nothing read it
+			}
+			compared++
+			if decodeDigest(t, held) != decodeDigest(t, fresh) {
+				t.Errorf("%s: the held decode differs from a fresh one", key)
+			}
+		})
+	})
+	if compared == 0 {
+		t.Error("no object of a shared input holds a decode: nothing was compared")
 	}
 }
 

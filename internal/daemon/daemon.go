@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"imagebench/internal/core"
-	"imagebench/internal/memo"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -62,7 +61,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{Cache: cache, Metrics: obs.NewRegistry(), Tracer: obs.NewTracer()}
 	obs.RegisterGoMetrics(d.Metrics)
 	registerCacheMetrics(d.Metrics, cache)
-	registerKernelMemoMetrics(d.Metrics)
+	registerSharedInputMetrics(d.Metrics)
 
 	opts := runner.Options{
 		Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, MaxJobs: cfg.MaxJobs,
@@ -142,42 +141,16 @@ func registerCacheMetrics(m *obs.Registry, cache *results.Cache) {
 		func() float64 { return float64(cache.Stats().LogFsyncs) })
 }
 
-// registerKernelMemoMetrics exposes the process-wide stage memo
-// (package memo), traffic split by the kind of stage served: text
-// (SciDB's aio_input CSV crossing), decode (a staged FITS exposure) and
-// load (a staged NIfTI or NumPy object). The cells of a clusterNodes
-// sweep over an experiment have distinct result keys, so the result
-// cache reports them as misses, yet they decode the same objects: these
-// counters are where that reuse shows. The resets and bytes series add
-// up the memo's two tables and have no label; key_digests says where
-// the volume digests in the keys came from, the digest a held volume
-// carries (index) or a hash of the voxels (content).
-// Beside them, from a table of the same type, the experiments' shared
-// inputs (core.InputStats): how many of a pass's workload requests were
-// served and how many generated their input.
-func registerKernelMemoMetrics(m *obs.Registry) {
-	hits := m.NewCounterVec("imagebench_kernel_memo_hits_total",
-		"Stage calls served from the content-keyed memo, by kind of stage.", "kind")
-	misses := m.NewCounterVec("imagebench_kernel_memo_misses_total",
-		"Stage calls that ran the computation, by kind of stage.", "kind")
-	for _, k := range memo.Kinds() {
-		hits.WithFunc(func() float64 { return float64(memo.Snapshot().Kinds[k].Hits) }, k.String())
-		misses.WithFunc(func() float64 { return float64(memo.Snapshot().Kinds[k].Misses) }, k.String())
-	}
-	m.NewCounterFunc("imagebench_kernel_memo_resets_total",
-		"Times the memo dropped a table to stay within its byte budget.",
-		func() float64 { return float64(memo.Snapshot().Resets) })
-	m.NewGaugeFunc("imagebench_kernel_memo_bytes",
-		"Result bytes the memo holds, all kinds together.",
-		func() float64 { return float64(memo.Snapshot().Bytes) })
-	digests := m.NewCounterVec("imagebench_kernel_memo_key_digests_total",
-		"Volume digests the memo's keys were built from, by source: index, the digest a volume the memo held carries; content, the voxels hashed.", "source")
-	digests.WithFunc(func() float64 { return float64(memo.Snapshot().IndexedDigests) }, "index")
-	digests.WithFunc(func() float64 { return float64(memo.Snapshot().ContentDigests) }, "content")
-
-	hits = m.NewCounterVec("imagebench_shared_input_hits_total",
+// registerSharedInputMetrics exposes the experiments' shared inputs
+// (core.InputStats): how many of a pass's workload requests were served
+// and how many generated their input. The cells of a clusterNodes sweep
+// over an experiment have distinct result keys, so the result cache
+// reports them as misses, yet they read the same inputs: these counters
+// are where that reuse shows.
+func registerSharedInputMetrics(m *obs.Registry) {
+	hits := m.NewCounterVec("imagebench_shared_input_hits_total",
 		"Workload requests served the process's shared input, by use case.", "kind")
-	misses = m.NewCounterVec("imagebench_shared_input_misses_total",
+	misses := m.NewCounterVec("imagebench_shared_input_misses_total",
 		"Workload requests that generated their input, by use case.", "kind")
 	for i, kind := range core.InputKinds() {
 		hits.WithFunc(func() float64 { return float64(core.InputStats().Kinds[i].Hits) }, kind)

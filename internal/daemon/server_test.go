@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"imagebench/internal/core"
-	"imagebench/internal/memo"
 	"imagebench/internal/obs"
 	"imagebench/internal/results"
 	"imagebench/internal/runner"
@@ -66,7 +65,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *runner.Scheduler, *results.
 	}
 	reg := obs.NewRegistry()
 	registerCacheMetrics(reg, cache)
-	registerKernelMemoMetrics(reg)
+	registerSharedInputMetrics(reg)
 	sched := runner.New(runner.Options{Workers: 4, Cache: cache, Metrics: reg, Tracer: obs.NewTracer()})
 	sweeps, err := sweep.NewManager(sched, cache, "", time.Now)
 	if err != nil {
@@ -465,39 +464,14 @@ func TestMetricsShape(t *testing.T) {
 	}
 	// The sweep's one cell is the job's key again: two jobs reached a
 	// terminal state, the second as a memory-layer cache hit, in one sweep.
-	// Nothing denoises while the scrape runs, so the kernel memo's series
-	// must read exactly what the memo itself reports.
-	ms := memo.Snapshot()
 	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	lines := []string{
 		`imagebench_job_latency_seconds_bucket{le="+Inf"} 2`,
 		`imagebench_cache_hits_total{layer="memory"} 1`,
 		`imagebench_sweeps 1`,
-		"# TYPE imagebench_kernel_memo_hits_total counter",
-		"# TYPE imagebench_kernel_memo_misses_total counter",
-		"imagebench_kernel_memo_resets_total " + num(float64(ms.Resets)),
-		"# TYPE imagebench_kernel_memo_bytes gauge",
-		"imagebench_kernel_memo_bytes " + num(float64(ms.Bytes)),
-		"# TYPE imagebench_kernel_memo_key_digests_total counter",
-		`imagebench_kernel_memo_key_digests_total{source="index"} ` + num(float64(ms.IndexedDigests)),
-		`imagebench_kernel_memo_key_digests_total{source="content"} ` + num(float64(ms.ContentDigests)),
 	}
-	for _, k := range memo.Kinds() {
-		lines = append(lines,
-			fmt.Sprintf(`imagebench_kernel_memo_hits_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Hits))),
-			fmt.Sprintf(`imagebench_kernel_memo_misses_total{kind="%s"} %s`, k, num(float64(ms.Kinds[k].Misses))))
-	}
-	for _, kind := range []string{"text", "decode", "load"} {
-		for _, series := range []string{"hits", "misses"} {
-			if want := fmt.Sprintf(`imagebench_kernel_memo_%s_total{kind="%s"} `, series, kind); !strings.Contains(string(text), want) {
-				t.Errorf("/metrics lacks the series %s", want)
-			}
-		}
-	}
-	if n := strings.Count(string(text), "\nimagebench_kernel_memo_hits_total{"); n != 3 {
-		t.Errorf("/metrics has %d memo kinds, want text, decode and load", n)
-	}
-	// Likewise the shared inputs: nothing builds a workload during the scrape.
+	// The shared inputs' series read exactly what core reports: nothing
+	// builds a workload during the scrape.
 	is := core.InputStats()
 	lines = append(lines, "imagebench_shared_input_bytes "+num(float64(is.Bytes)))
 	for i, kind := range core.InputKinds() {
@@ -510,11 +484,14 @@ func TestMetricsShape(t *testing.T) {
 			t.Errorf("/metrics lacks the line %q", line)
 		}
 	}
+	if strings.Contains(string(text), "imagebench_kernel_memo_") {
+		t.Error("/metrics still serves an imagebench_kernel_memo_ series")
+	}
 	if t.Failed() {
 		t.Logf("/metrics:\n%s", text)
 	}
 
-	// The shipped daemon registers the same memo series.
+	// The shipped daemon registers the same shared-input series.
 	d, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -524,8 +501,8 @@ func TestMetricsShape(t *testing.T) {
 	if err := d.Metrics.WriteText(&shipped); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(shipped.String(), "\nimagebench_kernel_memo_bytes ") {
-		t.Error("daemon.New's registry lacks imagebench_kernel_memo_bytes")
+	if !strings.Contains(shipped.String(), "\nimagebench_shared_input_bytes ") {
+		t.Error("daemon.New's registry lacks imagebench_shared_input_bytes")
 	}
 }
 

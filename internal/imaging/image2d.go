@@ -37,9 +37,6 @@ func (im *Image) Clone() *Image {
 	return c
 }
 
-// Bytes returns the in-memory pixel bytes.
-func (im *Image) Bytes() int64 { return int64(len(im.Pix)) * 8 }
-
 // SigmaClippedStats returns the mean and standard deviation of xs after
 // iteratively discarding samples more than nsigma standard deviations from
 // the mean, for the given number of iterations.

@@ -1,80 +1,24 @@
-// Package memo is the process-wide, content-keyed table behind the
-// staged inputs the tables read. An engine model's virtual time comes
-// from the cost model alone, and its values are computed only when its
-// output is read (package lazy), but three steps run when a run does,
-// because what they produce sets records a table reads: a staged FITS
-// exposure decoded (fits.DecodeStaged: its header places it on the
-// patch grid), a staged NIfTI or NumPy object decoded (the neuroscience
-// engines' ingest) and SciDB's aio_input() CSV crossing
-// (tsv.RoundTripCSV: its length sets the ingest expansion). Five
-// engines, every cluster size and every experiment send the same
-// objects through them again and again. Hasher.Shared computes each
-// distinct input once per process and hands every caller the stored
-// value itself, to read and never to write. The functions they wrap —
-// fits.DecodeExposure, nifti.Decode4, npy.Decode, tsv.EncodeCSV and
-// tsv.DecodeCSV — never consult the table.
-//
-// A staged object is keyed by the digest the object store keeps with
-// its bytes, and the CSV crossing by its volume's content. A volume's
-// content digest is computed once per held value, not once per call:
-// the table gives every volume it keeps its digest (volume.V3.Digest),
-// and Digest reads it off the volume, so the key of a decoded input on
-// its way to CSV reads none of its voxels. The decoded neuroscience
-// inputs (kind Load) live in a second table under the same budget, so
-// the many values that are cheap to make again never drop the others.
-//
-// The claim, the wait and the budget are Table's and know nothing of
-// volumes, and a hit takes its lock only shared; internal/core keeps the
-// experiments' generated inputs in a third Table, keyed by configuration.
+// Package memo is a process-wide, single-flight table of values that
+// are pure functions of their key: internal/core keeps the experiments'
+// generated inputs in one, keyed by configuration, so the first
+// experiment in a process builds a workload and every later one that
+// asks for the same configuration is served it. A value is handed out
+// as stored, to any number of callers at once, to read and never to
+// write. The claim, the wait and the budget are Table's and know
+// nothing of what it holds; a hit takes its lock only shared.
 package memo
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"hash"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-
-	"imagebench/internal/volume"
 )
 
-// Kind names the stage an entry belongs to. It is part of every key,
-// so two stages never answer each other, and the index of the per-kind
-// counters.
-type Kind int
-
-const (
-	Text   Kind = iota // SciDB's aio_input() CSV crossing, tsv.RoundTripCSV
-	Decode             // a staged FITS exposure, fits.DecodeStaged
-	Load               // a staged NIfTI or NumPy object, decoded; the values table
-	numKinds
-)
-
-// Kinds lists every kind, in counter order.
-func Kinds() []Kind { return []Kind{Text, Decode, Load} }
-
-// String is the kind's label on /metrics.
-func (k Kind) String() string { return [numKinds]string{"text", "decode", "load"}[k] }
-
-// table is where the kind's values are held.
-func (k Kind) table() *Table[Key, any] {
-	if k == Load {
-		return values
-	}
-	return stages
-}
-
-// budget bounds the bytes one Table holds, over all its kinds. A
-// quick-profile pass over every experiment stores 18.0 MB: 12.1 MB in
-// the stage table (2.95 text, 9.19 decode) and 5.9 MB of load in the
-// values table, so none is dropped on the way. A full-profile pass
-// resets the two tables 5-7 times between them, depending on how its
-// cells interleave: decode misses 9.8-11.1 k of its 19,347 calls. core's
-// inputs hold 15.6 MB after a quick pass (six configs) and 46 MB for
-// sweep-astro's seven fig10h surveys; a full-profile pass generates
-// 140-200 MB of them (fig10h's 86-sensor survey alone is 65 MB) and
-// drops them six times.
+// budget bounds the bytes one Table holds, over all its kinds. core's
+// inputs hold 15.6 MB of encoded objects after a quick pass (six
+// configs), beside 17.7 MB of decodes those objects hold, which the
+// table does not count, and 46 MB for sweep-astro's seven fig10h
+// surveys; a full-profile pass generates 140-200 MB of them (fig10h's
+// 86-sensor survey alone is 65 MB) and drops them six times.
 const budget = 64 << 20
 
 // KindStats is one kind's traffic. A call that finds its key, computed
@@ -93,11 +37,6 @@ type Stats struct {
 	Resets uint64
 	// Bytes is what the table currently holds, never above the budget.
 	Bytes int64
-	// IndexedDigests and ContentDigests count the volume digests keys
-	// were built from (Digest): carried by a volume a table held, or
-	// hashed from the voxels. Only the package's Snapshot fills them,
-	// and it adds up its two tables' resets and bytes.
-	IndexedDigests, ContentDigests uint64
 }
 
 // Table computes each key's value once and shares it: a process-wide,
@@ -233,174 +172,4 @@ func (t *Table[K, V]) Snapshot() Stats {
 		s.Kinds[k].Hits = t.hits[k].Load()
 	}
 	return s
-}
-
-// Key identifies one input of one stage by content.
-type Key [sha256.Size]byte
-
-// stages holds the text and decode kinds and values the loads
-// (Kind.table).
-var stages, values = NewTable[Key, any](int(numKinds)), NewTable[Key, any](int(numKinds))
-
-// index gives each volume a value carries its content digest
-// (volume.V3.Digest).
-func index(v any) {
-	var vols []*volume.V3
-	switch v := v.(type) {
-	case *volume.V3:
-		vols = []*volume.V3{v}
-	case *volume.V4:
-		vols = v.Vols
-	case interface{ Volume() *volume.V3 }: // a volume with a stage's by-product
-		vols = []*volume.V3{v.Volume()}
-	}
-	for _, c := range vols {
-		if c.Digest() == nil { // a volume of an earlier value keeps its own
-			c.SetDigest(contentDigest(c))
-		}
-	}
-}
-
-// Shared ends the key and returns what compute returns for the input it
-// identifies: a pointer and the bytes behind it. The first call on a
-// key runs compute, exactly the code an unmemoized caller would run,
-// and the table keeps that pointer; every other caller on the key gets
-// the same one, to read and never to write (see Table.Do for failures
-// and the budget). The inputs are not retained. k must not be used
-// afterwards.
-func (k *Hasher) Shared(compute func() (any, int64, error)) (any, error) {
-	kind := k.kind // read before sum gives k back to the pool
-	return kind.table().Do(int(kind), k.sum(), func() (any, int64, error) {
-		v, n, err := compute()
-		if err == nil && n <= budget { // the table keeps it
-			index(v)
-		}
-		return v, n, err
-	})
-}
-
-var indexedDigests, contentDigests atomic.Uint64 // Digest's two sources, since process start
-
-// Digest returns v's content digest, its shape and the raw bits of
-// every voxel hashed. A volume a table has held carries it, so none of
-// its voxels is read and no table is consulted; any other (a copy
-// sharing a held volume's Data too) is hashed now, to the same digest.
-func Digest(v *volume.V3) Key {
-	if d := v.Digest(); d != nil {
-		indexedDigests.Add(1)
-		return *d
-	}
-	contentDigests.Add(1)
-	return contentDigest(v)
-}
-
-func contentDigest(v *volume.V3) Key {
-	k := NewKey(numKinds) // a first word no stage key has
-	k.U64(uint64(v.NX))
-	k.U64(uint64(v.NY))
-	k.U64(uint64(v.NZ))
-	k.Floats(v.Data)
-	return k.sum()
-}
-
-// EachShared calls fn on every value the tables hold; see Table.Each.
-func EachShared(fn func(key Key, v any)) {
-	stages.Each(fn)
-	values.Each(fn)
-}
-
-// Snapshot reports the memo's counters since process start, Kinds
-// indexed by Kind: each kind's from its own table, the two tables'
-// resets and bytes added up.
-func Snapshot() Stats {
-	s, v := stages.Snapshot(), values.Snapshot()
-	copy(s.Kinds[Load:], v.Kinds[Load:])
-	s.Resets += v.Resets
-	s.Bytes += v.Bytes
-	s.IndexedDigests, s.ContentDigests = indexedDigests.Load(), contentDigests.Load()
-	return s
-}
-
-// Hasher builds the key of one input from 64-bit words through a chunk
-// buffer. Hashers are pooled so that a hit allocates nothing.
-type Hasher struct {
-	kind Kind
-	h    hash.Hash
-	buf  []byte
-}
-
-var hashers = sync.Pool{New: func() any {
-	return &Hasher{h: sha256.New(), buf: make([]byte, 0, 4096)}
-}}
-
-// NewKey starts the key of one input of kind; the kind is its first
-// word. Shared ends it.
-func NewKey(kind Kind) *Hasher {
-	k := hashers.Get().(*Hasher)
-	k.kind = kind
-	k.h.Reset()
-	k.buf = k.buf[:0]
-	k.U64(uint64(kind))
-	return k
-}
-
-// U64 adds one word.
-func (k *Hasher) U64(x uint64) {
-	if cap(k.buf)-len(k.buf) < 8 {
-		k.flush()
-	}
-	k.buf = binary.LittleEndian.AppendUint64(k.buf, x)
-}
-
-func (k *Hasher) flush() {
-	k.h.Write(k.buf)
-	k.buf = k.buf[:0]
-}
-
-// Floats adds the length, then the raw bits of every value: 0 and -0,
-// and NaNs with different payloads, are different content. The values
-// go to the digest as they lie in memory, not word by word through the
-// buffer: keys never leave the process, so the host's byte order is as
-// good as any.
-func (k *Hasher) Floats(xs []float64) {
-	k.U64(uint64(len(xs)))
-	if len(xs) > 0 {
-		k.flush()
-		k.h.Write(unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*8))
-	}
-}
-
-// Bytes adds the length, then the bytes as they lie: a digest. They go
-// through the chunk buffer, so a digest on the caller's stack stays
-// there.
-func (k *Hasher) Bytes(b []byte) {
-	k.U64(uint64(len(b)))
-	for len(b) > 0 {
-		if len(k.buf) == cap(k.buf) {
-			k.flush()
-		}
-		n := copy(k.buf[len(k.buf):cap(k.buf)], b)
-		k.buf, b = k.buf[:len(k.buf)+n], b[n:]
-	}
-}
-
-// Volume adds v's content digest (Digest). A nil volume (an absent
-// mask) is its own marker, different from any volume.
-func (k *Hasher) Volume(v *volume.V3) {
-	if v == nil {
-		k.U64(0)
-		return
-	}
-	d := Digest(v)
-	k.U64(1)
-	k.Bytes(d[:])
-}
-
-// sum returns the key and gives the hasher back.
-func (k *Hasher) sum() Key {
-	k.flush()
-	var key Key
-	copy(key[:], k.h.Sum(k.buf[:0])) // through buf, so key stays on the stack
-	hashers.Put(k)
-	return key
 }

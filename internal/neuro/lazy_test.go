@@ -21,7 +21,6 @@ import (
 func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 	cfg := synth.DefaultNeuro(1)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 8, 2
-	cfg.Seed = unseenSeed()
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +101,6 @@ func TestLazyChainForcesOnceUnderConcurrency(t *testing.T) {
 func TestStepRunnersComputeNothing(t *testing.T) {
 	cfg := synth.DefaultNeuro(2)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 48, 3
-	cfg.Seed = unseenSeed()
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -57,9 +57,12 @@ func loadSciDBChunks(w *Workload) ([]scidb.Chunk, error) {
 
 // SciDBIngest loads the dataset into a SciDB array via the selected path
 // and returns the array (used by the ingest benchmark, Fig 11). The aio
-// path really converts each volume NIfTI→CSV and parses it back, the
-// conversion the paper performs before aio_input; the measured text
-// expansion also validates the cost model's CSV tax.
+// path is the paper's NIfTI→CSV conversion ahead of aio_input(): tsv
+// writes each value in its shortest exact form, so a chunk parsed from
+// its CSV is the decoded chunk bit for bit and every chunk keeps its
+// decoded value. The CSV length of chunk 0 (tsv.CSVLen) sets the text
+// expansion of them all, which have its shape; the measured expansion
+// also validates the cost model's CSV tax.
 func SciDBIngest(w *Workload, eng *scidb.Engine, mode SciDBIngestMode) (*scidb.Array, error) {
 	chunks, err := loadSciDBChunks(w)
 	if err != nil {
@@ -70,15 +73,15 @@ func SciDBIngest(w *Workload, eng *scidb.Engine, mode SciDBIngestMode) (*scidb.A
 	}
 	expansion := 2.5
 	for i, c := range chunks {
-		v := c.Value.(*volume.V3)
-		parsed, csvLen, err := tsv.RoundTripCSV(v)
-		if err != nil {
-			return nil, fmt.Errorf("neuro/scidb: CSV conversion: %w", err)
+		v, ok := c.Value.(*volume.V3)
+		if !ok {
+			return nil, fmt.Errorf("neuro/scidb: CSV conversion of chunk %s: a %T", c.Coords, c.Value)
 		}
 		if i == 0 {
-			expansion = float64(csvLen) / float64(8*v.Len())
+			expansion = float64(tsv.CSVLen(v)) / float64(8*v.Len())
+		} else if !v.SameShape(chunks[0].Value.(*volume.V3)) {
+			return nil, fmt.Errorf("neuro/scidb: chunk %s is not the shape of chunk %s", c.Coords, chunks[0].Coords)
 		}
-		chunks[i].Value = parsed
 	}
 	return eng.IngestAio("Images", chunks, expansion)
 }

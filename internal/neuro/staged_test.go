@@ -2,45 +2,26 @@ package neuro
 
 import (
 	"math"
-	"reflect"
-	"sync/atomic"
 	"testing"
 
-	"imagebench/internal/memo"
 	"imagebench/internal/nifti"
+	"imagebench/internal/npy"
 	"imagebench/internal/objstore"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
 	"imagebench/internal/vtime"
 )
 
-// memoSeeds hands out synth seeds no other test uses, -count=N
-// included: the memo is process-wide and has no reset, so a test that
-// must see misses needs volumes nothing has sent through it before.
-var memoSeeds atomic.Int64
-
-func unseenSeed() int64 { return 1616 + memoSeeds.Add(1) }
-
-// The differential check on the whole memo: SciDB and Spark, each run
-// on a workload no other test uses (a cold table for its content) and
-// again on the now warm table, produce the same bits in every output
-// voxel and the same virtual makespan. The cold runs decode and convert
-// to CSV, the warm runs are served both.
+// The differential check on the held decodes: SciDB and Spark, each run
+// on a fresh workload (no object holds a decode yet) and again once the
+// cold runs have left every per-volume object decoded and held, produce
+// the same bits in every output voxel and the same virtual makespan.
 func TestColdAndWarmMemoAgree(t *testing.T) {
 	cfg := synth.DefaultNeuro(2)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 12, 2
-	cfg.Seed = unseenSeed() // no other test's volumes
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	misses := func() []uint64 {
-		s := memo.Snapshot()
-		n := make([]uint64, len(memo.Kinds()))
-		for i, k := range memo.Kinds() {
-			n[i] = s.Kinds[k].Misses
-		}
-		return n
 	}
 	type run struct {
 		sci      *SciDBResult
@@ -62,20 +43,15 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 		return r
 	}
 
-	m0 := misses()
 	cold := do()
-	m1 := misses()
-	warm := do()
-	m2 := misses()
-	// Decode is astronomy's; it must only stay where it was.
-	for i, k := range memo.Kinds() {
-		if k != memo.Decode && m1[i] == m0[i] {
-			t.Errorf("%s: the cold runs computed nothing", k)
-		}
-		if m2[i] != m1[i] {
-			t.Errorf("%s: the warm runs computed %d inputs again", k, m2[i]-m1[i])
-		}
+	for _, key := range w.Store.List("neuro/npy/") {
+		obj, _ := w.Store.Get(key)
+		obj.Decoded(func(b []byte) (any, error) {
+			t.Errorf("%s: the cold runs left no decode held", key)
+			return npy.Decode(b)
+		})
 	}
+	warm := do()
 
 	if cold.makespan != warm.makespan {
 		t.Errorf("makespans (SciDB, Spark): cold %v, warm %v", cold.makespan, warm.makespan)
@@ -107,35 +83,27 @@ func TestColdAndWarmMemoAgree(t *testing.T) {
 		sameBits("Spark mask "+SubjKey(s), sr.Mask, warm.spark.Subjects[s].Mask)
 		sameBits("Spark FA "+SubjKey(s), sr.FA, warm.spark.Subjects[s].FA)
 	}
-	// And the warm Spark result still agrees with the streamed
-	// reference, which never touches the memo: not one hit, miss or
-	// byte of any kind.
-	before := memo.Snapshot()
+	// And the warm Spark result still agrees with the streamed reference.
 	ref, err := Reference(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := memo.Snapshot(); !reflect.DeepEqual(before, after) {
-		t.Errorf("Reference went through the memo: %+v before, %+v after", before, after)
-	}
 	resultsEqual(t, "warm spark", warm.spark, ref, 1e-9)
 }
 
-// A staged object is decoded once per process and every reader gets the
-// held value; an object that fails to decode fails on every call and
-// nothing is kept. The arena path (Reference, which puts the volumes
-// it decodes back into the scratch arena) never receives a held
-// volume, so recycling its volumes never writes to one.
+// A staged object is decoded once and every reader gets the held
+// value; a stored object that fails to decode holds its error, and one
+// that never went through the store fails on every call. The arena
+// path (Reference, which puts the volumes it decodes back into the
+// scratch arena) never receives a held volume, nor does npy.Decode, so
+// recycling its volumes never writes to one.
 func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	cfg := synth.DefaultNeuro(1)
 	cfg.NX, cfg.NY, cfg.NZ, cfg.T, cfg.B0 = 8, 8, 10, 6, 2
-	cfg.Seed = unseenSeed()
 	w, err := NewWorkloadCfg(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := func() memo.KindStats { return memo.Snapshot().Kinds[memo.Load] }
-	before := loads()
 	vol, err := w.Store.Get(synth.NeuroKeyNPY(0, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +112,9 @@ func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	b, errB := decodeNPY(vol)
 	if errA != nil || errB != nil || a != b {
 		t.Fatalf("two decodes of one object: %p (%v) and %p (%v)", a, errA, b, errB)
+	}
+	if pure, err := npy.Decode(vol.Data); err != nil || pure == a || volume.MaxAbsDiff(pure, a) != 0 {
+		t.Fatalf("npy.Decode: %v, the held pointer %v", err, pure == a)
 	}
 	nii, err := w.Store.Get(synth.NeuroKeyNIfTI(0))
 	if err != nil {
@@ -154,19 +125,16 @@ func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	if errA != nil || errB != nil || again != held {
 		t.Fatalf("two decodes of one subject: %p (%v) and %p (%v)", held, errA, again, errB)
 	}
-	if s := loads(); s.Misses-before.Misses != 2 || s.Hits-before.Hits != 2 {
-		t.Fatalf("%d misses and %d hits, want 2 and 2", s.Misses-before.Misses, s.Hits-before.Hits)
-	}
 
-	before = loads()
-	bad := objstore.Object{Key: "neuro/npy/subj-000/vol-000.npy", Data: []byte("not a NumPy file")}
-	for round := 0; round < 2; round++ {
-		if v, err := decodeNPY(bad); err == nil || v != nil {
-			t.Fatalf("round %d: a bad object decoded to %p", round, v)
+	st := objstore.New()
+	st.Put("neuro/npy/subj-000/vol-000.npy", []byte("not a NumPy file, and longer than a small object"), 0)
+	stored, _ := st.Get("neuro/npy/subj-000/vol-000.npy")
+	for _, bad := range []objstore.Object{stored, {Key: "neuro/npy/subj-000/vol-001.npy", Data: []byte("not a NumPy file")}} {
+		for round := 0; round < 2; round++ {
+			if v, err := decodeNPY(bad); err == nil || v != nil {
+				t.Fatalf("%s round %d: a bad object decoded to %p", bad.Key, round, v)
+			}
 		}
-	}
-	if s := loads(); s.Misses-before.Misses != 2 || s.Bytes != before.Bytes {
-		t.Fatalf("two failed decodes: %d misses and %d bytes kept, want 2 and 0", s.Misses-before.Misses, s.Bytes-before.Bytes)
 	}
 
 	want, err := nifti.Decode4(nii.Data)
@@ -180,17 +148,14 @@ func TestDecodeIsHeldAndArenasStayApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range arena.Vols {
-		if v.Digest() != nil {
-			t.Error("the arena handed out a volume that carries a digest, one the memo holds")
+	for i, v := range arena.Vols {
+		if v == held.Vols[i] || &v.Data[0] == &held.Vols[i].Data[0] {
+			t.Errorf("the arena handed out held volume %d", i)
 		}
 		volume.Scratch.Put(v)
 	}
 	for i, v := range held.Vols {
-		if v.Digest() == nil {
-			t.Fatalf("held volume %d carries no digest", i)
-		}
-		if d := volume.MaxAbsDiff(v, want.Vols[i]); d != 0 || memo.Digest(v) != memo.Digest(want.Vols[i]) {
+		if d := volume.MaxAbsDiff(v, want.Vols[i]); d != 0 {
 			t.Fatalf("held volume %d changed under the arena path", i)
 		}
 	}

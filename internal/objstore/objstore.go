@@ -9,11 +9,11 @@
 package objstore
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Object is an immutable stored blob.
@@ -21,27 +21,47 @@ type Object struct {
 	Key        string
 	Data       []byte
 	ModelBytes int64 // paper-scale size; 0 means len(Data)
-	// digest is shared by every copy of a stored object; nil on an
-	// Object that never went through Put, and on one no longer than a
-	// digest, which costs less to hash again than to remember.
-	digest *digest
+	// held is shared by every copy of a stored object; nil on an
+	// Object that never went through Put, and on one of no more than
+	// heldMin bytes.
+	held *held
 }
 
-type digest struct {
-	once sync.Once
-	sum  [sha256.Size]byte
+// heldMin is the size up to which a stored object holds no decode: the
+// ablation stores put dozens of one-byte objects per cell, and a slot
+// for each costs more than decoding one again.
+const heldMin = 32
+
+// held is the value an object's first decode produced.
+type held struct {
+	mu   sync.Mutex // taken by the callers that find the slot empty
+	done atomic.Bool
+	val  any
+	err  error
 }
 
-// Digest returns the SHA-256 of Data. A stored object of any size worth
-// it computes it at the first call and keeps it, since its bytes never
-// change; any number of readers of any copy of the object share that
-// one computation.
-func (o Object) Digest() [sha256.Size]byte {
-	if o.digest == nil {
-		return sha256.Sum256(o.Data)
+// Decoded returns what decode returns for Data. A stored object runs it
+// at the first call on any of its copies and keeps the value and the
+// error, since its bytes never change: every later call, from any
+// goroutine, gets them without running decode, to read and never to
+// write. One object has one decoding, so its callers pass the same
+// decode. A decode that panics keeps nothing, and the next call runs it
+// again. An object that never went through Put, or one of no more than
+// heldMin bytes, runs decode on every call.
+func (o Object) Decoded(decode func([]byte) (any, error)) (any, error) {
+	h := o.held
+	if h == nil {
+		return decode(o.Data)
 	}
-	o.digest.once.Do(func() { o.digest.sum = sha256.Sum256(o.Data) })
-	return o.digest.sum
+	if !h.done.Load() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		if !h.done.Load() {
+			h.val, h.err = decode(o.Data)
+			h.done.Store(true)
+		}
+	}
+	return h.val, h.err
 }
 
 // Size returns the paper-scale size of the object.
@@ -64,13 +84,14 @@ func New() *Store {
 }
 
 // Put stores data under key with an explicit paper-scale size. A modelBytes
-// of 0 means the real size. Existing objects are overwritten, as in S3.
+// of 0 means the real size. Existing objects are overwritten, as in S3,
+// and the new object holds no decode of the old one's bytes.
 func (s *Store) Put(key string, data []byte, modelBytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	o := Object{Key: key, Data: data, ModelBytes: modelBytes}
-	if len(data) > sha256.Size {
-		o.digest = new(digest)
+	if len(data) > heldMin {
+		o.held = new(held)
 	}
 	s.objects[key] = o
 }

@@ -2,8 +2,10 @@ package objstore
 
 import (
 	"bytes"
-	"crypto/sha256"
+	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -73,52 +75,117 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 }
 
-// Digest is the SHA-256 of the bytes for a stored object of any size, an
-// overwritten one and an Object literal; every copy of one stored object
-// shares one digest, however many goroutines ask first.
-func TestDigest(t *testing.T) {
+// countDecode returns a decode that counts its runs and returns a new
+// pointer each time, or err.
+func countDecode(runs *atomic.Int64, err error) func([]byte) (any, error) {
+	return func(b []byte) (any, error) {
+		runs.Add(1)
+		if err != nil {
+			return nil, err
+		}
+		return &b, nil
+	}
+}
+
+// Copies of one stored object, decoded from many goroutines at once,
+// run decode once and all get its pointer; an error reaches every
+// caller the same way. An object of heldMin bytes or fewer, and one
+// that never went through Put, decode on every call, and overwriting
+// a key serves the new bytes, not the old object's held value.
+func TestDecodedIsSharedByEveryCopy(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	s := New()
 	long := bytes.Repeat([]byte("exposure"), 100)
 	s.Put("long", long, 0)
-	s.Put("short", []byte{7}, 0)
-	s.Put("empty", nil, 0)
-	for _, key := range s.List("") {
-		o, _ := s.Get(key)
-		if o.Digest() != sha256.Sum256(o.Data) || o.Digest() != o.Digest() {
-			t.Errorf("%s: digest is not the SHA-256 of its %d bytes", key, len(o.Data))
+	s.Put("bad", long[:heldMin+1], 0)
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		key string
+		err error
+	}{{"long", nil}, {"bad", boom}} {
+		var runs atomic.Int64
+		decode := countDecode(&runs, c.err)
+		vals := make([]any, 16)
+		errs := make([]error, len(vals))
+		var wg sync.WaitGroup
+		for i := range vals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				o, _ := s.Get(c.key) // a copy of its own
+				vals[i], errs[i] = o.Decoded(decode)
+			}()
 		}
-	}
-	if lit := (Object{Data: long}); lit.Digest() != sha256.Sum256(long) {
-		t.Error("an Object literal's digest is not the SHA-256 of its bytes")
-	}
-
-	a, _ := s.Get("long")
-	b, _ := s.Get("long")
-	if a.digest == nil || a.digest != b.digest {
-		t.Fatal("two copies of one stored object do not share a digest")
-	}
-	sums := make([][sha256.Size]byte, 8)
-	var wg sync.WaitGroup
-	for i := range sums {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			o, _ := s.Get("long")
-			sums[i] = o.Digest()
-		}(i)
-	}
-	wg.Wait()
-	for i, sum := range sums {
-		if sum != sha256.Sum256(long) {
-			t.Errorf("caller %d read %x", i, sum[:4])
+		wg.Wait()
+		if runs.Load() != 1 {
+			t.Errorf("%s: decode ran %d times for %d callers, want 1", c.key, runs.Load(), len(vals))
+		}
+		for i := range vals {
+			if vals[i] != vals[0] || errs[i] != c.err {
+				t.Errorf("%s: caller %d got %p (%v), caller 0 %p, want error %v", c.key, i, vals[i], errs[i], vals[0], c.err)
+			}
 		}
 	}
 
-	s.Put("long", []byte("something else, longer than one digest's 32 bytes"), 0)
-	if o, _ := s.Get("long"); o.Digest() != sha256.Sum256(o.Data) || o.Digest() == a.Digest() {
-		t.Error("an overwritten object kept its predecessor's digest")
+	s.Put("short", long[:heldMin], 0)
+	short, _ := s.Get("short")
+	for _, o := range []Object{short, {Key: "literal", Data: long}} {
+		var runs atomic.Int64
+		a, _ := o.Decoded(countDecode(&runs, nil))
+		b, _ := o.Decoded(countDecode(&runs, nil))
+		if runs.Load() != 2 || a == b {
+			t.Errorf("%s (%d bytes): %d decodes for two calls, want 2", o.Key, len(o.Data), runs.Load())
+		}
 	}
-	if a.Digest() != sha256.Sum256(long) {
-		t.Error("the overwritten object's holders lost its digest")
+
+	old, _ := s.Get("long")
+	var runs atomic.Int64
+	held, _ := old.Decoded(countDecode(&runs, nil))
+	s.Put("long", []byte("something else, longer than heldMin bytes"), 0)
+	now, _ := s.Get("long")
+	got, _ := now.Decoded(func(b []byte) (any, error) { return string(b), nil })
+	if got != "something else, longer than heldMin bytes" {
+		t.Errorf("the overwritten key decoded to %v, want its new bytes", got)
+	}
+	if again, _ := old.Decoded(countDecode(&runs, nil)); again != held || runs.Load() != 0 {
+		t.Error("the overwritten object's holders lost its held value")
+	}
+}
+
+// A panicking decode keeps nothing: the caller sees the panic and the
+// next call decodes.
+func TestDecodedPanicKeepsNothing(t *testing.T) {
+	s := New()
+	s.Put("k", bytes.Repeat([]byte{1}, 64), 0)
+	o, _ := s.Get("k")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the panic in decode was swallowed")
+			}
+		}()
+		o.Decoded(func([]byte) (any, error) { panic("decoder bug") })
+	}()
+	var runs atomic.Int64
+	if v, err := o.Decoded(countDecode(&runs, nil)); v == nil || err != nil || runs.Load() != 1 {
+		t.Fatalf("after the panic: %v, %v, %d runs", v, err, runs.Load())
+	}
+}
+
+func decodeLen(b []byte) (any, error) { return len(b), nil }
+
+// A call on an object whose value is held is an atomic load: it
+// allocates nothing.
+func TestDecodedHitAllocatesNothing(t *testing.T) {
+	s := New()
+	s.Put("k", bytes.Repeat([]byte{1}, 64), 0)
+	o, _ := s.Get("k")
+	o.Decoded(decodeLen)
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := o.Decoded(decodeLen); v != 64 || err != nil {
+			t.Fatalf("Decoded returned %v, %v", v, err)
+		}
+	}); n != 0 {
+		t.Fatalf("a held decode allocates %v times a call, want 0", n)
 	}
 }

@@ -115,15 +115,6 @@ type Array struct {
 	eng    *Engine
 }
 
-// Bytes returns total paper-scale bytes across chunks.
-func (a *Array) Bytes() int64 {
-	var n int64
-	for _, c := range a.Chunks {
-		n += c.Size
-	}
-	return n
-}
-
 // Done returns a handle completing when the whole array is materialized.
 func (a *Array) Done() *cluster.Handle { return a.eng.cl.Barrier(a.ready...) }
 

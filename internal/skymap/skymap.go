@@ -45,11 +45,6 @@ func NewExposure(visit, sensor, x0, y0, w, h int) *Exposure {
 	}
 }
 
-// Bytes returns the in-memory size of the exposure's pixel data.
-func (e *Exposure) Bytes() int64 {
-	return e.Flux.Bytes() + e.Var.Bytes() + int64(len(e.Mask))
-}
-
 // Clone returns a deep copy.
 func (e *Exposure) Clone() *Exposure {
 	c := *e
@@ -136,12 +131,6 @@ func NewPatchExposure(g Grid, p Patch, visit int) *PatchExposure {
 		Var:   &imaging.Image{W: g.PatchW, H: g.PatchH, Pix: pix[n:]},
 		Valid: make([]bool, n),
 	}
-}
-
-// Bytes returns the in-memory size of the patch exposure's pixel data:
-// two float64 planes and a validity plane, none for a deferred piece.
-func (pe *PatchExposure) Bytes() int64 {
-	return int64(len(pe.Valid)) * (2*8 + 1)
 }
 
 // Project copies the pixels of e that fall inside patch p into a new

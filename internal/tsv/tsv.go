@@ -51,6 +51,34 @@ func encode(v *volume.V3, sep byte) []byte {
 	return buf
 }
 
+// CSVLen is len(EncodeCSV(v)), the length of the text SciDB's
+// aio_input() ingest parses, formatted a value at a time into a stack
+// buffer: no text is kept.
+func CSVLen(v *volume.V3) int {
+	var buf [maxFloatLen]byte
+	n := 4 * v.Len() // three commas and a newline a line
+	for z := 0; z < v.NZ; z++ {
+		for y := 0; y < v.NY; y++ {
+			for x := 0; x < v.NX; x++ {
+				n += len(strconv.AppendInt(buf[:0], int64(x), 10)) +
+					len(strconv.AppendInt(buf[:0], int64(y), 10)) +
+					len(strconv.AppendInt(buf[:0], int64(z), 10)) +
+					len(strconv.AppendFloat(buf[:0], v.At(x, y, z), 'g', -1, 64))
+			}
+		}
+	}
+	return n
+}
+
+// RoundTrip is Decode(Encode(v)): the volume as the far side of SciDB's
+// stream() parses it, and the length of the TSV text that crossed. Only
+// a forced output reads it.
+func RoundTrip(v *volume.V3) (parsed *volume.V3, encodedLen int, err error) {
+	text := encode(v, '\t')
+	parsed, err = decode(text, '\t')
+	return parsed, len(text), err
+}
+
 // Decode parses a TSV volume stream back into a volume. The grid extent
 // is inferred from the maximum coordinates; cells may appear in any
 // order, and every cell of the grid must be present exactly once.

@@ -58,12 +58,13 @@ func (a *Arena) Get(nx, ny, nz int) *V3 {
 
 // Put returns a volume to the arena for reuse. The caller must not
 // touch v afterwards: another goroutine may already be filling it.
-// Put(nil) and Put on a nil arena are no-ops, and so is Put of a volume
-// that carries a digest (V3.Digest): it is shared read-only. Never Put a
-// volume whose Data is shared with a retained volume (a Slab view, a
-// Select alias): the next Get would scribble over live results.
+// Put(nil) and Put on a nil arena are no-ops. Only Put a volume an
+// arena's Get returned, never one a decode shares read-only
+// (objstore.Object.Decoded) and never one whose Data is shared with a
+// retained volume (a Slab view, a Select alias): the next Get would
+// scribble over live results.
 func (a *Arena) Put(v *V3) {
-	if a == nil || v == nil || v.Digest() != nil {
+	if a == nil || v == nil {
 		return
 	}
 	a.puts.Add(1)

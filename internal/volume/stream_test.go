@@ -373,35 +373,3 @@ func TestNilArenaDegradesToAllocation(t *testing.T) {
 	bv := BlockVol{}
 	bv.Release() // zero-value release is a no-op
 }
-
-// A volume that carries a digest is shared read-only, so the arena never
-// takes it back: Put drops it uncounted, and no Get hands its buffer
-// out. A copy or a re-shape of it is another V3 and carries nothing.
-func TestArenaDropsVolumesThatCarryADigest(t *testing.T) {
-	ar := NewArena()
-	held := ar.Get(4, 4, 4)
-	for i := range held.Data {
-		held.Data[i] = 7
-	}
-	var d [32]byte
-	d[0] = 1
-	held.SetDigest(d)
-	if got := held.Digest(); got == nil || *got != d {
-		t.Fatalf("Digest() = %v, want the digest set", got)
-	}
-	if cp, view := held.Clone(), (&V3{NX: 2, NY: 8, NZ: 4, Data: held.Data}); cp.Digest() != nil || view.Digest() != nil {
-		t.Fatal("a copy or a re-shape of a held volume carries its digest")
-	}
-	ar.Put(held)
-	if st := ar.Stats(); st.Puts != 0 {
-		t.Fatalf("puts = %d after a Put of a held volume, want 0", st.Puts)
-	}
-	for i := 0; i < 4; i++ {
-		if v := ar.Get(4, 4, 4); &v.Data[0] == &held.Data[0] || v.Digest() != nil {
-			t.Fatal("Get handed out a held volume's buffer")
-		}
-	}
-	if held.Data[0] != 7 {
-		t.Fatal("the held volume was written")
-	}
-}

@@ -7,7 +7,6 @@ package volume
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // V3 is a dense 3-D volume in x-fastest (column-major by x) layout:
@@ -15,16 +14,7 @@ import (
 type V3 struct {
 	NX, NY, NZ int
 	Data       []float64
-	digest     atomic.Pointer[[32]byte]
 }
-
-// Digest returns the content digest internal/memo gave v when it began
-// to share v read-only, or nil. A copy or a re-shape is another V3 and
-// carries none. Digest consults nothing.
-func (v *V3) Digest() *[32]byte { return v.digest.Load() }
-
-// SetDigest attaches d, the digest of v's content, which nobody writes.
-func (v *V3) SetDigest(d [32]byte) { v.digest.Store(&d) }
 
 // New3 returns a zeroed nx×ny×nz volume.
 func New3(nx, ny, nz int) *V3 {
@@ -191,15 +181,6 @@ func (v *V4) Select(keep []bool) *V4 {
 		}
 	}
 	return New4(out)
-}
-
-// Bytes returns the total in-memory voxel bytes.
-func (v *V4) Bytes() int64 {
-	var n int64
-	for _, x := range v.Vols {
-		n += x.Bytes()
-	}
-	return n
 }
 
 // Block identifies a contiguous z-slab of voxels: a unit of parallelism for

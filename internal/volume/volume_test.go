@@ -57,9 +57,6 @@ func TestV4Select(t *testing.T) {
 	if sel.T() != 2 || sel.Vols[0].Data[0] != 0 || sel.Vols[1].Data[0] != 2 {
 		t.Errorf("select wrong")
 	}
-	if v4.Bytes() != 3*8 {
-		t.Errorf("bytes %d", v4.Bytes())
-	}
 }
 
 func TestBlocksPartitionProperty(t *testing.T) {
