@@ -41,7 +41,6 @@ var testOnly = map[string]string{
 	"obs.Tracer.SetClock":          "seam: tests pin the wall clock for golden traces",
 	"vtime.GapTimeline.Intervals":  "observer of the live gap timeline",
 	"daemon.Local.Kill":            "fault seam: kills a local worker in federation tests",
-	"memo.Table.Each":              "observer of the live shared-input table",
 	"lazy.Computed":                "observer of the live deferred values: how many were forced",
 	// Declared in files table1 counts, which stay byte-identical.
 	"astro.ParsePatchKey":                          "in astro/astro.go, counted by table1",

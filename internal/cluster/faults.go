@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -280,8 +281,8 @@ func ParseScenario(s string) (Scenario, error) {
 				return nil, fmt.Errorf("cluster: slow fault %q: missing *FACTOR", atom)
 			}
 			f, err := strconv.ParseFloat(factor, 64)
-			if err != nil || f <= 1 {
-				return nil, fmt.Errorf("cluster: slow fault %q: factor must be a number > 1", atom)
+			if err != nil || !(f > 1) || math.IsInf(f, 1) {
+				return nil, fmt.Errorf("cluster: slow fault %q: factor must be a finite number > 1", atom)
 			}
 			spec.Factor = f
 		default:
@@ -298,10 +299,10 @@ func ParseScenario(s string) (Scenario, error) {
 		spec.Node = node
 		if frac, fok := strings.CutSuffix(at, "%"); fok {
 			f, err := strconv.ParseFloat(frac, 64)
-			if err != nil || f <= 0 || f >= 100 {
+			spec.Frac = f / 100 // NaN fails below, and so does a subnormal that rounds to 0
+			if err != nil || !(spec.Frac > 0 && spec.Frac < 1) {
 				return nil, fmt.Errorf("cluster: fault %q: percentage must be in (0,100)", atom)
 			}
-			spec.Frac = f / 100
 		} else {
 			d, err := time.ParseDuration(at)
 			if err != nil || d <= 0 {

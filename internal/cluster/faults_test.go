@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -185,6 +186,10 @@ func TestParseScenario(t *testing.T) {
 	for _, bad := range []string{
 		"kill:1", "kill:@30%", "kill:x@30%", "kill:1@0%", "kill:1@120%",
 		"kill:1@-3s", "slow:1@30%", "slow:1@30%*1", "melt:1@30%", "kill:1@soon",
+		// NaN fails every comparison, so a range check alone lets these
+		// through, and a NaN fraction resolves to a kill at t=0.
+		"kill:1@NaN%", "kill:1@Inf%", "kill:1@5e-324%", "slow:1@10s*NaN",
+		"slow:1@10s*Inf", "slow:1@NaN%*2", "kill:1@30%+slow:2@10s*NaN",
 	} {
 		if _, err := ParseScenario(bad); err == nil {
 			t.Errorf("ParseScenario(%q) should fail", bad)
@@ -202,4 +207,34 @@ func TestParseScenario(t *testing.T) {
 	if sc.MaxNode() != 2 || !sc.TouchesNode(1) || sc.TouchesNode(0) {
 		t.Errorf("scenario node accounting wrong: %v", sc)
 	}
+}
+
+// ParseScenario takes strings from outside the program (a job's
+// overrides, the -kill-at flag): it must not panic, and a scenario it
+// accepts must place every fault on a real node at a time after 0, and
+// slow it by a finite factor above 1.
+func FuzzParseScenario(f *testing.F) {
+	for _, seed := range []string{
+		"baseline", "kill:1@30%", "kill:1@30%+kill:2@55%", "slow:1@5%*4",
+		"kill:1@10s", "slow:2@10s*2.5", "kill:1@NaN%", "slow:1@10s*Inf",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, err := ParseScenario(s)
+		if err != nil {
+			return
+		}
+		for _, spec := range sc {
+			if spec.Node < 0 {
+				t.Errorf("%q: node %d", s, spec.Node)
+			}
+			if !(spec.Frac > 0 && spec.Frac < 1) && !(spec.Frac == 0 && spec.At > 0) {
+				t.Errorf("%q: fraction %v, time %v", s, spec.Frac, spec.At)
+			}
+			if spec.Kind == FaultSlow && (!(spec.Factor > 1) || math.IsInf(spec.Factor, 0)) {
+				t.Errorf("%q: slow factor %v", s, spec.Factor)
+			}
+		}
+	})
 }

@@ -320,7 +320,7 @@ func TestCanceledContextRunsNoCell(t *testing.T) {
 		}
 	}
 	asked := 0
-	inputs.Each(func(cfg, w any) {
+	eachInput(func(cfg, w any) {
 		if c, ok := cfg.(synth.NeuroConfig); ok && c.NX != p.NeuroNX {
 			return
 		}

@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,6 +37,19 @@ func storeDigest(st *objstore.Store) string {
 	return fmt.Sprintf("%d objects %x", st.Len(), h.Sum(nil))
 }
 
+// eachInput calls fn on every workload the process holds, waiting for
+// one still being built; one whose build failed is skipped.
+func eachInput(fn func(cfg, w any)) {
+	inputsMu.Lock()
+	held := maps.Clone(inputs)
+	inputsMu.Unlock()
+	for cfg, in := range held {
+		if w, err := in.get(); err == nil {
+			fn(cfg, w)
+		}
+	}
+}
+
 // wantInputsUnwritten compares every shared input the process holds
 // with one the pure builder makes now from the same config: no engine,
 // fault scenario or tuning experiment that ran since it was built wrote
@@ -43,7 +58,7 @@ func wantInputsUnwritten(t *testing.T) {
 	t.Helper()
 	type held struct{ cfg, w any }
 	var all []held
-	inputs.Each(func(cfg, w any) { all = append(all, held{cfg, w}) })
+	eachInput(func(cfg, w any) { all = append(all, held{cfg, w}) })
 	if len(all) == 0 {
 		t.Fatal("no shared input is held")
 	}
@@ -167,7 +182,7 @@ func eachDecode(t *testing.T, w any, fn func(key string, held, fresh any)) {
 func wantDecodesUnwritten(t *testing.T) {
 	t.Helper()
 	compared := 0
-	inputs.Each(func(_, w any) {
+	eachInput(func(_, w any) {
 		eachDecode(t, w, func(key string, held, fresh any) {
 			if held == nil {
 				return // nothing read it
@@ -258,6 +273,158 @@ func TestFailedInputBuildIsRetried(t *testing.T) {
 	third, err := sharedInput(neuroInput, key, build, bytes)
 	if err != nil || third != second || builds != 2 {
 		t.Fatalf("third call: %p (%v) after %d builds, want %p and 2", third, err, builds, second)
+	}
+}
+
+// A build that fails or panics reaches every caller that waited on it,
+// as its error or as its panic, and nothing of it is kept: the next
+// caller builds again.
+func TestFailedInputBuildReachesItsWaiters(t *testing.T) {
+	type cfg struct{ id int64 }
+	boom := errors.New("boom")
+	bytes := func(*int) int64 { return 8 }
+	for _, panics := range []bool{false, true} {
+		key := cfg{unseenNX.Add(1)}
+		started, release := make(chan struct{}), make(chan struct{})
+		builds := 0
+		build := func(cfg) (*int, error) {
+			if builds++; builds > 1 {
+				return new(int), nil
+			}
+			close(started)
+			<-release
+			if panics {
+				panic(boom)
+			}
+			return nil, boom
+		}
+		type outcome struct {
+			err      error
+			panicked bool
+		}
+		call := func(out chan<- outcome) {
+			var o outcome
+			defer func() {
+				if r := recover(); r != nil {
+					o.err, _ = r.(error)
+					o.panicked = true
+				}
+				out <- o
+			}()
+			_, o.err = sharedInput(neuroInput, key, build, bytes)
+		}
+		const callers = 4
+		before := InputStats().Kinds[neuroInput]
+		outs := make(chan outcome, callers)
+		go call(outs)
+		<-started
+		for i := 1; i < callers; i++ {
+			go call(outs)
+		}
+		// A waiter is counted before it blocks on the build.
+		for InputStats().Kinds[neuroInput].Hits-before.Hits < callers-1 {
+			runtime.Gosched()
+		}
+		close(release)
+		for i := 0; i < callers; i++ {
+			if o := <-outs; !errors.Is(o.err, boom) || o.panicked != panics {
+				t.Errorf("panics=%v: a caller got %+v, want boom", panics, o)
+			}
+		}
+		inputsMu.Lock()
+		_, held := inputs[key]
+		inputsMu.Unlock()
+		if after := InputStats().Kinds[neuroInput]; held || after.Bytes != before.Bytes || after.Misses-before.Misses != 1 {
+			t.Errorf("panics=%v: after the failed build: held %v, counters %+v → %+v", panics, held, before, after)
+		}
+		if w, err := sharedInput(neuroInput, key, build, bytes); err != nil || w == nil || builds != 2 {
+			t.Errorf("panics=%v: the next caller got %p, %v after %d builds", panics, w, err, builds)
+		}
+	}
+}
+
+// Concurrent hits, builds, failed and panicking builds and budget
+// resets: every caller gets
+// its config's workload or its config's failure, every call is one hit
+// or one miss, and the inputs stay within the budget. Run it with -race
+// at GOMAXPROCS=8.
+func TestSharedInputStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const workers, calls, keys = 8, 3000, 48
+	type cfg struct{ run, k int64 }
+	run := unseenNX.Add(1)
+	failed := errors.New("failed")
+	build := func(c cfg) (*int64, error) {
+		switch c.k % 4 {
+		case 0:
+			return nil, failed
+		case 1:
+			panic(failed)
+		}
+		return &c.k, nil
+	}
+	size := func(w *int64) int64 {
+		if *w%4 == 2 {
+			return inputBudget/3 + 1 // two fit, a third forgets them all
+		}
+		return 1
+	}
+	before := InputStats()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // a reader beside the traffic
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s := InputStats(); s.Bytes > inputBudget {
+				t.Errorf("the inputs hold %d bytes", s.Bytes)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				k := int64((i*7 + w*13) % keys)
+				func() {
+					defer func() {
+						if r := recover(); r != nil && (k%4 != 1 || r != failed) {
+							t.Errorf("key %d panicked: %v", k, r)
+						}
+					}()
+					v, err := sharedInput(int(k%2), cfg{run, k}, build, size)
+					switch k % 4 {
+					case 0:
+						if err != failed {
+							t.Errorf("key %d: got %v, %v, want its failure", k, v, err)
+						}
+					case 1:
+						t.Errorf("key %d: got %v, %v, want its panic", k, v, err)
+					default:
+						if err != nil || v == nil || *v != k {
+							t.Errorf("key %d: got %v, %v", k, v, err)
+						}
+					}
+				}()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-stopped
+	after := InputStats()
+	var calls0, calls1 uint64
+	for k := range after.Kinds {
+		calls0 += before.Kinds[k].Hits + before.Kinds[k].Misses
+		calls1 += after.Kinds[k].Hits + after.Kinds[k].Misses
+	}
+	if calls1-calls0 != workers*calls || after.Resets == before.Resets || after.Bytes > inputBudget {
+		t.Fatalf("%d calls counted of %d, %d resets, %d bytes held", calls1-calls0, workers*calls, after.Resets-before.Resets, after.Bytes)
 	}
 }
 

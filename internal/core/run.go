@@ -5,12 +5,12 @@ import (
 	"embed"
 	"fmt"
 	"io/fs"
+	"sync"
 
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/engine"
-	"imagebench/internal/memo"
 	"imagebench/internal/neuro"
 	"imagebench/internal/objstore"
 	"imagebench/internal/synth"
@@ -67,11 +67,29 @@ func defaultNodes(p Profile) int {
 // the way the paper stages each dataset once and points every system
 // at it: one read-only workload per distinct config value per process,
 // built by the first caller (the fanned-out cells that ask for the same
-// one wait for it) and kept within internal/memo's budget. The config
-// is the key, not the profile's name: fig10h raises AstroSensors from
-// its largest cluster size, so one name maps to many configs. Nothing
-// may write to a workload or its store once it is built.
-var inputs = memo.NewTable[any, any](len(inputKinds))
+// one wait for it) and kept within inputBudget. The config is the key,
+// not the profile's name: fig10h raises AstroSensors from its largest
+// cluster size, so one name maps to many configs. Nothing may write to
+// a workload or its store once it is built.
+var (
+	inputsMu   sync.Mutex
+	inputs     = map[any]*input{}
+	inputStats InputTraffic // under inputsMu
+)
+
+// input is one config's workload: every caller that finds it, built or
+// still building, gets what its one build returned.
+type input struct {
+	get func() (any, error) // sync.OnceValues of the build
+}
+
+// inputBudget bounds the encoded object bytes the shared inputs hold.
+// A quick pass holds 15.6 MB in six configs, beside 17.7 MB of decodes
+// those objects hold, which are not counted; a sweep-astro round holds
+// 46.9 MB in nine, seven of them fig10h surveys. A full-profile pass
+// builds 46 inputs, 393 MB in all (fig10h's 86-sensor survey alone is
+// 65.4 MB), and forgets every input six times.
+const inputBudget = 64 << 20
 
 // inputKinds labels the shared inputs' counters, by use case.
 var inputKinds = [...]string{"neuro", "astro"}
@@ -81,26 +99,96 @@ const (
 	astroInput
 )
 
-// InputStats reports the shared inputs' traffic since process start;
-// Kinds follows InputKinds.
-func InputStats() memo.Stats { return inputs.Snapshot() }
+// InputTraffic is the shared inputs' traffic since process start.
+type InputTraffic struct {
+	Kinds  [len(inputKinds)]KindTraffic // follows InputKinds
+	Resets uint64                       // times every input was forgotten to stay in budget
+	Bytes  int64                        // held now, never above the budget
+}
+
+// KindTraffic is one kind's traffic. A call that finds its config,
+// built or still building, is a hit; a miss is a call that built it.
+type KindTraffic struct {
+	Hits, Misses uint64
+	Bytes        int64 // held now
+}
+
+// InputStats reports the shared inputs' traffic since process start.
+func InputStats() InputTraffic {
+	inputsMu.Lock()
+	defer inputsMu.Unlock()
+	return inputStats
+}
 
 // InputKinds lists the labels of InputStats' kinds, in counter order.
 func InputKinds() []string { return inputKinds[:] }
 
 // sharedInput returns the process's workload for cfg, building it if
-// nobody has. A failed build is returned and not kept, and so is a
-// workload that holds more bytes than the whole budget.
+// nobody has. A failed or panicking build reaches every caller that
+// waited on it and is forgotten, so the next caller builds again; a
+// workload that holds more bytes than the whole budget is served and
+// not kept.
 func sharedInput[C comparable, W any](kind int, cfg C, build func(C) (W, error), bytes func(W) int64) (W, error) {
-	w, err := inputs.Do(kind, cfg, func() (any, int64, error) {
-		w, err := build(cfg)
-		if err != nil {
-			return nil, 0, err
+	inputsMu.Lock()
+	in := inputs[cfg]
+	if in != nil {
+		inputStats.Kinds[kind].Hits++
+	} else {
+		in = &input{}
+		in.get = sync.OnceValues(func() (any, error) {
+			kept := false
+			defer func() { // also on a panic in build
+				if !kept {
+					inputsMu.Lock()
+					if inputs[cfg] == in { // else a reset forgot it, and another caller may have claimed cfg since
+						delete(inputs, cfg)
+					}
+					inputsMu.Unlock()
+				}
+			}()
+			w, err := build(cfg)
+			if err != nil {
+				return w, err
+			}
+			if n := bytes(w); n <= inputBudget {
+				keep(cfg, in, kind, n)
+				kept = true
+			}
+			return w, nil
+		})
+		inputs[cfg] = in
+		inputStats.Kinds[kind].Misses++
+	}
+	inputsMu.Unlock()
+	v, err := in.get()
+	w, _ := v.(W)
+	return w, err
+}
+
+// keep accounts a built input against the budget. An insert that would
+// pass it forgets every input first: the working set of a pass fits
+// several times over, so eviction order would be bookkeeping for a case
+// that only an unrelated, larger workload in the same process can
+// reach. Workloads already handed out stay valid; inputs still building
+// reach their waiters through the input itself and come back here when
+// built.
+func keep(cfg any, in *input, kind int, n int64) {
+	inputsMu.Lock()
+	defer inputsMu.Unlock()
+	if inputStats.Bytes+n > inputBudget {
+		clear(inputs)
+		inputStats.Bytes = 0
+		for k := range inputStats.Kinds {
+			inputStats.Kinds[k].Bytes = 0
 		}
-		return w, bytes(w), nil
-	})
-	shared, _ := w.(W) // nil, so the zero W, after a failed build
-	return shared, err
+		inputStats.Resets++
+	}
+	if cur, ok := inputs[cfg]; ok && cur != in {
+		return // rebuilt after a reset; the first to finish is kept
+	}
+	inputs[cfg] = in
+	inputStats.Bytes += n
+	inputStats.Kinds[kind].Bytes += n
 }
 
 // storeBytes is what a staged dataset holds: its encoded objects.
