@@ -13,7 +13,9 @@
 // if any, runs at submission, but the records engines pass along carry
 // lazy values (internal/lazy), computed only when something reads them;
 // elapsed time is tracked virtually, so a 64-node experiment runs
-// deterministically on one physical core.
+// deterministically on one physical core. The cluster never keeps the
+// handles it is given (see Handle), so an engine that chains or folds
+// completions as values allocates nothing for them.
 package cluster
 
 import (
@@ -57,6 +59,14 @@ var ErrOOM = errors.New("out of memory")
 // Handle records the simulated completion of a task or transfer. Handles are
 // passed as dependencies to later submissions, which is how engines express
 // their dataflow to the simulator.
+//
+// The cluster reads deps and never keeps them: Submit, Transfer,
+// DiskRead, DiskWrite, Broadcast and Barrier are wrappers small enough to
+// inline over functions that return a Handle value, so the returned
+// pointer is placed by the caller's escape analysis. A handle only passed
+// on as the next call's dependency stays on the caller's stack. A loop
+// that chains work carries the handle as a value (h = *c.DiskWrite(…, &h))
+// rather than as a pointer, which the compiler must move to the heap.
 type Handle struct {
 	Node int        // node the work ran on (or destination node for transfers)
 	End  vtime.Time // virtual completion time
@@ -212,10 +222,15 @@ func (c *Cluster) observe(t vtime.Time) {
 // overhead. fn may be nil for pure "delay" tasks. If any dependency failed,
 // fn is not run and the error propagates.
 func (c *Cluster) Submit(nodeID int, deps []*Handle, cost vtime.Duration, fn func() error) *Handle {
+	h := c.submit(nodeID, deps, cost, fn)
+	return &h
+}
+
+func (c *Cluster) submit(nodeID int, deps []*Handle, cost vtime.Duration, fn func() error) Handle {
 	n := c.node(nodeID)
 	ready := vtime.Max(After(deps...), c.floor)
 	if err := FirstErr(deps...); err != nil {
-		return &Handle{Node: nodeID, End: ready, Err: err}
+		return Handle{Node: nodeID, End: ready, Err: err}
 	}
 	if cost < 0 {
 		cost = 0
@@ -225,12 +240,12 @@ func (c *Cluster) Submit(nodeID int, deps []*Handle, cost vtime.Duration, fn fun
 		// The node is already down, or dies before the task completes:
 		// the work is lost, and the failure cannot be detected before
 		// the kill itself.
-		return &Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
+		return Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
 	}
 	_, end := n.workers[w].Reserve(ready, d)
 	c.tasks++
 	c.observe(end)
-	h := &Handle{Node: nodeID, End: end}
+	h := Handle{Node: nodeID, End: end}
 	if fn != nil {
 		h.Err = fn()
 	}
@@ -283,12 +298,17 @@ func (c *Cluster) PickNode(prefer []int, locality vtime.Duration, ready vtime.Ti
 // deps. It returns a handle completing when the data is resident on dst.
 // Transfers between a node and itself are free.
 func (c *Cluster) Transfer(src, dst int, nbytes int64, deps ...*Handle) *Handle {
+	h := c.transfer(src, dst, nbytes, deps)
+	return &h
+}
+
+func (c *Cluster) transfer(src, dst int, nbytes int64, deps []*Handle) Handle {
 	ready := vtime.Max(After(deps...), c.floor)
 	if err := FirstErr(deps...); err != nil {
-		return &Handle{Node: dst, End: ready, Err: err}
+		return Handle{Node: dst, End: ready, Err: err}
 	}
 	if src == dst || nbytes <= 0 {
-		return &Handle{Node: dst, End: ready}
+		return Handle{Node: dst, End: ready}
 	}
 	d := bytesDur(nbytes, c.cfg.NetBandwidth)
 	s := c.node(src)
@@ -308,31 +328,36 @@ func (c *Cluster) Transfer(src, dst int, nbytes int64, deps ...*Handle) *Handle 
 	for _, ep := range [2]int{src, dst} {
 		n := c.node(ep)
 		if n.killed && (!ready.Before(n.deadAt) || start.Add(d).After(n.deadAt)) {
-			return &Handle{Node: ep, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: ep, At: n.deadAt}}
+			return Handle{Node: ep, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: ep, At: n.deadAt}}
 		}
 	}
 	_, end := s.nic.Reserve(start, d)
 	t.nic.Reserve(start, d)
 	c.observe(end)
-	return &Handle{Node: dst, End: end}
+	return Handle{Node: dst, End: end}
 }
 
 // Broadcast replicates nbytes from src to every other node using a binary
 // distribution tree (the strategy BitTorrent-style broadcasts approximate):
 // ceil(log2(nodes)) rounds, each taking one transfer time.
 func (c *Cluster) Broadcast(src int, nbytes int64, deps ...*Handle) *Handle {
+	h := c.broadcast(src, nbytes, deps)
+	return &h
+}
+
+func (c *Cluster) broadcast(src int, nbytes int64, deps []*Handle) Handle {
 	ready := vtime.Max(After(deps...), c.floor)
 	if err := FirstErr(deps...); err != nil {
-		return &Handle{Node: src, End: ready, Err: err}
+		return Handle{Node: src, End: ready, Err: err}
 	}
 	if len(c.nodes) <= 1 || nbytes <= 0 {
-		return &Handle{Node: src, End: ready}
+		return Handle{Node: src, End: ready}
 	}
 	rounds := int(math.Ceil(math.Log2(float64(len(c.nodes)))))
 	d := bytesDur(nbytes, c.cfg.NetBandwidth) * vtime.Duration(rounds)
 	end := ready.Add(d)
 	if s := c.node(src); s.killed && (!ready.Before(s.deadAt) || end.After(s.deadAt)) {
-		return &Handle{Node: src, End: vtime.Max(ready, s.deadAt), Err: &NodeDownError{Node: src, At: s.deadAt}}
+		return Handle{Node: src, End: vtime.Max(ready, s.deadAt), Err: &NodeDownError{Node: src, At: s.deadAt}}
 	}
 	for _, n := range c.nodes {
 		if n.killed && !ready.Before(n.deadAt) {
@@ -341,32 +366,34 @@ func (c *Cluster) Broadcast(src int, nbytes int64, deps ...*Handle) *Handle {
 		n.nic.Reserve(ready, d)
 	}
 	c.observe(end)
-	return &Handle{Node: src, End: end}
+	return Handle{Node: src, End: end}
 }
 
 // DiskWrite charges a local-disk write of nbytes on the node.
 func (c *Cluster) DiskWrite(nodeID int, nbytes int64, deps ...*Handle) *Handle {
-	return c.diskOp(nodeID, nbytes, deps)
+	h := c.diskOp(nodeID, nbytes, deps)
+	return &h
 }
 
 // DiskRead charges a local-disk read of nbytes on the node.
 func (c *Cluster) DiskRead(nodeID int, nbytes int64, deps ...*Handle) *Handle {
-	return c.diskOp(nodeID, nbytes, deps)
+	h := c.diskOp(nodeID, nbytes, deps)
+	return &h
 }
 
-func (c *Cluster) diskOp(nodeID int, nbytes int64, deps []*Handle) *Handle {
+func (c *Cluster) diskOp(nodeID int, nbytes int64, deps []*Handle) Handle {
 	ready := vtime.Max(After(deps...), c.floor)
 	if err := FirstErr(deps...); err != nil {
-		return &Handle{Node: nodeID, End: ready, Err: err}
+		return Handle{Node: nodeID, End: ready, Err: err}
 	}
 	n := c.node(nodeID)
 	d := bytesDur(nbytes, c.cfg.DiskBandwidth)
 	if n.killed && (!ready.Before(n.deadAt) || n.disk.StartAt(ready, d).Add(d).After(n.deadAt)) {
-		return &Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
+		return Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
 	}
 	_, end := n.disk.Reserve(ready, d)
 	c.observe(end)
-	return &Handle{Node: nodeID, End: end}
+	return Handle{Node: nodeID, End: end}
 }
 
 // Barrier returns a handle that completes when all deps complete,

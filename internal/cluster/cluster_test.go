@@ -100,6 +100,30 @@ func TestDiskOps(t *testing.T) {
 	}
 }
 
+// TestChainedHandlesStayOnTheStack holds the Handle contract: the
+// wrappers inline into the caller and never keep deps, so a chain carried
+// by value allocates nothing. It fails if a wrapper grows past the
+// inliner's budget or an edit lets deps escape. The disk ops, the
+// transfer and the broadcast move zero bytes and the tasks run back to
+// back, so no timeline grows.
+func TestChainedHandlesStayOnTheStack(t *testing.T) {
+	c := small()
+	var h Handle
+	allocs := testing.AllocsPerRun(100, func() {
+		rd := c.DiskRead(0, 0, &h)
+		x := c.Transfer(1, 0, 0, rd)
+		task := c.Submit(0, []*Handle{x}, time.Millisecond, nil)
+		b := c.Broadcast(0, 0, c.Barrier(task))
+		h = *c.DiskWrite(0, 0, b)
+	})
+	if allocs != 0 {
+		t.Errorf("a chain carried by value allocated %v times per link, want 0", allocs)
+	}
+	if h.End.Seconds() < 0.1 {
+		t.Errorf("chain ended at %v, want at least 101 back-to-back 1ms tasks", h.End)
+	}
+}
+
 func TestMemTracker(t *testing.T) {
 	c := small()
 	m := c.Mem(0)

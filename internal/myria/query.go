@@ -291,7 +291,8 @@ func (q *Query) shuffle(rel *Relation, groupKey func(Tuple) string) (*Relation, 
 		out.parts[w], keys[w] = make([]Tuple, 0, c), make([]string, 0, c)
 	}
 	send := e.cl.Barrier(rel.ready...)
-	var xfers []*cluster.Handle
+	var moved cluster.Handle // every transfer, folded
+	xfers := 0
 	// Workers are laid out node by node in ascending node order, so each
 	// sending node's transfers go out after its last worker, in
 	// destination order: (src, dst) order overall.
@@ -314,14 +315,16 @@ func (q *Query) shuffle(rel *Relation, groupKey func(Tuple) string) (*Relation, 
 		}
 		for dst := range sent {
 			if sent[dst] {
-				xfers = append(xfers, q.note(e.cl.Transfer(src, dst, bytes[dst], send)))
+				x := q.note(e.cl.Transfer(src, dst, bytes[dst], send))
+				moved.End, moved.Err = max(moved.End, x.End), cmp.Or(moved.Err, x.Err)
+				xfers++
 			}
 			bytes[dst], sent[dst] = 0, false
 		}
 	}
-	arrive := e.cl.Barrier(xfers...)
-	if len(xfers) == 0 {
-		arrive = send
+	arrive := send
+	if xfers > 0 {
+		arrive = e.cl.Barrier(&moved)
 	}
 	for w := range out.parts {
 		out.ready[w] = arrive
@@ -399,12 +402,13 @@ func (q *Query) Collect(rel *Relation) ([]Tuple, *cluster.Handle) {
 	}
 	e := q.eng
 	var out []Tuple
-	var deps []*cluster.Handle
+	var gathered cluster.Handle // every worker's transfer, folded
 	for w := range rel.parts {
-		deps = append(deps, q.note(e.cl.Transfer(e.nodeOf(w), 0, rel.partBytes(w), rel.ready[w])))
+		x := q.note(e.cl.Transfer(e.nodeOf(w), 0, rel.partBytes(w), rel.ready[w]))
+		gathered.End, gathered.Err = max(gathered.End, x.End), cmp.Or(gathered.Err, x.Err)
 		out = append(out, rel.parts[w]...)
 	}
-	return out, e.cl.Barrier(deps...)
+	return out, e.cl.Barrier(&gathered)
 }
 
 func emptyLike(e *Engine, name string) *Relation {

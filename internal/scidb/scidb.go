@@ -25,6 +25,7 @@
 package scidb
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strconv"
@@ -332,13 +333,14 @@ func (a *Array) IterativeAQL(name string, iters int, op cost.Op, step func(iter 
 	}
 	for it := 0; it < iters; it++ {
 		next := step(it, cur.Chunks)
-		nReady := make([]*cluster.Handle, len(next))
+		// Each chunk's pass chain is carried, and the chunks folded, as
+		// values: no handle outlives this loop but the barrier.
+		var done cluster.Handle
 		for i := range next {
 			inst := cur.inst[i%len(cur.inst)]
 			node := e.nodeOf(inst)
 			c := cur.Chunks[i%len(cur.Chunks)]
-			dep := cur.ready[i%len(cur.ready)]
-			h := dep
+			h := *cur.ready[i%len(cur.ready)]
 			for pass := 0; pass < passesPerIter; pass++ {
 				// Each AQL statement parses, plans, re-opens chunk
 				// iterators, and updates the temporary array's chunk
@@ -354,17 +356,18 @@ func (a *Array) IterativeAQL(name string, iters int, op cost.Op, step func(iter 
 					frac = 1.0 / 8
 				}
 				eff := int64(float64(c.Size) * frac)
-				rd := e.cl.DiskRead(node, eff, h)
-				cmp := e.cl.Submit(node, []*cluster.Handle{rd},
+				rd := e.cl.DiskRead(node, eff, &h)
+				run := e.cl.Submit(node, []*cluster.Handle{rd},
 					e.model.Jitter(name+"/it"+strconv.Itoa(it)+"/p"+strconv.Itoa(pass)+"/"+c.Coords,
 						vtime.Duration(float64(full)*frac)), nil)
-				h = e.cl.DiskWrite(node, eff, cmp)
+				h = *e.cl.DiskWrite(node, eff, run)
 			}
-			nReady[i] = h
+			done.End, done.Err = max(done.End, h.End), cmp.Or(done.Err, h.Err)
 		}
 		// AQL statements are barriers: the next iteration starts after
 		// every chunk of this one is materialized.
-		bar := e.cl.Barrier(nReady...)
+		bar := e.cl.Barrier(&done)
+		nReady := make([]*cluster.Handle, len(next))
 		for i := range nReady {
 			nReady[i] = bar
 		}

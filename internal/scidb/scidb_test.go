@@ -122,6 +122,25 @@ func TestIterativeAQLIncrementalFaster(t *testing.T) {
 	}
 }
 
+// TestIterativeAQLAllocsPerChunk pins what one iteration allocates per
+// chunk: nothing. Each chunk's read → compute → write chain is carried
+// as a value and the chunks are folded into one barrier, so the only
+// allocations are per iteration (the barrier, the ready slice, the
+// placement) and the timelines' amortized growth, a few at most between
+// 32 and 64 chunks. When every pass kept its handles on the heap, each
+// chunk cost 12 (three handles a pass, four passes).
+func TestIterativeAQLAllocsPerChunk(t *testing.T) {
+	allocs := func(n int) float64 {
+		e, _ := engine(2)
+		a, _ := e.IngestAio("A", chunks(n, 1<<20), 2.5)
+		same := func(_ int, cs []Chunk) []Chunk { return cs }
+		return testing.AllocsPerRun(20, func() { a.IterativeAQL("it", 1, cost.CoaddIter, same) })
+	}
+	if per := (allocs(64) - allocs(32)) / 32; per >= 1 {
+		t.Errorf("one IterativeAQL iteration allocates %.2f times per chunk, want 0", per)
+	}
+}
+
 func TestChunkTimeOversizePenalty(t *testing.T) {
 	e, _ := engine(1)
 	small := e.chunkTime(cost.CoaddIter, Chunk{Size: OptimalChunkBytes})

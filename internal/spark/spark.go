@@ -20,6 +20,7 @@
 package spark
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -250,7 +251,7 @@ func (r *RDD) resetLineage() {
 		if cur.cached || cur.kind == opShuffle || !cur.done {
 			continue
 		}
-		if cur.name[:min(len(cur.name), 12)] == "parallelize:" {
+		if strings.HasPrefix(cur.name, "parallelize:") {
 			continue // driver-side data is always available
 		}
 		cur.done = false
@@ -258,13 +259,6 @@ func (r *RDD) resetLineage() {
 		cur.nodes = nil
 		cur.ready = nil
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Collect materializes the RDD and gathers all records on the master
@@ -278,16 +272,17 @@ func (r *RDD) Collect() ([]Pair, *cluster.Handle, error) {
 			return nil, nil, err
 		}
 		var out []Pair
-		var deps []*cluster.Handle
+		var gathered cluster.Handle // every partition's transfer, folded
 		for i, part := range r.parts {
 			var bytes int64
 			for _, p := range part {
 				bytes += p.Size
 			}
-			deps = append(deps, r.s.cl.Transfer(r.nodes[i], 0, bytes, r.ready[i]))
+			x := r.s.cl.Transfer(r.nodes[i], 0, bytes, r.ready[i])
+			gathered.End, gathered.Err = max(gathered.End, x.End), cmp.Or(gathered.Err, x.Err)
 			out = append(out, part...)
 		}
-		h := r.s.cl.Barrier(deps...)
+		h := r.s.cl.Barrier(&gathered)
 		if h.Err != nil && attempt < r.s.cl.Nodes() && r.s.adoptNodeFailure(h.Err) {
 			continue // epoch bumped: the next compute() repairs from lineage
 		}
@@ -535,7 +530,7 @@ func (r *RDD) mapSide(after *cluster.Handle) ([]shuffleInput, *cluster.Handle) {
 	for rp, c := range size {
 		in[rp] = shuffleInput{make([]Pair, 0, c.recs), make([]shuffleBlock, 0, c.blocks)}
 	}
-	mapDone := make([]*cluster.Handle, len(parent.parts))
+	var mapDone cluster.Handle // every map task, folded
 	for mp := range parent.parts {
 		var bytes int64
 		for _, rec := range parent.parts[mp] {
@@ -551,9 +546,10 @@ func (r *RDD) mapSide(after *cluster.Handle) ([]shuffleInput, *cluster.Handle) {
 		dur := s.model.GobTime(bytes)
 		wr := s.cl.DiskWrite(parent.nodes[mp], bytes, parent.ready[mp], after)
 		start := s.dispatch(cluster.After(wr))
-		mapDone[mp] = s.cl.Submit(parent.nodes[mp], []*cluster.Handle{{End: start}, wr}, dur, nil)
+		h := s.cl.Submit(parent.nodes[mp], []*cluster.Handle{{End: start}, wr}, dur, nil)
+		mapDone.End, mapDone.Err = max(mapDone.End, h.End), cmp.Or(mapDone.Err, h.Err)
 	}
-	return in, s.cl.Barrier(mapDone...)
+	return in, s.cl.Barrier(&mapDone)
 }
 
 // reducePartition fetches reduce partition rp's blocks, groups by key,
@@ -564,10 +560,11 @@ func (r *RDD) mapSide(after *cluster.Handle) ([]shuffleInput, *cluster.Handle) {
 func (r *RDD) reducePartition(rp, node int, in []shuffleInput, barrier *cluster.Handle, releases *[]func()) {
 	s := r.s
 	parent := r.parent
-	fetches := make([]*cluster.Handle, 0, len(in[rp].blocks))
+	var fetched cluster.Handle // every block's fetch, folded
 	var inBytes int64
 	for _, b := range in[rp].blocks {
-		fetches = append(fetches, s.cl.Transfer(parent.nodes[b.mp], node, b.bytes, barrier))
+		x := s.cl.Transfer(parent.nodes[b.mp], node, b.bytes, barrier)
+		fetched.End, fetched.Err = max(fetched.End, x.End), cmp.Or(fetched.Err, x.Err)
 		inBytes += b.bytes
 	}
 	// Groups in key order, each key's records in arrival order.
@@ -579,7 +576,7 @@ func (r *RDD) reducePartition(rp, node int, in []shuffleInput, barrier *cluster.
 	mem := s.cl.Mem(node)
 	if err := mem.Alloc(inBytes); err != nil {
 		s.spilledBytes += inBytes
-		spill = s.cl.DiskWrite(node, inBytes, s.cl.Barrier(fetches...))
+		spill = s.cl.DiskWrite(node, inBytes, s.cl.Barrier(&fetched))
 		spill = s.cl.DiskRead(node, inBytes, spill)
 	} else if releases != nil {
 		n := inBytes
@@ -611,12 +608,7 @@ func (r *RDD) reducePartition(rp, node int, in []shuffleInput, barrier *cluster.
 		}
 		out = append(out, res...)
 	}
-	deps := fetches
-	if spill != nil {
-		deps = append(deps, spill)
-	}
-	deps = append(deps, barrier)
-	deps = append(deps, r.extraDeps...)
+	deps := append([]*cluster.Handle{&fetched, spill, barrier}, r.extraDeps...)
 	dispatched := s.dispatch(cluster.After(deps...))
 	key := r.name + "/r" + strconv.Itoa(rp)
 	r.nodes[rp] = node
