@@ -226,8 +226,10 @@ func (s *Session) invalidateLost(d *Delayed, at vtime.Time, seen map[*Delayed]bo
 // evalOnce is one scheduling attempt for d: evaluate dependencies, pay
 // the dispatch, pick a machine, move inputs, run.
 func (s *Session) evalOnce(d *Delayed) error {
-	var depHandles []*cluster.Handle
-	var prefer []int
+	// Room for every dependency, the startup, the resubmission anchor,
+	// the dispatch and a replica of every dependency.
+	depHandles := make([]*cluster.Handle, 0, 2*len(d.deps)+3)
+	prefer := make([]int, len(d.deps))
 	args := make([]any, len(d.deps))
 	var inBytes int64
 	for i, dep := range d.deps {
@@ -237,7 +239,7 @@ func (s *Session) evalOnce(d *Delayed) error {
 		args[i] = dep.value
 		inBytes += dep.size
 		depHandles = append(depHandles, dep.handle)
-		prefer = append(prefer, dep.node)
+		prefer[i] = dep.node
 	}
 	// Every task also waits for the session to be up; include it before
 	// probing node availability so the probe and the booking agree.

@@ -23,6 +23,7 @@ package myria
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
@@ -151,14 +152,9 @@ type Relation struct {
 }
 
 // Tuples returns all tuples across workers (worker order, then insertion
-// order). It is a test/inspection helper, not a query operator.
-func (r *Relation) Tuples() []Tuple {
-	var out []Tuple
-	for _, p := range r.parts {
-		out = append(out, p...)
-	}
-	return out
-}
+// order), as a driver reads a finished relation back without charging a
+// gather (Query.Collect charges one).
+func (r *Relation) Tuples() []Tuple { return slices.Concat(r.parts...) }
 
 // Bytes returns total paper-scale BLOB bytes.
 func (r *Relation) Bytes() int64 {
@@ -195,39 +191,43 @@ func (e *Engine) Ingest(name, prefix string, decode func(objstore.Object) []Tupl
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("myria: no objects under %q", prefix)
 	}
-	rel := &Relation{Name: name, eng: e, onDisk: true,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
-	}
-	perWorker := make([][]string, e.Workers())
-	for i, k := range keys {
-		perWorker[i%e.Workers()] = append(perWorker[i%e.Workers()], k)
-	}
-	next := 0
-	for w := 0; w < e.Workers(); w++ {
-		node := e.nodeOf(w)
+	// Worker w downloads and decodes keys w, w+W, …; its tuples are then
+	// dealt round-robin (Myria's RoundRobin partitioning) so base tables
+	// are balanced, once every partition's size is known. Exchanges later
+	// hash-partition by grouping key as usual; ingest traffic is
+	// accounted below.
+	W := e.Workers()
+	rel := emptyLike(e, name)
+	rel.onDisk = true
+	decoded := make([][]Tuple, len(keys))
+	n := 0
+	for w := 0; w < W; w++ {
 		var bytes int64
-		for _, k := range perWorker[w] {
-			obj, err := e.store.Get(k)
+		for i := w; i < len(keys); i += W {
+			obj, err := e.store.Get(keys[i])
 			if err != nil {
 				return nil, err
 			}
 			bytes += obj.Size()
-			tuples := decode(obj)
-			// Distribute tuples round-robin (Myria's RoundRobin
-			// partitioning) so base tables are balanced; exchanges later
-			// hash-partition by grouping key as usual. Ingest traffic is
-			// accounted below.
-			for _, t := range tuples {
-				rel.parts[next%e.Workers()] = append(rel.parts[next%e.Workers()], t)
+			decoded[i] = decode(obj)
+			n += len(decoded[i])
+		}
+		dl := e.model.S3Fetch((len(keys)+W-1-w)/W, bytes) + e.model.FormatTime(bytes)
+		fetch := e.cl.Submit(e.nodeOf(w), []*cluster.Handle{e.startup}, e.work(e.model.Jitter(name+keys0(keys[min(w, len(keys)):]), dl)), nil)
+		// Write to node-local PostgreSQL.
+		rel.ready[w] = e.cl.DiskWrite(e.nodeOf(w), bytes, fetch)
+	}
+	for w := range rel.parts {
+		rel.parts[w] = make([]Tuple, 0, (n+W-1-w)/W)
+	}
+	next := 0
+	for w := 0; w < W; w++ {
+		for i := w; i < len(keys); i += W {
+			for _, t := range decoded[i] {
+				rel.parts[next%W] = append(rel.parts[next%W], t)
 				next++
 			}
 		}
-		dl := e.model.S3Fetch(len(perWorker[w]), bytes) + e.model.FormatTime(bytes)
-		fetch := e.cl.Submit(node, []*cluster.Handle{e.startup}, e.work(e.model.Jitter(name+keys0(perWorker[w]), dl)), nil)
-		// Write to node-local PostgreSQL.
-		wr := e.cl.DiskWrite(node, bytes, fetch)
-		rel.ready[w] = wr
 	}
 	// Ingest shuffle traffic: on average (W-1)/W of the bytes move.
 	total := rel.Bytes()
@@ -263,9 +263,13 @@ func keys0(keys []string) string {
 // starts; no ingest cost is charged beyond the hash-partition shuffle that
 // already happened when the tuples were produced.
 func (e *Engine) RelationFromTuples(q *Query, name string, tuples []Tuple) *Relation {
-	rel := &Relation{Name: name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
+	rel := emptyLike(e, name)
+	count := make([]int, e.Workers())
+	for _, t := range tuples {
+		count[e.hashWorker(t.Key)]++
+	}
+	for w, c := range count {
+		rel.parts[w] = make([]Tuple, 0, c)
 	}
 	for _, t := range tuples {
 		w := e.hashWorker(t.Key)

@@ -3,6 +3,7 @@ package myria
 import (
 	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -143,19 +144,21 @@ func (q *Query) scanWhere(rel *Relation, pred func(Tuple) bool, name string) *Re
 		return emptyLike(q.eng, name)
 	}
 	e := q.eng
-	out := &Relation{Name: name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
-	}
-	for w := range rel.parts {
+	out := emptyLike(e, name)
+	for w, in := range rel.parts {
 		node := e.nodeOf(w)
-		var kept []Tuple
-		var keptBytes int64
-		for _, t := range rel.parts[w] {
-			if pred == nil || pred(t) {
-				kept = append(kept, t)
-				keptBytes += t.Size
+		kept := in[:len(in):len(in)] // a plain scan shares its input's tuples
+		if pred != nil {
+			kept = make([]Tuple, 0, len(in))
+			for _, t := range in {
+				if pred(t) {
+					kept = append(kept, t)
+				}
 			}
+		}
+		var keptBytes int64
+		for _, t := range kept {
+			keptBytes += t.Size
 		}
 		deps := []*cluster.Handle{q.start}
 		if w < len(rel.ready) && rel.ready[w] != nil {
@@ -186,19 +189,21 @@ func (q *Query) Apply(rel *Relation, udf PyUDF) *Relation {
 		return emptyLike(q.eng, udf.Name)
 	}
 	e := q.eng
-	out := &Relation{Name: udf.Name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
-	}
-	for w := range rel.parts {
+	out := emptyLike(e, udf.Name)
+	for w, in := range rel.parts {
 		node := e.nodeOf(w)
 		var dur vtime.Duration
 		var results []Tuple
-		for _, t := range rel.parts[w] {
+		for i, t := range in {
 			dur += e.model.AlgTime(udf.Op, t.Size) + e.model.PyIPCTime(t.Size)
 			res := udf.F(t)
 			for _, o := range res {
 				dur += e.model.PyIPCTime(o.Size)
+			}
+			if len(results)+len(res) > cap(results) {
+				// Room for every record still to come at this one's
+				// fan-out: one allocation when the fan-out is uniform.
+				results = slices.Grow(results, len(res)*(len(in)-i))
 			}
 			results = append(results, res...)
 		}
@@ -241,16 +246,17 @@ func (q *Query) BroadcastJoin(name string, left, right *Relation, combine func(l
 		}
 		return nil
 	}
-	out := &Relation{Name: name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
-	}
-	for w := range left.parts {
+	out := emptyLike(e, name)
+	for w, ls := range left.parts {
 		node := e.nodeOf(w)
 		var results []Tuple
 		var in int64
-		for _, t := range left.parts[w] {
-			results = append(results, combine(t, match(t.Key))...)
+		for i, t := range ls {
+			res := combine(t, match(t.Key))
+			if len(results)+len(res) > cap(results) {
+				results = slices.Grow(results, len(res)*(len(ls)-i))
+			}
+			results = append(results, res...)
 			in += t.Size
 		}
 		d := e.work(e.model.Jitter(name+"/w"+strconv.Itoa(w), e.model.AlgTime(cost.Filter, in)))
@@ -356,10 +362,7 @@ func (q *Query) GroupByApply(rel *Relation, groupKey func(Tuple) string, uda PyU
 		return emptyLike(q.eng, uda.Name)
 	}
 	e := q.eng
-	out := &Relation{Name: uda.Name, eng: e,
-		parts: make([][]Tuple, e.Workers()),
-		ready: make([]*cluster.Handle, e.Workers()),
-	}
+	out := emptyLike(e, uda.Name)
 	for w, ts := range sh.parts {
 		node := e.nodeOf(w)
 		sort.Stable(byKey{keys[w], ts})
@@ -401,14 +404,12 @@ func (q *Query) Collect(rel *Relation) ([]Tuple, *cluster.Handle) {
 		return nil, nil
 	}
 	e := q.eng
-	var out []Tuple
 	var gathered cluster.Handle // every worker's transfer, folded
 	for w := range rel.parts {
 		x := q.note(e.cl.Transfer(e.nodeOf(w), 0, rel.partBytes(w), rel.ready[w]))
 		gathered.End, gathered.Err = max(gathered.End, x.End), cmp.Or(gathered.Err, x.Err)
-		out = append(out, rel.parts[w]...)
 	}
-	return out, e.cl.Barrier(&gathered)
+	return rel.Tuples(), e.cl.Barrier(&gathered)
 }
 
 func emptyLike(e *Engine, name string) *Relation {

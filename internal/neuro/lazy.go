@@ -119,8 +119,13 @@ func fitOnRead(g *dmri.GradTable, slabs []slab, mask slab) (*lazyVol, error) {
 	if len(slabs) == 0 {
 		return nil, fmt.Errorf("neuro: fit of no slabs")
 	}
-	n := len(slabs)
-	return over(append(slabs[:n:n], mask), func(in []*volume.V3) (*volume.V3, error) { return FitBlock(g, in[:n], in[n]) }), nil
+	return over(slabs, func(in []*volume.V3) (*volume.V3, error) {
+		m, err := mask.Force()
+		if err != nil {
+			return nil, err
+		}
+		return FitBlock(g, in, m)
+	}), nil
 }
 
 // assembly is a volume put together from z-slabs when read.

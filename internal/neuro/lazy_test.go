@@ -2,6 +2,7 @@ package neuro
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -119,5 +120,29 @@ func TestStepRunnersComputeNothing(t *testing.T) {
 	}
 	if n := lazy.Computed() - before; n != 0 {
 		t.Errorf("the step runners computed %d lazy values", n)
+	}
+}
+
+// fitOnRead forces the mask inside the fit instead of copying the
+// slabs to append it, so what it allocates does not grow with the
+// slabs: the same bytes for 4 slabs as for 64.
+func TestFitOnReadAllocsConstantInSlabs(t *testing.T) {
+	s := blockOnRead(held(volume.New3(1, 1, 1)), volume.Block{Z0: 0, Z1: 1})
+	bytesPerFit := func(n int) uint64 {
+		slabs := make([]slab, n)
+		for i := range slabs {
+			slabs[i] = s
+		}
+		const runs = 100
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			fitOnRead(nil, slabs, s)
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	if small, large := bytesPerFit(4), bytesPerFit(64); small != large {
+		t.Errorf("fitOnRead allocates %d bytes for 4 slabs, %d for 64", small, large)
 	}
 }

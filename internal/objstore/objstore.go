@@ -113,7 +113,13 @@ func (s *Store) Get(key string) (Object, error) {
 func (s *Store) List(prefix string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var keys []string
+	n := 0
+	for k := range s.objects {
+		if strings.HasPrefix(k, prefix) {
+			n++
+		}
+	}
+	keys := make([]string, 0, n)
 	for k := range s.objects {
 		if strings.HasPrefix(k, prefix) {
 			keys = append(keys, k)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,5 +188,20 @@ func TestDecodedHitAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("a held decode allocates %v times a call, want 0", n)
+	}
+}
+
+// List counts the matching keys before it fills its result: one
+// allocation, at any number of keys.
+func TestListAllocatesOnce(t *testing.T) {
+	for _, n := range []int{64, 512} {
+		s := New()
+		s.Put("other", nil, 0)
+		for i := 0; i < n; i++ {
+			s.Put("in/"+strconv.Itoa(i), nil, 0)
+		}
+		if got := testing.AllocsPerRun(20, func() { s.List("in/") }); got != 1 {
+			t.Errorf("List of %d keys allocates %v times, want 1", n, got)
+		}
 	}
 }

@@ -74,7 +74,7 @@ func (g Grid) Overlaps(x0, y0, w, h int) []Patch {
 	px1 := floorDiv(x0+w-1, g.PatchW)
 	py0 := floorDiv(y0, g.PatchH)
 	py1 := floorDiv(y0+h-1, g.PatchH)
-	var out []Patch
+	out := make([]Patch, 0, (px1-px0+1)*(py1-py0+1))
 	for py := py0; py <= py1; py++ {
 		for px := px0; px <= px1; px++ {
 			out = append(out, Patch{PX: px, PY: py})

@@ -213,3 +213,14 @@ func TestGroupByPatchOrder(t *testing.T) {
 		t.Errorf("grouping wrong")
 	}
 }
+
+// Overlaps sizes its result from the patch range: one allocation, for
+// one patch as for many.
+func TestOverlapsAllocatesOnce(t *testing.T) {
+	g := Grid{PatchW: 10, PatchH: 10}
+	for _, r := range [][4]int{{1, 1, 5, 5}, {5, 5, 21, 10}, {-35, -15, 200, 90}} {
+		if got := testing.AllocsPerRun(20, func() { g.Overlaps(r[0], r[1], r[2], r[3]) }); got != 1 {
+			t.Errorf("Overlaps%v allocates %v times, want 1", r, got)
+		}
+	}
+}

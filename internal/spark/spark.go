@@ -271,7 +271,6 @@ func (r *RDD) Collect() ([]Pair, *cluster.Handle, error) {
 		if err := r.compute(); err != nil {
 			return nil, nil, err
 		}
-		var out []Pair
 		var gathered cluster.Handle // every partition's transfer, folded
 		for i, part := range r.parts {
 			var bytes int64
@@ -280,7 +279,6 @@ func (r *RDD) Collect() ([]Pair, *cluster.Handle, error) {
 			}
 			x := r.s.cl.Transfer(r.nodes[i], 0, bytes, r.ready[i])
 			gathered.End, gathered.Err = max(gathered.End, x.End), cmp.Or(gathered.Err, x.Err)
-			out = append(out, part...)
 		}
 		h := r.s.cl.Barrier(&gathered)
 		if h.Err != nil && attempt < r.s.cl.Nodes() && r.s.adoptNodeFailure(h.Err) {
@@ -289,6 +287,7 @@ func (r *RDD) Collect() ([]Pair, *cluster.Handle, error) {
 		if h.Err != nil {
 			return nil, nil, h.Err
 		}
+		out := slices.Concat(r.parts...)
 		r.resetLineage()
 		return out, h, nil
 	}
@@ -352,27 +351,23 @@ func (r *RDD) fetchPartition(p, node int, enum, after *cluster.Handle) error {
 	if after != nil {
 		enum = s.cl.Barrier(enum, after)
 	}
-	var keys []string
-	for i := p; i < len(r.keys); i += r.nParts {
-		keys = append(keys, r.keys[i])
-	}
 	var fetchBytes int64
-	var records []Pair
-	for _, k := range keys {
-		obj, err := s.store.Get(k)
+	decoded := make([][]Pair, 0, (len(r.keys)+r.nParts-1-p)/r.nParts) // keys p, p+nParts, …
+	for i := p; i < len(r.keys); i += r.nParts {
+		obj, err := s.store.Get(r.keys[i])
 		if err != nil {
 			return err
 		}
 		fetchBytes += obj.Size()
-		records = append(records, r.decode(obj)...)
+		decoded = append(decoded, r.decode(obj))
 	}
 	// Each object fetch pays GET latency; decoding crosses into the
 	// Python worker (the input records are pickled arrays).
-	dl := s.model.S3Fetch(len(keys), fetchBytes) + s.model.FormatTime(fetchBytes) + s.model.PyIPCTime(fetchBytes)
+	dl := s.model.S3Fetch(len(decoded), fetchBytes) + s.model.FormatTime(fetchBytes) + s.model.PyIPCTime(fetchBytes)
 	deps := append([]*cluster.Handle{{End: start(s, enum, r.extraDeps)}}, r.extraDeps...)
 	r.nodes[p] = node
-	r.parts[p] = records
-	r.ready[p] = s.cl.Submit(node, deps, s.model.Jitter(r.name+keys0(keys), dl), nil)
+	r.parts[p] = slices.Concat(decoded...)
+	r.ready[p] = s.cl.Submit(node, deps, s.model.Jitter(r.name+keys0(r.keys[min(p, len(r.keys)):]), dl), nil)
 	return nil
 }
 
@@ -464,10 +459,15 @@ func (r *RDD) narrowPartition(chain []*RDD, base *RDD, p int, after *cluster.Han
 	}
 	out := records
 	for _, op := range chain {
-		next := make([]Pair, 0, len(out))
-		for _, rec := range out {
+		var next []Pair
+		for i, rec := range out {
 			dur += op.taskCost(rec)
 			res := op.udf.F(rec)
+			if len(next)+len(res) > cap(next) {
+				// Room for every record still to come at this one's
+				// fan-out: one allocation when the fan-out is uniform.
+				next = slices.Grow(next, len(res)*(len(out)-i))
+			}
 			next = append(next, res...)
 			for _, nr := range res {
 				if !op.udf.Native {

@@ -8,6 +8,7 @@ package vtime
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 )
 
@@ -60,10 +61,13 @@ func Max(ts ...Time) Time {
 // later-ready requests.
 type GapTimeline struct {
 	// busy intervals, sorted by start, disjoint and coalesced: no two
-	// touch, so the ends are sorted too.
-	starts, ends []Time
-	busy         Duration
+	// touch, so their ends are sorted too.
+	ivs  []interval
+	busy Duration
 }
+
+// interval is one booking of a GapTimeline, [start, end).
+type interval struct{ start, end Time }
 
 // findGap locates the earliest gap of length d starting no earlier than
 // ready: it returns the start of that gap and the index at which a new
@@ -75,18 +79,16 @@ type GapTimeline struct {
 // search — or at once when ready is at or past the last end, as many
 // probes are.
 func (g *GapTimeline) findGap(ready Time, d Duration) (start Time, i int) {
-	if n := len(g.ends); n == 0 || g.ends[n-1] <= ready {
+	if n := len(g.ivs); n == 0 || g.ivs[n-1].end <= ready {
 		return ready, n
 	}
-	if i, _ = slices.BinarySearch(g.ends, ready); g.ends[i] == ready {
-		i++
-	}
-	for start = ready; i < len(g.starts); i++ {
-		if g.starts[i] >= start.Add(d) {
+	i = sort.Search(len(g.ivs), func(j int) bool { return g.ivs[j].end > ready })
+	for start = ready; i < len(g.ivs); i++ {
+		if g.ivs[i].start >= start.Add(d) {
 			break // fits entirely before interval i
 		}
-		if g.ends[i] > start {
-			start = g.ends[i] // push past interval i
+		if g.ivs[i].end > start {
+			start = g.ivs[i].end // push past interval i
 		}
 	}
 	return start, i
@@ -105,17 +107,17 @@ func (g *GapTimeline) Reserve(ready Time, d Duration) (start, end Time) {
 		// The booking lies between intervals i-1 and i and can touch each
 		// only at an end: coalesce it with the ones it touches, so the
 		// list stays short and its ends sorted.
-		prev, next := i > 0 && g.ends[i-1] == start, i < len(g.starts) && g.starts[i] == end
+		prev, next := i > 0 && g.ivs[i-1].end == start, i < len(g.ivs) && g.ivs[i].start == end
 		switch {
 		case prev && next:
-			g.ends[i-1] = g.ends[i]
-			g.starts, g.ends = slices.Delete(g.starts, i, i+1), slices.Delete(g.ends, i, i+1)
+			g.ivs[i-1].end = g.ivs[i].end
+			g.ivs = slices.Delete(g.ivs, i, i+1)
 		case prev:
-			g.ends[i-1] = end
+			g.ivs[i-1].end = end
 		case next:
-			g.starts[i] = start
+			g.ivs[i].start = start
 		default:
-			g.starts, g.ends = slices.Insert(g.starts, i, start), slices.Insert(g.ends, i, end)
+			g.ivs = slices.Insert(g.ivs, i, interval{start, end})
 		}
 	}
 	return start, end
@@ -133,7 +135,11 @@ func (g *GapTimeline) StartAt(ready Time, d Duration) Time {
 // Intervals returns a copy of the busy intervals, sorted by start and
 // non-overlapping after coalescing. It exists for tests and debugging.
 func (g *GapTimeline) Intervals() (starts, ends []Time) {
-	return append([]Time(nil), g.starts...), append([]Time(nil), g.ends...)
+	starts, ends = make([]Time, len(g.ivs)), make([]Time, len(g.ivs))
+	for i, iv := range g.ivs {
+		starts[i], ends[i] = iv.start, iv.end
+	}
+	return starts, ends
 }
 
 // Busy returns the total reserved time.

@@ -82,8 +82,7 @@ func TestGapTimelineStartAtMatchesReserve(t *testing.T) {
 	}{{0, 5}, {0, 15}, {12, 3}, {12, 30}, {45, 1}, {100, 7}} {
 		want := g.StartAt(tc.ready, tc.d)
 		var copyG GapTimeline
-		copyG.starts = append([]Time(nil), g.starts...)
-		copyG.ends = append([]Time(nil), g.ends...)
+		copyG.ivs = slices.Clone(g.ivs)
 		got, _ := copyG.Reserve(tc.ready, tc.d)
 		if got != want {
 			t.Errorf("StartAt(%v,%v)=%v but Reserve books %v", tc.ready, tc.d, want, got)
@@ -311,11 +310,37 @@ func BenchmarkGapTimelineReserve(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%n == 0 {
-					g.starts, g.ends = append(g.starts[:0], base.starts...), append(g.ends[:0], base.ends...)
+					g.ivs = append(g.ivs[:0], base.ivs...)
 				}
 				k := i * 7919 % n
 				g.Reserve(Time(4*k+2), 1)
 			}
 		})
+	}
+}
+
+// sink keeps what an allocation guard builds on the heap.
+var sink []interval
+
+// Reserve's insert path grows the one interval slice: booking n disjoint
+// intervals allocates exactly as often as appending n intervals to one
+// slice does, and not once for each of two.
+func TestGapTimelineInsertAllocsOneSlice(t *testing.T) {
+	const n = 1000
+	book := testing.AllocsPerRun(5, func() {
+		var g GapTimeline
+		for i := 0; i < n; i++ {
+			g.Reserve(Time(2*i), 1)
+		}
+		sink = g.ivs
+	})
+	grow := testing.AllocsPerRun(5, func() {
+		sink = nil
+		for i := 0; i < n; i++ {
+			sink = append(sink, interval{})
+		}
+	})
+	if book != grow {
+		t.Errorf("booking %d intervals allocates %v times, appending them to one slice %v", n, book, grow)
 	}
 }
