@@ -68,22 +68,23 @@ func New(cfg Config) (*Daemon, error) {
 		Cache: cache, Tracer: d.Tracer, Metrics: d.Metrics,
 	}
 	if cfg.Journal != "" && cfg.CacheDir == "" {
-		// The journal retires a job on OpDone because its result is
-		// rereadable from the disk cache; with a memory-only cache that
-		// premise is false and completed results vanish on restart.
+		// Replay skips a journaled job when the cache holds its result;
+		// a memory-only cache holds none after a restart, so every
+		// journaled job, finished or not, runs again.
 		d.Warnings = append(d.Warnings,
-			"-journal without -cache-dir: completed results will not survive a restart (only pending jobs recover)")
+			"-journal without -cache-dir: a restart re-runs every journaled job (the cache, not the journal, records completion)")
 	}
 	if cfg.Journal != "" {
-		// Compact before opening for append: completed history is
-		// dropped (the cache holds those results), so the journal stays
-		// proportional to pending work instead of total traffic. Must
-		// happen before OpenJournal — compaction renames the file.
-		if _, err := runner.CompactJournal(cfg.Journal); err != nil {
+		// Compact before opening for append: submits the cache has
+		// results for are dropped, so the journal stays proportional to
+		// unfinished work instead of total traffic. Must happen before
+		// OpenJournal — compaction renames the file.
+		if _, err := runner.CompactJournal(cfg.Journal, cache); err != nil {
 			d.Warnings = append(d.Warnings, fmt.Sprintf("journal compaction: %v", err))
 		}
 		j, err := runner.OpenJournal(cfg.Journal)
 		if err != nil {
+			cache.Close()
 			return nil, err
 		}
 		d.journal = j
@@ -162,8 +163,8 @@ func registerSharedInputMetrics(m *obs.Registry) {
 }
 
 // Close drains the scheduler, then closes the journal and the cache's
-// log — worker completion records and results are still being appended
-// until the scheduler's Close returns.
+// log — results are still being appended until the scheduler's Close
+// returns.
 func (d *Daemon) Close() {
 	d.Sched.Close()
 	if d.journal != nil {

@@ -10,6 +10,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -304,5 +306,38 @@ func TestStartsOverAGridThatNoLongerExpands(t *testing.T) {
 	defer cancel()
 	if err := s.Wait(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewClosesTheCacheWhenTheJournalFails pins New's error path: when
+// the journal cannot be opened, the result cache New opened first is
+// closed, not left for a finalizer. GC is off, so a descriptor New
+// leaks stays open and shows in /proc/self/fd.
+func TestNewClosesTheCacheWhenTheJournalFails(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts descriptors in /proc/self/fd")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	openFDs() // the first directory read may open the runtime's poller
+	before := openFDs()
+	d, err := New(Config{Workers: 1, CacheDir: filepath.Join(dir, "cache"), Journal: filepath.Join(file, "journal.jsonl")})
+	if err == nil {
+		d.Close()
+		t.Fatal("New opened a journal under a regular file")
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("%d descriptors open after the failed New, %d before", after, before)
 	}
 }

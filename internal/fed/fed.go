@@ -143,13 +143,15 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// record appends to the assignment journal, remembering the first
-// failure: the sweep keeps executing (availability over durability),
-// and Run surfaces the degraded exactly-once guarantee at the end.
+// record stamps r with the time and appends it to the assignment
+// journal, remembering the first failure: the sweep keeps executing
+// (availability over durability), and Run surfaces the degraded
+// exactly-once guarantee at the end.
 func (c *Coordinator) record(r Record) {
 	if c.journal == nil {
 		return
 	}
+	r.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	if err := c.journal.Record(r); err != nil && c.journalErr == nil {
 		c.journalErr = err
 	}

@@ -138,7 +138,7 @@ func TestJournalRoundTripAndDoneKeys(t *testing.T) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))
 	}
 	for i, r := range got {
-		if r.Op != recs[i].Op || r.Key != recs[i].Key || r.Worker != recs[i].Worker || r.Time == "" {
+		if r.Op != recs[i].Op || r.Key != recs[i].Key || r.Worker != recs[i].Worker {
 			t.Errorf("record %d = %+v", i, r)
 		}
 	}
@@ -462,6 +462,16 @@ func TestCoordinatorResume(t *testing.T) {
 	first.Close()
 	if err != nil || len(res.Failed) != 0 {
 		t.Fatalf("first run: err=%v failed=%v", err, res.Failed)
+	}
+	// Every record the coordinator wrote carries its time.
+	recs, err := ReadJournal(journal)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("journal after the first run: %d records, %v", len(recs), err)
+	}
+	for _, r := range recs {
+		if _, err := time.Parse(time.RFC3339Nano, r.Time); err != nil {
+			t.Errorf("record %+v has no time: %v", r, err)
+		}
 	}
 
 	// Worker-side execution counts before the resume.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -60,6 +61,69 @@ func FuzzOpenScanRead(f *testing.F) {
 		})
 		if err != nil || next != int64(len(kept)) {
 			t.Fatalf("Scan: %v after %d of %d bytes", err, next, len(kept))
+		}
+	})
+}
+
+// fuzzRecord has the field kinds the journals' records use: strings, a
+// named string type, a number and a pointer to a struct.
+type fuzzRecord struct {
+	Op  op                      `json:"op"`
+	Key string                  `json:"key,omitempty"`
+	N   int                     `json:"n,omitempty"`
+	Sub *struct{ A, B float64 } `json:"sub,omitempty"`
+}
+
+type op string
+
+func validRecord(r *fuzzRecord) bool { return r.Op != "" }
+
+// FuzzReadLog hands ReadLog arbitrary file bytes. It must not panic, it
+// must fail exactly when Read with the same validity rule does, and
+// every record it returns must re-encode (Log.Record) to a line it
+// reads back as the same record.
+func FuzzReadLog(f *testing.F) {
+	f.Add([]byte("{\"op\":\"submit\",\"key\":\"k\",\"sub\":{\"A\":1}}\n{\"op\":\"done\"}\n{\"op\":\"to"))
+	f.Add([]byte("{\"op\":\"\"}\n{\"op\":\"a\"}\n"))
+	f.Add([]byte("{\"OP\":\"\\ud800\",\"n\":1e2}\n\n[1]\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "log.jsonl")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := ReadLog(path, validRecord)
+		readErr := Read(path, func(line []byte) bool {
+			var r fuzzRecord
+			return json.Unmarshal(line, &r) == nil && validRecord(&r)
+		})
+		if (err != nil) != (readErr != nil) {
+			t.Fatalf("ReadLog: %v; Read: %v", err, readErr)
+		}
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("ReadLog returned %d records with its error", len(recs))
+			}
+			return
+		}
+
+		again := filepath.Join(dir, "again.jsonl")
+		l, err := OpenLog[fuzzRecord](again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := l.Record(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadLog(again, validRecord)
+		if err != nil || !reflect.DeepEqual(back, recs) {
+			t.Fatalf("re-encoded %+v, read back %+v (%v)", recs, back, err)
 		}
 	})
 }

@@ -1,11 +1,13 @@
 // Package jsonl is the append-only JSON-lines file primitive behind
-// the repo's crash-safe logs: the scheduler's job journal
-// (internal/runner), the federation coordinator's assignment journal
-// (internal/fed) and the result cache's disk tier (internal/results).
-// It owns exactly the mechanics they share — single-write appends of
-// complete lines, torn-tail repair on open, a durable group commit, and
-// a reader that tolerates one unparseable final line — while each log
-// keeps its own record schema and replay semantics.
+// the repo's crash-safe logs: the result cache's disk tier
+// (internal/results) uses File directly, and both journals, the
+// scheduler's job journal (internal/runner) and the federation
+// coordinator's assignment journal (internal/fed), are a Log of their
+// own record type. It owns exactly the mechanics they share —
+// single-write appends of complete lines, torn-tail repair on open, a
+// durable group commit, and a reader that tolerates one unparseable
+// final line — while each log keeps its own record schema and replay
+// semantics.
 //
 // Crash-safety model: records are written as a single write(2) of
 // complete lines to an O_APPEND descriptor, so concurrent writers never
@@ -19,6 +21,7 @@ package jsonl
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -300,4 +303,52 @@ func Read(path string, parse func(line []byte) bool) error {
 		return fmt.Errorf("jsonl: read %s: %w", path, err)
 	}
 	return corrupt
+}
+
+// Log is an append-only log of JSON records of type R: the journals'
+// shared type (the scheduler's job journal, the coordinator's
+// assignment journal). Each Record is one line appended without fsync
+// (File.Append); stamping a record's time is its writer's business.
+type Log[R any] struct{ f *File }
+
+// OpenLog opens (creating if needed) the log at path for appending,
+// repairing a torn trailing line left by a crash (see Open).
+func OpenLog[R any](path string) (*Log[R], error) {
+	f, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &Log[R]{f: f}, nil
+}
+
+// Record appends r as one line via a single write.
+func (l *Log[R]) Record(r R) error {
+	b, err := json.Marshal(r)
+	if err != nil {
+		return fmt.Errorf("jsonl: encode %s: %w", l.f.path, err)
+	}
+	return l.f.Append(b)
+}
+
+// Close closes the underlying file; further Records fail.
+func (l *Log[R]) Close() error { return l.f.Close() }
+
+// ReadLog decodes every record of the log at path, in order, under
+// Read's rules: a line is a record when it decodes as an R that valid
+// accepts, and only the final line may fail to be one. It returns no
+// records with an error.
+func ReadLog[R any](path string, valid func(*R) bool) ([]R, error) {
+	var recs []R
+	err := Read(path, func(line []byte) bool {
+		var r R
+		if json.Unmarshal(line, &r) != nil || !valid(&r) {
+			return false
+		}
+		recs = append(recs, r)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recs, nil
 }

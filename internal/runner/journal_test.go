@@ -2,9 +2,12 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,13 +26,59 @@ func openTestJournal(t *testing.T) (*FileJournal, string) {
 	return j, path
 }
 
+// nodes is the quick profile on an n-node cluster: a distinct result key
+// per n for the same experiment.
+func nodes(n int) core.Profile {
+	p := core.Quick()
+	p.ClusterNodes = []int{n}
+	return p
+}
+
+// cacheResult files a table for (experiment, p) in cache, as a finished
+// run would.
+func cacheResult(t *testing.T, cache *results.Cache, experiment string, p core.Profile) {
+	t.Helper()
+	tab := core.NewTable("fake", "virtual s", []string{"r"}, []string{"c"})
+	tab.Set("r", "c", 42)
+	if err := cache.Put(&results.Entry{Key: results.Key(experiment, p), Experiment: experiment, Profile: p, Table: tab}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// recoverInto replays the journal at path onto a fresh scheduler over
+// cache, as a restarted daemon does, and waits for every job it
+// resubmitted; it returns those jobs in resubmission order.
+func recoverInto(t *testing.T, path string, cache *results.Cache) []*Job {
+	t.Helper()
+	s := newTestScheduler(t, Options{Workers: 1, Cache: cache})
+	n, err := Recover(path, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := s.Jobs()
+	if n != len(jobs) {
+		t.Fatalf("Recover reported %d resubmissions, the scheduler holds %d jobs", n, len(jobs))
+	}
+	for _, j := range jobs {
+		Wait(context.Background(), j)
+	}
+	return jobs
+}
+
+func experiments(jobs []*Job) string {
+	var ids []string
+	for _, j := range jobs {
+		ids = append(ids, j.exp.ID)
+	}
+	return strings.Join(ids, ",")
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	j, jpath := openTestJournal(t)
 	p := core.Quick()
 	recs := []Record{
-		{Op: OpSubmit, JobID: "job-1", Key: "k1", Experiment: "fig11", Profile: &p},
-		{Op: OpDone, JobID: "job-1", Key: "k1"},
-		{Op: OpFail, JobID: "job-2", Key: "k2", Error: "boom"},
+		{Time: "2026-01-01T00:00:00Z", Op: OpSubmit, JobID: "job-1", Key: "k1", Experiment: "fig11", Profile: &p},
+		{Op: OpSubmit, JobID: "job-2", Key: "k2", Experiment: "fig12a", Profile: &p},
 	}
 	for _, r := range recs {
 		if err := j.Record(r); err != nil {
@@ -44,18 +93,12 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("read %d records, want %d", len(got), len(recs))
 	}
 	for i, r := range got {
-		if r.Op != recs[i].Op || r.JobID != recs[i].JobID || r.Key != recs[i].Key {
+		if r.Time != recs[i].Time || r.Op != recs[i].Op || r.JobID != recs[i].JobID || r.Key != recs[i].Key || r.Experiment != recs[i].Experiment {
 			t.Errorf("record %d = %+v, want %+v", i, r, recs[i])
 		}
-		if r.Time == "" {
-			t.Errorf("record %d has no timestamp", i)
+		if r.Profile == nil || r.Profile.Name != "quick" {
+			t.Errorf("record %d lost the profile: %+v", i, r.Profile)
 		}
-	}
-	if got[0].Profile == nil || got[0].Profile.Name != "quick" {
-		t.Errorf("submit record lost the profile: %+v", got[0].Profile)
-	}
-	if got[2].Error != "boom" {
-		t.Errorf("fail record lost the error: %+v", got[2])
 	}
 }
 
@@ -103,54 +146,51 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestPendingReplay pins replay: each journaled key whose result the
+// cache lacks is resubmitted once, in first-submission order; a cached
+// key and a submit that names no experiment or profile are skipped.
 func TestPendingReplay(t *testing.T) {
+	registerFakes()
+	j, jpath := openTestJournal(t)
+	cache, _ := results.Open("")
+	cacheResult(t, cache, "zz-test-ok", core.Quick())
 	p := core.Quick()
-	recs := []Record{
-		{Op: OpSubmit, JobID: "job-1", Key: "done-key", Experiment: "a", Profile: &p},
-		{Op: OpSubmit, JobID: "job-2", Key: "pending-key", Experiment: "b", Profile: &p},
-		{Op: OpSubmit, JobID: "job-3", Key: "failed-key", Experiment: "c", Profile: &p},
-		{Op: OpDone, JobID: "job-1", Key: "done-key"},
-		{Op: OpFail, JobID: "job-3", Key: "failed-key", Error: "canceled"},
-		// A later cache-hit resubmission of the done key, itself completed.
-		{Op: OpSubmit, JobID: "job-4", Key: "done-key", Experiment: "a", Profile: &p},
-		{Op: OpDone, JobID: "job-4", Key: "done-key", CacheHit: true},
+	for _, r := range []Record{
+		{Op: OpSubmit, JobID: "job-1", Key: results.Key("zz-test-ok", p), Experiment: "zz-test-ok", Profile: &p},
+		{Op: OpSubmit, JobID: "job-2", Key: results.Key("zz-test-fail", p), Experiment: "zz-test-fail", Profile: &p},
+		{Op: OpSubmit, JobID: "job-3", Key: "unreplayable"},
+		{Op: OpSubmit, JobID: "job-4", Key: results.Key("zz-test-slow", p), Experiment: "zz-test-slow", Profile: &p},
+		{Op: OpSubmit, JobID: "job-5", Key: results.Key("zz-test-fail", p), Experiment: "zz-test-fail", Profile: &p},
+	} {
+		if err := j.Record(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := Pending(recs)
-	if len(got) != 2 {
-		t.Fatalf("pending = %+v, want 2 jobs", got)
+	if got := experiments(recoverInto(t, jpath, cache)); got != "zz-test-fail,zz-test-slow" {
+		t.Errorf("recovered %q, want zz-test-fail,zz-test-slow", got)
 	}
-	// First-submission order: pending-key before failed-key.
-	if got[0].Key != "pending-key" || got[1].Key != "failed-key" {
-		t.Errorf("pending order = %s, %s", got[0].Key, got[1].Key)
-	}
-	if got[0].Experiment != "b" || got[0].Profile.Name != "quick" {
-		t.Errorf("pending job lost identity: %+v", got[0])
-	}
-	if len(Pending(nil)) != 0 {
-		t.Error("empty journal has pending jobs")
+	if got := unfinished(nil, cache); len(got) != 0 {
+		t.Errorf("empty journal replays %+v", got)
 	}
 }
 
-// TestSchedulerJournalsLifecycle proves the scheduler writes submit,
-// done, fail, and cache-hit records at the right moments.
+// TestSchedulerJournalsLifecycle proves the scheduler journals a
+// stamped submit for every job that has to run, succeeded or failed,
+// and nothing for a cache hit; replay over the same cache then re-runs
+// only the failure.
 func TestSchedulerJournalsLifecycle(t *testing.T) {
 	j, jpath := openTestJournal(t)
 	cache, _ := results.Open("")
 	s := newTestScheduler(t, Options{Workers: 1, Cache: cache, Journal: j})
 
-	ok1, err := s.Submit("zz-test-ok", core.Quick())
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"zz-test-ok", "zz-test-fail"} {
+		job, err := s.Submit(id, core.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		Wait(context.Background(), job)
 	}
-	if _, err := Wait(context.Background(), ok1); err != nil {
-		t.Fatal(err)
-	}
-	fail, err := s.Submit("zz-test-fail", core.Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	Wait(context.Background(), fail)
-	hit, err := s.Submit("zz-test-ok", core.Quick()) // cache hit
+	hit, err := s.Submit("zz-test-ok", core.Quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,33 +202,22 @@ func TestSchedulerJournalsLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ops []Op
+	if len(recs) != 2 || recs[0].Experiment != "zz-test-ok" || recs[1].Experiment != "zz-test-fail" {
+		t.Fatalf("journal = %+v, want one submit each for zz-test-ok and zz-test-fail", recs)
+	}
 	for _, r := range recs {
-		ops = append(ops, r.Op)
-	}
-	want := []Op{OpSubmit, OpDone, OpSubmit, OpFail, OpSubmit, OpDone}
-	if len(ops) != len(want) {
-		t.Fatalf("journal ops = %v, want %v", ops, want)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("journal ops = %v, want %v", ops, want)
+		if r.Op != OpSubmit || r.Profile == nil || r.Key != results.Key(r.Experiment, *r.Profile) {
+			t.Errorf("record %+v is not a replayable submit", r)
 		}
-	}
-	if !recs[5].CacheHit {
-		t.Error("cache-hit completion not marked in journal")
-	}
-	if recs[0].Profile == nil {
-		t.Error("submit record missing profile")
+		if _, err := time.Parse(time.RFC3339Nano, r.Time); err != nil {
+			t.Errorf("record %+v has no time stamp: %v", r, err)
+		}
 	}
 	if s.Stats().JournalErrors != 0 {
 		t.Errorf("journal errors = %d", s.Stats().JournalErrors)
 	}
-
-	// Everything completed: nothing pending except the failure.
-	pending := Pending(recs)
-	if len(pending) != 1 || pending[0].Experiment != "zz-test-fail" {
-		t.Errorf("pending after clean run = %+v, want just the failed job", pending)
+	if got := experiments(recoverInto(t, jpath, cache)); got != "zz-test-fail" {
+		t.Errorf("recovered %q after a clean run, want just the failed job", got)
 	}
 }
 
@@ -282,55 +311,42 @@ func TestRecoverResubmitsPendingOnly(t *testing.T) {
 	}
 }
 
-// TestQueueFullIsJournaledAsRetryable pins the shed-load contract: a
-// submission rejected by a full queue leaves submit+fail in the
-// journal, so the shed job is retried at the next recovery.
+// TestQueueFullIsJournaledAsRetryable pins the shed-load contract: a submission
+// rejected by a full queue keeps its journaled submit, so the next
+// recovery retries it, while the jobs that ran are served by the cache.
 func TestQueueFullIsJournaledAsRetryable(t *testing.T) {
 	j, jpath := openTestJournal(t)
 	registerFakes()
+	cache, _ := results.Open("")
 	gate := make(chan struct{})
 	setSlowGate(gate)
 	defer setSlowGate(nil)
-	s := New(Options{Workers: 1, QueueDepth: 1, Journal: j})
-	defer func() {
-		close(gate)
-		s.Close()
-	}()
+	s := New(Options{Workers: 1, QueueDepth: 1, Cache: cache, Journal: j})
 	before := slowRuns.Load()
-	if _, err := s.Submit("zz-test-slow", core.Quick()); err != nil {
+	slow, err := s.Submit("zz-test-slow", core.Quick())
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; slowRuns.Load() == before && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit("zz-test-ok", core.Quick()); err != nil {
+	ok, err := s.Submit("zz-test-ok", core.Quick())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Submit("zz-test-fail", core.Quick()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit = %v, want ErrQueueFull", err)
 	}
-	recs, err := ReadJournal(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawFail bool
-	for _, r := range recs {
-		if r.Op == OpFail && r.Error == ErrQueueFull.Error() {
-			sawFail = true
+	close(gate)
+	for _, job := range []*Job{slow, ok} {
+		if _, err := Wait(context.Background(), job); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !sawFail {
-		t.Fatalf("no queue-full fail record in journal: %+v", recs)
-	}
-	// The shed job stays pending, so recovery would retry it.
-	var found bool
-	for _, p := range Pending(recs) {
-		if p.Experiment == "zz-test-fail" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("shed job not pending after replay")
+	s.Close()
+
+	if got := experiments(recoverInto(t, jpath, cache)); got != "zz-test-fail" {
+		t.Errorf("recovered %q, want just the shed job", got)
 	}
 }
 
@@ -385,59 +401,48 @@ func TestJournalRejectsMultipleBadLines(t *testing.T) {
 	}
 }
 
-// TestCompactJournal pins the startup-compaction contract: completed
-// history is dropped, only the first submit of each pending key
-// survives, and replaying the compacted file yields the same pending
-// set.
+// TestCompactJournal pins the startup-compaction contract: submits the
+// cache has results for are dropped, only the first submit of each
+// other key survives, and replaying the compacted file resubmits what
+// replaying the original did.
 func TestCompactJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := core.Quick()
-	for _, r := range []Record{
-		{Op: OpSubmit, JobID: "job-1", Key: "done-key", Experiment: "a", Profile: &p},
-		{Op: OpDone, JobID: "job-1", Key: "done-key"},
-		{Op: OpSubmit, JobID: "job-2", Key: "pend-key", Experiment: "b", Profile: &p},
-		{Op: OpSubmit, JobID: "job-3", Key: "fail-key", Experiment: "c", Profile: &p},
-		{Op: OpFail, JobID: "job-3", Key: "fail-key", Error: "boom"},
-	} {
+	registerFakes()
+	j, path := openTestJournal(t)
+	cache, _ := results.Open("")
+	cacheResult(t, cache, "zz-test-ok", nodes(1))
+	for i, n := range []int{1, 2, 3, 2} {
+		p := nodes(n)
+		r := Record{Op: OpSubmit, JobID: fmt.Sprint("job-", i), Key: results.Key("zz-test-ok", p), Experiment: "zz-test-ok", Profile: &p}
 		if err := j.Record(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	j.Close()
 
-	before := Pending(mustRead(t, path))
-	kept, err := CompactJournal(path)
+	before := unfinished(mustRead(t, path), cache)
+	kept, err := CompactJournal(path, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if kept != 2 {
-		t.Fatalf("kept %d records, want 2 (pend-key, fail-key)", kept)
+		t.Fatalf("kept %d records, want 2 (the 2- and 3-node runs)", kept)
 	}
 	recs := mustRead(t, path)
-	if len(recs) != 2 {
-		t.Fatalf("compacted journal has %d records, want 2: %+v", len(recs), recs)
+	if len(recs) != 2 || recs[0].JobID != "job-1" || recs[1].JobID != "job-2" {
+		t.Fatalf("compacted journal = %+v, want the first submits of the uncached keys", recs)
 	}
-	for _, r := range recs {
-		if r.Op != OpSubmit || r.Profile == nil {
-			t.Errorf("compacted record not a replayable submit: %+v", r)
-		}
-	}
-	after := Pending(recs)
+	after := unfinished(recs, cache)
 	if len(after) != len(before) {
-		t.Fatalf("pending set changed by compaction: %v vs %v", after, before)
+		t.Fatalf("replay changed by compaction: %v vs %v", after, before)
 	}
 	for i := range after {
 		if after[i].Key != before[i].Key {
-			t.Errorf("pending[%d] = %s, want %s", i, after[i].Key, before[i].Key)
+			t.Errorf("replay[%d] = %s, want %s", i, after[i].Key, before[i].Key)
 		}
 	}
 
 	// Compacting a missing journal is a no-op.
-	if kept, err := CompactJournal(filepath.Join(t.TempDir(), "none.jsonl")); err != nil || kept != 0 {
+	if kept, err := CompactJournal(filepath.Join(t.TempDir(), "none.jsonl"), cache); err != nil || kept != 0 {
 		t.Errorf("compact of missing journal = %d, %v", kept, err)
 	}
 }
@@ -451,10 +456,84 @@ func mustRead(t *testing.T, path string) []Record {
 	return recs
 }
 
+// TestOldJournalReplays pins compatibility with journals that also
+// recorded completion: their done and fail lines parse and are
+// ignored, so over a disk cache recovery resubmits exactly the keys the
+// cache lacks, and compaction keeps exactly their first submits.
+func TestOldJournalReplays(t *testing.T) {
+	registerFakes()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	cacheDir := filepath.Join(dir, "cache")
+	cache, err := results.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(n int) string { return results.Key("zz-test-ok", nodes(n)) }
+	submit := func(job string, n int) string {
+		p, err := json.Marshal(nodes(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf(`{"time":"2026-01-01T00:00:00Z","op":"submit","job":%q,"key":%q,"experiment":"zz-test-ok","profile":%s}`, job, key(n), p)
+	}
+	// 1 ran and finished, 2 failed, 3 was a cache hit, 4 ran but its
+	// write-through failed; the cache holds 1 and 3.
+	lines := []string{
+		submit("job-1", 1),
+		fmt.Sprintf(`{"time":"2026-01-01T00:00:01Z","op":"done","job":"job-1","key":%q}`, key(1)),
+		submit("job-2", 2),
+		fmt.Sprintf(`{"time":"2026-01-01T00:00:02Z","op":"fail","job":"job-2","key":%q,"error":"context canceled"}`, key(2)),
+		submit("job-3", 3),
+		fmt.Sprintf(`{"time":"2026-01-01T00:00:03Z","op":"done","job":"job-3","key":%q,"cacheHit":true}`, key(3)),
+		submit("job-4", 4),
+		fmt.Sprintf(`{"time":"2026-01-01T00:00:04Z","op":"fail","job":"job-4","key":%q,"error":"completed, but cache write-through failed: disk full"}`, key(4)),
+	}
+	compacted := filepath.Join(dir, "compacted.jsonl")
+	for _, p := range []string{path, compacted} {
+		if err := os.WriteFile(p, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cacheResult(t, cache, "zz-test-ok", nodes(1))
+	cacheResult(t, cache, "zz-test-ok", nodes(3))
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted := func() *results.Cache {
+		c, err := results.Open(cacheDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	if kept, err := CompactJournal(compacted, restarted()); err != nil || kept != 2 {
+		t.Fatalf("compaction kept %d (%v), want 2", kept, err)
+	}
+	recs := mustRead(t, compacted)
+	if len(recs) != 2 || recs[0].JobID != "job-2" || recs[1].JobID != "job-4" {
+		t.Errorf("compacted journal = %+v, want the submits of job-2 and job-4", recs)
+	}
+
+	fakeRuns.Store(0)
+	var got []string
+	for _, job := range recoverInto(t, path, restarted()) {
+		got = append(got, job.key)
+	}
+	if want := []string{key(2), key(4)}; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("recovery resubmitted %v, want the 2- and 4-node keys %v", got, want)
+	}
+	if n := fakeRuns.Load(); n != 2 {
+		t.Errorf("recovery ran %d jobs, want 2", n)
+	}
+}
+
 // TestFailedWriteThroughJournalsAsPending pins the durability contract
-// behind OpDone: a job whose result could not be written through to the
-// disk cache is journaled as a failure, so recovery re-runs it instead
-// of retiring a key whose table would 404 after restart.
+// behind replay: a job whose result could not be written through to
+// the disk cache succeeds for this process, and a restarted one, whose
+// cache lacks the result, re-runs it exactly once.
 func TestFailedWriteThroughJournalsAsPending(t *testing.T) {
 	dir := t.TempDir()
 	cacheDir := filepath.Join(dir, "cache")
@@ -466,7 +545,6 @@ func TestFailedWriteThroughJournalsAsPending(t *testing.T) {
 	// closed under it, so the append fails while the in-memory entry
 	// still stores.
 	registerFakes()
-	key := results.Key("zz-test-ok", core.Quick())
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,18 +555,47 @@ func TestFailedWriteThroughJournalsAsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The job still succeeds for this process...
 	if _, err := Wait(context.Background(), job); err != nil {
 		t.Fatalf("job failed outright: %v", err)
 	}
-	// ...but the journal keeps it pending for the next recovery.
-	recs := mustRead(t, jpath)
-	last := recs[len(recs)-1]
-	if last.Op != OpFail || last.Key != key {
-		t.Fatalf("last record = %+v, want OpFail for the write-through failure", last)
+
+	fakeRuns.Store(0)
+	restarted, err := results.Open(cacheDir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pending := Pending(recs)
-	if len(pending) != 1 || pending[0].Key != key {
-		t.Fatalf("pending = %+v, want the write-through-failed job", pending)
+	defer restarted.Close()
+	if got := experiments(recoverInto(t, jpath, restarted)); got != "zz-test-ok" {
+		t.Fatalf("recovered %q, want the write-through-failed job", got)
+	}
+	if n := fakeRuns.Load(); n != 1 {
+		t.Errorf("recovery ran the job %d times, want once", n)
+	}
+}
+
+// TestMemoryCacheRestartReRunsEverything pins what a journal without a
+// disk cache gives: the restarted cache holds no results, so every
+// journaled job runs again, finished or not.
+func TestMemoryCacheRestartReRunsEverything(t *testing.T) {
+	j, jpath := openTestJournal(t)
+	cache, _ := results.Open("")
+	s := newTestScheduler(t, Options{Workers: 1, Cache: cache, Journal: j})
+	for _, n := range []int{1, 2} {
+		job, err := s.Submit("zz-test-ok", nodes(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Wait(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	fakeRuns.Store(0)
+	restarted, _ := results.Open("")
+	if got := experiments(recoverInto(t, jpath, restarted)); got != "zz-test-ok,zz-test-ok" {
+		t.Errorf("recovered %q, want both finished jobs", got)
+	}
+	if n := fakeRuns.Load(); n != 2 {
+		t.Errorf("recovery ran %d jobs, want 2", n)
 	}
 }

@@ -53,12 +53,13 @@ type Options struct {
 	// Cache, when non-nil, is consulted before scheduling and written
 	// through after every successful run.
 	Cache *results.Cache
-	// Journal, when non-nil, receives a record for every accepted
-	// submission and every terminal state, making the queue crash-safe:
+	// Journal, when non-nil, receives a submit record for every
+	// accepted job that has to run, making the queue crash-safe:
 	// replaying the journal after a restart (see Recover) resubmits
-	// exactly the jobs that never finished. Journal write failures do
-	// not fail jobs; they are counted in Stats.JournalErrors.
-	Journal Journal
+	// exactly the jobs whose results Cache does not hold. Journal write
+	// failures do not fail jobs; they are counted in
+	// Stats.JournalErrors.
+	Journal *FileJournal
 	// Tracer, when non-nil, records a span tree per job (queued →
 	// execute → cache-write, plus the per-engine stage spans emitted
 	// inside the simulations).
@@ -249,25 +250,19 @@ type Scheduler struct {
 	journalErrs atomic.Int64
 }
 
-// journal appends a record to the configured journal, best-effort: a
-// write failure (disk full, closed file) never fails the job, it only
+// journalSubmit records an accepted job that has to run, best-effort:
+// a write failure (disk full, closed file) never fails the job, it only
 // increments the JournalErrors counter.
-func (s *Scheduler) journal(r Record) {
-	if s.opts.Journal == nil {
-		return
-	}
-	if err := s.opts.Journal.Record(r); err != nil {
-		s.journalErrs.Add(1)
-	}
-}
-
-// journalSubmit records an accepted submission.
 func (s *Scheduler) journalSubmit(j *Job) {
 	if s.opts.Journal == nil {
 		return
 	}
 	p := j.profile
-	s.journal(Record{Op: OpSubmit, JobID: j.id, Key: j.key, Experiment: j.exp.ID, Profile: &p})
+	r := Record{Time: time.Now().UTC().Format(time.RFC3339Nano), Op: OpSubmit,
+		JobID: j.id, Key: j.key, Experiment: j.exp.ID, Profile: &p}
+	if err := s.opts.Journal.Record(r); err != nil {
+		s.journalErrs.Add(1)
+	}
 }
 
 // New starts a scheduler with opts.Workers workers.
@@ -346,11 +341,6 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 		s.mu.Unlock()
 		if entry, ok := s.opts.Cache.Get(key); ok {
 			s.cacheHits.Add(1)
-			// Journal before finish: once Done is observable, the
-			// job's records must already be on disk, or an action taken
-			// by an awakened waiter could journal ahead of them.
-			s.journalSubmit(j)
-			s.journal(Record{Op: OpDone, JobID: j.id, Key: j.key, CacheHit: true})
 			s.finishJob(j, entry.Table, nil, true)
 			// Done closes before the key leaves the in-flight map, so an
 			// identical Submit arriving in between joins this finished
@@ -376,9 +366,9 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 	}
 
 	// The submit record is written before the job becomes runnable (and
-	// before s.mu is released), so it is ordered before the worker's
-	// done/fail record and a crash after this point can never lose an
-	// accepted job. The cost is one file append under the lock.
+	// before s.mu is released), so a crash after this point can never
+	// lose an accepted job. The cost is one file append under the lock.
+	// A shed job keeps its record, so the next recovery retries it.
 	s.journalSubmit(j)
 	select {
 	case s.queue <- j:
@@ -388,10 +378,6 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 		delete(s.inflight, key)
 		s.mu.Unlock()
 		s.failed.Add(1)
-		// Retires nothing: a fail record leaves the key pending, so the
-		// shed job is retried on the next recovery, which is the right
-		// default for a full queue.
-		s.journal(Record{Op: OpFail, JobID: j.id, Key: j.key, Error: ErrQueueFull.Error()})
 		s.finishJob(j, nil, ErrQueueFull, false)
 		return nil, ErrQueueFull
 	}
@@ -618,8 +604,6 @@ func (s *Scheduler) run(j *Job) {
 		delete(s.inflight, j.key)
 		s.mu.Unlock()
 		s.failed.Add(1)
-		// Journal before finish (see the cache-hit path in Submit).
-		s.journal(Record{Op: OpFail, JobID: j.id, Key: j.key, Error: err.Error()})
 		// Not deferred: the gauge drops before finishJob closes Done, or
 		// a waiter woken by Done could still count this job as running.
 		s.running.Add(-1)
@@ -628,17 +612,17 @@ func (s *Scheduler) run(j *Job) {
 	}
 
 	s.executed.Add(1)
-	var putErr error
 	if s.opts.Cache != nil {
 		// A write-through failure (disk full, unwritable dir) does not
-		// fail the job — the in-memory entry still serves this process —
-		// but it does change what gets journaled below.
+		// fail the job: the in-memory entry still serves this process,
+		// and a restarted one re-runs the journaled job, whose result
+		// its cache does not hold.
 		_, putSpan := obs.StartSpan(j.execCtxValues(), "cache-write")
-		putErr = s.opts.Cache.Put(&results.Entry{
+		err := s.opts.Cache.Put(&results.Entry{
 			Key: j.key, Experiment: j.exp.ID, Profile: j.profile, Table: tab,
 		})
-		if putErr != nil {
-			putSpan.SetAttr("error", putErr.Error())
+		if err != nil {
+			putSpan.SetAttr("error", err.Error())
 		}
 		putSpan.End()
 	}
@@ -646,18 +630,6 @@ func (s *Scheduler) run(j *Job) {
 	s.vsecs += tab.VirtualSeconds()
 	delete(s.inflight, j.key)
 	s.mu.Unlock()
-	// The terminal record lands after the cache write-through (a
-	// journaled OpDone implies the result is rereadable from the cache)
-	// but before finish closes Done, so an awakened waiter can never
-	// journal ahead of it. When the write-through failed, the result
-	// will NOT survive a restart, so the job is journaled as a failure
-	// instead: replay keeps it pending and re-runs it.
-	if putErr != nil {
-		s.journal(Record{Op: OpFail, JobID: j.id, Key: j.key,
-			Error: fmt.Sprintf("completed, but cache write-through failed: %v", putErr)})
-	} else {
-		s.journal(Record{Op: OpDone, JobID: j.id, Key: j.key})
-	}
 	s.running.Add(-1)
 	s.finishJob(j, tab, nil, false)
 }
