@@ -19,7 +19,6 @@ var pixelKernels = map[string]bool{
 	"imaging.OtsuMask":          true, // and the threshold
 	"neuro.Segment":             true,
 	"imaging.NLMeans3":          true, // Step 2N
-	"imaging.NLMeans3Ctx":       true,
 	"imaging.NLMeans3Stream":    true,
 	"neuro.Denoise":             true,
 	"imaging.GaussianSmooth3":   true, // TensorFlow's rewrite of Step 2N

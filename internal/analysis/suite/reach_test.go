@@ -42,6 +42,8 @@ var testOnly = map[string]string{
 	"vtime.GapTimeline.Intervals":  "observer of the live gap timeline",
 	"daemon.Local.Kill":            "fault seam: kills a local worker in federation tests",
 	"lazy.Computed":                "observer of the live deferred values: how many were forced",
+	"fan.Busy":                     "observer of the live fan-out: goroutines counted now",
+	"fan.Helpers":                  "observer of the live fan-out: how many helpers were started",
 	// Declared in files table1 counts, which stay byte-identical.
 	"astro.ParsePatchKey":                          "in astro/astro.go, counted by table1",
 	"astro.CreatePatches":                          "in astro/astro.go, counted by table1",

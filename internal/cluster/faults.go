@@ -205,8 +205,8 @@ func (c *Cluster) CanHost(nodeID int, ready vtime.Time, d vtime.Duration) bool {
 // capacity from before the kill). It returns how many failed attempts
 // were paid for before the final outcome. This is the shared mechanics
 // behind engine-level whole-program recovery policies: Myria's
-// automatic query restart and SciDB's manual operator rerun both wrap
-// it. Errors that are not node deaths — and deaths of node 0, which
+// automatic query restart and SciDB's manual operator rerun are both
+// this loop, called from their engine registrations. Errors that are not node deaths — and deaths of node 0, which
 // hosts every engine's driver/coordinator — end the loop immediately.
 func (c *Cluster) RerunAfterKills(maxRetries int, run func() error) (failed int, err error) {
 	for attempt := 0; ; attempt++ {

@@ -2,20 +2,22 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"imagebench/internal/fan"
+	"imagebench/internal/imaging"
 	"imagebench/internal/synth"
+	"imagebench/internal/volume"
 )
 
 // setGOMAXPROCS sets the number of Ps for one test; the tests that use
@@ -28,37 +30,12 @@ func setGOMAXPROCS(t *testing.T, n int) {
 // wantNoHelpersLeft fails if a helper slot was not given back.
 func wantNoHelpersLeft(t *testing.T) {
 	t.Helper()
-	if b := busy.Load(); b != 0 {
-		t.Fatalf("busy = %d after every call returned, want 0", b)
+	if b := fan.Busy(); b != 0 {
+		t.Fatalf("fan.Busy() = %d after every call returned, want 0", b)
 	}
 }
 
-// goid is the running goroutine's number, to tell the caller from a
-// helper.
-func goid() string {
-	buf := make([]byte, 64)
-	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
-}
-
-func TestForEachCellRunsEachIndexOnce(t *testing.T) {
-	for _, procs := range []int{1, 2, 8} {
-		setGOMAXPROCS(t, procs)
-		for _, n := range []int{0, 1, 2, 7, 100} {
-			ran := make([]atomic.Int32, n)
-			if err := forEachCell(context.Background(), n, func(i int) error {
-				ran[i].Add(1)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ran {
-				if c := ran[i].Load(); c != 1 {
-					t.Fatalf("GOMAXPROCS %d, n %d: cell %d ran %d times", procs, n, i, c)
-				}
-			}
-		}
-		wantNoHelpersLeft(t)
-	}
+func TestForEachGridCellCoversTheGrid(t *testing.T) {
 	var seen [][2]int
 	var mu sync.Mutex
 	if err := forEachGridCell(context.Background(), 3, 2, func(col, row int) error {
@@ -66,154 +43,66 @@ func TestForEachCellRunsEachIndexOnce(t *testing.T) {
 		seen = append(seen, [2]int{col, row})
 		mu.Unlock()
 		return nil
-	}); err != nil || len(seen) != 6 {
-		t.Fatalf("grid: %v, %d cells", err, len(seen))
-	}
-}
-
-// With one P there is no helper: the cells run in index order on the
-// caller, which is the serial loop the experiments had.
-func TestForEachCellIsSerialOnOneP(t *testing.T) {
-	setGOMAXPROCS(t, 1)
-	e := &Experiment{ID: "zz-test-serial", Run: func(ctx context.Context, _ Profile) (*Table, error) {
-		caller := goid()
-		next := 0
-		return nil, forEachCell(ctx, 20, func(i int) error {
-			if i != next || goid() != caller {
-				return fmt.Errorf("cell %d ran at position %d on goroutine %s, caller is %s", i, next, goid(), caller)
-			}
-			next++
-			return nil
-		})
-	}}
-	if _, err := e.RunContext(context.Background(), Quick()); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Two cells fail, the higher index first: the lower one's error is
-// returned, as from the serial loop, and every cell below it ran. Which
-// cells past a failure start depends on how the goroutines interleave
-// (one can claim and run any number of cells between another's fn
-// returning and its failure being recorded), so that is asserted where
-// nothing interleaves: on one P, no cell past the failure starts.
-func TestForEachCellLowestIndexErrorWins(t *testing.T) {
-	setGOMAXPROCS(t, 4)
-	err3, err7 := errors.New("cell 3"), errors.New("cell 7")
-	sevenFailed := make(chan struct{})
-	var ran [16]atomic.Bool
-	err := forEachCell(context.Background(), len(ran), func(i int) error {
-		ran[i].Store(true)
-		switch i {
-		case 3:
-			select {
-			case <-sevenFailed:
-			case <-time.After(30 * time.Second):
-				t.Error("cell 7 never ran beside cell 3: no helper was started")
-			}
-			return err3
-		case 7:
-			defer close(sevenFailed)
-			return err7
-		}
-		return nil
-	})
-	if err != err3 {
-		t.Fatalf("got %v, want the lowest failed index's error (%v)", err, err3)
-	}
-	for i := 0; i <= 3; i++ {
-		if !ran[i].Load() {
-			t.Errorf("cell %d, below the failure, did not run", i)
-		}
-	}
-	wantNoHelpersLeft(t)
-
-	// Through RunContext, which counts the caller, so no helper starts.
-	setGOMAXPROCS(t, 1)
-	var past atomic.Bool
-	e := &Experiment{ID: "zz-test-stop", Run: func(ctx context.Context, _ Profile) (*Table, error) {
-		return nil, forEachCell(ctx, len(ran), func(i int) error {
-			if i > 5 {
-				past.Store(true)
-			}
-			if i == 5 {
-				return err7
-			}
-			return nil
-		})
-	}}
-	if _, err := e.RunContext(context.Background(), Quick()); err != err7 {
-		t.Fatalf("one P: got %v, want %v", err, err7)
-	}
-	if past.Load() {
-		t.Error("one P: a cell past the failure started")
+	slices.SortFunc(seen, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	if want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}}; !slices.Equal(seen, want) {
+		t.Fatalf("grid cells %v, want %v", seen, want)
 	}
 }
 
-func TestForEachCellStopsWhenContextIsDone(t *testing.T) {
-	setGOMAXPROCS(t, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := forEachCell(ctx, 8, func(i int) error {
-		t.Errorf("cell %d ran under a canceled context", i)
-		return nil
-	}); err != context.Canceled {
-		t.Fatalf("pre-canceled: got %v, want context.Canceled", err)
+// A kernel forced inside a cell whose callers hold every P runs its
+// tiles on the cell's own goroutine: no helper starts, and the output
+// is the sequential one bit for bit.
+func TestKernelInACountedCellStartsNoHelper(t *testing.T) {
+	v := volume.New3(9, 8, 12)
+	for i := range v.Data {
+		v.Data[i] = float64(i%17) * 1.5
 	}
-
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	var ran atomic.Int32
-	err := forEachCell(ctx, 1000, func(i int) error {
-		if ran.Add(1) == 5 {
-			cancel()
+	want := imaging.NLMeans3(v, nil, imaging.NLMeansOpts{Workers: 1})
+	for _, procs := range []int{1, 2} {
+		setGOMAXPROCS(t, procs)
+		var entered, done, wg sync.WaitGroup
+		entered.Add(procs)
+		done.Add(procs)
+		outs := make([]*volume.V3, procs)
+		errs := make([]error, procs)
+		before := fan.Helpers()
+		for c := range procs {
+			e := &Experiment{ID: "zz-test-kernel", Run: func(context.Context, Profile) (*Table, error) {
+				// Every caller is counted before any kernel starts and
+				// until every kernel has returned: a caller that left
+				// would free a core for a helper.
+				entered.Done()
+				entered.Wait()
+				outs[c] = imaging.NLMeans3(v, nil, imaging.NLMeansOpts{})
+				done.Done()
+				done.Wait()
+				return nil, nil
+			}}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[c] = e.RunContext(context.Background(), Quick())
+			}()
 		}
-		return nil
-	})
-	if err != context.Canceled {
-		t.Fatalf("canceled mid-run: got %v, want context.Canceled", err)
-	}
-	// Each goroutine can have passed the check once before the cancel
-	// became visible to it.
-	if n := ran.Load(); n < 5 || n > 5+4 {
-		t.Fatalf("%d cells ran; the cancel came in the fifth", n)
-	}
-	wantNoHelpersLeft(t)
-}
-
-// A panic on a helper goroutine would kill the process from a stack
-// that names no experiment; it is carried to the caller instead, after
-// the other cells have returned.
-func TestForEachCellReraisesAHelperPanicOnTheCaller(t *testing.T) {
-	setGOMAXPROCS(t, 2)
-	caller := goid()
-	var both sync.WaitGroup
-	both.Add(2)
-	var finished atomic.Int32
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("the helper's panic was lost")
+		wg.Wait()
+		if n := fan.Helpers() - before; n != 0 {
+			t.Errorf("GOMAXPROCS %d, every P counted: %d helpers started", procs, n)
 		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "helper bug") || !strings.Contains(msg, "cells_test.go") {
-			t.Fatalf("re-raised panic does not carry the original message and stack: %v", msg)
-		}
-		if finished.Load() != 1 {
-			t.Fatal("the panic was re-raised before the caller's own cell had returned")
+		for c, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Data {
+				if outs[c].Data[i] != want.Data[i] {
+					t.Fatalf("GOMAXPROCS %d: voxel %d = %v, want %v (must be bit-identical)", procs, i, outs[c].Data[i], want.Data[i])
+				}
+			}
 		}
 		wantNoHelpersLeft(t)
-	}()
-	_ = forEachCell(context.Background(), 2, func(i int) error {
-		// Both cells are running, so one of them is on the helper.
-		both.Done()
-		both.Wait()
-		if goid() != caller {
-			panic("helper bug")
-		}
-		finished.Add(1)
-		return nil
-	})
-	t.Fatal("forEachCell returned")
+	}
 }
 
 // However many callers are inside RunContext, the goroutines running
@@ -231,7 +120,7 @@ func TestCellGoroutinesStayWithinGOMAXPROCS(t *testing.T) {
 			// caller only finds its slot taken until the next boundary.
 			entered.Done()
 			entered.Wait()
-			return nil, forEachCell(ctx, 64, func(int) error {
+			return nil, fan.Each(ctx, 64, 0, func(int) error {
 				a := alive.Add(1)
 				for p := peak.Load(); a > p && !peak.CompareAndSwap(p, a); p = peak.Load() {
 				}

@@ -7,6 +7,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/engine"
+	"imagebench/internal/fan"
 	"imagebench/internal/vtime"
 )
 
@@ -113,7 +114,7 @@ func runFTTable(ctx context.Context, title string, p Profile, nodes int, engines
 	}
 	t := NewTable(title, "virtual s", engine.Names(engines), names)
 	notes := make([][]string, len(engines))
-	err = forEachCell(ctx, len(engines), func(e int) error {
+	err = fan.Each(ctx, len(engines), 0, func(e int) error {
 		eng := engines[e]
 		sys := eng.Name()
 		cl := newClusterMem(nodes, minMem)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"imagebench/internal/astro"
+	"imagebench/internal/fan"
 	"imagebench/internal/neuro"
 	"imagebench/internal/vtime"
 )
@@ -68,7 +69,7 @@ func runSec531TF(ctx context.Context, p Profile) (*Table, error) {
 	}
 	rows := []string{"round-robin", "half-devices", "blocked"}
 	t := NewTable(fmt.Sprintf("Sec 5.3.1: TensorFlow assignments, filter step (%d subjects)", n), "virtual s", rows, []string{"runtime"})
-	err = forEachCell(ctx, len(rows), func(i int) error {
+	err = fan.Each(ctx, len(rows), 0, func(i int) error {
 		name := rows[i]
 		cl := newCluster(nodes)
 		d, err := neuro.TFFilterTime(w, cl, model, strategies[name])
@@ -117,7 +118,7 @@ func runSec531SciDB(ctx context.Context, p Profile) (*Table, error) {
 		rows = append(rows, fmt.Sprintf("%dx%d", e, e))
 	}
 	t := NewTable(fmt.Sprintf("Sec 5.3.1: SciDB chunk sizes (%d visits)", n), "virtual s", rows, []string{"runtime"})
-	err = forEachCell(ctx, len(edges), func(i int) error {
+	err = fan.Each(ctx, len(edges), 0, func(i int) error {
 		e := edges[i]
 		cl := newCluster(defaultNodes(p))
 		dur, err := astro.SciDBCoaddRunner(astro.SciDBOpts{ChunkBytes: chunkBytesForEdge(e)})(w, cl, model, stacks)

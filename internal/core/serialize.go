@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"imagebench/internal/fan"
 )
 
 // This file holds the serialization and service hooks used by the
@@ -136,15 +138,15 @@ func (t *Table) VirtualSeconds() float64 {
 // simulations with no internal blocking, so cancellation is honored at
 // cell granularity: a canceled context prevents the run from starting,
 // a cancellation that arrives mid-run stops it at the next cell
-// boundary (forEachCell), and one that arrives after the last cell is
+// boundary (fan.Each), and one that arrives after the last cell is
 // reported once the run returns. The caller counts as one of the
 // goroutines running cells for as long as it is in here.
 func (e *Experiment) RunContext(ctx context.Context, p Profile) (*Table, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %s not started: %w", e.ID, err)
 	}
-	busy.Add(1)
-	defer busy.Add(-1)
+	fan.Enter()
+	defer fan.Leave()
 	tab, err := e.Run(ctx, p)
 	if err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"imagebench/internal/astro"
 	"imagebench/internal/cluster"
+	"imagebench/internal/fan"
 	"imagebench/internal/myria"
 	"imagebench/internal/neuro"
 	"imagebench/internal/vtime"
@@ -78,7 +79,7 @@ func runFig13(ctx context.Context, p Profile) (*Table, error) {
 	workerCounts := []string{"1", "2", "4", "8"}
 	t := NewTable(fmt.Sprintf("Fig 13: Myria workers per node (%d subjects)", n),
 		"virtual s", workerCounts, []string{"runtime"})
-	err = forEachCell(ctx, len(workerCounts), func(i int) error {
+	err = fan.Each(ctx, len(workerCounts), 0, func(i int) error {
 		wc := workerCounts[i]
 		cl := newCluster(nodes)
 		_, err := neuro.RunMyria(w, cl, model, neuro.MyriaOpts{WorkersPerNode: parseInt(wc)})
@@ -107,7 +108,7 @@ func runFig14(ctx context.Context, p Profile) (*Table, error) {
 		parts = []int{1, 4, 16, 32, 64}
 	}
 	t := NewTable("Fig 14: Spark input partitions (1 subject)", "virtual s", labels(parts), []string{"runtime"})
-	err = forEachCell(ctx, len(parts), func(i int) error {
+	err = fan.Each(ctx, len(parts), 0, func(i int) error {
 		n := parts[i]
 		cl := newCluster(defaultNodes(p))
 		_, err := neuro.RunSpark(w, cl, model, neuro.SparkOpts{Partitions: n})
@@ -157,7 +158,7 @@ func runFig15(ctx context.Context, p Profile) (*Table, error) {
 	}
 	ends := []int{0, len(ws) - 1}
 	var hw [2]int64
-	err = forEachCell(ctx, len(ends), func(i int) error {
+	err = fan.Each(ctx, len(ends), 0, func(i int) error {
 		cfg := cluster.DefaultConfig()
 		cfg.Nodes = nodes
 		cfg.MemPerNode = 1 << 50

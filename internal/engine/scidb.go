@@ -5,7 +5,6 @@ import (
 	"imagebench/internal/cluster"
 	"imagebench/internal/cost"
 	"imagebench/internal/neuro"
-	"imagebench/internal/scidb"
 )
 
 // SciDB (internal/neuro/scidb.go, internal/astro/scidb.go) runs the
@@ -30,10 +29,13 @@ func init() {
 			return neuro.RunSciDB(w, cl, model, neuro.SciDBAio)
 		},
 		noAstro: "no end-to-end astronomy run (only the co-addition step is expressible)",
-		// One full failed attempt is paid per kill, then the operator's
-		// manual rerun; the count of failed attempts is reported.
+		// SciDB has no mid-query recovery: an instance dying mid-query
+		// fails the query and leaves nothing to resume, so the operator
+		// resubmits it by hand. One full failed attempt is paid per
+		// kill, then the manual rerun; the count of failed attempts is
+		// reported.
 		onFaults: func(cl *cluster.Cluster, run func() error) (int, error) {
-			return scidb.RerunOnFailure(cl, cl.Kills(), run)
+			return cl.RerunAfterKills(cl.Kills(), run)
 		},
 		// Fig 11's two SciDB bars: the serial SciDB-py from_array() path
 		// and the accelerated aio_input load.

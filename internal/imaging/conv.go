@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"imagebench/internal/fan"
 	"imagebench/internal/volume"
 )
 
@@ -74,26 +75,13 @@ func convAxisInto(dst, v *volume.V3, kernel []float64, ax axis, z0, z1 int) {
 }
 
 // SeparableConv3 convolves v with the outer product kernel kx⊗ky⊗kz,
-// evaluated as three 1-D passes.
+// evaluated as three 1-D passes. Each pass hands its z-planes to
+// fan.Each, as NLMeans3 does, and barriers before the next, because the
+// Y and Z passes read planes the previous pass wrote; the output is
+// bit-identical for any split.
+// The two intermediate volumes come from the shared scratch arena, so a
+// call allocates only the output volume in steady state.
 func SeparableConv3(v *volume.V3, kx, ky, kz []float64) *volume.V3 {
-	out, err := SeparableConv3Ctx(context.Background(), v, kx, ky, kz, 0)
-	if err != nil {
-		// Background context cannot be canceled and the kernel has no
-		// other failure mode.
-		panic("imaging: SeparableConv3: " + err.Error())
-	}
-	return out
-}
-
-// SeparableConv3Ctx is SeparableConv3 with an explicit worker count
-// (0 = GOMAXPROCS, 1 = sequential; the output is bit-identical for any
-// value) and cooperative cancellation. Each 1-D pass is tiled across
-// the pool and barriers before the next, because the Y and Z passes
-// read planes the previous pass wrote. The two intermediate volumes
-// come from the shared scratch arena, so a call allocates only the
-// output volume in steady state. On cancellation the partial result is
-// discarded and (nil, ctx.Err()) is returned.
-func SeparableConv3Ctx(ctx context.Context, v *volume.V3, kx, ky, kz []float64, workers int) (*volume.V3, error) {
 	a := volume.Scratch.Get(v.NX, v.NY, v.NZ)
 	defer volume.Scratch.Put(a)
 	b := volume.Scratch.Get(v.NX, v.NY, v.NZ)
@@ -108,14 +96,12 @@ func SeparableConv3Ctx(ctx context.Context, v *volume.V3, kx, ky, kz []float64, 
 		{b, a, ky, axisY},
 		{out, b, kz, axisZ},
 	} {
-		err := runTiles(ctx, v.NZ, workers, func(z0, z1 int) {
-			convAxisInto(p.dst, p.src, p.kernel, p.ax, z0, z1)
+		_ = fan.Each(context.Background(), v.NZ, 0, func(z int) error {
+			convAxisInto(p.dst, p.src, p.kernel, p.ax, z, z+1)
+			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 	}
-	return out, nil
+	return out
 }
 
 // Conv3 convolves v with a dense 3-D kernel (odd-sized in each

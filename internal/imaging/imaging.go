@@ -13,6 +13,7 @@ import (
 	"math"
 	"sort"
 
+	"imagebench/internal/fan"
 	"imagebench/internal/volume"
 )
 
@@ -148,8 +149,10 @@ type NLMeansOpts struct {
 	PatchRadius  int     // radius of the comparison patch (default 1)
 	SearchRadius int     // radius of the search window (default 2)
 	H            float64 // filtering strength; <=0 means auto from noise std
-	// Workers bounds the tile worker pool: 0 means GOMAXPROCS, 1 forces
-	// the sequential path. The output is bit-identical for every value.
+	// Workers bounds the goroutines tiling the z-planes: 0 means spare
+	// cores, n means at most n goroutines, 1 means sequential on the
+	// caller (for NLMeans3Stream it is Map's read-ahead, 0 meaning
+	// GOMAXPROCS). The output is bit-identical for every value.
 	Workers int
 }
 
@@ -180,34 +183,22 @@ func (o NLMeansOpts) strength(v *volume.V3) float64 {
 // only voxels with mask≠0 are denoised (the paper uses the segmentation
 // mask to skip background); other voxels pass through unchanged.
 //
-// The work is tiled across opts.Workers goroutines (0 = GOMAXPROCS);
-// every voxel depends only on the read-only input and each tile writes
-// a disjoint output slab, so the result is bit-identical for any worker
-// count.
+// The z-planes go to fan.Each one at a time, on at most opts.Workers
+// goroutines: one plane per tile keeps load balancing fine-grained
+// enough for masked kernels, where whole slabs of background cost
+// almost nothing. Every voxel depends only on the read-only input and
+// each tile writes a disjoint output plane, so the result is
+// bit-identical for any split. A panic in a tile reaches the caller.
 func NLMeans3(v *volume.V3, mask *volume.V3, opts NLMeansOpts) *volume.V3 {
-	out, err := NLMeans3Ctx(context.Background(), v, mask, opts)
-	if err != nil {
-		// Background context cannot be canceled and the kernel has no
-		// other failure mode.
-		panic("imaging: NLMeans3: " + err.Error())
-	}
-	return out
-}
-
-// NLMeans3Ctx is NLMeans3 with cooperative cancellation: workers stop
-// at the next tile boundary once ctx is canceled, the partially written
-// volume is discarded, and (nil, ctx.Err()) is returned.
-func NLMeans3Ctx(ctx context.Context, v *volume.V3, mask *volume.V3, opts NLMeansOpts) (*volume.V3, error) {
 	opts = opts.withDefaults()
 	h := opts.strength(v)
 	out := v.Clone() // pass-through voxels keep the input value
-	err := runTiles(ctx, v.NZ, opts.Workers, func(z0, z1 int) {
-		nlmeansSlab(v, mask, out, 0, opts, h, z0, z1)
+	// Each fails only through its context or fn, and neither can here.
+	_ = fan.Each(context.Background(), v.NZ, opts.Workers, func(z int) error {
+		nlmeansSlab(v, mask, out, 0, opts, h, z, z+1)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // NLMeans3Stream is the stream-producing form of the kernel: it

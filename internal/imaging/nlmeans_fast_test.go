@@ -1,9 +1,9 @@
 package imaging
 
 import (
-	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"imagebench/internal/volume"
@@ -131,14 +131,15 @@ func naiveSeparableConv3(v *volume.V3, kx, ky, kz []float64) *volume.V3 {
 }
 
 // TestSeparableConv3WorkersExact pins the parallel convolution against
-// the sequential reference across randomized sizes, kernels, and worker
-// counts, including the workers>tiles edge case.
+// the sequential reference across randomized sizes, kernels, and
+// GOMAXPROCS settings, including more Ps than tiles.
 func TestSeparableConv3WorkersExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	randKernel := func() []float64 {
 		k := GaussianKernel(0.4 + rng.Float64()*1.2)
 		return k
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for trial := 0; trial < 12; trial++ {
 		nx, ny, nz := 2+rng.Intn(12), 2+rng.Intn(11), 1+rng.Intn(10)
 		v := volume.New3(nx, ny, nz)
@@ -147,15 +148,13 @@ func TestSeparableConv3WorkersExact(t *testing.T) {
 		}
 		kx, ky, kz := randKernel(), randKernel(), randKernel()
 		want := naiveSeparableConv3(v, kx, ky, kz)
-		for _, workers := range []int{0, 1, 2, 5, nz + 17, 64} {
-			got, err := SeparableConv3Ctx(context.Background(), v, kx, ky, kz, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, procs := range []int{1, 2, 5, nz + 17, 64} {
+			runtime.GOMAXPROCS(procs)
+			got := SeparableConv3(v, kx, ky, kz)
 			for i := range got.Data {
 				if got.Data[i] != want.Data[i] {
-					t.Fatalf("trial %d (%dx%dx%d) workers=%d: voxel %d = %v, want %v (must be bit-identical)",
-						trial, nx, ny, nz, workers, i, got.Data[i], want.Data[i])
+					t.Fatalf("trial %d (%dx%dx%d) GOMAXPROCS=%d: voxel %d = %v, want %v (must be bit-identical)",
+						trial, nx, ny, nz, procs, i, got.Data[i], want.Data[i])
 				}
 			}
 		}

@@ -41,7 +41,7 @@ func runProgram(cl *cluster.Cluster, store *objstore.Store, out *[]Tuple) error 
 }
 
 // TestNodeDeathRestartsWholeQuery: Myria has no mid-query recovery — a
-// worker node dying mid-program aborts it, and RunWithRestart re-runs
+// worker node dying mid-program aborts it, and RerunAfterKills re-runs
 // the whole program (startup, ingest, every operator) on the survivors.
 func TestNodeDeathRestartsWholeQuery(t *testing.T) {
 	mk := func() (*cluster.Cluster, *objstore.Store) {
@@ -67,7 +67,7 @@ func TestNodeDeathRestartsWholeQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Tuple
-	err := RunWithRestart(fcl, fcl.Kills(), func() error {
+	_, err := fcl.RerunAfterKills(fcl.Kills(), func() error {
 		return runProgram(fcl, fstore, &got)
 	})
 	if err != nil {

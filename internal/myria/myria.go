@@ -90,9 +90,9 @@ type Engine struct {
 	queries int
 	// nodes are the machines hosting worker processes: the cluster
 	// nodes alive when the engine was deployed, ascending (shuffle and
-	// reserve rely on it). A restart after a node kill (see
-	// RunWithRestart) deploys a fresh engine that places workers only on
-	// the survivors.
+	// reserve rely on it). A restart after a node kill
+	// (cluster.RerunAfterKills) deploys a fresh engine that places
+	// workers only on the survivors.
 	nodes []int
 }
 

@@ -63,8 +63,9 @@ func (q *Query) Err() error { return q.err }
 
 // note records an operator-task failure — a worker node dying mid-query
 // — so the query aborts with it: Myria has no mid-query recovery; the
-// coordinator reports the failed query and a restart (RunWithRestart)
-// re-executes it from scratch on the surviving workers.
+// coordinator reports the failed query and a restart
+// (cluster.RerunAfterKills) re-executes it from scratch on the
+// surviving workers.
 func (q *Query) note(h *cluster.Handle) *cluster.Handle {
 	if h.Err != nil && q.err == nil {
 		q.err = fmt.Errorf("myria: query aborted: %w", h.Err)

@@ -65,7 +65,7 @@ func TestNodeDeathHasNoRecovery(t *testing.T) {
 	if err := rcl.Inject(cluster.Fault{Kind: cluster.FaultKill, Node: 1, At: killAt}); err != nil {
 		t.Fatal(err)
 	}
-	attempts, err := RerunOnFailure(rcl, rcl.Kills(), func() error {
+	attempts, err := rcl.RerunAfterKills(rcl.Kills(), func() error {
 		return runQuery(rcl, rstore)
 	})
 	if err != nil {

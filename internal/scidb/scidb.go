@@ -79,8 +79,8 @@ type Engine struct {
 	startup *cluster.Handle
 	arrays  map[string]*Array
 	// nodes are the machines hosting instances: the cluster nodes alive
-	// at deployment. A manual rerun after a node death (RerunOnFailure)
-	// deploys a fresh engine on the survivors.
+	// at deployment. A manual rerun after a node death
+	// (cluster.RerunAfterKills) deploys a fresh engine on the survivors.
 	nodes []int
 }
 

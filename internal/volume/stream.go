@@ -3,17 +3,17 @@ package volume
 import (
 	"context"
 	"runtime"
-	"sync"
 )
 
-// Pull-based block streams: the composable streaming layer the compute
-// stack is built on. A Stream yields z-slab blocks of a conceptual
-// volume one at a time; stages (ForEach, Map) consume them on a bounded
-// worker pool with pooled scratch buffers; sinks (Collect, Drain)
-// reduce them back into a materialized result. The decomposition only
-// changes *when* memory exists — every block is computed by the same
-// expression as the materialized loop and written to disjoint output
-// ranges, so any composition is bit-identical to the one-shot form.
+// Pull-based block streams, the layer the streamed kernels are built
+// on: one source (Slabs) yields the z-slab blocks of a volume one at a
+// time, one stage (Map) transforms them ahead of the consumer into
+// pooled scratch buffers, and two sinks reduce them: Collect into a
+// materialized volume, Drain into nothing when a pipeline aborts. The
+// decomposition only changes *when* memory exists — every block is
+// computed by the same expression as the materialized loop and written
+// to disjoint output ranges, so any composition is bit-identical to the
+// one-shot form.
 
 // BlockVol is one z-slab in flight through a stream: the slab's
 // coordinates in the conceptual volume plus the backing data for planes
@@ -39,8 +39,7 @@ func (bv *BlockVol) Release() {
 
 // Stream is a pull-based sequence of blocks. Next returns the next
 // block and true, or a zero block and false after the last one.
-// Streams are single-consumer: callers that fan out to a worker pool
-// must serialize Next (ForEach does).
+// Streams are single-consumer.
 type Stream interface {
 	Next() (BlockVol, bool)
 }
@@ -80,76 +79,6 @@ func Slabs(v *V3, rows int) Stream {
 	return &sliceStream{blocks: blocks}
 }
 
-// Tiles streams bare block descriptors (V == nil) covering nz z-planes
-// in tiles of at most rows planes: the source for stages that index a
-// shared input themselves, like the imaging kernels' tiled writers.
-func Tiles(nz, rows int) Stream {
-	tiles := TileZ(nz, rows)
-	blocks := make([]BlockVol, len(tiles))
-	for i, t := range tiles {
-		blocks[i] = BlockVol{B: t}
-	}
-	return &sliceStream{blocks: blocks}
-}
-
-// ResolveWorkers maps a workers option to an effective pool size:
-// non-positive means GOMAXPROCS, anything else is itself.
-func ResolveWorkers(workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// ForEach is the parallel consumption stage: it pulls every block from
-// src and calls fn once per block on a pool of workers goroutines
-// (<=0 = GOMAXPROCS). Each block is delivered to exactly one call; fn
-// must confine its writes to per-block-disjoint state so that, like the
-// tiled kernels, the result is bit-identical for any worker count. It
-// returns ctx.Err() if the context is canceled; workers stop pulling at
-// the next block boundary, so a nonzero error means the downstream
-// state may be incomplete and must be discarded.
-func ForEach(ctx context.Context, src Stream, workers int, fn func(BlockVol)) error {
-	workers = ResolveWorkers(workers)
-	if workers == 1 {
-		for {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			bv, ok := src.Next()
-			if !ok {
-				return nil
-			}
-			fn(bv)
-		}
-	}
-	var mu sync.Mutex // serializes Next: Stream is single-consumer
-	pull := func() (BlockVol, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return src.Next()
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				bv, ok := pull()
-				if !ok {
-					return
-				}
-				fn(bv)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // Map is the ordered transform stage: it applies fn to every block of
 // src, producing one output block per input block in an arena-backed
 // buffer of the same shape. fn receives the input block and the output
@@ -173,7 +102,10 @@ func ForEach(ctx context.Context, src Stream, workers int, fn func(BlockVol)) er
 // buffers to the arena; unless ctx is canceled first, Drain also runs
 // the rest of the stream, and without either the dispatcher never exits.
 func Map(ctx context.Context, src Stream, arena *Arena, workers int, fn func(in BlockVol, out *V3)) Stream {
-	queue := make(chan chan BlockVol, ResolveWorkers(workers)) // capacity = read-ahead bound
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	queue := make(chan chan BlockVol, workers) // capacity = read-ahead bound
 	go func() {
 		defer close(queue)
 		for ctx.Err() == nil {

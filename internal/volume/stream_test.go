@@ -44,41 +44,6 @@ func TestSlabsCoverAndAlias(t *testing.T) {
 	}
 }
 
-func TestForEachDeliversExactlyOnce(t *testing.T) {
-	const nz = 23
-	for _, workers := range []int{1, 4, nz + 7} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			var hits [nz]atomic.Int32
-			err := ForEach(context.Background(), Tiles(nz, 2), workers, func(bv BlockVol) {
-				for z := bv.B.Z0; z < bv.B.Z1; z++ {
-					hits[z].Add(1)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for z := range hits {
-				if n := hits[z].Load(); n != 1 {
-					t.Fatalf("plane %d delivered %d times", z, n)
-				}
-			}
-		})
-	}
-}
-
-func TestForEachHonorsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := ForEach(ctx, Tiles(8, 1), 1, func(BlockVol) { calls++ })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 0 {
-		t.Fatalf("fn ran %d times under a pre-canceled context", calls)
-	}
-}
-
 // TestMapCollectIdentity is the core streaming invariant: Map over
 // slabs followed by Collect must reproduce exactly the volume a direct
 // whole-volume transform produces, at any worker count, including

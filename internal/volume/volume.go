@@ -210,10 +210,9 @@ func Blocks(nz, n int) []Block {
 }
 
 // TileZ splits nz z-planes into fixed-height tiles of at most rows
-// planes each — the unit of work the imaging kernels hand to their
-// worker pools. Unlike Blocks (which targets a worker count), TileZ
-// targets a tile size, so the tile boundaries are independent of how
-// many workers consume them.
+// planes each — the blocks Slabs streams. Unlike Blocks (which targets
+// a worker count), TileZ targets a tile size, so the tile boundaries
+// are independent of how many workers consume them.
 func TileZ(nz, rows int) []Block {
 	if rows <= 0 {
 		rows = 1
