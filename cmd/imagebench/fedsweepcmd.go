@@ -18,9 +18,10 @@ import (
 )
 
 // fedsweepMain implements `imagebench fedsweep`: expand a parameter
-// grid and run it federated across a set of imagebenchd workers, with
-// work stealing, failover, a crash-safe assignment journal, and a
-// combined artifact byte-identical to a single-node run.
+// grid and run it federated across a set of imagebenchd workers from
+// one queue of pending cells, with failover, a crash-safe journal of
+// finished cells, and a combined artifact byte-identical to a
+// single-node run.
 func fedsweepMain(args []string) {
 	fs := flag.NewFlagSet("imagebench fedsweep", flag.ExitOnError)
 	workersFlag := fs.String("workers", "", "comma-separated base URLs of the imagebenchd workers (required),\ne.g. http://a:8080,http://b:8080")
@@ -34,9 +35,10 @@ func fedsweepMain(args []string) {
 	quiet := fs.Bool("quiet", false, "suppress progress lines; print only the final summary")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: imagebench fedsweep -workers <url,...> [flags] <experiment-id-or-glob>...\n\n"+
-			"Partitions the sweep grid across the workers, steals work back from\n"+
-			"stragglers, reassigns cells when a worker dies, and replicates every\n"+
-			"finished cell to every worker. Examples:\n\n"+
+			"Runs the sweep grid on the workers from one queue: each free slot on a\n"+
+			"worker takes the next pending cell, so a slow worker takes fewer. A dead\n"+
+			"worker's in-flight cells go back on the queue, and every finished cell\n"+
+			"is replicated to every worker. Examples:\n\n"+
 			"  imagebench fedsweep -workers http://a:8080,http://b:8080 -nodes 4,8 -out sweep.json 'fig10*'\n"+
 			"  imagebench fedsweep -workers http://a:8080 -journal fed.jsonl -serve :8090 all\n\n")
 		fs.PrintDefaults()

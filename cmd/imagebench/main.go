@@ -24,9 +24,10 @@
 //
 //	imagebench sweep -profiles quick -nodes 4,8 -out sweep.json 'fig10*' fig11
 //
-// Federated sweeps partition the same grid across a set of imagebenchd
-// workers, with work stealing, failover, and a crash-safe assignment
-// journal; the combined artifact is byte-identical to a single-node run:
+// Federated sweeps run the same grid on a set of imagebenchd workers,
+// each free worker slot taking the next cell from one queue, with
+// failover and a crash-safe journal of finished cells; the combined
+// artifact is byte-identical to a single-node run:
 //
 //	imagebench fedsweep -workers http://a:8080,http://b:8080 -out sweep.json 'fig10*'
 //

@@ -37,16 +37,15 @@ type Config struct {
 	// Metrics, when non-nil, receives the per-worker counters.
 	Metrics *obs.FedMetrics
 	// Logf, when non-nil, receives progress lines (worker deaths,
-	// steals, resume decisions).
+	// cell failures, resume decisions).
 	Logf func(format string, args ...any)
 }
 
-// cellState tracks one cell through the federation: queued on a
-// worker, running, and finally done (with its fetched entry) or
-// failed. All fields are guarded by Coordinator.mu.
+// cellState tracks one cell through the federation: pending, running
+// on a worker, and finally done (with its fetched entry) or failed. All
+// fields are guarded by Coordinator.mu.
 type cellState struct {
 	cell     *sweep.Cell
-	worker   string // current assignee
 	running  bool
 	done     bool
 	cacheHit bool // satisfied without execution (resume fetch)
@@ -59,9 +58,9 @@ type cellState struct {
 	entry       *results.Entry
 }
 
-// Coordinator partitions a sweep's cell grid across workers, steals
-// work back from stragglers, and journals every assignment so a
-// restart resubmits only unfinished cells.
+// Coordinator runs a sweep's cell grid on its workers from one FIFO of
+// pending cells, which every worker slot pops when it is free, and
+// journals each finished cell so a restart resubmits only the rest.
 type Coordinator struct {
 	cfg     Config
 	client  *http.Client
@@ -73,8 +72,8 @@ type Coordinator struct {
 	spec       sweep.Spec
 	cells      []*sweep.Cell
 	states     map[string]*cellState
-	open       int // cells not yet done or failed
-	queues     map[string][]*cellState
+	open       int          // cells not yet done or failed
+	pending    []*cellState // cells no slot holds, FIFO
 	dead       map[string]bool
 	started    time.Time
 	journalErr error // first journal append failure of this sweep, reported by Run
@@ -212,13 +211,9 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	c.sweepID, c.spec, c.cells = sid, spec, cells
 	c.started = time.Now()
 	c.states = make(map[string]*cellState, len(cells))
-	c.queues = make(map[string][]*cellState, len(c.cfg.Workers))
 	c.dead = make(map[string]bool)
 	c.repl, c.replDone = make(map[string][][]byte, len(c.cfg.Workers)), false
 	c.journalErr = nil
-	for _, w := range c.cfg.Workers {
-		c.queues[w] = nil
-	}
 	for _, cell := range cells {
 		c.states[cell.Key] = &cellState{cell: cell}
 	}
@@ -231,44 +226,29 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	// Opportunistic resume fetch, outside the lock: journal-done cells
 	// whose table any worker still serves are finished without
 	// re-execution. A table no worker can produce anymore falls back to
-	// a normal run — the journal optimizes, the cache decides.
-	resumed := 0
-	for _, cell := range cells {
-		if !doneBefore[cell.Key] {
-			continue
-		}
-		if entry := c.probeEntry(ctx, cell.Key); entry != nil {
-			st := c.states[cell.Key]
-			c.mu.Lock()
-			st.done, st.cacheHit, st.entry = true, true, entry
-			c.mu.Unlock()
-			resumed++
-		}
-	}
-	if resumed > 0 {
-		c.logf("fed: resumed %d of %d cells from the journal", resumed, len(cells))
-	}
-
-	// Initial partition: remaining cells round-robin across workers in
-	// expansion order, so adjacent grid points land on different
-	// workers and a straggler holds a spread of the grid, not a stripe.
-	c.mu.Lock()
-	i := 0
+	// a normal run — the journal optimizes, the cache decides. The
+	// other cells wait in expansion order; a free slot on any worker
+	// takes the oldest, so a slow worker simply takes fewer.
+	var pending []*cellState
 	for _, cell := range cells {
 		st := c.states[cell.Key]
-		if st.done {
+		var entry *results.Entry
+		if doneBefore[cell.Key] {
+			entry = c.probeEntry(ctx, cell.Key)
+		}
+		if entry == nil {
+			pending = append(pending, st)
 			continue
 		}
-		w := c.cfg.Workers[i%len(c.cfg.Workers)]
-		i++
-		st.worker = w
-		c.queues[w] = append(c.queues[w], st)
-		c.record(Record{Op: OpAssign, Key: cell.Key, Worker: w})
-		if c.cfg.Metrics != nil {
-			c.cfg.Metrics.Assigned.With(w).Inc()
-		}
+		c.mu.Lock()
+		st.done, st.cacheHit, st.entry = true, true, entry
+		c.mu.Unlock()
 	}
-	c.open = i
+	if resumed := len(cells) - len(pending); resumed > 0 {
+		c.logf("fed: resumed %d of %d cells from the journal", resumed, len(cells))
+	}
+	c.mu.Lock()
+	c.pending, c.open = pending, len(pending)
 	c.mu.Unlock()
 
 	// Wake blocked executors and replicators if the context dies.
@@ -333,13 +313,11 @@ func (c *Coordinator) Run(ctx context.Context, spec sweep.Spec) (*Result, error)
 	return res, nil
 }
 
-// next returns the worker's next cell: its own queue first, then a
-// steal from the slowest live peer (the longest remaining queue,
-// popped from the tail — the victim keeps working its head). When
-// nothing is available but cells are still in flight it blocks, since
-// any in-flight cell may yet be re-queued by a worker death. It
-// returns nil when the worker should exit: dead, canceled, or every
-// cell terminal.
+// next pops the head of the pending FIFO for one of worker's slots. When
+// none is pending but cells are still in flight it blocks, since an
+// in-flight cell goes back on the queue if its worker dies. It returns
+// nil when the slot should exit: worker dead, canceled, or every cell
+// terminal.
 func (c *Coordinator) next(ctx context.Context, worker string) *cellState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -347,54 +325,23 @@ func (c *Coordinator) next(ctx context.Context, worker string) *cellState {
 		if ctx.Err() != nil || c.dead[worker] || c.open == 0 {
 			return nil
 		}
-		if q := c.queues[worker]; len(q) > 0 {
-			st := q[0]
-			c.queues[worker] = q[1:]
+		if len(c.pending) > 0 {
+			st := c.pending[0]
+			c.pending = c.pending[1:]
 			st.running = true
-			return st
-		}
-		if st := c.stealLocked(worker); st != nil {
+			if c.cfg.Metrics != nil {
+				c.cfg.Metrics.Assigned.With(worker).Inc()
+			}
 			return st
 		}
 		c.cond.Wait()
 	}
 }
 
-// stealLocked pulls the tail cell of the longest live peer queue;
-// c.mu must be held. Returns nil when no peer has queued work.
-func (c *Coordinator) stealLocked(thief string) *cellState {
-	victim, max := "", 0
-	for w, q := range c.queues {
-		if w == thief || c.dead[w] {
-			continue
-		}
-		if len(q) > max {
-			victim, max = w, len(q)
-		}
-	}
-	if victim == "" {
-		return nil
-	}
-	q := c.queues[victim]
-	st := q[len(q)-1]
-	c.queues[victim] = q[:len(q)-1]
-	st.worker = thief
-	st.running = true
-	c.record(Record{Op: OpSteal, Key: st.cell.Key, Worker: thief, From: victim})
-	c.record(Record{Op: OpAssign, Key: st.cell.Key, Worker: thief})
-	if c.cfg.Metrics != nil {
-		c.cfg.Metrics.Stolen.With(victim).Inc()
-		c.cfg.Metrics.Assigned.With(thief).Inc()
-	}
-	c.logf("fed: %s stole %s/%s from %s (%d cells remained)",
-		thief, st.cell.Experiment, st.cell.Profile.Name, victim, max)
-	return st
-}
-
 // execute runs one cell on worker: submit with wait=true, fetch the
 // finished table, journal done, and queue the entry for replication to
 // every other live worker. A transport failure declares the worker down
-// and re-queues the cell on the survivors.
+// and puts the cell back on the queue.
 func (c *Coordinator) execute(ctx context.Context, worker string, st *cellState) {
 	cell := st.cell
 	info, err := c.submitCell(ctx, worker, cell)
@@ -497,50 +444,34 @@ func (c *Coordinator) failCell(worker string, st *cellState, msg string, unsuppo
 	st.running = false
 	st.err, st.unsupported = msg, unsupported
 	c.open--
-	c.record(Record{Op: OpFail, Key: st.cell.Key, Worker: worker, Error: msg})
 	c.mu.Unlock()
 	c.cond.Broadcast()
 	c.logf("fed: cell %s/%s failed on %s: %s", st.cell.Experiment, st.cell.Profile.Name, worker, msg)
 }
 
-// workerDown declares a worker dead after a transport failure and
-// redistributes its remaining queue — plus the in-flight cell that
-// exposed the failure, if any — across the survivors. With no
-// survivors the stranded cells fail terminally.
+// workerDown declares a worker dead after a transport failure and puts
+// the in-flight cell that exposed it, if any, back on the queue; the
+// worker's other in-flight cells come back the same way as their
+// requests fail. With no live worker left, every pending cell fails.
 func (c *Coordinator) workerDown(worker string, inflight *cellState) {
 	c.mu.Lock()
 	if !c.dead[worker] {
 		c.dead[worker] = true
-		c.record(Record{Op: OpWorkerDown, Worker: worker})
 		if c.cfg.Metrics != nil {
 			c.cfg.Metrics.WorkerFailures.With(worker).Inc()
 		}
-		c.logf("fed: worker %s down, redistributing %d queued cells", worker, len(c.queues[worker]))
+		c.logf("fed: worker %s down", worker)
 	}
-	orphans := c.queues[worker]
-	c.queues[worker] = nil
 	if inflight != nil {
 		inflight.running = false
-		orphans = append(orphans, inflight)
+		c.pending = append(c.pending, inflight)
 	}
-	live := c.liveWorkersLocked()
-	for i, st := range orphans {
-		if st.done || st.err != "" {
-			continue
-		}
-		if len(live) == 0 {
+	if len(c.liveWorkersLocked()) == 0 {
+		for _, st := range c.pending {
 			st.err = "no live workers"
 			c.open--
-			c.record(Record{Op: OpFail, Key: st.cell.Key, Worker: worker, Error: st.err})
-			continue
 		}
-		w := live[i%len(live)]
-		st.worker = w
-		c.queues[w] = append(c.queues[w], st)
-		c.record(Record{Op: OpAssign, Key: st.cell.Key, Worker: w})
-		if c.cfg.Metrics != nil {
-			c.cfg.Metrics.Assigned.With(w).Inc()
-		}
+		c.pending = nil
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -106,50 +107,79 @@ func singleNodeCanonical(t *testing.T, spec sweep.Spec) []byte {
 	return buf.Bytes()
 }
 
+// TestJournalRoundTripAndDoneKeys replays a journal in the format older
+// builds wrote, with the assign, steal, fail and worker-down lines the
+// coordinator no longer writes: every line parses, and only the current
+// sweep's done records retire keys.
 func TestJournalRoundTripAndDoneKeys(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "assign.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := sweep.Spec{Experiments: []string{"zz-fed-a"}}
-	recs := []Record{
-		{Op: OpSpec, Sweep: "sw-aaa", Spec: &spec},
-		{Op: OpAssign, Key: "k1", Worker: "w1"},
-		{Op: OpAssign, Key: "k2", Worker: "w2"},
-		{Op: OpSteal, Key: "k2", Worker: "w1", From: "w2"},
-		{Op: OpDone, Key: "k1", Worker: "w1"},
-		{Op: OpFail, Key: "k2", Worker: "w1", Error: "boom"},
-		{Op: OpWorkerDown, Worker: "w2"},
-	}
-	for _, r := range recs {
-		if err := j.Record(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
+	lines := `{"time":"2026-01-02T03:04:05Z","op":"spec","sweep":"sw-aaa","spec":{"experiments":["zz-fed-a"]}}
+{"time":"2026-01-02T03:04:05Z","op":"assign","key":"k1","worker":"w1"}
+{"time":"2026-01-02T03:04:05Z","op":"assign","key":"k2","worker":"w2"}
+{"time":"2026-01-02T03:04:06Z","op":"steal","key":"k2","worker":"w1","from":"w2"}
+{"time":"2026-01-02T03:04:06Z","op":"done","key":"k1","worker":"w1"}
+{"time":"2026-01-02T03:04:07Z","op":"fail","key":"k2","worker":"w1","error":"boom"}
+{"time":"2026-01-02T03:04:07Z","op":"worker-down","worker":"w2"}
+{"time":"2026-01-02T03:04:08Z","op":"spec","sweep":"sw-bbb","spec":{"experiments":["zz-fed-b"]}}
+{"time":"2026-01-02T03:04:08Z","op":"done","key":"k3","worker":"w1"}
+`
+	if err := os.WriteFile(path, []byte(lines), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
+	wantOps := []Op{OpSpec, OpAssign, OpAssign, "steal", OpDone, "fail", "worker-down", OpSpec, OpDone}
+	if len(got) != len(wantOps) {
+		t.Fatalf("read %d records, want %d", len(got), len(wantOps))
 	}
 	for i, r := range got {
-		if r.Op != recs[i].Op || r.Key != recs[i].Key || r.Worker != recs[i].Worker {
-			t.Errorf("record %d = %+v", i, r)
+		if r.Op != wantOps[i] || r.Time == "" {
+			t.Errorf("record %d = %+v, want op %q", i, r, wantOps[i])
 		}
 	}
-	done := DoneKeys(got, "sw-aaa")
-	// k1 is done; k2 failed (stays pending, retried on restart).
-	if !done["k1"] || done["k2"] || len(done) != 1 {
-		t.Errorf("DoneKeys = %v, want only k1", done)
+	if got[0].Spec == nil || got[0].Spec.Experiments[0] != "zz-fed-a" {
+		t.Errorf("spec record lost its spec: %+v", got[0])
 	}
-	// Records scoped to a different sweep are invisible.
-	if d := DoneKeys(got, "sw-bbb"); len(d) != 0 {
-		t.Errorf("DoneKeys for foreign sweep = %v, want empty", d)
+	// k1 is done; k2 failed (stays pending, retried on restart); k3 is
+	// another sweep's.
+	if done := DoneKeys(got, "sw-aaa"); !done["k1"] || len(done) != 1 {
+		t.Errorf("DoneKeys(sw-aaa) = %v, want only k1", done)
+	}
+	if done := DoneKeys(got, "sw-bbb"); !done["k3"] || len(done) != 1 {
+		t.Errorf("DoneKeys(sw-bbb) = %v, want only k3", done)
+	}
+	if done := DoneKeys(got, "sw-ccc"); len(done) != 0 {
+		t.Errorf("DoneKeys for a sweep the journal never opened = %v, want empty", done)
+	}
+}
+
+// checkJournal asserts that the journal at path holds exactly one spec
+// record and then one done record per cell of res, and nothing else.
+func checkJournal(t *testing.T, path string, res *Result) {
+	t.Helper()
+	recs, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Op != OpSpec || recs[0].Sweep != res.SweepID {
+		t.Fatalf("journal does not open with the sweep's spec record: %d records", len(recs))
+	}
+	done := make(map[string]int)
+	for _, r := range recs[1:] {
+		if r.Op != OpDone {
+			t.Errorf("journal holds a %q record: %+v", r.Op, r)
+		}
+		done[r.Key]++
+	}
+	for _, c := range res.Cells {
+		if done[c.Key] != 1 {
+			t.Errorf("journal holds %d done records for %s/%s, want 1", done[c.Key], c.Experiment, c.Profile.Name)
+		}
+	}
+	if len(recs) != 1+len(res.Cells) {
+		t.Errorf("journal holds %d records, want 1 spec + %d done", len(recs), len(res.Cells))
 	}
 }
 
@@ -399,13 +429,13 @@ func TestFederationSmokeKillWorker(t *testing.T) {
 	}
 
 	// The kill was observed and the dead worker's cells migrated: the
-	// survivors were assigned more than their initial 2/3 share.
+	// survivors were dispatched more than 2/3 of the grid.
 	if v := fm.WorkerFailures.With(workers[0].BaseURL).Value(); v < 1 {
 		t.Errorf("worker 0 kill not recorded: failures=%v", v)
 	}
 	survivors := fm.Assigned.With(workers[1].BaseURL).Value() + fm.Assigned.With(workers[2].BaseURL).Value()
 	if survivors <= 40 {
-		t.Errorf("survivors were assigned %v cells total, want > 40 (their initial share)", survivors)
+		t.Errorf("survivors were dispatched %v cells total, want > 40", survivors)
 	}
 	// Every surviving worker can serve every key (replication held up).
 	for i, w := range workers[1:] {
@@ -425,22 +455,105 @@ func TestFederationSmokeKillWorker(t *testing.T) {
 			fedArt.Len(), len(single))
 	}
 
-	// The journal recorded the death and the migration.
-	recs, err := ReadJournal(journal)
+	// The journal holds what resume reads and nothing else: the kill
+	// shows in WorkerFailures above, not here.
+	checkJournal(t, journal, out.res)
+}
+
+// slowHost delays every request to one host, then forwards it.
+type slowHost struct {
+	host  string
+	delay time.Duration
+	next  http.RoundTripper
+}
+
+func (s *slowHost) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host == s.host {
+		time.Sleep(s.delay)
+	}
+	return s.next.RoundTrip(req)
+}
+
+// TestSlowWorkerDoesLessOfTheGrid: with every request to worker 0
+// taking 30 ms longer, the free slots of worker 1 take the pending
+// cells, so worker 1 finishes at least two thirds of the grid. A fixed
+// split of the grid gives each worker half.
+func TestSlowWorkerDoesLessOfTheGrid(t *testing.T) {
+	workers := startWorkers(t, 2)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	slow := strings.TrimPrefix(workers[0].BaseURL, "http://")
+	client := &http.Client{Transport: &slowHost{host: slow, delay: 30 * time.Millisecond, next: tr}}
+	fm := obs.NewFedMetrics(obs.NewRegistry())
+	coord, err := New(Config{Workers: workerURLs(workers), Metrics: fm, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawDown, sawDone bool
-	for _, r := range recs {
-		if r.Op == OpWorkerDown && r.Worker == workers[0].BaseURL {
-			sawDown = true
+	defer coord.Close()
+	spec := sweep.Spec{Experiments: []string{"zz-fed-*"}, Overrides: nodeOverrides(6)} // 36 cells
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := coord.Run(ctx, spec)
+	if err != nil || len(res.Failed) != 0 {
+		t.Fatalf("run: err=%v failed=%v", err, res.Failed)
+	}
+	d0, d1 := fm.Done.With(workers[0].BaseURL).Value(), fm.Done.With(workers[1].BaseURL).Value()
+	t.Logf("done: slow worker %v, fast worker %v", d0, d1)
+	if d0+d1 != 36 || d1 < 2*(d0+d1)/3 {
+		t.Errorf("done: slow worker %v, fast worker %v; want the fast one at >= 2/3 of 36", d0, d1)
+	}
+}
+
+// TestEveryWorkerDies: all workers killed mid-sweep. Run still returns,
+// and every cell is accounted for: finished before the kill, or failed
+// with "no live workers".
+func TestEveryWorkerDies(t *testing.T) {
+	workers := startWorkers(t, 2)
+	coord, err := New(Config{Workers: workerURLs(workers)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	spec := sweep.Spec{Experiments: []string{"zz-fed-*"}, Overrides: nodeOverrides(10)} // 60 cells
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	type outcome struct {
+		res *Result
+		err error
+	}
+	runC := make(chan outcome, 1)
+	go func() {
+		res, err := coord.Run(ctx, spec)
+		runC <- outcome{res, err}
+	}()
+	for {
+		if info, ok := coord.SweepInfo(false); ok && info.Done >= 5 {
+			break
 		}
-		if r.Op == OpDone {
-			sawDone = true
+		if ctx.Err() != nil {
+			t.Fatal("sweep never reached mid-flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, w := range workers {
+		w.Kill()
+	}
+	out := <-runC
+	if out.err != nil {
+		t.Fatalf("Run did not finish before its timeout: %v", out.err)
+	}
+	for _, c := range out.res.Cells {
+		_, done := out.res.Entries[c.Key]
+		msg, failed := out.res.Failed[c.Key]
+		switch {
+		case done == failed:
+			t.Errorf("cell %s/%s: done %v, failed %v; want exactly one", c.Experiment, c.Profile.Name, done, failed)
+		case failed && msg != "no live workers":
+			t.Errorf("cell %s/%s failed with %q, want \"no live workers\"", c.Experiment, c.Profile.Name, msg)
 		}
 	}
-	if !sawDown || !sawDone {
-		t.Errorf("journal missing worker-down (%v) or done (%v) records", sawDown, sawDone)
+	if len(out.res.Failed) == 0 {
+		t.Error("no cell failed: the workers died after the sweep finished")
 	}
 }
 

@@ -114,19 +114,7 @@ func TestPeerKilledWithABatchInFlight(t *testing.T) {
 	if v := fm.WorkerFailures.With(victim.BaseURL).Value(); v != 1 {
 		t.Errorf("victim declared down %v times, want once", v)
 	}
-	recs, err := ReadJournal(journal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downs := 0
-	for _, r := range recs {
-		if r.Op == OpWorkerDown {
-			downs++
-		}
-	}
-	if downs != 1 {
-		t.Errorf("journal holds %d worker-down records, want 1", downs)
-	}
+	checkJournal(t, journal, res)
 	for i, w := range workers[:2] {
 		if got := len(w.Cache.Keys()); got != 30 {
 			t.Errorf("survivor %d serves %d keys, want 30", i, got)

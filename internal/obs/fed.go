@@ -3,16 +3,18 @@ package obs
 // FedMetrics are the federation coordinator's per-worker counters,
 // exported on the coordinator's /metrics. Every family is labeled by
 // worker (the worker's base URL) so a straggling or flapping worker is
-// visible as its own series: assignments that pile up on one worker,
-// steals that drain it, replications fanning results back out, and the
-// transport failures that precede a worker being declared down.
+// visible as its own series: how many cells each worker took from the
+// coordinator's one queue and finished, replications fanning results
+// back out, and the transport failures that precede a worker being
+// declared down.
 type FedMetrics struct {
-	// Assigned counts cells handed to a worker, initial partition and
-	// reassignments after a worker death alike.
+	// Assigned counts dispatches: cells a slot on the worker took from
+	// the queue, a cell sent again after its first worker died
+	// included.
 	Assigned *CounterVec
-	// Stolen counts cells an idle worker pulled from the labeled
-	// worker's remaining queue (the label is the victim; the thief is
-	// visible through its Assigned series).
+	// Stolen reads 0: the coordinator has one queue and nothing to
+	// steal from. It stays registered for the benchmark's
+	// fed.stolen_cells.
 	Stolen *CounterVec
 	// Done counts cells the worker completed successfully.
 	Done *CounterVec
@@ -28,9 +30,9 @@ type FedMetrics struct {
 func NewFedMetrics(r *Registry) *FedMetrics {
 	return &FedMetrics{
 		Assigned: r.NewCounterVec("imagebench_fed_cells_assigned_total",
-			"Sweep cells assigned to a worker (including reassignment after failure).", "worker"),
+			"Sweep cells dispatched to a worker (including resends after a worker failure).", "worker"),
 		Stolen: r.NewCounterVec("imagebench_fed_cells_stolen_total",
-			"Sweep cells stolen from a worker's remaining queue by an idle peer.", "worker"),
+			"Always 0: the coordinator dispatches from one queue and steals nothing.", "worker"),
 		Done: r.NewCounterVec("imagebench_fed_cells_done_total",
 			"Sweep cells completed by a worker.", "worker"),
 		Replications: r.NewCounterVec("imagebench_fed_replications_total",
