@@ -86,7 +86,7 @@ func sweepMain(args []string) {
 	}
 	sched := runner.New(runner.Options{Workers: *parallel, Cache: cache})
 	defer sched.Close()
-	mgr, err := sweep.NewManager(sched, cache, "", time.Now)
+	mgr, err := sweep.NewManager(sched, "", time.Now)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imagebench sweep:", err)
 		os.Exit(1)

@@ -2,8 +2,9 @@
 // HTTP server that schedules paper-reproduction experiments on a
 // bounded worker pool, deduplicates identical requests, serves results
 // from a content-addressed cache, and runs parameter-grid sweeps with a
-// crash-safe job journal — on restart, completed work rehydrates from
-// the cache and unfinished work resubmits. With -debug-addr a second,
+// crash-safe job journal — on restart, journaled jobs and persisted
+// sweeps are resubmitted, the cache answers the work that completed,
+// and only the rest runs. With -debug-addr a second,
 // operator-only listener serves net/http/pprof profiles.
 //
 // The service itself lives in internal/daemon, so the benchmark's

@@ -33,7 +33,8 @@ type Config struct {
 
 // Daemon bundles the service's long-lived state. Construction performs
 // crash recovery: pending journaled jobs are resubmitted and persisted
-// sweeps re-adopted, with completed cells rehydrating from the cache.
+// sweeps re-adopted by resubmitting their cells, which the cache
+// answers for every cell that completed before the restart.
 type Daemon struct {
 	Cache   *results.Cache
 	Sched   *runner.Scheduler
@@ -102,7 +103,7 @@ func New(cfg Config) (*Daemon, error) {
 			d.Warnings = append(d.Warnings, fmt.Sprintf("journal recovery: %v", err))
 		}
 	}
-	mgr, err := sweep.NewManager(d.Sched, cache, cfg.SweepDir, time.Now)
+	mgr, err := sweep.NewManager(d.Sched, cfg.SweepDir, time.Now)
 	if err != nil {
 		d.Close()
 		return nil, err

@@ -58,7 +58,7 @@ func newTinyServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	sched := runner.New(runner.Options{Workers: 1, QueueDepth: 1, Cache: cache})
-	sweeps, err := sweep.NewManager(sched, cache, "", time.Now)
+	sweeps, err := sweep.NewManager(sched, "", time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *runner.Scheduler, *results.
 	registerCacheMetrics(reg, cache)
 	registerSharedInputMetrics(reg)
 	sched := runner.New(runner.Options{Workers: 4, Cache: cache, Metrics: reg, Tracer: obs.NewTracer()})
-	sweeps, err := sweep.NewManager(sched, cache, "", time.Now)
+	sweeps, err := sweep.NewManager(sched, "", time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

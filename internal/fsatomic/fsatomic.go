@@ -57,8 +57,9 @@ func Create(path string) (*File, error) {
 // Write appends to the pending content (io.Writer).
 func (f *File) Write(p []byte) (int, error) { return f.tmp.Write(p) }
 
-// Commit flushes the pending content and atomically renames it over
-// the target path.
+// Commit flushes the pending content, atomically renames it over the
+// target path, and syncs the directory, so once Commit returns a power
+// loss can lose neither the content nor the name it is under.
 func (f *File) Commit() error {
 	if f.done {
 		return nil
@@ -85,7 +86,19 @@ func (f *File) Commit() error {
 		os.Remove(f.tmp.Name())
 		return err
 	}
-	return nil
+	return SyncDir(filepath.Dir(f.path))
+}
+
+// SyncDir fsyncs the directory dir, making the names created or
+// renamed in it durable: a file's own fsync covers its content, not
+// the directory entry that points at it.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // Abort discards the pending content, leaving the target untouched.

@@ -28,6 +28,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"imagebench/internal/fsatomic"
 )
 
 // file is what File needs of *os.File; tests substitute one whose
@@ -79,7 +81,7 @@ func Open(path string) (*File, error) {
 		return nil, fmt.Errorf("jsonl: open %s: %w", path, err)
 	}
 	if os.IsNotExist(statErr) {
-		err = syncDir(filepath.Dir(path))
+		err = fsatomic.SyncDir(filepath.Dir(path))
 	} else {
 		err = truncateTornTail(f)
 	}
@@ -88,15 +90,6 @@ func Open(path string) (*File, error) {
 		return nil, fmt.Errorf("jsonl: open %s: %w", path, err)
 	}
 	return &File{f: f, path: path}, nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // truncateTornTail drops everything after the file's last newline.

@@ -175,9 +175,13 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 	return nil, false
 }
 
-// Peek is Get without the traffic counters: recovery and sweep-status
-// paths rehydrate completed results through it after a restart, so
-// hit/miss rates keep reflecting client traffic only.
+// Peek is Get without the traffic counters, for lookups that are
+// bookkeeping rather than traffic: journal compaction and replay ask
+// it which submits already finished, an evicted job's poll checks its
+// result is still there, and a sweep cell whose table was released
+// after streaming reads it back. A recovered sweep does not use it:
+// its cells are resubmitted, and the scheduler's Get counts their
+// hits like any other submit's.
 func (c *Cache) Peek(key string) (*Entry, bool) {
 	e, _, ok := c.peek(key)
 	return e, ok

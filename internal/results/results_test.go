@@ -591,9 +591,10 @@ func TestInvalidKeysNeverTouchDisk(t *testing.T) {
 	}
 }
 
-// TestPeekDoesNotSkewCounters pins the recovery contract: Peek serves
-// entries from memory and disk exactly like Get but leaves the traffic
-// counters untouched, so restart rehydration does not inflate hit rates.
+// TestPeekDoesNotSkewCounters pins Peek's contract: it serves entries
+// from memory and disk exactly like Get but leaves the traffic
+// counters untouched, so journal replay and other bookkeeping lookups
+// do not inflate hit rates.
 func TestPeekDoesNotSkewCounters(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)

@@ -124,12 +124,10 @@ func (aw *ArtifactWriter) Finish(id string, spec Spec, summary Info) error {
 func (s *Sweep) StreamArtifact(ctx context.Context, w io.Writer, cache *results.Cache) (Info, error) {
 	aw := NewArtifactWriter(w)
 	for _, c := range s.Cells {
-		if c.job != nil {
-			select {
-			case <-c.job.Done():
-			case <-ctx.Done():
-				return Info{}, ctx.Err()
-			}
+		select {
+		case <-c.job.Done():
+		case <-ctx.Done():
+			return Info{}, ctx.Err()
 		}
 		ci := s.cellInfo(c)
 		ac := ArtifactCell{
@@ -141,9 +139,7 @@ func (s *Sweep) StreamArtifact(ctx context.Context, w io.Writer, cache *results.
 			ac.Table = tab
 		}
 		err := aw.Cell(ac)
-		if c.job != nil {
-			c.job.ReleaseTable()
-		}
+		c.job.ReleaseTable()
 		if err != nil {
 			return Info{}, fmt.Errorf("sweep: writing artifact cell %s: %w", c.Key, err)
 		}
@@ -195,27 +191,10 @@ func WriteCanonicalArtifact(w io.Writer, id string, spec Spec, cells []*Cell, lo
 
 // cellInfo snapshots one cell (the per-cell body of Info).
 func (s *Sweep) cellInfo(c *Cell) CellInfo {
-	ci := CellInfo{Experiment: c.Experiment, Profile: c.Profile.Name, Key: c.Key}
-	switch {
-	case c.job != nil:
-		js := c.job.Snapshot()
-		ci.Status, ci.CacheHit, ci.Error, ci.ElapsedSec = js.Status, js.CacheHit, js.Error, js.ElapsedSec
-		ci.Unsupported = js.Unsupported
-	case c.cached:
-		// Completed before this process started; rehydrated from the
-		// result cache during recovery, nothing re-executed.
-		ci.Status, ci.CacheHit = runner.StatusDone, true
-	default:
-		// Neither a job nor a cache entry backs this cell: it was lost in
-		// the recovery window between the rehydration scan and resubmit
-		// (the cache entry evicted in between). Nothing will ever change
-		// its state, so it is terminal — reporting it Queued would make
-		// Info.Finished() false forever while Wait, which has nothing to
-		// wait on, returns "finished". Recovery repairs such cells
-		// (Manager.repairOrphans); this is the consistent account of one
-		// that slipped through.
-		ci.Status = runner.StatusFailed
-		ci.Error = "cell lost during recovery (result evicted before resubmission); resubmit the sweep"
+	js := c.job.Snapshot()
+	return CellInfo{
+		Experiment: c.Experiment, Profile: c.Profile.Name, Key: c.Key,
+		Status: js.Status, CacheHit: js.CacheHit, Error: js.Error,
+		Unsupported: js.Unsupported, ElapsedSec: js.ElapsedSec,
 	}
-	return ci
 }

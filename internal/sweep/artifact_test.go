@@ -100,7 +100,7 @@ func TestArtifactWriterFinishScrubsSummaryCells(t *testing.T) {
 func TestStreamArtifactReleasesTables(t *testing.T) {
 	sched := runner.New(runner.Options{Workers: 1})
 	defer sched.Close()
-	mgr, err := NewManager(sched, nil, "", time.Now)
+	mgr, err := NewManager(sched, "", time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,20 +5,22 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"imagebench/internal/fsatomic"
 	"imagebench/internal/obs"
-	"imagebench/internal/results"
 	"imagebench/internal/runner"
 )
 
 // Manager owns the live sweeps of one process and, when given a
 // directory, persists each sweep's spec so a restarted daemon can
-// re-adopt it: completed cells rehydrate from the result cache (no
-// re-execution), unfinished cells resubmit through the scheduler.
+// re-adopt it. A sweep, submitted or recovered, is its cells' jobs:
+// every cell goes through the scheduler, whose Submit answers a cell
+// already in the result cache with a job done on arrival, so a
+// recovered sweep re-runs only the cells the cache cannot serve.
 //
 // maxSweeps bounds the retained index: once exceeded, the oldest
 // fully-finished sweeps are evicted. Their specs stay on disk (a
@@ -27,8 +29,7 @@ import (
 // the in-memory Sweep whose job pointers pin every cell's table.
 type Manager struct {
 	sched *runner.Scheduler
-	cache *results.Cache // may be nil (no rehydration, every cell re-runs)
-	dir   string         // "" = memory only
+	dir   string // "" = memory only
 
 	now func() time.Time // injected wall clock (timestamps are metadata, not identity)
 
@@ -38,14 +39,13 @@ type Manager struct {
 	unpersisted map[string]bool // sweeps whose spec write failed; retried on resubmit
 }
 
-// NewManager returns a manager submitting through sched and consulting
-// cache; dir, when non-empty, is created and used to persist sweep
-// specs (one JSON file per sweep). now supplies creation timestamps
-// (callers outside this package pass time.Now): sweep identity is
-// content-addressed, so the clock is injected metadata and this
-// package itself never reads wall time. A nil now stamps the zero
-// time.
-func NewManager(sched *runner.Scheduler, cache *results.Cache, dir string, now func() time.Time) (*Manager, error) {
+// NewManager returns a manager submitting through sched; dir, when
+// non-empty, is created and used to persist sweep specs (one JSON file
+// per sweep). now supplies creation timestamps (callers outside this
+// package pass time.Now): sweep identity is content-addressed, so the
+// clock is injected metadata and this package itself never reads wall
+// time. A nil now stamps the zero time.
+func NewManager(sched *runner.Scheduler, dir string, now func() time.Time) (*Manager, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("sweep: create %s: %w", dir, err)
@@ -55,16 +55,14 @@ func NewManager(sched *runner.Scheduler, cache *results.Cache, dir string, now f
 		now = func() time.Time { return time.Time{} }
 	}
 	return &Manager{
-		sched: sched, cache: cache, dir: dir, now: now,
+		sched: sched, dir: dir, now: now,
 		sweeps:      make(map[string]*Sweep),
 		unpersisted: make(map[string]bool),
 	}, nil
 }
 
 // persisted is the on-disk form of a sweep: the spec plus identity.
-// Cell status is deliberately not persisted — it is derivable from the
-// scheduler's journal and the result cache, which are the durable
-// sources of truth.
+// Cell status is not persisted: the result cache records completion.
 type persisted struct {
 	ID      string    `json:"id"`
 	Created time.Time `json:"created"`
@@ -85,27 +83,37 @@ func (m *Manager) Submit(spec Spec) (s *Sweep, existing bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	sid := id(cells)
+	s, existing, err = m.adopt(GridID(cells), spec, cells, m.now(), true)
+	if err != nil {
+		return nil, false, err
+	}
+	return s, existing, m.ensurePersisted(s)
+}
 
+// adopt registers the grid sid unless it is already known, submitting
+// every cell through the scheduler first: a cell whose result is cached
+// is done on arrival, one in flight is joined, and only the rest run.
+// It is the one path for both a new and a recovered sweep. persist
+// marks a newly registered sweep's spec as still to be written, in the
+// same critical section that registers it, so a concurrent identical
+// Submit cannot report durability before the file exists; a recovered
+// sweep's spec is already on disk.
+func (m *Manager) adopt(sid string, spec Spec, cells []*Cell, created time.Time, persist bool) (*Sweep, bool, error) {
 	m.mu.Lock()
 	if s, ok := m.sweeps[sid]; ok {
 		m.mu.Unlock()
-		return s, true, m.ensurePersisted(s)
+		return s, true, nil
 	}
-	// Unlocked before registering: an identical Submit can get here
-	// too; the re-check under the lock below keeps exactly one sweep.
+	// Unlocked while submitting, so other sweeps' reads do not stall: a
+	// concurrent adopt of this grid joins the same jobs in the
+	// scheduler, and the re-check under the lock keeps one sweep.
 	m.mu.Unlock()
 
 	// The sweep root span parents every cell's job span; it ends (in a
 	// watcher goroutine) when the last cell terminates.
 	sctx, root := obs.StartSpan(m.sched.ObsContext(), "sweep")
 	root.SetAttr("sweep", sid)
-	root.SetAttr("cells", fmt.Sprintf("%d", len(cells)))
-
-	// Submit outside the lock: Submit can block briefly and other
-	// sweeps' status reads should not stall behind it. A concurrent
-	// identical Submit is resolved below; its duplicate jobs are
-	// deduplicated by the scheduler anyway.
+	root.SetAttr("cells", strconv.Itoa(len(cells)))
 	for i, c := range cells {
 		j, err := m.sched.SubmitWithContext(sctx, c.Experiment, c.Profile)
 		if err != nil {
@@ -121,42 +129,29 @@ func (m *Manager) Submit(spec Spec) (s *Sweep, existing bool, err error) {
 		}
 		c.job = j
 	}
-	s = newSweep(sid, spec, cells, m.now())
-
+	s := &Sweep{ID: sid, Spec: spec, Cells: cells, created: created}
 	watchSweep(root, s)
 
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if prior, ok := m.sweeps[sid]; ok {
-		m.mu.Unlock()
-		return prior, true, m.ensurePersisted(prior)
+		return prior, true, nil
 	}
 	m.sweeps[sid] = s
 	m.order = append(m.order, s)
-	// Marked unpersisted in the same critical section that registers
-	// the sweep: a concurrent identical Submit that finds it via the
-	// early return must not report durable success before the spec file
-	// actually exists.
-	if m.dir != "" {
+	if persist && m.dir != "" {
 		m.unpersisted[sid] = true
 	}
 	m.evictLocked()
-	m.mu.Unlock()
-
-	// Unlocked write: a concurrent ensurePersisted may write the same
-	// file; both write the same bytes through an atomic rename, and the
-	// flag only clears after a write that succeeded.
-	if err := m.persist(s); err != nil {
-		return s, false, fmt.Errorf("sweep %s is running but not persisted: %w", s.ID, err)
-	}
-	m.mu.Lock()
-	delete(m.unpersisted, sid)
-	m.mu.Unlock()
 	return s, false, nil
 }
 
-// ensurePersisted retries a previously-failed spec write, so a client
-// retrying POST /v1/sweeps after freeing disk space actually restores
-// restart durability instead of getting a hollow 200.
+// ensurePersisted writes the sweep's spec file (temp + rename) if no
+// write has succeeded yet, so a client retrying POST /v1/sweeps after
+// freeing disk space actually restores restart durability instead of
+// getting a hollow 200. An identical Submit racing it may write the
+// same bytes; both go through an atomic rename, and the flag only
+// clears after a write that succeeded.
 func (m *Manager) ensurePersisted(s *Sweep) error {
 	m.mu.Lock()
 	pending := m.unpersisted[s.ID]
@@ -164,7 +159,11 @@ func (m *Manager) ensurePersisted(s *Sweep) error {
 	if !pending {
 		return nil
 	}
-	if err := m.persist(s); err != nil {
+	b, err := json.MarshalIndent(persisted{ID: s.ID, Created: s.created, Spec: s.Spec}, "", "  ")
+	if err == nil {
+		err = fsatomic.WriteFile(filepath.Join(m.dir, s.ID+".json"), b)
+	}
+	if err != nil {
 		return fmt.Errorf("sweep %s is running but not persisted: %w", s.ID, err)
 	}
 	m.mu.Lock()
@@ -173,23 +172,11 @@ func (m *Manager) ensurePersisted(s *Sweep) error {
 	return nil
 }
 
-// persist writes the sweep's spec file atomically (temp + rename).
-func (m *Manager) persist(s *Sweep) error {
-	if m.dir == "" {
-		return nil
-	}
-	b, err := json.MarshalIndent(persisted{ID: s.ID, Created: s.created, Spec: s.Spec}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("sweep: encode %s: %w", s.ID, err)
-	}
-	return fsatomic.WriteFile(filepath.Join(m.dir, s.ID+".json"), b)
-}
-
-// Recover re-adopts every persisted sweep: cells whose results are in
-// the cache are marked rehydrated (status done, nothing scheduled);
-// the rest are resubmitted. It returns the number of sweeps adopted.
-// Files that no longer expand (an experiment deregistered, a corrupt
-// spec) are skipped and reported in the combined error after all
+// Recover re-adopts every persisted sweep, resubmitting its cells: the
+// result cache answers the ones that completed before the restart, and
+// only the rest run. It returns the number of sweeps adopted. Files
+// that no longer expand (an experiment deregistered, a corrupt spec)
+// are skipped and reported in the combined error after all
 // recoverable sweeps are adopted.
 func (m *Manager) Recover() (int, error) {
 	if m.dir == "" {
@@ -236,80 +223,16 @@ func (m *Manager) recoverOne(path string) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
-	if got := id(cells); got != p.ID {
+	if got := GridID(cells); got != p.ID {
 		// The registry or key scheme changed under the persisted spec;
 		// adopting it under the old ID would serve a different grid.
 		return false, fmt.Errorf("%s: grid now expands to %s, persisted as %s", path, got, p.ID)
 	}
-
-	m.mu.Lock()
-	_, known := m.sweeps[p.ID]
-	m.mu.Unlock()
-	if known {
-		return false, nil
-	}
-	// Unlocked from here: a Submit of the same grid may register it
-	// first; the dup re-check below then drops this copy, whose jobs the
-	// scheduler has already deduplicated against the registered one's.
-
-	// Rehydration scan: cells whose results are already cached need no
-	// job. Peek, not a membership test against Keys: the filename index
-	// lists a corrupt entry until something tries to read it, which
-	// would mark the cell done with no table behind it. Peek validates
-	// the entry actually loads (and skips the hit/miss counters); a
-	// corrupt file falls through to a resubmit, matching the cache's
-	// corrupt-entries-regenerate policy.
-	if m.cache != nil {
-		for _, c := range cells {
-			if _, ok := m.cache.Peek(c.Key); ok {
-				c.cached = true // rehydrated: served from cache, never re-run
-			}
-		}
-	}
-	s := newSweep(p.ID, p.Spec, cells, p.Created)
-	// Everything the scan did not rehydrate is resubmitted — including
-	// any cell whose cache entry vanished after the scan above, which
-	// repairOrphans re-checks cell by cell.
-	if err := m.repairOrphans(s); err != nil {
+	_, known, err := m.adopt(p.ID, p.Spec, cells, p.Created, false)
+	if err != nil {
 		return false, fmt.Errorf("%s: %v", path, err)
 	}
-	m.mu.Lock()
-	if _, dup := m.sweeps[p.ID]; !dup {
-		m.sweeps[p.ID] = s
-		m.order = append(m.order, s)
-		m.evictLocked()
-	}
-	m.mu.Unlock()
-	return true, nil
-}
-
-// repairOrphans backs every orphan cell — job == nil and not cached —
-// with a job, re-checking the cache first. An orphan is a cell the
-// rehydration scan skipped whose state then changed (classically: its
-// cache entry evicted between the scan and the resubmit loop). Without
-// repair such a cell is stuck — no job will ever run it, yet nothing
-// marks it terminal — which is exactly the Wait/Finished divergence:
-// Wait has nothing to block on and returns, while Info would count the
-// cell Queued forever. Cells already backed by a job or a cache entry
-// are untouched, so repairing an adopted sweep is idempotent.
-func (m *Manager) repairOrphans(s *Sweep) error {
-	for _, c := range s.Cells {
-		if c.job != nil || c.cached {
-			continue
-		}
-		if m.cache != nil {
-			if _, ok := m.cache.Peek(c.Key); ok {
-				c.cached = true
-				continue
-			}
-		}
-		j, err := m.sched.Submit(c.Experiment, c.Profile)
-		if err != nil {
-			return fmt.Errorf("resubmit %s/%s: %v", c.Experiment, c.Profile.Name, err)
-		}
-		c.job = j
-	}
-	return nil
+	return !known, nil
 }
 
 // maxSweeps is the retained-sweep bound enforced by evictLocked.

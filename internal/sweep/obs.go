@@ -15,19 +15,15 @@ func watchSweep(root *obs.Span, s *Sweep) {
 	}
 	go func() {
 		for _, c := range s.Cells {
-			if c.job != nil {
-				<-c.job.Done()
-			}
+			<-c.job.Done()
 		}
 		info := s.Info(false)
-		root.SetAttr("done", itoa(info.Done))
-		root.SetAttr("failed", itoa(info.Failed))
-		root.SetAttr("unsupported", itoa(info.Unsupported))
+		root.SetAttr("done", strconv.Itoa(info.Done))
+		root.SetAttr("failed", strconv.Itoa(info.Failed))
+		root.SetAttr("unsupported", strconv.Itoa(info.Unsupported))
 		root.End()
 	}()
 }
-
-func itoa(n int) string { return strconv.Itoa(n) }
 
 // RegisterMetrics publishes the manager's sweep and cell-state gauges
 // on r. Cell states are computed on scrape by walking the retained

@@ -28,7 +28,7 @@ func TestConcurrentCellsBitIdentical(t *testing.T) {
 	run := func(workers int) map[string][]byte {
 		sched := runner.New(runner.Options{Workers: workers})
 		defer sched.Close()
-		mgr, err := NewManager(sched, nil, "", time.Now)
+		mgr, err := NewManager(sched, "", time.Now)
 		if err != nil {
 			t.Fatal(err)
 		}

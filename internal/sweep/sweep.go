@@ -32,10 +32,8 @@ type Spec struct {
 }
 
 // Cell is one grid point: an experiment under a fully-derived profile.
-// Exactly one of job/cached backs a cell's status: job when the cell
-// was submitted in this process, cached when a recovered sweep found
-// the cell's result already in the cache (so no job was minted and
-// nothing re-executed).
+// Once its sweep is registered, the cell's job holds its status: a
+// cell whose result was already cached has a job done on arrival.
 type Cell struct {
 	Experiment string
 	Profile    core.Profile
@@ -49,9 +47,8 @@ type Cell struct {
 	Base     string
 	Override core.Overrides
 
-	axis   int // position of (profile, override) in the spec's axis order
-	job    *runner.Job
-	cached bool
+	axis int // position of (profile, override) in the spec's axis order
+	job  *runner.Job
 }
 
 // CellInfo is a cell's point-in-time state, shaped for JSON.
@@ -126,11 +123,6 @@ type Sweep struct {
 	created time.Time
 }
 
-// newSweep assembles a Sweep over its expanded cells.
-func newSweep(id string, spec Spec, cells []*Cell, created time.Time) *Sweep {
-	return &Sweep{ID: id, Spec: spec, Cells: cells, created: created}
-}
-
 // Expand resolves the spec into its deduplicated, deterministically
 // ordered cell set (no jobs attached). Two textually different specs
 // that denote the same grid expand to the same cells, and therefore the
@@ -185,18 +177,14 @@ func Expand(spec Spec) ([]*Cell, error) {
 	return cells, nil
 }
 
-// GridID exposes the content-addressed sweep ID for an expanded cell
-// set. The federation coordinator derives its sweep IDs through this,
-// so a grid has the same ID whether it runs single-node or federated —
-// which is what lets GET /v1/sweeps/{id} mean the same thing on a
-// worker daemon and on a coordinator.
-func GridID(cells []*Cell) string { return id(cells) }
-
-// id derives the sweep's content address from its sorted cell keys:
-// the same grid always gets the same ID — across processes, restarts,
-// and axis orderings — which is what lets a restarted daemon re-adopt
-// its persisted sweeps and makes POST /v1/sweeps idempotent.
-func id(cells []*Cell) string {
+// GridID derives the sweep's content address from its sorted cell
+// keys: the same grid always gets the same ID — across processes,
+// restarts, and axis orderings — which is what lets a restarted daemon
+// re-adopt its persisted sweeps and makes POST /v1/sweeps idempotent.
+// The federation coordinator derives its sweep IDs through it too, so
+// GET /v1/sweeps/{id} means the same thing on a worker daemon and on a
+// coordinator.
+func GridID(cells []*Cell) string {
 	keys := make([]string, len(cells))
 	for i, c := range cells {
 		keys[i] = c.Key
@@ -230,13 +218,6 @@ func (s *Sweep) Info(withCells bool) Info {
 // sweep with failed cells still "finishes".
 func (s *Sweep) Wait(ctx context.Context) error {
 	for _, c := range s.Cells {
-		if c.job == nil {
-			// Rehydrated (cached) or orphaned — both terminal in Info
-			// (done / failed respectively), so skipping keeps Wait and
-			// Info.Finished consistent: whenever Wait returns without a
-			// context error, Finished() is true.
-			continue
-		}
 		select {
 		case <-c.job.Done():
 		case <-ctx.Done():
@@ -246,23 +227,18 @@ func (s *Sweep) Wait(ctx context.Context) error {
 	return nil
 }
 
-// Result returns one cell's table: from its job if it ran here, from
-// the cache if it was rehydrated or the job's table was released after
-// streaming. The boolean is false while the cell is still pending or
-// if it failed.
+// Result returns one cell's table: from its job, or from the cache if
+// the job's table was released after streaming. The boolean is false
+// while the cell is still pending or if it failed.
 func (s *Sweep) Result(c *Cell, cache *results.Cache) (*core.Table, bool) {
-	if c.job != nil {
-		tab, err := c.job.Result()
-		if err != nil {
-			return nil, false
-		}
-		if tab != nil {
-			return tab, true
-		}
-		// Done but released (ReleaseTable): fall through to the cache.
-	} else if !c.cached {
+	tab, err := c.job.Result()
+	if err != nil {
 		return nil, false
 	}
+	if tab != nil {
+		return tab, true
+	}
+	// Done but released (ReleaseTable): fall back to the cache.
 	if cache != nil {
 		if e, ok := cache.Peek(c.Key); ok {
 			return e.Table, true

@@ -60,7 +60,7 @@ func newTestManager(t *testing.T, cacheDir, sweepDir string) (*Manager, *runner.
 	}
 	sched := runner.New(runner.Options{Workers: 2, Cache: cache})
 	t.Cleanup(sched.Close)
-	m, err := NewManager(sched, cache, sweepDir, time.Now)
+	m, err := NewManager(sched, sweepDir, time.Now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestExpandGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id(cells) != id(same) {
+	if GridID(cells) != GridID(same) {
 		t.Error("equivalent specs expanded to different sweep IDs")
 	}
 }
@@ -231,7 +231,7 @@ func TestRecoverRehydratesCompletedCells(t *testing.T) {
 	}
 
 	// "Restart": fresh scheduler, cache, manager over the same dirs.
-	m2, _, _ := newTestManager(t, cacheDir, sweepDir)
+	m2, _, cache2 := newTestManager(t, cacheDir, sweepDir)
 	resetRuns()
 	n, err := m2.Recover()
 	if err != nil {
@@ -265,7 +265,7 @@ func TestRecoverRehydratesCompletedCells(t *testing.T) {
 	if kept.Key == dropped.Key {
 		kept = s2.Cells[1]
 	}
-	if tab, ok := s2.Result(kept, m2.cache); !ok || tab == nil {
+	if tab, ok := s2.Result(kept, cache2); !ok || tab == nil {
 		t.Error("rehydrated cell's table not retrievable")
 	}
 
@@ -376,7 +376,7 @@ func TestExpandKeepsAxisOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id(cells) != id(reordered) {
+	if GridID(cells) != GridID(reordered) {
 		t.Error("axis order changed the sweep's content address")
 	}
 }
@@ -413,5 +413,146 @@ func TestManagerEvictsFinishedSweeps(t *testing.T) {
 	// The evicted sweep's cell result is still served from the cache.
 	if _, ok := cache.Peek(first.Cells[0].Key); !ok {
 		t.Error("evicted sweep's result missing from cache")
+	}
+}
+
+// TestSubmitRetriesAFailedSpecWrite: a sweep whose spec could not be
+// written runs and is returned with an error; an identical Submit once
+// the directory is back writes the spec and reports no error, and a
+// fresh manager on that directory re-adopts the sweep. The directory
+// is replaced by a regular file to make the write fail, since
+// permission bits do not stop a root test run.
+func TestSubmitRetriesAFailedSpecWrite(t *testing.T) {
+	sweepDir := filepath.Join(t.TempDir(), "sweeps")
+	m, _, _ := newTestManager(t, "", sweepDir)
+	if err := os.Remove(sweepDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(sweepDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Experiments: []string{"zz-sw-a", "zz-sw-c"}}
+	s, existing, err := m.Submit(spec)
+	if s == nil || existing || err == nil || !strings.Contains(err.Error(), "not persisted") {
+		t.Fatalf("Submit with no directory = %v, existing=%v, err %v; want the sweep and a not-persisted error", s, existing, err)
+	}
+
+	if err := os.Remove(sweepDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(sweepDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	again, existing, err := m.Submit(spec)
+	if err != nil || !existing || again != s {
+		t.Fatalf("retried Submit = %v, existing=%v, err %v; want the same sweep, existing, no error", again, existing, err)
+	}
+	if _, err := os.Stat(filepath.Join(sweepDir, s.ID+".json")); err != nil {
+		t.Fatalf("spec not written on retry: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, _, _ := newTestManager(t, "", sweepDir)
+	if n, err := m2.Recover(); err != nil || n != 1 {
+		t.Fatalf("fresh manager recovered %d sweeps, err %v; want 1", n, err)
+	}
+	s2, ok := m2.Get(s.ID)
+	if !ok {
+		t.Fatalf("sweep %s not re-adopted", s.ID)
+	}
+	if err := s2.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitAndRecoverAdoptOneSweep races identical Submits against a
+// Recover of the same persisted grid on one manager: one call
+// registers the sweep, every call gets that same sweep, and each cell
+// executes once.
+func TestSubmitAndRecoverAdoptOneSweep(t *testing.T) {
+	sweepDir := filepath.Join(t.TempDir(), "sweeps")
+	spec := Spec{
+		Experiments: []string{"zz-sw-*"},
+		Overrides:   []core.Overrides{{ClusterNodes: []int{3}}, {ClusterNodes: []int{5}}},
+	}
+	m0, _, _ := newTestManager(t, "", sweepDir)
+	first, _, err := m0.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fresh manager with an empty cache: every cell must run again,
+	// once, however the Submits and the Recover interleave.
+	m, _, _ := newTestManager(t, "", sweepDir)
+	resetRuns()
+	const submitters = 8
+	var (
+		wg        sync.WaitGroup
+		start     = make(chan struct{})
+		got       [submitters]*Sweep
+		fresh     atomic.Int64
+		recovered int
+		recErr    error
+	)
+	for i := 0; i < submitters; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			s, existing, err := m.Submit(spec)
+			if err != nil {
+				t.Errorf("Submit: %v", err)
+				return
+			}
+			got[i] = s
+			if !existing {
+				fresh.Add(1)
+			}
+		}(i)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		recovered, recErr = m.Recover()
+	}()
+	close(start)
+	wg.Wait()
+
+	if recErr != nil {
+		t.Fatal(recErr)
+	}
+	if n := fresh.Load() + int64(recovered); n != 1 {
+		t.Errorf("%d Submits returned existing=false and Recover adopted %d; want exactly one registration", fresh.Load(), recovered)
+	}
+	s, ok := m.Get(first.ID)
+	if !ok {
+		t.Fatalf("sweep %s not registered", first.ID)
+	}
+	for i, g := range got {
+		if g != s {
+			t.Errorf("Submit %d returned %p, want the registered sweep %p", i, g, s)
+		}
+	}
+	if m.Len() != 1 {
+		t.Errorf("manager holds %d sweeps, want 1", m.Len())
+	}
+	if err := s.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if info := s.Info(false); info.Done != len(s.Cells) {
+		t.Errorf("info = %+v, want all %d cells done", info, len(s.Cells))
+	}
+	if got := totalRuns(); got != int64(len(s.Cells)) {
+		t.Errorf("executed %d cells, want each of the %d once", got, len(s.Cells))
 	}
 }
