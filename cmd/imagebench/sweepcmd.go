@@ -97,6 +97,7 @@ func sweepMain(args []string) {
 		os.Exit(1)
 	}
 	fmt.Printf("sweep %s: %d cells\n", s.ID, len(s.Cells))
+	reportShared(s)
 
 	// The artifact streams while the sweep runs: each cell is appended
 	// (and its retained table released) the moment it finishes, so the
@@ -171,6 +172,24 @@ func sweepMain(args []string) {
 			}
 		}
 		os.Exit(1)
+	}
+}
+
+// reportShared says on stderr which experiments' cells share runs:
+// those that differ only in axes the experiment ignores.
+func reportShared(s *sweep.Sweep) {
+	for i := 0; i < len(s.Cells); { // cells are sorted by experiment
+		e, _ := core.Lookup(s.Cells[i].Experiment) // expanded from the registry
+		runs, n := map[string]bool{}, 0
+		for ; i < len(s.Cells) && s.Cells[i].Experiment == e.ID; i, n = i+1, n+1 {
+			runs[e.Canonical(s.Cells[i].Profile).Name] = true
+		}
+		if share := "one run"; len(runs) < n {
+			if len(runs) > 1 {
+				share = fmt.Sprintf("%d runs", len(runs))
+			}
+			fmt.Fprintf(os.Stderr, "%s ignores %s: its %d cells share %s\n", e.ID, e.Ignores, n, share)
+		}
 	}
 }
 

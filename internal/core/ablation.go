@@ -26,10 +26,11 @@ import (
 
 func init() {
 	registerForEngine("Spark", &Experiment{
-		ID:    "abl-spark-pytax",
-		Title: "Ablation: Spark Python-worker serialization tax",
-		Paper: "Section 5.2.2 attributes Spark's ~10× filter gap to serializing Python code and data; this ablation runs the same map with and without the Python boundary.",
-		Run:   runAblSparkPyTax,
+		ID:      "abl-spark-pytax",
+		Ignores: allAxes,
+		Title:   "Ablation: Spark Python-worker serialization tax",
+		Paper:   "Section 5.2.2 attributes Spark's ~10× filter gap to serializing Python code and data; this ablation runs the same map with and without the Python boundary.",
+		Run:     runAblSparkPyTax,
 		Check: func(t *Table) error {
 			last := t.ColNames[len(t.ColNames)-1]
 			return wantRatioAtLeast("python ≫ native", t.Get("Python UDF", last), t.Get("Native op", last), 1.5)
@@ -37,10 +38,11 @@ func init() {
 	})
 
 	registerForEngine("Dask", &Experiment{
-		ID:    "abl-dask-fusion",
-		Title: "Ablation: Dask linear-chain task fusion",
-		Paper: "Dask's per-task scheduler dispatch grows with cluster size (Section 5.1); fusing per-subject chains removes most dispatches. Extension: the paper's Dask version fuses by default.",
-		Run:   runAblDaskFusion,
+		ID:      "abl-dask-fusion",
+		Ignores: allAxes,
+		Title:   "Ablation: Dask linear-chain task fusion",
+		Paper:   "Dask's per-task scheduler dispatch grows with cluster size (Section 5.1); fusing per-subject chains removes most dispatches. Extension: the paper's Dask version fuses by default.",
+		Run:     runAblDaskFusion,
 		Check: func(t *Table) error {
 			last := t.ColNames[len(t.ColNames)-1]
 			return wantLess("fused < unfused", t.Get("Fused", last), t.Get("Unfused", last))
@@ -48,10 +50,11 @@ func init() {
 	})
 
 	registerForEngine("Dask", &Experiment{
-		ID:    "abl-dask-stealing",
-		Title: "Ablation: Dask work stealing",
-		Paper: "Section 5.1: Dask's scheduler 'attempts to move tasks among different machines via aggressive work stealing'. With data born on one node, stealing buys parallelism; sticky scheduling serializes on the data's host.",
-		Run:   runAblDaskStealing,
+		ID:      "abl-dask-stealing",
+		Ignores: allAxes,
+		Title:   "Ablation: Dask work stealing",
+		Paper:   "Section 5.1: Dask's scheduler 'attempts to move tasks among different machines via aggressive work stealing'. With data born on one node, stealing buys parallelism; sticky scheduling serializes on the data's host.",
+		Run:     runAblDaskStealing,
 		Check: func(t *Table) error {
 			last := t.ColNames[len(t.ColNames)-1]
 			return wantLess("stealing < sticky", t.Get("Stealing", last), t.Get("Sticky", last))
@@ -59,10 +62,11 @@ func init() {
 	})
 
 	registerForEngine("Myria", &Experiment{
-		ID:    "abl-myria-pushdown",
-		Title: "Ablation: Myria selection pushdown",
-		Paper: "Section 5.2.2: 'Myria pushes the selection down to PostgreSQL' — the reason it wins the filter step. The alternative routes every tuple through the Python boundary.",
-		Run:   runAblMyriaPushdown,
+		ID:      "abl-myria-pushdown",
+		Ignores: allAxes,
+		Title:   "Ablation: Myria selection pushdown",
+		Paper:   "Section 5.2.2: 'Myria pushes the selection down to PostgreSQL' — the reason it wins the filter step. The alternative routes every tuple through the Python boundary.",
+		Run:     runAblMyriaPushdown,
 		Check: func(t *Table) error {
 			for _, col := range t.ColNames {
 				if err := wantLess("pushdown < UDF filter @ "+col, t.Get("Pushdown", col), t.Get("UDF filter", col)); err != nil {

@@ -191,6 +191,9 @@ type Experiment struct {
 	// Check validates that the table's shape matches the paper's
 	// finding. It is run by tests against both profiles.
 	Check func(t *Table) error
+	// Ignores declares the override axes the table does not depend on
+	// (see Canonical); a test holds every declaration true on quick.
+	Ignores Axes
 }
 
 var registry []*Experiment

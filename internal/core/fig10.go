@@ -18,9 +18,10 @@ import (
 
 func init() {
 	Register(&Experiment{
-		ID:    "fig10a",
-		Title: "Neuroscience data sizes (GB)",
-		Paper: "Input 4.1–105 GB for 1–25 subjects; largest intermediate is 2× the input.",
+		ID:      "fig10a",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Neuroscience data sizes (GB)",
+		Paper:   "Input 4.1–105 GB for 1–25 subjects; largest intermediate is 2× the input.",
 		Run: func(ctx context.Context, p Profile) (*Table, error) {
 			cols := labels(p.NeuroSubjects)
 			t := NewTable("Fig 10a: neuroscience data sizes", "GB", []string{"Input", "Largest Intermediate"}, cols)
@@ -42,9 +43,10 @@ func init() {
 	})
 
 	Register(&Experiment{
-		ID:    "fig10b",
-		Title: "Astronomy data sizes (GB)",
-		Paper: "Input 9.6–115 GB for 2–24 visits; largest intermediate is ~2.5× the input.",
+		ID:      "fig10b",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "Astronomy data sizes (GB)",
+		Paper:   "Input 9.6–115 GB for 2–24 visits; largest intermediate is ~2.5× the input.",
 		Run: func(ctx context.Context, p Profile) (*Table, error) {
 			cols := labels(p.AstroVisits)
 			t := NewTable("Fig 10b: astronomy data sizes", "GB", []string{"Input", "Largest Intermediate"}, cols)
@@ -66,51 +68,57 @@ func init() {
 	})
 
 	Register(&Experiment{
-		ID:    "fig10c",
-		Title: "Neuroscience: end-to-end runtime vs data size (16 nodes)",
-		Paper: "All three systems comparable; Dask ~60% slower at 1 subject (startup) but fastest (≤14%) at 25 (pipelining).",
-		Run:   runFig10c,
-		Check: checkFig10c,
+		ID:      "fig10c",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Neuroscience: end-to-end runtime vs data size (16 nodes)",
+		Paper:   "All three systems comparable; Dask ~60% slower at 1 subject (startup) but fastest (≤14%) at 25 (pipelining).",
+		Run:     runFig10c,
+		Check:   checkFig10c,
 	})
 
 	Register(&Experiment{
-		ID:    "fig10d",
-		Title: "Astronomy: end-to-end runtime vs data size (16 nodes)",
-		Paper: "Spark and Myria comparable across visit counts (Dask froze; SciDB/TF not implementable end-to-end).",
-		Run:   runFig10d,
-		Check: checkFig10d,
+		ID:      "fig10d",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "Astronomy: end-to-end runtime vs data size (16 nodes)",
+		Paper:   "Spark and Myria comparable across visit counts (Dask froze; SciDB/TF not implementable end-to-end).",
+		Run:     runFig10d,
+		Check:   checkFig10d,
 	})
 
 	Register(&Experiment{
-		ID:    "fig10e",
-		Title: "Neuroscience: normalized runtime per subject",
-		Paper: "Ratios drop with scale (amortized startup); Dask drops most (largest startup overhead).",
-		Run:   runFig10e,
-		Check: checkFig10e,
+		ID:      "fig10e",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Neuroscience: normalized runtime per subject",
+		Paper:   "Ratios drop with scale (amortized startup); Dask drops most (largest startup overhead).",
+		Run:     runFig10e,
+		Check:   checkFig10e,
 	})
 
 	Register(&Experiment{
-		ID:    "fig10f",
-		Title: "Astronomy: normalized runtime per visit",
-		Paper: "Ratios drop below 1 with scale for both Spark and Myria.",
-		Run:   runFig10f,
-		Check: checkFig10f,
+		ID:      "fig10f",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "Astronomy: normalized runtime per visit",
+		Paper:   "Ratios drop below 1 with scale for both Spark and Myria.",
+		Run:     runFig10f,
+		Check:   checkFig10f,
 	})
 
 	Register(&Experiment{
-		ID:    "fig10g",
-		Title: "Neuroscience: end-to-end runtime vs cluster size (largest dataset)",
-		Paper: "Near-linear speedup for all; Myria closest to perfect; Dask best at small clusters but degrades at 64 nodes (scheduler/work stealing).",
-		Run:   runFig10g,
-		Check: checkFig10g,
+		ID:      "fig10g",
+		Ignores: AxisVisits | AxisFailures,
+		Title:   "Neuroscience: end-to-end runtime vs cluster size (largest dataset)",
+		Paper:   "Near-linear speedup for all; Myria closest to perfect; Dask best at small clusters but degrades at 64 nodes (scheduler/work stealing).",
+		Run:     runFig10g,
+		Check:   checkFig10g,
 	})
 
 	Register(&Experiment{
-		ID:    "fig10h",
-		Title: "Astronomy: end-to-end runtime vs cluster size (largest dataset)",
-		Paper: "Near-linear speedup; Myria faster than Spark when memory is plentiful (Spark's conservative spilling).",
-		Run:   runFig10h,
-		Check: checkFig10h,
+		ID:      "fig10h",
+		Ignores: AxisSubjects | AxisFailures,
+		Title:   "Astronomy: end-to-end runtime vs cluster size (largest dataset)",
+		Paper:   "Near-linear speedup; Myria faster than Spark when memory is plentiful (Spark's conservative spilling).",
+		Run:     runFig10h,
+		Check:   checkFig10h,
 	})
 }
 

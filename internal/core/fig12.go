@@ -16,10 +16,11 @@ import (
 
 func init() {
 	Register(&Experiment{
-		ID:    "fig12a",
-		Title: "Filter step (neuroscience segmentation)",
-		Paper: "Myria (pushdown) and Dask (in-memory) fastest; Spark ~10× slower (Python serialization); SciDB pays chunk reconstruction; TensorFlow orders of magnitude slower (flatten/reshape).",
-		Run:   makeStepRun("filter"),
+		ID:      "fig12a",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Filter step (neuroscience segmentation)",
+		Paper:   "Myria (pushdown) and Dask (in-memory) fastest; Spark ~10× slower (Python serialization); SciDB pays chunk reconstruction; TensorFlow orders of magnitude slower (flatten/reshape).",
+		Run:     makeStepRun("filter"),
 		Check: func(t *Table) error {
 			last := t.ColNames[len(t.ColNames)-1]
 			if err := wantLess("Myria < Spark", t.Get("Myria", last), t.Get("Spark", last)); err != nil {
@@ -42,10 +43,11 @@ func init() {
 	})
 
 	Register(&Experiment{
-		ID:    "fig12b",
-		Title: "Mean step (neuroscience segmentation)",
-		Paper: "SciDB fastest at small scale (specialized array aggregate); Spark/Myria catch up at larger scale; Dask slower at small scale (startup + work stealing); TensorFlow ~10× slower (tensor conversion).",
-		Run:   makeStepRun("mean"),
+		ID:      "fig12b",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Mean step (neuroscience segmentation)",
+		Paper:   "SciDB fastest at small scale (specialized array aggregate); Spark/Myria catch up at larger scale; Dask slower at small scale (startup + work stealing); TensorFlow ~10× slower (tensor conversion).",
+		Run:     makeStepRun("mean"),
 		Check: func(t *Table) error {
 			first := t.ColNames[0]
 			last := t.ColNames[len(t.ColNames)-1]
@@ -73,10 +75,11 @@ func init() {
 	})
 
 	Register(&Experiment{
-		ID:    "fig12c",
-		Title: "Denoise step (neuroscience)",
-		Paper: "Dask, Myria, Spark, and SciDB-stream comparable (same UDF dominates); SciDB slightly slower (TSV through stream()); TensorFlow slower (conversions, no mask).",
-		Run:   makeStepRun("denoise"),
+		ID:      "fig12c",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Denoise step (neuroscience)",
+		Paper:   "Dask, Myria, Spark, and SciDB-stream comparable (same UDF dominates); SciDB slightly slower (TSV through stream()); TensorFlow slower (conversions, no mask).",
+		Run:     makeStepRun("denoise"),
 		Check: func(t *Table) error {
 			last := t.ColNames[len(t.ColNames)-1]
 			// The UDF dominates: Dask/Myria/Spark within ~35%.
@@ -104,11 +107,12 @@ func init() {
 	})
 
 	Register(&Experiment{
-		ID:    "fig12d",
-		Title: "Co-addition step (astronomy)",
-		Paper: "Spark and Myria comparable (UDF-internal iteration); SciDB's AQL >10× slower (per-iteration materialization); incremental iterative processing recovers ~6×.",
-		Run:   runFig12d,
-		Check: checkFig12d,
+		ID:      "fig12d",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "Co-addition step (astronomy)",
+		Paper:   "Spark and Myria comparable (UDF-internal iteration); SciDB's AQL >10× slower (per-iteration materialization); incremental iterative processing recovers ~6×.",
+		Run:     runFig12d,
+		Check:   checkFig12d,
 	})
 }
 

@@ -27,18 +27,20 @@ import (
 
 func init() {
 	Register(&Experiment{
-		ID:    "ftneuro",
-		Title: "Neuroscience: recovery overhead under fault injection",
-		Paper: "Spark recomputes only lost partitions (smallest overhead); Dask resubmits lost tasks; TensorFlow restarts from checkpoint; Myria restarts the whole query; SciDB fails and pays a full manual rerun.",
-		Run:   runFTNeuro,
-		Check: checkFT,
+		ID:      "ftneuro",
+		Ignores: AxisNodes | AxisVisits,
+		Title:   "Neuroscience: recovery overhead under fault injection",
+		Paper:   "Spark recomputes only lost partitions (smallest overhead); Dask resubmits lost tasks; TensorFlow restarts from checkpoint; Myria restarts the whole query; SciDB fails and pays a full manual rerun.",
+		Run:     runFTNeuro,
+		Check:   checkFT,
 	})
 	Register(&Experiment{
-		ID:    "ftastro",
-		Title: "Astronomy: recovery overhead under fault injection",
-		Paper: "Same qualitative ordering as ftneuro on the astronomy pipeline: Spark's lineage recovery is partial, Myria pays a full-query restart.",
-		Run:   runFTAstro,
-		Check: checkFT,
+		ID:      "ftastro",
+		Ignores: AxisNodes | AxisSubjects,
+		Title:   "Astronomy: recovery overhead under fault injection",
+		Paper:   "Same qualitative ordering as ftneuro on the astronomy pipeline: Spark's lineage recovery is partial, Myria pays a full-query restart.",
+		Run:     runFTAstro,
+		Check:   checkFT,
 	})
 }
 

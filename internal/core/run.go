@@ -55,9 +55,9 @@ func runCluster(nodes int, inputModelBytes int64) *cluster.Cluster {
 }
 
 // defaultNodes is the paper's base cluster size, scaled down in the quick
-// profile.
+// profile and every profile derived from it.
 func defaultNodes(p Profile) int {
-	if p.Name == "quick" {
+	if p.base() == "quick" {
 		return 4
 	}
 	return 16

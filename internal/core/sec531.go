@@ -18,10 +18,11 @@ import (
 
 func init() {
 	registerForEngine("TensorFlow", &Experiment{
-		ID:    "sec531tf",
-		Title: "TensorFlow: volume-to-worker assignments (filter step)",
-		Paper: "Different manual assignments of image volumes to workers differ by ~2× in total runtime.",
-		Run:   runSec531TF,
+		ID:      "sec531tf",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "TensorFlow: volume-to-worker assignments (filter step)",
+		Paper:   "Different manual assignments of image volumes to workers differ by ~2× in total runtime.",
+		Run:     runSec531TF,
 		Check: func(t *Table) error {
 			col := t.ColNames[0]
 			return wantRatioAtLeast("worst ≥ 1.5× best",
@@ -30,10 +31,11 @@ func init() {
 	})
 
 	registerForEngine("SciDB", &Experiment{
-		ID:    "sec531scidb",
-		Title: "SciDB: chunk-size sensitivity (co-addition)",
-		Paper: "[1000×1000] chunks are best; [500×500] is ~3× slower (per-chunk overhead), [1500×1500] +22%, [2000×2000] +55%.",
-		Run:   runSec531SciDB,
+		ID:      "sec531scidb",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "SciDB: chunk-size sensitivity (co-addition)",
+		Paper:   "[1000×1000] chunks are best; [500×500] is ~3× slower (per-chunk overhead), [1500×1500] +22%, [2000×2000] +55%.",
+		Run:     runSec531SciDB,
 		Check: func(t *Table) error {
 			col := t.ColNames[0]
 			best := t.Get("1000x1000", col)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -135,6 +136,67 @@ func (p Profile) Apply(o Overrides) Profile {
 	}
 	out.Name = p.Name + "+" + strings.ReplaceAll(o.Label(), " ", "+")
 	return out
+}
+
+// base returns the name of the built-in profile p derives from: its name
+// up to the first '+' that Apply adds.
+func (p Profile) base() string {
+	name, _, _ := strings.Cut(p.Name, "+")
+	return name
+}
+
+// Axes is a set of override axes, for Experiment.Ignores. The systems
+// axis is always read, so no experiment can declare it.
+type Axes uint8
+
+const (
+	AxisNodes Axes = 1 << iota
+	AxisSubjects
+	AxisVisits
+	AxisFailures
+	allAxes = AxisNodes | AxisSubjects | AxisVisits | AxisFailures
+)
+
+// String lists the set's axis names ("nodes+failures").
+func (a Axes) String() string {
+	var names []string
+	for i, n := range [...]string{"nodes", "subjects", "visits", "failures"} {
+		if a&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, "+")
+}
+
+// Canonical returns the profile whose table is p's table, so that cells
+// differing only in axes e ignores share one run: quick overridden only
+// where p's values on the axes e reads differ from quick's. p comes back
+// unchanged if e ignores nothing or p is not quick plus axis values (no
+// test holds a declaration true on another base).
+func (e *Experiment) Canonical(p Profile) Profile {
+	q := Quick()
+	rest := func(p Profile) string {
+		p.Name, p.ClusterNodes, p.NeuroSubjects, p.AstroVisits, p.FaultScenarios, p.Systems = "", nil, nil, nil, nil, nil
+		return p.Fingerprint()
+	}
+	if e.Ignores == 0 || p.base() != q.Name || rest(p) != rest(q) {
+		return p
+	}
+	return q.Apply(Overrides{
+		ClusterNodes:  readValue(e.Ignores&AxisNodes == 0, p.ClusterNodes, q.ClusterNodes),
+		NeuroSubjects: readValue(e.Ignores&AxisSubjects == 0, p.NeuroSubjects, q.NeuroSubjects),
+		AstroVisits:   readValue(e.Ignores&AxisVisits == 0, p.AstroVisits, q.AstroVisits),
+		Failures:      readValue(e.Ignores&AxisFailures == 0, p.FaultScenarios, q.FaultScenarios),
+		Systems:       readValue(true, p.Systems, q.Systems),
+	})
+}
+
+// readValue returns v if the axis is read and v is not the base value b.
+func readValue[T comparable](read bool, v, b []T) []T {
+	if !read || slices.Equal(v, b) {
+		return nil
+	}
+	return v
 }
 
 // ExpandIDs resolves experiment patterns — exact IDs, path.Match globs

@@ -20,10 +20,11 @@ import (
 
 func init() {
 	registerForEngine("Myria", &Experiment{
-		ID:    "fig13",
-		Title: "Myria: workers per node (neuroscience, largest dataset)",
-		Paper: "4 workers per 8-core node is optimal; 1–2 under-utilize, 8 contend for memory/CPU/disk.",
-		Run:   runFig13,
+		ID:      "fig13",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Myria: workers per node (neuroscience, largest dataset)",
+		Paper:   "4 workers per 8-core node is optimal; 1–2 under-utilize, 8 contend for memory/CPU/disk.",
+		Run:     runFig13,
 		Check: func(t *Table) error {
 			col := t.ColNames[0]
 			best := t.Get("4", col)
@@ -37,27 +38,30 @@ func init() {
 	})
 
 	registerForEngine("Spark", &Experiment{
-		ID:    "fig14",
-		Title: "Spark: input data partitions (neuroscience, 1 subject)",
-		Paper: "Dramatic improvement from 1 to ~cluster-slot partitions; ≥50% gain from 16 to 97; flat beyond 128 (= 16 nodes × 8 cores).",
-		Run:   runFig14,
-		Check: checkFig14,
+		ID:      "fig14",
+		Ignores: allAxes,
+		Title:   "Spark: input data partitions (neuroscience, 1 subject)",
+		Paper:   "Dramatic improvement from 1 to ~cluster-slot partitions; ≥50% gain from 16 to 97; flat beyond 128 (= 16 nodes × 8 cores).",
+		Run:     runFig14,
+		Check:   checkFig14,
 	})
 
 	registerForEngine("Myria", &Experiment{
-		ID:    "fig15",
-		Title: "Myria: memory-management strategies (astronomy)",
-		Paper: "Pipelined fastest (8–11% over materialized, 15–23% over multi-query) while data fits; fails with OOM under pressure, where materialized wins; at the largest scale only chunked multi-query execution survives.",
-		Run:   runFig15,
-		Check: checkFig15,
+		ID:      "fig15",
+		Ignores: AxisNodes | AxisSubjects | AxisFailures,
+		Title:   "Myria: memory-management strategies (astronomy)",
+		Paper:   "Pipelined fastest (8–11% over materialized, 15–23% over multi-query) while data fits; fails with OOM under pressure, where materialized wins; at the largest scale only chunked multi-query execution survives.",
+		Run:     runFig15,
+		Check:   checkFig15,
 	})
 
 	registerForEngine("Spark", &Experiment{
-		ID:    "sec533",
-		Title: "Spark: input caching (neuroscience end-to-end)",
-		Paper: "Caching the input RDD yields a consistent ~7–8% improvement across input sizes.",
-		Run:   runSec533,
-		Check: checkSec533,
+		ID:      "sec533",
+		Ignores: AxisNodes | AxisVisits | AxisFailures,
+		Title:   "Spark: input caching (neuroscience end-to-end)",
+		Paper:   "Caching the input RDD yields a consistent ~7–8% improvement across input sizes.",
+		Run:     runSec533,
+		Check:   checkSec533,
 	})
 }
 
@@ -104,7 +108,7 @@ func runFig14(ctx context.Context, p Profile) (*Table, error) {
 		return nil, err
 	}
 	parts := []int{1, 4, 16, 32, 64, 97, 128, 256}
-	if p.Name == "quick" {
+	if p.base() == "quick" {
 		parts = []int{1, 4, 16, 32, 64}
 	}
 	t := NewTable("Fig 14: Spark input partitions (1 subject)", "virtual s", labels(parts), []string{"runtime"})

@@ -33,7 +33,8 @@ import (
 // A change to the cost model, or one that moves a committed table, moves
 // every key: a directory an older binary wrote lists its keys until each
 // is read, and serves none. A code change seen only under override
-// profiles, which no committed table pins, moves none.
+// profiles, which no committed table pins, moves none. Cells that share
+// one run (core.Experiment.Canonical) keep their own keys.
 func Key(experimentID string, p core.Profile) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "imagebench/result/v2\x00%s\x00%s\x00", experimentID, p.Fingerprint())

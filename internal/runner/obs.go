@@ -22,19 +22,19 @@ func (s *Scheduler) registerMetrics(m *obs.Registry) {
 		"Scheduler worker-pool size.",
 		func() float64 { return float64(s.opts.Workers) })
 	m.NewCounterFunc("imagebench_jobs_submitted_total",
-		"Jobs accepted by the scheduler since start.",
+		"Jobs accepted by the scheduler since start, with the canonical runs it submits for followers.",
 		func() float64 { return float64(s.submitted.Load()) })
 	m.NewCounterFunc("imagebench_jobs_executed_total",
-		"Jobs that ran to completion on the worker pool.",
+		"Jobs that ran to completion on the worker pool (executions: a follower is not one).",
 		func() float64 { return float64(s.executed.Load()) })
 	m.NewCounterFunc("imagebench_jobs_failed_total",
 		"Jobs that reached a terminal failure.",
 		func() float64 { return float64(s.failed.Load()) })
 	m.NewCounterFunc("imagebench_jobs_deduped_total",
-		"Submissions joined to an identical in-flight job.",
+		"Submissions joined to an identical in-flight job, or following their canonical profile's.",
 		func() float64 { return float64(s.deduped.Load()) })
 	m.NewCounterFunc("imagebench_jobs_cache_hits_total",
-		"Submissions served directly from the result cache.",
+		"Submissions served directly from the result cache (a follower's canonical entry counts).",
 		func() float64 { return float64(s.cacheHits.Load()) })
 	m.NewGaugeFunc("imagebench_jobs_running",
 		"Jobs currently executing on the worker pool.",

@@ -4,7 +4,8 @@
 // identical requests, and write-through to the content-addressed result
 // cache (internal/results). The CLI and the imagebenchd daemon both run
 // experiments through it, so a 24-experiment sweep uses every core
-// instead of one.
+// instead of one. Cells that differ only in axes their experiment ignores
+// share one run (see follow), each keeping an entry of its own key.
 package runner
 
 import (
@@ -73,11 +74,13 @@ type Options struct {
 // Job is one scheduled experiment run. Jobs are created by Submit and
 // owned by the scheduler; read them through Snapshot, Done, and Result.
 type Job struct {
-	id      string
-	key     string
-	exp     *core.Experiment
-	profile core.Profile
-	done    chan struct{}
+	id        string
+	key       string
+	exp       *core.Experiment
+	profile   core.Profile
+	done      chan struct{}
+	followers []*Job // waiting on this job's run (see follow); guarded by Scheduler.mu
+	pooled    bool   // sent to the worker pool, whose run settles followers; guarded by Scheduler.mu
 
 	// Observability state, set once at submission (nil without a
 	// tracer): the job's root span, its queued child, and the context
@@ -108,10 +111,12 @@ type Info struct {
 	// (experiment, engine-filter) combination is not applicable — e.g. a
 	// Myria tuning study under a Spark-only systems filter — rather than
 	// broken. Sweep grids render these cells as "n/a", not errors.
-	Unsupported bool    `json:"unsupported,omitempty"`
-	CacheHit    bool    `json:"cacheHit"`
-	Submitted   string  `json:"submitted"`
-	ElapsedSec  float64 `json:"elapsedSec"`
+	Unsupported bool `json:"unsupported,omitempty"`
+	// CacheHit marks a job served from its own key's cache entry or (a
+	// follower, see Submit) its canonical profile's, not from a run.
+	CacheHit   bool    `json:"cacheHit"`
+	Submitted  string  `json:"submitted"`
+	ElapsedSec float64 `json:"elapsedSec"`
 	// Evicted marks an Info reconstructed from an eviction tombstone:
 	// the job itself left the retained index (MaxJobs exceeded), but its
 	// terminal state — and, for done jobs, its result in the
@@ -300,6 +305,8 @@ func New(opts Options) *Scheduler {
 // is queued or running, Submit returns that same job (single-flight);
 // if the result is already cached, Submit returns a job that is done on
 // arrival, served from the cache without touching the worker pool.
+// After a miss, a job whose canonical profile is not p follows that
+// profile's run (see follow).
 func (s *Scheduler) Submit(experimentID string, p core.Profile) (*Job, error) {
 	return s.SubmitWithContext(context.Background(), experimentID, p)
 }
@@ -336,9 +343,9 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 	// Serve from cache without scheduling. The cache probe happens with
 	// the job registered in-flight so a concurrent identical Submit
 	// joins this job rather than racing the probe.
+	s.inflight[key] = j
+	s.mu.Unlock()
 	if s.opts.Cache != nil {
-		s.inflight[key] = j
-		s.mu.Unlock()
 		if entry, ok := s.opts.Cache.Get(key); ok {
 			s.cacheHits.Add(1)
 			s.finishJob(j, entry.Table, nil, true)
@@ -351,18 +358,20 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 			s.mu.Unlock()
 			return j, nil
 		}
-		s.mu.Lock()
-		if s.closed {
-			// The job stays registered (a concurrent identical Submit
-			// may have joined it and handed out its ID) but fails.
-			delete(s.inflight, key)
-			s.mu.Unlock()
-			s.failed.Add(1)
-			s.finishJob(j, nil, ErrClosed, false)
-			return nil, ErrClosed
-		}
-	} else {
-		s.inflight[key] = j
+	}
+	// A canonical profile named as p is run as p.
+	if cp := e.Canonical(p); cp.Name != p.Name {
+		return s.follow(ctx, j, cp)
+	}
+	s.mu.Lock()
+	if s.closed {
+		// The job stays registered (a concurrent identical Submit may
+		// have joined it and handed out its ID) but fails.
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		s.failed.Add(1)
+		s.finishJob(j, nil, ErrClosed, false)
+		return nil, ErrClosed
 	}
 
 	// The submit record is written before the job becomes runnable (and
@@ -372,6 +381,7 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 	s.journalSubmit(j)
 	select {
 	case s.queue <- j:
+		j.pooled = true
 		s.mu.Unlock()
 		return j, nil
 	default:
@@ -382,6 +392,89 @@ func (s *Scheduler) SubmitWithContext(ctx context.Context, experimentID string, 
 		return nil, ErrQueueFull
 	}
 }
+
+// follow settles j, whose own key the cache missed, from the one run of
+// its canonical profile cp: the cached entry, or else the canonical job,
+// joined or submitted. A follower takes no worker, queue slot or
+// goroutine; it counts as a cache hit or a dedup.
+func (s *Scheduler) follow(ctx context.Context, j *Job, cp core.Profile) (*Job, error) {
+	ckey := results.Key(j.exp.ID, cp)
+	j.span.AddEvent("shared", obs.Attr{Key: "key", Value: ckey})
+	for {
+		if s.opts.Cache != nil {
+			if c, ok := s.opts.Cache.Get(ckey); ok {
+				s.cacheHits.Add(1)
+				s.share(j, c.Table, nil, true, j)
+				return j, nil
+			}
+		}
+		followMissed(j)
+		lead, err := s.SubmitWithContext(ctx, j.exp.ID, cp)
+		if err != nil {
+			s.share(j, nil, err, false, j)
+			return nil, err
+		}
+		s.mu.Lock()
+		// Only run settles followers (see pooled); other leaders are waited out.
+		if s.inflight[ckey] == lead && lead.pooled {
+			lead.followers = append(lead.followers, j)
+			s.journalSubmit(j) // under s.mu, as for a queued job
+			s.mu.Unlock()
+			s.deduped.Add(1)
+			return j, nil
+		}
+		s.mu.Unlock()
+		// The leader is finishing (done and cached, or with no cache to
+		// be run again, or failed) or is not on the worker pool.
+		<-lead.Done()
+		if _, err := lead.Result(); err != nil {
+			s.share(j, nil, err, false, j)
+			return j, nil
+		}
+	}
+}
+
+// share settles followers with their leader's outcome. On success each
+// gets an entry of its own key and profile holding the shared table, all
+// written as one group before any leaves the in-flight map.
+func (s *Scheduler) share(on *Job, tab *core.Table, err error, cacheHit bool, fs ...*Job) {
+	if err == nil {
+		s.put(on, tab, fs...)
+	} else {
+		s.failed.Add(int64(len(fs)))
+	}
+	s.mu.Lock()
+	for _, f := range fs {
+		delete(s.inflight, f.key)
+	}
+	s.mu.Unlock()
+	for _, f := range fs {
+		s.finishJob(f, tab, err, cacheHit)
+	}
+}
+
+// put files tab under each job's key and profile as one cache group, in
+// on's cache-write span. A write-through failure (disk full) does not
+// fail the jobs: the memory tier still serves this process, and a
+// restarted one re-runs the journaled jobs its cache does not hold.
+func (s *Scheduler) put(on *Job, tab *core.Table, jobs ...*Job) {
+	if s.opts.Cache == nil {
+		return
+	}
+	entries := make([]*results.Entry, len(jobs))
+	for i, j := range jobs {
+		entries[i] = &results.Entry{Key: j.key, Experiment: j.exp.ID, Profile: j.profile, Table: tab}
+	}
+	_, putSpan := obs.StartSpan(on.execCtxValues(), "cache-write")
+	if err := s.opts.Cache.Put(entries...); err != nil {
+		putSpan.SetAttr("error", err.Error())
+	}
+	putSpan.End()
+}
+
+// followMissed runs after a follower's canonical entry misses, before it
+// looks for the canonical job; tests set it to stage a leader's state.
+var followMissed = func(*Job) {}
 
 // newJobLocked registers a fresh queued job; s.mu must be held.
 func (s *Scheduler) newJobLocked(e *core.Experiment, p core.Profile, key string) *Job {
@@ -581,10 +674,11 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// run executes one job. On success the result is written to the cache
-// before the job leaves the in-flight map, so a concurrent identical
-// Submit always sees either the in-flight job or the cached result —
-// never a gap that would re-run the simulation.
+// run executes one job. On success the result, then its followers'
+// entries, are cached before the job leaves the in-flight map, so a
+// concurrent identical or following Submit always sees either the
+// in-flight job or the cached result — never a gap that would re-run
+// the simulation. A failure fails the followers too.
 func (s *Scheduler) run(j *Job) {
 	j.setRunning()
 	s.running.Add(1)
@@ -601,36 +695,31 @@ func (s *Scheduler) run(j *Job) {
 		// failures are not cached, so a resubmit arriving after Done
 		// must schedule a fresh run, not join this dead job.
 		s.mu.Lock()
+		fs := j.followers
 		delete(s.inflight, j.key)
 		s.mu.Unlock()
 		s.failed.Add(1)
 		// Not deferred: the gauge drops before finishJob closes Done, or
 		// a waiter woken by Done could still count this job as running.
 		s.running.Add(-1)
+		s.share(j, nil, err, false, fs...)
 		s.finishJob(j, nil, err, false)
 		return
 	}
 
 	s.executed.Add(1)
-	if s.opts.Cache != nil {
-		// A write-through failure (disk full, unwritable dir) does not
-		// fail the job: the in-memory entry still serves this process,
-		// and a restarted one re-runs the journaled job, whose result
-		// its cache does not hold.
-		_, putSpan := obs.StartSpan(j.execCtxValues(), "cache-write")
-		err := s.opts.Cache.Put(&results.Entry{
-			Key: j.key, Experiment: j.exp.ID, Profile: j.profile, Table: tab,
-		})
-		if err != nil {
-			putSpan.SetAttr("error", err.Error())
-		}
-		putSpan.End()
-	}
+	s.running.Add(-1) // before any follower's Done closes, as above
+	s.put(j, tab, j)
 	s.mu.Lock()
+	for fs := j.followers; len(fs) > 0; fs = j.followers {
+		j.followers = nil
+		s.mu.Unlock()
+		s.share(j, tab, nil, false, fs...)
+		s.mu.Lock()
+	}
 	s.vsecs += tab.VirtualSeconds()
 	delete(s.inflight, j.key)
 	s.mu.Unlock()
-	s.running.Add(-1)
 	s.finishJob(j, tab, nil, false)
 }
 
