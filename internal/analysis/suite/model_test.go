@@ -26,7 +26,6 @@ var modelDefaults = map[string]string{
 	"astro.RunMyria":            "frozen by table1",
 	"astro.runSciDBCoaddPhased": "frozen by table1",
 	// Programs of their own, outside the experiments.
-	"examples/myrial.main":     "an example chooses the model its program runs on",
 	"examples/quickstart.main": "an example chooses the model its program runs on",
 	"examples/tuning.main":     "an example chooses the model its program runs on",
 	"benchmark.probePipelines": "the benchmark times engine runs outside the experiments",

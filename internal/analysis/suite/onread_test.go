@@ -40,9 +40,6 @@ var eagerKernels = map[string]string{
 	"neuro.ReferenceSubject": "the streamed reference the engines are checked against",
 	"astro.Reference":        "the reference the engines are checked against",
 	"astro.CoaddAll":         "Step 3A of the reference",
-	"neuro.RunSciDBAFL":      "test-only: the paper's AFL program for Step 1N, run against the reference",
-	"neuro.RunMyriaL":        "test-only: the paper's MyriaL program (Figure 7), run against the reference",
-	"astro.RunAFLCoadd":      "test-only: the paper's AFL coadd program, run against the reference",
 }
 
 // TestKernelsRunOnRead fails on every use of a pixel kernel in neuro or

@@ -54,10 +54,6 @@ var testOnly = map[string]string{
 	"analysis/analysistest.Run":   "the analyzer fixture driver",
 	"analysis/analysistest.Check": "the analyzer driver TestTreeIsClean runs",
 	"analysis/suite.All":          "the analyzer list TestTreeIsClean runs",
-	// The paper's query programs, run against the reference pipeline.
-	"neuro.RunMyriaL":   "the paper's MyriaL program (Figure 7)",
-	"neuro.RunSciDBAFL": "the paper's AFL program for Step 1N",
-	"astro.RunAFLCoadd": "the paper's AFL coadd program",
 }
 
 // TestNothingOnlyTestsReach fails on every function or method declared

@@ -314,9 +314,10 @@ func (c *Cluster) transfer(src, dst int, nbytes int64, deps []*Handle) Handle {
 	s := c.node(src)
 	t := c.node(dst)
 	// The transfer occupies both NICs for the same interval: find the
-	// earliest common gap by fixed-point iteration.
+	// earliest common gap by fixed-point iteration. Each step moves start
+	// past a booking on one NIC, and both hold finitely many, so it ends.
 	start := ready
-	for i := 0; i < 32; i++ {
+	for {
 		next := vtime.Max(s.nic.StartAt(start, d), t.nic.StartAt(start, d))
 		if next == start {
 			break

@@ -213,3 +213,41 @@ func TestUtilization(t *testing.T) {
 		t.Errorf("utilization %v, want 0.25", u)
 	}
 }
+
+// TestTransferHoldsBothNICsAtOnce: a transfer books its two NICs for the
+// same interval even when the earliest common gap lies past many gaps
+// that fit one NIC but not the other. Each 6 ms period below leaves the
+// 2 ms transfer a gap on one NIC where the other is free for only 1 ms,
+// so the search meets one such gap per step, about 40 steps, before the
+// common gap after the last booking.
+func TestTransferHoldsBothNICsAtOnce(t *testing.T) {
+	c := small()
+	const ms = time.Millisecond
+	at := func(n int) vtime.Time { return vtime.Time(time.Duration(n) * ms) }
+	src, dst := &c.node(0).nic, &c.node(1).nic
+	for k := 0; k < 20; k++ {
+		// src is free for 2 ms at 6k and for 1 ms at 6k+3; dst is free
+		// for 1 ms at 6k and for 2 ms at 6k+3.
+		src.Reserve(at(6*k+2), ms)
+		src.Reserve(at(6*k+4), 2*ms)
+		dst.Reserve(at(6*k+1), 2*ms)
+		dst.Reserve(at(6*k+5), ms)
+	}
+	h := c.Transfer(0, 1, 2000) // 2 ms at small()'s 1 MB/s
+	start := h.End - vtime.Time(2*ms)
+	// The timelines coalesce neighbours, so the transfer's booking may be
+	// part of a longer interval: ask only that one covers it.
+	for _, nic := range []struct {
+		name string
+		tl   *vtime.GapTimeline
+	}{{"src", src}, {"dst", dst}} {
+		starts, ends := nic.tl.Intervals()
+		covered := false
+		for i := range starts {
+			covered = covered || (starts[i] <= start && ends[i] >= h.End)
+		}
+		if !covered {
+			t.Errorf("%s NIC is not busy over the transfer's [%v, %v)", nic.name, start, h.End)
+		}
+	}
+}

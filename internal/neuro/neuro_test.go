@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"imagebench/internal/cluster"
+	"imagebench/internal/imaging"
 	"imagebench/internal/lazy"
 	"imagebench/internal/synth"
 	"imagebench/internal/volume"
@@ -193,6 +194,41 @@ func TestTFProducesMasksAndDenoised(t *testing.T) {
 	}
 	if len(got.Denoised) != 2*w.Cfg.T {
 		t.Fatalf("got %d denoised volumes, want %d", len(got.Denoised), 2*w.Cfg.T)
+	}
+}
+
+// TestRunTFConvDenoise exercises the paper's convolutional rewrite of
+// Step 2N: the denoised volumes equal a direct Gaussian smoothing.
+func TestRunTFConvDenoise(t *testing.T) {
+	w, err := NewWorkload(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := force(RunTF(w, testCluster(), nil, TFOpts{ConvDenoise: true, ConvSigma: 0.8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Denoised) != w.Cfg.T {
+		t.Fatalf("got %d denoised volumes, want %d", len(res.Denoised), w.Cfg.T)
+	}
+	obj, err := w.Store.Get(synth.NeuroKeyNPY(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, err := decodeNPY(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := imaging.GaussianSmooth3(orig, 0.8)
+	got := res.Denoised[VolKey(0, 0)]
+	if d := volume.MaxAbsDiff(got, want); d != 0 {
+		t.Errorf("conv denoise differs from direct smoothing by %g", d)
+	}
+	// The conv rewrite is cruder than NL-means: it must differ from the
+	// reference denoiser (it is an approximation, not a reimplementation).
+	nl := Denoise(orig, nil)
+	if volume.MaxAbsDiff(got, nl) == 0 {
+		t.Error("conv denoise unexpectedly identical to non-local means")
 	}
 }
 

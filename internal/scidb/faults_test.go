@@ -19,14 +19,14 @@ func testChunks(n int) []Chunk {
 	return out
 }
 
-// runQuery is one SciDB query: aio ingest plus a chunked operator.
+// runQuery is one SciDB query: aio ingest plus a streamed operator.
 func runQuery(cl *cluster.Cluster, store *objstore.Store) error {
 	e := New(cl, store, cost.Default(), DefaultConfig())
 	a, err := e.IngestAio("A", testChunks(16), 2.5)
 	if err != nil {
 		return err
 	}
-	out := a.MapChunks("work", cost.Denoise, func(c Chunk) Chunk { return c })
+	out := a.Stream("work", cost.Denoise, func(c Chunk) Chunk { return c })
 	if h := out.Done(); h.Err != nil {
 		return h.Err
 	}

@@ -77,7 +77,6 @@ type Engine struct {
 	store   *objstore.Store
 	cfg     Config
 	startup *cluster.Handle
-	arrays  map[string]*Array
 	// nodes are the machines hosting instances: the cluster nodes alive
 	// at deployment. A manual rerun after a node death
 	// (cluster.RerunAfterKills) deploys a fresh engine on the survivors.
@@ -96,8 +95,7 @@ func New(cl *cluster.Cluster, store *objstore.Store, model *cost.Model, cfg Conf
 	if cfg.ChunkOverhead <= 0 {
 		cfg.ChunkOverhead = def.ChunkOverhead
 	}
-	e := &Engine{cl: cl, model: model, store: store, cfg: cfg, arrays: make(map[string]*Array),
-		nodes: cl.AliveNodes()}
+	e := &Engine{cl: cl, model: model, store: store, cfg: cfg, nodes: cl.AliveNodes()}
 	e.startup = cl.Submit(0, nil, model.Startup[cost.SciDB], nil)
 	return e
 }
@@ -167,7 +165,6 @@ func (e *Engine) IngestFromArray(name string, chunks []Chunk) (*Array, error) {
 		a.ready = append(a.ready, wr)
 		prev = h // next chunk's conversion starts after this one
 	}
-	e.arrays[name] = a
 	return a, nil
 }
 
@@ -194,7 +191,6 @@ func (e *Engine) IngestAio(name string, chunks []Chunk, expansion float64) (*Arr
 		h := e.cl.Submit(node, []*cluster.Handle{e.startup}, e.model.Jitter(key, conv+fetch+parse), nil)
 		a.ready = append(a.ready, e.cl.DiskWrite(node, c.Size, h))
 	}
-	e.arrays[name] = a
 	return a, nil
 }
 
@@ -222,21 +218,6 @@ func (a *Array) Filter(name string, aligned bool, keep func(Chunk) bool) *Array 
 			// The scan work still happened; fold it into the barrier.
 			out.ready = append(out.ready, h)
 		}
-	}
-	return out
-}
-
-// MapChunks applies a native per-chunk operator (window, apply, ...).
-func (a *Array) MapChunks(name string, op cost.Op, f func(Chunk) Chunk) *Array {
-	e := a.eng
-	out := &Array{Name: name, eng: e, inst: append([]int(nil), a.inst...)}
-	for i, c := range a.Chunks {
-		node := e.nodeOf(a.inst[i])
-		rd := e.cl.DiskRead(node, c.Size, a.ready[i])
-		nc := f(c)
-		h := e.cl.Submit(node, []*cluster.Handle{rd}, e.model.Jitter(name+c.Coords, e.chunkTime(op, c)), nil)
-		out.Chunks = append(out.Chunks, nc)
-		out.ready = append(out.ready, h)
 	}
 	return out
 }
@@ -375,17 +356,3 @@ func (a *Array) IterativeAQL(name string, iters int, op cost.Op, step func(iter 
 	}
 	return cur
 }
-
-// Lookup returns a stored array by name (arrays are registered by the
-// ingest paths and by afl.Run's store() statements).
-func (e *Engine) Lookup(name string) (*Array, error) {
-	a, ok := e.arrays[name]
-	if !ok {
-		return nil, fmt.Errorf("scidb: unknown array %q", name)
-	}
-	return a, nil
-}
-
-// Register stores an array under name in the engine's catalog (AFL's
-// store() operator).
-func (e *Engine) Register(name string, a *Array) { e.arrays[name] = a }

@@ -48,9 +48,6 @@ func (v *V3) SameShape(u *V3) bool {
 	return v.NX == u.NX && v.NY == u.NY && v.NZ == u.NZ
 }
 
-// Bytes returns the in-memory size of the voxel data in bytes.
-func (v *V3) Bytes() int64 { return int64(v.Len()) * 8 }
-
 // Stats summarizes a volume.
 type Stats struct {
 	Min, Max, Mean, Std float64
