@@ -22,10 +22,6 @@ var testOnly = map[string]string{
 	"tsv.EncodeCSV":       "reference CSV spelling CSVLen is pinned to",
 	"tsv.DecodeCSV":       "reference CSV parser: a parsed chunk is the decoded one",
 	"fits.Decode":         "whole-file decoder DecodeStaged is checked against",
-	"fits.DecodeTable":    "reads back the binary table the generator writes",
-	"fits.CatalogSources": "reads back the source catalog the generator writes",
-	"nifti.DecodeAuto":    "gzip-or-plain decoder the .nii.gz fixtures are read with",
-	"nifti.Encode4As":     "writes the integer-datatype fixtures the decoder is tested on",
 	"astro.LoadExposures": "fixture loader; lives in a file table1 counts",
 	// Observers and fault seams of live code.
 	"cluster.MemTracker.Capacity":  "observer of the live memory tracker",

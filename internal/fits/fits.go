@@ -83,12 +83,6 @@ func padded(n int) int {
 	return (n + blockSize - 1) / blockSize * blockSize
 }
 
-func pad(buf *bytes.Buffer) {
-	if r := buf.Len() % blockSize; r != 0 {
-		buf.Write(bytes.Repeat([]byte{' '}, blockSize-r))
-	}
-}
-
 // header is the part of a FITS file that precedes the pixels: the keyword
 // cards, the image geometry they declare, and where the data begins.
 type header struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"imagebench/internal/skymap"
 )
@@ -105,6 +106,18 @@ func TestDecodeRejectsOverflowingDimensions(t *testing.T) {
 	setCard(data, 5, "NAXIS3", "3")
 	if _, err := DecodeExposure(data); err == nil {
 		t.Error("DecodeExposure accepted overflowing dimensions")
+	}
+}
+
+// Property: the image decoder never panics on arbitrary input — it
+// returns an error.
+func TestFitsDecodeRobustnessProperty(t *testing.T) {
+	f := func(data []byte) bool {
+		_, _ = Decode(data)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

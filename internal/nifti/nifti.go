@@ -1,12 +1,11 @@
 // Package nifti reads and writes NIfTI-1 files (the neuroimaging format of
 // the paper's dMRI inputs): the 348-byte fixed header with the "n+1" magic,
-// followed by a float32 or float64 voxel block. Only the fields the
-// pipelines need are interpreted, but files are valid NIfTI-1 and
-// round-trip exactly.
+// followed by a float32 voxel block (the HCP release format). Only the
+// fields the pipelines need are interpreted, but files are valid NIfTI-1
+// and round-trip exactly.
 package nifti
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -14,28 +13,9 @@ import (
 	"imagebench/internal/volume"
 )
 
-// NIfTI-1 datatype codes (subset).
-const (
-	DTUInt8   int16 = 2
-	DTInt16   int16 = 4
-	DTFloat32 int16 = 16
-	DTFloat64 int16 = 64
-)
-
-// elemSize returns the storage bytes per voxel for a datatype code.
-func elemSize(dt int16) int {
-	switch dt {
-	case DTUInt8:
-		return 1
-	case DTInt16:
-		return 2
-	case DTFloat32:
-		return 4
-	case DTFloat64:
-		return 8
-	}
-	return 0
-}
+// DTFloat32 is the NIfTI-1 datatype code of float32 voxels, the only one
+// this package reads or writes.
+const DTFloat32 int16 = 16
 
 const (
 	headerSize = 348
@@ -45,17 +25,10 @@ const (
 
 // Header carries the subset of NIfTI-1 metadata the pipelines use.
 type Header struct {
-	Dim      [8]int16 // dim[0]=rank, dim[1..4]=nx,ny,nz,nt
-	Datatype int16
-	// PixDim holds the grid spacings: pixdim[1..3] are voxel sizes in mm
-	// (1.25 for the HCP data), pixdim[4] the repetition time.
-	PixDim [8]float32
+	Dim [8]int16 // dim[0]=rank, dim[1..4]=nx,ny,nz,nt
 	// SclSlope and SclInter map stored values to real values:
 	// real = stored×slope + inter. A zero slope means unscaled.
 	SclSlope, SclInter float32
-	// QOffset is the qform translation (scanner-space position of voxel
-	// (0,0,0)).
-	QOffset [3]float32
 }
 
 // Rank returns the number of dimensions.
@@ -70,44 +43,27 @@ func (h *Header) Voxels() int {
 	return n
 }
 
-// Encode4 serializes a 4-D volume series as a float32 NIfTI-1 file
-// (float32 matches the HCP release format).
+// Encode4 serializes a 4-D volume series as a float32 NIfTI-1 file. The
+// header fields it does not set stay zero, scl_slope among them, so the
+// voxels are stored unscaled.
 func Encode4(v *volume.V4) []byte {
 	nx, ny, nz := v.Shape()
-	h := Header{Datatype: DTFloat32}
-	h.Dim = [8]int16{4, int16(nx), int16(ny), int16(nz), int16(v.T()), 1, 1, 1}
-	var buf bytes.Buffer
-	writeHeader(&buf, &h)
-	b4 := make([]byte, 4)
+	dim := [8]int16{4, int16(nx), int16(ny), int16(nz), int16(v.T()), 1, 1, 1}
+	out := make([]byte, voxOffset, voxOffset+4*nx*ny*nz*v.T())
+	binary.LittleEndian.PutUint32(out[0:], headerSize)
+	for i, d := range dim {
+		binary.LittleEndian.PutUint16(out[40+2*i:], uint16(d))
+	}
+	binary.LittleEndian.PutUint16(out[70:], uint16(DTFloat32))
+	binary.LittleEndian.PutUint16(out[72:], 32)                           // bitpix
+	binary.LittleEndian.PutUint32(out[108:], math.Float32bits(voxOffset)) // vox_offset
+	copy(out[magicOff:], "n+1\x00")
 	for _, vol := range v.Vols {
 		for _, x := range vol.Data {
-			binary.LittleEndian.PutUint32(b4, math.Float32bits(float32(x)))
-			buf.Write(b4)
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(x)))
 		}
 	}
-	return buf.Bytes()
-}
-
-func writeHeader(buf *bytes.Buffer, h *Header) {
-	hdr := make([]byte, voxOffset)
-	binary.LittleEndian.PutUint32(hdr[0:], headerSize)
-	for i, d := range h.Dim {
-		binary.LittleEndian.PutUint16(hdr[40+2*i:], uint16(d))
-	}
-	binary.LittleEndian.PutUint16(hdr[70:], uint16(h.Datatype))
-	bitpix := int16(8 * elemSize(h.Datatype))
-	binary.LittleEndian.PutUint16(hdr[72:], uint16(bitpix))
-	for i, p := range h.PixDim {
-		binary.LittleEndian.PutUint32(hdr[76+4*i:], math.Float32bits(p))
-	}
-	binary.LittleEndian.PutUint32(hdr[108:], math.Float32bits(voxOffset)) // vox_offset
-	binary.LittleEndian.PutUint32(hdr[112:], math.Float32bits(h.SclSlope))
-	binary.LittleEndian.PutUint32(hdr[116:], math.Float32bits(h.SclInter))
-	for i, q := range h.QOffset {
-		binary.LittleEndian.PutUint32(hdr[268+4*i:], math.Float32bits(q))
-	}
-	copy(hdr[magicOff:], "n+1\x00")
-	buf.Write(hdr)
+	return out
 }
 
 // DecodeHeader parses and validates the NIfTI-1 header.
@@ -125,18 +81,11 @@ func DecodeHeader(data []byte) (*Header, error) {
 	for i := range h.Dim {
 		h.Dim[i] = int16(binary.LittleEndian.Uint16(data[40+2*i:]))
 	}
-	h.Datatype = int16(binary.LittleEndian.Uint16(data[70:]))
-	if elemSize(h.Datatype) == 0 {
-		return nil, fmt.Errorf("nifti: unsupported datatype %d", h.Datatype)
-	}
-	for i := range h.PixDim {
-		h.PixDim[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[76+4*i:]))
+	if dt := int16(binary.LittleEndian.Uint16(data[70:])); dt != DTFloat32 {
+		return nil, fmt.Errorf("nifti: unsupported datatype %d", dt)
 	}
 	h.SclSlope = math.Float32frombits(binary.LittleEndian.Uint32(data[112:]))
 	h.SclInter = math.Float32frombits(binary.LittleEndian.Uint32(data[116:]))
-	for i := range h.QOffset {
-		h.QOffset[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[268+4*i:]))
-	}
 	if h.Rank() < 3 || h.Rank() > 4 {
 		return nil, fmt.Errorf("nifti: unsupported rank %d", h.Rank())
 	}
@@ -164,8 +113,7 @@ func Decode4Arena(data []byte, arena *volume.Arena) (*volume.V4, error) {
 	if err != nil {
 		return nil, err
 	}
-	elem := elemSize(h.Datatype)
-	need := voxOffset + h.Voxels()*elem
+	need := voxOffset + h.Voxels()*4
 	if len(data) < need {
 		return nil, fmt.Errorf("nifti: truncated data: have %d bytes, need %d", len(data), need)
 	}
@@ -184,19 +132,9 @@ func Decode4Arena(data []byte, arena *volume.Arena) (*volume.V4, error) {
 	for t := 0; t < nt; t++ {
 		v := arena.Get(nx, ny, nz)
 		for i := 0; i < per; i++ {
-			var raw float64
-			switch h.Datatype {
-			case DTUInt8:
-				raw = float64(data[off])
-			case DTInt16:
-				raw = float64(int16(binary.LittleEndian.Uint16(data[off:])))
-			case DTFloat32:
-				raw = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:])))
-			case DTFloat64:
-				raw = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			}
+			raw := float64(math.Float32frombits(binary.LittleEndian.Uint32(data[off:])))
 			v.Data[i] = raw*slope + inter
-			off += elem
+			off += 4
 		}
 		vols[t] = v
 	}
