@@ -427,8 +427,10 @@ func (c *Coordinator) replicator(ctx context.Context, peer string) {
 
 		status, _, err := c.post(ctx, peer+"/v1/results", bytes.Join(q[:n], nil))
 		switch {
-		case err != nil:
+		case isTransport(err):
 			c.workerDown(peer, nil)
+		case err != nil:
+			c.logf("fed: replicate %d entries to %s: %v", n, peer, err)
 		case status != http.StatusCreated:
 			c.logf("fed: replicate %d entries to %s: status %d", n, peer, status)
 		case c.cfg.Metrics != nil:

@@ -367,6 +367,37 @@ func TestWorkerKeyDriftFailsTheCell(t *testing.T) {
 	}
 }
 
+// TestReplyOverTheCapFailsTheCell: a reply declaring more than the
+// coordinator reads is refused before any of it is read, with an error
+// that names the cap; the worker answered, so it is not declared down.
+func TestReplyOverTheCapFailsTheCell(t *testing.T) {
+	registerFedFakes()
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(maxReplyBytes+1))
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer worker.Close()
+	fm := obs.NewFedMetrics(obs.NewRegistry())
+	coord, err := New(Config{Workers: []string{worker.URL}, Metrics: fm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	res, err := coord.Run(ctx, sweep.Spec{Experiments: []string{"zz-fed-a"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("worker reply declares %d bytes, over the 64 MiB cap", maxReplyBytes+1)
+	if len(res.Failed) != 1 || res.Failed[res.Cells[0].Key] != want {
+		t.Errorf("failed = %v, want the one cell failed with %q", res.Failed, want)
+	}
+	if down := fm.WorkerFailures.With(worker.URL).Value(); down != 0 {
+		t.Errorf("worker declared down %v times, want 0", down)
+	}
+}
+
 // TestFederationSmokeKillWorker is the acceptance smoke: coordinator +
 // 3 in-process workers, a 60-cell sweep, one worker killed (-9 at the
 // network layer) mid-flight. The killed worker's cells must migrate to

@@ -65,7 +65,7 @@ func (c *Coordinator) submitCell(ctx context.Context, worker string, cell *sweep
 	for attempt := 0; ; attempt++ {
 		status, resp, err := c.post(ctx, worker+"/v1/jobs", body)
 		if err != nil {
-			return runner.Info{}, err // already a *transportError
+			return runner.Info{}, err // a *transportError, or a reply over the cap
 		}
 		if status == http.StatusServiceUnavailable && attempt < maxRetries {
 			select {
@@ -125,8 +125,9 @@ func (c *Coordinator) probeEntry(ctx context.Context, key string) *results.Entry
 	return nil
 }
 
-// post issues a JSON POST; the returned error is always a
-// *transportError (HTTP-level failures come back as a status).
+// post issues a JSON POST. A failure to reach the worker or read its
+// reply is a *transportError, a reply over maxReplyBytes a plain error;
+// HTTP-level failures come back as a status.
 func (c *Coordinator) post(ctx context.Context, url string, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
@@ -144,15 +145,39 @@ func (c *Coordinator) get(ctx context.Context, url string) (int, []byte, error) 
 	return c.do(req)
 }
 
+// maxReplyBytes caps a worker's reply body. A larger one is not read:
+// the worker answered, so it fails the request, not the worker.
+const maxReplyBytes = 64 << 20
+
+// preallocReplyBytes bounds the buffer do allocates up front from a
+// declared Content-Length, so a worker that declares a large body and
+// then stalls costs no more than this until its bytes arrive.
+const preallocReplyBytes = 1 << 20
+
+// do sends req and reads the reply: into one buffer of the declared
+// Content-Length when that is at most preallocReplyBytes, through a
+// growing buffer otherwise.
 func (c *Coordinator) do(req *http.Request) (int, []byte, error) {
 	resp, err := c.client.Do(req)
 	if err != nil {
 		return 0, nil, &transportError{err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if resp.ContentLength > maxReplyBytes {
+		return 0, nil, fmt.Errorf("worker reply declares %d bytes, over the %d MiB cap", resp.ContentLength, maxReplyBytes>>20)
+	}
+	var body []byte
+	if n := resp.ContentLength; n >= 0 && n <= preallocReplyBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
+	}
 	if err != nil {
 		return 0, nil, &transportError{err: err}
+	}
+	if len(body) > maxReplyBytes {
+		return 0, nil, fmt.Errorf("worker reply exceeds the %d MiB cap", maxReplyBytes>>20)
 	}
 	return resp.StatusCode, body, nil
 }

@@ -411,6 +411,10 @@ func (r *RDD) computeNarrow() error {
 	r.nodes = append([]int(nil), base.nodes...)
 	r.ready = make([]*cluster.Handle, base.nParts)
 	r.nParts = base.nParts
+	// A retry below may adopt a node death and bump the epoch; partitions
+	// finished earlier in the loop can still sit on that node, so the
+	// stage is current only as of the epoch it started in.
+	e0 := r.s.epoch
 	for p := range base.parts {
 		r.narrowPartition(chain, base, p, nil)
 		p := p
@@ -432,7 +436,7 @@ func (r *RDD) computeNarrow() error {
 	// uncached intermediate recomputes its lineage, exactly as in Spark
 	// (the behaviour Section 5.3.3 of the paper discusses).
 	r.done = true
-	r.epoch = r.s.epoch
+	r.epoch = e0
 	r.finishCache()
 	return nil
 }
@@ -624,6 +628,7 @@ func (r *RDD) computeShuffle() error {
 		return err
 	}
 	s := r.s
+	e0 := s.epoch // as in computeNarrow
 	in, barrier := r.mapSide(nil)
 	r.parts = make([][]Pair, r.nParts)
 	r.nodes = make([]int, r.nParts)
@@ -651,7 +656,7 @@ func (r *RDD) computeShuffle() error {
 		rel()
 	}
 	r.done = true
-	r.epoch = s.epoch
+	r.epoch = e0
 	r.finishCache()
 	return nil
 }
