@@ -38,6 +38,7 @@ var onRead = map[string]bool{"lazy.Of": true, "neuro.over": true, "neuro.then": 
 // kernel when they are called, each with its reason.
 var eagerKernels = map[string]string{
 	"neuro.ReferenceSubject": "the streamed reference the engines are checked against",
+	"neuro.TFMask":           "TensorFlow's mask rule its masks are checked against",
 	"astro.Reference":        "the reference the engines are checked against",
 	"astro.CoaddAll":         "Step 3A of the reference",
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -72,7 +73,7 @@ func CheckOutputs(ctx context.Context, p Profile) error {
 // order). SciDB and TensorFlow stop at Step 2N, denoising without the
 // mask: one volume of w's shape per input, which checkNeuro returns by
 // volume key, and SciDB's masks bit for bit, TensorFlow's (a threshold,
-// not Otsu) one per subject.
+// not Otsu) bit for bit to their own rule (neuro.TFMask).
 func checkNeuro(out any, w *neuro.Workload, ref *neuro.Result) (map[string]*volume.V3, error) {
 	var masks map[int]*volume.V3
 	var den map[string]*volume.V3
@@ -106,6 +107,11 @@ func checkNeuro(out any, w *neuro.Workload, ref *neuro.Result) (map[string]*volu
 		r, err := out.Force()
 		if err != nil {
 			return nil, err
+		}
+		for s := range ref.Subjects {
+			if want, err := neuro.TFMask(w, s); err != nil || !within(r.Masks[s], want, 0) {
+				return nil, cmp.Or(err, fmt.Errorf("subject %d: mask differs from its threshold rule's", s))
+			}
 		}
 		masks, den = r.Masks, r.Denoised
 	default:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -29,27 +30,7 @@ func TestCheckOutputsQuick(t *testing.T) {
 // than quick's, which TestCheckOutputsQuick covers, so that the two
 // engines denoise in a fraction of its time.
 func TestCheckOutputsCatchesOffDenoise(t *testing.T) {
-	p := Quick()
-	p.NeuroNX, p.NeuroNY, p.NeuroNZ, p.NeuroT = 6, 6, 6, 12
-	nw, err := neuroWorkload(p, p.NeuroSubjects[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	nref, err := neuro.Reference(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(name string) any {
-		e, err := engine.Lookup(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.RunNeuro(context.Background(), nw, runCluster(defaultNodes(p), nw.InputModelBytes()), model, engine.Opts{CacheInput: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Output
-	}
+	nw, nref, run := smallNeuro(t)
 	sciOut := run("SciDB")
 	sci, err := checkNeuro(sciOut, nw, nref)
 	if err != nil {
@@ -80,4 +61,59 @@ func TestCheckOutputsCatchesOffDenoise(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "denoised "+key+" ") {
 		t.Errorf("a SciDB volume off in one voxel: err = %v, want one naming %s", err, key)
 	}
+}
+
+// TestCheckOutputsCatchesOffTFMask is the mutation check of the
+// TensorFlow mask comparison: each mask is held bit for bit to its own
+// threshold rule, so a mask with one voxel flipped fails the check
+// CheckOutputs makes, naming that mask's subject.
+func TestCheckOutputsCatchesOffTFMask(t *testing.T) {
+	nw, nref, run := smallNeuro(t)
+	tfOut := run("TensorFlow")
+	if _, err := checkNeuro(tfOut, nw, nref); err != nil {
+		t.Fatal(err)
+	}
+	r, err := tfOut.(*lazy.Value[*neuro.TFResult]).Force()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := nw.Subjects - 1
+	off := r.Masks[s].Clone()
+	off.Data[len(off.Data)/2] = 1 - off.Data[len(off.Data)/2]
+	mutated := &neuro.TFResult{Masks: maps.Clone(r.Masks), Denoised: r.Denoised}
+	mutated.Masks[s] = off
+	_, err = checkNeuro(lazy.Of(func() (*neuro.TFResult, error) { return mutated, nil }), nw, nref)
+	if want := fmt.Sprintf("subject %d: mask differs", s); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("a TensorFlow mask with one voxel flipped: err = %v, want one containing %q", err, want)
+	}
+}
+
+// smallNeuro is the smallest cell on volumes smaller than quick's, so
+// that the engines' denoise runs in a fraction of its time: its
+// workload, the reference's result, and a run of one engine's
+// neuroscience pipeline on it.
+func smallNeuro(t *testing.T) (*neuro.Workload, *neuro.Result, func(string) any) {
+	t.Helper()
+	p := Quick()
+	p.NeuroNX, p.NeuroNY, p.NeuroNZ, p.NeuroT = 6, 6, 6, 12
+	nw, err := neuroWorkload(p, p.NeuroSubjects[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	nref, err := neuro.Reference(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string) any {
+		e, err := engine.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.RunNeuro(context.Background(), nw, runCluster(defaultNodes(p), nw.InputModelBytes()), model, engine.Opts{CacheInput: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Output
+	}
+	return nw, nref, run
 }

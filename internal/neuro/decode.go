@@ -6,6 +6,7 @@ import (
 	"imagebench/internal/nifti"
 	"imagebench/internal/npy"
 	"imagebench/internal/objstore"
+	"imagebench/internal/synth"
 	"imagebench/internal/volume"
 )
 
@@ -40,4 +41,18 @@ func decodeNIfTIArena(obj objstore.Object, arena *volume.Arena) (*volume.V4, err
 		return nil, fmt.Errorf("neuro: decoding %s: %w", obj.Key, err)
 	}
 	return v4, nil
+}
+
+// TFMask is RunTF's mask of subject s by its rule: simplifiedMask of the
+// b0 mean in volume order, as RunTF combines them, decoded afresh.
+func TFMask(w *Workload, s int) (*volume.V3, error) {
+	obj, err := w.Store.Get(synth.NeuroKeyNIfTI(s))
+	if err != nil {
+		return nil, err
+	}
+	data, err := decodeNIfTIArena(obj, nil)
+	if err != nil {
+		return nil, err
+	}
+	return simplifiedMask(volume.Mean3(data.Select(w.Grad.B0Mask(50)).Vols)), nil
 }

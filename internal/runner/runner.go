@@ -47,9 +47,9 @@ type Options struct {
 	// QueueDepth bounds the backlog of queued jobs; 0 means 1024.
 	QueueDepth int
 	// MaxJobs bounds the retained job index: once exceeded, the oldest
-	// *terminated* jobs are evicted (their results stay in the cache).
-	// 0 means 4096. The daemon is long-lived; without a bound the job
-	// index would grow by one entry per submission forever.
+	// *terminated* jobs are evicted (their results stay in the cache),
+	// amortized O(1) per submit. 0 means 4096. The daemon is long-lived;
+	// without a bound the index would grow by one entry per submit forever.
 	MaxJobs int
 	// Cache, when non-nil, is consulted before scheduling and written
 	// through after every successful run.
@@ -230,7 +230,8 @@ type Scheduler struct {
 	mu       sync.Mutex
 	closed   bool
 	jobs     map[string]*Job // by job ID
-	order    []*Job          // retained jobs in submission order
+	order    []*Job          // retained jobs in submission order, from head
+	head     int
 	inflight map[string]*Job // by result key, queued or running
 	nextSeq  int64
 	vsecs    float64 // virtual seconds simulated (guarded by mu)
@@ -238,11 +239,12 @@ type Scheduler struct {
 	// Eviction tombstones: when evictLocked drops a terminated job, the
 	// few bytes a poller needs to find its result again (the job ID →
 	// result key mapping plus terminal state) are retained here, FIFO-
-	// bounded by MaxJobs. Without this, a submit-then-poll client whose
-	// job was evicted under load sees a 404 even though the result is
-	// sitting in the content-addressed cache.
-	tombs     map[string]tombstone
-	tombOrder []string
+	// bounded by MaxJobs (tombRing, written at tombNext). Without this, a
+	// submit-then-poll client whose job was evicted under load sees a 404
+	// even though the result is sitting in the content-addressed cache.
+	tombs    map[string]tombstone
+	tombRing []string
+	tombNext int
 
 	jobLatency *obs.Histogram
 
@@ -514,24 +516,26 @@ type tombstone struct {
 // index exceeds MaxJobs; s.mu must be held. Queued and running jobs are
 // never evicted, so the index can exceed the bound transiently while
 // that many jobs are genuinely live. Each evicted job leaves a
-// tombstone (see EvictedInfo), themselves FIFO-bounded by MaxJobs.
+// tombstone (see EvictedInfo). The scan stops once the index is within
+// the bound: amortized O(1) per submit, plus a shift of any live jobs passed.
 func (s *Scheduler) evictLocked() {
-	if len(s.jobs) <= s.opts.MaxJobs {
-		return
-	}
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if len(s.jobs) > s.opts.MaxJobs && j.terminated() {
+	lo, i := s.head, s.head // the live jobs passed are s.order[lo:i]
+	for ; len(s.jobs) > s.opts.MaxJobs && i < len(s.order); i++ {
+		if j := s.order[i]; j.terminated() {
 			delete(s.jobs, j.id)
 			s.entombLocked(j)
-			continue
+			// Live jobs passed shift up onto the evicted slot, in order.
+			copy(s.order[lo+1:], s.order[lo:i])
+			s.order[lo], lo = nil, lo+1 // released to the GC
 		}
-		kept = append(kept, j)
 	}
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil // release evicted jobs to the GC
+	s.head = lo
+	// Compact in place once the dead prefix is as long as the rest.
+	if rest := len(s.order) - s.head; s.head >= rest {
+		copy(s.order, s.order[s.head:])
+		clear(s.order[rest:])
+		s.order, s.head = s.order[:rest], 0
 	}
-	s.order = kept
 }
 
 // entombLocked records an evicted job's terminal state; s.mu must be
@@ -540,6 +544,7 @@ func (s *Scheduler) evictLocked() {
 func (s *Scheduler) entombLocked(j *Job) {
 	if s.tombs == nil {
 		s.tombs = make(map[string]tombstone)
+		s.tombRing = make([]string, 4*s.opts.MaxJobs)
 	}
 	t := tombstone{
 		key:        j.key,
@@ -556,15 +561,13 @@ func (s *Scheduler) entombLocked(j *Job) {
 	if !j.finished.IsZero() && !j.started.IsZero() {
 		t.elapsedSec = j.finished.Sub(j.started).Seconds()
 	}
-	s.tombs[j.id] = t
-	s.tombOrder = append(s.tombOrder, j.id)
 	// A tombstone is ~150 bytes against a job's table and span tree, so
 	// retaining 4x MaxJobs of them is cheap and keeps the poll window
 	// usefully wider than the job window under heavy submit traffic.
-	for len(s.tombOrder) > 4*s.opts.MaxJobs {
-		delete(s.tombs, s.tombOrder[0])
-		s.tombOrder = s.tombOrder[1:]
-	}
+	delete(s.tombs, s.tombRing[s.tombNext]) // the oldest, once the ring is full
+	s.tombs[j.id] = t
+	s.tombRing[s.tombNext] = j.id
+	s.tombNext = (s.tombNext + 1) % len(s.tombRing)
 }
 
 // EvictedInfo reconstructs a terminal Info for a job that was evicted
@@ -625,7 +628,7 @@ func (s *Scheduler) Job(id string) (*Job, bool) {
 func (s *Scheduler) Jobs() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]*Job(nil), s.order...)
+	return append([]*Job(nil), s.order[s.head:]...)
 }
 
 // Stats returns a snapshot of scheduler counters.

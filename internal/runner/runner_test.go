@@ -77,7 +77,7 @@ func registerFakes() {
 	})
 }
 
-func newTestScheduler(t *testing.T, opts Options) *Scheduler {
+func newTestScheduler(t testing.TB, opts Options) *Scheduler {
 	t.Helper()
 	registerFakes()
 	s := New(opts)
