@@ -39,6 +39,13 @@ func preprocessOnRead(e *skymap.Exposure) skymap.Pending {
 	return skymap.Pending{Header: e, Pixels: lazy.Of(func() (*skymap.Exposure, error) { return Preprocess(e), nil })}
 }
 
+// overlaps is the patches e touches, with a record slice sized for one
+// record per patch: Step 2A's flatmap emits exactly that many.
+func overlaps[R any](g skymap.Grid, e skymap.Pending) ([]skymap.Patch, []R) {
+	ps := g.ExposureOverlaps(e.Header)
+	return ps, make([]R, 0, len(ps))
+}
+
 // coaddOnRead is skymap.CoaddPatch of one patch's stack.
 func coaddOnRead(stack []*skymap.PatchExposure, nsigma float64, iters int) (*lazyCoadd, error) {
 	if len(stack) == 0 {

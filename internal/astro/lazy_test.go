@@ -1,6 +1,9 @@
 package astro
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"slices"
 	"sync"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"imagebench/internal/fits"
 	"imagebench/internal/lazy"
 	"imagebench/internal/skymap"
+	"imagebench/internal/spark"
 	"imagebench/internal/vtime"
 )
 
@@ -68,9 +72,8 @@ func TestDeferredCoaddForcesOnceUnderConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// A calibration and a projected piece per exposure, a merge per
-	// visit, the coadd.
-	if n, want := lazy.Computed()-before, uint64(2*len(touching)+len(stack)+1); n != want {
+	// A calibration per exposure, a merge per visit, the coadd.
+	if n, want := lazy.Computed()-before, uint64(len(touching)+len(stack)+1); n != want {
 		t.Errorf("the co-add computed %d values, want %d", n, want)
 	}
 
@@ -119,4 +122,89 @@ func TestCoaddStepRunnersComputeNothing(t *testing.T) {
 	if n := lazy.Computed() - before; n != 0 {
 		t.Errorf("the co-addition step runners computed %d lazy values", n)
 	}
+}
+
+// Step 2A's flatmaps size their output once: overlaps hands a record
+// slice with room for one record per patch, for an exposure on 1 to 6
+// patches, and Spark's and Myria's patch-project UDFs both take the
+// records they return from it.
+func TestPatchProjectAllocsOnce(t *testing.T) {
+	g := skymap.Grid{PatchW: 10, PatchH: 10}
+	for _, r := range []struct{ x0, y0, w, h, patches int }{
+		{1, 1, 5, 5, 1}, {8, 0, 5, 5, 2}, {5, 5, 21, 5, 3}, {8, 8, 5, 5, 4}, {5, 5, 21, 10, 6},
+	} {
+		e := preprocessOnRead(skymap.NewExposure(1, 0, r.x0, r.y0, r.w, r.h))
+		pts, out := overlaps[spark.Pair](g, e)
+		for _, pt := range pts {
+			out = append(out, spark.Pair{Key: VisitPatchKey(pt, 1), Value: g.Defer(e, pt)})
+		}
+		if len(pts) != r.patches || len(out) != cap(out) {
+			t.Errorf("%d×%d at (%d,%d): %d patches, %d records in room for %d; want %d patches, full",
+				r.w, r.h, r.x0, r.y0, len(pts), len(out), cap(out), r.patches)
+		}
+	}
+	fset := token.NewFileSet()
+	for _, file := range []string{"spark.go", "myria.go"} {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok && fieldValue(lit, "Name") == `"patch-project"` {
+				fn, _ := field(lit, "F").(*ast.FuncLit)
+				found = fn != nil && returnsOverlapsSlice(fn)
+				return false
+			}
+			return true
+		})
+		if !found {
+			t.Errorf("%s: the patch-project UDF does not return the records overlaps sized", file)
+		}
+	}
+}
+
+func field(lit *ast.CompositeLit, name string) ast.Expr {
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if k, ok := kv.Key.(*ast.Ident); ok && k.Name == name {
+				return kv.Value
+			}
+		}
+	}
+	return nil
+}
+
+func fieldValue(lit *ast.CompositeLit, name string) string {
+	if b, ok := field(lit, name).(*ast.BasicLit); ok {
+		return b.Value
+	}
+	return ""
+}
+
+// returnsOverlapsSlice reports whether fn binds the record slice of an
+// overlaps call and returns that slice.
+func returnsOverlapsSlice(fn *ast.FuncLit) bool {
+	var out string
+	returned := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if call, ok := n.Rhs[0].(*ast.CallExpr); ok && len(n.Lhs) == 2 {
+				if ix, ok := call.Fun.(*ast.IndexExpr); ok {
+					if id, ok := ix.X.(*ast.Ident); ok && id.Name == "overlaps" {
+						out = n.Lhs[1].(*ast.Ident).Name
+					}
+				}
+			}
+		case *ast.ReturnStmt:
+			if len(n.Results) == 1 {
+				if id, ok := n.Results[0].(*ast.Ident); ok && out != "" && id.Name == out {
+					returned = true
+				}
+			}
+		}
+		return true
+	})
+	return returned
 }

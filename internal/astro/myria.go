@@ -128,8 +128,8 @@ func runMyriaChunk(w *Workload, q *myria.Query, exposures *myria.Relation, v0, v
 	}})
 	pieces := q.Apply(calibrated, myria.PyUDF{Name: "patch-project", Op: cost.PatchMap, F: func(t myria.Tuple) []myria.Tuple {
 		e := t.Value.(skymap.Pending)
-		var out []myria.Tuple
-		for _, pt := range grid.ExposureOverlaps(e.Header) {
+		pts, out := overlaps[myria.Tuple](grid, e)
+		for _, pt := range pts {
 			out = append(out, myria.Tuple{Key: VisitPatchKey(pt, e.Header.Visit), Value: grid.Defer(e, pt), Size: patchBytes})
 		}
 		return out

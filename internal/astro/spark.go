@@ -47,8 +47,8 @@ func RunSpark(w *Workload, cl *cluster.Cluster, model *cost.Model, opts SparkOpt
 	// patch, then grouping per (patch, visit).
 	pieces := calibrated.Map(spark.UDF{Name: "patch-project", Op: cost.PatchMap, F: func(p spark.Pair) []spark.Pair {
 		e := p.Value.(skymap.Pending)
-		var out []spark.Pair
-		for _, pt := range grid.ExposureOverlaps(e.Header) {
+		pts, out := overlaps[spark.Pair](grid, e)
+		for _, pt := range pts {
 			out = append(out, spark.Pair{
 				Key:   VisitPatchKey(pt, e.Header.Visit),
 				Value: grid.Defer(e, pt),

@@ -242,12 +242,15 @@ func (c *Cluster) submit(nodeID int, deps []*Handle, cost vtime.Duration, fn fun
 		// the kill itself.
 		return Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
 	}
-	_, end := n.workers[w].Reserve(ready, d)
+	start, end := n.workers[w].Reserve(ready, d)
 	c.tasks++
 	c.observe(end)
 	h := Handle{Node: nodeID, End: end}
 	if fn != nil {
 		h.Err = fn()
+	}
+	if auditBooked != nil {
+		auditBooked(c, After(deps...), h.End, booked{nodeID, w, 'w', start, end})
 	}
 	return h
 }
@@ -332,9 +335,12 @@ func (c *Cluster) transfer(src, dst int, nbytes int64, deps []*Handle) Handle {
 			return Handle{Node: ep, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: ep, At: n.deadAt}}
 		}
 	}
-	_, end := s.nic.Reserve(start, d)
-	t.nic.Reserve(start, d)
+	ss, end := s.nic.Reserve(start, d)
+	ts, te := t.nic.Reserve(start, d)
 	c.observe(end)
+	if auditBooked != nil {
+		auditBooked(c, After(deps...), end, booked{src, 0, 'n', ss, end}, booked{dst, 0, 'n', ts, te})
+	}
 	return Handle{Node: dst, End: end}
 }
 
@@ -360,13 +366,19 @@ func (c *Cluster) broadcast(src int, nbytes int64, deps []*Handle) Handle {
 	if s := c.node(src); s.killed && (!ready.Before(s.deadAt) || end.After(s.deadAt)) {
 		return Handle{Node: src, End: vtime.Max(ready, s.deadAt), Err: &NodeDownError{Node: src, At: s.deadAt}}
 	}
-	for _, n := range c.nodes {
+	var bs []booked
+	for i, n := range c.nodes {
 		if n.killed && !ready.Before(n.deadAt) {
 			continue // dead receivers are simply absent from the tree
 		}
-		n.nic.Reserve(ready, d)
+		if s, e := n.nic.Reserve(ready, d); auditBooked != nil {
+			bs = append(bs, booked{i, 0, 'n', s, e})
+		}
 	}
 	c.observe(end)
+	if auditBooked != nil {
+		auditBooked(c, After(deps...), end, bs...)
+	}
 	return Handle{Node: src, End: end}
 }
 
@@ -392,8 +404,11 @@ func (c *Cluster) diskOp(nodeID int, nbytes int64, deps []*Handle) Handle {
 	if n.killed && (!ready.Before(n.deadAt) || n.disk.StartAt(ready, d).Add(d).After(n.deadAt)) {
 		return Handle{Node: nodeID, End: vtime.Max(ready, n.deadAt), Err: &NodeDownError{Node: nodeID, At: n.deadAt}}
 	}
-	_, end := n.disk.Reserve(ready, d)
+	start, end := n.disk.Reserve(ready, d)
 	c.observe(end)
+	if auditBooked != nil {
+		auditBooked(c, After(deps...), end, booked{nodeID, 0, 'd', start, end})
+	}
 	return Handle{Node: nodeID, End: end}
 }
 
@@ -401,8 +416,16 @@ func (c *Cluster) diskOp(nodeID int, nbytes int64, deps []*Handle) Handle {
 // propagating the first error. It consumes no resources; it models a
 // synchronization point (stage boundary, query end).
 func (c *Cluster) Barrier(deps ...*Handle) *Handle {
-	h := &Handle{End: After(deps...), Err: FirstErr(deps...)}
+	h := c.barrier(deps)
+	return &h
+}
+
+func (c *Cluster) barrier(deps []*Handle) Handle {
+	h := Handle{End: After(deps...), Err: FirstErr(deps...)}
 	c.observe(h.End)
+	if auditBooked != nil {
+		auditBooked(c, h.End, h.End)
+	}
 	return h
 }
 
@@ -422,7 +445,12 @@ func (c *Cluster) MaxHighWater() int64 {
 
 // Makespan returns the latest virtual completion time observed so far — the
 // simulated wall-clock runtime of everything submitted to the cluster.
-func (c *Cluster) Makespan() vtime.Time { return c.makespan }
+func (c *Cluster) Makespan() vtime.Time {
+	if auditMakespan != nil {
+		auditMakespan(c)
+	}
+	return c.makespan
+}
 
 // Tasks returns the number of tasks executed.
 func (c *Cluster) Tasks() int { return c.tasks }

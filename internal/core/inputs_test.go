@@ -246,9 +246,25 @@ func TestSharedInputIsBuiltOnce(t *testing.T) {
 	}
 }
 
+// forgetInputs forgets every shared input when t ends, as a reset to
+// stay in budget does: a test that plants inputs of its own type leaves
+// none for a later pass over the table (go test -count) to meet.
+func forgetInputs(t *testing.T) {
+	t.Cleanup(func() {
+		inputsMu.Lock()
+		defer inputsMu.Unlock()
+		clear(inputs)
+		inputStats.Bytes = 0
+		for k := range inputStats.Kinds {
+			inputStats.Kinds[k].Bytes = 0
+		}
+	})
+}
+
 // A build that fails is returned to its caller and not kept: the next
 // caller builds again, and what that one builds is kept.
 func TestFailedInputBuildIsRetried(t *testing.T) {
+	forgetInputs(t)
 	if _, err := neuroWorkload(unseenProfile(), 0); err == nil {
 		t.Fatal("a workload of no subjects was built")
 	}
@@ -280,6 +296,7 @@ func TestFailedInputBuildIsRetried(t *testing.T) {
 // as its error or as its panic, and nothing of it is kept: the next
 // caller builds again.
 func TestFailedInputBuildReachesItsWaiters(t *testing.T) {
+	forgetInputs(t)
 	type cfg struct{ id int64 }
 	boom := errors.New("boom")
 	bytes := func(*int) int64 { return 8 }
@@ -349,6 +366,7 @@ func TestFailedInputBuildReachesItsWaiters(t *testing.T) {
 // or one miss, and the inputs stay within the budget. Run it with -race
 // at GOMAXPROCS=8.
 func TestSharedInputStress(t *testing.T) {
+	forgetInputs(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const workers, calls, keys = 8, 3000, 48
 	type cfg struct{ run, k int64 }
@@ -434,6 +452,7 @@ func TestSharedInputStress(t *testing.T) {
 // content, and an input larger than the whole budget is served and
 // never kept.
 func TestInputBudgetOverflowKeepsHeldWorkloads(t *testing.T) {
+	forgetInputs(t)
 	p := unseenProfile()
 	held, err := neuroWorkload(p, 1)
 	if err != nil {

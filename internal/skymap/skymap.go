@@ -106,15 +106,20 @@ func floorDiv(a, b int) int {
 
 // PatchExposure is the pixels one visit contributes to one patch: a
 // patch-sized flux/variance raster with a validity plane (pixels outside
-// the contributing sensors are invalid). A deferred piece (Grid.Defer,
-// Assemble) has its patch and visit and no planes: Built makes them.
+// the contributing sensors are invalid). A deferred piece (Grid.Defer)
+// or group (Assemble) has its patch and visit and no planes: Built
+// makes them.
 type PatchExposure struct {
 	Patch Patch
 	Visit int
 	Flux  *imaging.Image
 	Var   *imaging.Image
 	Valid []bool
-	built *lazy.Value[*PatchExposure] // a deferred piece's planes
+	// A deferred piece holds its exposure's pending pixels and the grid
+	// to project them on; a deferred group, its merge, memoized.
+	pixels *lazy.Value[*Exposure]
+	grid   Grid
+	built  *lazy.Value[*PatchExposure]
 }
 
 // NewPatchExposure allocates an all-invalid patch exposure. The flux
@@ -144,29 +149,30 @@ func (g Grid) Project(e *Exposure, p Patch) *PatchExposure {
 }
 
 // Defer is Project on demand: the piece of patch p that e's pixels
-// yield, projected when first read (Built). It reads no pixel and
-// forces nothing.
+// yield, one object holding e's pending pixels, projected on every read
+// (Built). It reads no pixel and forces nothing.
 func (g Grid) Defer(e Pending, p Patch) *PatchExposure {
-	return deferred(p, e.Header.Visit, func() (*PatchExposure, error) {
-		x, err := e.Pixels.Force()
+	return &PatchExposure{Patch: p, Visit: e.Header.Visit, pixels: e.Pixels, grid: g}
+}
+
+func (pe *PatchExposure) deferred() bool { return pe.pixels != nil || pe.built != nil }
+
+// Built returns pe with its planes: pe itself; for a deferred piece, a
+// fresh projection of its exposure's pixels (forced once, by the first
+// read of any piece of them); for a deferred group, its merge, built by
+// the first call from any goroutine.
+func (pe *PatchExposure) Built() (*PatchExposure, error) {
+	switch {
+	case pe.pixels != nil:
+		x, err := pe.pixels.Force()
 		if err != nil {
 			return nil, err
 		}
-		return g.Project(x, p), nil
-	})
-}
-
-func deferred(p Patch, visit int, build func() (*PatchExposure, error)) *PatchExposure {
-	return &PatchExposure{Patch: p, Visit: visit, built: lazy.Of(build)}
-}
-
-// Built returns pe with its planes: pe itself, or the planes of a
-// deferred piece, built by the first call from any goroutine.
-func (pe *PatchExposure) Built() (*PatchExposure, error) {
-	if pe.built == nil {
-		return pe, nil
+		return pe.grid.Project(x, pe.Patch), nil
+	case pe.built != nil:
+		return pe.built.Force()
 	}
-	return pe.built.Force()
+	return pe, nil
 }
 
 // project fills pe (patch pe.Patch) from e.
@@ -216,7 +222,7 @@ func Merge(dst, src *PatchExposure) error {
 		return fmt.Errorf("skymap: merging %v/visit %d into %v/visit %d",
 			src.Patch, src.Visit, dst.Patch, dst.Visit)
 	}
-	if dst.built != nil || src.built != nil {
+	if dst.deferred() || src.deferred() {
 		return fmt.Errorf("skymap: merging a deferred piece of %v/visit %d", dst.Patch, dst.Visit)
 	}
 	for i, v := range src.Valid {
@@ -233,8 +239,9 @@ func Merge(dst, src *PatchExposure) error {
 // each group into one PatchExposure per (patch, visit) — the grouping half
 // of Step 2A. The input may contain pieces from many visits. Each group
 // is merged into its first piece, which is mutated and returned (a
-// deferred piece's planes, once built): a piece is never shared, so
-// Project and Defer make a fresh one on every call.
+// deferred piece's planes, projected for that read): a piece is never
+// shared, so Project, Defer and a deferred piece's Built make a fresh
+// one on every call.
 func AssemblePatches(pieces []*PatchExposure) ([]*PatchExposure, error) {
 	return Assemble(pieces, nil)
 }
@@ -256,8 +263,8 @@ func Assemble(pieces []*PatchExposure, order func([]*PatchExposure)) ([]*PatchEx
 		}
 		group := sorted[:n:n]
 		sorted = sorted[n:]
-		if slices.ContainsFunc(group, func(pe *PatchExposure) bool { return pe.built != nil }) {
-			out = append(out, deferred(group[0].Patch, group[0].Visit, func() (*PatchExposure, error) { return mergeGroup(group, order) }))
+		if slices.ContainsFunc(group, (*PatchExposure).deferred) {
+			out = append(out, &PatchExposure{Patch: group[0].Patch, Visit: group[0].Visit, built: lazy.Of(func() (*PatchExposure, error) { return mergeGroup(group, order) })})
 			continue
 		}
 		pe, err := mergeGroup(group, order)

@@ -1,8 +1,12 @@
 package skymap
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"imagebench/internal/lazy"
 )
 
 func TestOverlapsCounts(t *testing.T) {
@@ -221,6 +225,98 @@ func TestOverlapsAllocatesOnce(t *testing.T) {
 	for _, r := range [][4]int{{1, 1, 5, 5}, {5, 5, 21, 10}, {-35, -15, 200, 90}} {
 		if got := testing.AllocsPerRun(20, func() { g.Overlaps(r[0], r[1], r[2], r[3]) }); got != 1 {
 			t.Errorf("Overlaps%v allocates %v times, want 1", r, got)
+		}
+	}
+}
+
+var pieceSink *PatchExposure
+
+// A deferred piece is one object: its patch, its visit, and what it is
+// projected from when read.
+func TestDeferAllocsOnce(t *testing.T) {
+	g := Grid{PatchW: 10, PatchH: 10}
+	e := atHand(NewExposure(3, 0, 5, 5, 21, 10))
+	if got := testing.AllocsPerRun(20, func() { pieceSink = g.Defer(e, Patch{1, 0}) }); got != 1 {
+		t.Errorf("Defer allocates %v times, want 1", got)
+	}
+}
+
+// A deferred piece is projected on every read: two reads are two
+// pieces, each the projection bit for bit, and a merge into the first
+// read's planes does not show in the second.
+func TestDeferredPieceReadsAfresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := Grid{PatchW: 9, PatchH: 7}
+	e := randomExposure(rng, -4, 2, 13, 6)
+	p := Patch{PX: 0, PY: 0}
+	pe := g.Defer(atHand(e), p)
+	first, err := pe.Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePiece(t, "first read", p, first, g.Project(e, p))
+	other := NewPatchExposure(g, p, e.Visit)
+	for i := range other.Valid {
+		other.Flux.Pix[i], other.Var.Pix[i], other.Valid[i] = 1e6, 1e6, true
+	}
+	if err := Merge(first, other); err != nil {
+		t.Fatal(err)
+	}
+	second, err := pe.Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second == first || &second.Flux.Pix[0] == &first.Flux.Pix[0] || &second.Valid[0] == &first.Valid[0] {
+		t.Fatal("two reads of a deferred piece share planes")
+	}
+	samePiece(t, "second read", p, second, g.Project(e, p))
+	if pe.Flux != nil || pe.Valid != nil {
+		t.Error("a read wrote planes into the deferred piece")
+	}
+}
+
+// A piece whose calibration fails fails every read with that error, and
+// so does the group it is assembled into.
+func TestDeferredPieceKeepsItsError(t *testing.T) {
+	g := Grid{PatchW: 4, PatchH: 4}
+	boom := errors.New("calibration failed")
+	e := NewExposure(2, 0, 0, 0, 3, 3)
+	pe := g.Defer(Pending{Header: e, Pixels: lazy.Of(func() (*Exposure, error) { return nil, boom })}, Patch{0, 0})
+	for read := 0; read < 3; read++ {
+		if got, err := pe.Built(); got != nil || err != boom {
+			t.Fatalf("read %d = %v, %v, want nil, %v", read, got, err, boom)
+		}
+	}
+	out, err := Assemble([]*PatchExposure{g.Project(e, Patch{0, 0}), pe}, nil)
+	if err != nil || len(out) != 1 {
+		t.Fatalf("assembled %d groups (%v), want one", len(out), err)
+	}
+	if _, err := out[0].Built(); err != boom {
+		t.Errorf("the group's read = %v, want %v", err, boom)
+	}
+}
+
+// Step 2A as the engines run it, short of a read: a visit's pieces,
+// deferred on every patch each exposure touches, grouped per (patch,
+// visit).
+func BenchmarkAssembleDeferred(b *testing.B) {
+	g := Grid{PatchW: 40, PatchH: 40}
+	var cals []Pending
+	for s := 0; s < 16; s++ {
+		e := NewExposure(0, s, (s%4)*35-10, (s/4)*35-10, 32, 32)
+		cals = append(cals, atHand(e))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var pieces []*PatchExposure
+		for _, c := range cals {
+			for _, p := range g.ExposureOverlaps(c.Header) {
+				pieces = append(pieces, g.Defer(c, p))
+			}
+		}
+		if _, err := AssemblePatches(pieces); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
