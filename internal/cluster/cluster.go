@@ -362,16 +362,36 @@ func (c *Cluster) broadcast(src int, nbytes int64, deps []*Handle) Handle {
 	}
 	rounds := int(math.Ceil(math.Log2(float64(len(c.nodes)))))
 	d := bytesDur(nbytes, c.cfg.NetBandwidth) * vtime.Duration(rounds)
-	end := ready.Add(d)
-	if s := c.node(src); s.killed && (!ready.Before(s.deadAt) || end.After(s.deadAt)) {
+	// The tree occupies every live NIC for the same interval: find the
+	// earliest common gap by fixed-point iteration, as Transfer does.
+	// Receivers dead before the end are absent from the tree; a later
+	// start only drops more of them, so it ends.
+	down := func(n *node, start vtime.Time) bool {
+		return n.killed && (!start.Before(n.deadAt) || start.Add(d).After(n.deadAt))
+	}
+	start := ready
+	for {
+		next := start
+		for _, n := range c.nodes {
+			if !down(n, start) {
+				next = vtime.Max(next, n.nic.StartAt(start, d))
+			}
+		}
+		if next == start {
+			break
+		}
+		start = next
+	}
+	if s := c.node(src); down(s, start) {
 		return Handle{Node: src, End: vtime.Max(ready, s.deadAt), Err: &NodeDownError{Node: src, At: s.deadAt}}
 	}
+	end := start.Add(d)
 	var bs []booked
 	for i, n := range c.nodes {
-		if n.killed && !ready.Before(n.deadAt) {
-			continue // dead receivers are simply absent from the tree
+		if down(n, start) {
+			continue
 		}
-		if s, e := n.nic.Reserve(ready, d); auditBooked != nil {
+		if s, e := n.nic.Reserve(start, d); auditBooked != nil {
 			bs = append(bs, booked{i, 0, 'n', s, e})
 		}
 	}

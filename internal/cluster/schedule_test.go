@@ -8,6 +8,7 @@ import (
 
 	"imagebench/internal/cluster"
 	"imagebench/internal/core"
+	"imagebench/internal/vtime"
 )
 
 // sweepAstro is the sweep-astro benchmark's grid (benchmark/sweepastro.go):
@@ -52,4 +53,59 @@ func TestScheduleAudit(t *testing.T) {
 	for _, b := range breaks {
 		t.Error(b)
 	}
+}
+
+// FuzzSchedule runs the schedule audit (audit.go) over arbitrary call
+// sequences on a small cluster with up to two kills: no rule may break
+// for any mix of Submit, Transfer, DiskRead, Broadcast, Barrier, floor
+// advances and mid-run Makespan checks. The first six bytes shape the
+// cluster and its kills; then each four bytes are one call, whose
+// dependencies are earlier handles picked by index.
+func FuzzSchedule(f *testing.F) {
+	f.Add([]byte{2, 1, 1, 50, 0, 0, 0, 0, 0, 20, 1, 0, 1, 30, 2, 1, 0, 9, 3, 0, 1, 40, 4, 1, 2, 0})
+	f.Add([]byte{3, 2, 2, 90, 3, 40, 3, 1, 0, 60, 1, 2, 1, 70, 0, 2, 2, 30, 5, 0, 0, 50, 6, 0, 0, 0, 0, 1, 3, 25})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 6 {
+			return
+		}
+		c := cluster.New(cluster.Config{Nodes: 1 + int(b[0]%4), WorkersPerNode: 1 + int(b[1]%3),
+			MemPerNode: 1, NetBandwidth: 1e9, DiskBandwidth: 1e9})
+		var kills []cluster.Fault
+		for _, k := range [][2]byte{{b[2], b[3]}, {b[4], b[5]}} {
+			if n := int(k[0]) % (c.Nodes() + 1); n > 1 { // node 0 survives
+				kills = append(kills, cluster.Fault{Kind: cluster.FaultKill, Node: n - 1, At: vtime.Time(k[1])})
+			}
+		}
+		if err := c.Inject(kills...); err != nil {
+			t.Fatal(err)
+		}
+		for _, br := range cluster.Audit(func() {
+			hs := []cluster.Handle{{}}
+			for i := 6; i+4 <= len(b); i += 4 {
+				node, dep, arg := int(b[i+1])%c.Nodes(), &hs[int(b[i+2])%len(hs)], b[i+3]
+				var h *cluster.Handle
+				switch b[i] % 7 {
+				case 0:
+					h = c.Submit(node, []*cluster.Handle{dep}, vtime.Duration(arg), nil)
+				case 1:
+					h = c.Transfer(node, int(arg)%c.Nodes(), int64(b[i+2]), dep)
+				case 2:
+					h = c.DiskRead(node, int64(arg), dep)
+				case 3:
+					h = c.Broadcast(node, int64(arg), dep)
+				case 4:
+					h = c.Barrier(dep, &hs[int(arg)%len(hs)])
+				case 5:
+					c.AdvanceFloor(vtime.Time(arg))
+				default:
+					c.Makespan()
+				}
+				if h != nil {
+					hs = append(hs, *h)
+				}
+			}
+		}) {
+			t.Errorf("breaks %q on %s: %s", br.Rule, br.Resource, br.Detail)
+		}
+	})
 }

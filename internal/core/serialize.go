@@ -22,6 +22,12 @@ import (
 // with identical parameters always fingerprint identically, so the hash
 // can key caches across processes and restarts.
 func (p Profile) Fingerprint() string {
+	var b [2 * sha256.Size]byte
+	return string(p.AppendFingerprint(b[:0]))
+}
+
+// AppendFingerprint appends p.Fingerprint() (hex SHA-256 of p's JSON) to dst.
+func (p Profile) AppendFingerprint(dst []byte) []byte {
 	b, err := json.Marshal(p)
 	if err != nil {
 		// Profile is a flat struct of strings and ints; marshal cannot
@@ -29,7 +35,7 @@ func (p Profile) Fingerprint() string {
 		panic("core: marshal profile: " + err.Error())
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.AppendEncode(dst, sum[:])
 }
 
 // ProfileByName returns one of the built-in profiles ("quick" or

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -22,6 +24,17 @@ func TestProfileFingerprint(t *testing.T) {
 	}
 	if len(Quick().Fingerprint()) != 64 {
 		t.Errorf("fingerprint %q is not hex SHA-256", Quick().Fingerprint())
+	}
+	// It is the hex SHA-256 of the profile's JSON, so no key moves.
+	for _, p := range []Profile{Quick(), Full(), Quick().Apply(Overrides{ClusterNodes: []int{5}, Systems: []string{"Spark"}})} {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got, want := p.Fingerprint(), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s fingerprint %s, want %s", p.Name, got, want)
+		}
 	}
 }
 

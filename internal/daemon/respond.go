@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"imagebench/internal/obs"
@@ -35,16 +37,40 @@ type Responder struct {
 // the status line is on the wire and the client is usually gone, so
 // accounting is all that remains.
 func (r *Responder) WriteJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		// apiError is a plain string struct, so this inner marshal
-		// cannot itself fail.
+	b := jsonBufs.Get().(*jsonBuf)
+	b.Reset()
+	if err := b.enc.Encode(v); err != nil {
 		status = http.StatusInternalServerError
-		b, _ = json.MarshalIndent(apiError{Error: fmt.Sprintf("encode response: %v", err)}, "", "  ")
+		//lint:allow droppederr Encode wrote nothing, and apiError (plain strings) cannot fail
+		_ = b.enc.Encode(apiError{Error: fmt.Sprintf("encode response: %v", err)})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	r.writeBody(w, status, b.Bytes())
+	if b.Cap() <= 64<<10 { // a big reply's buffer is left to the collector
+		jsonBufs.Put(b)
+	}
+}
+
+// jsonBuf encodes a reply as json.MarshalIndent(v, "", "  ") and a
+// newline, HTML-escaped alike, into a buffer that later replies reuse.
+type jsonBuf struct {
+	bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufs = sync.Pool{New: func() any {
+	b := new(jsonBuf)
+	b.enc = json.NewEncoder(&b.Buffer)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+var jsonContentType = []string{"application/json"} // every JSON reply's, shared
+
+// writeBody sends a JSON body with the status, in one Write.
+func (r *Responder) writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	if _, err := w.Write(append(b, '\n')); err != nil {
+	if _, err := w.Write(body); err != nil {
 		r.noteWriteError()
 	}
 }

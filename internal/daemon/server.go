@@ -423,5 +423,10 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.WriteJSON(w, http.StatusOK, entry)
+	body, err := s.cache.JSON(entry)
+	if err != nil {
+		s.WriteError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	s.writeBody(w, http.StatusOK, body)
 }

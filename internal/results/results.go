@@ -36,10 +36,12 @@ import (
 // profiles, which no committed table pins, moves none. Cells that share
 // one run (core.Experiment.Canonical) keep their own keys.
 func Key(experimentID string, p core.Profile) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "imagebench/result/v2\x00%s\x00%s\x00", experimentID, p.Fingerprint())
-	h.Write(salt[:])
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [256]byte // room for an ID of 137 bytes; a longer one spills to the heap
+	b := append(buf[:0], "imagebench/result/v2\x00"...)
+	b = append(append(b, experimentID...), 0)
+	b = append(p.AppendFingerprint(b), 0)
+	sum := sha256.Sum256(append(b, salt[:]...))
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
 // salt is what every table depends on besides its experiment and
@@ -101,6 +103,13 @@ type span struct {
 	n   int
 }
 
+// held is one entry of the memory tier, with its body once JSON has
+// made it, so that whatever drops the entry drops both.
+type held struct {
+	e    *Entry
+	body []byte // nil until the entry's first JSON call
+}
+
 // Cache is a concurrency-safe result cache. The in-memory map is the
 // source of truth; when opened with a directory, entries are also
 // appended to its results.log, a line each, and lazily re-read on miss,
@@ -109,7 +118,7 @@ type Cache struct {
 	log *jsonl.File // nil = memory only
 
 	mu   sync.RWMutex
-	mem  map[string]*Entry
+	mem  map[string]held
 	disk map[string]span // records in the log: built at Open, maintained by Put/load
 
 	memHits, diskHits, misses, appended atomic.Int64
@@ -121,7 +130,7 @@ type Cache struct {
 // Keys and Stats never touch the disk. One process owns a cache
 // directory at a time (README "Durability").
 func Open(dir string) (*Cache, error) {
-	c := &Cache{mem: make(map[string]*Entry)}
+	c := &Cache{mem: make(map[string]held)}
 	if dir == "" {
 		return c, nil
 	}
@@ -198,11 +207,11 @@ const (
 // It reports which layer served the entry.
 func (c *Cache) peek(key string) (*Entry, string, bool) {
 	c.mu.RLock()
-	e, ok := c.mem[key]
+	h, ok := c.mem[key]
 	sp, onDisk := c.disk[key]
 	c.mu.RUnlock()
 	if ok {
-		return e, layerMem, true
+		return h.e, layerMem, true
 	}
 	if onDisk {
 		if e, ok := c.load(key, sp); ok {
@@ -225,7 +234,7 @@ func (c *Cache) Put(entries ...*Entry) error {
 	var fresh []*Entry
 	c.mu.Lock()
 	for _, e := range entries {
-		c.mem[e.Key] = e
+		c.mem[e.Key] = held{e: e}
 		if _, logged := c.disk[e.Key]; c.log != nil && !logged {
 			fresh = append(fresh, e)
 		}
@@ -276,8 +285,32 @@ func (c *Cache) load(key string, sp span) (*Entry, bool) {
 		}
 		return nil, false
 	}
-	c.mem[key] = &e
+	c.mem[key] = held{e: &e}
 	return &e, true
+}
+
+// JSON returns e, an entry Get or Peek returned, as the daemon serves it:
+// json.MarshalIndent(e, "", "  ") and a newline, encoded on e's first
+// call and held with it in memory, so later calls return the same shared
+// bytes, never to be written. A failed encode holds nothing.
+func (c *Cache) JSON(e *Entry) ([]byte, error) {
+	c.mu.RLock()
+	h := c.mem[e.Key]
+	c.mu.RUnlock()
+	if h.e == e && h.body != nil {
+		return h.body, nil
+	}
+	b, err := json.MarshalIndent(e, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, '\n')
+	c.mu.Lock()
+	if h := c.mem[e.Key]; h.e == e && h.body == nil { // neither replaced by a Put nor encoded meanwhile
+		c.mem[e.Key] = held{e, b}
+	}
+	c.mu.Unlock()
+	return b, nil
 }
 
 // Keys returns every cached key, sorted: the union of memory and the

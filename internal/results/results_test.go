@@ -3,7 +3,9 @@ package results
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"math"
 	"os"
@@ -149,8 +151,104 @@ func TestKeyAllocations(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	q := core.Quick()
-	if n := testing.AllocsPerRun(100, func() { Key("fig11", q) }); n > 10 {
-		t.Errorf("Key allocates %.0f times a call, want <= 10", n)
+	if n := testing.AllocsPerRun(100, func() { Key("fig11", q) }); n > 3 {
+		t.Errorf("Key allocates %.0f times a call, want <= 3", n)
+	}
+}
+
+// formerKey is Key as it was written before it hashed from a stack
+// buffer: a sha256.New hasher, fmt.Fprintf, and the profile's
+// fingerprint spelled out as the hex SHA-256 of its JSON.
+func formerKey(t *testing.T, experimentID string, p core.Profile) string {
+	b, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := sha256.Sum256(b)
+	h := sha256.New()
+	fmt.Fprintf(h, "imagebench/result/v2\x00%s\x00%s\x00", experimentID, hex.EncodeToString(fp[:]))
+	h.Write(salt[:])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestKeyMatchesItsFormerDefinition: every registered experiment keeps
+// its key under the quick and full profiles and two override profiles,
+// so no cache directory, sweep ID or golden moves.
+func TestKeyMatchesItsFormerDefinition(t *testing.T) {
+	profiles := []core.Profile{
+		core.Quick(),
+		core.Full(),
+		core.Quick().Apply(core.Overrides{ClusterNodes: []int{5}, Failures: []string{"kill:1@30%"}}),
+		core.Full().Apply(core.Overrides{AstroVisits: []int{3}, NeuroSubjects: []int{2}, Systems: []string{"Spark", "Dask"}}),
+	}
+	all := core.All()
+	if len(all) < 20 {
+		t.Fatalf("only %d experiments registered", len(all))
+	}
+	for _, e := range all {
+		for _, p := range profiles {
+			if got, want := Key(e.ID, p), formerKey(t, e.ID, p); got != want {
+				t.Errorf("Key(%s, %s) = %s, want %s", e.ID, p.Name, got, want)
+			}
+		}
+	}
+}
+
+// TestJSONOncePerEntry: JSON encodes an entry on its first call, as
+// json.MarshalIndent and a newline, and serves the held bytes after,
+// without moving the traffic counters. A Put of the key drops the bytes
+// with the entry it replaces, an entry the cache no longer holds is
+// encoded but not held, and a failed encode holds nothing.
+func TestJSONOncePerEntry(t *testing.T) {
+	c, err := Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("fig11", core.Quick())
+	e := &Entry{Key: key, Experiment: "fig11", Profile: core.Quick(), Table: sampleTable()}
+	if err := c.Put(e); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.MarshalIndent(e, "", "  ")
+	want = append(want, '\n')
+	first, err := c.JSON(e)
+	if err != nil || !bytes.Equal(first, want) {
+		t.Fatalf("JSON = %q, %v; want %q", first, err, want)
+	}
+	held := func(x *Entry) bool {
+		b, _ := c.JSON(x)
+		return &b[0] == &first[0]
+	}
+	if !held(e) || !held(e) {
+		t.Error("a second JSON call encoded the entry again")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("JSON moved the traffic counters: %+v", st)
+	}
+	e2 := &Entry{Key: key, Experiment: "fig11", Profile: core.Quick(), Table: sampleTable()}
+	if err := c.Put(e2); err != nil {
+		t.Fatal(err)
+	}
+	if held(e) || held(e2) {
+		t.Error("a Put of the key kept the replaced entry's bytes")
+	}
+	if b, _ := c.JSON(e); !bytes.Equal(b, want) {
+		t.Errorf("an entry no longer held encodes to %q", b)
+	}
+	again, _ := c.JSON(e2)
+	if b, _ := c.JSON(e2); &b[0] != &again[0] || !bytes.Equal(b, want) {
+		t.Error("the replacing entry's bytes are not held")
+	}
+
+	inf := &Entry{Key: Key("fig12a", core.Quick()), Experiment: "fig12a", Profile: core.Quick(), Table: sampleTable()}
+	inf.Table.Set("a", "1", math.Inf(1))
+	if err := c.Put(inf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if b, err := c.JSON(inf); err == nil || b != nil {
+			t.Errorf("an unencodable entry gave %q, %v", b, err)
+		}
 	}
 }
 
